@@ -34,9 +34,7 @@ from .physics import (
     total_energy,
 )
 from .kkt import (
-    BisectionProblem,
     DualVariable,
-    bisect,
     solve_baa,
     solve_bcaa,
     solve_caa,

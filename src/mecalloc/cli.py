@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import os
 import sys
@@ -20,6 +22,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .model import (
+    BracketError,
+    ConvergenceError,
     InfeasibilityError,
     InfeasiblePairError,
     SolveConfig,
@@ -74,48 +78,43 @@ def _timestamp():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _parse_strategy(token):
-    """Sweep/solve strategy tokens -> (label, runner kwargs)."""
-    if token == "binary-best-ap":
-        return token, {"method": "binary-best-ap", "init": None}
-    if token == "fixed-equal":
-        return token, {"method": "fixed-equal", "init": None}
-    if token.startswith("iterative:"):
-        return token, {"method": "iterative", "init": token.split(":", 1)[1]}
-    if token == "iterative":
-        return "iterative:equal", {"method": "iterative", "init": "equal"}
+def _strategy(token, init_seed=0):
+    """Strategy token -> (label, InitStrategy or None).
+
+    Tokens: binary-best-ap, fixed-equal, iterative (short for
+    iterative:equal) and iterative:<init> with init equal, random or
+    best-ap-<percent>. Anything else raises ArgumentTypeError, so a bad
+    token is rejected before any solve starts.
+    """
+    if token in ("binary-best-ap", "fixed-equal"):
+        return token, None
+    label = "iterative:equal" if token == "iterative" else token
+    method, _, init = label.partition(":")
+    if method == "iterative":
+        if init == "equal":
+            return label, InitStrategy.equal()
+        if init == "random":
+            return label, InitStrategy.random(seed=init_seed)
+        if init.startswith("best-ap-"):
+            try:
+                return label, InitStrategy.best_ap(
+                    weight=float(init[len("best-ap-"):]) / 100.0)
+            except ValueError:  # not a number, or a weight outside (0, 1]
+                pass
     raise argparse.ArgumentTypeError(f"unknown strategy {token!r}")
 
 
-def _init_strategy(name, seed):
-    if name == "equal":
-        return InitStrategy.equal()
-    if name == "random":
-        return InitStrategy.random(seed=seed)
-    if name.startswith("best-ap-"):
-        return InitStrategy.best_ap(weight=float(name.rsplit("-", 1)[1]) / 100.0)
-    raise argparse.ArgumentTypeError(f"unknown init {name!r}")
-
-
-def _config_from_args(scenario, args):
-    return SolveConfig.for_scenario(
-        scenario,
-        epsilon_j=args.eps_mj * 1e-3,
-        bisect_tol=args.bisect_tol,
-        max_outer_iters=args.max_outer,
-    )
-
-
-def _run_method(scenario, method, init_name, init_seed, cfg):
-    if method == "iterative":
-        return solve_iterative(scenario, _init_strategy(init_name or "equal",
-                                                        init_seed), cfg)
-    if method == "binary-best-ap":
+def _run(scenario, label, init_seed, cfg):
+    if label == "binary-best-ap":
         return solve_fixed_assignment(scenario, best_snr_assignment(scenario), cfg)
-    if method == "fixed-equal":
-        L = initialize(scenario, InitStrategy.equal())
-        return solve_fixed_data(scenario, L, cfg)
-    raise argparse.ArgumentTypeError(f"unknown method {method!r}")
+    if label == "fixed-equal":
+        return solve_fixed_data(scenario, initialize(scenario, InitStrategy.equal()), cfg)
+    return solve_iterative(scenario, _strategy(label, init_seed)[1], cfg)
+
+
+def _config_kwargs(args):
+    return {"epsilon_j": args.eps_mj * 1e-3, "bisect_tol": args.bisect_tol,
+            "max_outer_iters": args.max_outer}
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +136,14 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
+    label = args.method if args.method != "iterative" else f"iterative:{args.init}"
     scenario = load_scenario(args.scenario)
-    cfg = _config_from_args(scenario, args)
-    try:
-        solution = _run_method(scenario, args.method, args.init, args.init_seed, cfg)
-    except (InfeasibilityError, InfeasiblePairError) as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    cfg = SolveConfig.for_scenario(scenario, **_config_kwargs(args))
+    solution = _run(scenario, label, args.init_seed, cfg)
     metrics = evaluate(scenario, solution, cfg)
     report = validate(scenario, solution.allocation, cfg)
     doc = solution.to_dict()
-    doc["metrics"] = {
-        "energy_mj": metrics.energy_mj,
-        "max_load_share_per_user": list(metrics.max_load_share_per_user),
-        "multi_ap_user_count": metrics.multi_ap_user_count,
-        "constraint_residuals": metrics.constraint_residuals,
-    }
+    doc["metrics"] = dataclasses.asdict(metrics)
     doc["constraints_ok"] = report.ok
     out = _out_path(args.out)
     with open(out, "w") as fh:
@@ -177,22 +168,24 @@ def cmd_solve(args):
     return EXIT_OK if solution.converged else EXIT_NO_CONVERGENCE
 
 
-def _sweep_point(job):
-    """One (parameter value, strategy) solve; runs inside a worker."""
-    scenario_doc, param, value, token, init_seed, eps_mj, bisect_tol, max_outer = job
+_SWEEP_COLUMNS = ["parameter", "value", "strategy", "energy_mj",
+                  "outer_iterations", "mean_max_load_share",
+                  "min_max_load_share", "multi_ap_user_count", "converged",
+                  "error"]
+
+
+def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
+    """One (parameter value, strategy label) solve; runs inside a worker."""
+    value, label = point
     scenario = override_parameter(scenario_from_dict(scenario_doc),
                                   _SWEEP_PARAMS[param], value)
-    label, spec = _parse_strategy(token)
-    cfg = SolveConfig.for_scenario(scenario, epsilon_j=eps_mj * 1e-3,
-                                   bisect_tol=bisect_tol,
-                                   max_outer_iters=max_outer)
-    row = {"parameter": param, "value": value, "strategy": label,
-           "energy_mj": "", "outer_iterations": "",
-           "mean_max_load_share": "", "min_max_load_share": "",
-           "multi_ap_user_count": "", "converged": "", "error": ""}
+    cfg = SolveConfig.for_scenario(scenario, **cfg_kwargs)
+    row = dict.fromkeys(_SWEEP_COLUMNS, "")
+    row.update(parameter=param, value=value, strategy=label)
     try:
-        sol = _run_method(scenario, spec["method"], spec["init"], init_seed, cfg)
-    except (InfeasibilityError, InfeasiblePairError) as exc:
+        sol = _run(scenario, label, init_seed, cfg)
+    except (InfeasibilityError, InfeasiblePairError, ConvergenceError,
+            BracketError) as exc:
         row["converged"] = "false"
         row["error"] = str(exc).replace(",", ";")
         return row
@@ -211,31 +204,23 @@ def _sweep_point(job):
     return row
 
 
-_SWEEP_COLUMNS = ["parameter", "value", "strategy", "energy_mj",
-                  "outer_iterations", "mean_max_load_share",
-                  "min_max_load_share", "multi_ap_user_count", "converged",
-                  "error"]
-
-
 def cmd_sweep(args):
     scenario = load_scenario(args.scenario)
     values = sorted(float(v) for v in args.values.split(","))
     if len(values) != len(set(values)):
         raise argparse.ArgumentTypeError("sweep values must be distinct")
-    tokens = [tok.strip() for tok in args.strategies.split(",") if tok.strip()]
-    if not tokens:
+    labels = [_strategy(tok.strip())[0] for tok in args.strategies.split(",")
+              if tok.strip()]
+    if not labels:
         raise argparse.ArgumentTypeError("at least one strategy is required")
-    for tok in tokens:
-        _parse_strategy(tok)
-    doc = scenario_to_dict(scenario)
-    jobs = [(doc, args.param, v, tok, args.init_seed, args.eps_mj,
-             args.bisect_tol, args.max_outer)
-            for v in values for tok in tokens]
+    solve_point = functools.partial(_sweep_point, scenario_to_dict(scenario),
+                                    args.param, args.init_seed, _config_kwargs(args))
+    points = [(v, label) for v in values for label in labels]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_point, jobs))
+            rows = list(pool.map(solve_point, points))
     else:
-        rows = [_sweep_point(job) for job in jobs]
+        rows = [solve_point(p) for p in points]
     rows.sort(key=lambda r: (float(r["value"]), r["strategy"]))
 
     out = _out_path(args.out)
@@ -247,9 +232,8 @@ def cmd_sweep(args):
     print(f"wrote {out}: {len(rows)} rows")
 
     if args.param == "deadline-s":
-        for tok in tokens:
-            label, spec = _parse_strategy(tok)
-            if spec["method"] != "iterative":
+        for label in labels:
+            if not label.startswith("iterative:"):
                 continue
             energies = [float(r["energy_mj"]) for r in rows
                         if r["strategy"] == label and r["energy_mj"] != ""]
@@ -330,6 +314,9 @@ def main(argv=None):
     except (InfeasibilityError, InfeasiblePairError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (ConvergenceError, BracketError) as exc:
+        print(f"did not converge: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -84,56 +84,6 @@ class SolveDiagnostic:
     dual: DualVariable
     residual: float
     iterations: int
-
-
-@dataclass
-class BisectionProblem:
-    """A monotone scalar root search: find v with evaluate(v) = target.
-
-    evaluate must be monotone on [lower, upper] and the endpoint values
-    must bracket the target. The search stops when the interval width
-    falls below tol * max(1, |midpoint|), or earlier when target_tol is
-    set and the residual |evaluate(mid) - target| drops below it.
-    """
-
-    evaluate: Callable[[float], float]
-    lower: float
-    upper: float
-    target: float = 0.0
-    tol: float = 1e-9
-    max_iters: int = 200
-    target_tol: Optional[float] = None
-
-
-def bisect(problem: BisectionProblem) -> float:
-    lo, hi = problem.lower, problem.upper
-    if not lo < hi:
-        raise BracketError(f"empty bracket [{lo}, {hi}]")
-    f_lo = problem.evaluate(lo) - problem.target
-    f_hi = problem.evaluate(hi) - problem.target
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if (f_lo > 0) == (f_hi > 0):
-        raise BracketError(
-            f"no sign change across bracket: f({lo}) - target = {f_lo:.3e}, "
-            f"f({hi}) - target = {f_hi:.3e}")
-    increasing = f_hi > f_lo
-    for _ in range(problem.max_iters):
-        mid = 0.5 * (lo + hi)
-        fm = problem.evaluate(mid) - problem.target
-        if fm == 0.0 or (problem.target_tol is not None and abs(fm) <= problem.target_tol):
-            return mid
-        if (fm < 0) == increasing:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= problem.tol * max(1.0, abs(mid)):
-            return 0.5 * (lo + hi)
-    raise ConvergenceError(
-        f"bisection did not reach tolerance in {problem.max_iters} iterations "
-        f"(bracket [{lo}, {hi}])")
 
 
 def _quiet_overflow(fn):
@@ -417,33 +367,29 @@ def _slack_roots(mu, L, x, d, w, a):
         lambda mid: _slack_stationarity(mid, L, x, d, w, a, mu) < 0, lo, hi)
 
 
-@_quiet_overflow
-def _caa_joint(scenario, x, L, aps, cfg, dual_guess=None):
-    """Slack columns for several APs at once; one dual search per AP.
+def _caa_joint(scenario, x, L, aps, cfg, diag=None, dual_guess=None):
+    """Slack and compute columns for several APs at once; one dual search per AP.
 
     Energy falls as compute grows, so each AP's capacity binds: mu_j is
     driven until the implied demand sum_i eta*L/(D - t) meets capacity.
-    Returns (slack matrix for the requested columns, duals, residuals,
-    evaluation count); inactive users keep their deadline as slack.
+    Returns (slack columns, compute columns rescaled onto each capacity,
+    duals) for the requested APs; inactive users keep their deadline as
+    slack and get no compute. Appends one mu_compute record per AP to
+    diag, each carrying the probe count of the joint search.
     """
     L = np.asarray(L, dtype=float)
     x = np.asarray(x, dtype=float)
     act = L > cfg.activity_threshold_bits
     d_user = scenario.deadlines_s
-    eta_user = scenario.cycles_per_bit
-    noise = scenario.noise_over_gain()
-
-    pairs_i, group = [], []
-    for gid, j in enumerate(aps):
-        users = np.nonzero(act[:, j])[0]
-        if users.size == 0:
-            raise DegenerateInputError(f"AP {j} serves no active user")
-        pairs_i.append(users)
-        group.append(np.full(users.size, gid))
-    ui = np.concatenate(pairs_i)
-    uj = np.concatenate([np.full(p.size, j) for p, j in zip(pairs_i, aps)])
-    gid = np.concatenate(group)
     n_groups = len(aps)
+
+    # row-major order keeps each AP's users ascending, so the per-AP
+    # bincount sums below add in the same order as a per-AP loop would
+    ui, gid = np.nonzero(act[:, aps])
+    idle = np.bincount(gid, minlength=n_groups) == 0
+    if idle.any():
+        raise DegenerateInputError(f"AP {aps[int(np.argmax(idle))]} serves no active user")
+    uj = np.asarray(aps)[gid]
 
     Lv = L[ui, uj]
     xv = x[ui, uj]
@@ -451,9 +397,9 @@ def _caa_joint(scenario, x, L, aps, cfg, dual_guess=None):
         bad = int(uj[np.nonzero(xv <= 0)[0][0]])
         raise StructuralError(f"AP {bad}: active user without bandwidth")
     dv = d_user[ui]
-    wv = eta_user[ui] * Lv
-    av = noise[ui, uj]
-    caps = np.array([scenario.compute_capacity[j] for j in aps])
+    wv = scenario.cycles_per_bit[ui] * Lv
+    av = scenario.noise_over_gain()[ui, uj]
+    caps = scenario.compute_capacity[aps]
     base_load = np.bincount(gid, weights=wv / dv, minlength=n_groups)
     if np.any(base_load >= caps):
         g = int(np.nonzero(base_load >= caps)[0][0])
@@ -479,36 +425,25 @@ def _caa_joint(scenario, x, L, aps, cfg, dual_guess=None):
     qv = qv * (caps / sums)[gid]
     t_cols = np.broadcast_to(d_user[:, None], (L.shape[0], n_groups)).copy()
     t_cols[ui, gid] = dv - wv / qv
-    return t_cols, mus, resid, calls
+    q_cols = np.zeros((L.shape[0], n_groups))
+    q_cols[ui, gid] = qv
+    if diag is not None:
+        for g, j in enumerate(aps):
+            diag.append(SolveDiagnostic(
+                DualVariable("mu_compute", float(mus[g]), owner=j),
+                residual=float(resid[g]), iterations=calls))
+    return t_cols, q_cols, mus
 
 
 @_quiet_overflow
 def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None, dual_guess=None):
     """Slack (hence compute) split among one AP's active users at fixed x."""
     guess = np.array([dual_guess]) if dual_guess else None
-    t_cols, mus, resid, calls = _caa_joint(scenario, x, L, [ap], cfg, guess)
-    if diag is not None:
-        diag.append(SolveDiagnostic(
-            DualVariable("mu_compute", float(mus[0]), owner=ap),
-            residual=float(resid[0]), iterations=calls))
-    return t_cols[:, 0]
+    return _caa_joint(scenario, x, L, [ap], cfg, diag, guess)[0][:, 0]
 
 
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
-
-def _proportional_compute(scenario, L, act):
-    """Capacity split proportional to eta*L/D; keeps every slack interior."""
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
-    w = np.where(act, eta * np.asarray(L, dtype=float) / d, 0.0)
-    q = np.zeros_like(w)
-    for j in range(scenario.num_aps):
-        tot = w[:, j].sum()
-        if tot > 0:
-            q[:, j] = w[:, j] * (scenario.compute_capacity[j] / tot)
-    return q
-
 
 @_quiet_overflow
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
@@ -531,48 +466,46 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     act = L > cfg.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
-    M = L.shape[1]
     d = scenario.deadlines_s[:, None]
     eta = scenario.cycles_per_bit[:, None]
-    aps = [j for j in range(M) if act[:, j].any()]
-    for j in aps:
-        rows = act[:, j]
-        load = float((eta[rows, 0] * L[rows, j] / d[rows, 0]).sum())
-        if load >= scenario.compute_capacity[j]:
-            raise InfeasibilityError(
-                f"AP {j}: data split demands {load:.6g} cycles/s of "
-                f"{scenario.compute_capacity[j]:.6g}", ap=j)
+    cap = scenario.compute_capacity
+    # compute each active pair needs at zero slack; an AP's column sum is
+    # the least load the data split puts on it
+    w = np.where(act, eta * L / d, 0.0)
+    load = w.sum(axis=0)
+    served = act.any(axis=0)
+    aps = np.flatnonzero(served).tolist()
+    over = served & (load >= cap)
+    if over.any():
+        j = int(np.argmax(over))
+        raise InfeasibilityError(
+            f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
+            f"{cap[j]:.6g}", ap=j)
+
+    def slack_of(q):
+        return np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
 
     warm = warm if warm is not None else {}
     q_prev = warm.get("q")
+    t = None
     if q_prev is not None and q_prev.shape == L.shape and np.all(q_prev[act] > 0):
-        q = np.where(act, q_prev, 0.0)
-        t = np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
-        if np.any(t[act] <= 0):
-            q = _proportional_compute(scenario, L, act)
-            t = np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
-    else:
-        q = _proportional_compute(scenario, L, act)
-        t = np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
+        t = slack_of(q_prev)
+    if t is None or np.any(t[act] <= 0):
+        # capacity split proportional to eta*L/D keeps every slack interior
+        t = slack_of(w * (cap / np.where(load > 0, load, 1.0)))
 
     eps_inner = cfg.epsilon_j / 10.0
     steps = []
     beta_guess = warm.get("beta")
     mus_prev = warm.get("mus", {})
-    mu_guess = np.array([mus_prev.get(j, 1.0) for j in aps]) if mus_prev else None
+    mus = np.array([mus_prev.get(j, 1.0) for j in aps]) if mus_prev else None
     energy_prev = None
     rounds = 0
     for rounds in range(1, cfg.max_inner_iters + 1):
         x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
         beta_guess = steps[-1].dual.value
-        t_cols, mus, resid, calls = _caa_joint(scenario, x, L, aps, cfg,
-                                               dual_guess=mu_guess)
-        mu_guess = mus
-        for g, j in enumerate(aps):
-            t[:, j] = t_cols[:, g]
-            steps.append(SolveDiagnostic(
-                DualVariable("mu_compute", float(mus[g]), owner=j),
-                residual=float(resid[g]), iterations=calls))
+        t_cols, q_cols, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
+        t[:, aps] = t_cols
         energy = float(energy_matrix(scenario, L, x, t,
                                      cfg.activity_threshold_bits).sum())
         if energy_prev is not None and energy_prev - energy <= eps_inner:
@@ -585,10 +518,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     if diag is not None:
         diag.extend(steps)
 
-    q = np.where(act, eta * L / np.maximum(d - t, 1e-300), 0.0)
-    for j in range(M):
-        tot = q[:, j].sum()
-        if tot > 0:
-            q[:, j] *= scenario.compute_capacity[j] / tot
-    warm.update(q=q, beta=beta_guess, mus={j: float(mus[g]) for g, j in enumerate(aps)})
+    q = np.zeros_like(L)
+    q[:, aps] = q_cols
+    warm.update(q=q, beta=beta_guess, mus=dict(zip(aps, mus.tolist())))
     return x, q, rounds

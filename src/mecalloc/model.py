@@ -89,6 +89,8 @@ class Scenario:
     gains[i, j] is the linear channel power gain from user i to AP j.
     compute_capacity[j] is AP j's server capacity in cycles/s and
     bandwidth_hz the system-wide uplink bandwidth shared by all pairs.
+    task_bits, deadlines_s and cycles_per_bit are read-only per-user
+    columns derived from tasks once, at construction.
     """
 
     num_users: int
@@ -98,6 +100,9 @@ class Scenario:
     bandwidth_hz: float
     compute_capacity: np.ndarray
     noise_psd: float
+    task_bits: np.ndarray = field(init=False, repr=False, compare=False)
+    deadlines_s: np.ndarray = field(init=False, repr=False, compare=False)
+    cycles_per_bit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.num_users < 1 or self.num_aps < 1:
@@ -110,6 +115,11 @@ class Scenario:
         if len(tasks) != self.num_users:
             raise StructuralError(f"expected {self.num_users} tasks, got {len(tasks)}")
         object.__setattr__(self, "tasks", tasks)
+        for name, attr in (("task_bits", "input_bits"), ("deadlines_s", "deadline_s"),
+                           ("cycles_per_bit", "cycles_per_bit")):
+            col = np.array([getattr(t, attr) for t in tasks], dtype=float)
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
         cap = np.asarray(self.compute_capacity, dtype=float)
         if cap.shape != (self.num_aps,) or np.any(~np.isfinite(cap)) or np.any(cap <= 0):
             raise StructuralError("compute_capacity must be M positive finite reals")
@@ -120,18 +130,6 @@ class Scenario:
             raise StructuralError("bandwidth_hz must be positive")
         if not (math.isfinite(self.noise_psd) and self.noise_psd > 0):
             raise StructuralError("noise_psd must be positive")
-
-    @property
-    def task_bits(self):
-        return np.array([t.input_bits for t in self.tasks])
-
-    @property
-    def deadlines_s(self):
-        return np.array([t.deadline_s for t in self.tasks])
-
-    @property
-    def cycles_per_bit(self):
-        return np.array([t.cycles_per_bit for t in self.tasks])
 
     def noise_over_gain(self):
         """K x M matrix of N0 / h ratios, the per-pair energy scale."""

@@ -124,7 +124,7 @@ class Metrics:
 
 def best_snr_assignment(scenario: Scenario):
     """Strongest-gain AP per user; ties break to the lowest AP index."""
-    return [int(np.argmax(scenario.gains[i])) for i in range(scenario.num_users)]
+    return np.argmax(scenario.gains, axis=1).tolist()
 
 
 def initialize(scenario: Scenario, strategy: InitStrategy):
@@ -137,19 +137,14 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
         rng = np.random.Generator(np.random.PCG64(strategy.seed))
         draws = rng.uniform(size=(K, M))
         return draws / draws.sum(axis=1, keepdims=True) * bits[:, None]
-    best = best_snr_assignment(scenario)
-    L = np.zeros((K, M))
-    if strategy.kind == "binary_best_ap":
-        for i, j in enumerate(best):
-            L[i, j] = bits[i]
+    best = (np.arange(K), best_snr_assignment(scenario))
+    if strategy.kind == "binary_best_ap" or M == 1:
+        L = np.zeros((K, M))
+        L[best] = bits
         return L
     # best_ap_weighted
-    for i, j in enumerate(best):
-        if M == 1:
-            L[i, j] = bits[i]
-        else:
-            L[i, :] = bits[i] * (1.0 - strategy.weight) / (M - 1)
-            L[i, j] = bits[i] * strategy.weight
+    L = np.tile((bits * (1.0 - strategy.weight) / (M - 1))[:, None], (1, M))
+    L[best] = bits * strategy.weight
     return L
 
 
@@ -172,14 +167,12 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
     thr = cfg.activity_threshold_bits
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
 
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
     warm = {}
     x, q, rounds = solve_bcaa(scenario, L, cfg, warm=warm)
-    e0 = float(energy_matrix(scenario, L, x, _slack_of(L, q, d, eta, thr), thr).sum())
+    e0 = _energy(scenario, L, x, q, thr)
     outer = [e0]
     data_steps = []
     inner_counts = [rounds]
@@ -209,14 +202,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         frozen = np.sum((L > thr) & (L_new == 0.0), axis=1)
         cushion = 2.0 * thr * float((nu_guess * frozen).sum())
         L = L_new
-        e1 = float(energy_matrix(scenario, L, x, _slack_of(L, q, d, eta, thr), thr).sum())
+        e1 = _energy(scenario, L, x, q, thr)
         _descent_guard(e1, e0 + cushion, cfg, f"outer iteration {it} data step")
         try:
             x, q, rounds = solve_bcaa(scenario, L, cfg, warm=warm)
         except (InfeasibilityError,) as exc:
             raise InfeasibilityError(
                 f"outer iteration {it}, resource step: {exc}", ap=exc.ap) from exc
-        e0 = float(energy_matrix(scenario, L, x, _slack_of(L, q, d, eta, thr), thr).sum())
+        e0 = _energy(scenario, L, x, q, thr)
         _descent_guard(e0, e1, cfg, f"outer iteration {it} resource step")
         outer.append(e0)
         data_steps.append(e1)
@@ -233,9 +226,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     )
 
 
-def _slack_of(L, q, d, eta, thr):
-    act = np.asarray(L) > thr
-    return np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
+def _energy(scenario, L, x, q, thr):
+    """Total energy at (L, x, q); pairs at or below thr keep their
+    deadline as slack."""
+    L = np.asarray(L, dtype=float)
+    d = scenario.deadlines_s[:, None]
+    eta = scenario.cycles_per_bit[:, None]
+    t = np.where(L > thr, d - eta * L / np.where(q > 0, q, 1.0), d)
+    return float(energy_matrix(scenario, L, x, t, thr).sum())
 
 
 def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -> Solution:
@@ -243,11 +241,7 @@ def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -
     cfg = cfg or SolveConfig.for_scenario(scenario)
     t0 = time.perf_counter()
     x, q, rounds = solve_bcaa(scenario, L, cfg)
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
-    e = float(energy_matrix(scenario, L, x,
-                            _slack_of(L, q, d, eta, cfg.activity_threshold_bits),
-                            cfg.activity_threshold_bits).sum())
+    e = _energy(scenario, L, x, q, cfg.activity_threshold_bits)
     allocation = Allocation(data=np.asarray(L, dtype=float), bandwidth=x, compute=q)
     return Solution(
         allocation=allocation,

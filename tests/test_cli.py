@@ -168,3 +168,38 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, small_scenario_file,
                  "--out", "sol.json"])
     assert code == 0
     assert (tmp_path / "outputs" / "sol.json").exists()
+
+
+def test_solve_exit_code_on_solver_convergence_error(tmp_path, small_scenario_file,
+                                                     capsys):
+    # a tolerance below float64 resolution leaves a budget residual the
+    # solver cannot meet; that is a non-convergence, not a crash
+    code = main(["solve", "--scenario", small_scenario_file,
+                 "--bisect-tol", "1e-17", "--out", str(tmp_path / "sol.json")])
+    assert code == 4
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("did not converge:") and "\n" not in err
+
+
+def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", small_scenario_file,
+                 "--param", "deadline-s", "--values", "0.5,1.0",
+                 "--bisect-tol", "1e-30", "--workers", "1", "--out", str(out)])
+    assert code == 0
+    rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
+    assert len(rows) == 2
+    assert all(r[8] == "false" and "residual" in r[9] for r in rows)
+
+
+def test_sweep_rejects_unknown_init_before_solving(tmp_path, small_scenario_file,
+                                                   monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the strategies were checked")
+
+    monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
+    code = main(["sweep", "--scenario", small_scenario_file,
+                 "--param", "deadline-s", "--values", "0.5,1.0",
+                 "--strategies", "iterative:equal,iterative:bogus",
+                 "--workers", "1", "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mecalloc import (
-    BisectionProblem,
+    Allocation,
     BracketError,
     ConvergenceError,
     DegenerateInputError,
@@ -12,24 +12,27 @@ from mecalloc import (
     InfeasibilityError,
     SolveConfig,
     StructuralError,
-    bisect,
     solve_baa,
     solve_bcaa,
     solve_caa,
     solve_daa,
+    total_energy,
 )
 from mecalloc.kkt import (
     _bandwidth_roots,
+    _caa_joint,
     _data_marginal,
     _data_roots,
     _slack_roots,
 )
+from mecalloc.scenario import GenParams, generate
 
 from util import (
     grid_min_baa,
     grid_min_bcaa,
     grid_min_caa,
     grid_min_daa,
+    halving_root,
     make_scenario,
     scalar_energy,
     scalar_energy_q,
@@ -40,37 +43,7 @@ def _cfg(scenario, **kw):
     return SolveConfig.for_scenario(scenario, **kw)
 
 
-# --- bisect ------------------------------------------------------------
-
-def test_bisect_linear_root():
-    root = bisect(BisectionProblem(evaluate=lambda v: v - 1.0, lower=0.0,
-                                   upper=2.0))
-    assert root == pytest.approx(1.0, abs=1e-9)
-
-
-def test_bisect_exponential_target():
-    root = bisect(BisectionProblem(evaluate=lambda v: 2.0 ** v, lower=0.0,
-                                   upper=4.0, target=8.0))
-    assert root == pytest.approx(3.0, abs=1e-9)
-
-
-def test_bisect_decreasing_function():
-    root = bisect(BisectionProblem(evaluate=lambda v: 5.0 - 2.0 * v, lower=0.0,
-                                   upper=10.0, target=1.0))
-    assert root == pytest.approx(2.0, abs=1e-8)
-
-
-def test_bisect_requires_sign_change():
-    with pytest.raises(BracketError):
-        bisect(BisectionProblem(evaluate=lambda v: v + 10.0, lower=0.0,
-                                upper=1.0))
-
-
-def test_bisect_iteration_budget():
-    with pytest.raises(ConvergenceError):
-        bisect(BisectionProblem(evaluate=lambda v: v - 0.3333333, lower=0.0,
-                                upper=1.0, tol=1e-30, max_iters=5))
-
+# --- data roots --------------------------------------------------------
 
 def test_bisect_symmetric_data_split():
     # two identical pairs: the dual putting half the task on each is the
@@ -84,8 +57,7 @@ def test_bisect_symmetric_data_split():
         return float(_data_roots(nu, x, q, 1.0, 1.0, a, upper).sum())
 
     with np.errstate(over="ignore"):
-        nu = bisect(BisectionProblem(evaluate=total, lower=0.7, upper=50.0,
-                                     target=1.0, tol=1e-12, target_tol=1e-10))
+        nu = halving_root(lambda v: total(v) - 1.0, 0.7, 50.0, tol=1e-12)
         roots = _data_roots(nu, x, q, 1.0, 1.0, a, upper)
     assert roots[0] == pytest.approx(0.5, rel=1e-6)
     assert roots[1] == pytest.approx(roots[0], rel=1e-9)
@@ -382,6 +354,51 @@ def test_bcaa_rejects_empty_input():
                        bandwidth=10.0, capacities=8.0)
     with pytest.raises(DegenerateInputError):
         solve_bcaa(sc, np.array([[0.0]]), _cfg(sc))
+
+
+@pytest.fixture(scope="module")
+def split12x4():
+    """A generated 12x4 scenario under the equal data split."""
+    sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
+    return sc, np.tile(sc.task_bits[:, None] / 4, (1, 4)), _cfg(sc)
+
+
+def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
+    sc, L, cfg = split12x4
+    warm = {}
+    x1, q1, r1 = solve_bcaa(sc, L, cfg, warm=warm)
+    x2, q2, r2 = solve_bcaa(sc, L, cfg, warm=warm)
+    assert r2 <= r1
+
+    def energy(x, q):
+        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+
+    assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
+
+
+def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
+    sc, L, cfg = split12x4
+    cold = solve_bcaa(sc, L, cfg)
+    # this little compute leaves every active slack negative
+    warm = solve_bcaa(sc, L, cfg, warm={"q": np.full_like(L, 1e-3)})
+    assert np.array_equal(warm[0], cold[0])
+    assert np.array_equal(warm[1], cold[1])
+    assert warm[2] == cold[2]
+
+
+def test_caa_joint_search_equals_per_ap_searches(split12x4):
+    sc, L, cfg = split12x4
+    x, _, _ = solve_bcaa(sc, L, cfg)
+    joint_diag = []
+    with np.errstate(over="ignore"):
+        t_cols, q_cols, mus = _caa_joint(sc, x, L, [0, 1, 2, 3], cfg, joint_diag)
+    assert [r.dual.owner for r in joint_diag] == [0, 1, 2, 3]
+    for j in range(4):
+        diag = []
+        t = solve_caa(sc, x, L, ap=j, cfg=cfg, diag=diag)
+        assert np.array_equal(t, t_cols[:, j])
+        assert diag[0].dual.value == mus[j] == joint_diag[j].dual.value
+    assert np.allclose(q_cols.sum(axis=0), sc.compute_capacity, rtol=1e-12, atol=0)
 
 
 def test_data_marginal_is_positive_and_increasing():

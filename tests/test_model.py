@@ -114,6 +114,29 @@ def test_scenario_json_roundtrip(scenario42):
                        rtol=1e-12, atol=0)
 
 
+def test_scenario_task_columns_are_derived_read_only():
+    sc = Scenario(num_users=2, num_aps=1, gains=[[1.0], [0.5]],
+                  tasks=(TaskSpec(1e6, 0.5, 1e3), TaskSpec(2e6, 0.8, 2e3)),
+                  bandwidth_hz=1e7, compute_capacity=[1e10], noise_psd=1e-20)
+    assert sc.task_bits.tolist() == [t.input_bits for t in sc.tasks]
+    assert sc.deadlines_s.tolist() == [t.deadline_s for t in sc.tasks]
+    assert sc.cycles_per_bit.tolist() == [t.cycles_per_bit for t in sc.tasks]
+    for name in ("task_bits", "deadlines_s", "cycles_per_bit"):
+        with pytest.raises(ValueError):
+            getattr(sc, name)[0] = 1.0
+    doc = scenario_to_dict(sc)
+    assert not {"task_bits", "deadlines_s", "cycles_per_bit"} & set(doc)
+    back = scenario_from_dict(json.loads(json.dumps(doc)))
+    assert back.task_bits.tolist() == sc.task_bits.tolist()
+
+    # equality compares the records, not the columns derived from them
+    a = make_scenario([[1.0]], 1e6, 0.5, 1e3, 1e7, 1e10)
+    b = make_scenario([[1.0]], 1e6, 0.5, 1e3, 1e7, 1e10)
+    object.__setattr__(b, "task_bits", np.array([7.0]))
+    assert a == b
+    assert "task_bits" not in repr(a)
+
+
 def test_allocation_json_roundtrip(equal_allocation42):
     doc = json.loads(json.dumps(allocation_to_dict(equal_allocation42)))
     back = allocation_from_dict(doc)

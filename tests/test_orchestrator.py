@@ -55,6 +55,27 @@ def test_initialize_binary(scenario42):
     assert np.allclose(L.sum(axis=1), scenario42.task_bits)
 
 
+def test_best_ap_inits_match_per_user_reference():
+    # ties break to the lowest AP index
+    sc = make_scenario([[1.0, 2.0, 2.0], [3.0, 1.0, 3.0], [0.5, 0.5, 0.5]],
+                       bits=[1.0, 2.0, 3.0], deadline=1.0, eta=1.0,
+                       bandwidth=10.0, capacities=10.0)
+    best = best_snr_assignment(sc)
+    assert best == [1, 0, 0]
+    binary = np.zeros((3, 3))
+    weighted = np.zeros((3, 3))
+    for i, j in enumerate(best):
+        binary[i, j] = sc.task_bits[i]
+        weighted[i, :] = sc.task_bits[i] * (1.0 - 0.8) / 2
+        weighted[i, j] = sc.task_bits[i] * 0.8
+    assert np.array_equal(initialize(sc, InitStrategy.binary()), binary)
+    assert np.array_equal(initialize(sc, InitStrategy.best_ap(0.8)), weighted)
+    # a single AP takes every task whole, whatever the weight
+    one = make_scenario([[1.0], [2.0]], bits=[1.0, 2.0], deadline=1.0, eta=1.0,
+                        bandwidth=10.0, capacities=10.0)
+    assert np.array_equal(initialize(one, InitStrategy.best_ap(0.8)), [[1.0], [2.0]])
+
+
 def test_initialize_random_is_seeded(scenario42):
     a = initialize(scenario42, InitStrategy.random(seed=9))
     b = initialize(scenario42, InitStrategy.random(seed=9))
