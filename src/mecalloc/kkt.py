@@ -10,8 +10,10 @@ dual, and an outer search driving the budget sum onto its constraint.
   solve_baa: one global bandwidth dual beta > 0, roots of dE/dx + beta = 0;
   solve_caa: per-AP compute duals mu >= 0 over the deadline slack t,
              roots of dE/dt + mu * eta*L/(D-t)^2 = 0;
-  solve_bcaa: exact alternation of solve_baa and solve_caa (each step is
-             the global minimum of a convex block, so energy never rises).
+  solve_bcaa: safeguarded accelerated alternation of solve_baa and
+             solve_caa. Each step is the global minimum of a convex
+             block; an Anderson extrapolation of the compute split is
+             taken only when it lowers the energy, so energy never rises.
 
 Every function being bisected is strictly monotone on its bracket, and
 every budget sum is strictly monotone in its dual, so the searches never
@@ -51,6 +53,10 @@ SLACK_MARGIN = 1e-6
 INNER_ITERS = 48
 
 _EXPANSION_CAP = 400
+
+# past rounds beyond the latest that the bandwidth/compute extrapolation
+# mixes in
+ANDERSON_MEMORY = 2
 
 
 @dataclass(frozen=True)
@@ -445,15 +451,39 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None, dual_guess=None):
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
 
+def _anderson_mix(qs, gs):
+    """Type-II Anderson extrapolation of the compute fixed point.
+
+    qs are the last few round inputs (oldest first) and gs their images
+    under one BAA/CAA round. Returns the affine combination of the images
+    whose matching combination of residuals g - q is least in 2-norm
+    (Walker & Ni, SIAM J. Numer. Anal. 2011). The weights sum to one, so
+    every AP column sums to the capacity the images share.
+    """
+    f = [(g - q).ravel() for q, g in zip(qs, gs)]
+    dF = np.column_stack([b - a for a, b in zip(f, f[1:])])
+    gamma = np.linalg.lstsq(dF, f[-1], rcond=None)[0]
+    return gs[-1] - sum(c * (b - a) for c, a, b in zip(gamma, gs, gs[1:]))
+
+
 @_quiet_overflow
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     """Jointly optimal (x, q) for a fixed data split.
 
-    Alternates the bandwidth and per-AP compute solvers; each step solves
-    its block exactly, so the energy sequence is non-increasing, and the
-    fixed-L problem is convex, so the alternation reaches its global
-    optimum. Stops once a full round improves energy by less than a tenth
-    of the outer tolerance.
+    Alternates the bandwidth and per-AP compute solvers, each solving its
+    block exactly. A round is one compute step: the compute split q it
+    starts from goes through one BAA and one CAA call, q -> CAA(BAA(t(q))),
+    a fixed-point map on q. After each round a type-II Anderson
+    extrapolation over the last ANDERSON_MEMORY + 1 rounds proposes the
+    next round's q. The proposal is taken only if every active slack stays
+    interior and the energy after its bandwidth step is no higher than the
+    previous round's; otherwise the history is dropped and the round
+    repeats its bandwidth step from the plain iterate (one BAA call more,
+    visible in diag). Either way the energy sequence is non-increasing,
+    and the fixed-L problem is convex, so the rounds reach its global
+    optimum. Stops once a round improves energy by less than a tenth of
+    the outer tolerance. The returned (x, q) always come straight from a
+    BAA and a CAA call, so both budgets hold to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
     refreshes between calls of one outer loop: the previous compute split
@@ -463,7 +493,8 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     Returns (x, q, rounds).
     """
     L = np.asarray(L, dtype=float)
-    act = L > cfg.activity_threshold_bits
+    thr = cfg.activity_threshold_bits
+    act = L > thr
     if not act.any():
         raise DegenerateInputError("no active pairs")
     d = scenario.deadlines_s[:, None]
@@ -485,14 +516,19 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     def slack_of(q):
         return np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
 
+    def energy_at(x, t):
+        return float(energy_matrix(scenario, L, x, t, thr).sum())
+
     warm = warm if warm is not None else {}
-    q_prev = warm.get("q")
+    q_in = warm.get("q")
     t = None
-    if q_prev is not None and q_prev.shape == L.shape and np.all(q_prev[act] > 0):
-        t = slack_of(q_prev)
+    if q_in is not None and q_in.shape == L.shape and np.all(q_in[act] > 0):
+        q_in = np.where(act, q_in, 0.0)
+        t = slack_of(q_in)
     if t is None or np.any(t[act] <= 0):
         # capacity split proportional to eta*L/D keeps every slack interior
-        t = slack_of(w * (cap / np.where(load > 0, load, 1.0)))
+        q_in = w * (cap / np.where(load > 0, load, 1.0))
+        t = slack_of(q_in)
 
     eps_inner = cfg.epsilon_j / 10.0
     steps = []
@@ -500,17 +536,36 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     mus_prev = warm.get("mus", {})
     mus = np.array([mus_prev.get(j, 1.0) for j in aps]) if mus_prev else None
     energy_prev = None
+    qs, gs = [], []  # Anderson history: round inputs and their images
+    candidate = None
     rounds = 0
     for rounds in range(1, cfg.max_inner_iters + 1):
-        x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
-        beta_guess = steps[-1].dual.value
+        x = None
+        if candidate is not None and np.all(candidate[act] > 0):
+            t_cand = slack_of(candidate)
+            if np.all(t_cand[act] > 0):
+                x_cand = solve_baa(scenario, t_cand, L, cfg, diag=steps,
+                                   dual_guess=beta_guess)
+                beta_guess = steps[-1].dual.value
+                if energy_at(x_cand, t_cand) <= energy_prev:
+                    x, t, q_in = x_cand, t_cand, candidate
+        if x is None:
+            if candidate is not None:
+                qs, gs = [], []
+            x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
+            beta_guess = steps[-1].dual.value
         t_cols, q_cols, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
         t[:, aps] = t_cols
-        energy = float(energy_matrix(scenario, L, x, t,
-                                     cfg.activity_threshold_bits).sum())
+        q = np.zeros_like(L)
+        q[:, aps] = q_cols
+        energy = energy_at(x, t)
         if energy_prev is not None and energy_prev - energy <= eps_inner:
             break
         energy_prev = energy
+        qs = (qs + [q_in])[-ANDERSON_MEMORY - 1:]
+        gs = (gs + [q])[-ANDERSON_MEMORY - 1:]
+        candidate = _anderson_mix(qs, gs) if len(qs) > 1 else None
+        q_in = q
     else:
         raise ConvergenceError(
             f"bandwidth/compute alternation still improving after "
@@ -518,7 +573,5 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     if diag is not None:
         diag.extend(steps)
 
-    q = np.zeros_like(L)
-    q[:, aps] = q_cols
     warm.update(q=q, beta=beta_guess, mus=dict(zip(aps, mus.tolist())))
     return x, q, rounds

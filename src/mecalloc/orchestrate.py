@@ -79,6 +79,10 @@ class InitStrategy:
 class SolveTrace:
     """Per-outer-iteration record: energies after each resource re-balance.
 
+    inner_iteration_counts holds the rounds of each re-balance; a round
+    is one compute step (CAA) after one bandwidth step (BAA), or two BAA
+    calls when an extrapolated compute split was rejected.
+
     data_step_energies_j holds the energy measured right after each data
     step, before the following re-balance (one fewer entry than
     outer_energies_j, which starts at the initial re-balance).

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecalloc import (
     Allocation,
@@ -10,14 +12,19 @@ from mecalloc import (
     DegenerateInputError,
     DualVariable,
     InfeasibilityError,
+    InitStrategy,
     SolveConfig,
     StructuralError,
+    best_snr_assignment,
+    initialize,
     solve_baa,
     solve_bcaa,
     solve_caa,
     solve_daa,
+    solve_fixed_assignment,
     total_energy,
 )
+from mecalloc import kkt
 from mecalloc.kkt import (
     _bandwidth_roots,
     _caa_joint,
@@ -25,7 +32,7 @@ from mecalloc.kkt import (
     _data_roots,
     _slack_roots,
 )
-from mecalloc.scenario import GenParams, generate
+from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import (
     grid_min_baa,
@@ -213,6 +220,18 @@ def test_baa_needs_an_active_pair():
         solve_baa(sc, t=np.array([[0.5]]), L=np.array([[0.0]]), cfg=_cfg(sc))
 
 
+@pytest.mark.xfail(raises=BracketError, strict=True,
+                   reason="the dual bracket expansion doubles from 1.0 at most "
+                          "400 times, so prices above about 2.6e120 stay unbracketed")
+def test_baa_brackets_very_high_bandwidth_prices():
+    # six users on one AP at 2 MHz and D = 0.1875 s: each slack is about
+    # 10 ms and the bandwidth price at the optimum is about 3.8e129
+    sc = generate(GenParams(num_users=6, num_aps=1, deadline_s=0.1875,
+                            bandwidth_hz=2e6, capacity_cps=5.0625e10, seed=0))
+    x, _, _ = solve_bcaa(sc, np.full((6, 1), 1.5e6), _cfg(sc))
+    assert x.sum() == pytest.approx(2e6, rel=1e-9)
+
+
 def test_baa_rejects_boundary_slack():
     sc = make_scenario([[1.0]], bits=1.0, deadline=1.0, eta=1.0,
                        bandwidth=10.0, capacities=8.0)
@@ -322,17 +341,166 @@ def test_bcaa_matches_grid_oracle():
     assert e_solver <= e_star * (1.0 + 1e-3)
 
 
-def test_bcaa_energy_never_rises_between_rounds():
-    # feed the alternation a deliberately unbalanced data split
-    sc = make_scenario([[1.0, 0.1], [0.2, 1.0]], bits=[3.0, 2.0], deadline=1.0,
-                       eta=1.0, bandwidth=10.0, capacities=10.0)
-    cfg = _cfg(sc)
-    L = np.array([[2.7, 0.3], [0.4, 1.6]])
+class _RoundLog:
+    """Energies seen inside solve_bcaa while installed, in order: the
+    energy after each round's compute step ("round") and, before it, the
+    energy of an extrapolated candidate after its bandwidth step
+    ("candidate")."""
+
+    def __init__(self, mp):
+        self.events = []
+        self._after_caa = False
+        caa, energy_matrix = kkt._caa_joint, kkt.energy_matrix
+
+        def caa_spy(*args, **kwargs):
+            self._after_caa = True
+            return caa(*args, **kwargs)
+
+        def energy_spy(*args, **kwargs):
+            out = energy_matrix(*args, **kwargs)
+            kind = "round" if self._after_caa else "candidate"
+            self.events.append((kind, float(out.sum())))
+            self._after_caa = False
+            return out
+
+        mp.setattr(kkt, "_caa_joint", caa_spy)
+        mp.setattr(kkt, "energy_matrix", energy_spy)
+
+    @property
+    def rounds(self):
+        return [e for kind, e in self.events if kind == "round"]
+
+    @property
+    def candidates(self):
+        return [e for kind, e in self.events if kind == "candidate"]
+
+    def rejected(self):
+        """Candidates whose energy rose above the round before them."""
+        return [cur for (_, prev), (kind, cur) in zip(self.events, self.events[1:])
+                if kind == "candidate" and cur > prev]
+
+
+def _assert_never_rises(energies, cfg):
+    for k in range(1, len(energies)):
+        assert energies[k] <= energies[k - 1] * (1.0 + 10.0 * cfg.bisect_tol), k
+
+
+def _bandwidth_records(diag):
+    return sum(rec.dual.kind == "beta_bandwidth" for rec in diag)
+
+
+@pytest.fixture(scope="module")
+def tight42():
+    """The seed-42 8x4 scenario at D = 0.2 s under the best-SNR binary
+    split: the slow, steadily linear alternation extrapolation targets."""
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.2)
+    return sc, initialize(sc, InitStrategy.binary()), _cfg(sc)
+
+
+def _check_round_energies(sc, L, cfg, monkeypatch):
+    """solve_bcaa under a _RoundLog, checked round by round; returns
+    (x, q, log)."""
+    log = _RoundLog(monkeypatch)
     diag = []
     x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag)
     assert rounds >= 2
+    assert len(log.rounds) == rounds
+    _assert_never_rises(log.rounds, cfg)
+    # each rejected candidate costs one more bandwidth step
+    assert _bandwidth_records(diag) == rounds + len(log.rejected())
     # residuals of every dual search stayed inside tolerance
     assert all(rec.residual <= cfg.bisect_tol for rec in diag)
+    return x, q, log
+
+
+def test_bcaa_energy_never_rises_between_rounds(monkeypatch):
+    # feed the alternation a deliberately unbalanced data split
+    sc = make_scenario([[1.0, 0.1], [0.2, 1.0]], bits=[3.0, 2.0], deadline=1.0,
+                       eta=1.0, bandwidth=10.0, capacities=10.0)
+    L = np.array([[2.7, 0.3], [0.4, 1.6]])
+    _check_round_energies(sc, L, _cfg(sc), monkeypatch)
+
+
+def test_bcaa_energy_never_rises_with_accepted_extrapolation(tight42, monkeypatch):
+    _, _, log = _check_round_energies(*tight42, monkeypatch)
+    assert len(log.candidates) - len(log.rejected()) >= 3
+
+
+def test_bcaa_tight_deadline_converges_in_few_rounds(tight42):
+    # plain alternation needs 82 rounds here, shrinking the energy step by
+    # a steady factor of about 0.85 per round
+    sc, _, cfg = tight42
+    sol = solve_fixed_assignment(sc, best_snr_assignment(sc), cfg)
+    assert sol.trace.inner_iteration_counts[0] <= 20
+    assert sol.energy_j <= 361.6238343 * (1.0 + 1e-9)
+
+
+def test_bcaa_rejected_extrapolation_falls_back_to_plain_step(tight42, monkeypatch):
+    sc, L, cfg = tight42
+    x0, q0, _ = solve_bcaa(sc, L, cfg)
+    e0 = total_energy(sc, Allocation(L, x0, q0), cfg.activity_threshold_bits)
+
+    # the first candidate steps back to the oldest remembered iterate,
+    # whose energy after a bandwidth step is above the latest round's
+    mix = kkt._anderson_mix
+    calls = []
+
+    def step_back_once(qs, gs):
+        calls.append(len(qs))
+        return qs[0] if len(calls) == 1 else mix(qs, gs)
+
+    monkeypatch.setattr(kkt, "_anderson_mix", step_back_once)
+    x, q, log = _check_round_energies(sc, L, cfg, monkeypatch)
+    assert log.rejected()[0] == log.candidates[0]
+    assert x.sum() == pytest.approx(sc.bandwidth_hz, rel=cfg.bisect_tol)
+    assert np.allclose(q.sum(axis=0), sc.compute_capacity, rtol=cfg.bisect_tol, atol=0)
+    e = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+    assert e == pytest.approx(e0, rel=1e-6)
+
+
+@st.composite
+def _fixed_data_instances(draw):
+    """A generated scenario of 1-6 users x 1-4 APs, a data split with at
+    least one active pair per user, and capacities the split fits in."""
+    K = draw(st.integers(1, 6))
+    M = draw(st.integers(1, 4))
+    active = draw(st.lists(st.lists(st.booleans(), min_size=M, max_size=M),
+                           min_size=K, max_size=K))
+    weights = draw(st.lists(st.lists(st.floats(0.05, 1.0), min_size=M, max_size=M),
+                            min_size=K, max_size=K))
+    # tighter deadlines or less bandwidth push the bandwidth price past
+    # what the dual search brackets (test_baa_brackets_very_high_bandwidth_prices)
+    deadline = draw(st.floats(0.2, 1.0))
+    headroom = draw(st.floats(1.2, 4.0))
+    bandwidth = draw(st.floats(1e7, 4e7))
+    seed = draw(st.integers(0, 2**16))
+    act = np.array(active)
+    act[np.arange(K), np.argmax(np.array(weights), axis=1)] = True
+    w = np.where(act, np.array(weights), 0.0)
+    params = GenParams(num_users=K, num_aps=M, deadline_s=deadline,
+                       bandwidth_hz=bandwidth, seed=seed)
+    L = params.task_bits * w / w.sum(axis=1, keepdims=True)
+    peak = params.cycles_per_bit * L.sum(axis=0).max() / deadline
+    sc = generate(dataclasses.replace(params, capacity_cps=headroom * peak))
+    return sc, L
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_fixed_data_instances())
+def test_bcaa_properties_on_random_instances(instance):
+    sc, L = instance
+    cfg = _cfg(sc)
+    with pytest.MonkeyPatch.context() as mp:
+        x, q, _ = _check_round_energies(sc, L, cfg, mp)
+    tol = cfg.bisect_tol
+    assert abs(x.sum() - sc.bandwidth_hz) <= tol * sc.bandwidth_hz
+    act = L > cfg.activity_threshold_bits
+    served = act.any(axis=0)
+    cap = sc.compute_capacity
+    assert np.all(np.abs(q.sum(axis=0) - cap)[served] <= tol * cap[served])
+    d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
+    t = d - sc.cycles_per_bit[:, None] * L / np.where(act, q, 1.0)
+    assert np.all((t[act] > 0) & (t[act] < d[act]))
 
 
 def test_bcaa_respects_budgets_on_multi_ap_instance():
