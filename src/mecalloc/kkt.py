@@ -15,12 +15,17 @@ dual, and an outer search driving the budget sum onto its constraint.
              block; an Anderson extrapolation of the compute split is
              taken only when it lowers the energy, so energy never rises.
 
-Every function being bisected is strictly monotone on its bracket, and
-every budget sum is strictly monotone in its dual, so the searches never
-lose the root. Duals span many decades at SI magnitudes; the outer
-searches therefore bisect the dual's base-10 logarithm. Searches that
-share a family (one dual per user, or one per AP) advance in lockstep so
-each iteration is a single vectorized pass over all pairs.
+Every search runs inside a bracket fixed before it starts. The per-pair
+roots bisect fixed brackets; the bandwidth root is solved for
+z = L*ln2/(x*t), which depends only on beta/(a*t) and lies below the
+exponent cap. Duals span many decades at SI magnitudes, so each dual
+search works on the dual's base-10 logarithm inside DUAL_RANGE: it
+gallops from its start with doubling steps until the budget crosses its
+target, then bisects. Every function being bisected is strictly monotone
+on its bracket, and every budget sum is strictly monotone in its dual,
+so the searches never lose a root inside the range. Searches that share
+a family (one dual per user, or one per AP) advance in lockstep so each
+iteration is a single vectorized pass over all pairs.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    EXPONENT_CAP,
     BracketError,
     ConvergenceError,
     DegenerateInputError,
@@ -52,7 +58,13 @@ SLACK_MARGIN = 1e-6
 # any bracket to float64 resolution
 INNER_ITERS = 48
 
-_EXPANSION_CAP = 400
+# every dual search stays inside this range
+DUAL_RANGE = (1e-280, 1e280)
+
+# natural-log bracket of the per-pair bandwidth root z = L*ln2/(x*t): the
+# top is the rate exponent L/(x*t) = EXPONENT_CAP, and well above the
+# bottom z*exp(z) - expm1(z) already rounds to zero
+_LOG_Z_BRACKET = (math.log(1e-20), math.log(EXPONENT_CAP * LN2))
 
 # past rounds beyond the latest that the bandwidth/compute extrapolation
 # mixes in
@@ -106,7 +118,8 @@ def _vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
     """Simultaneous bisection over an array of independent brackets.
 
     go_right(mid) returns a boolean array marking the entries whose root
-    lies to the right of mid.
+    lies to the right of mid; scalar lo and hi give every entry the same
+    bracket.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -122,74 +135,44 @@ def _solve_duals(budget_of, targets, cfg, starts, increasing):
     """Lockstep family of monotone dual searches on log10 scale.
 
     budget_of maps a per-group dual vector to the per-group budget sums;
-    each group's search is an independent geometric bracket expansion
-    followed by bisection, but every probe evaluates all groups at once.
-    A group stops as soon as its budget residual is inside half the
-    configured relative tolerance (the caller still verifies).
+    every probe evaluates all groups at once. Each group starts at its
+    dual clipped to DUAL_RANGE and gallops: the first probe doubles (or
+    halves) the dual and each further probe doubles the log10 step, until
+    the budget crosses its target. From then on the group bisects its
+    log10 bracket. A group stops as soon as its budget residual is inside
+    half the configured relative tolerance (the caller still verifies).
+    A group whose root lies beyond DUAL_RANGE raises BracketError once its
+    probe reaches the range edge.
 
     Returns (duals, evaluation count).
     """
     targets = np.asarray(targets, dtype=float)
-    duals = np.clip(np.asarray(starts, dtype=float), 1e-280, 1e280)
+    edge_lo, edge_hi = np.log10(DUAL_RANGE)
     tol = 0.5 * cfg.bisect_tol * np.abs(targets)
-    calls = 0
-
-    def lo_ok(b):
-        # True where the candidate qualifies as a lower bracket endpoint
-        return (b >= targets) ^ increasing
-
-    b = budget_of(duals)
-    calls += 1
-    best = duals.copy()
-    done = np.abs(b - targets) <= tol
-    lo = duals.copy()
-    hi = duals.copy()
-    need_hi = ~done & lo_ok(b)
-    need_lo = ~done & ~lo_ok(b)
-    for _ in range(_EXPANSION_CAP):
-        pending = need_hi | need_lo
-        if not pending.any():
-            break
-        cand = np.where(need_hi, hi * 2.0, np.where(need_lo, lo * 0.5, best))
-        b = budget_of(np.where(pending, cand, best))
-        calls += 1
-        ok = lo_ok(b)
-        hit = pending & (np.abs(b - targets) <= tol)
-        # hunters ride the probe until the opposite endpoint qualifies:
-        # a hi hunter stops when the candidate stops working as a lower
-        # endpoint (the previous probe remains the valid lower end), and
-        # symmetrically for lo hunters
-        hi = np.where(need_hi, cand, hi)
-        lo = np.where(need_hi & ok & ~hit, cand, lo)
-        lo = np.where(need_lo, cand, lo)
-        hi = np.where(need_lo & ~ok & ~hit, cand, hi)
-        need_hi = need_hi & ok & ~hit
-        need_lo = need_lo & ~ok & ~hit
-        best = np.where(hit, cand, best)
-        done |= hit
-    else:
-        raise BracketError("dual bracket not found by geometric expansion")
-
-    with np.errstate(divide="ignore"):
-        llo = np.log10(np.maximum(lo, 1e-300))
-        lhi = np.log10(np.maximum(hi, 1e-300))
-    for _ in range(cfg.max_inner_iters):
+    probe = np.log10(np.clip(np.asarray(starts, dtype=float), *DUAL_RANGE))
+    # log10 bracket of each root; an end not found yet is infinite
+    lo = np.full_like(probe, -np.inf)
+    hi = np.full_like(probe, np.inf)
+    step = np.full_like(probe, math.log10(2.0))
+    done = np.zeros(probe.shape, dtype=bool)
+    for calls in range(1, cfg.max_inner_iters + 1):
+        duals = 10.0 ** probe
+        b = budget_of(duals)
+        above = (b >= targets) ^ increasing  # the root lies above the probe
+        done |= (np.abs(b - targets) <= tol) | (hi - lo <= 1e-13)
         if done.all():
-            break
-        mid = 0.5 * (llo + lhi)
-        probe = np.where(done, best, 10.0 ** mid)
-        b = budget_of(probe)
-        calls += 1
-        ok = lo_ok(b)
-        hit = ~done & ((np.abs(b - targets) <= tol) | (lhi - llo <= 1e-13))
-        best = np.where(hit, probe, best)
-        done |= hit
-        llo = np.where(~done & ok, mid, llo)
-        lhi = np.where(~done & ~ok, mid, lhi)
-    if not done.all():
-        raise ConvergenceError(
-            f"dual search exhausted {cfg.max_inner_iters} bisection steps")
-    return best, calls
+            return duals, calls
+        # a finished group's bracket closes on its answer, so it probes
+        # that answer again
+        lo = np.where(done | above, probe, lo)
+        hi = np.where(done | ~above, probe, hi)
+        if np.any(~done & ((lo >= edge_hi) | (hi <= edge_lo))):
+            raise BracketError(f"dual root outside the range {DUAL_RANGE}")
+        probe = np.where(np.isinf(hi), np.minimum(lo + step, edge_hi),
+                         np.where(np.isinf(lo), np.maximum(hi - step, edge_lo),
+                                  0.5 * (lo + hi)))
+        step *= 2.0
+    raise ConvergenceError(f"dual search exhausted {cfg.max_inner_iters} probes")
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +190,6 @@ def _data_marginal(L, x, q, d, eta, a):
     s = L / (x * t)
     p = np.exp(s * LN2)
     return a * x * ((d * LN2 / (x * t) - c) * p + c)
-
-
-def _bandwidth_stationarity(x, L, t, a, beta):
-    """dE/dx + beta at fixed (L, t); strictly increasing in x."""
-    u = L / (x * t)
-    p = np.exp(u * LN2)
-    return a * t * (p * (1.0 - u * LN2) - 1.0) + beta
 
 
 def _slack_stationarity(t, L, x, d, w, a, mu):
@@ -308,18 +284,20 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
 # ---------------------------------------------------------------------------
 # BAA: bandwidth allocation for fixed data and slack
 
-def _bandwidth_roots(beta, L, t, a, hi0):
-    hi = np.array(hi0, dtype=float)
-    for _ in range(_EXPANSION_CAP):
-        too_low = _bandwidth_stationarity(hi, L, t, a, beta) <= 0
-        if not too_low.any():
-            break
-        hi = np.where(too_low, hi * 2.0, hi)
-    else:
-        raise BracketError("bandwidth root bracket not found")
-    lo = np.full_like(hi, 1e-300)
-    return _vec_bisect(
-        lambda mid: _bandwidth_stationarity(mid, L, t, a, beta) < 0, lo, hi)
+def _bandwidth_roots(beta, L, t, a):
+    """Per-pair bandwidths satisfying dE/dx + beta = 0 at fixed (L, t).
+
+    With z = L*ln2/(x*t) the condition reads (z - 1)*e^z + 1 = beta/(a*t),
+    whose left side rises from 0 at z = 0; z is bisected on a fixed log
+    bracket.
+    """
+    c = beta / (a * t)
+
+    def below_root(log_z):
+        z = np.exp(log_z)
+        return z * np.exp(z) - np.expm1(z) < c
+
+    return L * LN2 / (t * np.exp(_vec_bisect(below_root, *_LOG_Z_BRACKET)))
 
 
 @_quiet_overflow
@@ -342,15 +320,14 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
     Lv = L[act]
     tv = t[act]
     av = scenario.noise_over_gain()[act]
-    hi0 = np.full(Lv.shape, B)
 
     def total(beta_vec):
-        return np.array([_bandwidth_roots(beta_vec[0], Lv, tv, av, hi0).sum()])
+        return np.array([_bandwidth_roots(beta_vec[0], Lv, tv, av).sum()])
 
     start = np.array([dual_guess if dual_guess else 1.0])
     betas, calls = _solve_duals(total, np.array([B]), cfg, start, increasing=False)
     beta = float(betas[0])
-    roots = _bandwidth_roots(beta, Lv, tv, av, hi0)
+    roots = _bandwidth_roots(beta, Lv, tv, av)
     if abs(roots.sum() - B) > cfg.bisect_tol * B:
         raise ConvergenceError(
             f"bandwidth sum residual {abs(roots.sum() - B) / B:.3e}")
