@@ -27,6 +27,7 @@ from .model import (
     InfeasibilityError,
     InfeasiblePairError,
     SolveConfig,
+    StructuralError,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -113,8 +114,20 @@ def _run(scenario, label, init_seed, cfg):
 
 
 def _config_kwargs(args):
-    return {"epsilon_j": args.eps_mj * 1e-3, "bisect_tol": args.bisect_tol,
-            "max_outer_iters": args.max_outer}
+    kwargs = {"epsilon_j": args.eps_mj * 1e-3, "bisect_tol": args.bisect_tol,
+              "max_outer_iters": args.max_outer}
+    try:
+        SolveConfig(**kwargs)
+    except StructuralError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return kwargs
+
+
+def _read_scenario(path):
+    try:
+        return load_scenario(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise argparse.ArgumentTypeError(f"cannot read scenario {path}: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +150,7 @@ def cmd_generate(args):
 
 def cmd_solve(args):
     label = args.method if args.method != "iterative" else f"iterative:{args.init}"
-    scenario = load_scenario(args.scenario)
+    scenario = _read_scenario(args.scenario)
     cfg = SolveConfig.for_scenario(scenario, **_config_kwargs(args))
     solution = _run(scenario, label, args.init_seed, cfg)
     metrics = evaluate(scenario, solution, cfg)
@@ -205,10 +218,13 @@ def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
 
 
 def cmd_sweep(args):
-    scenario = load_scenario(args.scenario)
-    values = sorted(float(v) for v in args.values.split(","))
-    if len(values) != len(set(values)):
-        raise argparse.ArgumentTypeError("sweep values must be distinct")
+    scenario = _read_scenario(args.scenario)
+    try:
+        values = sorted(float(v) for v in args.values.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"sweep values: {exc}") from None
+    if not all(0 < v < np.inf for v in values) or len(values) != len(set(values)):
+        raise argparse.ArgumentTypeError("sweep values must be distinct, positive and finite")
     labels = [_strategy(tok.strip())[0] for tok in args.strategies.split(",")
               if tok.strip()]
     if not labels:

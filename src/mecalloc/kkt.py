@@ -1,9 +1,9 @@
 """Monotone-bisection machinery and the KKT subproblem solvers.
 
 Each subproblem pins two of the three variable blocks (data split L,
-bandwidth x, compute q) and solves the stationarity condition of the
-third by nested bisection: an inner root per pair against the current
-dual, and an outer search driving the budget sum onto its constraint.
+bandwidth x, compute q) and prices the budgets of the third, each with
+one dual: an inner root per pair against its budget's dual, and an
+outer search driving each budget sum onto its constraint.
 
   solve_daa: per-user data duals nu (the data constraint multiplier,
              stored with positive sign), roots of dE/dL = nu;
@@ -15,6 +15,10 @@ dual, and an outer search driving the budget sum onto its constraint.
              block; an Anderson extrapolation of the compute split is
              taken only when it lowers the energy, so energy never rises.
 
+The first three share one pricing step, _price_budgets: the dual search,
+the final per-pair pass, the residual check, the rescale onto each
+budget and the diag records. It holds the module's only overflow guard.
+
 Every search runs inside a bracket fixed before it starts. The per-pair
 roots bisect fixed brackets; the bandwidth root is solved for
 z = L*ln2/(x*t), which depends only on beta/(a*t) and lies below the
@@ -23,14 +27,13 @@ search works on the dual's base-10 logarithm inside DUAL_RANGE: it
 gallops from its start with doubling steps until the budget crosses its
 target, then bisects. Every function being bisected is strictly monotone
 on its bracket, and every budget sum is strictly monotone in its dual,
-so the searches never lose a root inside the range. Searches that share
-a family (one dual per user, or one per AP) advance in lockstep so each
+so the searches never lose a root inside the range. The budgets of one
+family (one per user, or one per AP) are searched in lockstep so each
 iteration is a single vectorized pass over all pairs.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -104,16 +107,6 @@ class SolveDiagnostic:
     iterations: int
 
 
-def _quiet_overflow(fn):
-    """Solver entry wrapper: overflowed exponentials inside bracket probes
-    only ever feed sign tests, so the warnings are noise."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with np.errstate(over="ignore"):
-            return fn(*args, **kwargs)
-    return wrapper
-
-
 def _vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
     """Simultaneous bisection over an array of independent brackets.
 
@@ -175,16 +168,47 @@ def _solve_duals(budget_of, targets, cfg, starts, increasing):
     raise ConvergenceError(f"dual search exhausted {cfg.max_inner_iters} probes")
 
 
+def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasing,
+                   diag=None):
+    """Price each budget with one dual and split it over its elements.
+
+    group[k] is the budget element k draws on, owners[g] the user or AP
+    that owns budget g (None for the bandwidth), and share_of maps one
+    dual per element to the element's share. The duals come from one
+    lockstep search driving each budget's share sum onto its target; a
+    sum still off its target by more than the relative tolerance raises
+    ConvergenceError. Appends one `kind` record per budget to diag.
+
+    Overflowed exponentials inside the searches only ever feed sign
+    tests, so overflow warnings are silenced here, and only here.
+
+    Returns (duals, shares, shares rescaled so each sum is its target).
+    """
+    n = len(owners)
+    with np.errstate(over="ignore"):
+        duals, calls = _solve_duals(
+            lambda d: np.bincount(group, weights=share_of(d[group]), minlength=n),
+            targets, cfg, starts, increasing)
+        shares = share_of(duals[group])
+    sums = np.bincount(group, weights=shares, minlength=n)
+    resid = np.abs(sums - targets) / targets
+    if np.any(resid > cfg.bisect_tol):
+        g = int(np.argmax(resid))
+        owner = "" if owners[g] is None else f" {owners[g]}"
+        raise ConvergenceError(f"{kind}{owner}: budget sum residual {resid[g]:.3e}")
+    if diag is not None:
+        diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
+                                    residual=float(r), iterations=calls)
+                    for v, o, r in zip(duals, owners, resid))
+    return duals, shares, shares * (targets / sums)[group]
+
+
 # ---------------------------------------------------------------------------
 # stationarity functions (vectorized over pairs; overflow maps to +-inf,
 # which only ever feeds sign tests during bracketing)
 
 def _data_marginal(L, x, q, d, eta, a):
-    """dE/dL at fixed (x, q); strictly increasing in L, equals a*ln2 at L=0.
-
-    Callers suppress overflow warnings: an overflowed exponential only
-    ever feeds sign tests during bracketing.
-    """
+    """dE/dL at fixed (x, q); strictly increasing in L, equals a*ln2 at L=0."""
     c = eta / q
     t = d - c * L
     s = L / (x * t)
@@ -212,7 +236,6 @@ def _data_roots(nu, x, q, d, eta, a, upper):
     return np.where(at_zero, 0.0, np.where(at_cap, upper, roots))
 
 
-@_quiet_overflow
 def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
     """Optimal data split per user for fixed bandwidth and compute.
 
@@ -229,15 +252,9 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
     eta_user = scenario.cycles_per_bit
     bits = scenario.task_bits
     usable = (q > 0) & (x > 0)
-    nus = np.asarray(dual_guess, dtype=float).copy() if dual_guess is not None \
-        else None
+    nus = None if dual_guess is None else np.asarray(dual_guess, dtype=float)
 
     for _ in range(M + 1):
-        if not usable.any(axis=1).all():
-            i = int(np.nonzero(~usable.any(axis=1))[0][0])
-            raise InfeasibilityError(
-                f"user {i}: no usable (bandwidth, compute) pair to carry data",
-                user=i)
         ui, uj = np.nonzero(usable)
         xv, qv, av = x[ui, uj], q[ui, uj], noise[ui, uj]
         dv, etav = d_user[ui], eta_user[ui]
@@ -248,35 +265,24 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
             raise InfeasibilityError(
                 f"user {i}: maximal feasible loads carry {room[i]:.6g} "
                 f"of {bits[i]:.6g} bits", user=i)
-
-        def row_sums(nu_users):
-            roots = _data_roots(nu_users[ui], xv, qv, dv, etav, av, upper)
-            return np.bincount(ui, weights=roots, minlength=K)
-
         if nus is None:
             # just above the smallest zero-load marginal of each row
             nus = np.full(K, np.inf)
             np.minimum.at(nus, ui, av)
             nus *= LN2 * 2.0
-        nus, calls = _solve_duals(row_sums, bits, cfg, nus, increasing=True)
-        roots = _data_roots(nus[ui], xv, qv, dv, etav, av, upper)
+        records = []
+        nus, roots, loads = _price_budgets(
+            "lambda_data", ui, range(K), bits,
+            lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper),
+            cfg, nus, increasing=True, diag=records)
         crumbs = (roots > 0) & (roots <= cfg.activity_threshold_bits)
         if crumbs.any():
-            usable = usable.copy()
             usable[ui[crumbs], uj[crumbs]] = False
             continue
-        sums = np.bincount(ui, weights=roots, minlength=K)
-        resid = np.abs(sums - bits) / bits
-        if np.any(resid > cfg.bisect_tol):
-            i = int(np.argmax(resid))
-            raise ConvergenceError(f"user {i}: data row sum residual {resid[i]:.3e}")
-        out = np.zeros((K, M))
-        out[ui, uj] = roots * (bits / sums)[ui]
         if diag is not None:
-            for i in range(K):
-                diag.append(SolveDiagnostic(
-                    DualVariable("lambda_data", float(nus[i]), owner=i),
-                    residual=float(resid[i]), iterations=calls))
+            diag.extend(records)
+        out = np.zeros((K, M))
+        out[ui, uj] = loads
         return out
     raise ConvergenceError("activity freezing did not settle")
 
@@ -300,7 +306,6 @@ def _bandwidth_roots(beta, L, t, a):
     return L * LN2 / (t * np.exp(_vec_bisect(below_root, *_LOG_Z_BRACKET)))
 
 
-@_quiet_overflow
 def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
     """Bandwidth split across all active pairs for fixed data and slack.
 
@@ -316,27 +321,13 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
     d = np.broadcast_to(scenario.deadlines_s[:, None], L.shape)
     if np.any(t[act] <= 0) or np.any(t[act] >= d[act]):
         raise StructuralError("slack must be interior (0, deadline) on active pairs")
-    B = scenario.bandwidth_hz
-    Lv = L[act]
-    tv = t[act]
-    av = scenario.noise_over_gain()[act]
-
-    def total(beta_vec):
-        return np.array([_bandwidth_roots(beta_vec[0], Lv, tv, av).sum()])
-
-    start = np.array([dual_guess if dual_guess else 1.0])
-    betas, calls = _solve_duals(total, np.array([B]), cfg, start, increasing=False)
-    beta = float(betas[0])
-    roots = _bandwidth_roots(beta, Lv, tv, av)
-    if abs(roots.sum() - B) > cfg.bisect_tol * B:
-        raise ConvergenceError(
-            f"bandwidth sum residual {abs(roots.sum() - B) / B:.3e}")
-    if diag is not None:
-        diag.append(SolveDiagnostic(
-            DualVariable("beta_bandwidth", beta),
-            residual=abs(roots.sum() - B) / B, iterations=calls))
+    Lv, tv, av = L[act], t[act], scenario.noise_over_gain()[act]
     out = np.zeros_like(L)
-    out[act] = roots * (B / roots.sum())
+    out[act] = _price_budgets(
+        "beta_bandwidth", np.zeros(Lv.size, dtype=int), [None],
+        np.array([scenario.bandwidth_hz]),
+        lambda beta: _bandwidth_roots(beta, Lv, tv, av),
+        cfg, np.array([dual_guess or 1.0]), increasing=False, diag=diag)[2]
     return out
 
 
@@ -390,35 +381,18 @@ def _caa_joint(scenario, x, L, aps, cfg, diag=None, dual_guess=None):
             f"AP {aps[g]}: compute demand {base_load[g]:.6g} exceeds capacity "
             f"{caps[g]:.6g}", ap=aps[g])
 
-    def demand(mus):
-        roots = _slack_roots(mus[gid], Lv, xv, dv, wv, av)
-        return np.bincount(gid, weights=wv / (dv - roots), minlength=n_groups)
-
-    starts = np.asarray(dual_guess, dtype=float) if dual_guess is not None \
-        else np.ones(n_groups)
-    mus, calls = _solve_duals(demand, caps, cfg, starts, increasing=False)
-    roots = _slack_roots(mus[gid], Lv, xv, dv, wv, av)
-    qv = wv / (dv - roots)
-    sums = np.bincount(gid, weights=qv, minlength=n_groups)
-    resid = np.abs(sums - caps) / caps
-    if np.any(resid > cfg.bisect_tol):
-        g = int(np.argmax(resid))
-        raise ConvergenceError(
-            f"AP {aps[g]}: compute sum residual {resid[g]:.3e}")
-    qv = qv * (caps / sums)[gid]
+    mus, _, qv = _price_budgets(
+        "mu_compute", gid, aps, caps,
+        lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)), cfg,
+        np.ones(n_groups) if dual_guess is None else dual_guess,
+        increasing=False, diag=diag)
     t_cols = np.broadcast_to(d_user[:, None], (L.shape[0], n_groups)).copy()
     t_cols[ui, gid] = dv - wv / qv
     q_cols = np.zeros((L.shape[0], n_groups))
     q_cols[ui, gid] = qv
-    if diag is not None:
-        for g, j in enumerate(aps):
-            diag.append(SolveDiagnostic(
-                DualVariable("mu_compute", float(mus[g]), owner=j),
-                residual=float(resid[g]), iterations=calls))
     return t_cols, q_cols, mus
 
 
-@_quiet_overflow
 def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None, dual_guess=None):
     """Slack (hence compute) split among one AP's active users at fixed x."""
     guess = np.array([dual_guess]) if dual_guess else None
@@ -443,7 +417,6 @@ def _anderson_mix(qs, gs):
     return gs[-1] - sum(c * (b - a) for c, a, b in zip(gamma, gs, gs[1:]))
 
 
-@_quiet_overflow
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     """Jointly optimal (x, q) for a fixed data split.
 

@@ -164,9 +164,9 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     energy gap of a round falls below the configured threshold.
 
     The first resource re-balance runs on the raw initial split; the loop
-    then repeats (data step, re-balance) and stops once the energy after
-    the data step exceeds the energy after the following re-balance by at
-    most epsilon_j.
+    then repeats (data step, re-balance) and stops at the end of the first
+    round that lowers the energy by at most epsilon_j, which may be the
+    last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
@@ -182,17 +182,9 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     inner_counts = [rounds]
     walls = [time.perf_counter() - t0]
 
-    # the stop examines the improvement of a full round between successive
-    # recorded (post re-balance) energies; a round that improves by at most
-    # epsilon has in particular moved each of its two steps by at most epsilon
-    e_round_prev = float("inf")  # force the first round unconditionally
     nu_guess = None
     converged = False
     for it in range(1, cfg.max_outer_iters + 1):
-        if e_round_prev - e0 <= cfg.epsilon_j:
-            converged = True
-            break
-        e_round_prev = e0
         t_iter = time.perf_counter()
         daa_diag = []
         try:
@@ -219,6 +211,9 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         data_steps.append(e1)
         inner_counts.append(rounds)
         walls.append(time.perf_counter() - t_iter)
+        if outer[-2] - e0 <= cfg.epsilon_j:
+            converged = True
+            break
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(

@@ -203,3 +203,56 @@ def test_sweep_rejects_unknown_init_before_solving(tmp_path, small_scenario_file
                  "--strategies", "iterative:equal,iterative:bogus",
                  "--workers", "1", "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
+
+
+def _one_line_usage_error(capsys):
+    err = capsys.readouterr().err.strip()
+    return err.startswith("usage error:") and "\n" not in err
+
+
+_SOLVE_AND_SWEEP = (["solve"], ["sweep", "--param", "deadline-s", "--values", "0.5",
+                                "--workers", "1"])
+
+
+@pytest.mark.parametrize("flag,value", [("--max-outer", "0"), ("--eps-mj", "0"),
+                                        ("--bisect-tol", "-1")])
+def test_bad_solver_settings_are_usage_errors(tmp_path, small_scenario_file, capsys,
+                                              flag, value):
+    for command in _SOLVE_AND_SWEEP:
+        code = main(command + ["--scenario", small_scenario_file, flag, value,
+                               "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert _one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("values", ["0.5,abc", "0.5,inf", "nan", "0.5,-1", "0,1"])
+def test_sweep_rejects_bad_values_before_solving(tmp_path, small_scenario_file,
+                                                 monkeypatch, capsys, values):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the values were checked")
+
+    monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
+    code = main(["sweep", "--scenario", small_scenario_file, "--param", "deadline-s",
+                 "--values", values, "--workers", "1",
+                 "--out", str(tmp_path / "sweep.csv")])
+    assert code == 2
+    assert _one_line_usage_error(capsys)
+
+
+_NEGATIVE_GAIN = json.dumps({
+    "num_users": 1, "num_aps": 1, "gains": [[-1.0]],
+    "tasks": [{"input_bits": 1.0, "deadline_s": 1.0, "cycles_per_bit": 1.0}],
+    "bandwidth_hz": 1.0, "compute_capacity": [1.0], "noise_psd": 1.0})
+
+
+@pytest.mark.parametrize("content", [None, "not json", "[1, 2]", '{"num_users": 1}',
+                                     _NEGATIVE_GAIN],
+                         ids=["missing", "not-json", "list", "no-keys", "negative-gain"])
+def test_unreadable_scenario_is_a_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    if content is not None:
+        path.write_text(content)
+    for command in _SOLVE_AND_SWEEP:
+        code = main(command + ["--scenario", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert _one_line_usage_error(capsys)

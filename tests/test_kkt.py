@@ -230,6 +230,17 @@ def test_daa_infeasible_user_is_named():
     assert err.value.user == 0
 
 
+def test_daa_user_without_bandwidth_is_named():
+    # user 1 has compute on both APs but no bandwidth on either, so no
+    # pair can carry its data
+    sc = make_scenario([[1.0, 1.0], [1.0, 1.0]], bits=1.0, deadline=1.0, eta=1.0,
+                       bandwidth=10.0, capacities=4.0)
+    with pytest.raises(InfeasibilityError) as err:
+        solve_daa(sc, x=[[5.0, 5.0], [0.0, 0.0]], q=[[2.0, 2.0], [2.0, 2.0]],
+                  cfg=_cfg(sc))
+    assert err.value.user == 1
+
+
 # --- bandwidth allocation ----------------------------------------------
 
 def test_baa_symmetric_pairs_share_evenly():
