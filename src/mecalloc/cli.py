@@ -43,7 +43,7 @@ from .orchestrate import (
     solve_fixed_data,
     solve_iterative,
 )
-from .scenario import GenParams, generate, override_parameter, provenance
+from .scenario import SWEEP_PARAMETERS, GenParams, generate, override_parameter, provenance
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -52,12 +52,9 @@ EXIT_NO_CONVERGENCE = 4
 
 OUT_DIR_ENV = "MECALLOC_OUT_DIR"
 
-_SWEEP_PARAMS = {
-    "deadline-s": "deadline_s",
-    "bandwidth-hz": "bandwidth_hz",
-    "capacity-cps": "capacity_cps",
-    "task-bits": "task_bits",
-}
+# generate flags not spelled after their GenParams field
+_GENERATE_FLAGS = {"num_users": "--users", "num_aps": "--aps", "region_m": "--region",
+                   "noise_psd_w_per_hz": "--noise-psd"}
 
 
 def _out_path(path):
@@ -133,14 +130,12 @@ def _read_scenario(path):
 # ---------------------------------------------------------------------------
 
 def cmd_generate(args):
-    params = GenParams(
-        num_users=args.users, num_aps=args.aps, region_m=args.region,
-        bandwidth_hz=args.bandwidth_hz, noise_psd_w_per_hz=args.noise_psd,
-        task_bits=args.task_bits, deadline_s=args.deadline_s,
-        cycles_per_bit=args.cycles_per_bit, capacity_cps=args.capacity_cps,
-        seed=args.seed,
-    )
-    scenario = generate(params)
+    try:
+        params = GenParams(**{f.name: getattr(args, f.name)
+                              for f in dataclasses.fields(GenParams)})
+        scenario = generate(params)
+    except StructuralError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     out = _out_path(args.out)
     save_scenario(scenario, out, provenance=provenance(params))
     print(f"wrote {out}: K={scenario.num_users} M={scenario.num_aps} "
@@ -191,7 +186,7 @@ def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
     """One (parameter value, strategy label) solve; runs inside a worker."""
     value, label = point
     scenario = override_parameter(scenario_from_dict(scenario_doc),
-                                  _SWEEP_PARAMS[param], value)
+                                  param.replace("-", "_"), value)
     cfg = SolveConfig.for_scenario(scenario, **cfg_kwargs)
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row.update(parameter=param, value=value, strategy=label)
@@ -269,47 +264,40 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a scenario JSON file")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--users", type=int, default=8)
-    g.add_argument("--aps", type=int, default=4)
-    g.add_argument("--region", type=float, default=200.0, help="square side, m")
-    g.add_argument("--bandwidth-hz", type=float, default=1e7)
-    g.add_argument("--noise-psd", type=float, default=10.0 ** (-20.4))
-    g.add_argument("--task-bits", type=float, default=1.5e6)
-    g.add_argument("--deadline-s", type=float, default=0.5)
-    g.add_argument("--cycles-per-bit", type=float, default=1e3)
-    g.add_argument("--capacity-cps", type=float, default=2.5e10)
+    for f in dataclasses.fields(GenParams):
+        g.add_argument(_GENERATE_FLAGS.get(f.name, "--" + f.name.replace("_", "-")),
+                       dest=f.name, type=type(f.default), default=f.default,
+                       help="square side, m" if f.name == "region_m" else None)
     g.add_argument("--out", required=True)
     g.set_defaults(func=cmd_generate)
 
-    s = sub.add_parser("solve", help="solve one scenario file")
-    s.add_argument("--scenario", required=True)
+    # flags shared by solve and sweep, with SolveConfig's defaults
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument("--scenario", required=True)
+    solver_flags.add_argument("--init-seed", type=int, default=0,
+                              help="seed for the random initialization")
+    solver_flags.add_argument("--eps-mj", type=float, default=SolveConfig.epsilon_j * 1e3,
+                              help="outer stop threshold in milli-Joules")
+    solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
+    solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters)
+
+    s = sub.add_parser("solve", parents=[solver_flags], help="solve one scenario file")
     s.add_argument("--method", default="iterative",
                    choices=["iterative", "binary-best-ap", "fixed-equal"])
     s.add_argument("--init", default="equal",
                    help="iterative initialization: equal | random | best-ap-90")
-    s.add_argument("--init-seed", type=int, default=0,
-                   help="seed for the random initialization")
-    s.add_argument("--eps-mj", type=float, default=1e-2,
-                   help="outer stop threshold in milli-Joules")
-    s.add_argument("--bisect-tol", type=float, default=1e-9)
-    s.add_argument("--max-outer", type=int, default=100)
     s.add_argument("--out", default="solution.json")
     s.add_argument("--trace", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)
 
-    w = sub.add_parser("sweep", help="solve over a parameter grid")
-    w.add_argument("--scenario", required=True)
-    w.add_argument("--param", required=True, choices=sorted(_SWEEP_PARAMS))
+    w = sub.add_parser("sweep", parents=[solver_flags], help="solve over a parameter grid")
+    w.add_argument("--param", required=True,
+                   choices=sorted(name.replace("_", "-") for name in SWEEP_PARAMETERS))
     w.add_argument("--values", required=True,
                    help="comma-separated positive values, e.g. 0.2,0.4,0.6")
     w.add_argument("--strategies", default="iterative:equal",
                    help="comma-separated: iterative:<init>, binary-best-ap, "
                         "fixed-equal")
-    w.add_argument("--init-seed", type=int, default=0)
-    w.add_argument("--eps-mj", type=float, default=1e-2)
-    w.add_argument("--bisect-tol", type=float, default=1e-9)
-    w.add_argument("--max-outer", type=int, default=100)
     w.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     w.add_argument("--out", default="sweep.csv")
     w.set_defaults(func=cmd_sweep)

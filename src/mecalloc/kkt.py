@@ -64,6 +64,10 @@ INNER_ITERS = 48
 # every dual search stays inside this range
 DUAL_RANGE = (1e-280, 1e280)
 
+# most probes of one dual search, and most rounds of one fixed-data solve
+MAX_DUAL_PROBES = 200
+MAX_BCAA_ROUNDS = 200
+
 # natural-log bracket of the per-pair bandwidth root z = L*ln2/(x*t): the
 # top is the rate exponent L/(x*t) = EXPONENT_CAP, and well above the
 # bottom z*exp(z) - expm1(z) already rounds to zero
@@ -148,7 +152,7 @@ def _solve_duals(budget_of, targets, cfg, starts, increasing):
     hi = np.full_like(probe, np.inf)
     step = np.full_like(probe, math.log10(2.0))
     done = np.zeros(probe.shape, dtype=bool)
-    for calls in range(1, cfg.max_inner_iters + 1):
+    for calls in range(1, MAX_DUAL_PROBES + 1):
         duals = 10.0 ** probe
         b = budget_of(duals)
         above = (b >= targets) ^ increasing  # the root lies above the probe
@@ -165,7 +169,7 @@ def _solve_duals(budget_of, targets, cfg, starts, increasing):
                          np.where(np.isinf(lo), np.maximum(hi - step, edge_lo),
                                   0.5 * (lo + hi)))
         step *= 2.0
-    raise ConvergenceError(f"dual search exhausted {cfg.max_inner_iters} probes")
+    raise ConvergenceError(f"dual search exhausted {MAX_DUAL_PROBES} probes")
 
 
 def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasing,
@@ -489,7 +493,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     qs, gs = [], []  # Anderson history: round inputs and their images
     candidate = None
     rounds = 0
-    for rounds in range(1, cfg.max_inner_iters + 1):
+    for rounds in range(1, MAX_BCAA_ROUNDS + 1):
         x = None
         if candidate is not None and np.all(candidate[act] > 0):
             t_cand = slack_of(candidate)
@@ -519,7 +523,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     else:
         raise ConvergenceError(
             f"bandwidth/compute alternation still improving after "
-            f"{cfg.max_inner_iters} rounds (last energy {energy:.6e} J)")
+            f"{MAX_BCAA_ROUNDS} rounds (last energy {energy:.6e} J)")
     if diag is not None:
         diag.extend(steps)
 

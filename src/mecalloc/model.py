@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,6 +62,19 @@ def _as_matrix(values, rows, cols, name):
     return arr
 
 
+class ArrayRecord:
+    """Value equality for frozen dataclasses that hold numpy arrays: fields
+    compare with np.array_equal, compare=False ones are skipped; no hashing."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self) if f.compare)
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One user's computing task: input size, deadline, cycle demand per bit."""
@@ -82,8 +95,8 @@ class TaskSpec:
         return self.cycles_per_bit * self.input_bits
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(frozen=True, eq=False)
+class Scenario(ArrayRecord):
     """A network instance: K users, M APs, channel gains and budgets.
 
     gains[i, j] is the linear channel power gain from user i to AP j.
@@ -136,8 +149,8 @@ class Scenario:
         return self.noise_psd / self.gains
 
 
-@dataclass(frozen=True)
-class Allocation:
+@dataclass(frozen=True, eq=False)
+class Allocation(ArrayRecord):
     """A full operating point: data split, bandwidth and compute matrices."""
 
     data: np.ndarray
@@ -217,24 +230,24 @@ class PairPoint:
 class SolveConfig:
     """Solver tolerances and iteration budgets.
 
-    epsilon_j is the outer stop threshold in Joules; bisect_tol the
-    relative tolerance shared by every bisection and by the equality
-    residual checks. activity_threshold_bits is the data size below
-    which a pair is frozen at L = x = q = 0 and excluded from the KKT
-    systems (zero-data pairs would make the rate formula indeterminate).
+    epsilon_j is the outer stop threshold in Joules. bisect_tol is the
+    relative tolerance of the dual-search stop, the budget residual checks
+    and the descent guard's slack (per-pair roots run kkt.INNER_ITERS
+    fixed halvings). activity_threshold_bits is the data size below which
+    a pair is frozen at L = x = q = 0 and excluded from the KKT systems
+    (zero-data pairs would make the rate formula indeterminate).
     """
 
     epsilon_j: float = 1e-5
     bisect_tol: float = 1e-9
     max_outer_iters: int = 100
-    max_inner_iters: int = 200
     activity_threshold_bits: float = 0.0
 
     def __post_init__(self):
         if self.epsilon_j <= 0 or self.bisect_tol <= 0:
             raise StructuralError("tolerances must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise StructuralError("iteration budgets must be positive")
+        if self.max_outer_iters < 1:
+            raise StructuralError("the outer iteration budget must be positive")
         if self.activity_threshold_bits < 0:
             raise StructuralError("activity threshold must be nonnegative")
 

@@ -10,7 +10,7 @@ recorded outer energy sequence is non-increasing and terminates.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -106,11 +106,7 @@ class Solution:
             "allocation": allocation_to_dict(self.allocation),
             "energy_j": self.energy_j,
             "converged": self.converged,
-            "trace": {
-                "outer_energies_j": list(self.trace.outer_energies_j),
-                "inner_iteration_counts": list(self.trace.inner_iteration_counts),
-                "wall_times_s": list(self.trace.wall_times_s),
-            },
+            "trace": {name: list(v) for name, v in asdict(self.trace).items()},
         }
 
     @property

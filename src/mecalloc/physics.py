@@ -18,6 +18,7 @@ import numpy as np
 
 from .model import (
     EXPONENT_CAP,
+    ArrayRecord,
     InfeasiblePairError,
     PairPoint,
     StructuralError,
@@ -151,8 +152,8 @@ def partials(point: PairPoint) -> EnergyGradient:
     return EnergyGradient(d_dL=d_dL, d_dx=a * t * bracket, d_dt=a * x * bracket)
 
 
-@dataclass(frozen=True)
-class HessianDiag:
+@dataclass(frozen=True, eq=False)
+class HessianDiag(ArrayRecord):
     """A symmetric 2x2 second-derivative block of the pair energy."""
 
     pair: str

@@ -9,13 +9,16 @@ The generator is numpy's PCG64, so a seed pins the scenario exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .model import Scenario, StructuralError, TaskSpec
 
 GENERATOR_NAME = "numpy-pcg64"
+
+# the GenParams fields a sweep can vary on a generated scenario
+SWEEP_PARAMETERS = ("bandwidth_hz", "capacity_cps", "deadline_s", "task_bits")
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,9 @@ class GenParams:
             raise StructuralError("need at least one user and one AP")
         for name in ("region_m", "bandwidth_hz", "noise_psd_w_per_hz",
                      "task_bits", "deadline_s", "cycles_per_bit", "capacity_cps"):
-            if getattr(self, name) <= 0:
-                raise StructuralError(f"GenParams.{name} must be positive")
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise StructuralError(f"GenParams.{name} must be a positive finite real, got {v}")
 
 
 def pathloss_gain(distance_m: float) -> float:
@@ -83,28 +87,15 @@ def provenance(params: GenParams) -> dict:
 
 
 def override_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
-    """A copy of the scenario with one swept parameter replaced."""
+    """A copy of the scenario with one of SWEEP_PARAMETERS replaced."""
     if value <= 0:
         raise StructuralError(f"{name} must be positive, got {value}")
-    tasks = scenario.tasks
-    bandwidth = scenario.bandwidth_hz
-    capacity = scenario.compute_capacity
-    if name == "deadline_s":
-        tasks = tuple(TaskSpec(t.input_bits, value, t.cycles_per_bit) for t in tasks)
-    elif name == "task_bits":
-        tasks = tuple(TaskSpec(value, t.deadline_s, t.cycles_per_bit) for t in tasks)
-    elif name == "bandwidth_hz":
-        bandwidth = value
-    elif name == "capacity_cps":
-        capacity = np.full(scenario.num_aps, value)
-    else:
+    if name not in SWEEP_PARAMETERS:
         raise StructuralError(f"unknown sweep parameter {name!r}")
-    return Scenario(
-        num_users=scenario.num_users,
-        num_aps=scenario.num_aps,
-        gains=scenario.gains,
-        tasks=tasks,
-        bandwidth_hz=bandwidth,
-        compute_capacity=capacity,
-        noise_psd=scenario.noise_psd,
-    )
+    if name == "bandwidth_hz":
+        return replace(scenario, bandwidth_hz=value)
+    if name == "capacity_cps":
+        return replace(scenario, compute_capacity=np.full(scenario.num_aps, value))
+    task_field = "input_bits" if name == "task_bits" else name
+    return replace(scenario, tasks=tuple(replace(t, **{task_field: value})
+                                         for t in scenario.tasks))

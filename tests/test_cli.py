@@ -1,11 +1,13 @@
+import dataclasses
 import json
 import os
 
 import numpy as np
 import pytest
 
-from mecalloc import save_scenario
+from mecalloc import GenParams, SolveTrace, generate, save_scenario
 from mecalloc.cli import main
+from mecalloc.scenario import provenance
 
 from util import make_scenario
 
@@ -45,6 +47,21 @@ def test_generate_small_flags(tmp_path):
     assert doc["num_users"] == 2 and doc["num_aps"] == 1
 
 
+def test_generate_flags_set_every_parameter(tmp_path):
+    params = GenParams(num_users=5, num_aps=3, region_m=150.0, bandwidth_hz=2e7,
+                       noise_psd_w_per_hz=1e-20, task_bits=1e6, deadline_s=0.7,
+                       cycles_per_bit=500.0, capacity_cps=3e10, seed=9)
+    assert all(getattr(params, f.name) != f.default for f in dataclasses.fields(params))
+    out = tmp_path / "cli.json"
+    ref = tmp_path / "ref.json"
+    assert main(["generate", "--users", "5", "--aps", "3", "--region", "150",
+                 "--bandwidth-hz", "2e7", "--noise-psd", "1e-20", "--task-bits", "1e6",
+                 "--deadline-s", "0.7", "--cycles-per-bit", "500",
+                 "--capacity-cps", "3e10", "--seed", "9", "--out", str(out)]) == 0
+    save_scenario(generate(params), ref, provenance=provenance(params))
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_solve_writes_solution_and_trace(tmp_path, small_scenario_file):
     sol = tmp_path / "sol.json"
     tr = tmp_path / "trace.csv"
@@ -60,6 +77,14 @@ def test_solve_writes_solution_and_trace(tmp_path, small_scenario_file):
     assert lines[0].strip() == "outer_iter,energy_mj,inner_iters,wall_time_s"
     energies = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
+
+
+def test_solve_json_trace_holds_every_trace_field(tmp_path, small_scenario_file):
+    sol = tmp_path / "sol.json"
+    assert main(["solve", "--scenario", small_scenario_file, "--out", str(sol)]) == 0
+    trace = json.loads(sol.read_text())["trace"]
+    assert set(trace) == {f.name for f in dataclasses.fields(SolveTrace)}
+    assert len(trace["data_step_energies_j"]) == len(trace["outer_energies_j"]) - 1
 
 
 def test_solve_binary_method_loads_fully(tmp_path, small_scenario_file):
@@ -237,6 +262,16 @@ def test_sweep_rejects_bad_values_before_solving(tmp_path, small_scenario_file,
                  "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
     assert _one_line_usage_error(capsys)
+
+
+@pytest.mark.parametrize("flag,value", [("--users", "0"), ("--region", "0"),
+                                        ("--deadline-s", "-1"), ("--deadline-s", "nan"),
+                                        ("--bandwidth-hz", "inf")])
+def test_generate_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "scenario.json"
+    assert main(["generate", flag, value, "--out", str(out)]) == 2
+    assert _one_line_usage_error(capsys)
+    assert not out.exists()
 
 
 _NEGATIVE_GAIN = json.dumps({

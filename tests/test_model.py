@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,6 +13,7 @@ from mecalloc import (
     TaskSpec,
     allocation_from_dict,
     allocation_to_dict,
+    hessian_diag,
     scenario_from_dict,
     scenario_to_dict,
     validate,
@@ -135,6 +137,28 @@ def test_scenario_task_columns_are_derived_read_only():
     object.__setattr__(b, "task_bits", np.array([7.0]))
     assert a == b
     assert "task_bits" not in repr(a)
+
+
+def test_array_records_compare_by_value(scenario42, equal_allocation42):
+    copy = dataclasses.replace(scenario42)
+    assert copy.gains is not scenario42.gains
+    assert copy == scenario42 and scenario42 in [copy]
+    gains = scenario42.gains.copy()
+    gains[5, 2] *= 1.5
+    other = dataclasses.replace(scenario42, gains=gains)
+    assert other != scenario42 and scenario42 not in [other]
+    with pytest.raises(TypeError):
+        hash(scenario42)
+
+    alloc = dataclasses.replace(equal_allocation42)
+    assert alloc == equal_allocation42
+    data = equal_allocation42.data.copy()
+    data[0, 0] *= 1.5
+    assert dataclasses.replace(equal_allocation42, data=data) != equal_allocation42
+
+    point = PairPoint.from_compute(1e3, 1e4, 2e3, 1.0, 1.0, 1e-3)
+    assert hessian_diag(point, "x_t") == hessian_diag(point, "x_t")
+    assert hessian_diag(point, "x_t") != hessian_diag(point, "L_x")
 
 
 def test_allocation_json_roundtrip(equal_allocation42):

@@ -3,6 +3,7 @@ import pytest
 
 from mecalloc import SolveConfig, StructuralError, validate
 from mecalloc.scenario import (
+    SWEEP_PARAMETERS,
     GenParams,
     generate,
     override_parameter,
@@ -92,8 +93,21 @@ def test_override_parameter():
         override_parameter(sc, "noise", 1.0)
 
 
+def test_override_with_the_current_value_changes_nothing():
+    sc = generate(GenParams(seed=42))
+    current = {"bandwidth_hz": sc.bandwidth_hz, "capacity_cps": sc.compute_capacity[0],
+               "deadline_s": sc.tasks[0].deadline_s, "task_bits": sc.tasks[0].input_bits}
+    assert set(current) == set(SWEEP_PARAMETERS)
+    for name in SWEEP_PARAMETERS:
+        assert override_parameter(sc, name, current[name]) == sc
+
+
 def test_genparams_validation():
     with pytest.raises(StructuralError):
         GenParams(num_users=0)
     with pytest.raises(StructuralError):
         GenParams(task_bits=-1.0)
+    with pytest.raises(StructuralError):
+        GenParams(deadline_s=float("nan"))
+    with pytest.raises(StructuralError):
+        GenParams(bandwidth_hz=float("inf"))
