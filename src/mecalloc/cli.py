@@ -81,24 +81,24 @@ def _strategy(token, init_seed=0):
 
     Tokens: binary-best-ap, fixed-equal, iterative (short for
     iterative:equal) and iterative:<init> with init equal, random or
-    best-ap-<percent>. Anything else raises ArgumentTypeError, so a bad
-    token is rejected before any solve starts.
+    best-ap-<percent>. Anything else, or a random init with a bad seed,
+    raises ArgumentTypeError, so it is rejected before any solve starts.
     """
     if token in ("binary-best-ap", "fixed-equal"):
         return token, None
     label = "iterative:equal" if token == "iterative" else token
     method, _, init = label.partition(":")
     if method == "iterative":
-        if init == "equal":
-            return label, InitStrategy.equal()
-        if init == "random":
-            return label, InitStrategy.random(seed=init_seed)
-        if init.startswith("best-ap-"):
-            try:
+        try:
+            if init == "equal":
+                return label, InitStrategy.equal()
+            if init == "random":
+                return label, InitStrategy.random(seed=init_seed)
+            if init.startswith("best-ap-"):
                 return label, InitStrategy.best_ap(
                     weight=float(init[len("best-ap-"):]) / 100.0)
-            except ValueError:  # not a number, or a weight outside (0, 1]
-                pass
+        except ValueError as exc:  # not a number, a weight outside (0, 1] or a bad seed
+            raise argparse.ArgumentTypeError(f"strategy {token!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown strategy {token!r}")
 
 
@@ -220,8 +220,8 @@ def cmd_sweep(args):
         raise argparse.ArgumentTypeError(f"sweep values: {exc}") from None
     if not all(0 < v < np.inf for v in values) or len(values) != len(set(values)):
         raise argparse.ArgumentTypeError("sweep values must be distinct, positive and finite")
-    labels = [_strategy(tok.strip())[0] for tok in args.strategies.split(",")
-              if tok.strip()]
+    labels = [_strategy(tok.strip(), args.init_seed)[0]
+              for tok in args.strategies.split(",") if tok.strip()]
     if not labels:
         raise argparse.ArgumentTypeError("at least one strategy is required")
     solve_point = functools.partial(_sweep_point, scenario_to_dict(scenario),

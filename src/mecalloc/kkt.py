@@ -15,6 +15,7 @@ outer search driving each budget sum onto its constraint.
              block; an Anderson extrapolation of the compute split is
              taken only when it lowers the energy, so energy never rises.
 
+Every derivative in those roots comes from the pair model in `physics`.
 The first three share one pricing step, _price_budgets: the dual search,
 the final per-pair pass, the residual check, the rescale onto each
 budget and the diag records. It holds the module's only overflow guard.
@@ -42,16 +43,16 @@ import numpy as np
 
 from .model import (
     EXPONENT_CAP,
+    LN2,
     BracketError,
     ConvergenceError,
     DegenerateInputError,
     InfeasibilityError,
     SolveConfig,
     StructuralError,
+    deadline_slack,
 )
-from .physics import energy_matrix
-
-LN2 = math.log(2.0)
+from .physics import bracket, data_marginal, energy_matrix
 
 # keeps every slack at least this fraction of the deadline away from the
 # t = 0 singularity of 2**(L/(x t))
@@ -208,34 +209,14 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasi
 
 
 # ---------------------------------------------------------------------------
-# stationarity functions (vectorized over pairs; overflow maps to +-inf,
-# which only ever feeds sign tests during bracketing)
-
-def _data_marginal(L, x, q, d, eta, a):
-    """dE/dL at fixed (x, q); strictly increasing in L, equals a*ln2 at L=0."""
-    c = eta / q
-    t = d - c * L
-    s = L / (x * t)
-    p = np.exp(s * LN2)
-    return a * x * ((d * LN2 / (x * t) - c) * p + c)
-
-
-def _slack_stationarity(t, L, x, d, w, a, mu):
-    """dE/dt + mu * w/(d-t)^2 at fixed (L, x); strictly increasing in t."""
-    u = L / (x * t)
-    p = np.exp(u * LN2)
-    return a * x * (p * (1.0 - u * LN2) - 1.0) + mu * w / (d - t) ** 2
-
-
-# ---------------------------------------------------------------------------
 # DAA: data allocation for fixed bandwidth and compute
 
 def _data_roots(nu, x, q, d, eta, a, upper):
     """Per-pair loads satisfying dE/dL = nu, clipped to [0, upper]."""
-    at_zero = a * LN2 >= nu
-    at_cap = _data_marginal(upper, x, q, d, eta, a) <= nu
+    at_zero = data_marginal(0.0, x, q, d, eta, a) >= nu
+    at_cap = data_marginal(upper, x, q, d, eta, a) <= nu
     roots = _vec_bisect(
-        lambda mid: _data_marginal(mid, x, q, d, eta, a) < nu,
+        lambda mid: data_marginal(mid, x, q, d, eta, a) < nu,
         np.zeros_like(upper), upper)
     return np.where(at_zero, 0.0, np.where(at_cap, upper, roots))
 
@@ -272,8 +253,8 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
         if nus is None:
             # just above the smallest zero-load marginal of each row
             nus = np.full(K, np.inf)
-            np.minimum.at(nus, ui, av)
-            nus *= LN2 * 2.0
+            np.minimum.at(nus, ui, data_marginal(0.0, xv, qv, dv, etav, av))
+            nus *= 2.0
         records = []
         nus, roots, loads = _price_budgets(
             "lambda_data", ui, range(K), bits,
@@ -297,17 +278,13 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
 def _bandwidth_roots(beta, L, t, a):
     """Per-pair bandwidths satisfying dE/dx + beta = 0 at fixed (L, t).
 
-    With z = L*ln2/(x*t) the condition reads (z - 1)*e^z + 1 = beta/(a*t),
-    whose left side rises from 0 at z = 0; z is bisected on a fixed log
-    bracket.
+    With z = L*ln2/(x*t) the condition a*t*phi(z) + beta = 0 reads
+    phi(z) = -beta/(a*t), whose left side falls from 0 at z = 0; z is
+    bisected on a fixed log bracket.
     """
-    c = beta / (a * t)
-
-    def below_root(log_z):
-        z = np.exp(log_z)
-        return z * np.exp(z) - np.expm1(z) < c
-
-    return L * LN2 / (t * np.exp(_vec_bisect(below_root, *_LOG_Z_BRACKET)))
+    c = -beta / (a * t)
+    log_z = _vec_bisect(lambda log_z: bracket(np.exp(log_z)) > c, *_LOG_Z_BRACKET)
+    return L * LN2 / (t * np.exp(log_z))
 
 
 def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
@@ -339,21 +316,22 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
 # CAA: compute allocation (through the slack substitution), per AP
 
 def _slack_roots(mu, L, x, d, w, a):
-    lo = d * 1e-12
-    hi = d * (1.0 - 1e-12)
+    """Per-pair slacks where dE/dt + mu*w/(d-t)^2 = 0 at fixed (L, x),
+    with dE/dt = a*x*phi; the left side rises strictly in t."""
     return _vec_bisect(
-        lambda mid: _slack_stationarity(mid, L, x, d, w, a, mu) < 0, lo, hi)
+        lambda t: a * x * bracket(L / (x * t) * LN2) + mu * w / (d - t) ** 2 < 0,
+        d * 1e-12, d * (1.0 - 1e-12))
 
 
 def _caa_joint(scenario, x, L, aps, cfg, diag=None, dual_guess=None):
-    """Slack and compute columns for several APs at once; one dual search per AP.
+    """Compute columns for several APs at once; one dual search per AP.
 
     Energy falls as compute grows, so each AP's capacity binds: mu_j is
     driven until the implied demand sum_i eta*L/(D - t) meets capacity.
-    Returns (slack columns, compute columns rescaled onto each capacity,
-    duals) for the requested APs; inactive users keep their deadline as
-    slack and get no compute. Appends one mu_compute record per AP to
-    diag, each carrying the probe count of the joint search.
+    Returns (compute columns rescaled onto each capacity, duals) for the
+    requested APs; inactive users get no compute. Appends one mu_compute
+    record per AP to diag, each carrying the probe count of the joint
+    search.
     """
     L = np.asarray(L, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -390,17 +368,18 @@ def _caa_joint(scenario, x, L, aps, cfg, diag=None, dual_guess=None):
         lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)), cfg,
         np.ones(n_groups) if dual_guess is None else dual_guess,
         increasing=False, diag=diag)
-    t_cols = np.broadcast_to(d_user[:, None], (L.shape[0], n_groups)).copy()
-    t_cols[ui, gid] = dv - wv / qv
     q_cols = np.zeros((L.shape[0], n_groups))
     q_cols[ui, gid] = qv
-    return t_cols, q_cols, mus
+    return q_cols, mus
 
 
 def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None, dual_guess=None):
-    """Slack (hence compute) split among one AP's active users at fixed x."""
+    """Slack (hence compute) split among one AP's active users at fixed x;
+    the other users keep their deadline as slack."""
     guess = np.array([dual_guess]) if dual_guess else None
-    return _caa_joint(scenario, x, L, [ap], cfg, diag, guess)[0][:, 0]
+    q = _caa_joint(scenario, x, L, [ap], cfg, diag, guess)[0][:, 0]
+    return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit,
+                          np.asarray(L, dtype=float)[:, ap], np.where(q > 0, q, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +446,8 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
             f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
             f"{cap[j]:.6g}", ap=j)
 
-    def slack_of(q):
-        return np.where(act, d - eta * L / np.where(q > 0, q, 1.0), d)
+    def slack_of(q):  # inactive pairs keep their whole deadline
+        return deadline_slack(d, eta, L, np.where(act, q, np.inf))
 
     def energy_at(x, t):
         return float(energy_matrix(scenario, L, x, t, thr).sum())
@@ -508,10 +487,10 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
                 qs, gs = [], []
             x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
             beta_guess = steps[-1].dual.value
-        t_cols, q_cols, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
-        t[:, aps] = t_cols
+        q_cols, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
         q = np.zeros_like(L)
         q[:, aps] = q_cols
+        t = slack_of(q)
         energy = energy_at(x, t)
         if energy_prev is not None and energy_prev - energy <= eps_inner:
             break

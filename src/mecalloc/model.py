@@ -9,9 +9,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
+
+
+LN2 = math.log(2.0)
+
+# exponents above this overflow float64 through 2**u; such points only
+# arise from degenerate brackets and are rejected rather than propagated
+EXPONENT_CAP = 700.0 / LN2
 
 
 class StructuralError(ValueError):
@@ -49,6 +56,17 @@ class DegenerateInputError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A step that must not increase energy did; indicates a solver bug."""
+
+
+def is_count(value, least=0):
+    """True for an int or numpy integer of at least `least`."""
+    return isinstance(value, (int, np.integer)) and value >= least
+
+
+def deadline_slack(deadline, cycles_per_bit, data, compute):
+    """Per-pair slack t = D - eta*L/q that computing leaves of the deadline
+    for transmission; broadcasts. Infinite compute leaves the whole deadline."""
+    return deadline - cycles_per_bit * data / compute
 
 
 def _as_matrix(values, rows, cols, name):
@@ -118,7 +136,7 @@ class Scenario(ArrayRecord):
     cycles_per_bit: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.num_users < 1 or self.num_aps < 1:
+        if not (is_count(self.num_users, 1) and is_count(self.num_aps, 1)):
             raise StructuralError("need at least one user and one AP")
         g = _as_matrix(self.gains, self.num_users, self.num_aps, "gains")
         if np.any(g <= 0):
@@ -169,12 +187,11 @@ class Allocation(ArrayRecord):
             object.__setattr__(self, name, m)
 
     def slack(self, scenario):
-        """Per-pair deadline slack t = D - eta*L/q (t = D where no compute)."""
-        d = scenario.deadlines_s[:, None]
-        eta = scenario.cycles_per_bit[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = d - eta * self.data / self.compute
-        return np.where(self.compute > 0, t, np.where(self.data > 0, -np.inf, d))
+        """Per-pair deadline slack t = D - eta*L/q: D where there is no data,
+        -inf where there is data but no compute."""
+        with np.errstate(divide="ignore"):
+            return deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
+                                  self.data, np.where(self.data > 0, self.compute, np.inf))
 
 
 @dataclass(frozen=True)
@@ -198,7 +215,7 @@ class PairPoint:
                      cycles_per_bit, noise_over_gain):
         if compute_cps <= 0:
             raise StructuralError("compute_cps must be positive")
-        slack = deadline_s - cycles_per_bit * data_bits / compute_cps
+        slack = deadline_slack(deadline_s, cycles_per_bit, data_bits, compute_cps)
         return cls(data_bits, bandwidth_hz, compute_cps, slack, deadline_s,
                    cycles_per_bit, noise_over_gain)
 
@@ -244,12 +261,13 @@ class SolveConfig:
     activity_threshold_bits: float = 0.0
 
     def __post_init__(self):
-        if self.epsilon_j <= 0 or self.bisect_tol <= 0:
-            raise StructuralError("tolerances must be positive")
-        if self.max_outer_iters < 1:
-            raise StructuralError("the outer iteration budget must be positive")
-        if self.activity_threshold_bits < 0:
-            raise StructuralError("activity threshold must be nonnegative")
+        if not all(math.isfinite(v) and v > 0 for v in (self.epsilon_j, self.bisect_tol)):
+            raise StructuralError("tolerances must be positive and finite")
+        if not is_count(self.max_outer_iters, 1):
+            raise StructuralError("the outer iteration budget must be a positive integer")
+        if not (math.isfinite(self.activity_threshold_bits)
+                and self.activity_threshold_bits >= 0):
+            raise StructuralError("activity threshold must be finite and nonnegative")
 
     @classmethod
     def for_scenario(cls, scenario, **overrides):
@@ -283,11 +301,6 @@ class ValidationReport:
         if self.ok:
             return "all constraints satisfied"
         return "\n".join(str(v) for v in self.violations)
-
-
-# exponents above this overflow float64 through 2**u; such points only
-# arise from degenerate brackets and are rejected rather than propagated
-EXPONENT_CAP = 700.0 / math.log(2.0)
 
 
 def active_mask(allocation, cfg):
@@ -375,44 +388,32 @@ def validate(scenario, allocation, cfg):
 # ---------------------------------------------------------------------------
 # JSON serialization (matrices row-major; values round-trip to 1e-12 relative)
 
-def scenario_to_dict(scenario):
-    return {
-        "num_users": scenario.num_users,
-        "num_aps": scenario.num_aps,
-        "gains": scenario.gains.tolist(),
-        "tasks": [
-            {"input_bits": t.input_bits, "deadline_s": t.deadline_s,
-             "cycles_per_bit": t.cycles_per_bit}
-            for t in scenario.tasks
-        ],
-        "bandwidth_hz": scenario.bandwidth_hz,
-        "compute_capacity": scenario.compute_capacity.tolist(),
-        "noise_psd": scenario.noise_psd,
-    }
+def _plain(value):
+    """A record as JSON types: its init fields (derived ones are rebuilt on
+    load), with arrays and tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value) if f.init}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
+
+
+def _from_plain(cls, doc):
+    return cls(**{f.name: doc[f.name] for f in fields(cls) if f.init})
+
+
+scenario_to_dict = allocation_to_dict = _plain
 
 
 def scenario_from_dict(d):
-    return Scenario(
-        num_users=int(d["num_users"]),
-        num_aps=int(d["num_aps"]),
-        gains=d["gains"],
-        tasks=tuple(TaskSpec(**t) for t in d["tasks"]),
-        bandwidth_hz=float(d["bandwidth_hz"]),
-        compute_capacity=d["compute_capacity"],
-        noise_psd=float(d["noise_psd"]),
-    )
-
-
-def allocation_to_dict(allocation):
-    return {
-        "data": allocation.data.tolist(),
-        "bandwidth": allocation.bandwidth.tolist(),
-        "compute": allocation.compute.tolist(),
-    }
+    doc = dict(d, tasks=tuple(_from_plain(TaskSpec, t) for t in d["tasks"]))
+    return _from_plain(Scenario, doc)
 
 
 def allocation_from_dict(d):
-    return Allocation(data=d["data"], bandwidth=d["bandwidth"], compute=d["compute"])
+    return _from_plain(Allocation, d)
 
 
 def save_scenario(scenario, path, provenance=None):

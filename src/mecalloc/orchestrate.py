@@ -25,6 +25,8 @@ from .model import (
     StructuralError,
     allocation_to_dict,
     budget_residuals,
+    deadline_slack,
+    is_count,
 )
 from .physics import energy_matrix, total_energy
 
@@ -50,6 +52,8 @@ class InitStrategy:
             raise StructuralError(f"unknown init strategy {self.kind!r}")
         if not 0.0 < self.weight <= 1.0:
             raise StructuralError("weight must be in (0, 1]")
+        if not is_count(self.seed):
+            raise StructuralError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @classmethod
     def equal(cls):
@@ -222,12 +226,10 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
 
 def _energy(scenario, L, x, q, thr):
-    """Total energy at (L, x, q); pairs at or below thr keep their
-    deadline as slack."""
+    """Total energy at (L, x, q) over the pairs loaded above thr."""
     L = np.asarray(L, dtype=float)
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
-    t = np.where(L > thr, d - eta * L / np.where(q > 0, q, 1.0), d)
+    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
+                       L, np.where(L > thr, q, np.inf))
     return float(energy_matrix(scenario, L, x, t, thr).sum())
 
 
@@ -261,7 +263,7 @@ def solve_fixed_assignment(scenario: Scenario, assignment,
             f"{scenario.num_users}")
     L = np.zeros((scenario.num_users, scenario.num_aps))
     for i, j in enumerate(assignment):
-        if not 0 <= j < scenario.num_aps:
+        if not (is_count(j) and j < scenario.num_aps):
             raise StructuralError(f"user {i} assigned to unknown AP {j}")
         L[i, j] = scenario.tasks[i].input_bits
     return solve_fixed_data(scenario, L, cfg)

@@ -3,10 +3,12 @@
 The central quantity is the transmission energy of one (user, AP) pair
 operated at minimal power under a hard deadline,
 
-    E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q,
+    E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q.
 
-together with its analytic gradient and the 2x2 curvature blocks used
-to certify which variable pairs form convex subproblems.
+It is written once, in the vectorised `energy`, `bracket` and
+`data_marginal` that the KKT roots in `kkt` evaluate. The scalar
+functions, the analytic gradient and the 2x2 curvature blocks used to
+certify which variable pairs form convex subproblems build on them.
 """
 
 from __future__ import annotations
@@ -18,30 +20,47 @@ import numpy as np
 
 from .model import (
     EXPONENT_CAP,
+    LN2,
     ArrayRecord,
     InfeasiblePairError,
     PairPoint,
     StructuralError,
+    deadline_slack,
 )
 
-LN2 = math.log(2.0)
+
+def energy(L, x, t, a):
+    """Pair energy a*x*t*(2**(L/(x*t)) - 1), elementwise over loads L,
+    bandwidths x, slacks t and noise-to-gain ratios a."""
+    return a * x * t * np.expm1(L / (x * t) * LN2)
 
 
-def _pow2(u):
-    """2**u with the overflow guard applied by callers."""
-    return math.exp(u * LN2)
+def bracket(z):
+    """phi(z) = expm1(z) - z*e^z, negative for z > 0.
+
+    At z = ln2*L/(x*t) it gives the partials dE/dx = a*t*phi and
+    dE/dt = a*x*phi. Written as expm1(z)*(1 - z) - z, it is accurate for
+    small z and runs to -inf, never nan, once e^z overflows.
+    """
+    return np.expm1(z) * (1.0 - z) - z
 
 
-def _pow2m1(u):
-    """2**u - 1 without cancellation for small u."""
-    return math.expm1(u * LN2)
+def data_marginal(L, x, q, d, eta, a):
+    """dE/dL at fixed (x, q), where the slack t = D - eta*L/q shrinks as L
+    grows: a*(ln2*e^z - (eta/q)*x*phi(z)). Both terms are positive and the
+    sum rises strictly in L, from a*ln2 at L = 0."""
+    z = L / (x * deadline_slack(d, eta, L, q)) * LN2
+    return a * (LN2 * np.exp(z) - eta / q * x * bracket(z))
 
 
-def _check_exponent(u, pair=None):
+def _exponent(point):
+    """Rate exponent u = L/(x*t) of an operating point, at most EXPONENT_CAP."""
+    u = point.data_bits / (point.bandwidth_hz * point.slack_s)
     if u > EXPONENT_CAP:
         raise InfeasiblePairError(
             f"rate exponent {u:.3g} exceeds {EXPONENT_CAP:.1f}; "
-            "pair is numerically infeasible", pair=pair)
+            "pair is numerically infeasible")
+    return u
 
 
 def rate(power_w, point: PairPoint) -> float:
@@ -60,15 +79,7 @@ def min_power(point: PairPoint) -> float:
     With R_min = L/t the deadline is met exactly (transmission fills the
     residue the computation leaves): P = (N0 x / h) * (2**(R_min/x) - 1).
     """
-    if point.data_bits == 0:
-        return 0.0
-    if point.slack_s <= 0:
-        raise InfeasiblePairError(f"nonpositive slack {point.slack_s}")
-    if point.bandwidth_hz <= 0:
-        raise StructuralError("bandwidth must be positive")
-    u = point.data_bits / (point.bandwidth_hz * point.slack_s)
-    _check_exponent(u)
-    return point.noise_over_gain * point.bandwidth_hz * _pow2m1(u)
+    return pair_energy(point) / point.slack_s
 
 
 def pair_energy(point: PairPoint) -> float:
@@ -77,10 +88,11 @@ def pair_energy(point: PairPoint) -> float:
         return 0.0
     if point.slack_s <= 0:
         raise InfeasiblePairError(f"nonpositive slack {point.slack_s}")
-    x, t, a = point.bandwidth_hz, point.slack_s, point.noise_over_gain
-    u = point.data_bits / (x * t)
-    _check_exponent(u)
-    return a * x * t * _pow2m1(u)
+    if point.bandwidth_hz <= 0:
+        raise StructuralError("bandwidth must be positive")
+    _exponent(point)
+    return float(energy(point.data_bits, point.bandwidth_hz, point.slack_s,
+                        point.noise_over_gain))
 
 
 def energy_matrix(scenario, data, bandwidth, slack, threshold=0.0):
@@ -90,8 +102,6 @@ def energy_matrix(scenario, data, bandwidth, slack, threshold=0.0):
     that is starved of bandwidth or slack, with the pair index attached.
     """
     act = np.asarray(data) > threshold
-    if not act.any():
-        return np.zeros_like(np.asarray(data, dtype=float))
     bad = act & ((bandwidth <= 0) | (slack <= 0))
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
@@ -106,7 +116,7 @@ def energy_matrix(scenario, data, bandwidth, slack, threshold=0.0):
         raise InfeasiblePairError(f"rate exponent overflow at pair ({i}, {j})",
                                   pair=(i, j))
     e = np.zeros_like(a)
-    e[act] = a[act] * bandwidth[act] * slack[act] * np.expm1(u[act] * LN2)
+    e[act] = energy(data[act], bandwidth[act], slack[act], a[act])
     return e
 
 
@@ -141,15 +151,11 @@ def _interior(point):
 def partials(point: PairPoint) -> EnergyGradient:
     """Analytic gradient of pair_energy; matches central finite differences."""
     _interior(point)
-    L, x, t = point.data_bits, point.bandwidth_hz, point.slack_s
-    a, d = point.noise_over_gain, point.deadline_s
-    c = point.cycles_per_bit / point.compute_cps
-    u = L / (x * t)
-    _check_exponent(u)
-    p = _pow2(u)
-    d_dL = a * x * ((d * LN2 / (x * t) - c) * p + c)
-    bracket = _pow2m1(u) - u * LN2 * p
-    return EnergyGradient(d_dL=d_dL, d_dx=a * t * bracket, d_dt=a * x * bracket)
+    x, t, a = point.bandwidth_hz, point.slack_s, point.noise_over_gain
+    phi = float(bracket(_exponent(point) * LN2))
+    d_dL = float(data_marginal(point.data_bits, x, point.compute_cps, point.deadline_s,
+                               point.cycles_per_bit, a))
+    return EnergyGradient(d_dL=d_dL, d_dx=a * t * phi, d_dt=a * x * phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,30 +186,26 @@ def hessian_diag(point: PairPoint, pair: str) -> HessianDiag:
     L, x, t = point.data_bits, point.bandwidth_hz, point.slack_s
     a, d, eta = point.noise_over_gain, point.deadline_s, point.cycles_per_bit
     q = point.compute_cps
-    c = eta / q
-    u = L / (x * t)
-    _check_exponent(u)
-    p = _pow2(u)
+    u = _exponent(point)
+    p = math.exp(u * LN2)
     k2 = LN2 * LN2
-    bracket = _pow2m1(u) - u * LN2 * p  # always negative on the interior
+    phi = float(bracket(u * LN2))  # always negative on the interior
+
+    e_LL = a * k2 * p * d * d / (x * t**3)
+    e_xx = a * k2 * p * L * L / (x**3 * t)
+    e_tt = a * k2 * p * L * L / (x * t**3)
 
     if pair == "L_x":
-        e_LL = a * k2 * p * d * d / (x * t**3)
-        e_xx = a * k2 * p * L * L / (x**3 * t)
-        e_Lx = -a * c * bracket - a * k2 * p * d * L / (x * x * t * t)
+        e_Lx = -a * eta / q * phi - a * k2 * p * d * L / (x * x * t * t)
         m = np.array([[e_LL, e_Lx], [e_Lx, e_xx]])
     elif pair == "L_q":
-        e_LL = a * k2 * p * d * d / (x * t**3)
         t_q = eta * L / q**2
-        e_qq = (a * k2 * p * L * L / (x * t**3)) * t_q**2 \
-            - 2.0 * a * x * bracket * eta * L / q**3
+        e_qq = e_tt * t_q**2 - 2.0 * a * x * phi * eta * L / q**3
         e_Lq = -a * k2 * p * eta * L * L * d / (q * q * x * t**3) \
-            + a * x * bracket * eta / q**2
+            + a * x * phi * eta / q**2
         m = np.array([[e_LL, e_Lq], [e_Lq, e_qq]])
     else:  # x_t
-        e_xx = a * k2 * p * L * L / (x**3 * t)
-        e_tt = a * k2 * p * L * L / (x * t**3)
-        e_xt = a * (bracket + k2 * u * u * p)
+        e_xt = a * (phi + k2 * u * u * p)
         m = np.array([[e_xx, e_xt], [e_xt, e_tt]])
 
     m.setflags(write=False)

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, StructuralError, TaskSpec
+from .model import Scenario, StructuralError, TaskSpec, is_count
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -35,8 +35,10 @@ class GenParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_users < 1 or self.num_aps < 1:
+        if not (is_count(self.num_users, 1) and is_count(self.num_aps, 1)):
             raise StructuralError("need at least one user and one AP")
+        if not is_count(self.seed):
+            raise StructuralError(f"GenParams.seed must be an integer >= 0, got {self.seed}")
         for name in ("region_m", "bandwidth_hz", "noise_psd_w_per_hz",
                      "task_bits", "deadline_s", "cycles_per_bit", "capacity_cps"):
             v = getattr(self, name)

@@ -240,7 +240,9 @@ _SOLVE_AND_SWEEP = (["solve"], ["sweep", "--param", "deadline-s", "--values", "0
 
 
 @pytest.mark.parametrize("flag,value", [("--max-outer", "0"), ("--eps-mj", "0"),
-                                        ("--bisect-tol", "-1")])
+                                        ("--bisect-tol", "-1"), ("--bisect-tol", "nan"),
+                                        ("--bisect-tol", "inf"), ("--eps-mj", "nan"),
+                                        ("--eps-mj", "inf")])
 def test_bad_solver_settings_are_usage_errors(tmp_path, small_scenario_file, capsys,
                                               flag, value):
     for command in _SOLVE_AND_SWEEP:
@@ -266,12 +268,27 @@ def test_sweep_rejects_bad_values_before_solving(tmp_path, small_scenario_file,
 
 @pytest.mark.parametrize("flag,value", [("--users", "0"), ("--region", "0"),
                                         ("--deadline-s", "-1"), ("--deadline-s", "nan"),
-                                        ("--bandwidth-hz", "inf")])
+                                        ("--bandwidth-hz", "inf"), ("--seed", "-1")])
 def test_generate_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     out = tmp_path / "scenario.json"
     assert main(["generate", flag, value, "--out", str(out)]) == 2
     assert _one_line_usage_error(capsys)
     assert not out.exists()
+
+
+def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_scenario_file,
+                                                              monkeypatch, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve started before the seed was checked")
+
+    monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
+    for command in (["solve", "--init", "random"],
+                    ["sweep", "--param", "deadline-s", "--values", "0.5", "--workers", "1",
+                     "--strategies", "iterative:random"]):
+        code = main(command + ["--scenario", small_scenario_file, "--init-seed", "-1",
+                               "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert _one_line_usage_error(capsys)
 
 
 _NEGATIVE_GAIN = json.dumps({

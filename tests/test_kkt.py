@@ -28,11 +28,12 @@ from mecalloc import kkt
 from mecalloc.kkt import (
     _bandwidth_roots,
     _caa_joint,
-    _data_marginal,
     _data_roots,
     _slack_roots,
     _solve_duals,
 )
+from mecalloc.model import deadline_slack
+from mecalloc.physics import data_marginal
 from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import (
@@ -646,7 +647,9 @@ def test_caa_joint_search_equals_per_ap_searches(split12x4):
     x, _, _ = solve_bcaa(sc, L, cfg)
     joint_diag = []
     with np.errstate(over="ignore"):
-        t_cols, q_cols, mus = _caa_joint(sc, x, L, [0, 1, 2, 3], cfg, joint_diag)
+        q_cols, mus = _caa_joint(sc, x, L, [0, 1, 2, 3], cfg, joint_diag)
+    t_cols = deadline_slack(sc.deadlines_s[:, None], sc.cycles_per_bit[:, None], L,
+                            np.where(q_cols > 0, q_cols, np.inf))
     assert [r.dual.owner for r in joint_diag] == [0, 1, 2, 3]
     for j in range(4):
         diag = []
@@ -658,7 +661,7 @@ def test_caa_joint_search_equals_per_ap_searches(split12x4):
 
 def test_data_marginal_is_positive_and_increasing():
     L = np.linspace(0.0, 1.8, 50)
-    g = _data_marginal(L, 2.0, 2.0, 1.0, 1.0, 1.0)
+    g = data_marginal(L, 2.0, 2.0, 1.0, 1.0, 1.0)
     assert np.all(g > 0)
     assert np.all(np.diff(g) > 0)
     assert g[0] == pytest.approx(math.log(2.0), rel=1e-12)

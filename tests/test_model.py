@@ -195,8 +195,13 @@ def test_pairpoint_zero_data_requires_full_slack():
 
 
 def test_solveconfig_validation_and_defaults(scenario42):
-    with pytest.raises(StructuralError):
-        SolveConfig(epsilon_j=0.0)
+    for bad in (dict(epsilon_j=0.0), dict(epsilon_j=float("nan")),
+                dict(epsilon_j=float("inf")), dict(bisect_tol=float("nan")),
+                dict(bisect_tol=float("inf")), dict(max_outer_iters=2.5),
+                dict(activity_threshold_bits=float("nan")),
+                dict(activity_threshold_bits=float("inf"))):
+        with pytest.raises(StructuralError):
+            SolveConfig(**bad)
     cfg = SolveConfig.for_scenario(scenario42)
     assert cfg.activity_threshold_bits == pytest.approx(1.5)
     assert cfg.activity_threshold_bits < min(t.input_bits for t in scenario42.tasks) \

@@ -16,6 +16,7 @@ from mecalloc import (
     validate,
 )
 from mecalloc.orchestrate import check_solution
+from mecalloc.scenario import GenParams
 
 from util import make_scenario, scalar_energy
 
@@ -33,6 +34,15 @@ def _cfg(sc, **kw):
 
 
 # --- initialize ---------------------------------------------------------
+
+def test_seeds_and_ap_indices_must_be_nonnegative_integers():
+    for bad in (lambda: GenParams(seed=-1), lambda: GenParams(seed=1.5),
+                lambda: InitStrategy.random(seed=-1), lambda: InitStrategy.random(seed=1.5),
+                lambda: solve_fixed_assignment(_small_scenario(), [0.5, 1]),
+                lambda: solve_fixed_assignment(_small_scenario(), [-1, 1])):
+        with pytest.raises(StructuralError):
+            bad()
+
 
 def test_initialize_equal_split(scenario42):
     L = initialize(scenario42, InitStrategy.equal())

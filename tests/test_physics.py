@@ -15,6 +15,7 @@ from mecalloc import (
     rate,
     total_energy,
 )
+from mecalloc import physics
 
 from util import (
     fd_gradient,
@@ -134,6 +135,14 @@ def test_pair_energy_monotone_grid():
             pair_energy(_point(L=2.0, x=1.0, t=0.2 * s / 1.1))
 
 
+def test_pair_energy_requires_positive_bandwidth():
+    for x in (0.0, -1.0):
+        p = PairPoint(data_bits=1.0, bandwidth_hz=x, compute_cps=2.0, slack_s=0.5,
+                      deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
+        with pytest.raises(StructuralError):
+            pair_energy(p)
+
+
 def test_exponent_cap_rejects_degenerate_point():
     with pytest.raises(InfeasiblePairError):
         pair_energy(_point(L=2000.0, x=1.0, t=1.0, d=2.0))
@@ -202,8 +211,20 @@ def test_partial_signs_on_random_points():
 
 
 def test_partials_match_finite_differences():
-    for p in _sample_points(1000):
+    # the vectorised pair model the KKT roots evaluate, over all points at once
+    points = _sample_points(1000)
+    Lv, xv, qv, tv, dv, etav, av = np.array(
+        [(p.data_bits, p.bandwidth_hz, p.compute_cps, p.slack_s, p.deadline_s,
+          p.cycles_per_bit, p.noise_over_gain) for p in points]).T
+    e = physics.energy(Lv, xv, tv, av)
+    phi = physics.bracket(Lv / (xv * tv) * LN2)
+    d_dL = physics.data_marginal(Lv, xv, qv, dv, etav, av)
+    d_dx, d_dt = av * tv * phi, av * xv * phi
+    for k, p in enumerate(points):
         g = partials(p)
+        assert e[k] == pytest.approx(pair_energy(p), rel=1e-12)
+        assert (d_dL[k], d_dx[k], d_dt[k]) == pytest.approx((g.d_dL, g.d_dx, g.d_dt),
+                                                            rel=1e-12)
         a, d, eta = p.noise_over_gain, p.deadline_s, p.cycles_per_bit
         fd_L = fd_gradient(
             lambda v: pair_energy(PairPoint.from_compute(
@@ -217,9 +238,21 @@ def test_partials_match_finite_differences():
             lambda v: pair_energy(PairPoint.from_slack(
                 p.data_bits, p.bandwidth_hz, v[0], d, eta, a)),
             [p.slack_s])[0]
-        assert g.d_dL == pytest.approx(fd_L, rel=1e-5)
-        assert g.d_dx == pytest.approx(fd_x, rel=1e-5)
-        assert g.d_dt == pytest.approx(fd_t, rel=1e-5)
+        for value in (g.d_dL, d_dL[k]):
+            assert value == pytest.approx(fd_L, rel=1e-5)
+        for value in (g.d_dx, d_dx[k]):
+            assert value == pytest.approx(fd_x, rel=1e-5)
+        for value in (g.d_dt, d_dt[k]):
+            assert value == pytest.approx(fd_t, rel=1e-5)
+
+
+def test_bracket_is_minus_infinity_once_the_exponential_overflows():
+    # the slack root's sign test reads phi far past the exponent cap
+    z = np.array([700.0, 709.5, 710.0, 1e4, np.inf])
+    with np.errstate(over="ignore"):
+        phi = physics.bracket(z)
+    assert phi[0] < 0 and np.isfinite(phi[0])
+    assert np.all(phi[1:] == -np.inf)
 
 
 def test_partials_reject_boundary_points():
