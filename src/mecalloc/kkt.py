@@ -211,9 +211,10 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasi
 # ---------------------------------------------------------------------------
 # DAA: data allocation for fixed bandwidth and compute
 
-def _data_roots(nu, x, q, d, eta, a, upper):
-    """Per-pair loads satisfying dE/dL = nu, clipped to [0, upper]."""
-    at_zero = data_marginal(0.0, x, q, d, eta, a) >= nu
+def _data_roots(nu, x, q, d, eta, a, upper, zero_marginal):
+    """Per-pair loads satisfying dE/dL = nu, clipped to [0, upper];
+    zero_marginal is dE/dL at zero load, which does not depend on nu."""
+    at_zero = zero_marginal >= nu
     at_cap = data_marginal(upper, x, q, d, eta, a) <= nu
     roots = _vec_bisect(
         lambda mid: data_marginal(mid, x, q, d, eta, a) < nu,
@@ -250,15 +251,16 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
             raise InfeasibilityError(
                 f"user {i}: maximal feasible loads carry {room[i]:.6g} "
                 f"of {bits[i]:.6g} bits", user=i)
+        g0 = data_marginal(0.0, xv, qv, dv, etav, av)
         if nus is None:
             # just above the smallest zero-load marginal of each row
             nus = np.full(K, np.inf)
-            np.minimum.at(nus, ui, data_marginal(0.0, xv, qv, dv, etav, av))
+            np.minimum.at(nus, ui, g0)
             nus *= 2.0
         records = []
         nus, roots, loads = _price_budgets(
             "lambda_data", ui, range(K), bits,
-            lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper),
+            lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper, g0),
             cfg, nus, increasing=True, diag=records)
         crumbs = (roots > 0) & (roots <= cfg.activity_threshold_bits)
         if crumbs.any():
@@ -419,9 +421,13 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     BAA and a CAA call, so both budgets hold to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
-    refreshes between calls of one outer loop: the previous compute split
-    seeds the slack and the previous duals seed the searches. Any entry
-    incompatible with the current active set is ignored.
+    refreshes between calls of one outer loop: the previous slack seeds
+    the first round and the previous duals seed the searches. The slack,
+    not the compute split, is kept because at fixed prices each pair's
+    optimal slack does not depend on its load, while its compute
+    eta*L/(D - t) scales with it. A warm slack of the wrong shape, or not
+    interior (0, deadline) on every active pair, is ignored for the cold
+    start.
 
     Returns (x, q, rounds).
     """
@@ -453,12 +459,12 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
         return float(energy_matrix(scenario, L, x, t, thr).sum())
 
     warm = warm if warm is not None else {}
-    q_in = warm.get("q")
-    t = None
-    if q_in is not None and q_in.shape == L.shape and np.all(q_in[act] > 0):
-        q_in = np.where(act, q_in, 0.0)
-        t = slack_of(q_in)
-    if t is None or np.any(t[act] <= 0):
+    t = warm.get("t")
+    if t is not None and t.shape == L.shape and np.all(((t > 0) & (t < d))[act]):
+        # the compute that slack implies, as the first round's input
+        q_in = np.zeros_like(L)
+        q_in[act] = (eta * L)[act] / (d - t)[act]
+    else:
         # capacity split proportional to eta*L/D keeps every slack interior
         q_in = w * (cap / np.where(load > 0, load, 1.0))
         t = slack_of(q_in)
@@ -506,5 +512,5 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     if diag is not None:
         diag.extend(steps)
 
-    warm.update(q=q, beta=beta_guess, mus=dict(zip(aps, mus.tolist())))
+    warm.update(t=t, beta=beta_guess, mus=dict(zip(aps, mus.tolist())))
     return x, q, rounds

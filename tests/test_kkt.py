@@ -63,11 +63,13 @@ def test_bisect_symmetric_data_split():
     upper = (1.0 - 1e-6) * 1.0 * q / 1.0
 
     def total(nu):
-        return float(_data_roots(nu, x, q, 1.0, 1.0, a, upper).sum())
+        return float(_data_roots(nu, x, q, 1.0, 1.0, a, upper,
+                                 data_marginal(0.0, x, q, 1.0, 1.0, a)).sum())
 
     with np.errstate(over="ignore"):
         nu = halving_root(lambda v: total(v) - 1.0, 0.7, 50.0, tol=1e-12)
-        roots = _data_roots(nu, x, q, 1.0, 1.0, a, upper)
+        roots = _data_roots(nu, x, q, 1.0, 1.0, a, upper,
+                            data_marginal(0.0, x, q, 1.0, 1.0, a))
     assert roots[0] == pytest.approx(0.5, rel=1e-6)
     assert roots[1] == pytest.approx(roots[0], rel=1e-9)
 
@@ -204,9 +206,11 @@ def test_daa_load_grows_with_its_dual():
     a = np.array([1.0, 0.5])
     upper = 0.999 * q
     with np.errstate(over="ignore"):
-        prev = _data_roots(0.5, x, q, 1.0, 1.0, a, upper)
+        prev = _data_roots(0.5, x, q, 1.0, 1.0, a, upper,
+                           data_marginal(0.0, x, q, 1.0, 1.0, a))
         for nu in [0.8, 1.2, 2.0, 4.0]:
-            cur = _data_roots(nu, x, q, 1.0, 1.0, a, upper)
+            cur = _data_roots(nu, x, q, 1.0, 1.0, a, upper,
+                              data_marginal(0.0, x, q, 1.0, 1.0, a))
             assert np.all(cur >= prev - 1e-12)
             interior = (prev > 0) & (cur < upper)
             assert np.all(cur[interior] > prev[interior])
@@ -635,11 +639,45 @@ def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
 def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
     sc, L, cfg = split12x4
     cold = solve_bcaa(sc, L, cfg)
-    # this little compute leaves every active slack negative
-    warm = solve_bcaa(sc, L, cfg, warm={"q": np.full_like(L, 1e-3)})
-    assert np.array_equal(warm[0], cold[0])
-    assert np.array_equal(warm[1], cold[1])
-    assert warm[2] == cold[2]
+    d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
+    usable = 0.5 * d
+    assert not np.array_equal(solve_bcaa(sc, L, cfg, warm={"t": usable})[1], cold[1])
+    # one active slack outside (0, deadline), or a slack of another shape
+    unusable = [np.full((L.shape[0], L.shape[1] + 1), 0.1)]
+    for bad in (0.0, -0.1, d[2, 1], 2.0 * d[2, 1], np.nan):
+        t = usable.copy()
+        t[2, 1] = bad
+        unusable.append(t)
+    for t in unusable:
+        warm = solve_bcaa(sc, L, cfg, warm={"t": t})
+        assert np.array_equal(warm[0], cold[0])
+        assert np.array_equal(warm[1], cold[1])
+        assert warm[2] == cold[2]
+
+
+@pytest.fixture(scope="module")
+def equal42():
+    """The seed-42 8x4 scenario at D = 0.4 s under the equal data split."""
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+    return sc, initialize(sc, InitStrategy.equal()), _cfg(sc)
+
+
+@pytest.mark.parametrize("case", ["split12x4", "equal42"])
+def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request):
+    # at fixed prices a pair's optimal slack does not depend on its load,
+    # so the last slack is still a good start after the data step moves L
+    sc, L, cfg = request.getfixturevalue(case)
+    warm = {}
+    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    L = solve_daa(sc, x, q, cfg)
+    xw, qw, rw = solve_bcaa(sc, L, cfg, warm=warm)
+    xc, qc, rc = solve_bcaa(sc, L, cfg)
+    assert rw < rc
+
+    def energy(x, q):
+        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+
+    assert energy(xw, qw) <= energy(xc, qc) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
 def test_caa_joint_search_equals_per_ap_searches(split12x4):
