@@ -222,7 +222,7 @@ def _data_roots(nu, x, q, d, eta, a, upper, zero_marginal):
     return np.where(at_zero, 0.0, np.where(at_cap, upper, roots))
 
 
-def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
+def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
     """Optimal data split per user for fixed bandwidth and compute.
 
     Each user's row is an independent convex problem; its multiplier is
@@ -238,7 +238,7 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None, dual_guess=None):
     eta_user = scenario.cycles_per_bit
     bits = scenario.task_bits
     usable = (q > 0) & (x > 0)
-    nus = None if dual_guess is None else np.asarray(dual_guess, dtype=float)
+    nus = None
 
     for _ in range(M + 1):
         ui, uj = np.nonzero(usable)
@@ -402,7 +402,7 @@ def _anderson_mix(qs, gs):
     return gs[-1] - sum(c * (b - a) for c, a, b in zip(gamma, gs, gs[1:]))
 
 
-def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
+def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=None):
     """Jointly optimal (x, q) for a fixed data split.
 
     Alternates the bandwidth and per-AP compute solvers, each solving its
@@ -417,8 +417,10 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     visible in diag). Either way the energy sequence is non-increasing,
     and the fixed-L problem is convex, so the rounds reach its global
     optimum. Stops once a round improves energy by less than a tenth of
-    the outer tolerance. The returned (x, q) always come straight from a
-    BAA and a CAA call, so both budgets hold to the search tolerance.
+    the outer tolerance, or after max_rounds rounds when that is given;
+    without it, MAX_BCAA_ROUNDS rounds that still improve raise
+    ConvergenceError. The returned (x, q) always come straight from a BAA
+    and a CAA call, so both budgets hold to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
     refreshes between calls of one outer loop: the previous slack seeds
@@ -478,7 +480,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     qs, gs = [], []  # Anderson history: round inputs and their images
     candidate = None
     rounds = 0
-    for rounds in range(1, MAX_BCAA_ROUNDS + 1):
+    for rounds in range(1, (max_rounds or MAX_BCAA_ROUNDS) + 1):
         x = None
         if candidate is not None and np.all(candidate[act] > 0):
             t_cand = slack_of(candidate)
@@ -498,7 +500,8 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
         q[:, aps] = q_cols
         t = slack_of(q)
         energy = energy_at(x, t)
-        if energy_prev is not None and energy_prev - energy <= eps_inner:
+        if rounds == max_rounds or (energy_prev is not None
+                                    and energy_prev - energy <= eps_inner):
             break
         energy_prev = energy
         qs = (qs + [q_in])[-ANDERSON_MEMORY - 1:]

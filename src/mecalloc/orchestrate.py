@@ -1,10 +1,16 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
-The full solver alternates two exact block updates from a chosen initial
-data split until the energy improvement of a round drops below the stop
-threshold: the data split moves under fixed resources, then bandwidth
-and compute re-balance under the fixed split. Both steps descend, so the
-recorded outer energy sequence is non-increasing and terminates.
+The full solver minimises the re-balanced energy F(L), the least energy
+the bandwidth/compute re-balance reaches at data split L. Each round
+takes one projected reduced-gradient step on L: the envelope theorem
+gives the gradient of F from the last re-balance's slack and compute
+duals, the step is projected onto each user's task simplex on its
+current support, and a backtracking line search accepts the first trial
+whose capped warm re-balance strictly lowers the energy. So the outer
+energies fall strictly until a round's decrement meets the stop.
+
+The outer loop no longer calls `solve_daa`; the module keeps the name
+because the bench tracer (`perfbench/tracer.py`) patches it here.
 """
 
 from __future__ import annotations
@@ -15,11 +21,13 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import solve_bcaa, solve_daa
+from .kkt import solve_bcaa, solve_daa  # noqa: F401  (solve_daa: see above)
 from .model import (
+    LN2,
     Allocation,
+    BracketError,
     InfeasibilityError,
-    InternalConsistencyError,
+    InfeasiblePairError,
     Scenario,
     SolveConfig,
     StructuralError,
@@ -31,6 +39,11 @@ from .model import (
 from .physics import energy_matrix, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
+
+# most rounds of the re-balance after each trial step, and the smallest
+# trial step before a round gives up
+BALANCE_ROUNDS = 2
+MIN_STEP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -81,21 +94,19 @@ class InitStrategy:
 
 @dataclass(frozen=True)
 class SolveTrace:
-    """Per-outer-iteration record: energies after each resource re-balance.
+    """Per-outer-round record: the energy after each round and its cost.
 
-    inner_iteration_counts holds the rounds of each re-balance; a round
-    is one compute step (CAA) after one bandwidth step (BAA), or two BAA
-    calls when an extrapolated compute split was rejected.
-
-    data_step_energies_j holds the energy measured right after each data
-    step, before the following re-balance (one fewer entry than
-    outer_energies_j, which starts at the initial re-balance).
+    Entry 0 is the initial re-balance. inner_iteration_counts holds the
+    re-balance rounds each outer round spent, summed over every trial
+    step of the round, rejected ones included (a re-balance that raises
+    adds none); a re-balance round is one compute step (CAA) after one
+    bandwidth step (BAA), or two BAA calls when an extrapolated compute
+    split was rejected.
     """
 
     outer_energies_j: tuple
     inner_iteration_counts: tuple
     wall_times_s: tuple
-    data_step_energies_j: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -152,75 +163,113 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     return L
 
 
-def _descent_guard(e_new, e_old, cfg, step):
-    if e_new > e_old * (1.0 + 10.0 * cfg.bisect_tol):
-        raise InternalConsistencyError(
-            f"{step} raised energy from {e_old:.9e} J to {e_new:.9e} J")
+def _reduced_gradient(scenario, L, x, warm, act):
+    """Gradient of the re-balanced energy F(L) = min over (x, q) of E on
+    the active pairs, by the envelope theorem from the last re-balance:
+    dF/dL = a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t), with the slack t and
+    the per-AP compute duals mu_j that re-balance left in warm."""
+    i, j = np.nonzero(act)
+    t = warm["t"][i, j]
+    mu = np.zeros(scenario.num_aps)
+    mu[list(warm["mus"])] = list(warm["mus"].values())
+    g = np.zeros_like(L)
+    g[i, j] = scenario.noise_over_gain()[i, j] * LN2 * np.exp2(L[i, j] / (x[i, j] * t)) \
+        + mu[j] * scenario.cycles_per_bit[i] / (scenario.deadlines_s[i] - t)
+    return g
+
+
+def _projected_step(L, g, act, bits, alpha, thr):
+    """Move each user's loads by -alpha*T*(g/nu - 1) and project the row
+    onto its task simplex on its current support {L >= 0, sum L = T},
+    where nu is the load-weighted mean of g over the row. Loads the
+    projection leaves at or below thr are dropped and the row rescaled
+    onto T. A row with fewer than two active pairs cannot move."""
+    nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
+    v = np.where(act, L - alpha * bits[:, None] * (g / nu[:, None] - 1.0), -np.inf)
+    # Euclidean projection onto the simplex: w = max(v - tau, 0) with tau
+    # from the largest k whose k-th largest entry stays above it
+    u = -np.sort(-v, axis=1)
+    css = np.cumsum(u, axis=1)
+    rho = np.sum(u * np.arange(1, L.shape[1] + 1) > css - bits[:, None], axis=1)
+    tau = (css[np.arange(L.shape[0]), rho - 1] - bits) / rho
+    w = np.maximum(v - tau[:, None], 0.0)
+    w[w <= thr] = 0.0
+    w *= (bits / w.sum(axis=1))[:, None]
+    return np.where((act.sum(axis=1) >= 2)[:, None], w, L)
 
 
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
-    """Alternate the data step and the resource re-balance until the
+    """Projected reduced-gradient descent on the data split until the
     energy gap of a round falls below the configured threshold.
 
-    The first resource re-balance runs on the raw initial split; the loop
-    then repeats (data step, re-balance) and stops at the end of the first
-    round that lowers the energy by at most epsilon_j, which may be the
-    last allowed round.
+    The objective is F(L), the energy after the bandwidth/compute
+    re-balance at data split L. The first re-balance runs on the raw
+    initial split to tolerance. Each round then takes one projected step
+    along the envelope gradient of F (`_reduced_gradient`,
+    `_projected_step`), each trial followed by a warm re-balance of at
+    most BALANCE_ROUNDS rounds from a copy of the warm state. The step
+    size starts at twice the last accepted one (1 in the first round,
+    never above 1) and halves until the trial energy is strictly lower;
+    a trial that is infeasible, or whose re-balance finds a dual outside
+    its range, counts as a rejection. A round whose step moves no load,
+    or whose step falls below MIN_STEP, lowers the energy by zero. The
+    loop stops at the end of the first round that lowers the energy
+    by at most epsilon_j, which may be the last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
     thr = cfg.activity_threshold_bits
+    bits = scenario.task_bits
 
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
     warm = {}
     x, q, rounds = solve_bcaa(scenario, L, cfg, warm=warm)
-    e0 = _energy(scenario, L, x, q, thr)
-    outer = [e0]
-    data_steps = []
+    energy = _energy(scenario, L, x, q, thr)
+    outer = [energy]
     inner_counts = [rounds]
     walls = [time.perf_counter() - t0]
 
-    nu_guess = None
+    alpha = 0.5  # the first trial step is min(2*alpha, 1) = 1
     converged = False
-    for it in range(1, cfg.max_outer_iters + 1):
+    for _ in range(cfg.max_outer_iters):
         t_iter = time.perf_counter()
-        daa_diag = []
-        try:
-            L_new = solve_daa(scenario, x, q, cfg, diag=daa_diag, dual_guess=nu_guess)
-        except (InfeasibilityError,) as exc:
-            raise InfeasibilityError(
-                f"outer iteration {it}, data step: {exc}", user=exc.user) from exc
-        nu_guess = np.array([rec.dual.value for rec in daa_diag])
-        # freezing a pair whose optimal load sits below the activity
-        # threshold can cost up to its dual times the threshold
-        frozen = np.sum((L > thr) & (L_new == 0.0), axis=1)
-        cushion = 2.0 * thr * float((nu_guess * frozen).sum())
-        L = L_new
-        e1 = _energy(scenario, L, x, q, thr)
-        _descent_guard(e1, e0 + cushion, cfg, f"outer iteration {it} data step")
-        try:
-            x, q, rounds = solve_bcaa(scenario, L, cfg, warm=warm)
-        except (InfeasibilityError,) as exc:
-            raise InfeasibilityError(
-                f"outer iteration {it}, resource step: {exc}", ap=exc.ap) from exc
-        e0 = _energy(scenario, L, x, q, thr)
-        _descent_guard(e0, e1, cfg, f"outer iteration {it} resource step")
-        outer.append(e0)
-        data_steps.append(e1)
+        act = L > thr
+        g = _reduced_gradient(scenario, L, x, warm, act)
+        rounds = 0
+        trial = min(2.0 * alpha, 1.0)
+        while trial >= MIN_STEP:
+            L_try = _projected_step(L, g, act, bits, trial, thr)
+            if np.array_equal(L_try, L):
+                break
+            warm_try = dict(warm)
+            try:
+                x_try, q_try, n = solve_bcaa(scenario, L_try, cfg, warm=warm_try,
+                                             max_rounds=BALANCE_ROUNDS)
+                rounds += n
+                e_try = _energy(scenario, L_try, x_try, q_try, thr)
+            except (InfeasibilityError, InfeasiblePairError, BracketError):
+                # a split the re-balance cannot price, such as one whose
+                # compute dual lies beyond DUAL_RANGE, is rejected
+                e_try = np.inf
+            if e_try < energy:
+                L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
+                alpha = trial
+                break
+            trial *= 0.5
+        outer.append(energy)
         inner_counts.append(rounds)
         walls.append(time.perf_counter() - t_iter)
-        if outer[-2] - e0 <= cfg.epsilon_j:
+        if outer[-2] - energy <= cfg.epsilon_j:
             converged = True
             break
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(
         allocation=allocation,
-        energy_j=e0,
-        trace=SolveTrace(tuple(outer), tuple(inner_counts), tuple(walls),
-                         tuple(data_steps)),
+        energy_j=energy,
+        trace=SolveTrace(tuple(outer), tuple(inner_counts), tuple(walls)),
         converged=converged,
     )
 

@@ -308,10 +308,16 @@ def test_stop_met_in_the_last_allowed_round_counts_as_converged(deadline_sweep):
     assert not solve_within(n - 1).converged
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "the outer stop is an absolute 1e-2 mJ against energies of about 0.1 mJ, "
-    "so the equal-split solve stops early; ROADMAP item 2 (scale-aware stops) "
-    "mends it"))
+def test_tight_deadline_converges_near_the_lagrangian_bound(deadline_sweep):
+    # the best known D = 0.2 s energy is 87.36 mJ (400 steps at a 1e-12 J
+    # stop), and the Lagrangian lower bound of ROADMAP item 3 lies within
+    # 0.33% of it
+    sol = deadline_sweep[0.2]["iterative"]
+    assert sol.converged
+    assert sol.outer_iterations <= 100
+    assert sol.energy_j <= 87.36e-3 * 1.01
+
+
 def test_iterative_matches_the_binary_start_at_loose_deadlines(deadline_sweep):
     for d in (0.4, 0.6):
         row = deadline_sweep[d]

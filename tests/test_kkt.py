@@ -636,6 +636,24 @@ def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
     assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
+def test_bcaa_round_cap_stops_early_with_budgets_exact(split12x4):
+    sc, L, cfg = split12x4
+    full = solve_bcaa(sc, L, cfg)
+    assert full[2] > 2
+    x, q, rounds = solve_bcaa(sc, L, cfg, max_rounds=2)
+    assert rounds == 2
+    assert x.sum() == pytest.approx(sc.bandwidth_hz, rel=cfg.bisect_tol)
+    assert np.allclose(q.sum(axis=0), sc.compute_capacity, rtol=cfg.bisect_tol, atol=0)
+
+    def energy(x, q):
+        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+
+    assert energy(x, q) >= energy(*full[:2])
+    # a cap the solve does not reach changes nothing
+    uncapped = solve_bcaa(sc, L, cfg, max_rounds=full[2] + 1)
+    assert all(np.array_equal(a, b) for a, b in zip(uncapped, full))
+
+
 def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
     sc, L, cfg = split12x4
     cold = solve_bcaa(sc, L, cfg)

@@ -1,7 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecalloc import (
+    Allocation,
+    BracketError,
     InfeasibilityError,
     InitStrategy,
     SolveConfig,
@@ -9,14 +14,16 @@ from mecalloc import (
     best_snr_assignment,
     evaluate,
     initialize,
+    solve_bcaa,
     solve_fixed_assignment,
     solve_fixed_data,
     solve_iterative,
     total_energy,
     validate,
 )
-from mecalloc.orchestrate import check_solution
-from mecalloc.scenario import GenParams
+from mecalloc import orchestrate
+from mecalloc.orchestrate import _reduced_gradient, check_solution
+from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import make_scenario, scalar_energy
 
@@ -153,16 +160,118 @@ def test_trace_lengths_are_consistent():
     n = len(tr.outer_energies_j)
     assert len(tr.inner_iteration_counts) == n
     assert len(tr.wall_times_s) == n
-    assert len(tr.data_step_energies_j) == n - 1
     assert sol.outer_iterations == n - 1
 
 
 def test_max_outer_budget_marks_non_convergence():
+    # the first step solves this instance, so only a one-round budget ends
+    # before the stop test can be met
     sc = _small_scenario()
-    cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-300, max_outer_iters=2)
+    cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-300, max_outer_iters=1)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert not sol.converged
-    assert sol.outer_iterations == 2
+    assert sol.outer_iterations == 1
+
+
+def test_reduced_gradient_matches_central_differences():
+    # F(L) is the energy of a tight cold re-balance at split L; the
+    # envelope gradient read off one re-balance must be its derivative
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+    cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-13)
+    thr = cfg.activity_threshold_bits
+    L = initialize(sc, InitStrategy.equal())
+
+    def rebalanced_energy(L):
+        x, q, _ = solve_bcaa(sc, L, cfg)
+        return total_energy(sc, Allocation(L, x, q), thr)
+
+    warm = {}
+    x, _, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    g = _reduced_gradient(sc, L, x, warm, L > thr)
+    for i, j in ((2, 3), (5, 1)):
+        h = 1e-4 * L[i, j]
+        up, down = L.copy(), L.copy()
+        up[i, j] += h
+        down[i, j] -= h
+        fd = (rebalanced_energy(up) - rebalanced_energy(down)) / (2.0 * h)
+        assert g[i, j] == pytest.approx(fd, rel=1e-5), (i, j)
+
+
+def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
+    # at D = 0.2 s this 3x2 solve rejects at least one trial step; the
+    # rounds its re-balance spent still count
+    sc = generate(GenParams(num_users=3, num_aps=2, deadline_s=0.2, seed=1))
+    spent = []
+    rebalance = orchestrate.solve_bcaa
+
+    def spy(*args, **kwargs):
+        out = rebalance(*args, **kwargs)
+        spent.append(out[2])
+        return out
+
+    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
+    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
+    accepted = int(np.sum(np.diff(sol.trace.outer_energies_j) < 0))
+    assert len(spent) > 1 + accepted
+    assert sum(sol.trace.inner_iteration_counts) == sum(spent)
+
+
+def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
+    # the first trial step loads AP 0 to 99.9% of its capacity, and the
+    # compute dual that split needs lies above the dual search range
+    sc = make_scenario([[1.88105189e-07, 4.26221231e-11, 5.78186228e-11],
+                        [2.22414308e-11, 2.05850297e-09, 5.28408061e-12],
+                        [2.12932352e-11, 3.93789650e-11, 1.46234383e-10]],
+                       bits=1.5e6, deadline=0.96875, eta=1e3, bandwidth=2e6,
+                       capacities=1.86290323e9, noise=3.981071705534986e-21)
+    raised = []
+    rebalance = orchestrate.solve_bcaa
+
+    def spy(*args, **kwargs):
+        try:
+            return rebalance(*args, **kwargs)
+        except BracketError as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=2)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert raised
+    assert np.all(np.diff(sol.trace.outer_energies_j) < 0)
+    assert validate(sc, sol.allocation, cfg).ok
+
+
+@st.composite
+def _outer_instances(draw):
+    """A generated scenario of 1-6 users x 1-4 APs, an initial split and
+    AP capacities that split fits in."""
+    K = draw(st.integers(1, 6))
+    M = draw(st.integers(1, 4))
+    strategy = draw(st.sampled_from([InitStrategy.equal(), InitStrategy.random(seed=3),
+                                     InitStrategy.best_ap(0.8)]))
+    params = GenParams(num_users=K, num_aps=M, deadline_s=draw(st.floats(0.15, 1.0)),
+                       bandwidth_hz=draw(st.floats(2e6, 4e7)),
+                       seed=draw(st.integers(0, 2**16)))
+    L = initialize(generate(params), strategy)
+    peak = params.cycles_per_bit * L.sum(axis=0).max() / params.deadline_s
+    headroom = draw(st.floats(1.2, 4.0))
+    return generate(dataclasses.replace(params, capacity_cps=headroom * peak)), strategy
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_outer_instances())
+def test_outer_loop_properties_on_random_instances(instance):
+    # the properties hold in every round, so a short budget tests them all
+    sc, strategy = instance
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
+    sol = solve_iterative(sc, strategy, cfg)
+    drops = np.diff(sol.trace.outer_energies_j)
+    # only a last round that finds no lower trial may leave the energy as is
+    assert np.all(drops[:-1] < 0) and drops[-1] <= 0
+    assert validate(sc, sol.allocation, cfg).ok
+    start = solve_fixed_data(sc, initialize(sc, strategy), cfg)
+    assert sol.energy_j <= start.energy_j
 
 
 def test_delay_monotonicity_small_instance():
