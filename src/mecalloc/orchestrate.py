@@ -6,8 +6,9 @@ takes one projected reduced-gradient step on L: the envelope theorem
 gives the gradient of F from the last re-balance's slack and compute
 duals, the step is projected onto each user's task simplex on its
 current support, and a backtracking line search accepts the first trial
-whose capped warm re-balance strictly lowers the energy. So the outer
-energies fall strictly until a round's decrement meets the stop.
+whose capped warm re-balance strictly lowers the energy, starting from
+the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
+outer energies fall strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -178,14 +179,12 @@ def _reduced_gradient(scenario, L, x, warm, act):
     return g
 
 
-def _projected_step(L, g, act, bits, alpha, thr):
-    """Move each user's loads by -alpha*T*(g/nu - 1) and project the row
-    onto its task simplex on its current support {L >= 0, sum L = T},
-    where nu is the load-weighted mean of g over the row. Loads the
+def _projected_step(L, G, act, bits, alpha, thr):
+    """Move each user's loads by -alpha*G and project the row onto its
+    task simplex on its current support {L >= 0, sum L = T}. Loads the
     projection leaves at or below thr are dropped and the row rescaled
     onto T. A row with fewer than two active pairs cannot move."""
-    nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
-    v = np.where(act, L - alpha * bits[:, None] * (g / nu[:, None] - 1.0), -np.inf)
+    v = np.where(act, L - alpha * G, -np.inf)
     # Euclidean projection onto the simplex: w = max(v - tau, 0) with tau
     # from the largest k whose k-th largest entry stays above it
     u = -np.sort(-v, axis=1)
@@ -209,8 +208,10 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     along the envelope gradient of F (`_reduced_gradient`,
     `_projected_step`), each trial followed by a warm re-balance of at
     most BALANCE_ROUNDS rounds from a copy of the warm state. The step
-    size starts at twice the last accepted one (1 in the first round,
-    never above 1) and halves until the trial energy is strictly lower;
+    size starts at the BB1 length s.s/s.y, with s the last change of L
+    and y the change of the row-scaled direction G = T*(g/nu - 1) over
+    the active pairs, clipped to [MIN_STEP, 1] (1 in the first round or
+    when s.y <= 0), and halves until the trial energy is strictly lower;
     a trial that is infeasible, or whose re-balance finds a dual outside
     its range, counts as a rejection. A round whose step moves no load,
     or whose step falls below MIN_STEP, lowers the energy by zero. The
@@ -231,16 +232,25 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     inner_counts = [rounds]
     walls = [time.perf_counter() - t0]
 
-    alpha = 0.5  # the first trial step is min(2*alpha, 1) = 1
+    L_last = G_last = None
     converged = False
     for _ in range(cfg.max_outer_iters):
         t_iter = time.perf_counter()
         act = L > thr
+        # row-scaled direction T*(g/nu - 1), nu the load-weighted mean of g
         g = _reduced_gradient(scenario, L, x, warm, act)
+        nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
+        G = bits[:, None] * (g / nu[:, None] - 1.0)
         rounds = 0
-        trial = min(2.0 * alpha, 1.0)
+        trial = 1.0
+        if L_last is not None:
+            # BB1 step s.s/s.y over the active pairs, from the last step
+            s, y = (L - L_last)[act], (G - G_last)[act]
+            if s @ y > 0:
+                trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
+        L_last, G_last = L, G
         while trial >= MIN_STEP:
-            L_try = _projected_step(L, g, act, bits, trial, thr)
+            L_try = _projected_step(L, G, act, bits, trial, thr)
             if np.array_equal(L_try, L):
                 break
             warm_try = dict(warm)
@@ -255,7 +265,6 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                 e_try = np.inf
             if e_try < energy:
                 L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
-                alpha = trial
                 break
             trial *= 0.5
         outer.append(energy)

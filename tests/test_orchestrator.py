@@ -242,6 +242,85 @@ def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
     assert validate(sc, sol.allocation, cfg).ok
 
 
+def _tight42():
+    # seed-42 8x4 at D = 0.2 s: its first round accepts a step of 0.25
+    return override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.2)
+
+
+def _trials_per_round(monkeypatch):
+    """Spy that records, per round, the step sizes `_projected_step`
+    tries and the (L, G, act) of its first trial."""
+    rounds = []
+    gradient, step = orchestrate._reduced_gradient, orchestrate._projected_step
+
+    def gradient_spy(*args):
+        rounds.append({"trials": []})
+        return gradient(*args)
+
+    def step_spy(L, G, act, bits, alpha, thr):
+        rounds[-1].setdefault("start", (L, G, act))
+        rounds[-1]["trials"].append(alpha)
+        return step(L, G, act, bits, alpha, thr)
+
+    monkeypatch.setattr(orchestrate, "_reduced_gradient", gradient_spy)
+    monkeypatch.setattr(orchestrate, "_projected_step", step_spy)
+    return rounds
+
+
+def test_step_starts_at_one_then_at_the_spectral_length(monkeypatch):
+    rounds = _trials_per_round(monkeypatch)
+    sc = _tight42()
+    solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=6))
+    trials = [r["trials"] for r in rounds if r["trials"]]
+    assert trials[0][0] == 1.0
+    assert all(0.0 < a <= 1.0 for r in trials for a in r)
+    # backtracking halves; the first trial of a later round comes from the
+    # last step's curvature, not from a power of two
+    assert all(b == 0.5 * a for r in trials for a, b in zip(r, r[1:]))
+    assert any(np.log2(r[0]) != np.round(np.log2(r[0])) for r in trials[1:])
+
+
+def test_step_restarts_at_one_without_positive_curvature(monkeypatch):
+    # a gradient frozen at its first value makes the second round's G
+    # differ from the first only through nu, and s.y < 0
+    rounds = _trials_per_round(monkeypatch)
+    first = []
+    gradient = orchestrate._reduced_gradient
+
+    def frozen(*args):
+        g = gradient(*args)
+        first.append(g)
+        return first[0]
+
+    monkeypatch.setattr(orchestrate, "_reduced_gradient", frozen)
+    sc = _tight42()
+    solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=2))
+    (L1, G1, _), a1 = rounds[0]["start"], rounds[0]["trials"][-1]
+    (L2, G2, act), a2 = rounds[1]["start"], rounds[1]["trials"][0]
+    assert a1 < 0.5  # the old "twice the last step" rule would try 2*a1 < 1
+    s, y = (L2 - L1)[act], (G2 - G1)[act]
+    assert s @ y <= 0
+    assert a2 == 1.0
+
+
+def test_spectral_step_rejects_fewer_trials(monkeypatch):
+    # with the previous "twice the last accepted step" start this capped
+    # solve rejected 26 trials and ended at 91.6364 mJ
+    calls = []
+    rebalance = orchestrate.solve_bcaa
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return rebalance(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
+    sc = _tight42()
+    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=30))
+    accepted = int(np.sum(np.diff(sol.trace.outer_energies_j) < 0))
+    assert len(calls) - 1 - accepted <= 18
+    assert sol.energy_j <= 0.0916364243073258
+
+
 @st.composite
 def _outer_instances(draw):
     """A generated scenario of 1-6 users x 1-4 APs, an initial split and
