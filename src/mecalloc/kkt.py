@@ -325,63 +325,54 @@ def _slack_roots(mu, L, x, d, w, a):
         d * 1e-12, d * (1.0 - 1e-12))
 
 
-def _caa_joint(scenario, x, L, aps, cfg, diag=None, dual_guess=None):
+def _caa_joint(scenario, x, L, aps, cfg, diag=None, mus=None):
     """Compute columns for several APs at once; one dual search per AP.
 
     Energy falls as compute grows, so each AP's capacity binds: mu_j is
     driven until the implied demand sum_i eta*L/(D - t) meets capacity.
-    Returns (compute columns rescaled onto each capacity, duals) for the
-    requested APs; inactive users get no compute. Appends one mu_compute
-    record per AP to diag, each carrying the probe count of the joint
-    search.
+    The searches start from mus[aps] (mus an M-vector; 1.0 when not
+    given). Returns the K x M compute matrix, zero off the active pairs
+    of aps, and the M-vector of prices, 1.0 at APs not priced. Appends
+    one mu_compute record per AP to diag, each carrying the probe count
+    of the joint search. Checks no input: `solve_caa` and `solve_bcaa`
+    make sure every AP in aps serves active users, all with bandwidth,
+    below its capacity.
     """
-    L = np.asarray(L, dtype=float)
-    x = np.asarray(x, dtype=float)
-    act = L > cfg.activity_threshold_bits
-    d_user = scenario.deadlines_s
-    n_groups = len(aps)
-
     # row-major order keeps each AP's users ascending, so the per-AP
     # bincount sums below add in the same order as a per-AP loop would
-    ui, gid = np.nonzero(act[:, aps])
-    idle = np.bincount(gid, minlength=n_groups) == 0
-    if idle.any():
-        raise DegenerateInputError(f"AP {aps[int(np.argmax(idle))]} serves no active user")
+    ui, gid = np.nonzero((L > cfg.activity_threshold_bits)[:, aps])
     uj = np.asarray(aps)[gid]
-
-    Lv = L[ui, uj]
-    xv = x[ui, uj]
-    if np.any(xv <= 0):
-        bad = int(uj[np.nonzero(xv <= 0)[0][0]])
-        raise StructuralError(f"AP {bad}: active user without bandwidth")
-    dv = d_user[ui]
-    wv = scenario.cycles_per_bit[ui] * Lv
-    av = scenario.noise_over_gain()[ui, uj]
-    caps = scenario.compute_capacity[aps]
-    base_load = np.bincount(gid, weights=wv / dv, minlength=n_groups)
-    if np.any(base_load >= caps):
-        g = int(np.nonzero(base_load >= caps)[0][0])
-        raise InfeasibilityError(
-            f"AP {aps[g]}: compute demand {base_load[g]:.6g} exceeds capacity "
-            f"{caps[g]:.6g}", ap=aps[g])
-
-    mus, _, qv = _price_budgets(
-        "mu_compute", gid, aps, caps,
+    Lv, xv, dv = L[ui, uj], x[ui, uj], scenario.deadlines_s[ui]
+    wv, av = scenario.cycles_per_bit[ui] * Lv, scenario.noise_over_gain()[ui, uj]
+    out = np.ones(scenario.num_aps)
+    out[aps], _, qv = _price_budgets(
+        "mu_compute", gid, aps, scenario.compute_capacity[aps],
         lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)), cfg,
-        np.ones(n_groups) if dual_guess is None else dual_guess,
-        increasing=False, diag=diag)
-    q_cols = np.zeros((L.shape[0], n_groups))
-    q_cols[ui, gid] = qv
-    return q_cols, mus
+        (out if mus is None else mus)[aps], increasing=False, diag=diag)
+    q = np.zeros_like(L)
+    q[ui, uj] = qv
+    return q, out
 
 
-def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None, dual_guess=None):
+def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     """Slack (hence compute) split among one AP's active users at fixed x;
-    the other users keep their deadline as slack."""
-    guess = np.array([dual_guess]) if dual_guess else None
-    q = _caa_joint(scenario, x, L, [ap], cfg, diag, guess)[0][:, 0]
+    the other users keep their deadline as slack. Raises when the AP serves
+    no active user, when an active user has no bandwidth, and when the
+    AP's least demand sum_i eta*L/D reaches its capacity."""
+    L, x = np.asarray(L, dtype=float), np.asarray(x, dtype=float)
+    act = L[:, ap] > cfg.activity_threshold_bits
+    if not act.any():
+        raise DegenerateInputError(f"AP {ap} serves no active user")
+    if np.any(x[act, ap] <= 0):
+        raise StructuralError(f"AP {ap}: active user without bandwidth")
+    load = (scenario.cycles_per_bit * L[:, ap] / scenario.deadlines_s)[act].sum()
+    cap = scenario.compute_capacity[ap]
+    if load >= cap:
+        raise InfeasibilityError(
+            f"AP {ap}: compute demand {load:.6g} exceeds capacity {cap:.6g}", ap=ap)
+    q = _caa_joint(scenario, x, L, [ap], cfg, diag)[0][:, ap]
     return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit,
-                          np.asarray(L, dtype=float)[:, ap], np.where(q > 0, q, np.inf))
+                          L[:, ap], np.where(q > 0, q, np.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +414,21 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     and a CAA call, so both budgets hold to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
-    refreshes between calls of one outer loop: the previous slack seeds
-    the first round and the previous duals seed the searches. The slack,
-    not the compute split, is kept because at fixed prices each pair's
-    optimal slack does not depend on its load, while its compute
-    eta*L/(D - t) scales with it. A warm slack of the wrong shape, or not
-    interior (0, deadline) on every active pair, is ignored for the cold
-    start.
+    refreshes between calls of one outer loop: the last K x M slack "t"
+    seeds the first round, and the bandwidth price "beta" and M-vector of
+    compute prices "mus" (1.0 at APs not priced) seed the dual searches.
+    The slack, not the compute split, is kept because at fixed prices each
+    pair's optimal slack does not depend on its load, while its compute
+    eta*L/(D - t) scales with it. A slack of the wrong shape, or not
+    interior (0, deadline) on every active pair, voids the whole warm
+    state: the solve starts cold, at unit prices and the slack
+    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D.
+    The compute step checks no input; this function checks once, before
+    round 1: only APs that serve an active pair are priced, BAA gives each
+    active pair bandwidth, and an AP whose least load sum_i eta*L/D
+    reaches its capacity raises InfeasibilityError.
 
-    Returns (x, q, rounds).
+    Returns (x, q, rounds), with x and q K x M.
     """
     L = np.asarray(L, dtype=float)
     thr = cfg.activity_threshold_bits
@@ -441,10 +438,8 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     d = scenario.deadlines_s[:, None]
     eta = scenario.cycles_per_bit[:, None]
     cap = scenario.compute_capacity
-    # compute each active pair needs at zero slack; an AP's column sum is
-    # the least load the data split puts on it
-    w = np.where(act, eta * L / d, 0.0)
-    load = w.sum(axis=0)
+    # an AP's least load: the compute its active pairs need at zero slack
+    load = np.where(act, eta * L / d, 0.0).sum(axis=0)
     served = act.any(axis=0)
     aps = np.flatnonzero(served).tolist()
     over = served & (load >= cap)
@@ -463,19 +458,15 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     warm = warm if warm is not None else {}
     t = warm.get("t")
     if t is not None and t.shape == L.shape and np.all(((t > 0) & (t < d))[act]):
-        # the compute that slack implies, as the first round's input
-        q_in = np.zeros_like(L)
-        q_in[act] = (eta * L)[act] / (d - t)[act]
+        beta_guess, mus = warm.get("beta"), warm.get("mus")
     else:
-        # capacity split proportional to eta*L/D keeps every slack interior
-        q_in = w * (cap / np.where(load > 0, load, 1.0))
-        t = slack_of(q_in)
+        # the slack the capacity split proportional to eta*L/D leaves
+        t, beta_guess, mus = d * (1.0 - load / cap), None, None
+    # the compute that slack implies, as the first round's input
+    q_in = np.where(act, eta * L, 0.0) / np.where(act, d - t, 1.0)
 
     eps_inner = cfg.epsilon_j / 10.0
     steps = []
-    beta_guess = warm.get("beta")
-    mus_prev = warm.get("mus", {})
-    mus = np.array([mus_prev.get(j, 1.0) for j in aps]) if mus_prev else None
     energy_prev = None
     qs, gs = [], []  # Anderson history: round inputs and their images
     candidate = None
@@ -495,9 +486,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
                 qs, gs = [], []
             x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
             beta_guess = steps[-1].dual.value
-        q_cols, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
-        q = np.zeros_like(L)
-        q[:, aps] = q_cols
+        q, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
         t = slack_of(q)
         energy = energy_at(x, t)
         if rounds == max_rounds or (energy_prev is not None
@@ -515,5 +504,5 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     if diag is not None:
         diag.extend(steps)
 
-    warm.update(t=t, beta=beta_guess, mus=dict(zip(aps, mus.tolist())))
+    warm.update(t=t, beta=beta_guess, mus=mus)
     return x, q, rounds

@@ -2,12 +2,12 @@
 
 The full solver minimises the re-balanced energy F(L), the least energy
 the bandwidth/compute re-balance reaches at data split L. Each round
-takes one projected reduced-gradient step on L: the envelope theorem
-gives the gradient of F from the last re-balance's slack and compute
-duals, the step is projected onto each user's task simplex on its
-current support, and a backtracking line search accepts the first trial
-whose capped warm re-balance strictly lowers the energy, starting from
-the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
+takes one projected reduced-gradient step on L: by the envelope theorem
+the gradient of F is the partial dE/dL at the last re-balance's (x, q),
+the step is projected onto each user's task simplex on its current
+support, and a backtracking line search accepts the first trial whose
+capped warm re-balance strictly lowers the energy, starting from the
+Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
 outer energies fall strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
@@ -24,7 +24,6 @@ import numpy as np
 
 from .kkt import solve_bcaa, solve_daa  # noqa: F401  (solve_daa: see above)
 from .model import (
-    LN2,
     Allocation,
     BracketError,
     InfeasibilityError,
@@ -37,7 +36,7 @@ from .model import (
     deadline_slack,
     is_count,
 )
-from .physics import energy_matrix, total_energy
+from .physics import data_marginal, energy_matrix, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 
@@ -164,18 +163,15 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     return L
 
 
-def _reduced_gradient(scenario, L, x, warm, act):
+def _reduced_gradient(scenario, L, x, q, act):
     """Gradient of the re-balanced energy F(L) = min over (x, q) of E on
-    the active pairs, by the envelope theorem from the last re-balance:
-    dF/dL = a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t), with the slack t and
-    the per-AP compute duals mu_j that re-balance left in warm."""
+    the active pairs. No budget of the re-balance involves L, so by the
+    envelope theorem dF/dL is the partial dE/dL at the re-balanced (x, q),
+    `physics.data_marginal`."""
     i, j = np.nonzero(act)
-    t = warm["t"][i, j]
-    mu = np.zeros(scenario.num_aps)
-    mu[list(warm["mus"])] = list(warm["mus"].values())
     g = np.zeros_like(L)
-    g[i, j] = scenario.noise_over_gain()[i, j] * LN2 * np.exp2(L[i, j] / (x[i, j] * t)) \
-        + mu[j] * scenario.cycles_per_bit[i] / (scenario.deadlines_s[i] - t)
+    g[i, j] = data_marginal(L[i, j], x[i, j], q[i, j], scenario.deadlines_s[i],
+                            scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])
     return g
 
 
@@ -205,18 +201,20 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     The objective is F(L), the energy after the bandwidth/compute
     re-balance at data split L. The first re-balance runs on the raw
     initial split to tolerance. Each round then takes one projected step
-    along the envelope gradient of F (`_reduced_gradient`,
-    `_projected_step`), each trial followed by a warm re-balance of at
-    most BALANCE_ROUNDS rounds from a copy of the warm state. The step
-    size starts at the BB1 length s.s/s.y, with s the last change of L
-    and y the change of the row-scaled direction G = T*(g/nu - 1) over
-    the active pairs, clipped to [MIN_STEP, 1] (1 in the first round or
-    when s.y <= 0), and halves until the trial energy is strictly lower;
-    a trial that is infeasible, or whose re-balance finds a dual outside
-    its range, counts as a rejection. A round whose step moves no load,
-    or whose step falls below MIN_STEP, lowers the energy by zero. The
-    loop stops at the end of the first round that lowers the energy
-    by at most epsilon_j, which may be the last allowed round.
+    along the gradient of F, which by the envelope theorem is dE/dL at
+    the re-balanced (x, q) (`_reduced_gradient`, `_projected_step`). Each
+    trial is followed by a warm re-balance of at most BALANCE_ROUNDS
+    rounds from a copy of the warm state, which only `solve_bcaa` reads.
+    The step size starts at the BB1 length s.s/s.y, with s the last
+    change of L and y the change of the row-scaled direction
+    G = T*(g/nu - 1) over the active pairs, clipped to [MIN_STEP, 1] (1 in
+    the first round or when s.y <= 0), and halves until the trial energy
+    is strictly lower; a trial that is infeasible, or whose re-balance
+    finds a dual outside its range, counts as a rejection. A round whose
+    step moves no load, or whose step falls below MIN_STEP, lowers the
+    energy by zero. The loop stops at the end of the first round that
+    lowers the energy by at most epsilon_j, which may be the last allowed
+    round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
@@ -238,7 +236,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         t_iter = time.perf_counter()
         act = L > thr
         # row-scaled direction T*(g/nu - 1), nu the load-weighted mean of g
-        g = _reduced_gradient(scenario, L, x, warm, act)
+        g = _reduced_gradient(scenario, L, x, q, act)
         nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
         G = bits[:, None] * (g / nu[:, None] - 1.0)
         rounds = 0

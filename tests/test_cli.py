@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from mecalloc import GenParams, SolveTrace, generate, save_scenario
+from mecalloc import cli
 from mecalloc.cli import main
 from mecalloc.scenario import provenance
 
@@ -290,15 +291,30 @@ def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_sc
         assert _one_line_usage_error(capsys)
 
 
-_NEGATIVE_GAIN = json.dumps({
-    "num_users": 1, "num_aps": 1, "gains": [[-1.0]],
-    "tasks": [{"input_bits": 1.0, "deadline_s": 1.0, "cycles_per_bit": 1.0}],
-    "bandwidth_hz": 1.0, "compute_capacity": [1.0], "noise_psd": 1.0})
+_TASK = {"input_bits": 1.0, "deadline_s": 1.0, "cycles_per_bit": 1.0}
+
+
+def _scenario_json(**changes):
+    doc = {"num_users": 1, "num_aps": 1, "gains": [[1.0]], "tasks": [_TASK],
+           "bandwidth_hz": 1.0, "compute_capacity": [1.0], "noise_psd": 1.0}
+    return json.dumps(dict(doc, **changes))
+
+
+_BAD_SCENARIOS = {
+    "negative-gain": _scenario_json(gains=[[-1.0]]),
+    "no-users": _scenario_json(num_users=0, gains=[], tasks=[]),
+    "no-aps": _scenario_json(num_aps=0, gains=[[]], compute_capacity=[]),
+    "task-count": _scenario_json(tasks=[_TASK, _TASK]),
+    "capacity-shape": _scenario_json(compute_capacity=[1.0, 1.0]),
+    "capacity-zero": _scenario_json(compute_capacity=[0.0]),
+    "bandwidth-zero": _scenario_json(bandwidth_hz=0.0),
+    "noise-negative": _scenario_json(noise_psd=-1.0),
+}
 
 
 @pytest.mark.parametrize("content", [None, "not json", "[1, 2]", '{"num_users": 1}',
-                                     _NEGATIVE_GAIN],
-                         ids=["missing", "not-json", "list", "no-keys", "negative-gain"])
+                                     *_BAD_SCENARIOS.values()],
+                         ids=["missing", "not-json", "list", "no-keys", *_BAD_SCENARIOS])
 def test_unreadable_scenario_is_a_usage_error(tmp_path, capsys, content):
     path = tmp_path / "scenario.json"
     if content is not None:
@@ -307,3 +323,33 @@ def test_unreadable_scenario_is_a_usage_error(tmp_path, capsys, content):
         code = main(command + ["--scenario", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert _one_line_usage_error(capsys)
+
+
+def test_empty_strategy_list_is_a_usage_error(tmp_path, small_scenario_file, capsys):
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--scenario", small_scenario_file, "--param", "deadline-s",
+                 "--values", "0.5", "--strategies", ",", "--workers", "1",
+                 "--out", str(out)])
+    assert code == 2
+    assert _one_line_usage_error(capsys)
+    assert not out.exists()
+
+
+def test_solve_prints_the_violations_of_a_failing_answer(tmp_path, small_scenario_file,
+                                                         monkeypatch, capsys):
+    # an answer with half the system bandwidth fails its budget equality
+    run = cli._run
+
+    def halved_bandwidth(*args):
+        sol = run(*args)
+        alloc = dataclasses.replace(sol.allocation, bandwidth=0.5 * sol.allocation.bandwidth)
+        return dataclasses.replace(sol, allocation=alloc)
+
+    monkeypatch.setattr(cli, "_run", halved_bandwidth)
+    sol = tmp_path / "sol.json"
+    assert main(["solve", "--scenario", small_scenario_file, "--method", "binary-best-ap",
+                 "--out", str(sol)]) == 0
+    out, err = capsys.readouterr()
+    assert "constraints_ok=False" in out
+    assert err == "budget equality bandwidth[]: residual 5.000e-01\n"
+    assert json.loads(sol.read_text())["constraints_ok"] is False

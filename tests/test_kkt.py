@@ -246,6 +246,32 @@ def test_daa_user_without_bandwidth_is_named():
     assert err.value.user == 1
 
 
+def test_daa_freezes_a_crumb_load_and_re_solves_the_row():
+    # user 0's optimal load on its weakest AP is about 0.23 bits, inside
+    # (0, thr]: that pair is frozen at zero and the row solved again
+    sc = make_scenario([[1.0, 0.5, 0.3], [1.0, 1.0, 1.0]], bits=2.0, deadline=1.0,
+                       eta=1.0, bandwidth=10.0, capacities=10.0)
+    x, q = np.full((2, 3), 1.0), np.full((2, 3), 3.0)
+    first = []
+    loose = solve_daa(sc, x, q, _cfg(sc, activity_threshold_bits=0.0), diag=first)
+    cfg = _cfg(sc, activity_threshold_bits=0.3)
+    assert 0.0 < loose[0, 2] <= cfg.activity_threshold_bits
+    diag = []
+    L = solve_daa(sc, x, q, cfg, diag=diag)
+    assert L[0, 2] == 0.0
+    assert np.all(L[L > 0] > cfg.activity_threshold_bits)
+    assert L.sum(axis=1) == pytest.approx(sc.task_bits, rel=1e-15)
+    # one record per user, from the final pass: the price of the row
+    # without the frozen pair, not that of the first pass
+    assert [r.dual.owner for r in diag] == [0, 1]
+    x_frozen = x.copy()
+    x_frozen[0, 2] = 0.0
+    without = []
+    assert np.allclose(solve_daa(sc, x_frozen, q, cfg, diag=without), L, rtol=1e-8, atol=0)
+    assert diag[0].dual.value == pytest.approx(without[0].dual.value, rel=1e-8)
+    assert diag[0].dual.value != pytest.approx(first[0].dual.value, rel=1e-3)
+
+
 # --- bandwidth allocation ----------------------------------------------
 
 def test_baa_symmetric_pairs_share_evenly():
@@ -391,6 +417,22 @@ def test_caa_overloaded_ap_is_named():
         solve_caa(sc, x=np.array([[5.0], [5.0]]),
                   L=np.array([[4.0], [4.0]]), ap=0, cfg=_cfg(sc))
     assert err.value.ap == 0
+
+
+def test_caa_ap_without_an_active_user_is_rejected():
+    sc = make_scenario([[1.0, 1.0], [1.0, 1.0]], bits=2.0, deadline=1.0, eta=1.0,
+                       bandwidth=10.0, capacities=8.0)
+    with pytest.raises(DegenerateInputError):
+        solve_caa(sc, x=np.array([[5.0, 0.0], [5.0, 0.0]]),
+                  L=np.array([[2.0, 0.0], [2.0, 0.0]]), ap=1, cfg=_cfg(sc))
+
+
+def test_caa_active_user_without_bandwidth_is_rejected():
+    sc = make_scenario([[1.0], [1.0]], bits=2.0, deadline=1.0, eta=1.0,
+                       bandwidth=10.0, capacities=8.0)
+    with pytest.raises(StructuralError, match="without bandwidth"):
+        solve_caa(sc, x=np.array([[10.0], [0.0]]),
+                  L=np.array([[2.0], [2.0]]), ap=0, cfg=_cfg(sc))
 
 
 # --- joint bandwidth + compute ------------------------------------------

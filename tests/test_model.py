@@ -6,6 +6,7 @@ import pytest
 
 from mecalloc import (
     Allocation,
+    InfeasiblePairError,
     PairPoint,
     Scenario,
     SolveConfig,
@@ -18,7 +19,7 @@ from mecalloc import (
     scenario_to_dict,
     validate,
 )
-from mecalloc.model import budget_residuals
+from mecalloc.model import EXPONENT_CAP, ValidationReport, Violation, budget_residuals
 
 from util import make_scenario
 
@@ -50,6 +51,34 @@ def test_scenario_rejects_shape_mismatch():
                  noise_psd=1e-20)
 
 
+def _one_pair_scenario(**changes):
+    fields = dict(num_users=1, num_aps=1, gains=[[1.0]], tasks=(TaskSpec(1e6, 0.5, 1e3),),
+                  bandwidth_hz=1e7, compute_capacity=[1e10], noise_psd=1e-20)
+    return Scenario(**dict(fields, **changes))
+
+
+@pytest.mark.parametrize("changes", [
+    dict(num_users=0, gains=np.ones((0, 1)), tasks=()),
+    dict(num_aps=0, gains=np.ones((1, 0)), compute_capacity=[]),
+    dict(tasks=(TaskSpec(1e6, 0.5, 1e3),) * 2),
+    dict(compute_capacity=[1e10, 1e10]), dict(compute_capacity=[0.0]),
+    dict(compute_capacity=[np.inf]), dict(compute_capacity=[np.nan]),
+    dict(bandwidth_hz=0.0), dict(bandwidth_hz=-1e7), dict(bandwidth_hz=np.inf),
+    dict(noise_psd=0.0), dict(noise_psd=np.nan),
+], ids=["no-users", "no-aps", "task-count", "capacity-shape", "capacity-zero",
+        "capacity-inf", "capacity-nan", "bandwidth-zero", "bandwidth-negative",
+        "bandwidth-inf", "noise-zero", "noise-nan"])
+def test_scenario_rejects_bad_sizes_and_budgets(changes):
+    _one_pair_scenario()  # the unchanged fields are valid
+    with pytest.raises(StructuralError):
+        _one_pair_scenario(**changes)
+
+
+def test_allocation_rejects_shape_mismatch():
+    with pytest.raises(StructuralError, match="disagree in shape"):
+        Allocation(data=[[1.0, 1.0]], bandwidth=[[1.0]], compute=[[1.0, 1.0]])
+
+
 def test_allocation_rejects_negative_entries():
     with pytest.raises(StructuralError):
         Allocation(data=[[-1.0]], bandwidth=[[1.0]], compute=[[1.0]])
@@ -73,6 +102,42 @@ def test_zero_slack_is_reported():
     assert not report.ok
     assert any(v.constraint == "nonpositive slack" and v.where == (0, 0)
                for v in report.violations)
+
+
+def test_validate_rejects_an_allocation_of_another_shape(scenario42, cfg42):
+    alloc = Allocation(data=np.ones((2, 2)), bandwidth=np.ones((2, 2)),
+                       compute=np.ones((2, 2)))
+    with pytest.raises(StructuralError, match="does not match scenario"):
+        validate(scenario42, alloc, cfg42)
+
+
+@pytest.mark.parametrize("capacity,bandwidth,compute,constraint,residual", [
+    # eta*L/D equals the only AP's capacity
+    (1e3, 1e4, 2e3, "aggregate compute demand exceeds capacity", 0.0),
+    (2e3, 1e4, 0.0, "no compute on loaded pair", 1.0),
+    (2e3, 0.0, 2e3, "no bandwidth on loaded pair", 1.0),
+    # u = L/(x*t) = 1e3 / (0.1 * 0.5) = 2e4 bits per Hz-second
+    (2e3, 0.1, 2e3, "rate exponent overflow", 2e4 / EXPONENT_CAP - 1.0),
+], ids=["aggregate-demand", "no-compute", "no-bandwidth", "exponent-overflow"])
+def test_pair_and_demand_violations_are_reported(capacity, bandwidth, compute,
+                                                 constraint, residual):
+    sc = make_scenario([[1.0]], bits=1e3, deadline=1.0, eta=1.0,
+                       bandwidth=1e4, capacities=capacity)
+    alloc = Allocation(data=[[1e3]], bandwidth=[[bandwidth]], compute=[[compute]])
+    report = validate(sc, alloc, SolveConfig.for_scenario(sc))
+    hits = [v for v in report.violations if v.constraint == constraint]
+    assert len(hits) == 1
+    assert hits[0].residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+    assert str(hits[0]) in str(report).splitlines()
+
+
+def test_report_and_violation_text():
+    assert str(ValidationReport()) == "all constraints satisfied"
+    pair = Violation("no compute on loaded pair", (0, 2), 1.0)
+    total = Violation("budget equality bandwidth", (), 0.5)
+    assert str(pair) == "no compute on loaded pair[0, 2]: residual 1.000e+00"
+    assert str(total) == "budget equality bandwidth[]: residual 5.000e-01"
+    assert str(ValidationReport((pair, total))) == f"{pair}\n{total}"
 
 
 def test_equal_split_default_scenario_validates(scenario42, cfg42,
@@ -192,6 +257,24 @@ def test_pairpoint_zero_data_requires_full_slack():
                              deadline_s=1.0, cycles_per_bit=1.0,
                              noise_over_gain=1.0)
     assert p.slack_s == p.deadline_s
+
+
+def test_pairpoint_rejects_bad_fields():
+    base = dict(data_bits=1e3, bandwidth_hz=1e4, deadline_s=1.0, cycles_per_bit=1.0,
+                noise_over_gain=1.0)
+    assert PairPoint.from_compute(compute_cps=2e3, **base).slack_s == pytest.approx(0.5)
+    for q in (0.0, -2e3):
+        with pytest.raises(StructuralError):
+            PairPoint.from_compute(compute_cps=q, **base)
+    # a loaded pair needs a slack strictly inside (0, deadline)
+    for t in (0.0, -0.1, 1.0, 1.5):
+        with pytest.raises(InfeasiblePairError):
+            PairPoint.from_slack(slack_s=t, **base)
+    for name, bad in (("data_bits", -1.0), ("deadline_s", 0.0), ("deadline_s", -1.0),
+                      ("cycles_per_bit", 0.0), ("noise_over_gain", 0.0),
+                      ("noise_over_gain", -1.0)):
+        with pytest.raises(StructuralError):
+            PairPoint(compute_cps=2e3, slack_s=0.5, **dict(base, **{name: bad}))
 
 
 def test_solveconfig_validation_and_defaults(scenario42):

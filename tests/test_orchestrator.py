@@ -185,9 +185,8 @@ def test_reduced_gradient_matches_central_differences():
         x, q, _ = solve_bcaa(sc, L, cfg)
         return total_energy(sc, Allocation(L, x, q), thr)
 
-    warm = {}
-    x, _, _ = solve_bcaa(sc, L, cfg, warm=warm)
-    g = _reduced_gradient(sc, L, x, warm, L > thr)
+    x, q, _ = solve_bcaa(sc, L, cfg)
+    g = _reduced_gradient(sc, L, x, q, L > thr)
     for i, j in ((2, 3), (5, 1)):
         h = 1e-4 * L[i, j]
         up, down = L.copy(), L.copy()
@@ -195,6 +194,34 @@ def test_reduced_gradient_matches_central_differences():
         down[i, j] -= h
         fd = (rebalanced_energy(up) - rebalanced_energy(down)) / (2.0 * h)
         assert g[i, j] == pytest.approx(fd, rel=1e-5), (i, j)
+
+
+@pytest.mark.parametrize("deadline", [0.2, 0.4])
+def test_reduced_gradient_is_the_slack_and_price_form_after_a_capped_rebalance(deadline):
+    # after every compute step, converged or not, stationarity of the
+    # slack gives mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q)
+    # equals a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the warm slack
+    # and compute prices
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
+    cfg = SolveConfig.for_scenario(sc)
+    thr = cfg.activity_threshold_bits
+    L = initialize(sc, InitStrategy.equal())
+    warm = {}
+    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    act = L > thr
+    g = _reduced_gradient(sc, L, x, q, act)
+    nu = (L * g).sum(axis=1) / L.sum(axis=1)
+    G = sc.task_bits[:, None] * (g / nu[:, None] - 1.0)
+    L = orchestrate._projected_step(L, G, act, sc.task_bits, 0.25, thr)
+    uncapped = solve_bcaa(sc, L, cfg, warm=dict(warm))[2]
+    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm, max_rounds=2)
+    assert rounds == 2 < uncapped
+    i, j = np.nonzero(L > thr)
+    t = warm["t"][i, j]
+    form = sc.noise_over_gain()[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
+        + warm["mus"][j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
+    g = _reduced_gradient(sc, L, x, q, L > thr)[i, j]
+    assert np.allclose(g, form, rtol=1e-7, atol=0)
 
 
 def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):

@@ -187,6 +187,11 @@ def test_total_energy_flags_starved_pair():
     with pytest.raises(InfeasiblePairError) as err:
         total_energy(sc, alloc)
     assert err.value.pair == (0, 0)
+    # bandwidth and slack, but a rate exponent L/(x*t) past EXPONENT_CAP
+    alloc = Allocation(data=[[1e3]], bandwidth=[[1e-3]], compute=[[4e3]])
+    with pytest.raises(InfeasiblePairError, match="exponent overflow") as err:
+        total_energy(sc, alloc)
+    assert err.value.pair == (0, 0)
 
 
 # --- partials ---------------------------------------------------------
