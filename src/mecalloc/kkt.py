@@ -1,4 +1,5 @@
-"""Monotone-bisection machinery and the KKT subproblem solvers.
+"""Monotone dual searches, the KKT subproblem solvers and the fixed-data
+dual.
 
 Each subproblem pins two of the three variable blocks (data split L,
 bandwidth x, compute q) and prices the budgets of the third, each with
@@ -10,10 +11,11 @@ outer search driving each budget sum onto its constraint.
   solve_baa: one global bandwidth dual beta > 0, roots of dE/dx + beta = 0;
   solve_caa: per-AP compute duals mu >= 0 over the deadline slack t,
              roots of dE/dt + mu * eta*L/(D-t)^2 = 0;
-  solve_bcaa: safeguarded accelerated alternation of solve_baa and
-             solve_caa. Each step is the global minimum of a convex
-             block; an Anderson extrapolation of the compute split is
-             taken only when it lowers the energy, so energy never rises.
+  solve_bcaa: bandwidth and compute for a fixed data split. It first
+             maximises the fixed-data dual q(beta, mu) by Newton steps
+             in the 1 + M log prices, with `physics.price_oracle` giving
+             each pair's minimiser, then runs BAA/CAA rounds from those
+             prices until the duality gap certifies the answer.
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three share one pricing step, _price_budgets: the dual search,
@@ -21,9 +23,9 @@ the final per-pair pass, the residual check, the rescale onto each
 budget and the diag records. It holds the module's only overflow guard.
 
 Every search runs inside a bracket fixed before it starts. The per-pair
-roots bisect fixed brackets; the bandwidth root is solved for
-z = L*ln2/(x*t), which depends only on beta/(a*t) and lies below the
-exponent cap. Duals span many decades at SI magnitudes, so each dual
+roots bisect fixed brackets, except the bandwidth root
+z = L*ln2/(x*t), which has the closed form `physics.exponent_root` of
+beta/(a*t). Duals span many decades at SI magnitudes, so each dual
 search works on the dual's base-10 logarithm inside DUAL_RANGE: it
 gallops from its start with doubling steps until the budget crosses its
 target, then bisects. Every function being bisected is strictly monotone
@@ -42,7 +44,6 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    EXPONENT_CAP,
     LN2,
     BracketError,
     ConvergenceError,
@@ -52,31 +53,31 @@ from .model import (
     StructuralError,
     deadline_slack,
 )
-from .physics import bracket, data_marginal, energy_matrix
+from .physics import (
+    SLACK_BRACKET,
+    bracket,
+    data_marginal,
+    energy_matrix,
+    exponent_root,
+    price_oracle,
+    vec_bisect,
+)
 
 # keeps every slack at least this fraction of the deadline away from the
 # t = 0 singularity of 2**(L/(x t))
 SLACK_MARGIN = 1e-6
 
-# fixed halving count for the vectorized per-pair root solves; shrinks
-# any bracket to float64 resolution
-INNER_ITERS = 48
-
 # every dual search stays inside this range
 DUAL_RANGE = (1e-280, 1e280)
 
-# most probes of one dual search, and most rounds of one fixed-data solve
+# most probes of one dual search (oracle calls of the fixed-data pricing),
+# and most rounds of one fixed-data solve
 MAX_DUAL_PROBES = 200
 MAX_BCAA_ROUNDS = 200
 
-# natural-log bracket of the per-pair bandwidth root z = L*ln2/(x*t): the
-# top is the rate exponent L/(x*t) = EXPONENT_CAP, and well above the
-# bottom z*exp(z) - expm1(z) already rounds to zero
-_LOG_Z_BRACKET = (math.log(1e-20), math.log(EXPONENT_CAP * LN2))
-
-# past rounds beyond the latest that the bandwidth/compute extrapolation
-# mixes in
-ANDERSON_MEMORY = 2
+# longest Newton step of the fixed-data pricing in any log price: ten
+# decades
+MAX_PRICE_STEP = math.log(1e10)
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,6 @@ class SolveDiagnostic:
     dual: DualVariable
     residual: float
     iterations: int
-
-
-def _vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
-    """Simultaneous bisection over an array of independent brackets.
-
-    go_right(mid) returns a boolean array marking the entries whose root
-    lies to the right of mid; scalar lo and hi give every entry the same
-    bracket.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        right = go_right(mid)
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
 
 
 def _solve_duals(budget_of, targets, cfg, starts, increasing):
@@ -216,7 +200,7 @@ def _data_roots(nu, x, q, d, eta, a, upper, zero_marginal):
     zero_marginal is dE/dL at zero load, which does not depend on nu."""
     at_zero = zero_marginal >= nu
     at_cap = data_marginal(upper, x, q, d, eta, a) <= nu
-    roots = _vec_bisect(
+    roots = vec_bisect(
         lambda mid: data_marginal(mid, x, q, d, eta, a) < nu,
         np.zeros_like(upper), upper)
     return np.where(at_zero, 0.0, np.where(at_cap, upper, roots))
@@ -281,12 +265,9 @@ def _bandwidth_roots(beta, L, t, a):
     """Per-pair bandwidths satisfying dE/dx + beta = 0 at fixed (L, t).
 
     With z = L*ln2/(x*t) the condition a*t*phi(z) + beta = 0 reads
-    phi(z) = -beta/(a*t), whose left side falls from 0 at z = 0; z is
-    bisected on a fixed log bracket.
+    -phi(z) = beta/(a*t), solved in closed form by `exponent_root`.
     """
-    c = -beta / (a * t)
-    log_z = _vec_bisect(lambda log_z: bracket(np.exp(log_z)) > c, *_LOG_Z_BRACKET)
-    return L * LN2 / (t * np.exp(log_z))
+    return L * LN2 / (t * exponent_root(beta / (a * t)))
 
 
 def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
@@ -320,9 +301,9 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
 def _slack_roots(mu, L, x, d, w, a):
     """Per-pair slacks where dE/dt + mu*w/(d-t)^2 = 0 at fixed (L, x),
     with dE/dt = a*x*phi; the left side rises strictly in t."""
-    return _vec_bisect(
+    return vec_bisect(
         lambda t: a * x * bracket(L / (x * t) * LN2) + mu * w / (d - t) ** 2 < 0,
-        d * 1e-12, d * (1.0 - 1e-12))
+        d * SLACK_BRACKET[0], d * SLACK_BRACKET[1])
 
 
 def _caa_joint(scenario, x, L, aps, cfg, diag=None, mus=None):
@@ -376,57 +357,158 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
 
 
 # ---------------------------------------------------------------------------
-# BCAA: joint bandwidth and compute allocation for fixed data
+# The fixed-data dual: one bandwidth price and one compute price per AP
 
-def _anderson_mix(qs, gs):
-    """Type-II Anderson extrapolation of the compute fixed point.
+def _pricing_inputs(scenario, L, cfg):
+    """What the fixed-data dual of split L depends on: the active pairs in
+    row-major order as (loads, deadlines, cycles per bit, noise-to-gain
+    ratios), the position of each pair's AP among the served APs, the
+    budgets (B, then C_j of each served AP) and the served APs."""
+    act = L > cfg.activity_threshold_bits
+    i, j = np.nonzero(act)
+    aps = np.flatnonzero(act.any(axis=0))
+    pairs = (L[i, j], scenario.deadlines_s[i], scenario.cycles_per_bit[i],
+             scenario.noise_over_gain()[i, j])
+    budgets = np.concatenate(([scenario.bandwidth_hz], scenario.compute_capacity[aps]))
+    return pairs, np.searchsorted(aps, j), budgets, aps
 
-    qs are the last few round inputs (oldest first) and gs their images
-    under one BAA/CAA round. Returns the affine combination of the images
-    whose matching combination of residuals g - q is least in 2-norm
-    (Walker & Ni, SIAM J. Numer. Anal. 2011). The weights sum to one, so
-    every AP column sums to the capacity the images share.
+
+def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
+    """The fixed-data dual at bandwidth price beta and M-vector of
+    compute prices mus,
+
+        q(beta, mu) = sum over active pairs of L_ij*e_ij(beta, mu_j)
+                      - beta*B - sum over served APs of mu_j*C_j,
+
+    with e_ij the pair's cheapest cost per bit (`physics.price_oracle`).
+    An AP that serves no active pair enters with mu_j = 0. By weak
+    duality q never exceeds the energy of any (x, q) that meets both
+    budgets at this data split (Boyd & Vandenberghe, Convex Optimization,
+    sec. 5.5), and its maximum is the fixed-data optimum.
     """
-    f = [(g - q).ravel() for q, g in zip(qs, gs)]
-    dF = np.column_stack([b - a for a, b in zip(f, f[1:])])
-    gamma = np.linalg.lstsq(dF, f[-1], rcond=None)[0]
-    return gs[-1] - sum(c * (b - a) for c, a, b in zip(gamma, gs, gs[1:]))
+    (Lv, d, eta, a), col, budgets, aps = _pricing_inputs(
+        scenario, np.asarray(L, dtype=float), cfg)
+    prices = np.append(beta, np.asarray(mus, dtype=float)[aps])
+    e = price_oracle(beta, prices[1:][col], d, eta, a)[0]
+    return float(Lv @ e - prices @ budgets)
 
+
+def _budget_system(y, pairs, col, budgets):
+    """Scaled budget residuals of the price-induced allocation and their
+    Jacobian in the log prices y = (ln beta, ln mu of each served AP).
+
+    The residuals (sum x/B - 1, sum_i q_ij/C_j - 1) are the gradient of
+    q(beta, mu) scaled by the budgets. Their Jacobian comes from implicit
+    differentiation through the pair's slack root
+    H = ln(beta*ln2) + 2 ln(D - t) - ln(mu*eta) - 2 ln t - ln z = 0 and
+    the bandwidth root, along which d ln z = k*(d ln beta - d ln t) with
+    k = c*e^-z/z^2, c = beta/(a*t). Returns (residuals, Jacobian, slacks).
+    """
+    Lv, d, eta, a = pairs
+    beta, mu = np.exp(y[0]), np.exp(y[1:])[col]
+    _, t, s = price_oracle(beta, mu, d, eta, a)
+    z = LN2 / (t * s)
+    k = beta / (a * t) * np.exp(-z) / (z * z)
+    h = 2.0 * d / (d - t) - k  # -dH/d ln t
+    dt = (1.0 - k) / h  # d ln t/d ln beta; d ln t/d ln mu is -1/h
+    x, q = Lv * s, Lv * eta / (d - t)
+    qt = q * t / (d - t)  # dq/d ln t
+    m = budgets.size - 1
+    sums = np.append(x.sum(), np.bincount(col, weights=q, minlength=m))
+    J = np.diag(np.append(x @ (-dt - k * (1.0 - dt)),
+                          np.bincount(col, weights=-qt / h, minlength=m)))
+    # d ln(x/L)/d ln mu = (1 - k)/h, which is d ln t/d ln beta
+    J[0, 1:] = np.bincount(col, weights=x * dt, minlength=m)
+    J[1:, 0] = np.bincount(col, weights=qt * dt, minlength=m)
+    return sums / budgets - 1.0, J / budgets[:, None], t
+
+
+def _maximise_dual(y, pairs, col, budgets, cfg):
+    """Safeguarded Newton solve of the scaled budget residuals in the log
+    prices y, which maximises q(beta, mu).
+
+    A step longer than MAX_PRICE_STEP in any price is scaled down as a
+    whole, and halved until the residual norm falls. The iterates stay
+    inside DUAL_RANGE; a step that would leave it from its edge means the
+    root lies beyond, and raises BracketError. Stops once every residual
+    is inside half the relative tolerance, when no step lowers the norm,
+    or after MAX_DUAL_PROBES oracle calls, and returns the best prices
+    with their slacks: the BAA/CAA rounds finish what is left.
+    """
+    edge = np.log(DUAL_RANGE)
+    r, J, t = _budget_system(y, pairs, col, budgets)
+    calls = 1
+    while np.abs(r).max() > 0.5 * cfg.bisect_tol and calls < MAX_DUAL_PROBES:
+        step = np.linalg.solve(J, -r)
+        step *= min(1.0, MAX_PRICE_STEP / np.abs(step).max())
+        if np.any(((y <= edge[0]) & (step < 0)) | ((y >= edge[1]) & (step > 0))):
+            raise BracketError(f"dual root outside the range {DUAL_RANGE}")
+        norm = np.linalg.norm(r)
+        while calls < MAX_DUAL_PROBES:
+            y_try = np.clip(y + step, *edge)
+            r_try, J_try, t_try = _budget_system(y_try, pairs, col, budgets)
+            calls += 1
+            if np.linalg.norm(r_try) < norm:
+                break
+            step *= 0.5
+            if np.abs(step).max() < 1e-15:
+                return y, t
+        else:
+            return y, t
+        y, r, J, t = y_try, r_try, J_try, t_try
+    return y, t
+
+
+def _cold_prices(scenario, L, pairs, col, t, cfg, diag):
+    """Log prices at the slack t: beta from one BAA search there, and for
+    each served AP the L-weighted geometric mean, over its pairs, of the
+    mu that makes t stationary, beta*ln2*(D - t)^2/(eta*t^2*z)."""
+    Lv, d, eta, a = pairs
+    solve_baa(scenario, t, L, cfg, diag=diag)
+    beta = diag[-1].dual.value
+    tv = t[L > cfg.activity_threshold_bits]
+    z = exponent_root(beta / (a * tv))
+    log_mu = np.log(beta * LN2 / (eta * z)) + 2.0 * np.log((d - tv) / tv)
+    mu = np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv)
+    return np.concatenate(([math.log(beta)], mu))
+
+
+# ---------------------------------------------------------------------------
+# BCAA: joint bandwidth and compute allocation for fixed data
 
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=None):
     """Jointly optimal (x, q) for a fixed data split.
 
-    Alternates the bandwidth and per-AP compute solvers, each solving its
-    block exactly. A round is one compute step: the compute split q it
-    starts from goes through one BAA and one CAA call, q -> CAA(BAA(t(q))),
-    a fixed-point map on q. After each round a type-II Anderson
-    extrapolation over the last ANDERSON_MEMORY + 1 rounds proposes the
-    next round's q. The proposal is taken only if every active slack stays
-    interior and the energy after its bandwidth step is no higher than the
-    previous round's; otherwise the history is dropped and the round
-    repeats its bandwidth step from the plain iterate (one BAA call more,
-    visible in diag). Either way the energy sequence is non-increasing,
-    and the fixed-L problem is convex, so the rounds reach its global
-    optimum. Stops once a round improves energy by less than a tenth of
-    the outer tolerance, or after max_rounds rounds when that is given;
-    without it, MAX_BCAA_ROUNDS rounds that still improve raise
-    ConvergenceError. The returned (x, q) always come straight from a BAA
-    and a CAA call, so both budgets hold to the search tolerance.
+    First the prices: a safeguarded Newton solve (`_maximise_dual`) over
+    the log bandwidth price and the log compute prices of the served APs
+    maximises the fixed-data dual q(beta, mu) (`fixed_data_dual`). Then
+    rounds of the bandwidth and per-AP compute solvers, each solving its
+    block exactly: a round is one BAA call at the current slack and one
+    CAA call at its bandwidth, q -> CAA(BAA(t(q))). The first round starts
+    from the slack the pricing found, and its dual searches from the
+    pricing's prices, so each usually takes one probe. The loop stops as
+    soon as a round's duality gap E - q(beta, mu), at that round's own BAA
+    and CAA prices, is at most bisect_tol*E: the answer is then certified
+    optimal to that relative tolerance. It also stops once a round
+    improves energy by less than a tenth of the outer tolerance, or after
+    max_rounds rounds when that is given; without it, MAX_BCAA_ROUNDS
+    rounds that still improve raise ConvergenceError. The returned (x, q)
+    always come straight from a BAA and a CAA call, so both budgets hold
+    to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
-    refreshes between calls of one outer loop: the last K x M slack "t"
-    seeds the first round, and the bandwidth price "beta" and M-vector of
-    compute prices "mus" (1.0 at APs not priced) seed the dual searches.
-    The slack, not the compute split, is kept because at fixed prices each
-    pair's optimal slack does not depend on its load, while its compute
-    eta*L/(D - t) scales with it. A slack of the wrong shape, or not
-    interior (0, deadline) on every active pair, voids the whole warm
-    state: the solve starts cold, at unit prices and the slack
-    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D.
-    The compute step checks no input; this function checks once, before
-    round 1: only APs that serve an active pair are priced, BAA gives each
-    active pair bandwidth, and an AP whose least load sum_i eta*L/D
-    reaches its capacity raises InfeasibilityError.
+    refreshes between calls of one outer loop: the bandwidth price
+    "beta" and M-vector of compute prices "mus" (1.0 at APs not priced)
+    start the pricing, and the last K x M slack "t" is kept beside them.
+    Prices that are missing, not finite, not positive or of the wrong
+    shape void the whole warm state. The cold start prices the slack
+    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D
+    (`_cold_prices`, one BAA search). The compute step checks no input;
+    this function checks once, before the pricing: only APs that serve an
+    active pair are priced, BAA gives each active pair bandwidth, and an
+    AP whose least load sum_i eta*L/D reaches its capacity raises
+    InfeasibilityError. A price root beyond DUAL_RANGE raises
+    BracketError.
 
     Returns (x, q, rounds), with x and q K x M.
     """
@@ -440,9 +522,9 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     cap = scenario.compute_capacity
     # an AP's least load: the compute its active pairs need at zero slack
     load = np.where(act, eta * L / d, 0.0).sum(axis=0)
-    served = act.any(axis=0)
-    aps = np.flatnonzero(served).tolist()
-    over = served & (load >= cap)
+    pairs, col, budgets, aps = _pricing_inputs(scenario, L, cfg)
+    aps = aps.tolist()
+    over = act.any(axis=0) & (load >= cap)
     if over.any():
         j = int(np.argmax(over))
         raise InfeasibilityError(
@@ -455,48 +537,35 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     def energy_at(x, t):
         return float(energy_matrix(scenario, L, x, t, thr).sum())
 
+    steps = []
     warm = warm if warm is not None else {}
-    t = warm.get("t")
-    if t is not None and t.shape == L.shape and np.all(((t > 0) & (t < d))[act]):
-        beta_guess, mus = warm.get("beta"), warm.get("mus")
+    beta, mus = warm.get("beta"), warm.get("mus")
+    prices = (np.append(np.asarray(beta, dtype=float), mus)
+              if np.shape(beta) == () and np.shape(mus) == cap.shape else np.array([np.nan]))
+    if np.all(np.isfinite(prices) & (prices > 0)):
+        y = np.log(np.append(prices[0], prices[1:][aps]))
     else:
-        # the slack the capacity split proportional to eta*L/D leaves
-        t, beta_guess, mus = d * (1.0 - load / cap), None, None
-    # the compute that slack implies, as the first round's input
-    q_in = np.where(act, eta * L, 0.0) / np.where(act, d - t, 1.0)
+        y = _cold_prices(scenario, L, pairs, col, d * (1.0 - load / cap), cfg, steps)
+    y, tv = _maximise_dual(y, pairs, col, budgets, cfg)
+    t = np.broadcast_to(d, L.shape).copy()
+    t[act] = tv
+    beta, mus = math.exp(y[0]), np.ones(scenario.num_aps)
+    mus[aps] = np.exp(y[1:])
 
     eps_inner = cfg.epsilon_j / 10.0
-    steps = []
     energy_prev = None
-    qs, gs = [], []  # Anderson history: round inputs and their images
-    candidate = None
     rounds = 0
     for rounds in range(1, (max_rounds or MAX_BCAA_ROUNDS) + 1):
-        x = None
-        if candidate is not None and np.all(candidate[act] > 0):
-            t_cand = slack_of(candidate)
-            if np.all(t_cand[act] > 0):
-                x_cand = solve_baa(scenario, t_cand, L, cfg, diag=steps,
-                                   dual_guess=beta_guess)
-                beta_guess = steps[-1].dual.value
-                if energy_at(x_cand, t_cand) <= energy_prev:
-                    x, t, q_in = x_cand, t_cand, candidate
-        if x is None:
-            if candidate is not None:
-                qs, gs = [], []
-            x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta_guess)
-            beta_guess = steps[-1].dual.value
+        x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta)
+        beta = steps[-1].dual.value
         q, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
         t = slack_of(q)
         energy = energy_at(x, t)
-        if rounds == max_rounds or (energy_prev is not None
-                                    and energy_prev - energy <= eps_inner):
+        if (energy - fixed_data_dual(scenario, L, beta, mus, cfg) <= cfg.bisect_tol * energy
+                or rounds == max_rounds
+                or (energy_prev is not None and energy_prev - energy <= eps_inner)):
             break
         energy_prev = energy
-        qs = (qs + [q_in])[-ANDERSON_MEMORY - 1:]
-        gs = (gs + [q])[-ANDERSON_MEMORY - 1:]
-        candidate = _anderson_mix(qs, gs) if len(qs) > 1 else None
-        q_in = q
     else:
         raise ConvergenceError(
             f"bandwidth/compute alternation still improving after "
@@ -504,5 +573,5 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     if diag is not None:
         diag.extend(steps)
 
-    warm.update(t=t, beta=beta_guess, mus=mus)
+    warm.update(t=t, beta=beta, mus=mus)
     return x, q, rounds

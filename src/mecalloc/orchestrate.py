@@ -100,8 +100,7 @@ class SolveTrace:
     re-balance rounds each outer round spent, summed over every trial
     step of the round, rejected ones included (a re-balance that raises
     adds none); a re-balance round is one compute step (CAA) after one
-    bandwidth step (BAA), or two BAA calls when an extrapolated compute
-    split was rejected.
+    bandwidth step (BAA).
     """
 
     outer_energies_j: tuple

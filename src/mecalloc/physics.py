@@ -6,9 +6,11 @@ operated at minimal power under a hard deadline,
     E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q.
 
 It is written once, in the vectorised `energy`, `bracket` and
-`data_marginal` that the KKT roots in `kkt` evaluate. The scalar
-functions, the analytic gradient and the 2x2 curvature blocks used to
-certify which variable pairs form convex subproblems build on them.
+`data_marginal` that the KKT roots in `kkt` evaluate, and priced in
+`price_oracle`, the cheapest cost per bit of a pair at given bandwidth
+and compute prices. The scalar functions, the analytic gradient and the
+2x2 curvature blocks used to certify which variable pairs form convex
+subproblems build on them.
 """
 
 from __future__ import annotations
@@ -43,6 +45,102 @@ def bracket(z):
     small z and runs to -inf, never nan, once e^z overflows.
     """
     return np.expm1(z) * (1.0 - z) - z
+
+
+# largest bandwidth root: the rate exponent L/(x*t) = EXPONENT_CAP
+_Z_TOP = EXPONENT_CAP * LN2
+_C_TOP = -float(bracket(_Z_TOP))
+
+# fixed halving count for the vectorized per-pair root solves; shrinks
+# any bracket to float64 resolution
+INNER_ITERS = 48
+
+# every per-pair slack is searched inside this fraction of its deadline
+SLACK_BRACKET = (1e-12, 1.0 - 1e-12)
+
+
+def vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
+    """Simultaneous bisection over an array of independent brackets.
+
+    go_right(mid) returns a boolean array marking the entries whose root
+    lies to the right of mid; scalar lo and hi give every entry the same
+    bracket.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        right = go_right(mid)
+        lo = np.where(right, mid, lo)
+        hi = np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _branch_series(c):
+    """z = p - p^2/3 + 11p^3/72 with p = sqrt(2c), the series of the root of
+    -bracket(z) = c about its branch point c = 0."""
+    p = np.sqrt(2.0 * c)
+    return p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p)
+
+
+def exponent_root(c):
+    """The root z > 0 of (z - 1)*e^z + 1 = c, that is -bracket(z) = c.
+
+    It is z = 1 + W0((c - 1)/e) (Corless et al., Adv. Comput. Math.
+    1996). The start is the branch-point series for c < 2 and
+    ln c - ln(ln c - 1) above. Three Halley steps on
+    ln(-bracket(z)) = ln c polish it to float64 resolution; below
+    c = 1e-9 the series alone already is. The root is capped at the
+    exponent cap.
+    """
+    c = np.asarray(c, dtype=float)
+    cc = np.clip(c, 1e-9, _C_TOP)
+    lc = np.log(cc)
+    z = np.where(cc < 2.0, _branch_series(np.minimum(cc, 2.0)),
+                 lc - np.log(np.maximum(lc - 1.0, 1.0)))
+    for _ in range(3):
+        # g = ln(-bracket(z)) - ln c has slope 1/kappa, with
+        # kappa = -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z written without
+        # cancellation for small z
+        em = np.exp(-z)
+        kappa = np.where(z < 0.5, (np.expm1(z) * (z - 1.0) + z) * em / z,
+                         (z - 1.0 + em) / z)
+        g = np.log(kappa * z) + z - lc
+        dkappa = (1.0 - (1.0 + z) * em) / (z * z)
+        z = z - g * kappa / (1.0 + 0.5 * g * dkappa)
+    return np.where(c < 1e-9, _branch_series(np.minimum(c, 1e-9)), z)
+
+
+def price_oracle(beta, mu, d, eta, a):
+    """Cheapest cost per bit of a pair at bandwidth price beta and
+    compute price mu, elementwise.
+
+    At slack t the bandwidth that minimises E + beta*x has
+    z = ln2*L/(x*t) = exponent_root(beta/(a*t)), and its cost per bit is
+    a*ln2*e^z. The pair's cost per bit is
+
+        e = min over 0 < t < D of a*ln2*e^z + mu*eta/(D - t).
+
+    The t derivative, -beta*ln2/(t^2*z) + mu*eta/(D - t)^2, vanishes
+    where beta*ln2*(D - t)^2 = mu*eta*t^2*z: the left side falls in t and
+    the right side rises. The slack bracket is searched through z, which
+    falls as t = beta/(a*c(z)) rises, so the bisection needs no inner
+    root. Returns (e, t, x/L), with x/L = ln2/(t*z) the bandwidth per bit.
+    """
+    b = beta / a
+    ratio = beta * LN2 / (mu * eta)
+
+    def slack(log_z):
+        z = np.exp(log_z)
+        return z, b / -bracket(z)
+
+    def go_right(log_z):
+        z, t = slack(log_z)
+        return ratio * ((d - t) / t) ** 2 < z
+
+    lo, hi = (np.log(exponent_root(b / (d * f))) for f in SLACK_BRACKET[::-1])
+    z, t = slack(vec_bisect(go_right, lo, hi))
+    return a * LN2 * np.exp(z) + mu * eta / (d - t), t, LN2 / (t * z)
 
 
 def data_marginal(L, x, q, d, eta, a):

@@ -478,42 +478,19 @@ def test_bcaa_matches_grid_oracle():
 
 
 class _RoundLog:
-    """Energies seen inside solve_bcaa while installed, in order: the
-    energy after each round's compute step ("round") and, before it, the
-    energy of an extrapolated candidate after its bandwidth step
-    ("candidate")."""
+    """The energies solve_bcaa computes after each round's compute step,
+    in order, while installed."""
 
     def __init__(self, mp):
-        self.events = []
-        self._after_caa = False
-        caa, energy_matrix = kkt._caa_joint, kkt.energy_matrix
-
-        def caa_spy(*args, **kwargs):
-            self._after_caa = True
-            return caa(*args, **kwargs)
+        self.rounds = []
+        energy_matrix = kkt.energy_matrix
 
         def energy_spy(*args, **kwargs):
             out = energy_matrix(*args, **kwargs)
-            kind = "round" if self._after_caa else "candidate"
-            self.events.append((kind, float(out.sum())))
-            self._after_caa = False
+            self.rounds.append(float(out.sum()))
             return out
 
-        mp.setattr(kkt, "_caa_joint", caa_spy)
         mp.setattr(kkt, "energy_matrix", energy_spy)
-
-    @property
-    def rounds(self):
-        return [e for kind, e in self.events if kind == "round"]
-
-    @property
-    def candidates(self):
-        return [e for kind, e in self.events if kind == "candidate"]
-
-    def rejected(self):
-        """Candidates whose energy rose above the round before them."""
-        return [cur for (_, prev), (kind, cur) in zip(self.events, self.events[1:])
-                if kind == "candidate" and cur > prev]
 
 
 def _assert_never_rises(energies, cfg):
@@ -528,7 +505,7 @@ def _bandwidth_records(diag):
 @pytest.fixture(scope="module")
 def tight42():
     """The seed-42 8x4 scenario at D = 0.2 s under the best-SNR binary
-    split: the slow, steadily linear alternation extrapolation targets."""
+    split, where plain alternation converges slowly and steadily."""
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.2)
     return sc, initialize(sc, InitStrategy.binary()), _cfg(sc)
 
@@ -537,13 +514,16 @@ def _check_round_energies(sc, L, cfg, monkeypatch):
     """solve_bcaa under a _RoundLog, checked round by round; returns
     (x, q, log)."""
     log = _RoundLog(monkeypatch)
-    diag = []
-    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag)
-    assert rounds >= 2
+    diag, warm = [], {}
+    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
     assert len(log.rounds) == rounds
     _assert_never_rises(log.rounds, cfg)
-    # each rejected candidate costs one more bandwidth step
-    assert _bandwidth_records(diag) == rounds + len(log.rejected())
+    # the duality gap at the returned prices certifies the answer
+    energy = log.rounds[-1]
+    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"], cfg)
+    assert gap <= cfg.bisect_tol * energy
+    # one bandwidth search prices the cold start, then one per round
+    assert _bandwidth_records(diag) == rounds + 1
     # residuals of every dual search stayed inside tolerance
     assert all(rec.residual <= cfg.bisect_tol for rec in diag)
     return x, q, log
@@ -557,11 +537,6 @@ def test_bcaa_energy_never_rises_between_rounds(monkeypatch):
     _check_round_energies(sc, L, _cfg(sc), monkeypatch)
 
 
-def test_bcaa_energy_never_rises_with_accepted_extrapolation(tight42, monkeypatch):
-    _, _, log = _check_round_energies(*tight42, monkeypatch)
-    assert len(log.candidates) - len(log.rejected()) >= 3
-
-
 def test_bcaa_tight_deadline_converges_in_few_rounds(tight42):
     # plain alternation needs 82 rounds here, shrinking the energy step by
     # a steady factor of about 0.85 per round
@@ -569,29 +544,6 @@ def test_bcaa_tight_deadline_converges_in_few_rounds(tight42):
     sol = solve_fixed_assignment(sc, best_snr_assignment(sc), cfg)
     assert sol.trace.inner_iteration_counts[0] <= 20
     assert sol.energy_j <= 361.6238343 * (1.0 + 1e-9)
-
-
-def test_bcaa_rejected_extrapolation_falls_back_to_plain_step(tight42, monkeypatch):
-    sc, L, cfg = tight42
-    x0, q0, _ = solve_bcaa(sc, L, cfg)
-    e0 = total_energy(sc, Allocation(L, x0, q0), cfg.activity_threshold_bits)
-
-    # the first candidate steps back to the oldest remembered iterate,
-    # whose energy after a bandwidth step is above the latest round's
-    mix = kkt._anderson_mix
-    calls = []
-
-    def step_back_once(qs, gs):
-        calls.append(len(qs))
-        return qs[0] if len(calls) == 1 else mix(qs, gs)
-
-    monkeypatch.setattr(kkt, "_anderson_mix", step_back_once)
-    x, q, log = _check_round_energies(sc, L, cfg, monkeypatch)
-    assert log.rejected()[0] == log.candidates[0]
-    assert x.sum() == pytest.approx(sc.bandwidth_hz, rel=cfg.bisect_tol)
-    assert np.allclose(q.sum(axis=0), sc.compute_capacity, rtol=cfg.bisect_tol, atol=0)
-    e = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
-    assert e == pytest.approx(e0, rel=1e-6)
 
 
 @st.composite
@@ -625,7 +577,9 @@ def test_bcaa_properties_on_random_instances(instance):
     sc, L = instance
     cfg = _cfg(sc)
     with pytest.MonkeyPatch.context() as mp:
-        x, q, _ = _check_round_energies(sc, L, cfg, mp)
+        x, q, log = _check_round_energies(sc, L, cfg, mp)
+    # the pricing leaves one round to do, and its gap certifies it
+    assert len(log.rounds) == 1
     tol = cfg.bisect_tol
     assert abs(x.sum() - sc.bandwidth_hz) <= tol * sc.bandwidth_hz
     act = L > cfg.activity_threshold_bits
@@ -635,6 +589,54 @@ def test_bcaa_properties_on_random_instances(instance):
     d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
     t = d - sc.cycles_per_bit[:, None] * L / np.where(act, q, 1.0)
     assert np.all((t[act] > 0) & (t[act] < d[act]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_fixed_data_instances(), st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5))
+def test_fixed_data_dual_never_exceeds_the_energy(instance, decades):
+    # weak duality: the dual at any prices, here up to three decades off
+    # the returned ones, is a lower bound on the returned energy, and at
+    # the returned prices it is within the relative tolerance of it
+    sc, L = instance
+    cfg = _cfg(sc)
+    warm = {}
+    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    energy = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+    beta, mus = warm["beta"], warm["mus"]
+    assert energy - kkt.fixed_data_dual(sc, L, beta, mus, cfg) <= cfg.bisect_tol * energy
+    shift = 10.0 ** np.array(decades)
+    dual = kkt.fixed_data_dual(sc, L, beta * shift[0], mus * shift[1:sc.num_aps + 1], cfg)
+    assert dual <= energy * (1.0 + 1e-12)
+
+
+def test_pricing_jacobian_matches_central_differences(split12x4):
+    sc, L, cfg = split12x4
+    pairs, col, budgets, _ = kkt._pricing_inputs(sc, L, cfg)
+    warm = {}
+    solve_bcaa(sc, L, cfg, warm=warm)
+    # log prices off the optimum, where the budgets are far from met
+    y = np.log(np.append(warm["beta"], warm["mus"])) + np.array([0.3, -0.2, 0.1, 0.25, -0.3])
+    r, J, _ = kkt._budget_system(y, pairs, col, budgets)
+    assert np.abs(r).max() > 0.1
+    h = 1e-4
+    fd = np.column_stack([(kkt._budget_system(y + h * e, pairs, col, budgets)[0]
+                           - kkt._budget_system(y - h * e, pairs, col, budgets)[0]) / (2.0 * h)
+                          for e in np.eye(y.size)])
+    assert np.abs(fd - J).max() <= 1e-8 * np.abs(J).max()
+
+
+@pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])
+def test_bcaa_prices_beyond_the_dual_range_raise(warm):
+    # one AP loaded to 99.99% of its capacity: its slacks, hence its
+    # bandwidth, leave no rate inside the exponent cap unless both prices
+    # rise above DUAL_RANGE; the cold start's bandwidth search finds that
+    # at the cold slack, and the pricing from warm prices at the range edge
+    params = GenParams(num_users=3, num_aps=1, seed=0)
+    base = generate(params)
+    load = (base.cycles_per_bit * base.task_bits / base.deadlines_s).sum()
+    sc = generate(dataclasses.replace(params, capacity_cps=load / (1.0 - 1e-4)))
+    with pytest.raises(BracketError):
+        solve_bcaa(sc, base.task_bits[:, None], _cfg(sc), warm=warm)
 
 
 def test_bcaa_respects_budgets_on_multi_ap_instance():
@@ -678,8 +680,17 @@ def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
     assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
-def test_bcaa_round_cap_stops_early_with_budgets_exact(split12x4):
-    sc, L, cfg = split12x4
+def _starve_pricing(mp):
+    """Stop the pricing at its start prices, so that the BAA/CAA rounds
+    do all the work."""
+    system = kkt._budget_system
+    mp.setattr(kkt, "_maximise_dual",
+               lambda y, pairs, col, budgets, cfg: (y, system(y, pairs, col, budgets)[2]))
+
+
+def test_bcaa_round_cap_stops_early_with_budgets_exact(tight42, monkeypatch):
+    sc, L, cfg = tight42
+    _starve_pricing(monkeypatch)
     full = solve_bcaa(sc, L, cfg)
     assert full[2] > 2
     x, q, rounds = solve_bcaa(sc, L, cfg, max_rounds=2)
@@ -698,21 +709,23 @@ def test_bcaa_round_cap_stops_early_with_budgets_exact(split12x4):
 
 def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
     sc, L, cfg = split12x4
-    cold = solve_bcaa(sc, L, cfg)
-    d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
-    usable = 0.5 * d
-    assert not np.array_equal(solve_bcaa(sc, L, cfg, warm={"t": usable})[1], cold[1])
-    # one active slack outside (0, deadline), or a slack of another shape
-    unusable = [np.full((L.shape[0], L.shape[1] + 1), 0.1)]
-    for bad in (0.0, -0.1, d[2, 1], 2.0 * d[2, 1], np.nan):
-        t = usable.copy()
-        t[2, 1] = bad
-        unusable.append(t)
-    for t in unusable:
-        warm = solve_bcaa(sc, L, cfg, warm={"t": t})
-        assert np.array_equal(warm[0], cold[0])
-        assert np.array_equal(warm[1], cold[1])
-        assert warm[2] == cold[2]
+    state = {}
+    cold = solve_bcaa(sc, L, cfg, warm=state)
+    beta, mus = state["beta"], state["mus"]
+    usable = {"beta": 2.0 * beta, "mus": 0.5 * mus}
+    assert not np.array_equal(solve_bcaa(sc, L, cfg, warm=usable)[1], cold[1])
+    # a price missing, not finite, not positive, or of the wrong shape
+    unusable = [{"mus": mus}, {"beta": beta}, {"beta": np.array([beta]), "mus": mus},
+                {"beta": beta, "mus": mus[:-1]}]
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        one = mus.copy()
+        one[1] = bad
+        unusable += [{"beta": bad, "mus": mus}, {"beta": beta, "mus": one}]
+    for warm in unusable:
+        out = solve_bcaa(sc, L, cfg, warm=dict(warm, t=state["t"]))
+        assert np.array_equal(out[0], cold[0])
+        assert np.array_equal(out[1], cold[1])
+        assert out[2] == cold[2]
 
 
 @pytest.fixture(scope="module")
@@ -723,16 +736,28 @@ def equal42():
 
 
 @pytest.mark.parametrize("case", ["split12x4", "equal42"])
-def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request):
-    # at fixed prices a pair's optimal slack does not depend on its load,
-    # so the last slack is still a good start after the data step moves L
+def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request, monkeypatch):
+    # the last prices are still a good start after the data step moves L:
+    # the warm pricing skips the cold start's bandwidth search
     sc, L, cfg = request.getfixturevalue(case)
     warm = {}
     x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
     L = solve_daa(sc, x, q, cfg)
-    xw, qw, rw = solve_bcaa(sc, L, cfg, warm=warm)
-    xc, qc, rc = solve_bcaa(sc, L, cfg)
-    assert rw < rc
+    calls = []
+    oracle = kkt.price_oracle
+    monkeypatch.setattr(kkt, "price_oracle", lambda *args: calls.append(1) or oracle(*args))
+
+    def pricing_work(warm):
+        """Price-oracle calls plus bandwidth-search probes of one solve."""
+        diag = []
+        calls.clear()
+        out = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
+        return out, len(calls) + sum(rec.iterations for rec in diag
+                                     if rec.dual.kind == "beta_bandwidth")
+
+    (xw, qw, _), work_warm = pricing_work(warm)
+    (xc, qc, _), work_cold = pricing_work(None)
+    assert work_warm < work_cold
 
     def energy(x, q):
         return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)

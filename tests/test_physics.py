@@ -339,3 +339,55 @@ def test_hessian_finite_differences_at_probe_points():
 def test_hessian_rejects_unknown_pair():
     with pytest.raises(StructuralError):
         hessian_diag(_point(L=1.0, x=1.0, q=2.0), "q_t")
+
+
+# --- bandwidth root and price oracle -------------------------------------
+
+def test_exponent_root_meets_its_equation_over_every_decade():
+    # below c = 1e-9 the branch-point series is the answer, above it three
+    # Halley steps; bracket(z) itself rounds to a few eps*z*(1 + c)
+    c = np.concatenate([np.logspace(-12, 250, 2000), np.linspace(1e-3, 30.0, 500)])
+    z = physics.exponent_root(c)
+    assert np.all(z > 0)
+    resid = np.abs(physics.bracket(z) + c)
+    assert np.all(resid <= 8.0 * np.finfo(float).eps * z * (1.0 + c))
+    assert np.any(c < 1e-9)
+
+
+def _grid_exponents(beta, a, t):
+    """z solving -bracket(z) = beta/(a*t), by plain bisection on log z."""
+    c = beta / (a * t)
+    lo, hi = np.full(c.shape, -40.0), np.full(c.shape, math.log(700.0))
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        right = -physics.bracket(np.exp(mid)) < c
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return np.exp(0.5 * (lo + hi))
+
+
+def test_price_oracle_matches_a_fine_slack_grid():
+    # the cheapest cost per bit a*ln2*e^z + mu*eta/(D - t), minimised over
+    # a 4,000-point grid of slacks: no grid point is cheaper than the
+    # oracle, and the oracle's slack lies within one grid step of the
+    # grid's best
+    rng = np.random.Generator(np.random.PCG64(11))
+    n = 40
+    a = 10.0 ** rng.uniform(-18, -12, n)
+    d = rng.uniform(0.2, 1.0, n)
+    eta = np.full(n, 1e3)
+    beta = 10.0 ** rng.uniform(-14, 0, n)
+    # the compute price that puts the minimiser at a drawn interior slack
+    t_star = d * rng.uniform(0.05, 0.95, n)
+    mu = beta * LN2 * (d - t_star) ** 2 / (eta * t_star ** 2
+                                          * _grid_exponents(beta, a, t_star))
+    e, t, per_bit = physics.price_oracle(beta, mu, d, eta, a)
+    frac = np.linspace(0.0, 1.0, 4002)[1:-1]
+    tg = d[:, None] * frac
+    zg = _grid_exponents(beta[:, None], a[:, None], tg)
+    eg = a[:, None] * LN2 * np.exp(zg) + (mu * eta)[:, None] / (d[:, None] - tg)
+    best = np.argmin(eg, axis=1)
+    assert np.all((best > 0) & (best < frac.size - 1))
+    assert np.all(e <= eg.min(axis=1) * (1.0 + 1e-12))
+    assert np.all(np.abs(t - tg[np.arange(n), best]) <= d * (frac[1] - frac[0]))
+    z = _grid_exponents(beta, a, t)
+    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-9)
