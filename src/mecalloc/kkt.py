@@ -15,12 +15,22 @@ outer search driving each budget sum onto its constraint.
              maximises the fixed-data dual q(beta, mu) by Newton steps
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser, then runs BAA/CAA rounds from those
-             prices until the duality gap certifies the answer.
+             prices until the duality gap certifies the answer;
+  joint_split: the data split of the outer loop's dual step. It
+             maximises a log-sum-exp smoothing of the joint dual
+             G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
+             (`joint_dual`) by Newton steps in the same prices, and
+             splits each task by the soft-argmin weights.
+
+The fixed-data pricing, the joint pricing and the cold start's bandwidth
+price share one safeguarded Newton loop, `_newton`.
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three share one pricing step, _price_budgets: the dual search,
 the final per-pair pass, the residual check, the rescale onto each
-budget and the diag records. It holds the module's only overflow guard.
+budget and the diag records. Overflow warnings are silenced only where
+an overflowed value feeds a sign test or a start that is clipped: in
+this step and in the start of the cold bandwidth price.
 
 Every search runs inside a bracket fixed before it starts. The per-pair
 roots bisect fixed brackets, except the bandwidth root
@@ -78,6 +88,13 @@ MAX_BCAA_ROUNDS = 200
 # longest Newton step of the fixed-data pricing in any log price: ten
 # decades
 MAX_PRICE_STEP = math.log(1e10)
+
+# the joint dual step: the log-sum-exp temperature of each stage as a
+# fraction of each user's cheapest cost per bit, the residual it solves
+# to, and the least soft-argmin weight its split keeps
+JOINT_SMOOTHING = (1e-3, 1e-4)
+JOINT_TOL = 1e-10
+SPLIT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasi
     ConvergenceError. Appends one `kind` record per budget to diag.
 
     Overflowed exponentials inside the searches only ever feed sign
-    tests, so overflow warnings are silenced here, and only here.
+    tests, so overflow warnings are silenced here.
 
     Returns (duals, shares, shares rescaled so each sum is its target).
     """
@@ -393,20 +410,19 @@ def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
     return float(Lv @ e - prices @ budgets)
 
 
-def _budget_system(y, pairs, col, budgets):
-    """Scaled budget residuals of the price-induced allocation and their
-    Jacobian in the log prices y = (ln beta, ln mu of each served AP).
+def _budget_terms(beta, t, s, pairs, col, budgets):
+    """Scaled budget residuals of the allocation the oracle induces at
+    slacks t and bandwidths per bit s, and their Jacobian in the log
+    prices y = (ln beta, ln mu of each served AP), at fixed loads.
 
     The residuals (sum x/B - 1, sum_i q_ij/C_j - 1) are the gradient of
     q(beta, mu) scaled by the budgets. Their Jacobian comes from implicit
     differentiation through the pair's slack root
     H = ln(beta*ln2) + 2 ln(D - t) - ln(mu*eta) - 2 ln t - ln z = 0 and
     the bandwidth root, along which d ln z = k*(d ln beta - d ln t) with
-    k = c*e^-z/z^2, c = beta/(a*t). Returns (residuals, Jacobian, slacks).
+    k = c*e^-z/z^2, c = beta/(a*t).
     """
     Lv, d, eta, a = pairs
-    beta, mu = np.exp(y[0]), np.exp(y[1:])[col]
-    _, t, s = price_oracle(beta, mu, d, eta, a)
     z = LN2 / (t * s)
     k = beta / (a * t) * np.exp(-z) / (z * z)
     h = 2.0 * d / (d - t) - k  # -dH/d ln t
@@ -420,57 +436,228 @@ def _budget_system(y, pairs, col, budgets):
     # d ln(x/L)/d ln mu = (1 - k)/h, which is d ln t/d ln beta
     J[0, 1:] = np.bincount(col, weights=x * dt, minlength=m)
     J[1:, 0] = np.bincount(col, weights=qt * dt, minlength=m)
-    return sums / budgets - 1.0, J / budgets[:, None], t
+    return sums / budgets - 1.0, J / budgets[:, None]
 
 
-def _maximise_dual(y, pairs, col, budgets, cfg):
-    """Safeguarded Newton solve of the scaled budget residuals in the log
-    prices y, which maximises q(beta, mu).
+def _budget_system(y, pairs, col, budgets):
+    """`_budget_terms` at the log prices y, with one oracle call.
+    Returns (residuals, Jacobian, slacks)."""
+    _, d, eta, a = pairs
+    beta = np.exp(y[0])
+    _, t, s = price_oracle(beta, np.exp(y[1:])[col], d, eta, a)
+    return (*_budget_terms(beta, t, s, pairs, col, budgets), t)
+
+
+def _newton(system, y, tol):
+    """Safeguarded Newton solve of system(y) = (r, J, extra): the
+    residuals r, their Jacobian J in the log prices y and whatever the
+    caller wants back from the last accepted iterate.
 
     A step longer than MAX_PRICE_STEP in any price is scaled down as a
     whole, and halved until the residual norm falls. The iterates stay
     inside DUAL_RANGE; a step that would leave it from its edge means the
     root lies beyond, and raises BracketError. Stops once every residual
-    is inside half the relative tolerance, when no step lowers the norm,
-    or after MAX_DUAL_PROBES oracle calls, and returns the best prices
-    with their slacks: the BAA/CAA rounds finish what is left.
+    is inside tol, when J is singular or no step lowers the norm, or after
+    MAX_DUAL_PROBES calls of system. Returns (y, r, extra) of the best
+    iterate and the count of calls.
     """
     edge = np.log(DUAL_RANGE)
-    r, J, t = _budget_system(y, pairs, col, budgets)
+    y = np.clip(y, *edge)
+    r, J, extra = system(y)
     calls = 1
-    while np.abs(r).max() > 0.5 * cfg.bisect_tol and calls < MAX_DUAL_PROBES:
-        step = np.linalg.solve(J, -r)
+    while np.abs(r).max() > tol and calls < MAX_DUAL_PROBES:
+        try:
+            step = np.linalg.solve(J, -r)
+        except np.linalg.LinAlgError:
+            break
+        if not np.all(np.isfinite(step)):  # J singular to working precision
+            break
         step *= min(1.0, MAX_PRICE_STEP / np.abs(step).max())
         if np.any(((y <= edge[0]) & (step < 0)) | ((y >= edge[1]) & (step > 0))):
             raise BracketError(f"dual root outside the range {DUAL_RANGE}")
         norm = np.linalg.norm(r)
         while calls < MAX_DUAL_PROBES:
             y_try = np.clip(y + step, *edge)
-            r_try, J_try, t_try = _budget_system(y_try, pairs, col, budgets)
+            r_try, J_try, extra_try = system(y_try)
             calls += 1
             if np.linalg.norm(r_try) < norm:
                 break
             step *= 0.5
             if np.abs(step).max() < 1e-15:
-                return y, t
+                return y, r, extra, calls
         else:
-            return y, t
-        y, r, J, t = y_try, r_try, J_try, t_try
+            return y, r, extra, calls
+        y, r, J, extra = y_try, r_try, J_try, extra_try
+    return y, r, extra, calls
+
+
+def _maximise_dual(y, pairs, col, budgets, cfg):
+    """Newton solve (`_newton`) of the scaled budget residuals in the log
+    prices y to half the relative tolerance, which maximises q(beta, mu).
+    Returns the best prices with their slacks: the BAA/CAA rounds finish
+    what is left."""
+    y, _, t, _ = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
+                         0.5 * cfg.bisect_tol)
     return y, t
 
 
-def _cold_prices(scenario, L, pairs, col, t, cfg, diag):
-    """Log prices at the slack t: beta from one BAA search there, and for
-    each served AP the L-weighted geometric mean, over its pairs, of the
-    mu that makes t stationary, beta*ln2*(D - t)^2/(eta*t^2*z)."""
+def _slack_prices(log_beta, pairs, col, t):
+    """For each served AP the L-weighted geometric mean, over its pairs,
+    of the compute price that makes the slack t stationary at bandwidth
+    price beta, beta*ln2*(D - t)^2/(eta*t^2*z) with
+    z = exponent_root(beta/(a*t)); returned as logs."""
     Lv, d, eta, a = pairs
-    solve_baa(scenario, t, L, cfg, diag=diag)
-    beta = diag[-1].dual.value
-    tv = t[L > cfg.activity_threshold_bits]
-    z = exponent_root(beta / (a * tv))
-    log_mu = np.log(beta * LN2 / (eta * z)) + 2.0 * np.log((d - tv) / tv)
-    mu = np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv)
-    return np.concatenate(([math.log(beta)], mu))
+    z = exponent_root(np.exp(log_beta) / (a * t))
+    log_mu = log_beta + np.log(LN2 / (eta * z)) + 2.0 * np.log((d - t) / t)
+    return np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv)
+
+
+def _cold_prices(pairs, col, t, B, cfg, diag):
+    """Log prices at the slack t: beta from a scalar Newton solve of the
+    bandwidth budget there, and the compute prices of `_slack_prices`.
+
+    Along the bandwidth root z = exponent_root(beta/(a*t)) the bandwidth
+    per bit is ln2/(t*z) and d ln z/d ln beta = k = c*e^-z/z^2. The solve
+    starts from the L-weighted geometric mean of the prices that give each
+    pair its load's share of B, and appends one beta_bandwidth record to
+    diag.
+    """
+    Lv, _, _, a = pairs
+
+    def budget(y):
+        z = exponent_root(np.exp(y[0]) / (a * t))
+        x = Lv * LN2 / (t * z)
+        k = np.exp(y[0] - z) / (a * t * z * z)
+        return np.array([x.sum() / B - 1.0]), np.array([[-(x @ k) / B]]), z
+
+    with np.errstate(over="ignore"):
+        share = -bracket(Lv.sum() * LN2 / (B * t))
+    y, r, _, calls = _newton(budget, np.array([Lv @ np.log(a * t * share) / Lv.sum()]),
+                             0.5 * cfg.bisect_tol)
+    diag.append(SolveDiagnostic(DualVariable("beta_bandwidth", math.exp(y[0])),
+                                residual=float(abs(r[0])), iterations=calls))
+    return np.append(y, _slack_prices(y[0], pairs, col, t))
+
+
+# ---------------------------------------------------------------------------
+# The joint dual: the split prices choose
+
+def joint_dual(scenario, beta, mus):
+    """The Lagrangian bound of the full problem at bandwidth price beta
+    and M-vector of compute prices mus,
+
+        G(beta, mu) = sum_i T_i*min_j e_ij(beta, mu_j) - beta*B - sum_j mu_j*C_j.
+
+    For fixed prices each pair's Lagrangian is homogeneous of degree one
+    in its load, so by weak duality G never exceeds the energy of any
+    feasible allocation, whatever its data split.
+    """
+    mus = np.asarray(mus, dtype=float)
+    e = price_oracle(beta, mus, scenario.deadlines_s[:, None],
+                     scenario.cycles_per_bit[:, None], scenario.noise_over_gain())[0]
+    return float(scenario.task_bits @ e.min(axis=1) - beta * scenario.bandwidth_hz
+                 - mus @ scenario.compute_capacity)
+
+
+def _joint_inputs(scenario):
+    """What the joint dual depends on besides the prices: the task sizes,
+    all K*M pairs in row-major order as (deadlines, cycles per bit,
+    noise-to-gain ratios), and the budgets (B, then every C_j)."""
+    M = scenario.num_aps
+    pairs = (np.repeat(scenario.deadlines_s, M), np.repeat(scenario.cycles_per_bit, M),
+             scenario.noise_over_gain().ravel())
+    return scenario.task_bits, pairs, np.append(scenario.bandwidth_hz, scenario.compute_capacity)
+
+
+def _joint_system(y, bits, pairs, tau, budgets):
+    """Scaled gradient of the smoothed joint dual
+    G_tau = sum_i T_i*softmin_{tau_i, j} e_ij - beta*B - sum_j mu_j*C_j
+    and its Jacobian in the log prices y = (ln beta, ln mu_1..M), over
+    all K*M pairs in row-major order, with one oracle call.
+
+    The gradient is the scaled budget residual of the loads L = T*w, w
+    the soft-argmin weights, so its Jacobian is `_budget_terms` at those
+    loads plus the weight term
+    -sum_i (T_i/tau_i)*sum_j w_ij*u_ij*(D_ij - Dbar_i)^T, scaled by the
+    budgets. Here u_ij = (x/L, eta/(D - t)) is the pair's budget use per
+    bit, D_ij = p*u_ij the gradient of e_ij in the log prices and Dbar_i
+    the w-weighted mean of D_ij over user i's APs, so the term is
+    -sum_i (T_i/tau_i)*Cov_w(u_i)*diag(p): two nonzeros per u_ij make every
+    entry a column sum. Returns (residuals, Jacobian, (w, e)).
+    """
+    d, eta, a = pairs
+    K, M = bits.size, budgets.size - 1
+    p = np.exp(y)
+    e, t, s = (v.reshape(K, M) for v in price_oracle(p[0], np.tile(p[1:], K), d, eta, a))
+    w = np.exp((e.min(axis=1, keepdims=True) - e) / tau[:, None])
+    w /= w.sum(axis=1, keepdims=True)
+    r, J = _budget_terms(p[0], t.ravel(), s.ravel(), ((bits[:, None] * w).ravel(), d, eta, a),
+                         np.tile(np.arange(M), K), budgets)
+    uc = eta.reshape(K, M) / (d.reshape(K, M) - t)
+    c = (bits / tau)[:, None]
+    cw = c * w
+    U = np.column_stack(((w * s).sum(axis=1), w * uc))  # w-weighted mean u, K x (1 + M)
+    cov = np.diag(np.append((cw * s * s).sum(), (cw * uc * uc).sum(axis=0)))
+    cov[0, 1:] = cov[1:, 0] = (cw * s * uc).sum(axis=0)
+    cov -= (c * U).T @ U
+    return r, J - cov * p / budgets[:, None], (w, e)
+
+
+def joint_split(scenario, beta, mus):
+    """The data split the prices of the joint dual choose.
+
+    Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
+    log prices from (beta, mus) in the stages of JOINT_SMOOTHING: stage k
+    fixes tau_i = kappa_k*min_j e_ij at its start prices and solves to
+    JOINT_TOL by `_newton`. The split is L = T*w at the last stage's
+    soft-argmin weights, with weights below SPLIT_FLOOR dropped and each
+    row rescaled onto its task. With tau -> 0 the bound tends to
+    G(beta, mu) (`joint_dual`), whose maximum nearly always meets the
+    energy: the time-sharing argument of Yu & Lui (IEEE Trans. Commun.
+    2006), with the log-sum-exp smoothing of Nesterov (Math. Program.
+    2005).
+
+    An AP whose residual sits at -1 when a solve stalls serves no one: its
+    price belongs at zero, where G's slope in log mu vanishes. Such an AP
+    is held at the bottom of DUAL_RANGE, out of the system, and the stage
+    solved again; the stage fails when a held AP's capacity would then be
+    exceeded. Returns (L, beta, mus), or None when a stage misses the
+    tolerance, its Jacobian is singular or its root lies beyond
+    DUAL_RANGE.
+    """
+    K, M = scenario.num_users, scenario.num_aps
+    bits, pairs, budgets = _joint_inputs(scenario)
+    y = np.log(np.clip(np.append(beta, mus), *DUAL_RANGE))
+    e = price_oracle(math.exp(y[0]), np.tile(np.exp(y[1:]), K), *pairs)[0].reshape(K, M)
+    held = np.zeros(M + 1, dtype=bool)
+
+    def system(v, tau):  # the prices not held; returns all residuals too
+        y[~held] = v
+        r, J, extra = _joint_system(y, bits, pairs, tau, budgets)
+        return r[~held], J[np.ix_(~held, ~held)], (r, extra)
+
+    try:
+        for kappa in JOINT_SMOOTHING:
+            tau = kappa * e.min(axis=1)
+            while True:
+                v, r_free, (r, (w, e)), _ = _newton(lambda v: system(v, tau), y[~held],
+                                                    JOINT_TOL)
+                y[~held] = v
+                if np.abs(r_free).max() <= JOINT_TOL:
+                    break
+                idle = ~held & (r <= -1.0 + JOINT_TOL)
+                idle[0] = False
+                if not idle.any():
+                    return None
+                held |= idle
+                y[idle] = math.log(DUAL_RANGE[0])
+            if np.any(r[held] > JOINT_TOL):
+                return None
+    except BracketError:
+        return None
+    w = np.where(w >= SPLIT_FLOOR, w, 0.0)
+    p = np.exp(y)
+    return bits[:, None] * w / w.sum(axis=1, keepdims=True), p[0], p[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -500,15 +687,18 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     refreshes between calls of one outer loop: the bandwidth price
     "beta" and M-vector of compute prices "mus" (1.0 at APs not priced)
     start the pricing, and the last K x M slack "t" is kept beside them.
-    Prices that are missing, not finite, not positive or of the wrong
-    shape void the whole warm state. The cold start prices the slack
-    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D
-    (`_cold_prices`, one BAA search). The compute step checks no input;
-    this function checks once, before the pricing: only APs that serve an
-    active pair are priced, BAA gives each active pair bandwidth, and an
-    AP whose least load sum_i eta*L/D reaches its capacity raises
-    InfeasibilityError. A price root beyond DUAL_RANGE raises
-    BracketError.
+    An AP that the slack "t" shows idle (its slack is the deadline for
+    every user) has no warm price: it starts from the price that makes
+    the cold slack below stationary (`_slack_prices`). Prices that are
+    missing, not finite, not positive or of the wrong shape void the
+    whole warm state. The cold start prices the slack D*(1 - load_j/C_j)
+    of the capacity split proportional to eta*L/D (`_cold_prices`: one
+    scalar Newton solve of the bandwidth budget). The compute step checks
+    no input; this function checks once, before the pricing: only APs
+    that serve an active pair are priced, BAA gives each active pair
+    bandwidth, and an AP whose least load sum_i eta*L/D reaches its
+    capacity raises InfeasibilityError. A price root beyond DUAL_RANGE
+    raises BracketError.
 
     Returns (x, q, rounds), with x and q K x M.
     """
@@ -542,10 +732,16 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     beta, mus = warm.get("beta"), warm.get("mus")
     prices = (np.append(np.asarray(beta, dtype=float), mus)
               if np.shape(beta) == () and np.shape(mus) == cap.shape else np.array([np.nan]))
+    t = (d * (1.0 - load / cap))[act]
     if np.all(np.isfinite(prices) & (prices > 0)):
         y = np.log(np.append(prices[0], prices[1:][aps]))
+        if np.shape(warm.get("t")) == L.shape:
+            # an AP the warm state's split left idle (its slack is the
+            # deadline everywhere) has no price yet
+            idle = np.all(warm["t"] == d, axis=0)[aps]
+            y[1:][idle] = _slack_prices(y[0], pairs, col, t)[idle]
     else:
-        y = _cold_prices(scenario, L, pairs, col, d * (1.0 - load / cap), cfg, steps)
+        y = _cold_prices(pairs, col, t, scenario.bandwidth_hz, cfg, steps)
     y, tv = _maximise_dual(y, pairs, col, budgets, cfg)
     t = np.broadcast_to(d, L.shape).copy()
     t[act] = tv

@@ -1,14 +1,19 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
 The full solver minimises the re-balanced energy F(L), the least energy
-the bandwidth/compute re-balance reaches at data split L. Each round
-takes one projected reduced-gradient step on L: by the envelope theorem
-the gradient of F is the partial dE/dL at the last re-balance's (x, q),
-the step is projected onto each user's task simplex on its current
-support, and a backtracking line search accepts the first trial whose
-capped warm re-balance strictly lowers the energy, starting from the
-Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
-outer energies fall strictly until a round's decrement meets the stop.
+the bandwidth/compute re-balance reaches at data split L. Round 1 first
+tries the dual step: the split that the prices of the joint Lagrangian
+dual choose (`kkt.joint_split`), kept when its re-balance lowers the
+energy. Every other round, and round 1 when the dual step is declined or
+does not lower the energy, takes one projected reduced-gradient step on
+L: by the envelope theorem the gradient of F is the partial dE/dL at the
+last re-balance's (x, q), inactive pairs cheaper at the current prices
+than their user's best pair join the support, the step is projected onto
+each user's task simplex on that support, and a backtracking line search
+accepts the first trial whose capped warm re-balance strictly lowers the
+energy, starting from the Barzilai-Borwein step length (IMA J. Numer.
+Anal. 1988). So the outer energies fall strictly until a round's
+decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -22,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import solve_bcaa, solve_daa  # noqa: F401  (solve_daa: see above)
+from .kkt import DUAL_RANGE, joint_split, solve_bcaa
+from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
     BracketError,
@@ -36,7 +42,7 @@ from .model import (
     deadline_slack,
     is_count,
 )
-from .physics import data_marginal, energy_matrix, total_energy
+from .physics import data_marginal, energy_matrix, price_oracle, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 
@@ -44,6 +50,10 @@ _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 # trial step before a round gives up
 BALANCE_ROUNDS = 2
 MIN_STEP = 1e-8
+
+# an inactive pair joins the support when its cost per bit at the warm
+# prices is below (1 - ENTRY_TOL) times its user's least active gradient
+ENTRY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,7 +110,8 @@ class SolveTrace:
     re-balance rounds each outer round spent, summed over every trial
     step of the round, rejected ones included (a re-balance that raises
     adds none); a re-balance round is one compute step (CAA) after one
-    bandwidth step (BAA).
+    bandwidth step (BAA). Round 1's count includes the re-balance of the
+    dual step's split, which may be all of it.
     """
 
     outer_energies_j: tuple
@@ -192,28 +203,85 @@ def _projected_step(L, G, act, bits, alpha, thr):
     return np.where((act.sum(axis=1) >= 2)[:, None], w, L)
 
 
+def _rebalance(scenario, L, cfg, warm):
+    """Capped warm re-balance of a trial split from a copy of warm.
+    Returns (energy, x, q, rounds, warm copy); a split the re-balance
+    cannot price, such as one whose compute dual lies beyond DUAL_RANGE,
+    gets an infinite energy."""
+    warm = dict(warm)
+    try:
+        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm, max_rounds=BALANCE_ROUNDS)
+        return _energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, n, warm
+    except (InfeasibilityError, InfeasiblePairError, BracketError):
+        return np.inf, None, None, 0, warm
+
+
+def _entry_costs(scenario, act, warm):
+    """Cheapest cost per bit e_ij (`physics.price_oracle`) of each
+    inactive pair at the warm prices, +inf on the active pairs. An AP
+    that serves no active pair has no price yet, and enters at the bottom
+    of the dual range: its capacity is free."""
+    e = np.full(act.shape, np.inf)
+    i, j = np.nonzero(~act)
+    mus = np.where(act.any(axis=0), warm["mus"], DUAL_RANGE[0])
+    e[i, j] = price_oracle(warm["beta"], mus[j], scenario.deadlines_s[i],
+                           scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])[0]
+    return e
+
+
+def _direction(scenario, L, x, q, warm, thr):
+    """The support and row-scaled direction of a gradient round at split L.
+
+    Every inactive pair whose cost per bit at the warm prices
+    (`_entry_costs`) is below (1 - ENTRY_TOL) times its user's least
+    active gradient joins the support, with that cost as its gradient.
+    The user's mean gradient would be the KKT test, and the two agree at a
+    stationary split; away from one, pairs cheaper than the mean but
+    dearer than the best pair turned the step away from splits the plain
+    step reaches. Returns (support, G = T*(g/nu - 1), whether a pair
+    entered), with nu_i the load-weighted mean of user i's gradient.
+    """
+    act = L > thr
+    g = _reduced_gradient(scenario, L, x, q, act)
+    nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
+    e = _entry_costs(scenario, act, warm)
+    enter = e < np.where(act, g, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
+    g = np.where(enter, e, g)
+    return act | enter, scenario.task_bits[:, None] * (g / nu[:, None] - 1.0), bool(enter.any())
+
+
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
-    """Projected reduced-gradient descent on the data split until the
-    energy gap of a round falls below the configured threshold.
+    """A dual step, then projected reduced-gradient descent on the data
+    split until the energy gap of a round falls below the configured
+    threshold.
 
     The objective is F(L), the energy after the bandwidth/compute
     re-balance at data split L. The first re-balance runs on the raw
-    initial split to tolerance. Each round then takes one projected step
-    along the gradient of F, which by the envelope theorem is dE/dL at
-    the re-balanced (x, q) (`_reduced_gradient`, `_projected_step`). Each
-    trial is followed by a warm re-balance of at most BALANCE_ROUNDS
-    rounds from a copy of the warm state, which only `solve_bcaa` reads.
-    The step size starts at the BB1 length s.s/s.y, with s the last
-    change of L and y the change of the row-scaled direction
-    G = T*(g/nu - 1) over the active pairs, clipped to [MIN_STEP, 1] (1 in
-    the first round or when s.y <= 0), and halves until the trial energy
-    is strictly lower; a trial that is infeasible, or whose re-balance
-    finds a dual outside its range, counts as a rejection. A round whose
-    step moves no load, or whose step falls below MIN_STEP, lowers the
-    energy by zero. The loop stops at the end of the first round that
-    lowers the energy by at most epsilon_j, which may be the last allowed
-    round.
+    initial split to tolerance. Round 1 first tries the split that the
+    prices of the joint dual choose (`kkt.joint_split`, started from the
+    first re-balance's prices), re-balanced warm from those prices; it is
+    accepted when its energy is strictly lower. When it is declined or
+    not lower, round 1 is a gradient round like every later one.
+
+    A gradient round first lets the support grow (`_direction`): every
+    inactive pair whose cost per bit at the warm prices is below its
+    user's least active gradient joins the support with that cost as its
+    gradient. It then takes one projected step along the gradient of F,
+    which by the envelope theorem is dE/dL at the re-balanced (x, q)
+    (`_reduced_gradient`, `_projected_step`). Each trial is followed by a
+    warm re-balance of at most BALANCE_ROUNDS rounds from a copy of the
+    warm state, which only `solve_bcaa` reads (`_rebalance`). The step
+    size starts at the BB1 length s.s/s.y, with s the last change of L and
+    y the change of the row-scaled direction G = T*(g/nu - 1) over the
+    support, clipped to [MIN_STEP, 1] (1 in the first gradient round and
+    when s.y <= 0), and halves until the trial energy is strictly lower; a
+    trial that is infeasible, or whose re-balance finds a dual outside its
+    range, counts as a rejection. A round whose step moves no load, or
+    whose step falls below MIN_STEP, lowers the energy by zero. The loop
+    stops at the end of the first round that lowers the energy by zero,
+    or by at most epsilon_j while no pair is left to enter; that may be
+    the last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
@@ -229,47 +297,49 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     inner_counts = [rounds]
     walls = [time.perf_counter() - t0]
 
-    L_last = G_last = None
+    L_last = G_last = direction = None
     converged = False
-    for _ in range(cfg.max_outer_iters):
+    for k in range(cfg.max_outer_iters):
         t_iter = time.perf_counter()
-        act = L > thr
-        # row-scaled direction T*(g/nu - 1), nu the load-weighted mean of g
-        g = _reduced_gradient(scenario, L, x, q, act)
-        nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
-        G = bits[:, None] * (g / nu[:, None] - 1.0)
         rounds = 0
-        trial = 1.0
-        if L_last is not None:
-            # BB1 step s.s/s.y over the active pairs, from the last step
-            s, y = (L - L_last)[act], (G - G_last)[act]
-            if s @ y > 0:
-                trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
-        L_last, G_last = L, G
-        while trial >= MIN_STEP:
-            L_try = _projected_step(L, G, act, bits, trial, thr)
-            if np.array_equal(L_try, L):
-                break
-            warm_try = dict(warm)
-            try:
-                x_try, q_try, n = solve_bcaa(scenario, L_try, cfg, warm=warm_try,
-                                             max_rounds=BALANCE_ROUNDS)
-                rounds += n
-                e_try = _energy(scenario, L_try, x_try, q_try, thr)
-            except (InfeasibilityError, InfeasiblePairError, BracketError):
-                # a split the re-balance cannot price, such as one whose
-                # compute dual lies beyond DUAL_RANGE, is rejected
-                e_try = np.inf
+        dual = (joint_split(scenario, warm["beta"], warm["mus"])
+                if k == 0 and scenario.num_aps > 1 else None)
+        if dual is not None and not np.array_equal(dual[0], L):
+            e_try, x_try, q_try, rounds, warm_try = _rebalance(
+                scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))
             if e_try < energy:
-                L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
-                break
-            trial *= 0.5
+                L, x, q, warm, energy, direction = dual[0], x_try, q_try, warm_try, e_try, None
+            else:
+                dual = None
+        if dual is None:
+            act, G, _ = direction = direction or _direction(scenario, L, x, q, warm, thr)
+            trial = 1.0
+            if L_last is not None:
+                # BB1 step s.s/s.y over the support, from the last step
+                s, y = (L - L_last)[act], (G - G_last)[act]
+                if s @ y > 0:
+                    trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
+            L_last, G_last = L, G
+            while trial >= MIN_STEP:
+                L_try = _projected_step(L, G, act, bits, trial, thr)
+                if np.array_equal(L_try, L):
+                    break
+                e_try, x_try, q_try, n, warm_try = _rebalance(scenario, L_try, cfg, warm)
+                rounds += n
+                if e_try < energy:
+                    L, x, q, warm, energy, direction = L_try, x_try, q_try, warm_try, e_try, None
+                    break
+                trial *= 0.5
         outer.append(energy)
         inner_counts.append(rounds)
         walls.append(time.perf_counter() - t_iter)
         if outer[-2] - energy <= cfg.epsilon_j:
-            converged = True
-            break
+            # a round that lowered the energy only stops the loop when no
+            # pair is left to enter
+            direction = direction or _direction(scenario, L, x, q, warm, thr)
+            if energy == outer[-2] or not direction[2]:
+                converged = True
+                break
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(

@@ -139,7 +139,10 @@ def price_oracle(beta, mu, d, eta, a):
         return ratio * ((d - t) / t) ** 2 < z
 
     lo, hi = (np.log(exponent_root(b / (d * f))) for f in SLACK_BRACKET[::-1])
-    z, t = slack(vec_bisect(go_right, lo, hi))
+    # at a compute price near zero the left side overflows, and only
+    # feeds the sign test
+    with np.errstate(over="ignore"):
+        z, t = slack(vec_bisect(go_right, lo, hi))
     return a * LN2 * np.exp(z) + mu * eta / (d - t), t, LN2 / (t * z)
 
 

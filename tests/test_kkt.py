@@ -625,6 +625,33 @@ def test_pricing_jacobian_matches_central_differences(split12x4):
     assert np.abs(fd - J).max() <= 1e-8 * np.abs(J).max()
 
 
+@pytest.mark.parametrize("kappa", kkt.JOINT_SMOOTHING)
+def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
+    # the smoothed joint dual near the prices of the dual step, where the
+    # soft-argmin splits a user over two or more APs
+    sc, _, cfg = tight42
+    warm = {}
+    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
+    _, beta, mus = kkt.joint_split(sc, warm["beta"], warm["mus"])
+    bits, pairs, budgets = kkt._joint_inputs(sc)
+    y = np.log(np.append(beta, mus)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
+    p = np.exp(y)
+    e = kkt.price_oracle(p[0], np.tile(p[1:], sc.num_users), *pairs)[0]
+    tau = kappa * e.reshape(sc.num_users, -1).min(axis=1)
+    r, J, (w, _) = kkt._joint_system(y, bits, pairs, tau, budgets)
+    assert np.abs(r).max() > 1e-3
+    assert np.any((w > 1e-3).sum(axis=1) >= 2)
+    # the weights vary on the scale tau, so the difference step follows it
+    h = 3e-4 * kappa
+
+    def residuals(y):
+        return kkt._joint_system(y, bits, pairs, tau, budgets)[0]
+
+    fd = np.column_stack([(residuals(y + h * e) - residuals(y - h * e)) / (2.0 * h)
+                          for e in np.eye(y.size)])
+    assert np.abs(fd - J).max() <= 1e-7 * np.abs(J).max()
+
+
 @pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])
 def test_bcaa_prices_beyond_the_dual_range_raise(warm):
     # one AP loaded to 99.99% of its capacity: its slacks, hence its
@@ -726,6 +753,48 @@ def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
         assert np.array_equal(out[0], cold[0])
         assert np.array_equal(out[1], cold[1])
         assert out[2] == cold[2]
+
+
+def test_cold_bandwidth_price_is_the_bandwidth_search_root_in_fewer_calls(split12x4):
+    # the cold start's scalar Newton solve meets the bandwidth budget at
+    # the cold slack, where the BAA search also finds its root
+    sc, L, cfg = split12x4
+    pairs, col, _, _ = kkt._pricing_inputs(sc, L, cfg)
+    d = sc.deadlines_s[:, None]
+    load = (sc.cycles_per_bit[:, None] * L / d).sum(axis=0)
+    t = np.broadcast_to(d * (1.0 - load / sc.compute_capacity), L.shape)
+    newton, search = [], []
+    y = kkt._cold_prices(pairs, col, t[L > 0], sc.bandwidth_hz, cfg, newton)
+    solve_baa(sc, t, L, cfg, diag=search)
+    assert math.exp(y[0]) == newton[0].dual.value
+    assert newton[0].dual.value == pytest.approx(search[0].dual.value, rel=cfg.bisect_tol)
+    assert newton[0].residual <= 0.5 * cfg.bisect_tol
+    assert 4 * newton[0].iterations < search[0].iterations
+
+
+def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
+    # the warm state holds no price for AP 3, only the placeholder 1.0,
+    # so the pricing starts that AP from the price that makes the cold
+    # slack stationary; from 1.0 its Newton solve makes no progress and
+    # the round's compute search leaves the dual range
+    sc, L, cfg = split12x4
+    idle = L.copy()
+    idle[:, 3] = 0.0
+    idle *= 4.0 / 3.0
+    warm = {}
+    solve_bcaa(sc, idle, cfg, warm=warm)
+    assert warm["mus"][3] == 1.0
+    calls = []
+    system = kkt._budget_system
+    monkeypatch.setattr(kkt, "_budget_system", lambda *args: calls.append(1) or system(*args))
+    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
+    assert rounds == 1
+    assert len(calls) <= 10
+
+    def energy(x, q):
+        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+
+    assert energy(x, q) <= energy(*solve_bcaa(sc, L, cfg)[:2]) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
 @pytest.fixture(scope="module")

@@ -230,9 +230,15 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_capped_rebalance(
     assert np.allclose(g, form, rtol=1e-7, atol=0)
 
 
+def _decline_dual_step(monkeypatch):
+    """Make round 1 a gradient round, as every later one."""
+    monkeypatch.setattr(orchestrate, "joint_split", lambda *args: None)
+
+
 def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
-    # at D = 0.2 s this 3x2 solve rejects at least one trial step; the
+    # at D = 0.2 s this 3x2 solve rejects at least one gradient trial; the
     # rounds its re-balance spent still count
+    _decline_dual_step(monkeypatch)
     sc = generate(GenParams(num_users=3, num_aps=2, deadline_s=0.2, seed=1))
     spent = []
     rebalance = orchestrate.solve_bcaa
@@ -250,8 +256,9 @@ def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
 
 
 def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
-    # the first trial step loads AP 0 to 99.9% of its capacity, and the
-    # compute dual that split needs lies above the dual search range
+    # the first gradient trial loads AP 0 to 99.9% of its capacity, and
+    # the compute dual that split needs lies above the dual search range
+    _decline_dual_step(monkeypatch)
     sc = make_scenario([[1.88105189e-07, 4.26221231e-11, 5.78186228e-11],
                         [2.22414308e-11, 2.05850297e-09, 5.28408061e-12],
                         [2.12932352e-11, 3.93789650e-11, 1.46234383e-10]],
@@ -301,6 +308,7 @@ def _trials_per_round(monkeypatch):
 
 
 def test_step_starts_at_one_then_at_the_spectral_length(monkeypatch):
+    _decline_dual_step(monkeypatch)
     rounds = _trials_per_round(monkeypatch)
     sc = _tight42()
     solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=6))
@@ -316,6 +324,7 @@ def test_step_starts_at_one_then_at_the_spectral_length(monkeypatch):
 def test_step_restarts_at_one_without_positive_curvature(monkeypatch):
     # a gradient frozen at its first value makes the second round's G
     # differ from the first only through nu, and s.y < 0
+    _decline_dual_step(monkeypatch)
     rounds = _trials_per_round(monkeypatch)
     first = []
     gradient = orchestrate._reduced_gradient
@@ -384,6 +393,53 @@ def test_outer_loop_properties_on_random_instances(instance):
     assert validate(sc, sol.allocation, cfg).ok
     start = solve_fixed_data(sc, initialize(sc, strategy), cfg)
     assert sol.energy_j <= start.energy_j
+
+
+def _spy_dual_step(monkeypatch):
+    """Record what every call of `kkt.joint_split` returns."""
+    steps = []
+    split = orchestrate.joint_split
+
+    def spy(*args):
+        steps.append(split(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(orchestrate, "joint_split", spy)
+    return steps
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_outer_instances())
+def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
+    # weak duality of the full problem: G(beta, mu) at any prices, here
+    # those of the dual step, never exceeds a feasible energy
+    sc, strategy = instance
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
+    with pytest.MonkeyPatch.context() as mp:
+        steps = _spy_dual_step(mp)
+        sol = solve_iterative(sc, strategy, cfg)
+    for _, beta, mus in filter(None, steps):
+        assert kkt.joint_dual(sc, beta, mus) <= sol.energy_j * (1.0 + 1e-12)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_outer_instances())
+def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instance):
+    # the entry test leaves no pair out whose cost per bit at the answer's
+    # prices is below its user's marginal nu_i
+    sc, strategy = instance
+    cfg = SolveConfig.for_scenario(sc)
+    sol = solve_iterative(sc, strategy, cfg)
+    if not sol.converged:
+        return
+    L, x, q = sol.allocation.data, sol.allocation.bandwidth, sol.allocation.compute
+    act = L > cfg.activity_threshold_bits
+    warm = {}  # the answer's prices: the fixed-data dual has one maximiser
+    solve_bcaa(sc, L, cfg, warm=warm)
+    g = _reduced_gradient(sc, L, x, q, act)
+    nu = (L * g).sum(axis=1) / L.sum(axis=1)
+    e = orchestrate._entry_costs(sc, act, warm)
+    assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
 
 
 def test_delay_monotonicity_small_instance():
