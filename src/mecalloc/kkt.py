@@ -14,8 +14,9 @@ outer search driving each budget sum onto its constraint.
   solve_bcaa: bandwidth and compute for a fixed data split. It first
              maximises the fixed-data dual q(beta, mu) by Newton steps
              in the 1 + M log prices, with `physics.price_oracle` giving
-             each pair's minimiser, then runs BAA/CAA rounds from those
-             prices until the duality gap certifies the answer;
+             each pair's minimiser (`price_split`, which also runs on its
+             own), then runs BAA/CAA rounds from those prices until the
+             duality gap certifies the answer;
   joint_split: the data split of the outer loop's dual step. It
              maximises a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
@@ -403,11 +404,14 @@ def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
     budgets at this data split (Boyd & Vandenberghe, Convex Optimization,
     sec. 5.5), and its maximum is the fixed-data optimum.
     """
-    (Lv, d, eta, a), col, budgets, aps = _pricing_inputs(
-        scenario, np.asarray(L, dtype=float), cfg)
+    return _dual_value(beta, mus, *_pricing_inputs(scenario, np.asarray(L, dtype=float), cfg))
+
+
+def _dual_value(beta, mus, pairs, col, budgets, aps):
+    """`fixed_data_dual` from the inputs `_pricing_inputs` built."""
     prices = np.append(beta, np.asarray(mus, dtype=float)[aps])
-    e = price_oracle(beta, prices[1:][col], d, eta, a)[0]
-    return float(Lv @ e - prices @ budgets)
+    e = price_oracle(beta, prices[1:][col], *pairs[1:])[0]
+    return float(pairs[0] @ e - prices @ budgets)
 
 
 def _budget_terms(beta, t, s, pairs, col, budgets):
@@ -663,25 +667,74 @@ def joint_split(scenario, beta, mus):
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
 
+def price_split(scenario, L, cfg: SolveConfig, warm):
+    """The pricing of `solve_bcaa` without its rounds: the input checks
+    and the maximisation of the fixed-data dual of split L. Fills warm
+    with its prices and slack, and returns q(beta, mu) at those prices
+    (`fixed_data_dual`), a lower bound on every energy at split L."""
+    inputs = _price(scenario, np.asarray(L, dtype=float), cfg, warm, [])
+    return _dual_value(warm["beta"], warm["mus"], *inputs)
+
+
+def _price(scenario, L, cfg, warm, diag):
+    """`price_split`, with the cold start's record appended to diag;
+    returns the `_pricing_inputs` of split L."""
+    act = L > cfg.activity_threshold_bits
+    if not act.any():
+        raise DegenerateInputError("no active pairs")
+    d = scenario.deadlines_s[:, None]
+    cap = scenario.compute_capacity
+    # an AP's least load: the compute its active pairs need at zero slack
+    load = np.where(act, scenario.cycles_per_bit[:, None] * L / d, 0.0).sum(axis=0)
+    inputs = pairs, col, budgets, aps = _pricing_inputs(scenario, L, cfg)
+    over = act.any(axis=0) & (load >= cap)
+    if over.any():
+        j = int(np.argmax(over))
+        raise InfeasibilityError(
+            f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
+            f"{cap[j]:.6g}", ap=j)
+
+    beta, mus = warm.get("beta"), warm.get("mus")
+    prices = (np.append(np.asarray(beta, dtype=float), mus)
+              if np.shape(beta) == () and np.shape(mus) == cap.shape else np.array([np.nan]))
+    t = (d * (1.0 - load / cap))[act]
+    if np.all(np.isfinite(prices) & (prices > 0)):
+        y = np.log(np.append(prices[0], prices[1:][aps]))
+        if np.shape(warm.get("t")) == L.shape:
+            # an AP the warm state's split left idle (its slack is the
+            # deadline everywhere) has no price yet
+            idle = np.all(warm["t"] == d, axis=0)[aps]
+            y[1:][idle] = _slack_prices(y[0], pairs, col, t)[idle]
+    else:
+        y = _cold_prices(pairs, col, t, scenario.bandwidth_hz, cfg, diag)
+    y, tv = _maximise_dual(y, pairs, col, budgets, cfg)
+    t = np.broadcast_to(d, L.shape).copy()
+    t[act] = tv
+    mus = np.ones(scenario.num_aps)
+    mus[aps] = np.exp(y[1:])
+    warm.update(t=t, beta=math.exp(y[0]), mus=mus)
+    return inputs
+
+
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=None):
     """Jointly optimal (x, q) for a fixed data split.
 
-    First the prices: a safeguarded Newton solve (`_maximise_dual`) over
-    the log bandwidth price and the log compute prices of the served APs
-    maximises the fixed-data dual q(beta, mu) (`fixed_data_dual`). Then
-    rounds of the bandwidth and per-AP compute solvers, each solving its
-    block exactly: a round is one BAA call at the current slack and one
-    CAA call at its bandwidth, q -> CAA(BAA(t(q))). The first round starts
-    from the slack the pricing found, and its dual searches from the
-    pricing's prices, so each usually takes one probe. The loop stops as
-    soon as a round's duality gap E - q(beta, mu), at that round's own BAA
-    and CAA prices, is at most bisect_tol*E: the answer is then certified
-    optimal to that relative tolerance. It also stops once a round
-    improves energy by less than a tenth of the outer tolerance, or after
-    max_rounds rounds when that is given; without it, MAX_BCAA_ROUNDS
-    rounds that still improve raise ConvergenceError. The returned (x, q)
-    always come straight from a BAA and a CAA call, so both budgets hold
-    to the search tolerance.
+    First the prices (`price_split`): a safeguarded Newton solve
+    (`_maximise_dual`) over the log bandwidth price and the log compute
+    prices of the served APs maximises the fixed-data dual q(beta, mu)
+    (`fixed_data_dual`). Then rounds of the bandwidth and per-AP compute
+    solvers, each solving its block exactly: a round is one BAA call at
+    the current slack and one CAA call at its bandwidth,
+    q -> CAA(BAA(t(q))). The first round starts from the slack the pricing
+    found, and its dual searches from the pricing's prices, so each
+    usually takes one probe. The loop stops as soon as a round's duality
+    gap E - q(beta, mu), at that round's own BAA and CAA prices, is at
+    most bisect_tol*E: the answer is then certified optimal to that
+    relative tolerance. It also stops once a round improves energy by less
+    than a tenth of the outer tolerance, or after max_rounds rounds when
+    that is given; without it, MAX_BCAA_ROUNDS rounds that still improve
+    raise ConvergenceError. The returned (x, q) always come straight from
+    a BAA and a CAA call, so both budgets hold to the search tolerance.
 
     warm, when given, is a caller-owned dict this function reads and
     refreshes between calls of one outer loop: the bandwidth price
@@ -705,48 +758,13 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
     L = np.asarray(L, dtype=float)
     thr = cfg.activity_threshold_bits
     act = L > thr
-    if not act.any():
-        raise DegenerateInputError("no active pairs")
     d = scenario.deadlines_s[:, None]
     eta = scenario.cycles_per_bit[:, None]
-    cap = scenario.compute_capacity
-    # an AP's least load: the compute its active pairs need at zero slack
-    load = np.where(act, eta * L / d, 0.0).sum(axis=0)
-    pairs, col, budgets, aps = _pricing_inputs(scenario, L, cfg)
-    aps = aps.tolist()
-    over = act.any(axis=0) & (load >= cap)
-    if over.any():
-        j = int(np.argmax(over))
-        raise InfeasibilityError(
-            f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
-            f"{cap[j]:.6g}", ap=j)
-
-    def slack_of(q):  # inactive pairs keep their whole deadline
-        return deadline_slack(d, eta, L, np.where(act, q, np.inf))
-
-    def energy_at(x, t):
-        return float(energy_matrix(scenario, L, x, t, thr).sum())
-
     steps = []
     warm = warm if warm is not None else {}
-    beta, mus = warm.get("beta"), warm.get("mus")
-    prices = (np.append(np.asarray(beta, dtype=float), mus)
-              if np.shape(beta) == () and np.shape(mus) == cap.shape else np.array([np.nan]))
-    t = (d * (1.0 - load / cap))[act]
-    if np.all(np.isfinite(prices) & (prices > 0)):
-        y = np.log(np.append(prices[0], prices[1:][aps]))
-        if np.shape(warm.get("t")) == L.shape:
-            # an AP the warm state's split left idle (its slack is the
-            # deadline everywhere) has no price yet
-            idle = np.all(warm["t"] == d, axis=0)[aps]
-            y[1:][idle] = _slack_prices(y[0], pairs, col, t)[idle]
-    else:
-        y = _cold_prices(pairs, col, t, scenario.bandwidth_hz, cfg, steps)
-    y, tv = _maximise_dual(y, pairs, col, budgets, cfg)
-    t = np.broadcast_to(d, L.shape).copy()
-    t[act] = tv
-    beta, mus = math.exp(y[0]), np.ones(scenario.num_aps)
-    mus[aps] = np.exp(y[1:])
+    inputs = _price(scenario, L, cfg, warm, steps)
+    aps = inputs[3].tolist()
+    t, beta, mus = warm["t"], warm["beta"], warm["mus"]
 
     eps_inner = cfg.epsilon_j / 10.0
     energy_prev = None
@@ -755,9 +773,10 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=N
         x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta)
         beta = steps[-1].dual.value
         q, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
-        t = slack_of(q)
-        energy = energy_at(x, t)
-        if (energy - fixed_data_dual(scenario, L, beta, mus, cfg) <= cfg.bisect_tol * energy
+        # inactive pairs keep their whole deadline
+        t = deadline_slack(d, eta, L, np.where(act, q, np.inf))
+        energy = float(energy_matrix(scenario, L, x, t, thr).sum())
+        if (energy - _dual_value(beta, mus, *inputs) <= cfg.bisect_tol * energy
                 or rounds == max_rounds
                 or (energy_prev is not None and energy_prev - energy <= eps_inner)):
             break

@@ -1,15 +1,15 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
 The full solver minimises the re-balanced energy F(L), the least energy
-the bandwidth/compute re-balance reaches at data split L. Round 1 first
-tries the dual step: the split that the prices of the joint Lagrangian
-dual choose (`kkt.joint_split`), kept when its re-balance lowers the
-energy. Every other round, and round 1 when the dual step is declined or
-does not lower the energy, takes one projected reduced-gradient step on
-L: by the envelope theorem the gradient of F is the partial dE/dL at the
-last re-balance's (x, q), inactive pairs cheaper at the current prices
-than their user's best pair join the support, the step is projected onto
-each user's task simplex on that support, and a backtracking line search
+the bandwidth/compute re-balance reaches at data split L. The start is
+the dual step: the split the joint Lagrangian dual's prices choose
+(`kkt.joint_split`), kept when its re-balance ends below the initial
+split's fixed-data dual (`kkt.price_split`), a lower bound on its F.
+Every round after it takes one projected reduced-gradient step on L: by
+the envelope theorem the gradient of F is the partial dE/dL at the last
+re-balance's (x, q), inactive pairs cheaper at the current prices than
+their user's best pair join the support, the step is projected onto each
+user's task simplex on that support, and a backtracking line search
 accepts the first trial whose capped warm re-balance strictly lowers the
 energy, starting from the Barzilai-Borwein step length (IMA J. Numer.
 Anal. 1988). So the outer energies fall strictly until a round's
@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import DUAL_RANGE, joint_split, solve_bcaa
+from .kkt import DUAL_RANGE, joint_split, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -106,12 +106,12 @@ class InitStrategy:
 class SolveTrace:
     """Per-outer-round record: the energy after each round and its cost.
 
-    Entry 0 is the initial re-balance. inner_iteration_counts holds the
-    re-balance rounds each outer round spent, summed over every trial
-    step of the round, rejected ones included (a re-balance that raises
-    adds none); a re-balance round is one compute step (CAA) after one
-    bandwidth step (BAA). Round 1's count includes the re-balance of the
-    dual step's split, which may be all of it.
+    Entry 0 is the start (`solve_iterative`). inner_iteration_counts
+    holds the re-balance rounds each outer round spent, summed over every
+    trial step of the round, rejected ones included (a re-balance that
+    raises adds none); a re-balance round is one compute step (CAA) after
+    one bandwidth step (BAA). Entry 0 counts those of the start, a
+    declined dual split's included.
     """
 
     outer_energies_j: tuple
@@ -257,12 +257,13 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     threshold.
 
     The objective is F(L), the energy after the bandwidth/compute
-    re-balance at data split L. The first re-balance runs on the raw
-    initial split to tolerance. Round 1 first tries the split that the
-    prices of the joint dual choose (`kkt.joint_split`, started from the
-    first re-balance's prices), re-balanced warm from those prices; it is
-    accepted when its energy is strictly lower. When it is declined or
-    not lower, round 1 is a gradient round like every later one.
+    re-balance at data split L. The start (entry 0 of the trace) prices
+    the initial split L0 (`kkt.price_split`), whose fixed-data dual q0 is
+    at most F(L0) by weak duality, and keeps the split the joint dual's
+    prices choose (`kkt.joint_split`, from those prices), re-balanced
+    warm from its own prices, when its energy is below q0. Otherwise, and
+    with one AP, it re-balances L0 warm. Every later round is a gradient
+    round.
 
     A gradient round first lets the support grow (`_direction`): every
     inactive pair whose cost per bit at the warm prices is below its
@@ -290,46 +291,44 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
-    warm = {}
-    x, q, rounds = solve_bcaa(scenario, L, cfg, warm=warm)
-    energy = _energy(scenario, L, x, q, thr)
-    outer = [energy]
-    inner_counts = [rounds]
-    walls = [time.perf_counter() - t0]
-
-    L_last = G_last = direction = None
-    converged = False
-    for k in range(cfg.max_outer_iters):
-        t_iter = time.perf_counter()
-        rounds = 0
-        dual = (joint_split(scenario, warm["beta"], warm["mus"])
-                if k == 0 and scenario.num_aps > 1 else None)
+    warm, rounds, x = {}, 0, None
+    if scenario.num_aps > 1:
+        bound = price_split(scenario, L, cfg, warm)
+        dual = joint_split(scenario, warm["beta"], warm["mus"])
         if dual is not None and not np.array_equal(dual[0], L):
             e_try, x_try, q_try, rounds, warm_try = _rebalance(
                 scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))
+            if e_try < bound:
+                L, x, q, warm, energy = dual[0], x_try, q_try, warm_try, e_try
+    if x is None:
+        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm)
+        rounds += n
+        energy = _energy(scenario, L, x, q, thr)
+    outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
+
+    L_last = G_last = direction = None
+    converged = False
+    for _ in range(cfg.max_outer_iters):
+        t_iter = time.perf_counter()
+        rounds = 0
+        act, G, _ = direction = direction or _direction(scenario, L, x, q, warm, thr)
+        trial = 1.0
+        if L_last is not None:
+            # BB1 step s.s/s.y over the support, from the last step
+            s, y = (L - L_last)[act], (G - G_last)[act]
+            if s @ y > 0:
+                trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
+        L_last, G_last = L, G
+        while trial >= MIN_STEP:
+            L_try = _projected_step(L, G, act, bits, trial, thr)
+            if np.array_equal(L_try, L):
+                break
+            e_try, x_try, q_try, n, warm_try = _rebalance(scenario, L_try, cfg, warm)
+            rounds += n
             if e_try < energy:
-                L, x, q, warm, energy, direction = dual[0], x_try, q_try, warm_try, e_try, None
-            else:
-                dual = None
-        if dual is None:
-            act, G, _ = direction = direction or _direction(scenario, L, x, q, warm, thr)
-            trial = 1.0
-            if L_last is not None:
-                # BB1 step s.s/s.y over the support, from the last step
-                s, y = (L - L_last)[act], (G - G_last)[act]
-                if s @ y > 0:
-                    trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
-            L_last, G_last = L, G
-            while trial >= MIN_STEP:
-                L_try = _projected_step(L, G, act, bits, trial, thr)
-                if np.array_equal(L_try, L):
-                    break
-                e_try, x_try, q_try, n, warm_try = _rebalance(scenario, L_try, cfg, warm)
-                rounds += n
-                if e_try < energy:
-                    L, x, q, warm, energy, direction = L_try, x_try, q_try, warm_try, e_try, None
-                    break
-                trial *= 0.5
+                L, x, q, warm, energy, direction = L_try, x_try, q_try, warm_try, e_try, None
+                break
+            trial *= 0.5
         outer.append(energy)
         inner_counts.append(rounds)
         walls.append(time.perf_counter() - t_iter)

@@ -292,16 +292,17 @@ def test_best_ap_init_needs_fewest_rounds(init_solutions):
 
 
 def test_stop_met_in_the_last_allowed_round_counts_as_converged(deadline_sweep):
-    # at D = 0.8 s the outer stop is met at the end of round n; a budget of
-    # exactly n rounds runs the same rounds and must say so
-    row = deadline_sweep[0.8]
-    full = row["iterative"]
+    # at D = 0.2 s from the binary split the outer stop is met at the end
+    # of round n; a budget of exactly n rounds runs the same rounds and
+    # must say so
+    row = deadline_sweep[0.2]
+    full = row["from_binary"]
     n = full.outer_iterations
     assert full.converged and n >= 2
 
     def solve_within(rounds):
         cfg = dataclasses.replace(row["cfg"], max_outer_iters=rounds)
-        return solve_iterative(row["scenario"], InitStrategy.equal(), cfg)
+        return solve_iterative(row["scenario"], InitStrategy.binary(), cfg)
 
     last = solve_within(n)
     assert last.converged

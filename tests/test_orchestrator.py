@@ -163,9 +163,11 @@ def test_trace_lengths_are_consistent():
     assert sol.outer_iterations == n - 1
 
 
-def test_max_outer_budget_marks_non_convergence():
-    # the first step solves this instance, so only a one-round budget ends
-    # before the stop test can be met
+def test_max_outer_budget_marks_non_convergence(monkeypatch):
+    # with the dual step declined the first gradient round solves this
+    # instance, so only a one-round budget ends before the stop test can
+    # be met
+    _decline_dual_step(monkeypatch)
     sc = _small_scenario()
     cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-300, max_outer_iters=1)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
@@ -230,8 +232,23 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_capped_rebalance(
     assert np.allclose(g, form, rtol=1e-7, atol=0)
 
 
+def _spy_rebalances(monkeypatch):
+    """Record the split and the round count of every `solve_bcaa` call
+    the outer loop makes."""
+    calls = []
+    rebalance = orchestrate.solve_bcaa
+
+    def spy(scenario, L, *args, **kwargs):
+        out = rebalance(scenario, L, *args, **kwargs)
+        calls.append((np.array(L), out[2]))
+        return out
+
+    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
+    return calls
+
+
 def _decline_dual_step(monkeypatch):
-    """Make round 1 a gradient round, as every later one."""
+    """Start every solve from the re-balance of its initial split."""
     monkeypatch.setattr(orchestrate, "joint_split", lambda *args: None)
 
 
@@ -240,19 +257,11 @@ def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
     # rounds its re-balance spent still count
     _decline_dual_step(monkeypatch)
     sc = generate(GenParams(num_users=3, num_aps=2, deadline_s=0.2, seed=1))
-    spent = []
-    rebalance = orchestrate.solve_bcaa
-
-    def spy(*args, **kwargs):
-        out = rebalance(*args, **kwargs)
-        spent.append(out[2])
-        return out
-
-    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
+    calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
     accepted = int(np.sum(np.diff(sol.trace.outer_energies_j) < 0))
-    assert len(spent) > 1 + accepted
-    assert sum(sol.trace.inner_iteration_counts) == sum(spent)
+    assert len(calls) > 1 + accepted
+    assert sum(sol.trace.inner_iteration_counts) == sum(n for _, n in calls)
 
 
 def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
@@ -406,6 +415,63 @@ def _spy_dual_step(monkeypatch):
 
     monkeypatch.setattr(orchestrate, "joint_split", spy)
     return steps
+
+
+def _start42(deadline):
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
+    return sc, SolveConfig.for_scenario(sc)
+
+
+def test_the_start_prices_the_initial_split_without_rebalancing_it(monkeypatch):
+    # the dual split beats the pricing of the equal split, so no
+    # re-balance runs on that split and every round spent is counted
+    sc, cfg = _start42(0.4)
+    L0 = initialize(sc, InitStrategy.equal())
+    calls = _spy_rebalances(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert calls
+    assert not any(np.array_equal(L, L0) for L, _ in calls)
+    assert sum(sol.trace.inner_iteration_counts) == sum(n for _, n in calls)
+
+
+def test_the_start_ends_below_the_dual_of_the_initial_split():
+    # weak duality: q at the pricing's prices bounds the re-balanced
+    # energy of the initial split, and the accepted dual split is below q
+    sc, cfg = _start42(0.4)
+    L0 = initialize(sc, InitStrategy.equal())
+    warm = {}
+    bound = kkt.price_split(sc, L0, cfg, warm)
+    assert bound == kkt.fixed_data_dual(sc, L0, warm["beta"], warm["mus"], cfg)
+    assert bound <= solve_fixed_data(sc, L0, cfg).energy_j
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.trace.outer_energies_j[0] < bound
+
+
+@pytest.mark.parametrize("deadline", [0.4, 0.6, 1.0])
+def test_a_dual_split_equal_to_the_initial_split_costs_one_round(deadline, monkeypatch):
+    sc, cfg = _start42(deadline)
+    steps = _spy_dual_step(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.binary(), cfg)
+    assert np.array_equal(steps[0][0], initialize(sc, InitStrategy.binary()))
+    assert sol.trace.inner_iteration_counts[0] == 1
+
+
+def test_a_worse_dual_split_is_declined_and_its_rounds_count(monkeypatch):
+    # every user on its weakest AP: a feasible split far above the
+    # equal split's dual
+    sc, cfg = _start42(0.4)
+    L0 = initialize(sc, InitStrategy.equal())
+    worst = np.zeros_like(L0)
+    worst[np.arange(sc.num_users), np.argmin(sc.gains, axis=1)] = sc.task_bits
+    monkeypatch.setattr(orchestrate, "joint_split", lambda sc, beta, mus: (worst, beta, mus))
+    calls = _spy_rebalances(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    (L_a, n_a), (L_b, n_b) = calls[:2]
+    assert np.array_equal(L_a, worst) and np.array_equal(L_b, L0)
+    assert n_a >= 1 and n_b >= 1
+    assert sol.trace.inner_iteration_counts[0] == n_a + n_b
+    assert sol.trace.outer_energies_j[0] == pytest.approx(
+        solve_fixed_data(sc, L0, cfg).energy_j, rel=1e-9)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
