@@ -168,8 +168,10 @@ def cmd_solve(args):
                                                tr.inner_iteration_counts,
                                                tr.wall_times_s)):
                 w.writerow([k, _fmt(e * 1e3), n, _fmt(wt)])
+    bound = solution.lower_bound_j
+    gap = "" if bound is None else f"gap={_fmt(1.0 - bound / solution.energy_j)}, "
     print(f"energy {metrics.energy_mj:.9g} mJ, converged={solution.converged}, "
-          f"outer_iterations={solution.outer_iterations}, "
+          f"outer_iterations={solution.outer_iterations}, {gap}"
           f"constraints_ok={report.ok}")
     if not report.ok:
         print(str(report), file=sys.stderr)
@@ -178,8 +180,8 @@ def cmd_solve(args):
 
 _SWEEP_COLUMNS = ["parameter", "value", "strategy", "energy_mj",
                   "outer_iterations", "mean_max_load_share",
-                  "min_max_load_share", "multi_ap_user_count", "converged",
-                  "error"]
+                  "min_max_load_share", "multi_ap_user_count", "lower_bound_mj",
+                  "converged", "error"]
 
 
 def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
@@ -207,6 +209,7 @@ def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
         mean_max_load_share=_fmt(float(shares.mean())) if shares.size else "",
         min_max_load_share=_fmt(float(shares.min())) if shares.size else "",
         multi_ap_user_count=m.multi_ap_user_count,
+        lower_bound_mj="" if sol.lower_bound_j is None else _fmt(sol.lower_bound_j * 1e3),
         converged="true" if sol.converged else "false",
     )
     return row

@@ -5,15 +5,17 @@ the bandwidth/compute re-balance reaches at data split L. The start is
 the dual step: the split the joint Lagrangian dual's prices choose
 (`kkt.joint_split`), kept when its re-balance ends below the initial
 split's fixed-data dual (`kkt.price_split`), a lower bound on its F.
-Every round after it takes one projected reduced-gradient step on L: by
-the envelope theorem the gradient of F is the partial dE/dL at the last
-re-balance's (x, q), inactive pairs cheaper at the current prices than
-their user's best pair join the support, the step is projected onto each
-user's task simplex on that support, and a backtracking line search
-accepts the first trial whose capped warm re-balance strictly lowers the
-energy, starting from the Barzilai-Borwein step length (IMA J. Numer.
-Anal. 1988). So the outer energies fall strictly until a round's
-decrement meets the stop.
+The joint dual G at the dual step's prices (`kkt.joint_dual`) bounds
+every feasible energy; a start within GAP_TOL of it is the answer, with
+no gradient round. Every round after it takes one projected reduced-
+gradient step on L: by the envelope theorem the gradient of F is the
+partial dE/dL at the last re-balance's (x, q), inactive pairs cheaper at
+the current prices than their user's best pair join the support, the
+step is projected onto each user's task simplex on that support, and a
+backtracking line search accepts the first trial whose capped warm
+re-balance strictly lowers the energy, starting from the Barzilai-Borwein
+step length (IMA J. Numer. Anal. 1988). So the outer energies fall
+strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -27,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import DUAL_RANGE, joint_split, price_split, solve_bcaa
+from .kkt import DUAL_RANGE, joint_dual, joint_split, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -54,6 +56,10 @@ MIN_STEP = 1e-8
 # an inactive pair joins the support when its cost per bit at the warm
 # prices is below (1 - ENTRY_TOL) times its user's least active gradient
 ENTRY_TOL = 1e-6
+
+# the start stops the solve when its energy E is within GAP_TOL*E of the
+# joint Lagrangian bound, which no split can beat
+GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,8 @@ class SolveTrace:
     trial step of the round, rejected ones included (a re-balance that
     raises adds none); a re-balance round is one compute step (CAA) after
     one bandwidth step (BAA). Entry 0 counts those of the start, a
-    declined dual split's included.
+    declined dual split's included; a start the Lagrangian bound
+    certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -125,12 +132,14 @@ class Solution:
     energy_j: float
     trace: SolveTrace
     converged: bool
+    lower_bound_j: Optional[float] = None
 
     def to_dict(self):
         return {
             "allocation": allocation_to_dict(self.allocation),
             "energy_j": self.energy_j,
             "converged": self.converged,
+            "lower_bound_j": self.lower_bound_j,
             "trace": {name: list(v) for name, v in asdict(self.trace).items()},
         }
 
@@ -262,8 +271,10 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     at most F(L0) by weak duality, and keeps the split the joint dual's
     prices choose (`kkt.joint_split`, from those prices), re-balanced
     warm from its own prices, when its energy is below q0. Otherwise, and
-    with one AP, it re-balances L0 warm. Every later round is a gradient
-    round.
+    with one AP, it re-balances L0 warm. The joint dual at the dual
+    step's prices is the solve's lower_bound_j (None with one AP or no
+    prices); a start energy E within GAP_TOL*E of it is returned,
+    converged, after zero rounds. Every later round is a gradient round.
 
     A gradient round first lets the support grow (`_direction`): every
     inactive pair whose cost per bit at the warm prices is below its
@@ -291,15 +302,17 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
-    warm, rounds, x = {}, 0, None
+    warm, rounds, x, lower = {}, 0, None, None
     if scenario.num_aps > 1:
         bound = price_split(scenario, L, cfg, warm)
         dual = joint_split(scenario, warm["beta"], warm["mus"])
-        if dual is not None and not np.array_equal(dual[0], L):
-            e_try, x_try, q_try, rounds, warm_try = _rebalance(
-                scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))
-            if e_try < bound:
-                L, x, q, warm, energy = dual[0], x_try, q_try, warm_try, e_try
+        if dual is not None:
+            lower = joint_dual(scenario, *dual[1:])
+            if not np.array_equal(dual[0], L):
+                e_try, x_try, q_try, rounds, warm_try = _rebalance(
+                    scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))
+                if e_try < bound:
+                    L, x, q, warm, energy = dual[0], x_try, q_try, warm_try, e_try
     if x is None:
         x, q, n = solve_bcaa(scenario, L, cfg, warm=warm)
         rounds += n
@@ -307,8 +320,8 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
 
     L_last = G_last = direction = None
-    converged = False
-    for _ in range(cfg.max_outer_iters):
+    converged = lower is not None and energy - lower <= GAP_TOL * energy
+    for _ in range(0 if converged else cfg.max_outer_iters):
         t_iter = time.perf_counter()
         rounds = 0
         act, G, _ = direction = direction or _direction(scenario, L, x, q, warm, thr)
@@ -346,6 +359,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         energy_j=energy,
         trace=SolveTrace(tuple(outer), tuple(inner_counts), tuple(walls)),
         converged=converged,
+        lower_bound_j=lower,
     )
 
 

@@ -29,7 +29,6 @@ from mecalloc import (
     solve_fixed_assignment,
     solve_iterative,
 )
-from mecalloc import kkt, orchestrate
 from mecalloc.cli import main as cli_main
 from mecalloc.scenario import GenParams, generate, override_parameter
 
@@ -320,25 +319,16 @@ def test_tight_deadline_converges_near_the_lagrangian_bound(deadline_sweep):
     assert sol.energy_j <= 87.36e-3 * 1.01
 
 
-def test_tight_deadline_answer_meets_the_joint_dual_at_the_dual_step_prices(
-        scenario42, monkeypatch):
+def test_tight_deadline_answer_meets_the_joint_dual_at_the_dual_step_prices(scenario42):
     # weak duality of the full problem makes G(beta, mu) at any prices a
     # lower bound on every feasible energy; at the prices of the dual step
-    # it certifies the D = 0.2 s answer to within 1e-3 (the time-sharing
-    # zero gap of Yu & Lui, IEEE Trans. Commun. 2006)
+    # (the solve's lower_bound_j) it certifies the D = 0.2 s answer to
+    # within 1e-3 (the time-sharing zero gap of Yu & Lui, IEEE Trans.
+    # Commun. 2006)
     sc = override_parameter(scenario42, "deadline_s", 0.2)
     cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-5)
-    prices = []
-    split = orchestrate.joint_split
-
-    def spy(*args):
-        out = split(*args)
-        prices.append(out[1:])
-        return out
-
-    monkeypatch.setattr(orchestrate, "joint_split", spy)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    bound = kkt.joint_dual(sc, *prices[0])
+    bound = sol.lower_bound_j
     assert sol.converged
     assert bound <= sol.energy_j <= bound * (1.0 + 1e-3)
 

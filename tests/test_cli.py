@@ -87,6 +87,18 @@ def test_solve_json_trace_holds_every_trace_field(tmp_path, small_scenario_file)
     assert set(trace) == {f.name for f in dataclasses.fields(SolveTrace)}
 
 
+def test_solve_reports_the_lower_bound_and_its_gap(tmp_path, small_scenario_file, capsys):
+    it, fixed = tmp_path / "it.json", tmp_path / "fixed.json"
+    assert main(["solve", "--scenario", small_scenario_file, "--out", str(it)]) == 0
+    doc = json.loads(it.read_text())
+    assert doc["lower_bound_j"] <= doc["energy_j"] * (1.0 + 1e-12)  # round-off
+    assert "gap=" in capsys.readouterr().out
+    assert main(["solve", "--scenario", small_scenario_file, "--method", "binary-best-ap",
+                 "--out", str(fixed)]) == 0
+    assert json.loads(fixed.read_text())["lower_bound_j"] is None
+    assert "gap=" not in capsys.readouterr().out
+
+
 def test_solve_binary_method_loads_fully(tmp_path, small_scenario_file):
     sol = tmp_path / "sol.json"
     code = main(["solve", "--scenario", small_scenario_file,
@@ -153,7 +165,7 @@ def test_sweep_csv_structure_and_determinism(tmp_path, small_scenario_file):
     assert header == ["parameter", "value", "strategy", "energy_mj",
                       "outer_iterations", "mean_max_load_share",
                       "min_max_load_share", "multi_ap_user_count",
-                      "converged", "error"]
+                      "lower_bound_mj", "converged", "error"]
     rows = [line.strip().split(",") for line in lines[1:]]
     assert len(rows) == 9
     keys = [(float(r[1]), r[2]) for r in rows]
@@ -173,8 +185,8 @@ def test_sweep_records_infeasible_points_in_row(tmp_path):
                  "--out", str(out)])
     assert code == 0
     rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
-    infeasible = [r for r in rows if r[8] == "false" and r[9]]
-    feasible = [r for r in rows if r[8] == "true"]
+    infeasible = [r for r in rows if r[-2] == "false" and r[-1]]
+    feasible = [r for r in rows if r[-2] == "true"]
     assert infeasible and feasible
 
 
@@ -217,7 +229,7 @@ def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file):
     assert code == 0
     rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
     assert len(rows) == 2
-    assert all(r[8] == "false" and "residual" in r[9] for r in rows)
+    assert all(r[-2] == "false" and "residual" in r[-1] for r in rows)
 
 
 def test_sweep_rejects_unknown_init_before_solving(tmp_path, small_scenario_file,

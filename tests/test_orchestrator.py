@@ -397,8 +397,12 @@ def test_outer_loop_properties_on_random_instances(instance):
     cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
     sol = solve_iterative(sc, strategy, cfg)
     drops = np.diff(sol.trace.outer_energies_j)
-    # only a last round that finds no lower trial may leave the energy as is
-    assert np.all(drops[:-1] < 0) and drops[-1] <= 0
+    if drops.size:
+        # only a last round that finds no lower trial may leave the energy as is
+        assert np.all(drops[:-1] < 0) and drops[-1] <= 0
+    else:
+        # a start that runs no round is certified by the Lagrangian bound
+        assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
     assert validate(sc, sol.allocation, cfg).ok
     start = solve_fixed_data(sc, initialize(sc, strategy), cfg)
     assert sol.energy_j <= start.energy_j
@@ -506,6 +510,56 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     nu = (L * g).sum(axis=1) / L.sum(axis=1)
     e = orchestrate._entry_costs(sc, act, warm)
     assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
+
+
+def test_a_start_within_the_gap_tolerance_of_the_bound_stops_the_solve():
+    sc, cfg = _start42(0.4)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.converged
+    assert sol.outer_iterations == 0
+    assert sol.trace.inner_iteration_counts == (1,)
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+
+
+def test_an_uncertified_start_runs_gradient_rounds():
+    sc, cfg = _start42(0.2)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    start = sol.trace.outer_energies_j[0]
+    assert start - sol.lower_bound_j > orchestrate.GAP_TOL * start
+    assert sol.outer_iterations >= 1
+
+
+def test_a_declined_dual_step_gives_no_bound_and_runs_rounds(monkeypatch):
+    _decline_dual_step(monkeypatch)
+    sc, cfg = _start42(0.4)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.lower_bound_j is None
+    assert sol.outer_iterations >= 1
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_outer_instances())
+def test_the_lower_bound_never_exceeds_the_energy_of_any_start(instance):
+    # weak duality: the bound of any solve lies below every feasible
+    # energy, whatever the start or the data split
+    sc, strategy = instance
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
+    bounds, energies = [], []
+    for start in (strategy, InitStrategy.equal(), InitStrategy.binary(), InitStrategy.random(seed=1)):
+        try:
+            sol = solve_iterative(sc, start, cfg)
+        except InfeasibilityError:  # the headroom only fits the strategy's split
+            continue
+        bounds.append(sol.lower_bound_j)
+        energies.append(sol.energy_j)
+    try:
+        energies.append(solve_fixed_assignment(sc, best_snr_assignment(sc), cfg).energy_j)
+    except InfeasibilityError:
+        pass
+    if sc.num_aps == 1:
+        assert bounds == [None] * len(bounds)
+    for b in filter(None, bounds):
+        assert b <= min(energies) * (1.0 + 1e-12)
 
 
 def test_delay_monotonicity_small_instance():
