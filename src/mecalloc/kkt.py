@@ -9,14 +9,14 @@ outer search driving each budget sum onto its constraint.
   solve_daa: per-user data duals nu (the data constraint multiplier,
              stored with positive sign), roots of dE/dL = nu;
   solve_baa: one global bandwidth dual beta > 0, roots of dE/dx + beta = 0;
-  solve_caa: per-AP compute duals mu >= 0 over the deadline slack t,
+  solve_caa: one AP's compute dual mu >= 0 over the deadline slack t,
              roots of dE/dt + mu * eta*L/(D-t)^2 = 0;
-  solve_bcaa: bandwidth and compute for a fixed data split. It first
+  solve_bcaa: bandwidth and compute for a fixed data split. It
              maximises the fixed-data dual q(beta, mu) by Newton steps
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser (`price_split`, which also runs on its
-             own), then runs BAA/CAA rounds from those prices until the
-             duality gap certifies the answer;
+             own), reads (x, q) off those minimisers and certifies them
+             by the duality gap;
   joint_split: the data split of the outer loop's dual step. It
              maximises a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
@@ -27,7 +27,8 @@ The fixed-data pricing, the joint pricing and the cold start's bandwidth
 price share one safeguarded Newton loop, `_newton`.
 
 Every derivative in those roots comes from the pair model in `physics`.
-The first three share one pricing step, _price_budgets: the dual search,
+The first three are bisection references for the re-balance, off the
+solve path. They share one pricing step, _price_budgets: the dual search,
 the final per-pair pass, the residual check, the rescale onto each
 budget and the diag records. Overflow warnings are silenced only where
 an overflowed value feeds a sign test or a start that is clipped: in
@@ -41,9 +42,8 @@ search works on the dual's base-10 logarithm inside DUAL_RANGE: it
 gallops from its start with doubling steps until the budget crosses its
 target, then bisects. Every function being bisected is strictly monotone
 on its bracket, and every budget sum is strictly monotone in its dual,
-so the searches never lose a root inside the range. The budgets of one
-family (one per user, or one per AP) are searched in lockstep so each
-iteration is a single vectorized pass over all pairs.
+so the searches never lose a root inside the range. The per-user data
+budgets are searched in lockstep, one vectorized pass over all pairs.
 """
 
 from __future__ import annotations
@@ -81,10 +81,8 @@ SLACK_MARGIN = 1e-6
 # every dual search stays inside this range
 DUAL_RANGE = (1e-280, 1e280)
 
-# most probes of one dual search (oracle calls of the fixed-data pricing),
-# and most rounds of one fixed-data solve
+# most probes of one dual search (oracle calls of the fixed-data pricing)
 MAX_DUAL_PROBES = 200
-MAX_BCAA_ROUNDS = 200
 
 # longest Newton step of the fixed-data pricing in any log price: ten
 # decades
@@ -288,7 +286,7 @@ def _bandwidth_roots(beta, L, t, a):
     return L * LN2 / (t * exponent_root(beta / (a * t)))
 
 
-def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
+def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None):
     """Bandwidth split across all active pairs for fixed data and slack.
 
     A single global dual beta > 0 prices bandwidth; each pair's share is
@@ -309,7 +307,7 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None, dual_guess=None):
         "beta_bandwidth", np.zeros(Lv.size, dtype=int), [None],
         np.array([scenario.bandwidth_hz]),
         lambda beta: _bandwidth_roots(beta, Lv, tv, av),
-        cfg, np.array([dual_guess or 1.0]), increasing=False, diag=diag)[2]
+        cfg, np.ones(1), increasing=False, diag=diag)[2]
     return out
 
 
@@ -324,40 +322,13 @@ def _slack_roots(mu, L, x, d, w, a):
         d * SLACK_BRACKET[0], d * SLACK_BRACKET[1])
 
 
-def _caa_joint(scenario, x, L, aps, cfg, diag=None, mus=None):
-    """Compute columns for several APs at once; one dual search per AP.
-
-    Energy falls as compute grows, so each AP's capacity binds: mu_j is
-    driven until the implied demand sum_i eta*L/(D - t) meets capacity.
-    The searches start from mus[aps] (mus an M-vector; 1.0 when not
-    given). Returns the K x M compute matrix, zero off the active pairs
-    of aps, and the M-vector of prices, 1.0 at APs not priced. Appends
-    one mu_compute record per AP to diag, each carrying the probe count
-    of the joint search. Checks no input: `solve_caa` and `solve_bcaa`
-    make sure every AP in aps serves active users, all with bandwidth,
-    below its capacity.
-    """
-    # row-major order keeps each AP's users ascending, so the per-AP
-    # bincount sums below add in the same order as a per-AP loop would
-    ui, gid = np.nonzero((L > cfg.activity_threshold_bits)[:, aps])
-    uj = np.asarray(aps)[gid]
-    Lv, xv, dv = L[ui, uj], x[ui, uj], scenario.deadlines_s[ui]
-    wv, av = scenario.cycles_per_bit[ui] * Lv, scenario.noise_over_gain()[ui, uj]
-    out = np.ones(scenario.num_aps)
-    out[aps], _, qv = _price_budgets(
-        "mu_compute", gid, aps, scenario.compute_capacity[aps],
-        lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)), cfg,
-        (out if mus is None else mus)[aps], increasing=False, diag=diag)
-    q = np.zeros_like(L)
-    q[ui, uj] = qv
-    return q, out
-
-
 def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     """Slack (hence compute) split among one AP's active users at fixed x;
-    the other users keep their deadline as slack. Raises when the AP serves
-    no active user, when an active user has no bandwidth, and when the
-    AP's least demand sum_i eta*L/D reaches its capacity."""
+    the other users keep their deadline as slack. The capacity binds, so
+    one dual search drives mu until the demand sum_i eta*L/(D - t) meets
+    it. Raises when the AP serves no active user, when an active user has
+    no bandwidth, and when the AP's least demand sum_i eta*L/D reaches its
+    capacity."""
     L, x = np.asarray(L, dtype=float), np.asarray(x, dtype=float)
     act = L[:, ap] > cfg.activity_threshold_bits
     if not act.any():
@@ -369,9 +340,14 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     if load >= cap:
         raise InfeasibilityError(
             f"AP {ap}: compute demand {load:.6g} exceeds capacity {cap:.6g}", ap=ap)
-    q = _caa_joint(scenario, x, L, [ap], cfg, diag)[0][:, ap]
-    return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit,
-                          L[:, ap], np.where(q > 0, q, np.inf))
+    Lv, xv, dv = L[act, ap], x[act, ap], scenario.deadlines_s[act]
+    wv, av = scenario.cycles_per_bit[act] * Lv, scenario.noise_over_gain()[act, ap]
+    q = np.full(act.shape, np.inf)
+    q[act] = _price_budgets(
+        "mu_compute", np.zeros(Lv.size, dtype=int), [ap], np.array([cap]),
+        lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)),
+        cfg, np.ones(1), increasing=False, diag=diag)[2]
+    return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit, L[:, ap], q)
 
 
 # ---------------------------------------------------------------------------
@@ -404,11 +380,7 @@ def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
     budgets at this data split (Boyd & Vandenberghe, Convex Optimization,
     sec. 5.5), and its maximum is the fixed-data optimum.
     """
-    return _dual_value(beta, mus, *_pricing_inputs(scenario, np.asarray(L, dtype=float), cfg))
-
-
-def _dual_value(beta, mus, pairs, col, budgets, aps):
-    """`fixed_data_dual` from the inputs `_pricing_inputs` built."""
+    pairs, col, budgets, aps = _pricing_inputs(scenario, np.asarray(L, dtype=float), cfg)
     prices = np.append(beta, np.asarray(mus, dtype=float)[aps])
     e = price_oracle(beta, prices[1:][col], *pairs[1:])[0]
     return float(pairs[0] @ e - prices @ budgets)
@@ -445,11 +417,11 @@ def _budget_terms(beta, t, s, pairs, col, budgets):
 
 def _budget_system(y, pairs, col, budgets):
     """`_budget_terms` at the log prices y, with one oracle call.
-    Returns (residuals, Jacobian, slacks)."""
+    Returns (residuals, Jacobian, the oracle's (e, t, x/L))."""
     _, d, eta, a = pairs
     beta = np.exp(y[0])
-    _, t, s = price_oracle(beta, np.exp(y[1:])[col], d, eta, a)
-    return (*_budget_terms(beta, t, s, pairs, col, budgets), t)
+    oracle = price_oracle(beta, np.exp(y[1:])[col], d, eta, a)
+    return (*_budget_terms(beta, *oracle[1:], pairs, col, budgets), oracle)
 
 
 def _newton(system, y, tol):
@@ -493,16 +465,6 @@ def _newton(system, y, tol):
             return y, r, extra, calls
         y, r, J, extra = y_try, r_try, J_try, extra_try
     return y, r, extra, calls
-
-
-def _maximise_dual(y, pairs, col, budgets, cfg):
-    """Newton solve (`_newton`) of the scaled budget residuals in the log
-    prices y to half the relative tolerance, which maximises q(beta, mu).
-    Returns the best prices with their slacks: the BAA/CAA rounds finish
-    what is left."""
-    y, _, t, _ = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
-                         0.5 * cfg.bisect_tol)
-    return y, t
 
 
 def _slack_prices(log_beta, pairs, col, t):
@@ -668,17 +630,32 @@ def joint_split(scenario, beta, mus):
 # BCAA: joint bandwidth and compute allocation for fixed data
 
 def price_split(scenario, L, cfg: SolveConfig, warm):
-    """The pricing of `solve_bcaa` without its rounds: the input checks
-    and the maximisation of the fixed-data dual of split L. Fills warm
-    with its prices and slack, and returns q(beta, mu) at those prices
-    (`fixed_data_dual`), a lower bound on every energy at split L."""
-    inputs = _price(scenario, np.asarray(L, dtype=float), cfg, warm, [])
-    return _dual_value(warm["beta"], warm["mus"], *inputs)
+    """The pricing of `solve_bcaa` without its recovery: the input checks
+    and the maximisation of the fixed-data dual of split L. Returns
+    q(beta, mu) at the final prices (`fixed_data_dual`), a lower bound on
+    every energy at split L.
+
+    warm is a caller-owned dict read and refreshed between calls of one
+    outer loop: the bandwidth price "beta" and M-vector of compute prices
+    "mus" (1.0 at APs not priced) start the pricing, and the K x M slack
+    "t" at the final prices is kept beside them. An AP that the slack "t"
+    shows idle (its slack is the deadline for every user) has no warm
+    price: it starts from the price that makes the cold slack below
+    stationary (`_slack_prices`). Prices that are missing, not finite, not
+    positive or of the wrong shape void the whole warm state. The cold start prices the slack
+    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D
+    (`_cold_prices`: one scalar Newton solve of the bandwidth budget).
+    Only APs that serve an active pair are priced; one whose least load
+    sum_i eta*L/D reaches its capacity raises InfeasibilityError, and a
+    price root beyond DUAL_RANGE raises BracketError."""
+    return _price(scenario, np.asarray(L, dtype=float), cfg, warm, [])[1]
 
 
 def _price(scenario, L, cfg, warm, diag):
-    """`price_split`, with the cold start's record appended to diag;
-    returns the `_pricing_inputs` of split L."""
+    """`price_split`, appending to diag the cold start's record, then one
+    record per final price with its scaled budget residual and the count
+    of oracle calls. Returns the `_pricing_inputs` of split L, q(beta, mu)
+    and the residuals, slacks and bandwidths per bit at the final prices."""
     act = L > cfg.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
@@ -707,86 +684,60 @@ def _price(scenario, L, cfg, warm, diag):
             y[1:][idle] = _slack_prices(y[0], pairs, col, t)[idle]
     else:
         y = _cold_prices(pairs, col, t, scenario.bandwidth_hz, cfg, diag)
-    y, tv = _maximise_dual(y, pairs, col, budgets, cfg)
+    # driving the scaled budget residuals to zero maximises q(beta, mu)
+    y, r, (e, tv, s), calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
+                                      0.5 * cfg.bisect_tol)
+    p = np.exp(y)
+    diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
+                                residual=float(abs(ri)), iterations=calls)
+                for kind, v, o, ri in zip(["beta_bandwidth"] + ["mu_compute"] * aps.size, p,
+                                          [None, *aps.tolist()], r))
     t = np.broadcast_to(d, L.shape).copy()
     t[act] = tv
     mus = np.ones(scenario.num_aps)
-    mus[aps] = np.exp(y[1:])
-    warm.update(t=t, beta=math.exp(y[0]), mus=mus)
-    return inputs
+    mus[aps] = p[1:]
+    warm.update(t=t, beta=p[0], mus=mus)
+    return inputs, float(pairs[0] @ e - p @ budgets), r, tv, s
 
 
-def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None, max_rounds=None):
-    """Jointly optimal (x, q) for a fixed data split.
+def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
+    """Jointly optimal (x, q) for a fixed data split, read off its dual.
 
     First the prices (`price_split`): a safeguarded Newton solve
-    (`_maximise_dual`) over the log bandwidth price and the log compute
-    prices of the served APs maximises the fixed-data dual q(beta, mu)
-    (`fixed_data_dual`). Then rounds of the bandwidth and per-AP compute
-    solvers, each solving its block exactly: a round is one BAA call at
-    the current slack and one CAA call at its bandwidth,
-    q -> CAA(BAA(t(q))). The first round starts from the slack the pricing
-    found, and its dual searches from the pricing's prices, so each
-    usually takes one probe. The loop stops as soon as a round's duality
-    gap E - q(beta, mu), at that round's own BAA and CAA prices, is at
-    most bisect_tol*E: the answer is then certified optimal to that
-    relative tolerance. It also stops once a round improves energy by less
-    than a tenth of the outer tolerance, or after max_rounds rounds when
-    that is given; without it, MAX_BCAA_ROUNDS rounds that still improve
-    raise ConvergenceError. The returned (x, q) always come straight from
-    a BAA and a CAA call, so both budgets hold to the search tolerance.
+    (`_newton`) of the scaled budget residuals over the log bandwidth
+    price and the log compute prices of the served APs, to half the
+    relative tolerance, maximises the fixed-data dual q(beta, mu)
+    (`fixed_data_dual`). At fixed prices each pair's Lagrangian has one
+    minimiser, so the answer is read off the oracle of the last Newton
+    iterate (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.5):
+    x = L*s and q = L*eta/(D - t), with s the bandwidth per bit and t the
+    slack, and each budget's shares rescaled onto its total. A scaled
+    budget residual above bisect_tol at the final prices, or a duality
+    gap E - q(beta, mu) above bisect_tol*E, raises ConvergenceError; an
+    answer returned is certified optimal to that relative tolerance.
 
-    warm, when given, is a caller-owned dict this function reads and
-    refreshes between calls of one outer loop: the bandwidth price
-    "beta" and M-vector of compute prices "mus" (1.0 at APs not priced)
-    start the pricing, and the last K x M slack "t" is kept beside them.
-    An AP that the slack "t" shows idle (its slack is the deadline for
-    every user) has no warm price: it starts from the price that makes
-    the cold slack below stationary (`_slack_prices`). Prices that are
-    missing, not finite, not positive or of the wrong shape void the
-    whole warm state. The cold start prices the slack D*(1 - load_j/C_j)
-    of the capacity split proportional to eta*L/D (`_cold_prices`: one
-    scalar Newton solve of the bandwidth budget). The compute step checks
-    no input; this function checks once, before the pricing: only APs
-    that serve an active pair are priced, BAA gives each active pair
-    bandwidth, and an AP whose least load sum_i eta*L/D reaches its
-    capacity raises InfeasibilityError. A price root beyond DUAL_RANGE
-    raises BracketError.
+    warm, when given, is the state `price_split` reads and fills. diag
+    receives the pricing's records (`_price`), also when the certificate
+    then fails.
 
-    Returns (x, q, rounds), with x and q K x M.
+    Returns (x, q, 1), with x and q K x M; the 1 counts the re-balance.
     """
     L = np.asarray(L, dtype=float)
-    thr = cfg.activity_threshold_bits
-    act = L > thr
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
-    steps = []
-    warm = warm if warm is not None else {}
-    inputs = _price(scenario, L, cfg, warm, steps)
-    aps = inputs[3].tolist()
-    t, beta, mus = warm["t"], warm["beta"], warm["mus"]
-
-    eps_inner = cfg.epsilon_j / 10.0
-    energy_prev = None
-    rounds = 0
-    for rounds in range(1, (max_rounds or MAX_BCAA_ROUNDS) + 1):
-        x = solve_baa(scenario, t, L, cfg, diag=steps, dual_guess=beta)
-        beta = steps[-1].dual.value
-        q, mus = _caa_joint(scenario, x, L, aps, cfg, steps, mus)
-        # inactive pairs keep their whole deadline
-        t = deadline_slack(d, eta, L, np.where(act, q, np.inf))
-        energy = float(energy_matrix(scenario, L, x, t, thr).sum())
-        if (energy - _dual_value(beta, mus, *inputs) <= cfg.bisect_tol * energy
-                or rounds == max_rounds
-                or (energy_prev is not None and energy_prev - energy <= eps_inner)):
-            break
-        energy_prev = energy
-    else:
-        raise ConvergenceError(
-            f"bandwidth/compute alternation still improving after "
-            f"{MAX_BCAA_ROUNDS} rounds (last energy {energy:.6e} J)")
-    if diag is not None:
-        diag.extend(steps)
-
-    warm.update(t=t, beta=beta, mus=mus)
-    return x, q, rounds
+    act = L > cfg.activity_threshold_bits
+    ((Lv, d, eta, _), col, _, aps), dual, r, t, s = _price(
+        scenario, L, cfg, {} if warm is None else warm, [] if diag is None else diag)
+    k = int(np.argmax(np.abs(r)))
+    if abs(r[k]) > cfg.bisect_tol:
+        budget = "bandwidth" if k == 0 else f"AP {aps[k - 1]} compute"
+        raise ConvergenceError(f"fixed-data pricing: {budget} budget residual {abs(r[k]):.3e}")
+    # r is sum/total - 1, so dividing by 1 + r puts each budget on its total
+    x, q = np.zeros_like(L), np.zeros_like(L)
+    x[act] = Lv * s / (1.0 + r[0])
+    q[act] = Lv * eta / (d - t) / (1.0 + r[1:])[col]
+    # inactive pairs keep their whole deadline
+    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
+                       np.where(act, q, np.inf))
+    energy = float(energy_matrix(scenario, L, x, t, cfg.activity_threshold_bits).sum())
+    if energy - dual > cfg.bisect_tol * energy:
+        raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")
+    return x, q, 1

@@ -12,10 +12,10 @@ gradient step on L: by the envelope theorem the gradient of F is the
 partial dE/dL at the last re-balance's (x, q), inactive pairs cheaper at
 the current prices than their user's best pair join the support, the
 step is projected onto each user's task simplex on that support, and a
-backtracking line search accepts the first trial whose capped warm
-re-balance strictly lowers the energy, starting from the Barzilai-Borwein
-step length (IMA J. Numer. Anal. 1988). So the outer energies fall
-strictly until a round's decrement meets the stop.
+backtracking line search accepts the first trial whose warm re-balance,
+one pass of `kkt.solve_bcaa`, strictly lowers the energy, starting from
+the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
+outer energies fall strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -34,6 +34,7 @@ from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
     BracketError,
+    ConvergenceError,
     InfeasibilityError,
     InfeasiblePairError,
     Scenario,
@@ -48,9 +49,7 @@ from .physics import data_marginal, energy_matrix, price_oracle, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 
-# most rounds of the re-balance after each trial step, and the smallest
-# trial step before a round gives up
-BALANCE_ROUNDS = 2
+# the smallest trial step before a round gives up
 MIN_STEP = 1e-8
 
 # an inactive pair joins the support when its cost per bit at the warm
@@ -113,11 +112,10 @@ class SolveTrace:
     """Per-outer-round record: the energy after each round and its cost.
 
     Entry 0 is the start (`solve_iterative`). inner_iteration_counts
-    holds the re-balance rounds each outer round spent, summed over every
-    trial step of the round, rejected ones included (a re-balance that
-    raises adds none); a re-balance round is one compute step (CAA) after
-    one bandwidth step (BAA). Entry 0 counts those of the start, a
-    declined dual split's included; a start the Lagrangian bound
+    holds the re-balances (`kkt.solve_bcaa`, one pass each) each outer
+    round ran, one per trial step of the round, rejected ones included (a
+    re-balance that raises adds none). Entry 0 counts those of the start,
+    a declined dual split's included; a start the Lagrangian bound
     certifies is the only entry.
     """
 
@@ -213,15 +211,15 @@ def _projected_step(L, G, act, bits, alpha, thr):
 
 
 def _rebalance(scenario, L, cfg, warm):
-    """Capped warm re-balance of a trial split from a copy of warm.
-    Returns (energy, x, q, rounds, warm copy); a split the re-balance
-    cannot price, such as one whose compute dual lies beyond DUAL_RANGE,
-    gets an infinite energy."""
+    """Warm re-balance of a trial split from a copy of warm. Returns
+    (energy, x, q, rounds, warm copy); a split the re-balance cannot
+    price or certify, such as one whose compute dual lies beyond
+    DUAL_RANGE, gets an infinite energy."""
     warm = dict(warm)
     try:
-        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm, max_rounds=BALANCE_ROUNDS)
+        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm)
         return _energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, n, warm
-    except (InfeasibilityError, InfeasiblePairError, BracketError):
+    except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
         return np.inf, None, None, 0, warm
 
 
@@ -282,15 +280,15 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     gradient. It then takes one projected step along the gradient of F,
     which by the envelope theorem is dE/dL at the re-balanced (x, q)
     (`_reduced_gradient`, `_projected_step`). Each trial is followed by a
-    warm re-balance of at most BALANCE_ROUNDS rounds from a copy of the
-    warm state, which only `solve_bcaa` reads (`_rebalance`). The step
-    size starts at the BB1 length s.s/s.y, with s the last change of L and
-    y the change of the row-scaled direction G = T*(g/nu - 1) over the
-    support, clipped to [MIN_STEP, 1] (1 in the first gradient round and
-    when s.y <= 0), and halves until the trial energy is strictly lower; a
-    trial that is infeasible, or whose re-balance finds a dual outside its
-    range, counts as a rejection. A round whose step moves no load, or
-    whose step falls below MIN_STEP, lowers the energy by zero. The loop
+    warm re-balance from a copy of the warm state, which only `solve_bcaa`
+    reads (`_rebalance`). The step size starts at the BB1 length s.s/s.y,
+    with s the last change of L and y the change of the row-scaled
+    direction G = T*(g/nu - 1) over the support, clipped to [MIN_STEP, 1]
+    (1 in the first gradient round and when s.y <= 0), and halves until
+    the trial energy is strictly lower; a trial that is infeasible, or
+    whose re-balance finds a dual outside its range or misses its
+    certificate, counts as a rejection. A round whose step moves no load,
+    or whose step falls below MIN_STEP, lowers the energy by zero. The loop
     stops at the end of the first round that lowers the energy by zero,
     or by at most epsilon_j while no pair is left to enter; that may be
     the last allowed round.

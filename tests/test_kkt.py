@@ -27,7 +27,6 @@ from mecalloc import (
 from mecalloc import kkt
 from mecalloc.kkt import (
     _bandwidth_roots,
-    _caa_joint,
     _data_roots,
     _slack_roots,
     _solve_duals,
@@ -477,72 +476,21 @@ def test_bcaa_matches_grid_oracle():
     assert e_solver <= e_star * (1.0 + 1e-3)
 
 
-class _RoundLog:
-    """The energies solve_bcaa computes after each round's compute step,
-    in order, while installed."""
-
-    def __init__(self, mp):
-        self.rounds = []
-        energy_matrix = kkt.energy_matrix
-
-        def energy_spy(*args, **kwargs):
-            out = energy_matrix(*args, **kwargs)
-            self.rounds.append(float(out.sum()))
-            return out
-
-        mp.setattr(kkt, "energy_matrix", energy_spy)
-
-
-def _assert_never_rises(energies, cfg):
-    for k in range(1, len(energies)):
-        assert energies[k] <= energies[k - 1] * (1.0 + 10.0 * cfg.bisect_tol), k
-
-
-def _bandwidth_records(diag):
-    return sum(rec.dual.kind == "beta_bandwidth" for rec in diag)
-
-
 @pytest.fixture(scope="module")
 def tight42():
     """The seed-42 8x4 scenario at D = 0.2 s under the best-SNR binary
-    split, where plain alternation converges slowly and steadily."""
+    split, where plain BAA/CAA alternation converges slowly and steadily."""
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.2)
     return sc, initialize(sc, InitStrategy.binary()), _cfg(sc)
 
 
-def _check_round_energies(sc, L, cfg, monkeypatch):
-    """solve_bcaa under a _RoundLog, checked round by round; returns
-    (x, q, log)."""
-    log = _RoundLog(monkeypatch)
-    diag, warm = [], {}
-    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
-    assert len(log.rounds) == rounds
-    _assert_never_rises(log.rounds, cfg)
-    # the duality gap at the returned prices certifies the answer
-    energy = log.rounds[-1]
-    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"], cfg)
-    assert gap <= cfg.bisect_tol * energy
-    # one bandwidth search prices the cold start, then one per round
-    assert _bandwidth_records(diag) == rounds + 1
-    # residuals of every dual search stayed inside tolerance
-    assert all(rec.residual <= cfg.bisect_tol for rec in diag)
-    return x, q, log
-
-
-def test_bcaa_energy_never_rises_between_rounds(monkeypatch):
-    # feed the alternation a deliberately unbalanced data split
-    sc = make_scenario([[1.0, 0.1], [0.2, 1.0]], bits=[3.0, 2.0], deadline=1.0,
-                       eta=1.0, bandwidth=10.0, capacities=10.0)
-    L = np.array([[2.7, 0.3], [0.4, 1.6]])
-    _check_round_energies(sc, L, _cfg(sc), monkeypatch)
-
-
 def test_bcaa_tight_deadline_converges_in_few_rounds(tight42):
-    # plain alternation needs 82 rounds here, shrinking the energy step by
-    # a steady factor of about 0.85 per round
+    # plain BAA/CAA alternation needs 82 rounds here, shrinking the energy
+    # step by a steady factor of about 0.85 per round; the pricing is one
+    # re-balance
     sc, _, cfg = tight42
     sol = solve_fixed_assignment(sc, best_snr_assignment(sc), cfg)
-    assert sol.trace.inner_iteration_counts[0] <= 20
+    assert sol.trace.inner_iteration_counts[0] == 1
     assert sol.energy_j <= 361.6238343 * (1.0 + 1e-9)
 
 
@@ -576,19 +524,30 @@ def _fixed_data_instances(draw):
 def test_bcaa_properties_on_random_instances(instance):
     sc, L = instance
     cfg = _cfg(sc)
-    with pytest.MonkeyPatch.context() as mp:
-        x, q, log = _check_round_energies(sc, L, cfg, mp)
-    # the pricing leaves one round to do, and its gap certifies it
-    assert len(log.rounds) == 1
-    tol = cfg.bisect_tol
-    assert abs(x.sum() - sc.bandwidth_hz) <= tol * sc.bandwidth_hz
+    diag, warm = [], {}
+    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
+    assert rounds == 1
     act = L > cfg.activity_threshold_bits
     served = act.any(axis=0)
+    d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
+    t = np.where(act, d - sc.cycles_per_bit[:, None] * L / np.where(act, q, 1.0), d)
+    assert np.all((t[act] > 0) & (t[act] < d[act]))
+    # the bisection references agree with the answer read off the dual:
+    # the bandwidth search at its slack, each AP's compute search at its
+    # bandwidth
+    assert np.allclose(solve_baa(sc, t, L, cfg), x, rtol=1e-7, atol=0)
+    for j in np.flatnonzero(served):
+        t_ref = solve_caa(sc, x, L, ap=j, cfg=cfg)
+        assert np.allclose(t_ref[act[:, j]], t[act[:, j], j], rtol=1e-7, atol=0)
+    # the duality gap at the returned prices certifies the answer
+    energy = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"], cfg)
+    assert gap <= cfg.bisect_tol * energy
+    assert all(rec.residual <= cfg.bisect_tol for rec in diag)
+    tol = cfg.bisect_tol
+    assert abs(x.sum() - sc.bandwidth_hz) <= tol * sc.bandwidth_hz
     cap = sc.compute_capacity
     assert np.all(np.abs(q.sum(axis=0) - cap)[served] <= tol * cap[served])
-    d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
-    t = d - sc.cycles_per_bit[:, None] * L / np.where(act, q, 1.0)
-    assert np.all((t[act] > 0) & (t[act] < d[act]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -707,33 +666,6 @@ def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
     assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
-def _starve_pricing(mp):
-    """Stop the pricing at its start prices, so that the BAA/CAA rounds
-    do all the work."""
-    system = kkt._budget_system
-    mp.setattr(kkt, "_maximise_dual",
-               lambda y, pairs, col, budgets, cfg: (y, system(y, pairs, col, budgets)[2]))
-
-
-def test_bcaa_round_cap_stops_early_with_budgets_exact(tight42, monkeypatch):
-    sc, L, cfg = tight42
-    _starve_pricing(monkeypatch)
-    full = solve_bcaa(sc, L, cfg)
-    assert full[2] > 2
-    x, q, rounds = solve_bcaa(sc, L, cfg, max_rounds=2)
-    assert rounds == 2
-    assert x.sum() == pytest.approx(sc.bandwidth_hz, rel=cfg.bisect_tol)
-    assert np.allclose(q.sum(axis=0), sc.compute_capacity, rtol=cfg.bisect_tol, atol=0)
-
-    def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
-
-    assert energy(x, q) >= energy(*full[:2])
-    # a cap the solve does not reach changes nothing
-    uncapped = solve_bcaa(sc, L, cfg, max_rounds=full[2] + 1)
-    assert all(np.array_equal(a, b) for a, b in zip(uncapped, full))
-
-
 def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
     sc, L, cfg = split12x4
     state = {}
@@ -776,7 +708,7 @@ def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
     # the warm state holds no price for AP 3, only the placeholder 1.0,
     # so the pricing starts that AP from the price that makes the cold
     # slack stationary; from 1.0 its Newton solve makes no progress and
-    # the round's compute search leaves the dual range
+    # misses its tolerance
     sc, L, cfg = split12x4
     idle = L.copy()
     idle[:, 3] = 0.0
@@ -832,23 +764,6 @@ def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request, monkey
         return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
 
     assert energy(xw, qw) <= energy(xc, qc) * (1.0 + 10.0 * cfg.bisect_tol)
-
-
-def test_caa_joint_search_equals_per_ap_searches(split12x4):
-    sc, L, cfg = split12x4
-    x, _, _ = solve_bcaa(sc, L, cfg)
-    joint_diag = []
-    with np.errstate(over="ignore"):
-        q_cols, mus = _caa_joint(sc, x, L, [0, 1, 2, 3], cfg, joint_diag)
-    t_cols = deadline_slack(sc.deadlines_s[:, None], sc.cycles_per_bit[:, None], L,
-                            np.where(q_cols > 0, q_cols, np.inf))
-    assert [r.dual.owner for r in joint_diag] == [0, 1, 2, 3]
-    for j in range(4):
-        diag = []
-        t = solve_caa(sc, x, L, ap=j, cfg=cfg, diag=diag)
-        assert np.array_equal(t, t_cols[:, j])
-        assert diag[0].dual.value == mus[j] == joint_diag[j].dual.value
-    assert np.allclose(q_cols.sum(axis=0), sc.compute_capacity, rtol=1e-12, atol=0)
 
 
 def test_data_marginal_is_positive_and_increasing():

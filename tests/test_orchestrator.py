@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from mecalloc import (
     Allocation,
     BracketError,
+    ConvergenceError,
     InfeasibilityError,
     InitStrategy,
     SolveConfig,
@@ -199,31 +200,25 @@ def test_reduced_gradient_matches_central_differences():
 
 
 @pytest.mark.parametrize("deadline", [0.2, 0.4])
-def test_reduced_gradient_is_the_slack_and_price_form_after_a_capped_rebalance(
-        deadline, monkeypatch):
-    # after every compute step, converged or not, stationarity of the
-    # slack gives mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q)
-    # equals a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the warm slack
-    # and compute prices
+def test_reduced_gradient_is_the_slack_and_price_form_after_a_warm_rebalance(deadline):
+    # stationarity of the slack at the pricing's prices gives
+    # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
+    # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the warm slack and compute
+    # prices
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
     thr = cfg.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
     warm = {}
     x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
-    # the re-balances below start from the warm prices, unpriced, so the
-    # cap of two rounds stops one that has not converged
-    system = kkt._budget_system
-    monkeypatch.setattr(kkt, "_maximise_dual",
-                        lambda y, pairs, col, budgets, cfg: (y, system(y, pairs, col, budgets)[2]))
     act = L > thr
     g = _reduced_gradient(sc, L, x, q, act)
     nu = (L * g).sum(axis=1) / L.sum(axis=1)
     G = sc.task_bits[:, None] * (g / nu[:, None] - 1.0)
     L = orchestrate._projected_step(L, G, act, sc.task_bits, 0.25, thr)
-    uncapped = solve_bcaa(sc, L, cfg, warm=dict(warm))[2]
-    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm, max_rounds=2)
-    assert rounds == 2 < uncapped
+    # the re-balance of the trial split starts from the warm prices
+    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
+    assert rounds == 1
     i, j = np.nonzero(L > thr)
     t = warm["t"][i, j]
     form = sc.noise_over_gain()[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
@@ -289,6 +284,22 @@ def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
     assert raised
     assert np.all(np.diff(sol.trace.outer_energies_j) < 0)
     assert validate(sc, sol.allocation, cfg).ok
+
+
+def _starve_pricing(mp):
+    """Stop every Newton solve of the pricing at its start prices, so that
+    the pricing misses its tolerance."""
+    mp.setattr(kkt, "_newton", lambda system, y, tol: (y, *system(y)[::2], 1))
+
+
+def test_trial_split_whose_pricing_misses_its_tolerance_is_rejected(monkeypatch):
+    sc = _small_scenario()
+    cfg = _cfg(sc)
+    L = initialize(sc, InitStrategy.equal())
+    _starve_pricing(monkeypatch)
+    assert orchestrate._rebalance(sc, L, cfg, {})[0] == np.inf
+    with pytest.raises(ConvergenceError, match="budget residual"):
+        solve_fixed_data(sc, L, cfg)
 
 
 def _tight42():
