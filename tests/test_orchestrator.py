@@ -200,7 +200,7 @@ def test_reduced_gradient_matches_central_differences():
 
 
 @pytest.mark.parametrize("deadline", [0.2, 0.4])
-def test_reduced_gradient_is_the_slack_and_price_form_after_a_warm_rebalance(deadline):
+def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline):
     # stationarity of the slack at the pricing's prices gives
     # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
     # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the warm slack and compute
