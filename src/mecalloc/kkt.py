@@ -1,5 +1,4 @@
-"""Monotone dual searches, the KKT subproblem solvers and the fixed-data
-dual.
+"""The KKT subproblem solvers, the fixed-data dual and the joint dual.
 
 Each subproblem pins two of the three variable blocks (data split L,
 bandwidth x, compute q) and prices the budgets of the third, each with
@@ -28,22 +27,26 @@ price share one safeguarded Newton loop, `_newton`.
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
-solve path. They share one pricing step, _price_budgets: the dual search,
-the final per-pair pass, the residual check, the rescale onto each
-budget and the diag records. Overflow warnings are silenced only where
-an overflowed value feeds a sign test or a start that is clipped: in
-this step and in the start of the cold bandwidth price.
+solve path. They share one pricing step, _price_budgets: one lockstep
+bisection of every budget's dual, the final per-pair pass, the residual
+check, the rescale onto each budget and the diag records. Overflow
+warnings are silenced only where an overflowed value feeds a sign test
+or a start that is clipped: in this step and in the start of the cold
+bandwidth price.
 
-Every search runs inside a bracket fixed before it starts. The per-pair
-roots bisect fixed brackets, except the bandwidth root
+So the module has two root finders: `physics.vec_bisect` for every
+monotone search and `_newton` for every pricing. Every search runs
+inside a bracket fixed before it starts. The per-pair roots of the
+references bisect fixed brackets, except the bandwidth root
 z = L*ln2/(x*t), which has the closed form `physics.exponent_root` of
-beta/(a*t). Duals span many decades at SI magnitudes, so each dual
-search works on the dual's base-10 logarithm inside DUAL_RANGE: it
-gallops from its start with doubling steps until the budget crosses its
-target, then bisects. Every function being bisected is strictly monotone
-on its bracket, and every budget sum is strictly monotone in its dual,
-so the searches never lose a root inside the range. The per-user data
-budgets are searched in lockstep, one vectorized pass over all pairs.
+beta/(a*t). Duals span many decades at SI magnitudes, so the references
+bisect each dual's base-10 logarithm over DUAL_RANGE in DUAL_HALVINGS
+halvings, and the Newton pricings step in the log prices inside the same
+range. Every function being bisected is strictly monotone on its
+bracket, and every budget sum is strictly monotone in its dual, so the
+bisections never lose a root inside the range. All budgets of one
+reference are bisected in lockstep, one vectorized pass over all pairs
+per halving.
 """
 
 from __future__ import annotations
@@ -81,7 +84,12 @@ SLACK_MARGIN = 1e-6
 # every dual search stays inside this range
 DUAL_RANGE = (1e-280, 1e280)
 
-# most probes of one dual search (oracle calls of the fixed-data pricing)
+# halvings of each bisection reference's dual search: they narrow the
+# log10 span of DUAL_RANGE (560 decades) to at most 1e-13 decades
+DUAL_HALVINGS = math.ceil(math.log2(
+    (math.log10(DUAL_RANGE[1]) - math.log10(DUAL_RANGE[0])) / 1e-13))
+
+# most calls of its system in one `_newton` solve
 MAX_DUAL_PROBES = 200
 
 # longest Newton step of the fixed-data pricing in any log price: ten
@@ -98,7 +106,8 @@ SPLIT_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class DualVariable:
-    """A Lagrange/auxiliary multiplier found by outer bisection.
+    """A Lagrange/auxiliary multiplier: a budget's price, found by the
+    lockstep bisection of `_price_budgets` or by a Newton pricing.
 
     kind "lambda_data" stores the nonnegative reparameterization of the
     per-user data multiplier (the raw multiplier is its negative);
@@ -129,60 +138,18 @@ class SolveDiagnostic:
     iterations: int
 
 
-def _solve_duals(budget_of, targets, cfg, starts, increasing):
-    """Lockstep family of monotone dual searches on log10 scale.
-
-    budget_of maps a per-group dual vector to the per-group budget sums;
-    every probe evaluates all groups at once. Each group starts at its
-    dual clipped to DUAL_RANGE and gallops: the first probe doubles (or
-    halves) the dual and each further probe doubles the log10 step, until
-    the budget crosses its target. From then on the group bisects its
-    log10 bracket. A group stops as soon as its budget residual is inside
-    half the configured relative tolerance (the caller still verifies).
-    A group whose root lies beyond DUAL_RANGE raises BracketError once its
-    probe reaches the range edge.
-
-    Returns (duals, evaluation count).
-    """
-    targets = np.asarray(targets, dtype=float)
-    edge_lo, edge_hi = np.log10(DUAL_RANGE)
-    tol = 0.5 * cfg.bisect_tol * np.abs(targets)
-    probe = np.log10(np.clip(np.asarray(starts, dtype=float), *DUAL_RANGE))
-    # log10 bracket of each root; an end not found yet is infinite
-    lo = np.full_like(probe, -np.inf)
-    hi = np.full_like(probe, np.inf)
-    step = np.full_like(probe, math.log10(2.0))
-    done = np.zeros(probe.shape, dtype=bool)
-    for calls in range(1, MAX_DUAL_PROBES + 1):
-        duals = 10.0 ** probe
-        b = budget_of(duals)
-        above = (b >= targets) ^ increasing  # the root lies above the probe
-        done |= (np.abs(b - targets) <= tol) | (hi - lo <= 1e-13)
-        if done.all():
-            return duals, calls
-        # a finished group's bracket closes on its answer, so it probes
-        # that answer again
-        lo = np.where(done | above, probe, lo)
-        hi = np.where(done | ~above, probe, hi)
-        if np.any(~done & ((lo >= edge_hi) | (hi <= edge_lo))):
-            raise BracketError(f"dual root outside the range {DUAL_RANGE}")
-        probe = np.where(np.isinf(hi), np.minimum(lo + step, edge_hi),
-                         np.where(np.isinf(lo), np.maximum(hi - step, edge_lo),
-                                  0.5 * (lo + hi)))
-        step *= 2.0
-    raise ConvergenceError(f"dual search exhausted {MAX_DUAL_PROBES} probes")
-
-
-def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasing,
-                   diag=None):
+def _price_budgets(kind, group, owners, targets, share_of, cfg, increasing, diag=None):
     """Price each budget with one dual and split it over its elements.
 
     group[k] is the budget element k draws on, owners[g] the user or AP
     that owns budget g (None for the bandwidth), and share_of maps one
-    dual per element to the element's share. The duals come from one
-    lockstep search driving each budget's share sum onto its target; a
+    dual per element to the element's share, increasing or decreasing in
+    it. One lockstep `vec_bisect` of DUAL_HALVINGS halvings over the
+    log10 of DUAL_RANGE drives each budget's share sum onto its target. A
     sum still off its target by more than the relative tolerance raises
-    ConvergenceError. Appends one `kind` record per budget to diag.
+    BracketError when its dual ends at an edge of the range (the root
+    lies beyond it), ConvergenceError otherwise. Appends one `kind`
+    record per budget to diag.
 
     Overflowed exponentials inside the searches only ever feed sign
     tests, so overflow warnings are silenced here.
@@ -190,20 +157,30 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, starts, increasi
     Returns (duals, shares, shares rescaled so each sum is its target).
     """
     n = len(owners)
+    edges = np.log10(DUAL_RANGE)
+
+    def sums_at(log_duals):
+        return np.bincount(group, weights=share_of(10.0 ** log_duals[group]), minlength=n)
+
     with np.errstate(over="ignore"):
-        duals, calls = _solve_duals(
-            lambda d: np.bincount(group, weights=share_of(d[group]), minlength=n),
-            targets, cfg, starts, increasing)
+        log_duals = vec_bisect(lambda mid: (sums_at(mid) < targets) == increasing,
+                               np.full(n, edges[0]), np.full(n, edges[1]), DUAL_HALVINGS)
+        duals = 10.0 ** log_duals
         shares = share_of(duals[group])
     sums = np.bincount(group, weights=shares, minlength=n)
     resid = np.abs(sums - targets) / targets
-    if np.any(resid > cfg.bisect_tol):
+    bad = resid > cfg.bisect_tol
+    # a root beyond the range leaves its dual in the last bracket at an edge
+    width = np.ptp(edges) / 2.0 ** DUAL_HALVINGS
+    if np.any(bad & (np.abs(log_duals[:, None] - edges).min(axis=1) < width)):
+        raise BracketError(f"dual root outside the range {DUAL_RANGE}")
+    if bad.any():
         g = int(np.argmax(resid))
         owner = "" if owners[g] is None else f" {owners[g]}"
         raise ConvergenceError(f"{kind}{owner}: budget sum residual {resid[g]:.3e}")
     if diag is not None:
         diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
-                                    residual=float(r), iterations=calls)
+                                    residual=float(r), iterations=DUAL_HALVINGS)
                     for v, o, r in zip(duals, owners, resid))
     return duals, shares, shares * (targets / sums)[group]
 
@@ -238,7 +215,6 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
     eta_user = scenario.cycles_per_bit
     bits = scenario.task_bits
     usable = (q > 0) & (x > 0)
-    nus = None
 
     for _ in range(M + 1):
         ui, uj = np.nonzero(usable)
@@ -252,16 +228,11 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
                 f"user {i}: maximal feasible loads carry {room[i]:.6g} "
                 f"of {bits[i]:.6g} bits", user=i)
         g0 = data_marginal(0.0, xv, qv, dv, etav, av)
-        if nus is None:
-            # just above the smallest zero-load marginal of each row
-            nus = np.full(K, np.inf)
-            np.minimum.at(nus, ui, g0)
-            nus *= 2.0
         records = []
-        nus, roots, loads = _price_budgets(
+        _, roots, loads = _price_budgets(
             "lambda_data", ui, range(K), bits,
             lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper, g0),
-            cfg, nus, increasing=True, diag=records)
+            cfg, increasing=True, diag=records)
         crumbs = (roots > 0) & (roots <= cfg.activity_threshold_bits)
         if crumbs.any():
             usable[ui[crumbs], uj[crumbs]] = False
@@ -307,7 +278,7 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None):
         "beta_bandwidth", np.zeros(Lv.size, dtype=int), [None],
         np.array([scenario.bandwidth_hz]),
         lambda beta: _bandwidth_roots(beta, Lv, tv, av),
-        cfg, np.ones(1), increasing=False, diag=diag)[2]
+        cfg, increasing=False, diag=diag)[2]
     return out
 
 
@@ -346,7 +317,7 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     q[act] = _price_budgets(
         "mu_compute", np.zeros(Lv.size, dtype=int), [ap], np.array([cap]),
         lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)),
-        cfg, np.ones(1), increasing=False, diag=diag)[2]
+        cfg, increasing=False, diag=diag)[2]
     return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit, L[:, ap], q)
 
 
@@ -587,9 +558,10 @@ def joint_split(scenario, beta, mus):
     price belongs at zero, where G's slope in log mu vanishes. Such an AP
     is held at the bottom of DUAL_RANGE, out of the system, and the stage
     solved again; the stage fails when a held AP's capacity would then be
-    exceeded. Returns (L, beta, mus), or None when a stage misses the
-    tolerance, its Jacobian is singular or its root lies beyond
-    DUAL_RANGE.
+    exceeded. Returns (L, beta, mus, G) with G = G(beta, mus), read off
+    the oracle of the last accepted iterate and equal to `joint_dual`
+    there, or None when a stage misses the tolerance, its Jacobian is
+    singular or its root lies beyond DUAL_RANGE.
     """
     K, M = scenario.num_users, scenario.num_aps
     bits, pairs, budgets = _joint_inputs(scenario)
@@ -621,9 +593,10 @@ def joint_split(scenario, beta, mus):
                 return None
     except BracketError:
         return None
-    w = np.where(w >= SPLIT_FLOOR, w, 0.0)
     p = np.exp(y)
-    return bits[:, None] * w / w.sum(axis=1, keepdims=True), p[0], p[1:]
+    bound = float(bits @ e.min(axis=1) - p[0] * budgets[0] - p[1:] @ budgets[1:])
+    w = np.where(w >= SPLIT_FLOOR, w, 0.0)
+    return bits[:, None] * w / w.sum(axis=1, keepdims=True), p[0], p[1:], bound
 
 
 # ---------------------------------------------------------------------------

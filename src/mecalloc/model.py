@@ -249,10 +249,11 @@ class SolveConfig:
 
     epsilon_j is the outer stop threshold in Joules; max_outer_iters
     counts the gradient rounds after the start of `solve_iterative`.
-    bisect_tol is the relative tolerance of the dual-search stop, the
-    budget residual checks and the duality gap that certifies a
-    re-balance, which is one pass with no round budget (per-pair roots
-    found by bisection run physics.INNER_ITERS fixed halvings).
+    bisect_tol is the relative tolerance of the budget residual checks
+    and of the duality gap that certifies a re-balance, which is one pass
+    with no round budget; the Newton pricings solve to half of it. The
+    bisections run fixed halving counts (physics.INNER_ITERS per pair,
+    kkt.DUAL_HALVINGS per dual), so it stops none of them.
     activity_threshold_bits is the data size below which a pair is frozen
     at L = x = q = 0 and excluded from the KKT systems (zero-data pairs
     would make the rate formula indeterminate).

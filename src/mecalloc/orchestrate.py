@@ -4,18 +4,19 @@ The full solver minimises the re-balanced energy F(L), the least energy
 the bandwidth/compute re-balance reaches at data split L. The start is
 the dual step: the split the joint Lagrangian dual's prices choose
 (`kkt.joint_split`), kept when its re-balance ends below the initial
-split's fixed-data dual (`kkt.price_split`), a lower bound on its F.
-The joint dual G at the dual step's prices (`kkt.joint_dual`) bounds
-every feasible energy; a start within GAP_TOL of it is the answer, with
-no gradient round. Every round after it takes one projected reduced-
-gradient step on L: by the envelope theorem the gradient of F is the
-partial dE/dL at the last re-balance's (x, q), inactive pairs cheaper at
-the current prices than their user's best pair join the support, the
-step is projected onto each user's task simplex on that support, and a
-backtracking line search accepts the first trial whose warm re-balance,
-one pass of `kkt.solve_bcaa`, strictly lowers the energy, starting from
-the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
-outer energies fall strictly until a round's decrement meets the stop.
+split's fixed-data dual (`kkt.price_split`), a lower bound on its F. The
+joint dual G at the dual step's prices (`kkt.joint_dual`, which
+`kkt.joint_split` returns with them) bounds every feasible energy; a
+start within GAP_TOL of it is the answer, with no gradient round. Every
+round after it takes one projected reduced-gradient step on L: by the
+envelope theorem the gradient of F is the partial dE/dL at the last
+re-balance's (x, q), inactive pairs cheaper at the current prices than
+their user's best pair join the support, the step is projected onto each
+user's task simplex on that support, and a backtracking line search
+accepts the first trial whose warm re-balance, one pass of
+`kkt.solve_bcaa`, strictly lowers the energy, starting from the
+Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the outer
+energies fall strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -29,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import DUAL_RANGE, joint_dual, joint_split, price_split, solve_bcaa
+from .kkt import DUAL_RANGE, joint_split, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -98,13 +99,6 @@ class InitStrategy:
     @classmethod
     def binary(cls):
         return cls("binary_best_ap")
-
-    @property
-    def name(self):
-        if self.kind == "best_ap_weighted":
-            return f"best-ap-{int(round(100 * self.weight))}"
-        return {"equal_split": "equal", "uniform_random": "random",
-                "binary_best_ap": "binary-best-ap"}[self.kind]
 
 
 @dataclass(frozen=True)
@@ -305,7 +299,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         bound = price_split(scenario, L, cfg, warm)
         dual = joint_split(scenario, warm["beta"], warm["mus"])
         if dual is not None:
-            lower = joint_dual(scenario, *dual[1:])
+            lower = dual[3]
             if not np.array_equal(dual[0], L):
                 e_try, x_try, q_try, rounds, warm_try = _rebalance(
                     scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))

@@ -29,7 +29,6 @@ from mecalloc.kkt import (
     _bandwidth_roots,
     _data_roots,
     _slack_roots,
-    _solve_duals,
 )
 from mecalloc.model import deadline_slack
 from mecalloc.physics import data_marginal
@@ -75,65 +74,61 @@ def test_bisect_symmetric_data_split():
 
 # --- dual searches -----------------------------------------------------
 
-class _ProbeCount:
-    """A monotone family budget_of(duals) that counts its evaluations."""
+def _price_each(roots, increasing):
+    """`kkt._price_budgets` with one element per budget, whose share is the
+    dual d (increasing) or 1/d (decreasing) and meets its target at the
+    dual in roots. Returns the duals, the diag records and the count of
+    share calls."""
+    roots = np.asarray(roots, dtype=float)
+    share_of = (lambda d: d) if increasing else (lambda d: 1.0 / d)
+    calls, diag = [], []
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.calls = 0
+    def counted(duals):
+        calls.append(1)
+        return share_of(duals)
 
-    def __call__(self, duals):
-        self.calls += 1
-        return self.fn(duals)
-
-
-def _search(fn, targets, starts, increasing):
-    budget = _ProbeCount(fn)
-    targets = np.asarray(targets, dtype=float)
-    duals, calls = _solve_duals(budget, targets, SolveConfig(),
-                                np.asarray(starts, dtype=float), increasing)
-    assert calls == budget.calls
-    assert np.all(np.abs(fn(duals) - targets)
-                  <= 0.5 * SolveConfig().bisect_tol * np.abs(targets))
-    return duals, calls
+    duals, _, _ = kkt._price_budgets("lambda_data", np.arange(roots.size),
+                                     list(range(roots.size)), share_of(roots), counted,
+                                     SolveConfig(), increasing, diag)
+    return duals, diag, len(calls)
 
 
 def test_dual_search_reaches_a_far_root_in_few_probes():
-    # galloping crosses the 100 decades in ten probes; a fixed doubling
-    # of the dual would need over 330
-    _, calls = _search(np.log10, [100.0], [1.0], increasing=True)
-    assert calls <= 60
+    # the bisection crosses the 560 decades of DUAL_RANGE in a fixed
+    # DUAL_HALVINGS probes plus the final pass, wherever the root lies; a
+    # fixed doubling of the dual would need over 330 to reach 1e100
+    duals, _, calls = _price_each([1e100], increasing=True)
+    assert calls == kkt.DUAL_HALVINGS + 1 <= 60
+    assert duals == pytest.approx([1e100], rel=1e-12)
 
 
 @pytest.mark.parametrize("increasing", [True, False])
 def test_dual_search_solves_a_mixed_lockstep_family(increasing):
     # one root 200 decades up, one 5 down and one a doubling away, all
-    # searched in lockstep from 1.0
-    sign = 1.0 if increasing else -1.0
+    # bisected in lockstep to the tolerance, under budgets rising or
+    # falling in their duals
     roots = np.array([1e200, 1e-5, 2.0])
-    duals, _ = _search(lambda d: sign * np.log10(d), sign * np.log10(roots),
-                       np.ones(3), increasing)
-    assert duals == pytest.approx(roots, rel=1e-6)
+    duals, diag, _ = _price_each(roots, increasing)
+    assert duals == pytest.approx(roots, rel=1e-12)
+    assert [r.iterations for r in diag] == [kkt.DUAL_HALVINGS] * 3
+    assert all(r.residual <= SolveConfig().bisect_tol for r in diag)
 
 
-@pytest.mark.parametrize("root, start", [(1e300, 1.0), (1e-300, 1.0),
-                                         (1e300, 1e300), (1e-300, 1e-300)])
-def test_dual_search_rejects_roots_outside_its_range(root, start):
-    budget = _ProbeCount(np.log10)
+@pytest.mark.parametrize("root, increasing", [(1e300, True), (1e-300, True),
+                                              (1e300, False), (1e-300, False)])
+def test_dual_search_rejects_roots_outside_its_range(root, increasing):
+    # the budget meets its target only at a dual beyond DUAL_RANGE, so the
+    # bisection ends at the range edge with the residual failing
     with pytest.raises(BracketError):
-        _solve_duals(budget, np.array([np.log10(root)]), SolveConfig(),
-                     np.array([start]), increasing=True)
-    # the gallop reaches the range edge from anywhere inside it in a dozen
-    assert budget.calls <= 12
+        _price_each([root], increasing)
 
 
-@pytest.mark.parametrize("root, doubling_probes", [(1.5, 33), (0.6, 32), (1.9, 32)])
-def test_dual_search_warm_start_costs_no_more_than_doubling(root, doubling_probes):
-    # a warm start within a factor of 2 of the root is bracketed by the
-    # first probe; doubling_probes is what a fixed doubling of the dual
-    # costs there
-    _, calls = _search(np.log10, [np.log10(root)], [1.0], increasing=True)
-    assert calls <= doubling_probes
+def test_dual_search_names_a_budget_it_cannot_meet():
+    # a share that jumps over its target inside the range: the bisection
+    # closes on the jump, and the residual there names the budget
+    with pytest.raises(ConvergenceError, match="lambda_data 0: budget sum residual"):
+        kkt._price_budgets("lambda_data", np.zeros(1, dtype=int), [0], np.ones(1),
+                           lambda d: np.where(d < 1.0, 0.5, 2.0), SolveConfig(), True)
 
 
 def test_dual_variable_invariants():
@@ -591,7 +586,7 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     sc, _, cfg = tight42
     warm = {}
     solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    _, beta, mus = kkt.joint_split(sc, warm["beta"], warm["mus"])
+    _, beta, mus, _ = kkt.joint_split(sc, warm["beta"], warm["mus"])
     bits, pairs, budgets = kkt._joint_inputs(sc)
     y = np.log(np.append(beta, mus)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
     p = np.exp(y)
@@ -609,6 +604,22 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     fd = np.column_stack([(residuals(y + h * e) - residuals(y - h * e)) / (2.0 * h)
                           for e in np.eye(y.size)])
     assert np.abs(fd - J).max() <= 1e-7 * np.abs(J).max()
+
+
+@pytest.mark.parametrize("params, deadline", [
+    (GenParams(seed=42), 0.2), (GenParams(seed=42), 0.4),
+    (GenParams(num_users=6, num_aps=3, seed=1), None),
+    (GenParams(num_users=16, num_aps=4, seed=2), None)])
+def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
+    # the bound the dual step reads off its last oracle pass is G at the
+    # prices it returns, bit for bit, so no second K x M pass is needed
+    sc = generate(params)
+    if deadline is not None:
+        sc = override_parameter(sc, "deadline_s", deadline)
+    warm = {}
+    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm)
+    _, beta, mus, bound = kkt.joint_split(sc, warm["beta"], warm["mus"])
+    assert bound == kkt.joint_dual(sc, beta, mus)
 
 
 @pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])

@@ -109,7 +109,6 @@ def test_strategy_validation():
         InitStrategy("water_filling")
     with pytest.raises(StructuralError):
         InitStrategy.best_ap(weight=0.0)
-    assert InitStrategy.best_ap(0.9).name == "best-ap-90"
 
 
 # --- solve_iterative ----------------------------------------------------
@@ -437,6 +436,22 @@ def _start42(deadline):
     return sc, SolveConfig.for_scenario(sc)
 
 
+def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
+    # solve_daa, solve_baa and solve_caa are references for the tests, so
+    # the fixed halving count of their dual searches costs no solve any
+    # time; at D = 0.2 s both starts run gradient rounds, and the binary
+    # one declines the dual step
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bisection reference ran on the solve path")
+
+    monkeypatch.setattr(kkt, "_price_budgets", refuse)
+    sc, cfg = _start42(0.2)
+    for strategy in (InitStrategy.equal(), InitStrategy.binary()):
+        assert solve_iterative(sc, strategy, cfg).trace.outer_energies_j
+    assert solve_fixed_data(sc, initialize(sc, InitStrategy.equal()), cfg).converged
+    assert solve_fixed_assignment(sc, best_snr_assignment(sc), cfg).converged
+
+
 def test_the_start_prices_the_initial_split_without_rebalancing_it(monkeypatch):
     # the dual split beats the pricing of the equal split, so no
     # re-balance runs on that split and every round spent is counted
@@ -478,7 +493,8 @@ def test_a_worse_dual_split_is_declined_and_its_rounds_count(monkeypatch):
     L0 = initialize(sc, InitStrategy.equal())
     worst = np.zeros_like(L0)
     worst[np.arange(sc.num_users), np.argmin(sc.gains, axis=1)] = sc.task_bits
-    monkeypatch.setattr(orchestrate, "joint_split", lambda sc, beta, mus: (worst, beta, mus))
+    monkeypatch.setattr(orchestrate, "joint_split",
+                        lambda sc, beta, mus: (worst, beta, mus, kkt.joint_dual(sc, beta, mus)))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     (L_a, n_a), (L_b, n_b) = calls[:2]
@@ -499,8 +515,8 @@ def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
     with pytest.MonkeyPatch.context() as mp:
         steps = _spy_dual_step(mp)
         sol = solve_iterative(sc, strategy, cfg)
-    for _, beta, mus in filter(None, steps):
-        assert kkt.joint_dual(sc, beta, mus) <= sol.energy_j * (1.0 + 1e-12)
+    for _, beta, mus, bound in filter(None, steps):
+        assert bound == kkt.joint_dual(sc, beta, mus) <= sol.energy_j * (1.0 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
