@@ -449,9 +449,9 @@ def _slack_prices(log_beta, pairs, col, t):
     return np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv)
 
 
-def _cold_prices(pairs, col, t, B, cfg, diag):
-    """Log prices at the slack t: beta from a scalar Newton solve of the
-    bandwidth budget there, and the compute prices of `_slack_prices`.
+def _cold_prices(pairs, t, B, cfg, diag):
+    """The log bandwidth price at the slack t, from a scalar Newton solve
+    of the bandwidth budget there.
 
     Along the bandwidth root z = exponent_root(beta/(a*t)) the bandwidth
     per bit is ln2/(t*z) and d ln z/d ln beta = k = c*e^-z/z^2. The solve
@@ -473,7 +473,7 @@ def _cold_prices(pairs, col, t, B, cfg, diag):
                              0.5 * cfg.bisect_tol)
     diag.append(SolveDiagnostic(DualVariable("beta_bandwidth", math.exp(y[0])),
                                 residual=float(abs(r[0])), iterations=calls))
-    return np.append(y, _slack_prices(y[0], pairs, col, t))
+    return y[0]
 
 
 # ---------------------------------------------------------------------------
@@ -609,15 +609,15 @@ def price_split(scenario, L, cfg: SolveConfig, warm):
     every energy at split L.
 
     warm is a caller-owned dict read and refreshed between calls of one
-    outer loop: the bandwidth price "beta" and M-vector of compute prices
-    "mus" (1.0 at APs not priced) start the pricing, and the K x M slack
-    "t" at the final prices is kept beside them. An AP that the slack "t"
-    shows idle (its slack is the deadline for every user) has no warm
-    price: it starts from the price that makes the cold slack below
-    stationary (`_slack_prices`). Prices that are missing, not finite, not
-    positive or of the wrong shape void the whole warm state. The cold start prices the slack
-    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D
-    (`_cold_prices`: one scalar Newton solve of the bandwidth budget).
+    outer loop: the bandwidth price "beta" and the M-vector of compute
+    prices "mus" the last pricing ended at, with every AP that served no
+    active pair at the floor of DUAL_RANGE. The pricing starts from them.
+    Prices that are missing, not finite, not positive or of the wrong
+    shape void the whole state, and beta then starts cold: one scalar
+    Newton solve of the bandwidth budget at the slack D*(1 - load_j/C_j)
+    of the capacity split proportional to eta*L/D (`_cold_prices`). Every
+    AP priced at or below the floor, so every AP of a void state, starts
+    from the price that makes that slack stationary (`_slack_prices`).
     Only APs that serve an active pair are priced; one whose least load
     sum_i eta*L/D reaches its capacity raises InfeasibilityError, and a
     price root beyond DUAL_RANGE raises BracketError."""
@@ -627,8 +627,9 @@ def price_split(scenario, L, cfg: SolveConfig, warm):
 def _price(scenario, L, cfg, warm, diag):
     """`price_split`, appending to diag the cold start's record, then one
     record per final price with its scaled budget residual and the count
-    of oracle calls. Returns the `_pricing_inputs` of split L, q(beta, mu)
-    and the residuals, slacks and bandwidths per bit at the final prices."""
+    of oracle calls. Leaves the final prices in warm, and returns the
+    `_pricing_inputs` of split L, q(beta, mu) and the residuals, slacks
+    and bandwidths per bit at the final prices."""
     act = L > cfg.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
@@ -650,13 +651,12 @@ def _price(scenario, L, cfg, warm, diag):
     t = (d * (1.0 - load / cap))[act]
     if np.all(np.isfinite(prices) & (prices > 0)):
         y = np.log(np.append(prices[0], prices[1:][aps]))
-        if np.shape(warm.get("t")) == L.shape:
-            # an AP the warm state's split left idle (its slack is the
-            # deadline everywhere) has no price yet
-            idle = np.all(warm["t"] == d, axis=0)[aps]
-            y[1:][idle] = _slack_prices(y[0], pairs, col, t)[idle]
-    else:
-        y = _cold_prices(pairs, col, t, scenario.bandwidth_hz, cfg, diag)
+    else:  # a void state: beta starts cold, and every AP at the floor
+        y = np.append(_cold_prices(pairs, t, budgets[0], cfg, diag), np.zeros(aps.size))
+        prices = np.zeros(cap.size + 1)
+    floor = prices[1:][aps] <= DUAL_RANGE[0]
+    if floor.any():
+        y[1:][floor] = _slack_prices(y[0], pairs, col, t)[floor]
     # driving the scaled budget residuals to zero maximises q(beta, mu)
     y, r, (e, tv, s), calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
                                       0.5 * cfg.bisect_tol)
@@ -665,11 +665,9 @@ def _price(scenario, L, cfg, warm, diag):
                                 residual=float(abs(ri)), iterations=calls)
                 for kind, v, o, ri in zip(["beta_bandwidth"] + ["mu_compute"] * aps.size, p,
                                           [None, *aps.tolist()], r))
-    t = np.broadcast_to(d, L.shape).copy()
-    t[act] = tv
-    mus = np.ones(scenario.num_aps)
+    mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
-    warm.update(t=t, beta=p[0], mus=mus)
+    warm.update(beta=p[0], mus=mus)
     return inputs, float(pairs[0] @ e - p @ budgets), r, tv, s
 
 
@@ -693,7 +691,7 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     receives the pricing's records (`_price`), also when the certificate
     then fails.
 
-    Returns (x, q, 1), with x and q K x M; the 1 counts the re-balance.
+    Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
     act = L > cfg.activity_threshold_bits

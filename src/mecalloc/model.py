@@ -55,7 +55,7 @@ class DegenerateInputError(ValueError):
 
 
 class InternalConsistencyError(RuntimeError):
-    """A step that must not increase energy did; indicates a solver bug."""
+    """Raised nowhere; kept only for callers that import it by name."""
 
 
 def is_count(value, least=0):

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import DUAL_RANGE, joint_split, price_split, solve_bcaa
+from .kkt import joint_split, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -206,26 +206,25 @@ def _projected_step(L, G, act, bits, alpha, thr):
 
 def _rebalance(scenario, L, cfg, warm):
     """Warm re-balance of a trial split from a copy of warm. Returns
-    (energy, x, q, rounds, warm copy); a split the re-balance cannot
-    price or certify, such as one whose compute dual lies beyond
-    DUAL_RANGE, gets an infinite energy."""
+    (energy, x, q, warm copy); a split the re-balance cannot price or
+    certify, such as one whose compute dual lies beyond the dual range,
+    gets an infinite energy and x = q = None."""
     warm = dict(warm)
     try:
-        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm)
-        return _energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, n, warm
+        x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
+        return _energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, warm
     except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
-        return np.inf, None, None, 0, warm
+        return np.inf, None, None, warm
 
 
 def _entry_costs(scenario, act, warm):
     """Cheapest cost per bit e_ij (`physics.price_oracle`) of each
     inactive pair at the warm prices, +inf on the active pairs. An AP
-    that serves no active pair has no price yet, and enters at the bottom
-    of the dual range: its capacity is free."""
+    that serves no active pair is priced at the floor of the dual range
+    (`kkt.price_split`): its capacity is free."""
     e = np.full(act.shape, np.inf)
     i, j = np.nonzero(~act)
-    mus = np.where(act.any(axis=0), warm["mus"], DUAL_RANGE[0])
-    e[i, j] = price_oracle(warm["beta"], mus[j], scenario.deadlines_s[i],
+    e[i, j] = price_oracle(warm["beta"], warm["mus"][j], scenario.deadlines_s[i],
                            scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])[0]
     return e
 
@@ -273,19 +272,19 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     user's least active gradient joins the support with that cost as its
     gradient. It then takes one projected step along the gradient of F,
     which by the envelope theorem is dE/dL at the re-balanced (x, q)
-    (`_reduced_gradient`, `_projected_step`). Each trial is followed by a
-    warm re-balance from a copy of the warm state, which only `solve_bcaa`
-    reads (`_rebalance`). The step size starts at the BB1 length s.s/s.y,
-    with s the last change of L and y the change of the row-scaled
-    direction G = T*(g/nu - 1) over the support, clipped to [MIN_STEP, 1]
-    (1 in the first gradient round and when s.y <= 0), and halves until
-    the trial energy is strictly lower; a trial that is infeasible, or
-    whose re-balance finds a dual outside its range or misses its
-    certificate, counts as a rejection. A round whose step moves no load,
-    or whose step falls below MIN_STEP, lowers the energy by zero. The loop
-    stops at the end of the first round that lowers the energy by zero,
-    or by at most epsilon_j while no pair is left to enter; that may be
-    the last allowed round.
+    (`_reduced_gradient`, `_projected_step`). The warm prices are the last
+    accepted re-balance's (`kkt.price_split`), and each trial is followed
+    by a re-balance warm from a copy of them (`_rebalance`). The step size
+    starts at the BB1 length s.s/s.y, with s the last change of L and y
+    the change of the row-scaled direction G = T*(g/nu - 1) over the
+    support, clipped to [MIN_STEP, 1] (1 in the first gradient round and
+    when s.y <= 0), and halves until the trial energy is strictly lower; a
+    trial that is infeasible, or whose re-balance finds a dual outside its
+    range or misses its certificate, counts as a rejection. A round whose
+    step moves no load, or whose step falls below MIN_STEP, lowers the
+    energy by zero. The loop stops at the end of the first round that
+    lowers the energy by zero, or by at most epsilon_j while no pair is
+    left to enter; that may be the last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
@@ -301,13 +300,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         if dual is not None:
             lower = dual[3]
             if not np.array_equal(dual[0], L):
-                e_try, x_try, q_try, rounds, warm_try = _rebalance(
-                    scenario, dual[0], cfg, dict(warm, beta=dual[1], mus=dual[2]))
+                e_try, x_try, q_try, warm_try = _rebalance(
+                    scenario, dual[0], cfg, {"beta": dual[1], "mus": dual[2]})
+                rounds = int(x_try is not None)
                 if e_try < bound:
                     L, x, q, warm, energy = dual[0], x_try, q_try, warm_try, e_try
     if x is None:
-        x, q, n = solve_bcaa(scenario, L, cfg, warm=warm)
-        rounds += n
+        x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
+        rounds += 1
         energy = _energy(scenario, L, x, q, thr)
     outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
 
@@ -328,8 +328,8 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
             L_try = _projected_step(L, G, act, bits, trial, thr)
             if np.array_equal(L_try, L):
                 break
-            e_try, x_try, q_try, n, warm_try = _rebalance(scenario, L_try, cfg, warm)
-            rounds += n
+            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm)
+            rounds += x_try is not None
             if e_try < energy:
                 L, x, q, warm, energy, direction = L_try, x_try, q_try, warm_try, e_try, None
                 break
@@ -367,13 +367,13 @@ def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -
     """One resource re-balance under a frozen data split (convex, exact)."""
     cfg = cfg or SolveConfig.for_scenario(scenario)
     t0 = time.perf_counter()
-    x, q, rounds = solve_bcaa(scenario, L, cfg)
+    x, q = solve_bcaa(scenario, L, cfg)[:2]
     e = _energy(scenario, L, x, q, cfg.activity_threshold_bits)
     allocation = Allocation(data=np.asarray(L, dtype=float), bandwidth=x, compute=q)
     return Solution(
         allocation=allocation,
         energy_j=e,
-        trace=SolveTrace((e,), (rounds,), (time.perf_counter() - t0,)),
+        trace=SolveTrace((e,), (1,), (time.perf_counter() - t0,)),
         converged=True,
     )
 

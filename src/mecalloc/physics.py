@@ -128,7 +128,6 @@ def price_oracle(beta, mu, d, eta, a):
     root. Returns (e, t, x/L), with x/L = ln2/(t*z) the bandwidth per bit.
     """
     b = beta / a
-    ratio = beta * LN2 / (mu * eta)
 
     def slack(log_z):
         z = np.exp(log_z)
@@ -142,6 +141,7 @@ def price_oracle(beta, mu, d, eta, a):
     # at a compute price near zero the left side overflows, and only
     # feeds the sign test
     with np.errstate(over="ignore"):
+        ratio = beta * LN2 / (mu * eta)
         z, t = slack(vec_bisect(go_right, lo, hi))
     return a * LN2 * np.exp(z) + mu * eta / (d - t), t, LN2 / (t * z)
 

@@ -692,7 +692,7 @@ def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
         one[1] = bad
         unusable += [{"beta": bad, "mus": mus}, {"beta": beta, "mus": one}]
     for warm in unusable:
-        out = solve_bcaa(sc, L, cfg, warm=dict(warm, t=state["t"]))
+        out = solve_bcaa(sc, L, cfg, warm=warm)
         assert np.array_equal(out[0], cold[0])
         assert np.array_equal(out[1], cold[1])
         assert out[2] == cold[2]
@@ -702,31 +702,31 @@ def test_cold_bandwidth_price_is_the_bandwidth_search_root_in_fewer_calls(split1
     # the cold start's scalar Newton solve meets the bandwidth budget at
     # the cold slack, where the BAA search also finds its root
     sc, L, cfg = split12x4
-    pairs, col, _, _ = kkt._pricing_inputs(sc, L, cfg)
+    pairs = kkt._pricing_inputs(sc, L, cfg)[0]
     d = sc.deadlines_s[:, None]
     load = (sc.cycles_per_bit[:, None] * L / d).sum(axis=0)
     t = np.broadcast_to(d * (1.0 - load / sc.compute_capacity), L.shape)
     newton, search = [], []
-    y = kkt._cold_prices(pairs, col, t[L > 0], sc.bandwidth_hz, cfg, newton)
+    y = kkt._cold_prices(pairs, t[L > 0], sc.bandwidth_hz, cfg, newton)
     solve_baa(sc, t, L, cfg, diag=search)
-    assert math.exp(y[0]) == newton[0].dual.value
+    assert math.exp(y) == newton[0].dual.value
     assert newton[0].dual.value == pytest.approx(search[0].dual.value, rel=cfg.bisect_tol)
     assert newton[0].residual <= 0.5 * cfg.bisect_tol
     assert 4 * newton[0].iterations < search[0].iterations
 
 
 def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
-    # the warm state holds no price for AP 3, only the placeholder 1.0,
-    # so the pricing starts that AP from the price that makes the cold
-    # slack stationary; from 1.0 its Newton solve makes no progress and
-    # misses its tolerance
+    # the warm state prices AP 3, which served no one, at the floor of
+    # DUAL_RANGE, so the pricing starts that AP from the price that makes
+    # the cold slack stationary
     sc, L, cfg = split12x4
     idle = L.copy()
     idle[:, 3] = 0.0
     idle *= 4.0 / 3.0
     warm = {}
     solve_bcaa(sc, idle, cfg, warm=warm)
-    assert warm["mus"][3] == 1.0
+    assert set(warm) == {"beta", "mus"}
+    assert warm["mus"][3] == kkt.DUAL_RANGE[0]
     calls = []
     system = kkt._budget_system
     monkeypatch.setattr(kkt, "_budget_system", lambda *args: calls.append(1) or system(*args))

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from mecalloc import (
 )
 from mecalloc import kkt, orchestrate
 from mecalloc.orchestrate import _reduced_gradient, check_solution
+from mecalloc.physics import price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import make_scenario, scalar_energy
@@ -202,8 +204,8 @@ def test_reduced_gradient_matches_central_differences():
 def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline):
     # stationarity of the slack at the pricing's prices gives
     # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
-    # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the warm slack and compute
-    # prices
+    # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the answer's slack
+    # t = D - eta*L/q and the warm compute prices
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
     thr = cfg.activity_threshold_bits
@@ -219,7 +221,7 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
     assert rounds == 1
     i, j = np.nonzero(L > thr)
-    t = warm["t"][i, j]
+    t = sc.deadlines_s[i] - sc.cycles_per_bit[i] * L[i, j] / q[i, j]
     form = sc.noise_over_gain()[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
         + warm["mus"][j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
     g = _reduced_gradient(sc, L, x, q, L > thr)[i, j]
@@ -537,6 +539,32 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     nu = (L * g).sum(axis=1) / L.sum(axis=1)
     e = orchestrate._entry_costs(sc, act, warm)
     assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
+
+
+def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
+    # the warm state holds AP 3, which serves no one, at the floor of
+    # DUAL_RANGE: its capacity is free to the pairs that would enter there
+    sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
+    cfg = SolveConfig.for_scenario(sc)
+    L = np.tile(sc.task_bits[:, None] / 3.0, (1, 4))
+    L[:, 3] = 0.0
+    warm = {}
+    solve_bcaa(sc, L, cfg, warm=warm)
+    e = orchestrate._entry_costs(sc, L > cfg.activity_threshold_bits, warm)
+    floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
+                         sc.noise_over_gain()[:, 3])[0]
+    np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
+
+
+def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
+    # from this start the dual step calls the price oracle where
+    # beta*ln2/(mu*eta) overflows
+    sc = generate(GenParams(num_users=16, num_aps=4, deadline_s=0.4, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_iterative(sc, InitStrategy.best_ap(),
+                              SolveConfig.for_scenario(sc, max_outer_iters=1))
+    assert sol.outer_iterations <= 1
 
 
 def test_a_start_within_the_gap_tolerance_of_the_bound_stops_the_solve():

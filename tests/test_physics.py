@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -391,3 +392,14 @@ def test_price_oracle_matches_a_fine_slack_grid():
     assert np.all(np.abs(t - tg[np.arange(n), best]) <= d * (frac[1] - frac[0]))
     z = _grid_exponents(beta, a, t)
     assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-9)
+
+
+def test_price_oracle_at_a_near_zero_compute_price_leaks_no_overflow_warning():
+    # beta*ln2/(mu*eta) overflows here, and only feeds the slack search's
+    # sign test
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        e, t, _ = physics.price_oracle(1e40, np.array([1e-280]), np.array([0.4]),
+                                       np.array([1e3]), np.array([1e-8]))
+    assert np.isfinite(e[0])
+    assert 0.0 < t[0] <= 0.4
