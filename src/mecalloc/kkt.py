@@ -19,11 +19,14 @@ outer search driving each budget sum onto its constraint.
   joint_split: the data split of the outer loop's dual step. It
              maximises a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
-             (`joint_dual`) by Newton steps in the same prices, and
-             splits each task by the soft-argmin weights.
+             (`joint_dual`) by Newton steps in the same prices, over the
+             pairs of the split that puts every whole task on every AP,
+             and splits each task by the soft-argmin weights;
+  entry_costs: each inactive pair's cost per bit at a warm state.
 
 The fixed-data pricing, the joint pricing and the cold start's bandwidth
-price share one safeguarded Newton loop, `_newton`.
+price share one safeguarded Newton loop, `_newton`, run to half of
+bisect_tol; both pricings start from a warm state and hand one back.
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
@@ -97,11 +100,8 @@ MAX_DUAL_PROBES = 200
 MAX_PRICE_STEP = math.log(1e10)
 
 # the joint dual step: the log-sum-exp temperature of each stage as a
-# fraction of each user's cheapest cost per bit, the residual it solves
-# to, and the least soft-argmin weight its split keeps
+# fraction of each user's cheapest cost per bit
 JOINT_SMOOTHING = (1e-3, 1e-4)
-JOINT_TOL = 1e-10
-SPLIT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -496,21 +496,11 @@ def joint_dual(scenario, beta, mus):
                  - mus @ scenario.compute_capacity)
 
 
-def _joint_inputs(scenario):
-    """What the joint dual depends on besides the prices: the task sizes,
-    all K*M pairs in row-major order as (deadlines, cycles per bit,
-    noise-to-gain ratios), and the budgets (B, then every C_j)."""
-    M = scenario.num_aps
-    pairs = (np.repeat(scenario.deadlines_s, M), np.repeat(scenario.cycles_per_bit, M),
-             scenario.noise_over_gain().ravel())
-    return scenario.task_bits, pairs, np.append(scenario.bandwidth_hz, scenario.compute_capacity)
-
-
-def _joint_system(y, bits, pairs, tau, budgets):
+def _joint_system(y, bits, pairs, col, tau, budgets):
     """Scaled gradient of the smoothed joint dual
     G_tau = sum_i T_i*softmin_{tau_i, j} e_ij - beta*B - sum_j mu_j*C_j
     and its Jacobian in the log prices y = (ln beta, ln mu_1..M), over
-    all K*M pairs in row-major order, with one oracle call.
+    all K*M pairs of the full split (`_pricing_inputs`), one oracle call.
 
     The gradient is the scaled budget residual of the loads L = T*w, w
     the soft-argmin weights, so its Jacobian is `_budget_terms` at those
@@ -522,14 +512,14 @@ def _joint_system(y, bits, pairs, tau, budgets):
     -sum_i (T_i/tau_i)*Cov_w(u_i)*diag(p): two nonzeros per u_ij make every
     entry a column sum. Returns (residuals, Jacobian, (w, e)).
     """
-    d, eta, a = pairs
+    _, d, eta, a = pairs
     K, M = bits.size, budgets.size - 1
     p = np.exp(y)
-    e, t, s = (v.reshape(K, M) for v in price_oracle(p[0], np.tile(p[1:], K), d, eta, a))
+    e, t, s = (v.reshape(K, M) for v in price_oracle(p[0], p[1:][col], d, eta, a))
     w = np.exp((e.min(axis=1, keepdims=True) - e) / tau[:, None])
     w /= w.sum(axis=1, keepdims=True)
     r, J = _budget_terms(p[0], t.ravel(), s.ravel(), ((bits[:, None] * w).ravel(), d, eta, a),
-                         np.tile(np.arange(M), K), budgets)
+                         col, budgets)
     uc = eta.reshape(K, M) / (d.reshape(K, M) - t)
     c = (bits / tau)[:, None]
     cw = c * w
@@ -540,63 +530,67 @@ def _joint_system(y, bits, pairs, tau, budgets):
     return r, J - cov * p / budgets[:, None], (w, e)
 
 
-def joint_split(scenario, beta, mus):
+def joint_split(scenario, cfg: SolveConfig, warm):
     """The data split the prices of the joint dual choose.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices from (beta, mus) in the stages of JOINT_SMOOTHING: stage k
-    fixes tau_i = kappa_k*min_j e_ij at its start prices and solves to
-    JOINT_TOL by `_newton`. The split is L = T*w at the last stage's
-    soft-argmin weights, with weights below SPLIT_FLOOR dropped and each
-    row rescaled onto its task. With tau -> 0 the bound tends to
-    G(beta, mu) (`joint_dual`), whose maximum nearly always meets the
-    energy: the time-sharing argument of Yu & Lui (IEEE Trans. Commun.
-    2006), with the log-sum-exp smoothing of Nesterov (Math. Program.
-    2005).
+    log prices, from the warm state `price_split` filled, in the stages of
+    JOINT_SMOOTHING: stage k fixes tau_i = kappa_k*min_j e_ij at its start
+    prices and solves to half of bisect_tol by `_newton`, like every
+    pricing. The split is L = T*w at the last stage's soft-argmin weights,
+    with loads at or below the activity threshold dropped and each row
+    rescaled onto its task. With tau -> 0 the bound tends to G(beta, mu)
+    (`joint_dual`), whose maximum nearly always meets the energy: the
+    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
+    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
 
     An AP whose residual sits at -1 when a solve stalls serves no one: its
     price belongs at zero, where G's slope in log mu vanishes. Such an AP
-    is held at the bottom of DUAL_RANGE, out of the system, and the stage
+    is held at the floor of DUAL_RANGE, out of the system, and the stage
     solved again; the stage fails when a held AP's capacity would then be
-    exceeded. Returns (L, beta, mus, G) with G = G(beta, mus), read off
-    the oracle of the last accepted iterate and equal to `joint_dual`
-    there, or None when a stage misses the tolerance, its Jacobian is
-    singular or its root lies beyond DUAL_RANGE.
+    exceeded. Returns (L, G, state): G read off the oracle of the last
+    accepted iterate, and its prices as a warm state with every held AP at
+    the floor, where `joint_dual` is G. Returns None when a task is at or
+    below the activity threshold, a stage misses the tolerance, its
+    Jacobian is singular or its root lies beyond DUAL_RANGE.
     """
     K, M = scenario.num_users, scenario.num_aps
-    bits, pairs, budgets = _joint_inputs(scenario)
-    y = np.log(np.clip(np.append(beta, mus), *DUAL_RANGE))
-    e = price_oracle(math.exp(y[0]), np.tile(np.exp(y[1:]), K), *pairs)[0].reshape(K, M)
+    bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
+    pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1), cfg)
+    if col.size < K * M:
+        return None
+    y = np.log(np.clip(np.append(warm["beta"], warm["mus"]), *DUAL_RANGE))
+    e = price_oracle(math.exp(y[0]), np.exp(y[1:])[col], *pairs[1:])[0].reshape(K, M)
     held = np.zeros(M + 1, dtype=bool)
 
     def system(v, tau):  # the prices not held; returns all residuals too
         y[~held] = v
-        r, J, extra = _joint_system(y, bits, pairs, tau, budgets)
+        r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets)
         return r[~held], J[np.ix_(~held, ~held)], (r, extra)
 
     try:
         for kappa in JOINT_SMOOTHING:
             tau = kappa * e.min(axis=1)
             while True:
-                v, r_free, (r, (w, e)), _ = _newton(lambda v: system(v, tau), y[~held],
-                                                    JOINT_TOL)
+                v, r_free, (r, (w, e)), _ = _newton(lambda v: system(v, tau), y[~held], tol)
                 y[~held] = v
-                if np.abs(r_free).max() <= JOINT_TOL:
+                if np.abs(r_free).max() <= tol:
                     break
-                idle = ~held & (r <= -1.0 + JOINT_TOL)
+                idle = ~held & (r <= -1.0 + tol)
                 idle[0] = False
                 if not idle.any():
                     return None
                 held |= idle
                 y[idle] = math.log(DUAL_RANGE[0])
-            if np.any(r[held] > JOINT_TOL):
+            if np.any(r[held] > tol):
                 return None
     except BracketError:
         return None
     p = np.exp(y)
-    bound = float(bits @ e.min(axis=1) - p[0] * budgets[0] - p[1:] @ budgets[1:])
-    w = np.where(w >= SPLIT_FLOOR, w, 0.0)
-    return bits[:, None] * w / w.sum(axis=1, keepdims=True), p[0], p[1:], bound
+    mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
+    bound = float(bits @ e.min(axis=1) - p[0] * budgets[0] - mus @ budgets[1:])
+    w[bits[:, None] * w <= cfg.activity_threshold_bits] = 0.0
+    return bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, {"beta": p[0], "mus": mus}
 
 
 # ---------------------------------------------------------------------------
@@ -669,6 +663,18 @@ def _price(scenario, L, cfg, warm, diag):
     mus[aps] = p[1:]
     warm.update(beta=p[0], mus=mus)
     return inputs, float(pairs[0] @ e - p @ budgets), r, tv, s
+
+
+def entry_costs(scenario, act, warm):
+    """Cheapest cost per bit e_ij (`physics.price_oracle`) of each pair
+    outside the boolean K x M mask act at the prices of the warm state,
+    +inf on the pairs in act. An AP that serves no active pair is priced
+    at the floor of DUAL_RANGE (`price_split`): its capacity is free."""
+    e = np.full(act.shape, np.inf)
+    i, j = np.nonzero(~act)
+    e[i, j] = price_oracle(warm["beta"], warm["mus"][j], scenario.deadlines_s[i],
+                           scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])[0]
+    return e
 
 
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):

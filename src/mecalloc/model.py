@@ -59,8 +59,8 @@ class InternalConsistencyError(RuntimeError):
 
 
 def is_count(value, least=0):
-    """True for an int or numpy integer of at least `least`."""
-    return isinstance(value, (int, np.integer)) and value >= least
+    """True for an int or numpy integer, not a bool, of at least `least`."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
 def deadline_slack(deadline, cycles_per_bit, data, compute):
@@ -251,9 +251,10 @@ class SolveConfig:
     counts the gradient rounds after the start of `solve_iterative`.
     bisect_tol is the relative tolerance of the budget residual checks
     and of the duality gap that certifies a re-balance, which is one pass
-    with no round budget; the Newton pricings solve to half of it. The
-    bisections run fixed halving counts (physics.INNER_ITERS per pair,
-    kkt.DUAL_HALVINGS per dual), so it stops none of them.
+    with no round budget; the Newton pricings, the dual step included,
+    solve to half of it. The bisections run fixed halving counts
+    (physics.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual), so it
+    stops none of them.
     activity_threshold_bits is the data size below which a pair is frozen
     at L = x = q = 0 and excluded from the KKT systems (zero-data pairs
     would make the rate formula indeterminate).

@@ -10,13 +10,13 @@ joint dual G at the dual step's prices (`kkt.joint_dual`, which
 start within GAP_TOL of it is the answer, with no gradient round. Every
 round after it takes one projected reduced-gradient step on L: by the
 envelope theorem the gradient of F is the partial dE/dL at the last
-re-balance's (x, q), inactive pairs cheaper at the current prices than
-their user's best pair join the support, the step is projected onto each
-user's task simplex on that support, and a backtracking line search
-accepts the first trial whose warm re-balance, one pass of
-`kkt.solve_bcaa`, strictly lowers the energy, starting from the
-Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the outer
-energies fall strictly until a round's decrement meets the stop.
+re-balance's (x, q), inactive pairs cheaper at the current prices
+(`kkt.entry_costs`) than their user's best pair join the support, the
+step is projected onto each user's task simplex on that support, and a
+backtracking line search accepts the first trial whose warm re-balance,
+one pass of `kkt.solve_bcaa`, strictly lowers the energy, starting from
+the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
+outer energies fall strictly until a round's decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import joint_split, price_split, solve_bcaa
+from .kkt import entry_costs, joint_split, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -46,7 +46,7 @@ from .model import (
     deadline_slack,
     is_count,
 )
-from .physics import data_marginal, energy_matrix, price_oracle, total_energy
+from .physics import data_marginal, energy_matrix, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 
@@ -217,23 +217,11 @@ def _rebalance(scenario, L, cfg, warm):
         return np.inf, None, None, warm
 
 
-def _entry_costs(scenario, act, warm):
-    """Cheapest cost per bit e_ij (`physics.price_oracle`) of each
-    inactive pair at the warm prices, +inf on the active pairs. An AP
-    that serves no active pair is priced at the floor of the dual range
-    (`kkt.price_split`): its capacity is free."""
-    e = np.full(act.shape, np.inf)
-    i, j = np.nonzero(~act)
-    e[i, j] = price_oracle(warm["beta"], warm["mus"][j], scenario.deadlines_s[i],
-                           scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])[0]
-    return e
-
-
 def _direction(scenario, L, x, q, warm, thr):
     """The support and row-scaled direction of a gradient round at split L.
 
     Every inactive pair whose cost per bit at the warm prices
-    (`_entry_costs`) is below (1 - ENTRY_TOL) times its user's least
+    (`kkt.entry_costs`) is below (1 - ENTRY_TOL) times its user's least
     active gradient joins the support, with that cost as its gradient.
     The user's mean gradient would be the KKT test, and the two agree at a
     stationary split; away from one, pairs cheaper than the mean but
@@ -244,7 +232,7 @@ def _direction(scenario, L, x, q, warm, thr):
     act = L > thr
     g = _reduced_gradient(scenario, L, x, q, act)
     nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
-    e = _entry_costs(scenario, act, warm)
+    e = entry_costs(scenario, act, warm)
     enter = e < np.where(act, g, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
     g = np.where(enter, e, g)
     return act | enter, scenario.task_bits[:, None] * (g / nu[:, None] - 1.0), bool(enter.any())
@@ -260,11 +248,11 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     re-balance at data split L. The start (entry 0 of the trace) prices
     the initial split L0 (`kkt.price_split`), whose fixed-data dual q0 is
     at most F(L0) by weak duality, and keeps the split the joint dual's
-    prices choose (`kkt.joint_split`, from those prices), re-balanced
-    warm from its own prices, when its energy is below q0. Otherwise, and
-    with one AP, it re-balances L0 warm. The joint dual at the dual
-    step's prices is the solve's lower_bound_j (None with one AP or no
-    prices); a start energy E within GAP_TOL*E of it is returned,
+    prices choose (`kkt.joint_split`, from that warm state), re-balanced
+    warm from the state it returns, when its energy is below q0.
+    Otherwise, and with one AP, it re-balances L0 warm. The joint dual at
+    the dual step's prices is the solve's lower_bound_j (None with one AP
+    or no prices); a start energy E within GAP_TOL*E of it is returned,
     converged, after zero rounds. Every later round is a gradient round.
 
     A gradient round first lets the support grow (`_direction`): every
@@ -296,15 +284,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     warm, rounds, x, lower = {}, 0, None, None
     if scenario.num_aps > 1:
         bound = price_split(scenario, L, cfg, warm)
-        dual = joint_split(scenario, warm["beta"], warm["mus"])
+        dual = joint_split(scenario, cfg, warm)
         if dual is not None:
-            lower = dual[3]
-            if not np.array_equal(dual[0], L):
-                e_try, x_try, q_try, warm_try = _rebalance(
-                    scenario, dual[0], cfg, {"beta": dual[1], "mus": dual[2]})
+            L_dual, lower, state = dual
+            if not np.array_equal(L_dual, L):
+                e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
                 rounds = int(x_try is not None)
                 if e_try < bound:
-                    L, x, q, warm, energy = dual[0], x_try, q_try, warm_try, e_try
+                    L, x, q, warm, energy = L_dual, x_try, q_try, warm_try, e_try
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1

@@ -579,6 +579,14 @@ def test_pricing_jacobian_matches_central_differences(split12x4):
     assert np.abs(fd - J).max() <= 1e-8 * np.abs(J).max()
 
 
+def _full_split_inputs(sc, cfg):
+    """The task sizes and the `_pricing_inputs` of the split that puts
+    every whole task on every AP, the pairs of the joint dual."""
+    full = np.repeat(sc.task_bits[:, None], sc.num_aps, axis=1)
+    pairs, col, budgets, _ = kkt._pricing_inputs(sc, full, cfg)
+    return sc.task_bits, pairs, col, budgets
+
+
 @pytest.mark.parametrize("kappa", kkt.JOINT_SMOOTHING)
 def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     # the smoothed joint dual near the prices of the dual step, where the
@@ -586,20 +594,21 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     sc, _, cfg = tight42
     warm = {}
     solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    _, beta, mus, _ = kkt.joint_split(sc, warm["beta"], warm["mus"])
-    bits, pairs, budgets = kkt._joint_inputs(sc)
-    y = np.log(np.append(beta, mus)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
+    _, _, state = kkt.joint_split(sc, cfg, warm)
+    bits, pairs, col, budgets = _full_split_inputs(sc, cfg)
+    y = (np.log(np.append(state["beta"], state["mus"]))
+         + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0]))
     p = np.exp(y)
-    e = kkt.price_oracle(p[0], np.tile(p[1:], sc.num_users), *pairs)[0]
+    e = kkt.price_oracle(p[0], p[1:][col], *pairs[1:])[0]
     tau = kappa * e.reshape(sc.num_users, -1).min(axis=1)
-    r, J, (w, _) = kkt._joint_system(y, bits, pairs, tau, budgets)
+    r, J, (w, _) = kkt._joint_system(y, bits, pairs, col, tau, budgets)
     assert np.abs(r).max() > 1e-3
     assert np.any((w > 1e-3).sum(axis=1) >= 2)
     # the weights vary on the scale tau, so the difference step follows it
     h = 3e-4 * kappa
 
     def residuals(y):
-        return kkt._joint_system(y, bits, pairs, tau, budgets)[0]
+        return kkt._joint_system(y, bits, pairs, col, tau, budgets)[0]
 
     fd = np.column_stack([(residuals(y + h * e) - residuals(y - h * e)) / (2.0 * h)
                           for e in np.eye(y.size)])
@@ -618,8 +627,49 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
         sc = override_parameter(sc, "deadline_s", deadline)
     warm = {}
     kkt.price_split(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm)
-    _, beta, mus, bound = kkt.joint_split(sc, warm["beta"], warm["mus"])
-    assert bound == kkt.joint_dual(sc, beta, mus)
+    _, bound, state = kkt.joint_split(sc, _cfg(sc), warm)
+    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+
+
+@pytest.mark.parametrize("params, deadline", [
+    (GenParams(seed=42), 0.4), (GenParams(num_users=6, num_aps=3, seed=4), 0.8)])
+def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
+    # the 6x3 split serves AP 1 alone: the other two are held at the floor
+    sc = override_parameter(generate(params), "deadline_s", deadline)
+    cfg = _cfg(sc)
+    warm = {}
+    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    L, bound, state = kkt.joint_split(sc, cfg, warm)
+    assert set(state) == {"beta", "mus"} and state["mus"].shape == (sc.num_aps,)
+    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+    assert np.all((L == 0.0) | (L > cfg.activity_threshold_bits))
+    np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
+    idle = ~(L > 0.0).any(axis=0)
+    assert np.all(state["mus"][idle] == kkt.DUAL_RANGE[0])
+    # a task at or below the activity threshold leaves the step no split
+    assert kkt.joint_split(sc, _cfg(sc, activity_threshold_bits=sc.task_bits.max()), warm) is None
+
+
+def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
+    # the dual step stops at half of bisect_tol, like every pricing, so a
+    # loose tolerance costs it fewer Newton iterates
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+    system, calls = kkt._joint_system, []
+
+    def spy(*args):
+        calls.append(1)
+        return system(*args)
+
+    monkeypatch.setattr(kkt, "_joint_system", spy)
+    counts = []
+    for tol in (1e-3, 1e-9):
+        cfg = _cfg(sc, bisect_tol=tol)
+        warm = {}
+        kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+        calls.clear()
+        assert kkt.joint_split(sc, cfg, warm) is not None
+        counts.append(len(calls))
+    assert counts[0] < counts[1]
 
 
 @pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])

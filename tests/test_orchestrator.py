@@ -49,7 +49,12 @@ def test_seeds_and_ap_indices_must_be_nonnegative_integers():
     for bad in (lambda: GenParams(seed=-1), lambda: GenParams(seed=1.5),
                 lambda: InitStrategy.random(seed=-1), lambda: InitStrategy.random(seed=1.5),
                 lambda: solve_fixed_assignment(_small_scenario(), [0.5, 1]),
-                lambda: solve_fixed_assignment(_small_scenario(), [-1, 1])):
+                lambda: solve_fixed_assignment(_small_scenario(), [-1, 1]),
+                # a bool is an int to Python, and L[i, True] loads the whole row
+                lambda: solve_fixed_assignment(generate(GenParams(num_users=4, num_aps=3, seed=1)),
+                                               [True, False, True, False]),
+                lambda: GenParams(num_users=True), lambda: SolveConfig(max_outer_iters=True),
+                lambda: InitStrategy.random(seed=True)):
         with pytest.raises(StructuralError):
             bad()
 
@@ -495,8 +500,8 @@ def test_a_worse_dual_split_is_declined_and_its_rounds_count(monkeypatch):
     L0 = initialize(sc, InitStrategy.equal())
     worst = np.zeros_like(L0)
     worst[np.arange(sc.num_users), np.argmin(sc.gains, axis=1)] = sc.task_bits
-    monkeypatch.setattr(orchestrate, "joint_split",
-                        lambda sc, beta, mus: (worst, beta, mus, kkt.joint_dual(sc, beta, mus)))
+    monkeypatch.setattr(orchestrate, "joint_split", lambda sc, cfg, warm: (
+        worst, kkt.joint_dual(sc, warm["beta"], warm["mus"]), dict(warm)))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     (L_a, n_a), (L_b, n_b) = calls[:2]
@@ -517,8 +522,9 @@ def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
     with pytest.MonkeyPatch.context() as mp:
         steps = _spy_dual_step(mp)
         sol = solve_iterative(sc, strategy, cfg)
-    for _, beta, mus, bound in filter(None, steps):
-        assert bound == kkt.joint_dual(sc, beta, mus) <= sol.energy_j * (1.0 + 1e-12)
+    for _, bound, state in filter(None, steps):
+        G = kkt.joint_dual(sc, state["beta"], state["mus"])
+        assert bound == G <= sol.energy_j * (1.0 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -537,7 +543,7 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     solve_bcaa(sc, L, cfg, warm=warm)
     g = _reduced_gradient(sc, L, x, q, act)
     nu = (L * g).sum(axis=1) / L.sum(axis=1)
-    e = orchestrate._entry_costs(sc, act, warm)
+    e = kkt.entry_costs(sc, act, warm)
     assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
 
 
@@ -550,7 +556,7 @@ def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
     L[:, 3] = 0.0
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
-    e = orchestrate._entry_costs(sc, L > cfg.activity_threshold_bits, warm)
+    e = kkt.entry_costs(sc, L > cfg.activity_threshold_bits, warm)
     floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
                          sc.noise_over_gain()[:, 3])[0]
     np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
