@@ -22,7 +22,8 @@ outer search driving each budget sum onto its constraint.
              (`joint_dual`) by Newton steps in the same prices, over the
              pairs of the split that puts every whole task on every AP,
              and splits each task by the soft-argmin weights;
-  entry_costs: each inactive pair's cost per bit at a warm state.
+  pair_costs: every pair's cost per bit e_ij at a warm state's prices:
+             the outer gradient and entry test in one (Danskin).
 
 The fixed-data pricing, the joint pricing and the cold start's bandwidth
 price share one safeguarded Newton loop, `_newton`, run to half of
@@ -490,10 +491,17 @@ def joint_dual(scenario, beta, mus):
     feasible allocation, whatever its data split.
     """
     mus = np.asarray(mus, dtype=float)
-    e = price_oracle(beta, mus, scenario.deadlines_s[:, None],
-                     scenario.cycles_per_bit[:, None], scenario.noise_over_gain())[0]
+    e = pair_costs(scenario, {"beta": beta, "mus": mus})
     return float(scenario.task_bits @ e.min(axis=1) - beta * scenario.bandwidth_hz
                  - mus @ scenario.compute_capacity)
+
+
+def pair_costs(scenario, warm):
+    """Cost per bit e_ij (`physics.price_oracle`) of all K x M pairs at the
+    warm state's prices: by Danskin's theorem (Bertsekas, Nonlinear
+    Programming, Prop. B.25) dF/dL_ij of the re-balanced energy F."""
+    return price_oracle(warm["beta"], warm["mus"], scenario.deadlines_s[:, None],
+                        scenario.cycles_per_bit[:, None], scenario.noise_over_gain())[0]
 
 
 def _joint_system(y, bits, pairs, col, tau, budgets):
@@ -560,7 +568,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     if col.size < K * M:
         return None
     y = np.log(np.clip(np.append(warm["beta"], warm["mus"]), *DUAL_RANGE))
-    e = price_oracle(math.exp(y[0]), np.exp(y[1:])[col], *pairs[1:])[0].reshape(K, M)
+    e = pair_costs(scenario, warm)
     held = np.zeros(M + 1, dtype=bool)
 
     def system(v, tau):  # the prices not held; returns all residuals too
@@ -663,18 +671,6 @@ def _price(scenario, L, cfg, warm, diag):
     mus[aps] = p[1:]
     warm.update(beta=p[0], mus=mus)
     return inputs, float(pairs[0] @ e - p @ budgets), r, tv, s
-
-
-def entry_costs(scenario, act, warm):
-    """Cheapest cost per bit e_ij (`physics.price_oracle`) of each pair
-    outside the boolean K x M mask act at the prices of the warm state,
-    +inf on the pairs in act. An AP that serves no active pair is priced
-    at the floor of DUAL_RANGE (`price_split`): its capacity is free."""
-    e = np.full(act.shape, np.inf)
-    i, j = np.nonzero(~act)
-    e[i, j] = price_oracle(warm["beta"], warm["mus"][j], scenario.deadlines_s[i],
-                           scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])[0]
-    return e
 
 
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):

@@ -8,15 +8,16 @@ split's fixed-data dual (`kkt.price_split`), a lower bound on its F. The
 joint dual G at the dual step's prices (`kkt.joint_dual`, which
 `kkt.joint_split` returns with them) bounds every feasible energy; a
 start within GAP_TOL of it is the answer, with no gradient round. Every
-round after it takes one projected reduced-gradient step on L: by the
-envelope theorem the gradient of F is the partial dE/dL at the last
-re-balance's (x, q), inactive pairs cheaper at the current prices
-(`kkt.entry_costs`) than their user's best pair join the support, the
-step is projected onto each user's task simplex on that support, and a
-backtracking line search accepts the first trial whose warm re-balance,
-one pass of `kkt.solve_bcaa`, strictly lowers the energy, starting from
-the Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the
-outer energies fall strictly until a round's decrement meets the stop.
+round after it takes one projected reduced-gradient step on L. F is the
+maximum of the fixed-data dual over the prices, so by Danskin's theorem
+dF/dL_ij is the pair's cost per bit e_ij at the last re-balance's prices
+(`kkt.pair_costs`): the gradient on the active pairs and the entry test
+on the others. The step is projected onto each user's task simplex on
+its support, and a backtracking line search accepts the first trial
+whose warm re-balance, one pass of `kkt.solve_bcaa`, strictly lowers the
+energy, starting from the Barzilai-Borwein step length (IMA J. Numer.
+Anal. 1988). So the outer energies fall strictly until a round's
+decrement meets the stop.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import entry_costs, joint_split, price_split, solve_bcaa
+from .kkt import joint_split, pair_costs, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -46,7 +47,7 @@ from .model import (
     deadline_slack,
     is_count,
 )
-from .physics import data_marginal, energy_matrix, total_energy
+from .physics import energy_matrix, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
 
@@ -174,18 +175,6 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     return L
 
 
-def _reduced_gradient(scenario, L, x, q, act):
-    """Gradient of the re-balanced energy F(L) = min over (x, q) of E on
-    the active pairs. No budget of the re-balance involves L, so by the
-    envelope theorem dF/dL is the partial dE/dL at the re-balanced (x, q),
-    `physics.data_marginal`."""
-    i, j = np.nonzero(act)
-    g = np.zeros_like(L)
-    g[i, j] = data_marginal(L[i, j], x[i, j], q[i, j], scenario.deadlines_s[i],
-                            scenario.cycles_per_bit[i], scenario.noise_over_gain()[i, j])
-    return g
-
-
 def _projected_step(L, G, act, bits, alpha, thr):
     """Move each user's loads by -alpha*G and project the row onto its
     task simplex on its current support {L >= 0, sum L = T}. Loads the
@@ -217,25 +206,24 @@ def _rebalance(scenario, L, cfg, warm):
         return np.inf, None, None, warm
 
 
-def _direction(scenario, L, x, q, warm, thr):
+def _direction(scenario, L, warm, thr):
     """The support and row-scaled direction of a gradient round at split L.
 
-    Every inactive pair whose cost per bit at the warm prices
-    (`kkt.entry_costs`) is below (1 - ENTRY_TOL) times its user's least
-    active gradient joins the support, with that cost as its gradient.
-    The user's mean gradient would be the KKT test, and the two agree at a
-    stationary split; away from one, pairs cheaper than the mean but
-    dearer than the best pair turned the step away from splits the plain
-    step reaches. Returns (support, G = T*(g/nu - 1), whether a pair
-    entered), with nu_i the load-weighted mean of user i's gradient.
+    One `kkt.pair_costs` call gives e_ij = dF/dL_ij at the warm prices.
+    Every inactive pair whose e_ij is below (1 - ENTRY_TOL) times its
+    user's least active e_ij joins the support. The user's mean gradient
+    would be the KKT test, and the two agree at a stationary split; away
+    from one, pairs cheaper than the mean but dearer than the best pair
+    turned the step away from splits the plain step reaches. Returns
+    (support, G = T*(e/nu - 1), whether a pair entered), with nu_i the
+    load-weighted mean of user i's e over its active pairs.
     """
     act = L > thr
-    g = _reduced_gradient(scenario, L, x, q, act)
-    nu = (L * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
-    e = entry_costs(scenario, act, warm)
-    enter = e < np.where(act, g, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
-    g = np.where(enter, e, g)
-    return act | enter, scenario.task_bits[:, None] * (g / nu[:, None] - 1.0), bool(enter.any())
+    e = pair_costs(scenario, warm)
+    La = np.where(act, L, 0.0)
+    nu = (La * e).sum(axis=1) / La.sum(axis=1)
+    enter = e < np.where(act, e, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
+    return act | enter, scenario.task_bits[:, None] * (e / nu[:, None] - 1.0), bool(enter.any())
 
 
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
@@ -249,30 +237,31 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     the initial split L0 (`kkt.price_split`), whose fixed-data dual q0 is
     at most F(L0) by weak duality, and keeps the split the joint dual's
     prices choose (`kkt.joint_split`, from that warm state), re-balanced
-    warm from the state it returns, when its energy is below q0.
-    Otherwise, and with one AP, it re-balances L0 warm. The joint dual at
-    the dual step's prices is the solve's lower_bound_j (None with one AP
-    or no prices); a start energy E within GAP_TOL*E of it is returned,
-    converged, after zero rounds. Every later round is a gradient round.
+    warm from the state it returns, when its energy is below q0 (inf for
+    an L0 that overloads an AP, whose dual step starts from the equal
+    split's prices). Otherwise, and with one AP, it re-balances L0 warm.
+    The joint dual at the dual step's prices is the solve's lower_bound_j
+    (None with one AP or no prices); a start energy E within GAP_TOL*E of
+    it is returned, converged, after zero gradient rounds.
 
-    A gradient round first lets the support grow (`_direction`): every
-    inactive pair whose cost per bit at the warm prices is below its
-    user's least active gradient joins the support with that cost as its
-    gradient. It then takes one projected step along the gradient of F,
-    which by the envelope theorem is dE/dL at the re-balanced (x, q)
-    (`_reduced_gradient`, `_projected_step`). The warm prices are the last
-    accepted re-balance's (`kkt.price_split`), and each trial is followed
-    by a re-balance warm from a copy of them (`_rebalance`). The step size
-    starts at the BB1 length s.s/s.y, with s the last change of L and y
-    the change of the row-scaled direction G = T*(g/nu - 1) over the
-    support, clipped to [MIN_STEP, 1] (1 in the first gradient round and
-    when s.y <= 0), and halves until the trial energy is strictly lower; a
-    trial that is infeasible, or whose re-balance finds a dual outside its
-    range or misses its certificate, counts as a rejection. A round whose
-    step moves no load, or whose step falls below MIN_STEP, lowers the
-    energy by zero. The loop stops at the end of the first round that
-    lowers the energy by zero, or by at most epsilon_j while no pair is
-    left to enter; that may be the last allowed round.
+    A gradient round reads every pair's cost per bit e_ij at the warm
+    prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
+    grows first (`_direction`): every inactive pair whose e_ij is below
+    its user's least active e_ij joins it. The round then takes one
+    projected step along that gradient (`_projected_step`). The warm
+    prices are the last accepted re-balance's (`kkt.price_split`), and
+    each trial is followed by a re-balance warm from a copy of them
+    (`_rebalance`). The step size starts at the BB1 length s.s/s.y, with
+    s the last change of L and y the change of the row-scaled direction
+    G = T*(e/nu - 1) over the support, clipped to [MIN_STEP, 1] (1 in the
+    first gradient round and when s.y <= 0), and halves until the trial
+    energy is strictly lower; a trial that is infeasible, or whose
+    re-balance finds a dual outside its range or misses its certificate,
+    counts as a rejection. A round whose step moves no load, or whose
+    step falls below MIN_STEP, lowers the energy by zero. The loop stops
+    at the end of the first round that lowers the energy by zero, or by
+    at most epsilon_j while no pair is left to enter; that may be the
+    last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig.for_scenario(scenario)
@@ -283,7 +272,11 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     t0 = time.perf_counter()
     warm, rounds, x, lower = {}, 0, None, None
     if scenario.num_aps > 1:
-        bound = price_split(scenario, L, cfg, warm)
+        try:
+            bound = price_split(scenario, L, cfg, warm)
+        except InfeasibilityError:  # no q0: start from the equal split's prices
+            price_split(scenario, initialize(scenario, InitStrategy.equal()), cfg, warm)
+            bound = np.inf
         dual = joint_split(scenario, cfg, warm)
         if dual is not None:
             L_dual, lower, state = dual
@@ -303,7 +296,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     for _ in range(0 if converged else cfg.max_outer_iters):
         t_iter = time.perf_counter()
         rounds = 0
-        act, G, _ = direction = direction or _direction(scenario, L, x, q, warm, thr)
+        act, G, _ = direction = direction or _direction(scenario, L, warm, thr)
         trial = 1.0
         if L_last is not None:
             # BB1 step s.s/s.y over the support, from the last step
@@ -327,7 +320,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         if outer[-2] - energy <= cfg.epsilon_j:
             # a round that lowered the energy only stops the loop when no
             # pair is left to enter
-            direction = direction or _direction(scenario, L, x, q, warm, thr)
+            direction = direction or _direction(scenario, L, warm, thr)
             if energy == outer[-2] or not direction[2]:
                 converged = True
                 break

@@ -24,8 +24,8 @@ from mecalloc import (
     validate,
 )
 from mecalloc import kkt, orchestrate
-from mecalloc.orchestrate import _reduced_gradient, check_solution
-from mecalloc.physics import price_oracle
+from mecalloc.orchestrate import check_solution
+from mecalloc.physics import data_marginal, price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import make_scenario, scalar_energy
@@ -183,8 +183,8 @@ def test_max_outer_budget_marks_non_convergence(monkeypatch):
 
 
 def test_reduced_gradient_matches_central_differences():
-    # F(L) is the energy of a tight cold re-balance at split L; the
-    # envelope gradient read off one re-balance must be its derivative
+    # F(L) is the energy of a tight cold re-balance at split L; the costs
+    # per bit at one re-balance's prices must be its derivative (Danskin)
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
     cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-13)
     thr = cfg.activity_threshold_bits
@@ -194,8 +194,9 @@ def test_reduced_gradient_matches_central_differences():
         x, q, _ = solve_bcaa(sc, L, cfg)
         return total_energy(sc, Allocation(L, x, q), thr)
 
-    x, q, _ = solve_bcaa(sc, L, cfg)
-    g = _reduced_gradient(sc, L, x, q, L > thr)
+    warm = {}
+    solve_bcaa(sc, L, cfg, warm=warm)
+    g = kkt.pair_costs(sc, warm)
     for i, j in ((2, 3), (5, 1)):
         h = 1e-4 * L[i, j]
         up, down = L.copy(), L.copy()
@@ -210,15 +211,16 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     # stationarity of the slack at the pricing's prices gives
     # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
     # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the answer's slack
-    # t = D - eta*L/q and the warm compute prices
+    # t = D - eta*L/q and the warm compute prices; it is also the pair's
+    # cost per bit at those prices, the outer loop's gradient
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
     thr = cfg.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
     warm = {}
-    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    solve_bcaa(sc, L, cfg, warm=warm)
     act = L > thr
-    g = _reduced_gradient(sc, L, x, q, act)
+    g = kkt.pair_costs(sc, warm)
     nu = (L * g).sum(axis=1) / L.sum(axis=1)
     G = sc.task_bits[:, None] * (g / nu[:, None] - 1.0)
     L = orchestrate._projected_step(L, G, act, sc.task_bits, 0.25, thr)
@@ -229,8 +231,10 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     t = sc.deadlines_s[i] - sc.cycles_per_bit[i] * L[i, j] / q[i, j]
     form = sc.noise_over_gain()[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
         + warm["mus"][j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
-    g = _reduced_gradient(sc, L, x, q, L > thr)[i, j]
+    g = data_marginal(L[i, j], x[i, j], q[i, j], sc.deadlines_s[i], sc.cycles_per_bit[i],
+                      sc.noise_over_gain()[i, j])
     assert np.allclose(g, form, rtol=1e-7, atol=0)
+    assert np.allclose(g, kkt.pair_costs(sc, warm)[i, j], rtol=1e-7, atol=0)
 
 
 def _spy_rebalances(monkeypatch):
@@ -317,7 +321,7 @@ def _trials_per_round(monkeypatch):
     """Spy that records, per round, the step sizes `_projected_step`
     tries and the (L, G, act) of its first trial."""
     rounds = []
-    gradient, step = orchestrate._reduced_gradient, orchestrate._projected_step
+    gradient, step = orchestrate.pair_costs, orchestrate._projected_step
 
     def gradient_spy(*args):
         rounds.append({"trials": []})
@@ -328,7 +332,7 @@ def _trials_per_round(monkeypatch):
         rounds[-1]["trials"].append(alpha)
         return step(L, G, act, bits, alpha, thr)
 
-    monkeypatch.setattr(orchestrate, "_reduced_gradient", gradient_spy)
+    monkeypatch.setattr(orchestrate, "pair_costs", gradient_spy)
     monkeypatch.setattr(orchestrate, "_projected_step", step_spy)
     return rounds
 
@@ -353,14 +357,14 @@ def test_step_restarts_at_one_without_positive_curvature(monkeypatch):
     _decline_dual_step(monkeypatch)
     rounds = _trials_per_round(monkeypatch)
     first = []
-    gradient = orchestrate._reduced_gradient
+    gradient = orchestrate.pair_costs
 
     def frozen(*args):
         g = gradient(*args)
         first.append(g)
         return first[0]
 
-    monkeypatch.setattr(orchestrate, "_reduced_gradient", frozen)
+    monkeypatch.setattr(orchestrate, "pair_costs", frozen)
     sc = _tight42()
     solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=2))
     (L1, G1, _), a1 = rounds[0]["start"], rounds[0]["trials"][-1]
@@ -537,13 +541,13 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     sol = solve_iterative(sc, strategy, cfg)
     if not sol.converged:
         return
-    L, x, q = sol.allocation.data, sol.allocation.bandwidth, sol.allocation.compute
+    L = sol.allocation.data
     act = L > cfg.activity_threshold_bits
     warm = {}  # the answer's prices: the fixed-data dual has one maximiser
     solve_bcaa(sc, L, cfg, warm=warm)
-    g = _reduced_gradient(sc, L, x, q, act)
-    nu = (L * g).sum(axis=1) / L.sum(axis=1)
-    e = kkt.entry_costs(sc, act, warm)
+    g = kkt.pair_costs(sc, warm)
+    nu = (np.where(act, L, 0.0) * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
+    e = np.where(act, np.inf, g)
     assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
 
 
@@ -556,10 +560,45 @@ def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
     L[:, 3] = 0.0
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
-    e = kkt.entry_costs(sc, L > cfg.activity_threshold_bits, warm)
+    e = kkt.pair_costs(sc, warm)
     floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
                          sc.noise_over_gain()[:, 3])[0]
     np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
+
+
+def test_the_support_grows_by_the_pairs_cheaper_than_their_users_best_pair():
+    # each user loads one or two of APs 0-2 and AP 3 serves no one; some
+    # pairs enter on every AP, and others stay out
+    sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
+    cfg = SolveConfig.for_scenario(sc)
+    L = np.zeros((12, 4))
+    for i in range(12):
+        L[i, [i % 3, (i + 1) % 3][: 1 + i % 2]] = sc.task_bits[i] / (1 + i % 2)
+    warm = {}
+    solve_bcaa(sc, L, cfg, warm=warm)
+    support, _, entered = orchestrate._direction(sc, L, warm, cfg.activity_threshold_bits)
+    e = kkt.pair_costs(sc, warm)
+    expected = L > 0
+    for i in range(12):
+        best = min(e[i, j] for j in range(4) if L[i, j] > 0)
+        for j in range(4):
+            if L[i, j] == 0 and e[i, j] < (1.0 - orchestrate.ENTRY_TOL) * best:
+                expected[i, j] = True
+    grown = expected & (L == 0)
+    assert entered and 0 < grown[:, 3].sum() < 12 and 0 < grown[:, :3].sum() < np.sum(L == 0) - 12
+    np.testing.assert_array_equal(support, expected)
+
+
+def test_a_start_whose_split_overloads_an_ap_runs_the_dual_step_from_the_equal_prices():
+    # the binary start loads AP 3 with 2.625e10 of its 2.5e10 cycles/s, so
+    # its split has no fixed-data dual
+    sc = generate(GenParams(num_users=16, num_aps=4, deadline_s=0.4, seed=0))
+    with pytest.raises(InfeasibilityError, match="AP 3"):
+        kkt.price_split(sc, initialize(sc, InitStrategy.binary()), SolveConfig.for_scenario(sc), {})
+    sol = solve_iterative(sc, InitStrategy.binary())
+    assert sol.converged
+    assert sol.energy_j == pytest.approx(0.452634853, rel=1e-9)
+    assert sol.energy_j == pytest.approx(solve_iterative(sc).energy_j, rel=1e-9)
 
 
 def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
