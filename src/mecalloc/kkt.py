@@ -21,7 +21,8 @@ outer search driving each budget sum onto its constraint.
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
              (`joint_dual`) by Newton steps in the same prices, over the
              pairs of the split that puts every whole task on every AP,
-             and splits each task by the soft-argmin weights;
+             lowering the smoothing until its bias over G is within half
+             of GAP_TOL, and splits each task by the soft-argmin weights;
   pair_costs: every pair's cost per bit e_ij at a warm state's prices:
              the outer gradient and entry test in one (Danskin).
 
@@ -55,6 +56,7 @@ per halving.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -100,9 +102,15 @@ MAX_DUAL_PROBES = 200
 # decades
 MAX_PRICE_STEP = math.log(1e10)
 
-# the joint dual step: the log-sum-exp temperature of each stage as a
-# fraction of each user's cheapest cost per bit
+# the joint dual step: the log-sum-exp temperature of its first stages as
+# a fraction of each user's cheapest cost per bit; the continuation
+# (`joint_split`) picks the temperature of every later stage
 JOINT_SMOOTHING = (1e-3, 1e-4)
+
+# the start stops the solve when its energy E is within GAP_TOL*E of the
+# joint Lagrangian bound, which no split can beat; the dual step's
+# smoothing may spend half of it
+GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -396,23 +404,28 @@ def _budget_system(y, pairs, col, budgets):
     return (*_budget_terms(beta, *oracle[1:], pairs, col, budgets), oracle)
 
 
-def _newton(system, y, tol):
+def _newton(system, y, tol, first=None):
     """Safeguarded Newton solve of system(y) = (r, J, extra): the
     residuals r, their Jacobian J in the log prices y and whatever the
-    caller wants back from the last accepted iterate.
+    caller wants back from the last accepted iterate. first, when given,
+    is system(y), which the caller has evaluated already.
 
     A step longer than MAX_PRICE_STEP in any price is scaled down as a
-    whole, and halved until the residual norm falls. The iterates stay
-    inside DUAL_RANGE; a step that would leave it from its edge means the
-    root lies beyond, and raises BracketError. Stops once every residual
+    whole. Its first trial takes the fraction of the step that the last
+    accepted trial took, four times it when that trial was the first of
+    its step, and at most the whole step; a trial is halved until the
+    residual norm falls. So a solve that had to shorten its steps does not
+    try each new one whole first. The iterates stay inside DUAL_RANGE; a
+    step that would leave it from its edge means the root lies beyond,
+    and raises BracketError. Stops once every residual
     is inside tol, when J is singular or no step lowers the norm, or after
     MAX_DUAL_PROBES calls of system. Returns (y, r, extra) of the best
     iterate and the count of calls.
     """
     edge = np.log(DUAL_RANGE)
     y = np.clip(y, *edge)
-    r, J, extra = system(y)
-    calls = 1
+    r, J, extra = first or system(y)
+    calls, frac = int(first is None), 1.0
     while np.abs(r).max() > tol and calls < MAX_DUAL_PROBES:
         try:
             step = np.linalg.solve(J, -r)
@@ -424,18 +437,21 @@ def _newton(system, y, tol):
         if np.any(((y <= edge[0]) & (step < 0)) | ((y >= edge[1]) & (step > 0))):
             raise BracketError(f"dual root outside the range {DUAL_RANGE}")
         norm = np.linalg.norm(r)
+        start = frac
         while calls < MAX_DUAL_PROBES:
-            y_try = np.clip(y + step, *edge)
+            y_try = np.clip(y + frac * step, *edge)
             r_try, J_try, extra_try = system(y_try)
             calls += 1
             if np.linalg.norm(r_try) < norm:
                 break
-            step *= 0.5
-            if np.abs(step).max() < 1e-15:
+            frac *= 0.5
+            if frac * np.abs(step).max() < 1e-15:
                 return y, r, extra, calls
         else:
             return y, r, extra, calls
         y, r, J, extra = y_try, r_try, J_try, extra_try
+        if frac == start:
+            frac = min(1.0, 4.0 * frac)
     return y, r, extra, calls
 
 
@@ -504,11 +520,12 @@ def pair_costs(scenario, warm):
                         scenario.cycles_per_bit[:, None], scenario.noise_over_gain())[0]
 
 
-def _joint_system(y, bits, pairs, col, tau, budgets):
+def _joint_system(y, bits, pairs, col, tau, budgets, oracle=None):
     """Scaled gradient of the smoothed joint dual
     G_tau = sum_i T_i*softmin_{tau_i, j} e_ij - beta*B - sum_j mu_j*C_j
     and its Jacobian in the log prices y = (ln beta, ln mu_1..M), over
-    all K*M pairs of the full split (`_pricing_inputs`), one oracle call.
+    all K*M pairs of the full split (`_pricing_inputs`), from the oracle's
+    (e, t, x/L) at y: one oracle call unless oracle holds them already.
 
     The gradient is the scaled budget residual of the loads L = T*w, w
     the soft-argmin weights, so its Jacobian is `_budget_terms` at those
@@ -518,12 +535,14 @@ def _joint_system(y, bits, pairs, col, tau, budgets):
     bit, D_ij = p*u_ij the gradient of e_ij in the log prices and Dbar_i
     the w-weighted mean of D_ij over user i's APs, so the term is
     -sum_i (T_i/tau_i)*Cov_w(u_i)*diag(p): two nonzeros per u_ij make every
-    entry a column sum. Returns (residuals, Jacobian, (w, e)).
+    entry a column sum. Returns (residuals, Jacobian, (w, oracle)).
     """
     _, d, eta, a = pairs
     K, M = bits.size, budgets.size - 1
     p = np.exp(y)
-    e, t, s = (v.reshape(K, M) for v in price_oracle(p[0], p[1:][col], d, eta, a))
+    if oracle is None:
+        oracle = price_oracle(p[0], p[1:][col], d, eta, a)
+    e, t, s = (v.reshape(K, M) for v in oracle)
     w = np.exp((e.min(axis=1, keepdims=True) - e) / tau[:, None])
     w /= w.sum(axis=1, keepdims=True)
     r, J = _budget_terms(p[0], t.ravel(), s.ravel(), ((bits[:, None] * w).ravel(), d, eta, a),
@@ -535,32 +554,45 @@ def _joint_system(y, bits, pairs, col, tau, budgets):
     cov = np.diag(np.append((cw * s * s).sum(), (cw * uc * uc).sum(axis=0)))
     cov[0, 1:] = cov[1:, 0] = (cw * s * uc).sum(axis=0)
     cov -= (c * U).T @ U
-    return r, J - cov * p / budgets[:, None], (w, e)
+    return r, J - cov * p / budgets[:, None], (w, oracle)
 
 
 def joint_split(scenario, cfg: SolveConfig, warm):
     """The data split the prices of the joint dual choose.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices, from the warm state `price_split` filled, in the stages of
-    JOINT_SMOOTHING: stage k fixes tau_i = kappa_k*min_j e_ij at its start
-    prices and solves to half of bisect_tol by `_newton`, like every
-    pricing. The split is L = T*w at the last stage's soft-argmin weights,
-    with loads at or below the activity threshold dropped and each row
-    rescaled onto its task. With tau -> 0 the bound tends to G(beta, mu)
-    (`joint_dual`), whose maximum nearly always meets the energy: the
-    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
-    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
+    log prices, from the warm state `price_split` filled, in stages: stage
+    k fixes tau_i = kappa_k*min_j e_ij at its start prices and solves to
+    half of bisect_tol by `_newton`, like every pricing, from the oracle
+    pass that ended the stage before. With tau -> 0 the bound tends to
+    G(beta, mu) (`joint_dual`), whose maximum nearly always meets the
+    energy: the time-sharing argument of Yu & Lui (IEEE Trans. Commun.
+    2006), with the log-sum-exp smoothing of Nesterov (Math. Program.
+    2005).
+
+    The smoothing costs the soft split a bias
+    S = sum_i T_i*(sum_j w_ij*e_ij - min_j e_ij) <= sum_i T_i*tau_i*ln M
+    over G, read off the last iterate with no oracle call. After the
+    stages of JOINT_SMOOTHING, Nesterov's continuation runs one more stage
+    while S is above half of GAP_TOL times the soft split's Lagrangian
+    value E_soft = G + S, the half of the start's gap tolerance the
+    smoothing may spend. S shrinks about in proportion to kappa, so the
+    next kappa is the last one times half the ratio of that target to S;
+    it goes no lower than the kappa at which the bound on S meets the
+    target, and the continuation stops when the last kappa was there.
 
     An AP whose residual sits at -1 when a solve stalls serves no one: its
     price belongs at zero, where G's slope in log mu vanishes. Such an AP
     is held at the floor of DUAL_RANGE, out of the system, and the stage
     solved again; the stage fails when a held AP's capacity would then be
-    exceeded. Returns (L, G, state): G read off the oracle of the last
-    accepted iterate, and its prices as a warm state with every held AP at
-    the floor, where `joint_dual` is G. Returns None when a task is at or
-    below the activity threshold, a stage misses the tolerance, its
-    Jacobian is singular or its root lies beyond DUAL_RANGE.
+    exceeded. Returns (L, G, state) of the last stage that met the
+    tolerance: L = T*w at its soft-argmin weights, with loads at or below
+    the activity threshold dropped and each row rescaled onto its task, G
+    read off the oracle of its last accepted iterate, and its prices as a
+    warm state with every held AP at the floor, where `joint_dual` is G.
+    Returns None when a task is at or below the activity threshold, or
+    when the first stage misses the tolerance, its Jacobian is singular or
+    its root lies beyond DUAL_RANGE.
     """
     K, M = scenario.num_users, scenario.num_aps
     bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
@@ -568,37 +600,51 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     if col.size < K * M:
         return None
     y = np.log(np.clip(np.append(warm["beta"], warm["mus"]), *DUAL_RANGE))
-    e = pair_costs(scenario, warm)
     held = np.zeros(M + 1, dtype=bool)
+    p = np.exp(y)
+    oracle = price_oracle(p[0], p[1:][col], *pairs[1:])
 
-    def system(v, tau):  # the prices not held; returns all residuals too
+    def system(v, oracle=None):  # the prices not held; returns all residuals too
         y[~held] = v
-        r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets)
+        r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets, oracle)
         return r[~held], J[np.ix_(~held, ~held)], (r, extra)
 
-    try:
-        for kappa in JOINT_SMOOTHING:
-            tau = kappa * e.min(axis=1)
+    best, kappa = None, JOINT_SMOOTHING[0]
+    for stage in itertools.count(1):
+        tau = kappa * oracle[0].reshape(K, M).min(axis=1)
+        first = system(y[~held], oracle)  # reuses the last oracle pass
+        try:
             while True:
-                v, r_free, (r, (w, e)), _ = _newton(lambda v: system(v, tau), y[~held], tol)
+                v, r_free, (r, (w, oracle)), _ = _newton(system, y[~held], tol, first)
                 y[~held] = v
                 if np.abs(r_free).max() <= tol:
                     break
                 idle = ~held & (r <= -1.0 + tol)
                 idle[0] = False
                 if not idle.any():
-                    return None
+                    return best
                 held |= idle
                 y[idle] = math.log(DUAL_RANGE[0])
-            if np.any(r[held] > tol):
-                return None
-    except BracketError:
-        return None
-    p = np.exp(y)
-    mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
-    bound = float(bits @ e.min(axis=1) - p[0] * budgets[0] - mus @ budgets[1:])
-    w[bits[:, None] * w <= cfg.activity_threshold_bits] = 0.0
-    return bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, {"beta": p[0], "mus": mus}
+                first = None
+        except BracketError:
+            return best
+        if np.any(r[held] > tol):
+            return best
+        p = np.exp(y)
+        e = oracle[0].reshape(K, M)
+        mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
+        least = bits @ e.min(axis=1)
+        bound = float(least - p[0] * budgets[0] - mus @ budgets[1:])
+        bias = bits @ (w * e).sum(axis=1) - least
+        w[bits[:, None] * w <= cfg.activity_threshold_bits] = 0.0
+        best = bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, {"beta": p[0], "mus": mus}
+        target = 0.5 * GAP_TOL * (bound + bias)
+        if stage < len(JOINT_SMOOTHING):
+            kappa = JOINT_SMOOTHING[stage]
+        elif bias > target and kappa > (low := target / (least * math.log(M))):
+            kappa = max(0.5 * kappa * target / bias, low)
+        else:
+            return best
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import joint_split, pair_costs, price_split, solve_bcaa
+from .kkt import GAP_TOL, joint_split, pair_costs, price_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -57,10 +57,6 @@ MIN_STEP = 1e-8
 # an inactive pair joins the support when its cost per bit at the warm
 # prices is below (1 - ENTRY_TOL) times its user's least active gradient
 ENTRY_TOL = 1e-6
-
-# the start stops the solve when its energy E is within GAP_TOL*E of the
-# joint Lagrangian bound, which no split can beat
-GAP_TOL = 1e-5
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ from mecalloc import (
     solve_caa,
     solve_daa,
     solve_fixed_assignment,
+    solve_fixed_data,
     total_energy,
 )
 from mecalloc import kkt
@@ -650,10 +651,7 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
     assert kkt.joint_split(sc, _cfg(sc, activity_threshold_bits=sc.task_bits.max()), warm) is None
 
 
-def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
-    # the dual step stops at half of bisect_tol, like every pricing, so a
-    # loose tolerance costs it fewer Newton iterates
-    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+def _count_joint_systems(monkeypatch):
     system, calls = kkt._joint_system, []
 
     def spy(*args):
@@ -661,6 +659,14 @@ def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
         return system(*args)
 
     monkeypatch.setattr(kkt, "_joint_system", spy)
+    return calls
+
+
+def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
+    # the dual step stops at half of bisect_tol, like every pricing, so a
+    # loose tolerance costs it fewer Newton iterates
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+    calls = _count_joint_systems(monkeypatch)
     counts = []
     for tol in (1e-3, 1e-9):
         cfg = _cfg(sc, bisect_tol=tol)
@@ -670,6 +676,48 @@ def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
         assert kkt.joint_split(sc, cfg, warm) is not None
         counts.append(len(calls))
     assert counts[0] < counts[1]
+
+
+def test_joint_split_certifies_the_tight_deadline_split_within_116_systems(tight42,
+                                                                           monkeypatch):
+    # at D = 0.2 s the two stages of JOINT_SMOOTHING leave the soft split
+    # a smoothing bias above half of GAP_TOL; the continuation's stages
+    # close it, and the Newton solve's step memory pays for them
+    sc, _, cfg = tight42
+    warm = {}
+    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    calls = _count_joint_systems(monkeypatch)
+    L, bound, _ = kkt.joint_split(sc, cfg, warm)
+    assert len(calls) <= 116
+    energy = solve_fixed_data(sc, L, cfg).energy_j
+    assert energy - bound <= kkt.GAP_TOL * energy
+
+
+def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tight42,
+                                                                              monkeypatch):
+    # every stage after the second stops at its start prices, short of its
+    # tolerance: the step returns the split, bound and prices of the second
+    sc, _, cfg = tight42
+    warm = {}
+    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    newton, ends, stalls = kkt._newton, [], []
+
+    def stall_after_the_fixed_stages(system, y, tol, first=None):
+        if first is not None and len(ends) == len(kkt.JOINT_SMOOTHING):
+            stalls.append(first[0])
+            return y, first[0], first[2], 0
+        out = newton(system, y, tol, first)
+        ends.append(out[0])
+        return out
+
+    monkeypatch.setattr(kkt, "_newton", stall_after_the_fixed_stages)
+    L, bound, state = kkt.joint_split(sc, cfg, warm)
+    assert len(stalls) == 1 and np.abs(stalls[0]).max() > 0.5 * cfg.bisect_tol
+    assert len(ends) == len(kkt.JOINT_SMOOTHING)
+    np.testing.assert_allclose(np.log(np.append(state["beta"], state["mus"])), ends[-1],
+                               rtol=1e-15, atol=0)
+    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+    np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])
