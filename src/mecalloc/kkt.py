@@ -41,10 +41,10 @@ bandwidth price.
 
 So the module has two root finders: `physics.vec_bisect` for every
 monotone search and `_newton` for every pricing. Every search runs
-inside a bracket fixed before it starts. The per-pair roots of the
-references bisect fixed brackets, except the bandwidth root
-z = L*ln2/(x*t), which has the closed form `physics.exponent_root` of
-beta/(a*t). Duals span many decades at SI magnitudes, so the references
+inside a closed-form bracket fixed before it starts. The bandwidth root
+z = L*ln2/(x*t) is not searched: it is `physics.exponent_root` of
+c = beta/(a*t); the price oracle bisects ln c, solving no root per probe.
+Duals span many decades at SI magnitudes, so the references
 bisect each dual's base-10 logarithm over DUAL_RANGE in DUAL_HALVINGS
 halvings, and the Newton pricings step in the log prices inside the same
 range. Every function being bisected is strictly monotone on its

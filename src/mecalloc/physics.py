@@ -7,8 +7,9 @@ operated at minimal power under a hard deadline,
 
 It is written once, in the vectorised `energy`, `bracket` and
 `data_marginal` that the KKT roots in `kkt` evaluate, and priced in
-`price_oracle`, the cheapest cost per bit of a pair at given bandwidth
-and compute prices. The scalar functions, the analytic gradient and the
+`price_oracle`, the cheapest cost per bit of a pair at given prices, by
+a bisection in ln c, c = beta/(a*t), that ends in one `exponent_root`.
+The scalar functions, the analytic gradient and the
 2x2 curvature blocks used to certify which variable pairs form convex
 subproblems build on them.
 """
@@ -41,8 +42,9 @@ def bracket(z):
     """phi(z) = expm1(z) - z*e^z, negative for z > 0.
 
     At z = ln2*L/(x*t) it gives the partials dE/dx = a*t*phi and
-    dE/dt = a*x*phi. Written as expm1(z)*(1 - z) - z, it is accurate for
-    small z and runs to -inf, never nan, once e^z overflows.
+    dE/dt = a*x*phi. Written as expm1(z)*(1 - z) - z, it runs to -inf,
+    never nan, once e^z overflows. At small z, phi ~ -z^2/2 cancels to a
+    relative error of about 2.2e-16/z, and to 0 or a wrong sign below 1e-16.
     """
     return np.expm1(z) * (1.0 - z) - z
 
@@ -116,33 +118,30 @@ def price_oracle(beta, mu, d, eta, a):
     compute price mu, elementwise.
 
     At slack t the bandwidth that minimises E + beta*x has
-    z = ln2*L/(x*t) = exponent_root(beta/(a*t)), and its cost per bit is
-    a*ln2*e^z. The pair's cost per bit is
+    z = ln2*L/(x*t) = exponent_root(c), c = b/t with b = beta/a, and its
+    cost per bit is a*ln2*e^z. The pair's cost per bit is
 
         e = min over 0 < t < D of a*ln2*e^z + mu*eta/(D - t).
 
-    The t derivative, -beta*ln2/(t^2*z) + mu*eta/(D - t)^2, vanishes
-    where beta*ln2*(D - t)^2 = mu*eta*t^2*z: the left side falls in t and
-    the right side rises. The slack bracket is searched through z, which
-    falls as t = beta/(a*c(z)) rises, so the bisection needs no inner
-    root. Returns (e, t, x/L), with x/L = ln2/(t*z) the bandwidth per bit.
+    It is stationary where z*t^2/(D - t)^2 = ratio = beta*ln2/(mu*eta),
+    whose left side rises in t. The bisection runs in ln c over the slack
+    bracket mapped through c = b/t, and -bracket rises in z, so a probe is
+    the closed-form test c > -bracket(ratio*(D*c/b - 1)^2). The slack
+    t = b/c is exact; one exponent_root gives z. Returns (e, t, x/L), with
+    x/L = ln2/(t*z) the bandwidth per bit.
     """
     b = beta / a
 
-    def slack(log_z):
-        z = np.exp(log_z)
-        return z, b / -bracket(z)
+    def go_right(log_c):
+        c = np.exp(log_c)
+        return c > -bracket(ratio * (d * c / b - 1.0) ** 2)
 
-    def go_right(log_z):
-        z, t = slack(log_z)
-        return ratio * ((d - t) / t) ** 2 < z
-
-    lo, hi = (np.log(exponent_root(b / (d * f))) for f in SLACK_BRACKET[::-1])
-    # at a compute price near zero the left side overflows, and only
-    # feeds the sign test
+    lo, hi = (np.log(b / (d * f)) for f in SLACK_BRACKET[::-1])
+    # the ratio overflows at a compute price near zero; it only feeds the test
     with np.errstate(over="ignore"):
         ratio = beta * LN2 / (mu * eta)
-        z, t = slack(vec_bisect(go_right, lo, hi))
+        c = np.exp(vec_bisect(go_right, lo, hi))
+    t, z = b / c, exponent_root(c)
     return a * LN2 * np.exp(z) + mu * eta / (d - t), t, LN2 / (t * z)
 
 

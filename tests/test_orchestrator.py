@@ -552,18 +552,29 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the absolute epsilon_j stop ends a 0.067 mJ solve while a pair "
-                          "left out still costs 0.80 of its user's marginal")
-def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user_on_a_tiny_energy():
+                   reason="the absolute epsilon_j stop ends a sub-0.1 mJ solve while a pair "
+                          "left out still costs less than its user's marginal")
+@pytest.mark.parametrize("gains, deadline, bandwidth, capacity", [
     # a 4x4 draw of `_outer_instances`: the dual step gives no bound, and
     # five gradient rounds end at 6.6794e-5 J, each lowering the energy by
     # less than epsilon_j; user 0's AP 2 then costs 0.80*nu_0 but stays out
-    gains = [[2.39715968e-10, 9.64886093e-10, 3.21681365e-11, 4.60925389e-11],
-             [1.78887729e-11, 5.46078289e-09, 6.18252678e-12, 2.52652833e-11],
-             [7.74202509e-09, 1.90508779e-11, 2.67097529e-11, 6.51890623e-12],
-             [1.44921276e-11, 4.56441782e-12, 1.25517664e-09, 1.54776587e-11]]
-    sc = make_scenario(gains, bits=1.5e6, deadline=0.999, eta=1e3, bandwidth=1e7,
-                       capacities=[2.48715233e9] * 4, noise=GenParams().noise_psd_w_per_hz)
+    ([[2.39715968e-10, 9.64886093e-10, 3.21681365e-11, 4.60925389e-11],
+      [1.78887729e-11, 5.46078289e-09, 6.18252678e-12, 2.52652833e-11],
+      [7.74202509e-09, 1.90508779e-11, 2.67097529e-11, 6.51890623e-12],
+      [1.44921276e-11, 4.56441782e-12, 1.25517664e-09, 1.54776587e-11]],
+     0.999, 1e7, 2.48715233e9),
+    # another such draw: four rounds end at 5.96719e-5 J with no bound, and
+    # user 2's AP 3 costs 0.979*nu_2 but stays out
+    ([[9.41148441e-12, 1.93676885e-10, 9.77878536e-12, 2.38527688e-10],
+      [9.18208294e-12, 3.23607065e-10, 3.27509977e-12, 1.12010489e-11],
+      [1.09970296e-10, 1.37017900e-09, 3.52313194e-11, 9.04397202e-11],
+      [2.67807966e-11, 2.01900345e-08, 7.18080134e-12, 2.34139432e-11]],
+     1.0, 13188101.0, 5.25e9),
+], ids=["0.80nu", "0.98nu"])
+def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user_on_a_tiny_energy(
+        gains, deadline, bandwidth, capacity):
+    sc = make_scenario(gains, bits=1.5e6, deadline=deadline, eta=1e3, bandwidth=bandwidth,
+                       capacities=[capacity] * 4, noise=GenParams().noise_psd_w_per_hz)
     test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user.hypothesis.inner_test(
         (sc, InitStrategy.equal()))
 

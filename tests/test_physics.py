@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mecalloc import (
     Allocation,
@@ -17,6 +18,7 @@ from mecalloc import (
     total_energy,
 )
 from mecalloc import physics
+from mecalloc.kkt import DUAL_RANGE
 
 from util import (
     fd_gradient,
@@ -403,3 +405,27 @@ def test_price_oracle_at_a_near_zero_compute_price_leaks_no_overflow_warning():
                                        np.array([1e3]), np.array([1e-8]))
     assert np.isfinite(e[0])
     assert 0.0 < t[0] <= 0.4
+
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda p: 10.0 ** p)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=_decades(-40, 40), mu=st.one_of(_decades(-40, 40), st.just(DUAL_RANGE[0])),
+       a=_decades(-25, 5), d=_decades(-3, 1), eta=_decades(0, 4))
+# the stationary rate exponent is about 1e-17 here, where bracket(z) ~ -z^2/2
+# cancels to 0, so a slack read off z as beta/(a*-bracket(z)) runs to -inf
+@example(beta=1.9e-37, mu=DUAL_RANGE[0], a=1.0, d=1.77e-2, eta=4.2e3)
+def test_price_oracle_is_a_valid_point_no_slack_undercuts(beta, mu, a, d, eta):
+    # over prices spanning 80 decades the oracle's slack stays inside the
+    # deadline, and none of about 6,000 slacks, log-spaced toward both ends
+    # of the slack bracket, costs less per bit
+    e, t, per_bit = physics.price_oracle(beta, mu, d, eta, a)
+    assert 0.0 < t < d
+    assert np.isfinite(per_bit) and per_bit > 0.0
+    assert np.isfinite(e)
+    frac = np.geomspace(physics.SLACK_BRACKET[0], 0.5, 3000)
+    tg = d * np.concatenate([frac, 1.0 - frac[::-1]])
+    eg = a * LN2 * np.exp(physics.exponent_root(beta / (a * tg))) + mu * eta / (d - tg)
+    assert e <= eg.min() * (1.0 + 1e-12)
