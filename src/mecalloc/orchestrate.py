@@ -3,9 +3,9 @@
 The full solver minimises the re-balanced energy F(L), the least energy
 the bandwidth/compute re-balance reaches at data split L. The start is
 the dual step: the split the joint Lagrangian dual's prices choose
-(`kkt.joint_split`), kept when its re-balance ends below the initial
-split's fixed-data dual (`kkt.price_split`), a lower bound on its F. The
-joint dual G at the dual step's prices (`kkt.joint_dual`, which
+(`kkt.joint_split`) from those of the capacity split (`kkt.price_split`),
+whatever the initial split L0, re-balanced only when the step fails.
+The joint dual G at the dual step's prices (`kkt.joint_dual`, which
 `kkt.joint_split` returns with them) bounds every feasible energy; a
 start within GAP_TOL of it is the answer, with no gradient round. Every
 round after it takes one projected reduced-gradient step on L. F is the
@@ -105,9 +105,8 @@ class SolveTrace:
     Entry 0 is the start (`solve_iterative`). inner_iteration_counts
     holds the re-balances (`kkt.solve_bcaa`, one pass each) each outer
     round ran, one per trial step of the round, rejected ones included (a
-    re-balance that raises adds none). Entry 0 counts those of the start,
-    a declined dual split's included; a start the Lagrangian bound
-    certifies is the only entry.
+    re-balance that raises adds none). Entry 0 counts those of the start;
+    a start the Lagrangian bound certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -230,15 +229,15 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
     The objective is F(L), the energy after the bandwidth/compute
     re-balance at data split L. The start (entry 0 of the trace) prices
-    the initial split L0 (`kkt.price_split`), whose fixed-data dual q0 is
-    at most F(L0) by weak duality, and keeps the split the joint dual's
-    prices choose (`kkt.joint_split`, from that warm state), re-balanced
-    warm from the state it returns, when its energy is below q0 (inf for
-    an L0 that overloads an AP, whose dual step starts from the equal
-    split's prices). Otherwise, and with one AP, it re-balances L0 warm.
-    The joint dual at the dual step's prices is the solve's lower_bound_j
-    (None with one AP or no prices); a start energy E within GAP_TOL*E of
-    it is returned, converged, after zero gradient rounds.
+    the capacity split L_ij = T_i*C_j/sum C (`kkt.price_split`), which
+    overloads an AP only when the aggregate demand overloads every split.
+    From those prices the dual step (`kkt.joint_split`) chooses the split
+    it keeps, re-balanced warm from the state the step returns. Only when
+    the step returns no split, or its split cannot be re-balanced, and with
+    one AP, does the start re-balance the initial split L0, warm. The joint
+    dual at the dual step's prices is the solve's lower_bound_j (None with
+    one AP or no prices); a start energy E within GAP_TOL*E of it is
+    returned, converged, after zero gradient rounds.
 
     A gradient round reads every pair's cost per bit e_ij at the warm
     prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
@@ -268,19 +267,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     t0 = time.perf_counter()
     warm, rounds, x, lower = {}, 0, None, None
     if scenario.num_aps > 1:
-        try:
-            bound = price_split(scenario, L, cfg, warm)
-        except InfeasibilityError:  # no q0: start from the equal split's prices
-            price_split(scenario, initialize(scenario, InitStrategy.equal()), cfg, warm)
-            bound = np.inf
+        cap = scenario.compute_capacity
+        price_split(scenario, bits[:, None] / (cap.sum() / cap), cfg, warm)
         dual = joint_split(scenario, cfg, warm)
         if dual is not None:
             L_dual, lower, state = dual
-            if not np.array_equal(L_dual, L):
-                e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
-                rounds = int(x_try is not None)
-                if e_try < bound:
-                    L, x, q, warm, energy = L_dual, x_try, q_try, warm_try, e_try
+            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
+            if x_try is not None:
+                L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1

@@ -101,12 +101,12 @@ def exponent_root(c):
     z = np.where(cc < 2.0, _branch_series(np.minimum(cc, 2.0)),
                  lc - np.log(np.maximum(lc - 1.0, 1.0)))
     for _ in range(3):
-        # g = ln(-bracket(z)) - ln c has slope 1/kappa, with
-        # kappa = -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z written without
-        # cancellation for small z
+        # g = ln(-bracket(z)) - ln c has slope 1/kappa, with kappa =
+        # -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z, which cancels below z = 0.5;
+        # there it is the series sum_{n>=1} z*(-z)^(n-1)/(n+1)!, by Horner's rule
         em = np.exp(-z)
-        kappa = np.where(z < 0.5, (np.expm1(z) * (z - 1.0) + z) * em / z,
-                         (z - 1.0 + em) / z)
+        series = np.polyval([1.0 / math.factorial(n) for n in range(17, 1, -1)], -z)
+        kappa = np.where(z < 0.5, z * series, (z - 1.0 + em) / z)
         g = np.log(kappa * z) + z - lc
         dkappa = (1.0 - (1.0 + z) * em) / (z * z)
         z = z - g * kappa / (1.0 + 0.5 * g * dkappa)

@@ -4,7 +4,6 @@ Heavy artifacts (the seed-42 solves and the deadline sweep) are computed
 once per session and shared across criteria.
 """
 
-import dataclasses
 import json
 import math
 
@@ -290,18 +289,18 @@ def test_best_ap_init_needs_fewest_rounds(init_solutions):
     assert iters["best-ap-90"] <= min(iters["equal"], iters["random"])
 
 
-def test_stop_met_in_the_last_allowed_round_counts_as_converged(deadline_sweep):
-    # at D = 0.2 s from the binary split the outer stop is met at the end
-    # of round n; a budget of exactly n rounds runs the same rounds and
-    # must say so
-    row = deadline_sweep[0.2]
-    full = row["from_binary"]
+def test_stop_met_in_the_last_allowed_round_counts_as_converged():
+    # the dual step of this 6x3 draw returns no split, so the equal start
+    # runs gradient rounds and meets the outer stop at the end of round n;
+    # a budget of exactly n rounds runs the same rounds and must say so
+    sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+    full = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
     n = full.outer_iterations
     assert full.converged and n >= 2
 
     def solve_within(rounds):
-        cfg = dataclasses.replace(row["cfg"], max_outer_iters=rounds)
-        return solve_iterative(row["scenario"], InitStrategy.binary(), cfg)
+        cfg = SolveConfig.for_scenario(sc, max_outer_iters=rounds)
+        return solve_iterative(sc, InitStrategy.equal(), cfg)
 
     last = solve_within(n)
     assert last.converged

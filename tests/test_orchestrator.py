@@ -450,8 +450,8 @@ def _start42(deadline):
 def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
     # solve_daa, solve_baa and solve_caa are references for the tests, so
     # the fixed halving count of their dual searches costs no solve any
-    # time; at D = 0.2 s both starts run gradient rounds, and the binary
-    # one declines the dual step
+    # time; at D = 0.2 s both starts are certified by the dual step, and
+    # the 6x3 draw, whose dual step returns no split, runs gradient rounds
     def refuse(*args, **kwargs):
         raise AssertionError("a bisection reference ran on the solve path")
 
@@ -459,6 +459,8 @@ def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
     sc, cfg = _start42(0.2)
     for strategy in (InitStrategy.equal(), InitStrategy.binary()):
         assert solve_iterative(sc, strategy, cfg).trace.outer_energies_j
+    draw = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+    assert solve_iterative(draw).outer_iterations >= 1
     assert solve_fixed_data(sc, initialize(sc, InitStrategy.equal()), cfg).converged
     assert solve_fixed_assignment(sc, best_snr_assignment(sc), cfg).converged
 
@@ -497,21 +499,22 @@ def test_a_dual_split_equal_to_the_initial_split_costs_one_round(deadline, monke
     assert sol.trace.inner_iteration_counts[0] == 1
 
 
-def test_a_worse_dual_split_is_declined_and_its_rounds_count(monkeypatch):
-    # every user on its weakest AP: a feasible split far above the
-    # equal split's dual
+def test_a_dual_split_that_overloads_an_ap_falls_back_to_the_initial_split(monkeypatch):
+    # every task on AP 0 needs more compute than the AP has, so that dual
+    # split cannot be re-balanced and the start re-balances the equal split
     sc, cfg = _start42(0.4)
     L0 = initialize(sc, InitStrategy.equal())
-    worst = np.zeros_like(L0)
-    worst[np.arange(sc.num_users), np.argmin(sc.gains, axis=1)] = sc.task_bits
+    over = np.zeros_like(L0)
+    over[:, 0] = sc.task_bits
+    with pytest.raises(InfeasibilityError, match="AP 0"):
+        kkt.price_split(sc, over, cfg, {})
     monkeypatch.setattr(orchestrate, "joint_split", lambda sc, cfg, warm: (
-        worst, kkt.joint_dual(sc, warm["beta"], warm["mus"]), dict(warm)))
+        over, kkt.joint_dual(sc, warm["beta"], warm["mus"]), dict(warm)))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    (L_a, n_a), (L_b, n_b) = calls[:2]
-    assert np.array_equal(L_a, worst) and np.array_equal(L_b, L0)
-    assert n_a >= 1 and n_b >= 1
-    assert sol.trace.inner_iteration_counts[0] == n_a + n_b
+    L_a, n_a = calls[0]
+    assert np.array_equal(L_a, L0) and n_a == 1
+    assert sol.trace.inner_iteration_counts[0] == n_a
     assert sol.trace.outer_energies_j[0] == pytest.approx(
         solve_fixed_data(sc, L0, cfg).energy_j, rel=1e-9)
 
@@ -629,14 +632,45 @@ def test_a_start_whose_split_overloads_an_ap_runs_the_dual_step_from_the_equal_p
     assert sol.energy_j == pytest.approx(solve_iterative(sc).energy_j, rel=1e-9)
 
 
-def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
-    # from this start the dual step calls the price oracle where
-    # beta*ln2/(mu*eta) overflows
+def test_every_start_ends_at_the_same_certified_answer():
+    # the dual step runs from the prices of the capacity split, which no
+    # initial split changes, so every start keeps the same dual split
     sc = generate(GenParams(num_users=16, num_aps=4, deadline_s=0.4, seed=0))
+    sols = [solve_iterative(sc, strategy) for strategy in (
+        InitStrategy.equal(), InitStrategy.binary(), InitStrategy.best_ap(), InitStrategy.random())]
+    for sol in sols:
+        assert sol.converged and sol.outer_iterations == 0
+        assert sol.energy_j == sols[0].energy_j == pytest.approx(0.452634834, rel=1e-9)
+        assert sol.lower_bound_j == sols[0].lower_bound_j
+
+
+def test_unequal_capacities_start_from_the_capacity_split():
+    # APs 2 and 3 each hold 5% of the aggregate demand: the equal split
+    # overloads them, and the capacity split does not
+    sc = generate(GenParams(num_users=8, num_aps=4, deadline_s=0.6, seed=0))
+    demand = np.sum(sc.cycles_per_bit * sc.task_bits / sc.deadlines_s)
+    sc = dataclasses.replace(sc, compute_capacity=np.array([0.6, 0.6, 0.05, 0.05]) * demand)
+    with pytest.raises(InfeasibilityError, match="AP 2"):
+        kkt.price_split(sc, initialize(sc, InitStrategy.equal()), SolveConfig.for_scenario(sc), {})
+    for strategy in (InitStrategy.equal(), InitStrategy.random(), InitStrategy.best_ap()):
+        sol = solve_iterative(sc, strategy)
+        assert sol.converged and sol.outer_iterations == 0
+        assert sol.energy_j == pytest.approx(1.724999e-2, rel=1e-6)
+        assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+
+
+def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
+    # from the prices of the best-ap-90 split the dual step calls the price
+    # oracle where beta*ln2/(mu*eta) overflows; the solve from that start
+    # runs its dual step from the capacity split's prices
+    sc = generate(GenParams(num_users=16, num_aps=4, deadline_s=0.4, seed=0))
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=1)
+    warm = {}
+    kkt.price_split(sc, initialize(sc, InitStrategy.best_ap()), cfg, warm)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = solve_iterative(sc, InitStrategy.best_ap(),
-                              SolveConfig.for_scenario(sc, max_outer_iters=1))
+        kkt.joint_split(sc, cfg, warm)
+        sol = solve_iterative(sc, InitStrategy.best_ap(), cfg)
     assert sol.outer_iterations <= 1
 
 

@@ -357,6 +357,15 @@ def test_exponent_root_meets_its_equation_over_every_decade():
     assert np.any(c < 1e-9)
 
 
+def test_exponent_root_is_accurate_to_float64_resolution_at_small_roots():
+    # c = (z - 1)*e^z + 1 = sum_{n>=2} (n - 1)*z^n/n!, a sum of positive
+    # terms, is exact to a few eps; the root must give z back to 1e-14
+    z = np.logspace(-5, 0, 1001)
+    c = sum((n - 1) * z**n / math.factorial(n) for n in range(30, 1, -1))
+    err = np.abs(physics.exponent_root(c) / z - 1.0)
+    assert err.max() <= 1e-14, (err.max(), z[np.argmax(err)])
+
+
 def _grid_exponents(beta, a, t):
     """z solving -bracket(z) = beta/(a*t), by plain bisection on log z."""
     c = beta / (a * t)
