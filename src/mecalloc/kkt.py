@@ -15,14 +15,16 @@ outer search driving each budget sum onto its constraint.
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser (`price_split`, which also runs on its
              own), reads (x, q) off those minimisers and certifies them
-             by the duality gap;
+             by the duality gap (`_read_off`);
   joint_split: the data split of the outer loop's dual step. It
              maximises a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
              (`joint_dual`) by Newton steps in the same prices, over the
              pairs of the split that puts every whole task on every AP,
              lowering the smoothing until its bias over G is within half
-             of GAP_TOL, and splits each task by the soft-argmin weights;
+             of GAP_TOL, splits each task by the soft-argmin weights and
+             reads that split's (x, q) off its last oracle pass, certified
+             as in solve_bcaa (`_read_off`);
   pair_costs: every pair's cost per bit e_ij at a warm state's prices:
              the outer gradient and entry test in one (Danskin).
 
@@ -69,6 +71,7 @@ from .model import (
     ConvergenceError,
     DegenerateInputError,
     InfeasibilityError,
+    InfeasiblePairError,
     SolveConfig,
     StructuralError,
     deadline_slack,
@@ -558,17 +561,53 @@ def _joint_system(y, bits, pairs, col, tau, budgets, oracle=None):
 
 
 def joint_split(scenario, cfg: SolveConfig, warm):
-    """The data split the prices of the joint dual choose.
+    """The data split the prices of the joint dual choose, and the
+    allocation read off them.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices, from the warm state `price_split` filled, in stages: stage
-    k fixes tau_i = kappa_k*min_j e_ij at its start prices and solves to
-    half of bisect_tol by `_newton`, like every pricing, from the oracle
-    pass that ended the stage before. With tau -> 0 the bound tends to
-    G(beta, mu) (`joint_dual`), whose maximum nearly always meets the
-    energy: the time-sharing argument of Yu & Lui (IEEE Trans. Commun.
-    2006), with the log-sum-exp smoothing of Nesterov (Math. Program.
-    2005).
+    log prices, from the warm state `price_split` filled, in stages
+    (`_joint_stages`). An AP that state holds at the floor of DUAL_RANGE,
+    one its split left idle, starts from the compute price that makes the
+    slack of the capacity split stationary (`_slack_prices`), as in the
+    pricing. With tau -> 0 the bound tends to G(beta, mu)
+    (`joint_dual`), whose maximum nearly always meets the energy: the
+    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
+    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
+
+    Returns (L, G, state, allocation) of the last stage that met the
+    tolerance: L = T*w at its soft-argmin weights, with loads at or below
+    the activity threshold dropped and each row rescaled onto its task, G
+    read off the oracle of its last accepted iterate, and its prices as a
+    warm state with every held AP at the floor, where `joint_dual` is G.
+    allocation is (x, q, E) read off that same oracle pass at split L and
+    certified like a re-balance's (`_read_off`): once a Lagrangian
+    minimiser meets the budgets it is the optimum at split L, so no
+    re-balance is needed. It is None when the read-off misses its
+    certificate. Returns None when a task is at or below the activity
+    threshold, or when the first stage misses the tolerance, its Jacobian
+    is singular or its root lies beyond DUAL_RANGE.
+    """
+    best = None
+    for best in _joint_stages(scenario, cfg, warm):
+        pass
+    if best is None:
+        return None
+    L, bound, state, (e, t, s) = best
+    inputs = _pricing_inputs(scenario, L, cfg)
+    (Lv, *_), _, budgets, aps = inputs
+    act = (L > cfg.activity_threshold_bits).ravel()
+    dual = Lv @ e[act] - np.append(state["beta"], state["mus"][aps]) @ budgets
+    try:
+        allocation = _read_off(scenario, L, cfg, inputs, dual, t[act], s[act])
+    except (ConvergenceError, InfeasiblePairError):
+        allocation = None
+    return L, bound, state, allocation
+
+
+def _joint_stages(scenario, cfg, warm):
+    """The stages of `joint_split`. Stage k fixes tau_i = kappa_k*min_j e_ij
+    at its start prices and solves to half of bisect_tol by `_newton`,
+    like every pricing, from the oracle pass that ended the stage before.
 
     The smoothing costs the soft split a bias
     S = sum_i T_i*(sum_j w_ij*e_ij - min_j e_ij) <= sum_i T_i*tau_i*ln M
@@ -585,21 +624,21 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     price belongs at zero, where G's slope in log mu vanishes. Such an AP
     is held at the floor of DUAL_RANGE, out of the system, and the stage
     solved again; the stage fails when a held AP's capacity would then be
-    exceeded. Returns (L, G, state) of the last stage that met the
-    tolerance: L = T*w at its soft-argmin weights, with loads at or below
-    the activity threshold dropped and each row rescaled onto its task, G
-    read off the oracle of its last accepted iterate, and its prices as a
-    warm state with every held AP at the floor, where `joint_dual` is G.
-    Returns None when a task is at or below the activity threshold, or
-    when the first stage misses the tolerance, its Jacobian is singular or
-    its root lies beyond DUAL_RANGE.
+    exceeded. Yields (L, G, state, the oracle's (e, t, x/L) over all K*M
+    pairs) of each stage that meets the tolerance, and stops at the first
+    that does not, at a singular Jacobian or at a root beyond DUAL_RANGE.
     """
     K, M = scenario.num_users, scenario.num_aps
     bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
     pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1), cfg)
     if col.size < K * M:
-        return None
+        return
     y = np.log(np.clip(np.append(warm["beta"], warm["mus"]), *DUAL_RANGE))
+    floor = y[1:] <= math.log(DUAL_RANGE[0])
+    if floor.any():
+        Lv, d, eta, _ = pairs  # every task once on each of the M APs
+        slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
+        y[1:][floor] = _slack_prices(y[0], pairs, col, slack)[floor]
     held = np.zeros(M + 1, dtype=bool)
     p = np.exp(y)
     oracle = price_oracle(p[0], p[1:][col], *pairs[1:])
@@ -609,7 +648,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
         r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets, oracle)
         return r[~held], J[np.ix_(~held, ~held)], (r, extra)
 
-    best, kappa = None, JOINT_SMOOTHING[0]
+    kappa = JOINT_SMOOTHING[0]
     for stage in itertools.count(1):
         tau = kappa * oracle[0].reshape(K, M).min(axis=1)
         first = system(y[~held], oracle)  # reuses the last oracle pass
@@ -622,14 +661,14 @@ def joint_split(scenario, cfg: SolveConfig, warm):
                 idle = ~held & (r <= -1.0 + tol)
                 idle[0] = False
                 if not idle.any():
-                    return best
+                    return
                 held |= idle
                 y[idle] = math.log(DUAL_RANGE[0])
                 first = None
         except BracketError:
-            return best
+            return
         if np.any(r[held] > tol):
-            return best
+            return
         p = np.exp(y)
         e = oracle[0].reshape(K, M)
         mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
@@ -637,14 +676,15 @@ def joint_split(scenario, cfg: SolveConfig, warm):
         bound = float(least - p[0] * budgets[0] - mus @ budgets[1:])
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= cfg.activity_threshold_bits] = 0.0
-        best = bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, {"beta": p[0], "mus": mus}
+        yield (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,
+               {"beta": p[0], "mus": mus}, oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
         if stage < len(JOINT_SMOOTHING):
             kappa = JOINT_SMOOTHING[stage]
         elif bias > target and kappa > (low := target / (least * math.log(M))):
             kappa = max(0.5 * kappa * target / bias, low)
         else:
-            return best
+            return
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +716,8 @@ def _price(scenario, L, cfg, warm, diag):
     """`price_split`, appending to diag the cold start's record, then one
     record per final price with its scaled budget residual and the count
     of oracle calls. Leaves the final prices in warm, and returns the
-    `_pricing_inputs` of split L, q(beta, mu) and the residuals, slacks
-    and bandwidths per bit at the final prices."""
+    `_pricing_inputs` of split L, q(beta, mu) and the slacks and
+    bandwidths per bit at the final prices."""
     act = L > cfg.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
@@ -716,7 +756,40 @@ def _price(scenario, L, cfg, warm, diag):
     mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
     warm.update(beta=p[0], mus=mus)
-    return inputs, float(pairs[0] @ e - p @ budgets), r, tv, s
+    return inputs, float(pairs[0] @ e - p @ budgets), tv, s
+
+
+def _read_off(scenario, L, cfg, inputs, dual, t, s):
+    """The certified (x, q) of split L at fixed prices, read off the
+    oracle's slacks t and bandwidths per bit s at its active pairs, with
+    inputs the `_pricing_inputs` of L and dual q(beta, mu) at those
+    prices. At fixed prices each pair's Lagrangian has one minimiser, so
+    x = L*s and q = L*eta/(D - t) (Boyd & Vandenberghe, Convex
+    Optimization, sec. 5.5.5), each budget's shares rescaled onto its
+    total. A scaled budget residual above bisect_tol, or a duality gap
+    E - q(beta, mu) above bisect_tol*E, raises ConvergenceError.
+
+    Returns (x, q, E), with x and q K x M and E evaluated once.
+    """
+    (Lv, d, eta, _), col, budgets, aps = inputs
+    act = L > cfg.activity_threshold_bits
+    xv, qv = Lv * s, Lv * eta / (d - t)
+    r = np.append(xv.sum(), np.bincount(col, weights=qv, minlength=aps.size)) / budgets - 1.0
+    k = int(np.argmax(np.abs(r)))
+    if abs(r[k]) > cfg.bisect_tol:
+        budget = "bandwidth" if k == 0 else f"AP {aps[k - 1]} compute"
+        raise ConvergenceError(f"fixed-data pricing: {budget} budget residual {abs(r[k]):.3e}")
+    # r is sum/total - 1, so dividing by 1 + r puts each budget on its total
+    x, q = np.zeros_like(L), np.zeros_like(L)
+    x[act] = xv / (1.0 + r[0])
+    q[act] = qv / (1.0 + r[1:])[col]
+    # inactive pairs keep their whole deadline
+    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
+                       np.where(act, q, np.inf))
+    energy = float(energy_matrix(scenario, L, x, t, cfg.activity_threshold_bits).sum())
+    if energy - dual > cfg.bisect_tol * energy:
+        raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")
+    return x, q, energy
 
 
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
@@ -726,14 +799,11 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     (`_newton`) of the scaled budget residuals over the log bandwidth
     price and the log compute prices of the served APs, to half the
     relative tolerance, maximises the fixed-data dual q(beta, mu)
-    (`fixed_data_dual`). At fixed prices each pair's Lagrangian has one
-    minimiser, so the answer is read off the oracle of the last Newton
-    iterate (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.5):
-    x = L*s and q = L*eta/(D - t), with s the bandwidth per bit and t the
-    slack, and each budget's shares rescaled onto its total. A scaled
-    budget residual above bisect_tol at the final prices, or a duality
-    gap E - q(beta, mu) above bisect_tol*E, raises ConvergenceError; an
-    answer returned is certified optimal to that relative tolerance.
+    (`fixed_data_dual`). Then `_read_off` reads the answer off the oracle
+    of the last Newton iterate and certifies it: a scaled budget residual
+    above bisect_tol at the final prices, or a duality gap above
+    bisect_tol*E, raises ConvergenceError; an answer returned is
+    certified optimal to that relative tolerance.
 
     warm, when given, is the state `price_split` reads and fills. diag
     receives the pricing's records (`_price`), also when the certificate
@@ -742,21 +812,6 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
-    act = L > cfg.activity_threshold_bits
-    ((Lv, d, eta, _), col, _, aps), dual, r, t, s = _price(
+    inputs, dual, t, s = _price(
         scenario, L, cfg, {} if warm is None else warm, [] if diag is None else diag)
-    k = int(np.argmax(np.abs(r)))
-    if abs(r[k]) > cfg.bisect_tol:
-        budget = "bandwidth" if k == 0 else f"AP {aps[k - 1]} compute"
-        raise ConvergenceError(f"fixed-data pricing: {budget} budget residual {abs(r[k]):.3e}")
-    # r is sum/total - 1, so dividing by 1 + r puts each budget on its total
-    x, q = np.zeros_like(L), np.zeros_like(L)
-    x[act] = Lv * s / (1.0 + r[0])
-    q[act] = Lv * eta / (d - t) / (1.0 + r[1:])[col]
-    # inactive pairs keep their whole deadline
-    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
-                       np.where(act, q, np.inf))
-    energy = float(energy_matrix(scenario, L, x, t, cfg.activity_threshold_bits).sum())
-    if energy - dual > cfg.bisect_tol * energy:
-        raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")
-    return x, q, 1
+    return (*_read_off(scenario, L, cfg, inputs, dual, t, s)[:2], 1)

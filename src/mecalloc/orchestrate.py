@@ -4,11 +4,14 @@ The full solver minimises the re-balanced energy F(L), the least energy
 the bandwidth/compute re-balance reaches at data split L. The start is
 the dual step: the split the joint Lagrangian dual's prices choose
 (`kkt.joint_split`) from those of the capacity split (`kkt.price_split`),
-whatever the initial split L0, re-balanced only when the step fails.
-The joint dual G at the dual step's prices (`kkt.joint_dual`, which
-`kkt.joint_split` returns with them) bounds every feasible energy; a
-start within GAP_TOL of it is the answer, with no gradient round. Every
-round after it takes one projected reduced-gradient step on L. F is the
+whatever the initial split L0, with the allocation read off those prices
+and certified like a re-balance's, so no re-balance runs. The dual split
+is re-balanced only when that read-off misses its certificate, and L0
+only when the step fails. The joint dual G at the dual step's prices
+(`kkt.joint_dual`, which `kkt.joint_split` returns with them) bounds
+every feasible energy; a start within GAP_TOL of it is the answer, with
+no gradient round. Every round after it takes one projected
+reduced-gradient step on L. F is the
 maximum of the fixed-data dual over the prices, so by Danskin's theorem
 dF/dL_ij is the pair's cost per bit e_ij at the last re-balance's prices
 (`kkt.pair_costs`): the gradient on the active pairs and the entry test
@@ -105,8 +108,9 @@ class SolveTrace:
     Entry 0 is the start (`solve_iterative`). inner_iteration_counts
     holds the re-balances (`kkt.solve_bcaa`, one pass each) each outer
     round ran, one per trial step of the round, rejected ones included (a
-    re-balance that raises adds none). Entry 0 counts those of the start;
-    a start the Lagrangian bound certifies is the only entry.
+    re-balance that raises adds none). Entry 0 counts those of the start:
+    0 when the allocation is read off the dual step's prices, 1 otherwise.
+    A start the Lagrangian bound certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -232,12 +236,17 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     the capacity split L_ij = T_i*C_j/sum C (`kkt.price_split`), which
     overloads an AP only when the aggregate demand overloads every split.
     From those prices the dual step (`kkt.joint_split`) chooses the split
-    it keeps, re-balanced warm from the state the step returns. Only when
-    the step returns no split, or its split cannot be re-balanced, and with
-    one AP, does the start re-balance the initial split L0, warm. The joint
-    dual at the dual step's prices is the solve's lower_bound_j (None with
-    one AP or no prices); a start energy E within GAP_TOL*E of it is
-    returned, converged, after zero gradient rounds.
+    it keeps, with the allocation read off the same prices and certified,
+    which costs no re-balance. Only when that read-off misses its
+    certificate is the split re-balanced, warm from the state the step
+    returns. Only when the step returns no split, or its split cannot be
+    re-balanced, and with one AP, does the start re-balance the initial
+    split L0, warm. The joint dual at the dual step's prices is the
+    solve's lower_bound_j (None with one AP or no prices); a start energy
+    E within GAP_TOL*E of it is returned, converged, after zero gradient
+    rounds. When gradient rounds ran, the dual step runs once more from
+    the answer's prices, and lower_bound_j is the larger of the two
+    bounds; converged does not depend on it.
 
     A gradient round reads every pair's cost per bit e_ij at the warm
     prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
@@ -271,10 +280,13 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         price_split(scenario, bits[:, None] / (cap.sum() / cap), cfg, warm)
         dual = joint_split(scenario, cfg, warm)
         if dual is not None:
-            L_dual, lower, state = dual
-            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
-            if x_try is not None:
-                L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
+            L_dual, lower, state, allocation = dual
+            if allocation is not None:
+                L, (x, q, energy), warm = L_dual, allocation, state
+            else:
+                e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
+                if x_try is not None:
+                    L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1
@@ -314,6 +326,11 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
             if energy == outer[-2] or not direction[2]:
                 converged = True
                 break
+    if len(outer) > 1 and scenario.num_aps > 1:
+        # the bound of the dual step from the answer's prices
+        final = joint_split(scenario, cfg, warm)
+        if final is not None:
+            lower = final[1] if lower is None else max(lower, final[1])
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(

@@ -595,7 +595,7 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     sc, _, cfg = tight42
     warm = {}
     solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    _, _, state = kkt.joint_split(sc, cfg, warm)
+    _, _, state, _ = kkt.joint_split(sc, cfg, warm)
     bits, pairs, col, budgets = _full_split_inputs(sc, cfg)
     y = (np.log(np.append(state["beta"], state["mus"]))
          + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0]))
@@ -628,7 +628,7 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
         sc = override_parameter(sc, "deadline_s", deadline)
     warm = {}
     kkt.price_split(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm)
-    _, bound, state = kkt.joint_split(sc, _cfg(sc), warm)
+    _, bound, state, _ = kkt.joint_split(sc, _cfg(sc), warm)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
 
 
@@ -640,7 +640,7 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
     cfg = _cfg(sc)
     warm = {}
     kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
-    L, bound, state = kkt.joint_split(sc, cfg, warm)
+    L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
     assert set(state) == {"beta", "mus"} and state["mus"].shape == (sc.num_aps,)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
     assert np.all((L == 0.0) | (L > cfg.activity_threshold_bits))
@@ -649,6 +649,29 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
     assert np.all(state["mus"][idle] == kkt.DUAL_RANGE[0])
     # a task at or below the activity threshold leaves the step no split
     assert kkt.joint_split(sc, _cfg(sc, activity_threshold_bits=sc.task_bits.max()), warm) is None
+
+
+@pytest.mark.parametrize("params, deadline", [
+    (GenParams(seed=42), 0.2), (GenParams(seed=42), 0.4), (GenParams(seed=42), 1.0),
+    (GenParams(num_users=64, num_aps=9, bandwidth_hz=8e7, capacity_cps=2.5e10 * 8 * 4 / 9,
+               seed=42), None)])
+def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(params, deadline):
+    # the dual step's prices already meet every budget of its split, so the
+    # allocation read off its last oracle pass is the one a re-balance of
+    # that split, warm from those prices, returns
+    sc = generate(params)
+    if deadline is not None:
+        sc = override_parameter(sc, "deadline_s", deadline)
+    cfg = _cfg(sc)
+    cap = sc.compute_capacity
+    warm = {}
+    kkt.price_split(sc, sc.task_bits[:, None] * cap / cap.sum(), cfg, warm)
+    L, _, state, (x, q, energy) = kkt.joint_split(sc, cfg, warm)
+    x_b, q_b, _ = solve_bcaa(sc, L, cfg, warm=dict(state))
+    np.testing.assert_allclose(x, x_b, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(q, q_b, rtol=1e-12, atol=0)
+    rebalanced = total_energy(sc, Allocation(L, x_b, q_b), cfg.activity_threshold_bits)
+    assert energy == pytest.approx(rebalanced, rel=1e-12)
 
 
 def _count_joint_systems(monkeypatch):
@@ -687,7 +710,7 @@ def test_joint_split_certifies_the_tight_deadline_split_within_116_systems(tight
     warm = {}
     kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
     calls = _count_joint_systems(monkeypatch)
-    L, bound, _ = kkt.joint_split(sc, cfg, warm)
+    L, bound, _, _ = kkt.joint_split(sc, cfg, warm)
     assert len(calls) <= 116
     energy = solve_fixed_data(sc, L, cfg).energy_j
     assert energy - bound <= kkt.GAP_TOL * energy
@@ -711,7 +734,7 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
         return out
 
     monkeypatch.setattr(kkt, "_newton", stall_after_the_fixed_stages)
-    L, bound, state = kkt.joint_split(sc, cfg, warm)
+    L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
     assert len(stalls) == 1 and np.abs(stalls[0]).max() > 0.5 * cfg.bisect_tol
     assert len(ends) == len(kkt.JOINT_SMOOTHING)
     np.testing.assert_allclose(np.log(np.append(state["beta"], state["mus"])), ends[-1],

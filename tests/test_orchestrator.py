@@ -467,12 +467,12 @@ def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
 
 def test_the_start_prices_the_initial_split_without_rebalancing_it(monkeypatch):
     # the dual split beats the pricing of the equal split, so no
-    # re-balance runs on that split and every round spent is counted
+    # re-balance runs on that split and every round spent, none here, is
+    # counted
     sc, cfg = _start42(0.4)
     L0 = initialize(sc, InitStrategy.equal())
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    assert calls
     assert not any(np.array_equal(L, L0) for L, _ in calls)
     assert sum(sol.trace.inner_iteration_counts) == sum(n for _, n in calls)
 
@@ -491,12 +491,12 @@ def test_the_start_ends_below_the_dual_of_the_initial_split():
 
 
 @pytest.mark.parametrize("deadline", [0.4, 0.6, 1.0])
-def test_a_dual_split_equal_to_the_initial_split_costs_one_round(deadline, monkeypatch):
+def test_a_dual_split_equal_to_the_initial_split_costs_no_rebalance(deadline, monkeypatch):
     sc, cfg = _start42(deadline)
     steps = _spy_dual_step(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.binary(), cfg)
     assert np.array_equal(steps[0][0], initialize(sc, InitStrategy.binary()))
-    assert sol.trace.inner_iteration_counts[0] == 1
+    assert sol.trace.inner_iteration_counts[0] == 0
 
 
 def test_a_dual_split_that_overloads_an_ap_falls_back_to_the_initial_split(monkeypatch):
@@ -509,7 +509,7 @@ def test_a_dual_split_that_overloads_an_ap_falls_back_to_the_initial_split(monke
     with pytest.raises(InfeasibilityError, match="AP 0"):
         kkt.price_split(sc, over, cfg, {})
     monkeypatch.setattr(orchestrate, "joint_split", lambda sc, cfg, warm: (
-        over, kkt.joint_dual(sc, warm["beta"], warm["mus"]), dict(warm)))
+        over, kkt.joint_dual(sc, warm["beta"], warm["mus"]), dict(warm), None))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     L_a, n_a = calls[0]
@@ -529,7 +529,7 @@ def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
     with pytest.MonkeyPatch.context() as mp:
         steps = _spy_dual_step(mp)
         sol = solve_iterative(sc, strategy, cfg)
-    for _, bound, state in filter(None, steps):
+    for _, bound, state, _ in filter(None, steps):
         G = kkt.joint_dual(sc, state["beta"], state["mus"])
         assert bound == G <= sol.energy_j * (1.0 + 1e-12)
 
@@ -679,18 +679,19 @@ def test_a_start_within_the_gap_tolerance_of_the_bound_stops_the_solve():
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.converged
     assert sol.outer_iterations == 0
-    assert sol.trace.inner_iteration_counts == (1,)
+    assert sol.trace.inner_iteration_counts == (0,)
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
 def test_the_tight_deadline_start_is_certified_with_no_gradient_round():
     # the continuation of the dual step's smoothing closes the gap at D =
-    # 0.2 s, so the start re-balances one split and ends the solve
+    # 0.2 s, so the start reads its allocation off the dual step's prices
+    # and ends the solve
     sc, cfg = _start42(0.2)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.converged
     assert sol.outer_iterations == 0
-    assert sol.trace.inner_iteration_counts == (1,)
+    assert sol.trace.inner_iteration_counts == (0,)
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
@@ -705,14 +706,48 @@ def test_the_draw_of_the_hardest_continuation_stage_keeps_its_bound():
     assert sol.energy_j <= 4.0184291272e-3 * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("deadline", [0.2, 0.4, 1.0])
+def test_a_certified_start_runs_no_rebalance(deadline, monkeypatch):
+    # the start's allocation is read off the dual step's prices
+    sc, cfg = _start42(deadline)
+    calls = _spy_rebalances(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.converged and sol.outer_iterations == 0
+    assert calls == []
+    assert sol.trace.inner_iteration_counts == (0,)
+
+
+def test_a_read_off_that_misses_its_certificate_falls_back_to_one_warm_rebalance(monkeypatch):
+    # the read-off's energy, the first one evaluated, is doubled, so its
+    # duality gap misses the certificate and the dual split is re-balanced
+    sc, cfg = _start42(0.4)
+    evaluations, energies = kkt.energy_matrix, []
+
+    def doubled_first(*args):
+        energies.append(evaluations(*args))
+        return energies[-1] * (2.0 if len(energies) == 1 else 1.0)
+
+    monkeypatch.setattr(kkt, "energy_matrix", doubled_first)
+    steps = _spy_dual_step(monkeypatch)
+    calls = _spy_rebalances(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    (L_dual, _, _, allocation), = steps
+    assert allocation is None
+    assert len(calls) == 1 and np.array_equal(calls[0][0], L_dual)
+    assert sol.trace.inner_iteration_counts == (1,)
+    monkeypatch.undo()
+    assert sol.energy_j == pytest.approx(solve_iterative(sc, InitStrategy.equal(), cfg).energy_j,
+                                         rel=1e-12)
+
+
 def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
     # the seed-42 start at D = 0.2 s is certified, so the dual step's
     # bound is lowered past the gap tolerance
     split = orchestrate.joint_split
 
     def loose(*args):
-        L, bound, state = split(*args)
-        return L, bound * (1.0 - 10.0 * orchestrate.GAP_TOL), state
+        L, bound, state, allocation = split(*args)
+        return L, bound * (1.0 - 10.0 * orchestrate.GAP_TOL), state, allocation
 
     monkeypatch.setattr(orchestrate, "joint_split", loose)
     sc, cfg = _start42(0.2)
@@ -728,6 +763,19 @@ def test_a_declined_dual_step_gives_no_bound_and_runs_rounds(monkeypatch):
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.lower_bound_j is None
     assert sol.outer_iterations >= 1
+
+
+def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch):
+    # the dual step of this draw returns no split from the capacity
+    # split's prices; from the answer's prices, where AP 0 serves no one
+    # and sits at the floor, it does, and its bound is the solve's
+    sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+    steps = _spy_dual_step(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal())
+    assert sol.outer_iterations >= 1
+    assert steps[0] is None and len(steps) == 2
+    assert sol.lower_bound_j == steps[1][1]
+    assert sol.lower_bound_j <= sol.energy_j * (1.0 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)

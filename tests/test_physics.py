@@ -438,3 +438,28 @@ def test_price_oracle_is_a_valid_point_no_slack_undercuts(beta, mu, a, d, eta):
     tg = d * np.concatenate([frac, 1.0 - frac[::-1]])
     eg = a * LN2 * np.exp(physics.exponent_root(beta / (a * tg))) + mu * eta / (d - tg)
     assert e <= eg.min() * (1.0 + 1e-12)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=_decades(-40, 40), mu=st.one_of(_decades(-40, 40), st.just(DUAL_RANGE[0])),
+       a=_decades(-25, 5), d=_decades(-3, 1), eta=_decades(0, 4))
+def test_price_oracle_returns_the_stationary_slack_and_its_bandwidth(beta, mu, a, d, eta):
+    # the slack is interior, the bandwidth per bit is the bandwidth root's
+    # at that slack, no slack 1e-6 away costs less per bit, and the slack
+    # meets its stationarity condition z*t^2/(D - t)^2 = beta*ln2/(mu*eta)
+    e, t, per_bit = physics.price_oracle(beta, mu, d, eta, a)
+    assert 0.0 < t < d
+    z = physics.exponent_root(beta / (a * t))
+    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-12)
+    for near in (t * (1.0 - 1e-6), t * (1.0 + 1e-6)):
+        if near < d:
+            cost = a * LN2 * np.exp(physics.exponent_root(beta / (a * near))) \
+                + mu * eta / (d - near)
+            assert e <= cost * (1.0 + 1e-12)
+    # the condition holds where its root is inside the slack bracket, not
+    # at its lower edge. Two checks of it are too ill-conditioned for 1e-9:
+    # within 1e-3*D of the deadline its slope in ln t, 2D/(D - t), turns the
+    # ln c bisection's 5e-14 resolution into more than 1e-10; and below
+    # z = 1e-6 the probe's bracket(z) ~ -z^2/2 cancels to 2.2e-16/z
+    if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d and z >= 1e-6:
+        assert z * t * t / (d - t) ** 2 == pytest.approx(beta * LN2 / (mu * eta), rel=1e-9)
