@@ -13,9 +13,8 @@ outer search driving each budget sum onto its constraint.
   solve_bcaa: bandwidth and compute for a fixed data split. It
              maximises the fixed-data dual q(beta, mu) by Newton steps
              in the 1 + M log prices, with `physics.price_oracle` giving
-             each pair's minimiser (`price_split`, which also runs on its
-             own), reads (x, q) off those minimisers and certifies them
-             by the duality gap (`_read_off`);
+             each pair's minimiser (`_price`), reads (x, q) off them and
+             certifies them by the duality gap (`_read_off`);
   joint_split: the data split of the outer loop's dual step. It
              maximises a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
@@ -28,32 +27,29 @@ outer search driving each budget sum onto its constraint.
   pair_costs: every pair's cost per bit e_ij at a warm state's prices:
              the outer gradient and entry test in one (Danskin).
 
-The fixed-data pricing, the joint pricing and the cold start's bandwidth
-price share one safeguarded Newton loop, `_newton`, run to half of
-bisect_tol; both pricings start from a warm state and hand one back.
-
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
 solve path. They share one pricing step, _price_budgets: one lockstep
 bisection of every budget's dual, the final per-pair pass, the residual
 check, the rescale onto each budget and the diag records. Overflow
 warnings are silenced only where an overflowed value feeds a sign test
-or a start that is clipped: in this step and in the start of the cold
+or a start that is clipped: in this step and in the cold start of the
 bandwidth price.
 
 So the module has two root finders: `physics.vec_bisect` for every
-monotone search and `_newton` for every pricing. Every search runs
-inside a closed-form bracket fixed before it starts. The bandwidth root
+monotone search and `_newton` for every pricing, the fixed-data and the
+joint one, each run to half of bisect_tol from a warm state by one start
+rule (`_start_prices`) and handing one back. Every search runs inside a
+closed-form bracket fixed before it starts. The bandwidth root
 z = L*ln2/(x*t) is not searched: it is `physics.exponent_root` of
 c = beta/(a*t); the price oracle bisects ln c, solving no root per probe.
-Duals span many decades at SI magnitudes, so the references
-bisect each dual's base-10 logarithm over DUAL_RANGE in DUAL_HALVINGS
-halvings, and the Newton pricings step in the log prices inside the same
-range. Every function being bisected is strictly monotone on its
-bracket, and every budget sum is strictly monotone in its dual, so the
-bisections never lose a root inside the range. All budgets of one
-reference are bisected in lockstep, one vectorized pass over all pairs
-per halving.
+Duals span many decades at SI magnitudes, so the references bisect each
+dual's base-10 logarithm over DUAL_RANGE in DUAL_HALVINGS halvings, and
+the Newton pricings step in the log prices inside the same range. Every
+function being bisected is strictly monotone on its bracket, and every
+budget sum is strictly monotone in its dual, so the bisections never
+lose a root inside the range. All budgets of one reference are bisected
+in lockstep, one vectorized pass over all pairs per halving.
 """
 
 from __future__ import annotations
@@ -458,42 +454,38 @@ def _newton(system, y, tol, first=None):
     return y, r, extra, calls
 
 
-def _slack_prices(log_beta, pairs, col, t):
-    """For each served AP the L-weighted geometric mean, over its pairs,
-    of the compute price that makes the slack t stationary at bandwidth
-    price beta, beta*ln2*(D - t)^2/(eta*t^2*z) with
-    z = exponent_root(beta/(a*t)); returned as logs."""
+def _warm_prices(warm, m):
+    """The state's prices, beta then m compute prices, all zero when the
+    state is void: a price missing, not finite, not positive or misshapen."""
+    beta, mus = warm.get("beta"), warm.get("mus")
+    prices = (np.append(np.asarray(beta, dtype=float), mus)
+              if np.shape(beta) == () and np.shape(mus) == (m,) else np.zeros(m + 1))
+    return np.where(np.all(np.isfinite(prices) & (prices > 0)), prices, 0.0)
+
+
+def _start_prices(prices, pairs, col, aps, t, B):
+    """The log prices, of the bandwidth and of the served APs aps, that a
+    pricing starts from at the slack t of each pair, from its state's
+    `_warm_prices`: those clipped into DUAL_RANGE, but for a void state a
+    cold beta, the L-weighted geometric mean of the prices -a*t*bracket(z)
+    that give each pair its load's share of B (z = sum L*ln2/(B*t)). Every
+    AP at or below the floor, so every AP of a void state, starts from the
+    L-weighted geometric mean over its pairs of the compute price that
+    makes the slack t stationary, beta*ln2*(D - t)^2/(eta*t^2*z) with
+    z = exponent_root(beta/(a*t))."""
     Lv, d, eta, a = pairs
-    z = exponent_root(np.exp(log_beta) / (a * t))
-    log_mu = log_beta + np.log(LN2 / (eta * z)) + 2.0 * np.log((d - t) / t)
-    return np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv)
-
-
-def _cold_prices(pairs, t, B, cfg, diag):
-    """The log bandwidth price at the slack t, from a scalar Newton solve
-    of the bandwidth budget there.
-
-    Along the bandwidth root z = exponent_root(beta/(a*t)) the bandwidth
-    per bit is ln2/(t*z) and d ln z/d ln beta = k = c*e^-z/z^2. The solve
-    starts from the L-weighted geometric mean of the prices that give each
-    pair its load's share of B, and appends one beta_bandwidth record to
-    diag.
-    """
-    Lv, _, _, a = pairs
-
-    def budget(y):
+    prices = np.append(prices[0], prices[1:][aps])
+    y = np.log(np.clip(prices, *DUAL_RANGE))
+    if prices[0] == 0.0:
+        with np.errstate(over="ignore"):
+            share = -bracket(Lv.sum() * LN2 / (B * t))
+        y[0] = Lv @ np.log(a * t * share) / Lv.sum()
+    floor = prices[1:] <= DUAL_RANGE[0]
+    if floor.any():
         z = exponent_root(np.exp(y[0]) / (a * t))
-        x = Lv * LN2 / (t * z)
-        k = np.exp(y[0] - z) / (a * t * z * z)
-        return np.array([x.sum() / B - 1.0]), np.array([[-(x @ k) / B]]), z
-
-    with np.errstate(over="ignore"):
-        share = -bracket(Lv.sum() * LN2 / (B * t))
-    y, r, _, calls = _newton(budget, np.array([Lv @ np.log(a * t * share) / Lv.sum()]),
-                             0.5 * cfg.bisect_tol)
-    diag.append(SolveDiagnostic(DualVariable("beta_bandwidth", math.exp(y[0])),
-                                residual=float(abs(r[0])), iterations=calls))
-    return y[0]
+        log_mu = y[0] + np.log(LN2 / (eta * z)) + 2.0 * np.log((d - t) / t)
+        y[1:][floor] = (np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv))[floor]
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -565,28 +557,29 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     allocation read off them.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices, from the warm state `price_split` filled, in stages
-    (`_joint_stages`). An AP that state holds at the floor of DUAL_RANGE,
-    one its split left idle, starts from the compute price that makes the
-    slack of the capacity split stationary (`_slack_prices`), as in the
-    pricing. With tau -> 0 the bound tends to G(beta, mu)
-    (`joint_dual`), whose maximum nearly always meets the energy: the
-    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
-    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
+    log prices in stages (`_joint_stages`) from the warm state, which,
+    when void, is first filled with the prices of the capacity split
+    L_ij = T_i*C_j/sum C (`_price`, whose raises propagate). With tau -> 0
+    the bound tends to G(beta, mu) (`joint_dual`), whose maximum nearly
+    always meets the energy: the time-sharing argument of Yu & Lui (IEEE
+    Trans. Commun. 2006), with the log-sum-exp smoothing of Nesterov
+    (Math. Program. 2005).
 
     Returns (L, G, state, allocation) of the last stage that met the
-    tolerance: L = T*w at its soft-argmin weights, with loads at or below
-    the activity threshold dropped and each row rescaled onto its task, G
-    read off the oracle of its last accepted iterate, and its prices as a
-    warm state with every held AP at the floor, where `joint_dual` is G.
-    allocation is (x, q, E) read off that same oracle pass at split L and
-    certified like a re-balance's (`_read_off`): once a Lagrangian
-    minimiser meets the budgets it is the optimum at split L, so no
-    re-balance is needed. It is None when the read-off misses its
+    tolerance: L = T*w at its soft-argmin weights, loads at or below the
+    activity threshold dropped and each row rescaled onto its task; G
+    read off the oracle of its last accepted iterate; its prices as a warm
+    state, every held AP at the floor, where `joint_dual` is G; and
+    (x, q, E) read off that oracle pass at split L and certified like a
+    re-balance's (`_read_off`: a Lagrangian minimiser that meets the
+    budgets is the optimum at split L), or None when it misses the
     certificate. Returns None when a task is at or below the activity
     threshold, or when the first stage misses the tolerance, its Jacobian
     is singular or its root lies beyond DUAL_RANGE.
     """
+    if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
+        cap = scenario.compute_capacity
+        _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm, [])
     best = None
     for best in _joint_stages(scenario, cfg, warm):
         pass
@@ -605,9 +598,11 @@ def joint_split(scenario, cfg: SolveConfig, warm):
 
 
 def _joint_stages(scenario, cfg, warm):
-    """The stages of `joint_split`. Stage k fixes tau_i = kappa_k*min_j e_ij
-    at its start prices and solves to half of bisect_tol by `_newton`,
-    like every pricing, from the oracle pass that ended the stage before.
+    """The stages of `joint_split`, from the pricing's start rule
+    (`_start_prices`) at the capacity split's slack. Stage k fixes
+    tau_i = kappa_k*min_j e_ij at its start prices and solves to half of
+    bisect_tol by `_newton`, like every pricing, from the oracle pass that
+    ended the stage before.
 
     The smoothing costs the soft split a bias
     S = sum_i T_i*(sum_j w_ij*e_ij - min_j e_ij) <= sum_i T_i*tau_i*ln M
@@ -633,12 +628,9 @@ def _joint_stages(scenario, cfg, warm):
     pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1), cfg)
     if col.size < K * M:
         return
-    y = np.log(np.clip(np.append(warm["beta"], warm["mus"]), *DUAL_RANGE))
-    floor = y[1:] <= math.log(DUAL_RANGE[0])
-    if floor.any():
-        Lv, d, eta, _ = pairs  # every task once on each of the M APs
-        slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
-        y[1:][floor] = _slack_prices(y[0], pairs, col, slack)[floor]
+    Lv, d, eta, _ = pairs  # every task once on each of the M APs
+    slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
+    y = _start_prices(_warm_prices(warm, M), pairs, col, np.arange(M), slack, budgets[0])
     held = np.zeros(M + 1, dtype=bool)
     p = np.exp(y)
     oracle = price_oracle(p[0], p[1:][col], *pairs[1:])
@@ -690,30 +682,19 @@ def _joint_stages(scenario, cfg, warm):
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
 
-def price_split(scenario, L, cfg: SolveConfig, warm):
+def _price(scenario, L, cfg, warm, diag):
     """The pricing of `solve_bcaa` without its recovery: the input checks
-    and the maximisation of the fixed-data dual of split L. Returns
-    q(beta, mu) at the final prices (`fixed_data_dual`), a lower bound on
-    every energy at split L.
+    and the maximisation of the fixed-data dual of split L.
 
     warm is a caller-owned dict read and refreshed between calls of one
     outer loop: the bandwidth price "beta" and the M-vector of compute
     prices "mus" the last pricing ended at, with every AP that served no
-    active pair at the floor of DUAL_RANGE. The pricing starts from them.
-    Prices that are missing, not finite, not positive or of the wrong
-    shape void the whole state, and beta then starts cold: one scalar
-    Newton solve of the bandwidth budget at the slack D*(1 - load_j/C_j)
-    of the capacity split proportional to eta*L/D (`_cold_prices`). Every
-    AP priced at or below the floor, so every AP of a void state, starts
-    from the price that makes that slack stationary (`_slack_prices`).
-    Only APs that serve an active pair are priced; one whose least load
+    active pair at the floor of DUAL_RANGE. The pricing starts from them,
+    or cold from a void state, by `_start_prices` at the slack
+    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D. Only
+    APs that serve an active pair are priced; one whose least load
     sum_i eta*L/D reaches its capacity raises InfeasibilityError, and a
-    price root beyond DUAL_RANGE raises BracketError."""
-    return _price(scenario, np.asarray(L, dtype=float), cfg, warm, [])[1]
-
-
-def _price(scenario, L, cfg, warm, diag):
-    """`price_split`, appending to diag the cold start's record, then one
+    price root beyond DUAL_RANGE raises BracketError. Appends to diag one
     record per final price with its scaled budget residual and the count
     of oracle calls. Leaves the final prices in warm, and returns the
     `_pricing_inputs` of split L, q(beta, mu) and the slacks and
@@ -732,19 +713,8 @@ def _price(scenario, L, cfg, warm, diag):
         raise InfeasibilityError(
             f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
             f"{cap[j]:.6g}", ap=j)
-
-    beta, mus = warm.get("beta"), warm.get("mus")
-    prices = (np.append(np.asarray(beta, dtype=float), mus)
-              if np.shape(beta) == () and np.shape(mus) == cap.shape else np.array([np.nan]))
-    t = (d * (1.0 - load / cap))[act]
-    if np.all(np.isfinite(prices) & (prices > 0)):
-        y = np.log(np.append(prices[0], prices[1:][aps]))
-    else:  # a void state: beta starts cold, and every AP at the floor
-        y = np.append(_cold_prices(pairs, t, budgets[0], cfg, diag), np.zeros(aps.size))
-        prices = np.zeros(cap.size + 1)
-    floor = prices[1:][aps] <= DUAL_RANGE[0]
-    if floor.any():
-        y[1:][floor] = _slack_prices(y[0], pairs, col, t)[floor]
+    y = _start_prices(_warm_prices(warm, cap.size), pairs, col, aps,
+                      (d * (1.0 - load / cap))[act], budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)
     y, r, (e, tv, s), calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
                                       0.5 * cfg.bisect_tol)
@@ -795,19 +765,18 @@ def _read_off(scenario, L, cfg, inputs, dual, t, s):
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     """Jointly optimal (x, q) for a fixed data split, read off its dual.
 
-    First the prices (`price_split`): a safeguarded Newton solve
-    (`_newton`) of the scaled budget residuals over the log bandwidth
-    price and the log compute prices of the served APs, to half the
-    relative tolerance, maximises the fixed-data dual q(beta, mu)
-    (`fixed_data_dual`). Then `_read_off` reads the answer off the oracle
-    of the last Newton iterate and certifies it: a scaled budget residual
-    above bisect_tol at the final prices, or a duality gap above
-    bisect_tol*E, raises ConvergenceError; an answer returned is
-    certified optimal to that relative tolerance.
+    First the prices (`_price`): a safeguarded Newton solve (`_newton`)
+    of the scaled budget residuals over the log bandwidth price and the
+    log compute prices of the served APs, from the warm state or cold
+    (`_start_prices`), to half the relative tolerance, maximises the
+    fixed-data dual q(beta, mu) (`fixed_data_dual`). Then `_read_off`
+    reads the answer off the oracle of the last Newton iterate and
+    certifies it: a scaled budget residual above bisect_tol at the final
+    prices, or a duality gap above bisect_tol*E, raises ConvergenceError;
+    an answer returned is certified optimal to that relative tolerance.
 
-    warm, when given, is the state `price_split` reads and fills. diag
-    receives the pricing's records (`_price`), also when the certificate
-    then fails.
+    warm, when given, is the state `_price` reads and fills. diag
+    receives its records, also when the certificate then fails.
 
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """

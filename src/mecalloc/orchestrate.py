@@ -3,24 +3,25 @@
 The full solver minimises the re-balanced energy F(L), the least energy
 the bandwidth/compute re-balance reaches at data split L. The start is
 the dual step: the split the joint Lagrangian dual's prices choose
-(`kkt.joint_split`) from those of the capacity split (`kkt.price_split`),
-whatever the initial split L0, with the allocation read off those prices
-and certified like a re-balance's, so no re-balance runs. The dual split
-is re-balanced only when that read-off misses its certificate, and L0
-only when the step fails. The joint dual G at the dual step's prices
+(`kkt.joint_split`) from those of the capacity split, whatever the
+initial split L0, with the allocation read off those prices and
+certified like a re-balance's, so no re-balance runs. The dual split is
+re-balanced only when that read-off misses its certificate, and L0 only
+when the step fails. The joint dual G at the dual step's prices
 (`kkt.joint_dual`, which `kkt.joint_split` returns with them) bounds
 every feasible energy; a start within GAP_TOL of it is the answer, with
 no gradient round. Every round after it takes one projected
-reduced-gradient step on L. F is the
-maximum of the fixed-data dual over the prices, so by Danskin's theorem
-dF/dL_ij is the pair's cost per bit e_ij at the last re-balance's prices
-(`kkt.pair_costs`): the gradient on the active pairs and the entry test
-on the others. The step is projected onto each user's task simplex on
-its support, and a backtracking line search accepts the first trial
-whose warm re-balance, one pass of `kkt.solve_bcaa`, strictly lowers the
-energy, starting from the Barzilai-Borwein step length (IMA J. Numer.
-Anal. 1988). So the outer energies fall strictly until a round's
-decrement meets the stop.
+reduced-gradient step on L. F is the maximum of the fixed-data dual over
+the prices, so by Danskin's theorem dF/dL_ij is the pair's cost per bit
+e_ij at the last re-balance's prices (`kkt.pair_costs`): the gradient on
+the active pairs and the entry test on the others. The step is projected
+onto each user's task simplex on its support, and a backtracking line
+search accepts the first trial whose warm re-balance, one pass of
+`kkt.solve_bcaa`, strictly lowers the energy, starting from the
+Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the outer
+energies fall strictly until a round's decrement meets the stop; the
+dual step from the answer's prices then replaces the answer when its
+certified read-off is lower.
 
 The outer loop no longer calls `solve_daa`; the module keeps the name
 because the bench tracer (`perfbench/tracer.py`) patches it here.
@@ -34,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, joint_split, pair_costs, price_split, solve_bcaa
+from .kkt import GAP_TOL, joint_split, pair_costs, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -110,7 +111,8 @@ class SolveTrace:
     round ran, one per trial step of the round, rejected ones included (a
     re-balance that raises adds none). Entry 0 counts those of the start:
     0 when the allocation is read off the dual step's prices, 1 otherwise.
-    A start the Lagrangian bound certifies is the only entry.
+    A start the Lagrangian bound certifies is the only entry. The last
+    entry includes the final dual step of `solve_iterative`, if it ran.
     """
 
     outer_energies_j: tuple
@@ -232,28 +234,29 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     threshold.
 
     The objective is F(L), the energy after the bandwidth/compute
-    re-balance at data split L. The start (entry 0 of the trace) prices
-    the capacity split L_ij = T_i*C_j/sum C (`kkt.price_split`), which
-    overloads an AP only when the aggregate demand overloads every split.
-    From those prices the dual step (`kkt.joint_split`) chooses the split
-    it keeps, with the allocation read off the same prices and certified,
-    which costs no re-balance. Only when that read-off misses its
-    certificate is the split re-balanced, warm from the state the step
-    returns. Only when the step returns no split, or its split cannot be
-    re-balanced, and with one AP, does the start re-balance the initial
-    split L0, warm. The joint dual at the dual step's prices is the
-    solve's lower_bound_j (None with one AP or no prices); a start energy
-    E within GAP_TOL*E of it is returned, converged, after zero gradient
-    rounds. When gradient rounds ran, the dual step runs once more from
-    the answer's prices, and lower_bound_j is the larger of the two
-    bounds; converged does not depend on it.
+    re-balance at data split L. The start (entry 0 of the trace) is the
+    dual step (`kkt.joint_split`) from an empty warm state, which it
+    fills with the prices of the capacity split L_ij = T_i*C_j/sum C. The
+    step chooses the split the start keeps, with the allocation read off
+    the same prices and certified, at no re-balance. Only when that
+    read-off misses its certificate is the split re-balanced, warm from
+    the state the step returns; only when the step returns no split, or
+    its split cannot be re-balanced, is L0, warm from the capacity split's
+    prices. The joint dual at the dual step's prices is the solve's
+    lower_bound_j (None with no prices); a start energy E within GAP_TOL*E
+    of it is returned, converged, after zero gradient rounds, as is every
+    one-AP start, whose soft weights are all 1. After gradient rounds the
+    dual step runs again from the answer's prices: lower_bound_j is the
+    larger of the two bounds, and a lower certified allocation of the step
+    is the answer, its energy the last trace entry's, which counts the
+    step's wall time. converged depends on neither.
 
     A gradient round reads every pair's cost per bit e_ij at the warm
     prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
     grows first (`_direction`): every inactive pair whose e_ij is below
     its user's least active e_ij joins it. The round then takes one
     projected step along that gradient (`_projected_step`). The warm
-    prices are the last accepted re-balance's (`kkt.price_split`), and
+    prices are the last accepted re-balance's (`kkt.solve_bcaa`), and
     each trial is followed by a re-balance warm from a copy of them
     (`_rebalance`). The step size starts at the BB1 length s.s/s.y, with
     s the last change of L and y the change of the row-scaled direction
@@ -275,18 +278,15 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
     warm, rounds, x, lower = {}, 0, None, None
-    if scenario.num_aps > 1:
-        cap = scenario.compute_capacity
-        price_split(scenario, bits[:, None] / (cap.sum() / cap), cfg, warm)
-        dual = joint_split(scenario, cfg, warm)
-        if dual is not None:
-            L_dual, lower, state, allocation = dual
-            if allocation is not None:
-                L, (x, q, energy), warm = L_dual, allocation, state
-            else:
-                e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
-                if x_try is not None:
-                    L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
+    dual = joint_split(scenario, cfg, warm)
+    if dual is not None:
+        L_dual, lower, state, allocation = dual
+        if allocation is not None:
+            L, (x, q, energy), warm = L_dual, allocation, state
+        else:
+            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
+            if x_try is not None:
+                L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1
@@ -326,11 +326,16 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
             if energy == outer[-2] or not direction[2]:
                 converged = True
                 break
-    if len(outer) > 1 and scenario.num_aps > 1:
-        # the bound of the dual step from the answer's prices
+    if len(outer) > 1:
+        # the dual step from the answer's prices: its bound, and a lower answer
+        t_final = time.perf_counter()
         final = joint_split(scenario, cfg, warm)
         if final is not None:
             lower = final[1] if lower is None else max(lower, final[1])
+            if final[3] is not None and final[3][2] < energy:
+                L, (x, q, energy) = final[0], final[3]
+                outer[-1] = energy
+        walls[-1] += time.perf_counter() - t_final
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(

@@ -627,7 +627,7 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
     if deadline is not None:
         sc = override_parameter(sc, "deadline_s", deadline)
     warm = {}
-    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm)
+    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm=warm)
     _, bound, state, _ = kkt.joint_split(sc, _cfg(sc), warm)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
 
@@ -639,7 +639,7 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
     sc = override_parameter(generate(params), "deadline_s", deadline)
     cfg = _cfg(sc)
     warm = {}
-    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
     L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
     assert set(state) == {"beta", "mus"} and state["mus"].shape == (sc.num_aps,)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
@@ -665,13 +665,34 @@ def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(para
     cfg = _cfg(sc)
     cap = sc.compute_capacity
     warm = {}
-    kkt.price_split(sc, sc.task_bits[:, None] * cap / cap.sum(), cfg, warm)
+    solve_bcaa(sc, sc.task_bits[:, None] * cap / cap.sum(), cfg, warm=warm)
     L, _, state, (x, q, energy) = kkt.joint_split(sc, cfg, warm)
     x_b, q_b, _ = solve_bcaa(sc, L, cfg, warm=dict(state))
     np.testing.assert_allclose(x, x_b, rtol=1e-12, atol=0)
     np.testing.assert_allclose(q, q_b, rtol=1e-12, atol=0)
     rebalanced = total_energy(sc, Allocation(L, x_b, q_b), cfg.activity_threshold_bits)
     assert energy == pytest.approx(rebalanced, rel=1e-12)
+
+
+@pytest.mark.parametrize("deadline", [0.2, 1.0])
+def test_a_void_state_starts_the_dual_step_from_the_capacity_split_prices(deadline):
+    # joint_split prices the capacity split itself when its state is void,
+    # with the pricing of solve_bcaa, so it returns what it returns from
+    # the prices that pricing leaves, bit for bit
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
+    cfg = _cfg(sc)
+    cap = sc.compute_capacity
+    warm = {}
+    solve_bcaa(sc, sc.task_bits[:, None] / (cap.sum() / cap), cfg, warm=warm)
+    expected = kkt.joint_split(sc, cfg, warm)
+    for void in ({}, {"beta": np.nan, "mus": warm["mus"]},
+                 {"beta": warm["beta"], "mus": warm["mus"][:-1]}):
+        L, bound, state, (x, q, energy) = kkt.joint_split(sc, cfg, void)
+        assert np.array_equal(L, expected[0]) and bound == expected[1]
+        assert state["beta"] == expected[2]["beta"]
+        assert np.array_equal(state["mus"], expected[2]["mus"])
+        assert np.array_equal(x, expected[3][0]) and np.array_equal(q, expected[3][1])
+        assert energy == expected[3][2]
 
 
 def _count_joint_systems(monkeypatch):
@@ -694,7 +715,7 @@ def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
     for tol in (1e-3, 1e-9):
         cfg = _cfg(sc, bisect_tol=tol)
         warm = {}
-        kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+        solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
         calls.clear()
         assert kkt.joint_split(sc, cfg, warm) is not None
         counts.append(len(calls))
@@ -708,7 +729,7 @@ def test_joint_split_certifies_the_tight_deadline_split_within_116_systems(tight
     # close it, and the Newton solve's step memory pays for them
     sc, _, cfg = tight42
     warm = {}
-    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
     calls = _count_joint_systems(monkeypatch)
     L, bound, _, _ = kkt.joint_split(sc, cfg, warm)
     assert len(calls) <= 116
@@ -722,7 +743,7 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
     # tolerance: the step returns the split, bound and prices of the second
     sc, _, cfg = tight42
     warm = {}
-    kkt.price_split(sc, initialize(sc, InitStrategy.equal()), cfg, warm)
+    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
     newton, ends, stalls = kkt._newton, [], []
 
     def stall_after_the_fixed_stages(system, y, tol, first=None):
@@ -747,8 +768,8 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
 def test_bcaa_prices_beyond_the_dual_range_raise(warm):
     # one AP loaded to 99.99% of its capacity: its slacks, hence its
     # bandwidth, leave no rate inside the exponent cap unless both prices
-    # rise above DUAL_RANGE; the cold start's bandwidth search finds that
-    # at the cold slack, and the pricing from warm prices at the range edge
+    # rise above DUAL_RANGE; the pricing finds that from the cold start and
+    # from warm prices, at the range edge
     params = GenParams(num_users=3, num_aps=1, seed=0)
     base = generate(params)
     load = (base.cycles_per_bit * base.task_bits / base.deadlines_s).sum()
@@ -817,23 +838,6 @@ def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
         assert np.array_equal(out[0], cold[0])
         assert np.array_equal(out[1], cold[1])
         assert out[2] == cold[2]
-
-
-def test_cold_bandwidth_price_is_the_bandwidth_search_root_in_fewer_calls(split12x4):
-    # the cold start's scalar Newton solve meets the bandwidth budget at
-    # the cold slack, where the BAA search also finds its root
-    sc, L, cfg = split12x4
-    pairs = kkt._pricing_inputs(sc, L, cfg)[0]
-    d = sc.deadlines_s[:, None]
-    load = (sc.cycles_per_bit[:, None] * L / d).sum(axis=0)
-    t = np.broadcast_to(d * (1.0 - load / sc.compute_capacity), L.shape)
-    newton, search = [], []
-    y = kkt._cold_prices(pairs, t[L > 0], sc.bandwidth_hz, cfg, newton)
-    solve_baa(sc, t, L, cfg, diag=search)
-    assert math.exp(y) == newton[0].dual.value
-    assert newton[0].dual.value == pytest.approx(search[0].dual.value, rel=cfg.bisect_tol)
-    assert newton[0].residual <= 0.5 * cfg.bisect_tol
-    assert 4 * newton[0].iterations < search[0].iterations
 
 
 def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
