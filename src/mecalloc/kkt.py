@@ -30,26 +30,22 @@ outer search driving each budget sum onto its constraint.
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
 solve path. They share one pricing step, _price_budgets: one lockstep
-bisection of every budget's dual, the final per-pair pass, the residual
-check, the rescale onto each budget and the diag records. Overflow
-warnings are silenced only where an overflowed value feeds a sign test
-or a start that is clipped: in this step and in the cold start of the
-bandwidth price.
+`vec_bisect` of every budget's dual over the base-10 logarithm of
+DUAL_RANGE in DUAL_HALVINGS halvings, the final per-pair pass, the
+residual check, the rescale onto each budget and the diag records. Each
+bisected function is strictly monotone on a closed-form bracket fixed
+before it starts, and each budget sum in its dual, so no root inside the
+range is lost. Overflow warnings are silenced only where an overflowed
+value feeds a sign test or a clipped start: in that step and in the
+cold start of the bandwidth price.
 
-So the module has two root finders: `physics.vec_bisect` for every
-monotone search and `_newton` for every pricing, the fixed-data and the
-joint one, each run to half of bisect_tol from a warm state by one start
-rule (`_start_prices`) and handing one back. Every search runs inside a
-closed-form bracket fixed before it starts. The bandwidth root
-z = L*ln2/(x*t) is not searched: it is `physics.exponent_root` of
-c = beta/(a*t); the price oracle bisects ln c, solving no root per probe.
-Duals span many decades at SI magnitudes, so the references bisect each
-dual's base-10 logarithm over DUAL_RANGE in DUAL_HALVINGS halvings, and
-the Newton pricings step in the log prices inside the same range. Every
-function being bisected is strictly monotone on its bracket, and every
-budget sum is strictly monotone in its dual, so the bisections never
-lose a root inside the range. All budgets of one reference are bisected
-in lockstep, one vectorized pass over all pairs per halving.
+So the module has two root finders: `vec_bisect` for the references and
+`_newton` for every pricing, the fixed-data and the joint one, each in
+the log prices inside DUAL_RANGE, run to half of bisect_tol from a warm
+state by one start rule (`_start_prices`) and handing one back. No
+pricing bisects per pair: the price oracle takes a fixed count of Newton
+steps on a closed-form equation (`physics.price_oracle`), and the
+bandwidth root z = L*ln2/(x*t) is `physics.exponent_root`(beta/(a*t)).
 """
 
 from __future__ import annotations
@@ -79,7 +75,6 @@ from .physics import (
     energy_matrix,
     exponent_root,
     price_oracle,
-    vec_bisect,
 )
 
 # keeps every slack at least this fraction of the deadline away from the
@@ -88,6 +83,10 @@ SLACK_MARGIN = 1e-6
 
 # every dual search stays inside this range
 DUAL_RANGE = (1e-280, 1e280)
+
+# fixed halving count for the vectorized per-pair root solves of the
+# bisection references; shrinks any bracket to float64 resolution
+INNER_ITERS = 48
 
 # halvings of each bisection reference's dual search: they narrow the
 # log10 span of DUAL_RANGE (560 decades) to at most 1e-13 decades
@@ -157,10 +156,8 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, increasing, diag
     sum still off its target by more than the relative tolerance raises
     BracketError when its dual ends at an edge of the range (the root
     lies beyond it), ConvergenceError otherwise. Appends one `kind`
-    record per budget to diag.
-
-    Overflowed exponentials inside the searches only ever feed sign
-    tests, so overflow warnings are silenced here.
+    record per budget to diag. Overflowed exponentials inside the
+    searches only ever feed sign tests, so their warnings are silenced.
 
     Returns (duals, shares, shares rescaled so each sum is its target).
     """
@@ -191,6 +188,18 @@ def _price_budgets(kind, group, owners, targets, share_of, cfg, increasing, diag
                                     residual=float(r), iterations=DUAL_HALVINGS)
                     for v, o, r in zip(duals, owners, resid))
     return duals, shares, shares * (targets / sums)[group]
+
+
+def vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
+    """Lockstep bisection of independent brackets [lo, hi]: go_right(mid)
+    marks the entries whose root lies right of mid. Scalar lo and hi give
+    every entry the same bracket."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        right = go_right(mid)
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +578,11 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     tolerance: L = T*w at its soft-argmin weights, loads at or below the
     activity threshold dropped and each row rescaled onto its task; G
     read off the oracle of its last accepted iterate; its prices as a warm
-    state, every held AP at the floor, where `joint_dual` is G; and
-    (x, q, E) read off that oracle pass at split L and certified like a
-    re-balance's (`_read_off`: a Lagrangian minimiser that meets the
-    budgets is the optimum at split L), or None when it misses the
-    certificate. Returns None when a task is at or below the activity
-    threshold, or when the first stage misses the tolerance, its Jacobian
-    is singular or its root lies beyond DUAL_RANGE.
+    state, every held AP at the floor, where `joint_dual` is G; and the
+    (x, q, E) `_read_off` certifies at those prices and split L, or None
+    when it misses the certificate. Returns None when a task is at or
+    below the activity threshold, or when the first stage misses the
+    tolerance, its Jacobian is singular or its root lies beyond DUAL_RANGE.
     """
     if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
         cap = scenario.compute_capacity
@@ -585,13 +592,12 @@ def joint_split(scenario, cfg: SolveConfig, warm):
         pass
     if best is None:
         return None
-    L, bound, state, (e, t, s) = best
+    L, bound, state, oracle = best
     inputs = _pricing_inputs(scenario, L, cfg)
-    (Lv, *_), _, budgets, aps = inputs
+    prices = np.append(state["beta"], state["mus"][inputs[-1]])
     act = (L > cfg.activity_threshold_bits).ravel()
-    dual = Lv @ e[act] - np.append(state["beta"], state["mus"][aps]) @ budgets
     try:
-        allocation = _read_off(scenario, L, cfg, inputs, dual, t[act], s[act])
+        allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
     except (ConvergenceError, InfeasiblePairError):
         allocation = None
     return L, bound, state, allocation
@@ -683,22 +689,21 @@ def _joint_stages(scenario, cfg, warm):
 # BCAA: joint bandwidth and compute allocation for fixed data
 
 def _price(scenario, L, cfg, warm, diag):
-    """The pricing of `solve_bcaa` without its recovery: the input checks
-    and the maximisation of the fixed-data dual of split L.
+    """The pricing of `solve_bcaa`: the input checks and the maximisation
+    of the fixed-data dual of split L.
 
     warm is a caller-owned dict read and refreshed between calls of one
     outer loop: the bandwidth price "beta" and the M-vector of compute
-    prices "mus" the last pricing ended at, with every AP that served no
-    active pair at the floor of DUAL_RANGE. The pricing starts from them,
-    or cold from a void state, by `_start_prices` at the slack
-    D*(1 - load_j/C_j) of the capacity split proportional to eta*L/D. Only
-    APs that serve an active pair are priced; one whose least load
-    sum_i eta*L/D reaches its capacity raises InfeasibilityError, and a
-    price root beyond DUAL_RANGE raises BracketError. Appends to diag one
-    record per final price with its scaled budget residual and the count
-    of oracle calls. Leaves the final prices in warm, and returns the
-    `_pricing_inputs` of split L, q(beta, mu) and the slacks and
-    bandwidths per bit at the final prices."""
+    prices "mus" the last pricing ended at, every AP that served no active
+    pair at the floor of DUAL_RANGE. The pricing starts from them by
+    `_start_prices` at the slack D*(1 - load_j/C_j) of the capacity split
+    proportional to eta*L/D. Only APs that serve an active pair are
+    priced; one whose least load sum_i eta*L/D reaches its capacity raises
+    InfeasibilityError, and a price root beyond DUAL_RANGE BracketError.
+    Appends to diag one record per final price with its scaled budget
+    residual and the count of oracle calls. Leaves the final prices in
+    warm, and returns the `_pricing_inputs` of L, the final prices of the
+    bandwidth and the served APs, and the oracle's (e, t, x/L) at them."""
     act = L > cfg.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
@@ -716,8 +721,8 @@ def _price(scenario, L, cfg, warm, diag):
     y = _start_prices(_warm_prices(warm, cap.size), pairs, col, aps,
                       (d * (1.0 - load / cap))[act], budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)
-    y, r, (e, tv, s), calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
-                                      0.5 * cfg.bisect_tol)
+    y, r, oracle, calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
+                                  0.5 * cfg.bisect_tol)
     p = np.exp(y)
     diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
                                 residual=float(abs(ri)), iterations=calls)
@@ -726,18 +731,19 @@ def _price(scenario, L, cfg, warm, diag):
     mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
     warm.update(beta=p[0], mus=mus)
-    return inputs, float(pairs[0] @ e - p @ budgets), tv, s
+    return inputs, p, *oracle
 
 
-def _read_off(scenario, L, cfg, inputs, dual, t, s):
-    """The certified (x, q) of split L at fixed prices, read off the
-    oracle's slacks t and bandwidths per bit s at its active pairs, with
-    inputs the `_pricing_inputs` of L and dual q(beta, mu) at those
-    prices. At fixed prices each pair's Lagrangian has one minimiser, so
-    x = L*s and q = L*eta/(D - t) (Boyd & Vandenberghe, Convex
-    Optimization, sec. 5.5.5), each budget's shares rescaled onto its
-    total. A scaled budget residual above bisect_tol, or a duality gap
-    E - q(beta, mu) above bisect_tol*E, raises ConvergenceError.
+def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
+    """The certified (x, q) of split L at prices (beta, then the mu of
+    each served AP), read off the oracle's (e, t, x/L) at the active pairs
+    of L, with inputs its `_pricing_inputs`. At fixed prices each pair's
+    Lagrangian has one minimiser, so x = L*(x/L) and q = L*eta/(D - t)
+    (Boyd & Vandenberghe, Convex Optimization, sec. 5.5.5), each budget's
+    shares rescaled onto its total. A scaled budget residual above
+    bisect_tol, or a duality gap E - q above bisect_tol*E, with
+    q = sum L*e - prices @ budgets (`fixed_data_dual`), raises
+    ConvergenceError.
 
     Returns (x, q, E), with x and q K x M and E evaluated once.
     """
@@ -746,9 +752,10 @@ def _read_off(scenario, L, cfg, inputs, dual, t, s):
     xv, qv = Lv * s, Lv * eta / (d - t)
     r = np.append(xv.sum(), np.bincount(col, weights=qv, minlength=aps.size)) / budgets - 1.0
     k = int(np.argmax(np.abs(r)))
-    if abs(r[k]) > cfg.bisect_tol:
+    # the sums are rounded, so no residual is known to below float64 resolution
+    if (res := max(abs(r[k]), np.finfo(float).eps)) > cfg.bisect_tol:
         budget = "bandwidth" if k == 0 else f"AP {aps[k - 1]} compute"
-        raise ConvergenceError(f"fixed-data pricing: {budget} budget residual {abs(r[k]):.3e}")
+        raise ConvergenceError(f"fixed-data pricing: {budget} budget residual {res:.3e}")
     # r is sum/total - 1, so dividing by 1 + r puts each budget on its total
     x, q = np.zeros_like(L), np.zeros_like(L)
     x[act] = xv / (1.0 + r[0])
@@ -757,6 +764,7 @@ def _read_off(scenario, L, cfg, inputs, dual, t, s):
     t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
                        np.where(act, q, np.inf))
     energy = float(energy_matrix(scenario, L, x, t, cfg.activity_threshold_bits).sum())
+    dual = Lv @ e - prices @ budgets
     if energy - dual > cfg.bisect_tol * energy:
         raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")
     return x, q, energy
@@ -765,22 +773,19 @@ def _read_off(scenario, L, cfg, inputs, dual, t, s):
 def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     """Jointly optimal (x, q) for a fixed data split, read off its dual.
 
-    First the prices (`_price`): a safeguarded Newton solve (`_newton`)
-    of the scaled budget residuals over the log bandwidth price and the
-    log compute prices of the served APs, from the warm state or cold
-    (`_start_prices`), to half the relative tolerance, maximises the
-    fixed-data dual q(beta, mu) (`fixed_data_dual`). Then `_read_off`
-    reads the answer off the oracle of the last Newton iterate and
-    certifies it: a scaled budget residual above bisect_tol at the final
-    prices, or a duality gap above bisect_tol*E, raises ConvergenceError;
-    an answer returned is certified optimal to that relative tolerance.
-
-    warm, when given, is the state `_price` reads and fills. diag
-    receives its records, also when the certificate then fails.
+    `_price` maximises the fixed-data dual q(beta, mu) (`fixed_data_dual`)
+    by a safeguarded Newton solve (`_newton`) of the scaled budget
+    residuals in the log prices, from the warm state (`_start_prices`),
+    to half the relative tolerance. `_read_off` then reads the answer off
+    the oracle of the last Newton iterate and certifies it: a scaled
+    budget residual above bisect_tol, or a duality gap above
+    bisect_tol*E, raises ConvergenceError, so an answer returned is
+    certified optimal to that relative tolerance. warm, when given, is the
+    state `_price` reads and fills. diag receives its records, also when
+    the certificate then fails.
 
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
-    inputs, dual, t, s = _price(
-        scenario, L, cfg, {} if warm is None else warm, [] if diag is None else diag)
-    return (*_read_off(scenario, L, cfg, inputs, dual, t, s)[:2], 1)
+    priced = _price(scenario, L, cfg, {} if warm is None else warm, [] if diag is None else diag)
+    return (*_read_off(scenario, L, cfg, *priced)[:2], 1)

@@ -7,11 +7,11 @@ operated at minimal power under a hard deadline,
 
 It is written once, in the vectorised `energy`, `bracket` and
 `data_marginal` that the KKT roots in `kkt` evaluate, and priced in
-`price_oracle`, the cheapest cost per bit of a pair at given prices, by
-a bisection in ln c, c = beta/(a*t), that ends in one `exponent_root`.
-The scalar functions, the analytic gradient and the
-2x2 curvature blocks used to certify which variable pairs form convex
-subproblems build on them.
+`price_oracle`, the cheapest cost per bit of a pair at given prices: a
+fixed count of Newton steps in ln z on the bandwidth root, with the
+stationary slack in closed form in z. The scalar functions, the
+analytic gradient and the 2x2 curvature blocks used to certify which
+variable pairs form convex subproblems build on them.
 """
 
 from __future__ import annotations
@@ -53,96 +53,90 @@ def bracket(z):
 _Z_TOP = EXPONENT_CAP * LN2
 _C_TOP = -float(bracket(_Z_TOP))
 
-# fixed halving count for the vectorized per-pair root solves; shrinks
-# any bracket to float64 resolution
-INNER_ITERS = 48
-
 # every per-pair slack is searched inside this fraction of its deadline
 SLACK_BRACKET = (1e-12, 1.0 - 1e-12)
 
+# kappa(z)/z = sum_{n>=1} (-z)^(n-1)/(n+1)!, highest power first
+_KAPPA_SERIES = [1.0 / math.factorial(n) for n in range(17, 1, -1)]
 
-def vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
-    """Simultaneous bisection over an array of independent brackets.
-
-    go_right(mid) returns a boolean array marking the entries whose root
-    lies to the right of mid; scalar lo and hi give every entry the same
-    bracket.
-    """
-    lo = np.array(lo, dtype=float)
-    hi = np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        right = go_right(mid)
-        lo = np.where(right, mid, lo)
-        hi = np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+# the price oracle's Newton steps, and its bounds of ln s, s = D/t - 1
+_ORACLE_STEPS = 10
+_LOG_S = tuple(math.log(1.0 / f - 1.0) for f in SLACK_BRACKET[::-1])
 
 
-def _branch_series(c):
-    """z = p - p^2/3 + 11p^3/72 with p = sqrt(2c), the series of the root of
-    -bracket(z) = c about its branch point c = 0."""
-    p = np.sqrt(2.0 * c)
-    return p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p)
+def _kappa(z):
+    """kappa(z) = -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z, in (0, z/2) for
+    z > 0. It cancels below z = 0.5; there it is z times the series."""
+    return np.where(z < 0.5, z * np.polyval(_KAPPA_SERIES, -z), (z - 1.0 + np.exp(-z)) / z)
+
+
+def _exponent_start(c):
+    """The closed-form start of the root of -bracket(z) = c >= 0: for
+    c < 2 the series z = p - p^2/3 + 11p^3/72, p = sqrt(2c), about the
+    branch point c = 0, and ln c - ln(ln c - 1) above."""
+    p, lc = np.sqrt(2.0 * np.minimum(c, 2.0)), np.log(np.maximum(c, 2.0))
+    return np.where(c < 2.0, p * (1.0 - p / 3.0 + 11.0 / 72.0 * p * p),
+                    lc - np.log(np.maximum(lc - 1.0, 1.0)))
 
 
 def exponent_root(c):
     """The root z > 0 of (z - 1)*e^z + 1 = c, that is -bracket(z) = c.
 
     It is z = 1 + W0((c - 1)/e) (Corless et al., Adv. Comput. Math.
-    1996). The start is the branch-point series for c < 2 and
-    ln c - ln(ln c - 1) above. Three Halley steps on
-    ln(-bracket(z)) = ln c polish it to float64 resolution; below
-    c = 1e-9 the series alone already is. The root is capped at the
-    exponent cap.
+    1996). Three Halley steps on ln(-bracket(z)) = ln c polish
+    `_exponent_start` to float64 resolution; below c = 1e-9 the series
+    alone already is. The root is capped at the exponent cap.
     """
     c = np.asarray(c, dtype=float)
     cc = np.clip(c, 1e-9, _C_TOP)
     lc = np.log(cc)
-    z = np.where(cc < 2.0, _branch_series(np.minimum(cc, 2.0)),
-                 lc - np.log(np.maximum(lc - 1.0, 1.0)))
+    z = _exponent_start(cc)
     for _ in range(3):
-        # g = ln(-bracket(z)) - ln c has slope 1/kappa, with kappa =
-        # -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z, which cancels below z = 0.5;
-        # there it is the series sum_{n>=1} z*(-z)^(n-1)/(n+1)!, by Horner's rule
-        em = np.exp(-z)
-        series = np.polyval([1.0 / math.factorial(n) for n in range(17, 1, -1)], -z)
-        kappa = np.where(z < 0.5, z * series, (z - 1.0 + em) / z)
+        # g = ln(-bracket(z)) - ln c has slope 1/kappa
+        kappa = _kappa(z)
         g = np.log(kappa * z) + z - lc
-        dkappa = (1.0 - (1.0 + z) * em) / (z * z)
+        dkappa = (1.0 - (1.0 + z) * np.exp(-z)) / (z * z)
         z = z - g * kappa / (1.0 + 0.5 * g * dkappa)
-    return np.where(c < 1e-9, _branch_series(np.minimum(c, 1e-9)), z)
+    return np.where(c < 1e-9, _exponent_start(np.minimum(c, 1e-9)), z)
 
 
 def price_oracle(beta, mu, d, eta, a):
     """Cheapest cost per bit of a pair at bandwidth price beta and
-    compute price mu, elementwise.
+    compute price mu, elementwise:
 
-    At slack t the bandwidth that minimises E + beta*x has
-    z = ln2*L/(x*t) = exponent_root(c), c = b/t with b = beta/a, and its
-    cost per bit is a*ln2*e^z. The pair's cost per bit is
+        e = min over 0 < t < D of a*ln2*e^z + mu*eta/(D - t),
 
-        e = min over 0 < t < D of a*ln2*e^z + mu*eta/(D - t).
-
-    It is stationary where z*t^2/(D - t)^2 = ratio = beta*ln2/(mu*eta),
-    whose left side rises in t. The bisection runs in ln c over the slack
-    bracket mapped through c = b/t, and -bracket rises in z, so a probe is
-    the closed-form test c > -bracket(ratio*(D*c/b - 1)^2). The slack
-    t = b/c is exact; one exponent_root gives z. Returns (e, t, x/L), with
-    x/L = ln2/(t*z) the bandwidth per bit.
+    where z = ln2*L/(x*t), the root of -bracket(z) = b/t with b = beta/a,
+    sets the bandwidth that minimises E + beta*x at slack t. The slack is
+    stationary where z*t^2/(D - t)^2 = r = beta*ln2/(mu*eta), at
+    t = D/(1 + s) with s = sqrt(z/r), clipped to the slack bracket. As
+    -bracket(z) = z*e^z*kappa(z), the bandwidth root there is one equation
+    in u = ln z, F(u) = ln kappa + u + z - ln(b/D) - ln(1 + s) = 0, of
+    slope z/kappa - s/(2*(1 + s)) > 3/2 (the second term only where s is
+    not clipped). _ORACLE_STEPS Newton steps in u solve it from
+    `_exponent_start` at t = D/2, with z capped at the exponent cap and
+    ln r taken as ln(beta*ln2) - ln(mu*eta), which no price overflows.
+    Over 20,000 draws spanning 80 decades of prices, e settles to 3e-14
+    after 9 steps (8 leave it 8e-11 off). Returns (e, t, x/L), with
+    D - t = s*t and x/L = ln2/(t*z) the bandwidth per bit.
     """
-    b = beta / a
-
-    def go_right(log_c):
-        c = np.exp(log_c)
-        return c > -bracket(ratio * (d * c / b - 1.0) ** 2)
-
-    lo, hi = (np.log(b / (d * f)) for f in SLACK_BRACKET[::-1])
-    # the ratio overflows at a compute price near zero; it only feeds the test
-    with np.errstate(over="ignore"):
-        ratio = beta * LN2 / (mu * eta)
-        c = np.exp(vec_bisect(go_right, lo, hi))
-    t, z = b / c, exponent_root(c)
-    return a * LN2 * np.exp(z) + mu * eta / (d - t), t, LN2 / (t * z)
+    log_bd = np.log(beta / a) - np.log(d)
+    log_r = np.log(beta * LN2) - np.log(mu * eta)
+    c = np.exp(np.clip(log_bd + LN2, math.log(np.finfo(float).tiny), math.log(_C_TOP)))
+    z = _exponent_start(c)
+    for _ in range(_ORACLE_STEPS):
+        u = np.log(z)
+        half = 0.5 * (u - log_r)
+        log_s = np.clip(half, *_LOG_S)
+        s = np.exp(log_s)
+        kappa = _kappa(z)
+        f = np.log(kappa) + u + z - log_bd - np.log1p(s)
+        slope = z / kappa - np.where(half == log_s, 0.5 * s / (1.0 + s), 0.0)
+        # the step in u, applied to z so that z keeps its own precision
+        z = np.minimum(z * np.exp(-f / slope), _Z_TOP)
+    s = np.exp(np.clip(0.5 * (np.log(z) - log_r), *_LOG_S))
+    t = d / (1.0 + s)
+    return a * LN2 * np.exp(z) + mu * eta / (s * t), t, LN2 / (t * z)
 
 
 def data_marginal(L, x, q, d, eta, a):

@@ -463,3 +463,21 @@ def test_price_oracle_returns_the_stationary_slack_and_its_bandwidth(beta, mu, a
     # z = 1e-6 the probe's bracket(z) ~ -z^2/2 cancels to 2.2e-16/z
     if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d and z >= 1e-6:
         assert z * t * t / (d - t) ** 2 == pytest.approx(beta * LN2 / (mu * eta), rel=1e-9)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(beta=_decades(-40, 40), mu=st.one_of(_decades(-40, 40), st.just(DUAL_RANGE[0])),
+       a=_decades(-25, 5), d=_decades(-3, 1), eta=_decades(0, 4))
+# the stationary rate exponent is about 8e-13 here; a slack search whose
+# test evaluates bracket(z) ~ -z^2/2 misses the condition by 3e-5
+@example(beta=1e-25, mu=1e-20, a=1.0, d=0.3, eta=1e3)
+def test_price_oracle_slack_is_stationary_at_every_rate_exponent(beta, mu, a, d, eta):
+    # z*t^2/(D - t)^2 = beta*ln2/(mu*eta) wherever the slack is inside the
+    # slack bracket and at least 1e-3*D from the deadline, however small
+    # the stationary exponent z is
+    _, t, _ = physics.price_oracle(beta, mu, d, eta, a)
+    if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d:
+        z = physics.exponent_root(beta / (a * t))
+        # no absolute tolerance: the ratio is often far below approx's 1e-12
+        ratio = beta * LN2 / (mu * eta)
+        assert z * t * t / (d - t) ** 2 == pytest.approx(ratio, rel=1e-9, abs=0.0)
