@@ -36,10 +36,8 @@ from .model import (
 )
 from .orchestrate import (
     InitStrategy,
-    best_snr_assignment,
     evaluate,
     initialize,
-    solve_fixed_assignment,
     solve_fixed_data,
     solve_iterative,
 )
@@ -77,15 +75,16 @@ def _timestamp():
 
 
 def _strategy(token, init_seed=0):
-    """Strategy token -> (label, InitStrategy or None).
+    """Strategy token -> (label, InitStrategy of the start).
 
-    Tokens: binary-best-ap, fixed-equal, iterative (short for
-    iterative:equal) and iterative:<init> with init equal, random or
-    best-ap-<percent>. Anything else, or a random init with a bad seed,
-    raises ArgumentTypeError, so it is rejected before any solve starts.
+    Tokens: binary-best-ap and fixed-equal, one re-balance of the split of
+    best-ap-100 or equal, iterative (short for iterative:equal) and
+    iterative:<init> with init equal, random or best-ap-<percent>.
+    Anything else, or a random init with a bad seed, raises
+    ArgumentTypeError, so it is rejected before any solve starts.
     """
     if token in ("binary-best-ap", "fixed-equal"):
-        return token, None
+        return token, InitStrategy.binary() if token == "binary-best-ap" else InitStrategy.equal()
     label = "iterative:equal" if token == "iterative" else token
     method, _, init = label.partition(":")
     if method == "iterative":
@@ -103,11 +102,10 @@ def _strategy(token, init_seed=0):
 
 
 def _run(scenario, label, init_seed, cfg):
-    if label == "binary-best-ap":
-        return solve_fixed_assignment(scenario, best_snr_assignment(scenario), cfg)
-    if label == "fixed-equal":
-        return solve_fixed_data(scenario, initialize(scenario, InitStrategy.equal()), cfg)
-    return solve_iterative(scenario, _strategy(label, init_seed)[1], cfg)
+    strategy = _strategy(label, init_seed)[1]
+    if label.startswith("iterative:"):
+        return solve_iterative(scenario, strategy, cfg)
+    return solve_fixed_data(scenario, initialize(scenario, strategy), cfg)
 
 
 def _config_kwargs(args):
@@ -144,7 +142,7 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    label = args.method if args.method != "iterative" else f"iterative:{args.init}"
+    label = _strategy(args.method, args.init_seed)[0]
     scenario = _read_scenario(args.scenario)
     cfg = SolveConfig.for_scenario(scenario, **_config_kwargs(args))
     solution = _run(scenario, label, args.init_seed, cfg)
@@ -284,23 +282,23 @@ def build_parser():
     solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
     solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters)
 
-    s = sub.add_parser("solve", parents=[solver_flags], help="solve one scenario file")
+    # no flag is abbreviated, so a retired --init cannot pass for --init-seed
+    solver = dict(parents=[solver_flags], allow_abbrev=False)
+    s = sub.add_parser("solve", **solver, help="solve one scenario file")
     s.add_argument("--method", default="iterative",
-                   choices=["iterative", "binary-best-ap", "fixed-equal"])
-    s.add_argument("--init", default="equal",
-                   help="iterative initialization: equal | random | best-ap-90")
+                   help="iterative[:equal|random|best-ap-<percent>], binary-best-ap or "
+                        "fixed-equal; random takes --init-seed")
     s.add_argument("--out", default="solution.json")
     s.add_argument("--trace", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)
 
-    w = sub.add_parser("sweep", parents=[solver_flags], help="solve over a parameter grid")
+    w = sub.add_parser("sweep", **solver, help="solve over a parameter grid")
     w.add_argument("--param", required=True,
                    choices=sorted(name.replace("_", "-") for name in SWEEP_PARAMETERS))
     w.add_argument("--values", required=True,
                    help="comma-separated positive values, e.g. 0.2,0.4,0.6")
     w.add_argument("--strategies", default="iterative:equal",
-                   help="comma-separated: iterative:<init>, binary-best-ap, "
-                        "fixed-equal")
+                   help="comma-separated tokens of solve --method")
     w.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     w.add_argument("--out", default="sweep.csv")
     w.set_defaults(func=cmd_sweep)

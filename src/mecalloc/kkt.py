@@ -734,6 +734,14 @@ def _price(scenario, L, cfg, warm, diag):
     return inputs, p, *oracle
 
 
+def allocation_energy(scenario, L, x, q, thr):
+    """Total energy at (L, x, q); pairs at or below thr keep their deadline."""
+    L = np.asarray(L, dtype=float)
+    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
+                       np.where(L > thr, q, np.inf))
+    return float(energy_matrix(scenario, L, x, t, thr).sum())
+
+
 def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
     """The certified (x, q) of split L at prices (beta, then the mu of
     each served AP), read off the oracle's (e, t, x/L) at the active pairs
@@ -760,10 +768,7 @@ def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
     x, q = np.zeros_like(L), np.zeros_like(L)
     x[act] = xv / (1.0 + r[0])
     q[act] = qv / (1.0 + r[1:])[col]
-    # inactive pairs keep their whole deadline
-    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
-                       np.where(act, q, np.inf))
-    energy = float(energy_matrix(scenario, L, x, t, cfg.activity_threshold_bits).sum())
+    energy = allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits)
     dual = Lv @ e - prices @ budgets
     if energy - dual > cfg.bisect_tol * energy:
         raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")

@@ -23,8 +23,9 @@ energies fall strictly until a round's decrement meets the stop; the
 dual step from the answer's prices then replaces the answer when its
 certified read-off is lower.
 
-The outer loop no longer calls `solve_daa`; the module keeps the name
-because the bench tracer (`perfbench/tracer.py`) patches it here.
+The outer loop calls `solve_daa` no longer, and `energy_matrix` only
+through `kkt.allocation_energy`; the module keeps both names because the
+bench tracer (`perfbench/tracer.py`) patches them here.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, joint_split, pair_costs, solve_bcaa
+from .kkt import GAP_TOL, allocation_energy, joint_split, pair_costs, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -48,12 +49,13 @@ from .model import (
     StructuralError,
     allocation_to_dict,
     budget_residuals,
-    deadline_slack,
     is_count,
 )
-from .physics import energy_matrix, total_energy
+from .physics import energy_matrix, total_energy  # noqa: F401  (energy_matrix: see above)
 
-_KINDS = ("equal_split", "uniform_random", "best_ap_weighted", "binary_best_ap")
+_KINDS = ("equal_split", "uniform_random", "best_ap_weighted")
+
+CHECK_TOL = 1e-9  # check_solution's relative tolerance on the stored energy
 
 # the smallest trial step before a round gives up
 MIN_STEP = 1e-8
@@ -70,7 +72,7 @@ class InitStrategy:
     equal_split spreads each task evenly over the APs; uniform_random
     normalizes M uniform draws per user (seeded); best_ap_weighted puts
     `weight` of the task on the strongest-gain AP and spreads the rest
-    evenly; binary_best_ap sends everything to the strongest AP.
+    evenly, so `binary()`, its weight 1, sends everything there.
     """
 
     kind: str
@@ -99,7 +101,7 @@ class InitStrategy:
 
     @classmethod
     def binary(cls):
-        return cls("binary_best_ap")
+        return cls.best_ap(1.0)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,7 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
         draws = rng.uniform(size=(K, M))
         return draws / draws.sum(axis=1, keepdims=True) * bits[:, None]
     best = (np.arange(K), best_snr_assignment(scenario))
-    if strategy.kind == "binary_best_ap" or M == 1:
+    if M == 1:
         L = np.zeros((K, M))
         L[best] = bits
         return L
@@ -202,7 +204,7 @@ def _rebalance(scenario, L, cfg, warm):
     warm = dict(warm)
     try:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
-        return _energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, warm
+        return allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, warm
     except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
         return np.inf, None, None, warm
 
@@ -290,7 +292,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1
-        energy = _energy(scenario, L, x, q, thr)
+        energy = allocation_energy(scenario, L, x, q, thr)
     outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
 
     L_last = G_last = direction = None
@@ -347,20 +349,12 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     )
 
 
-def _energy(scenario, L, x, q, thr):
-    """Total energy at (L, x, q) over the pairs loaded above thr."""
-    L = np.asarray(L, dtype=float)
-    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
-                       L, np.where(L > thr, q, np.inf))
-    return float(energy_matrix(scenario, L, x, t, thr).sum())
-
-
 def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -> Solution:
     """One resource re-balance under a frozen data split (convex, exact)."""
     cfg = cfg or SolveConfig.for_scenario(scenario)
     t0 = time.perf_counter()
     x, q = solve_bcaa(scenario, L, cfg)[:2]
-    e = _energy(scenario, L, x, q, cfg.activity_threshold_bits)
+    e = allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits)
     allocation = Allocation(data=np.asarray(L, dtype=float), bandwidth=x, compute=q)
     return Solution(
         allocation=allocation,
@@ -410,8 +404,8 @@ def evaluate(scenario: Scenario, solution: Solution,
     )
 
 
-def check_solution(scenario, solution, cfg=None, tol=1e-9):
+def check_solution(scenario, solution, cfg=None):
     """Internal consistency: the stored energy matches a fresh evaluation."""
     cfg = cfg or SolveConfig.for_scenario(scenario)
     fresh = total_energy(scenario, solution.allocation, cfg.activity_threshold_bits)
-    return abs(fresh - solution.energy_j) <= tol * max(fresh, 1e-300)
+    return abs(fresh - solution.energy_j) <= CHECK_TOL * max(fresh, 1e-300)

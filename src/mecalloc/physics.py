@@ -56,8 +56,9 @@ _C_TOP = -float(bracket(_Z_TOP))
 # every per-pair slack is searched inside this fraction of its deadline
 SLACK_BRACKET = (1e-12, 1.0 - 1e-12)
 
-# kappa(z)/z = sum_{n>=1} (-z)^(n-1)/(n+1)!, highest power first
-_KAPPA_SERIES = [1.0 / math.factorial(n) for n in range(17, 1, -1)]
+# kappa(z)/z = sum_{n>=1} (-z)^(n-1)/(n+1)!, highest power first: 13 terms are
+# within 3.4e-16 below z = 0.5, the closed form within 6.4e-16 just above
+_KAPPA_SERIES = [1.0 / math.factorial(n) for n in range(14, 1, -1)]
 
 # the price oracle's Newton steps, and its bounds of ln s, s = D/t - 1
 _ORACLE_STEPS = 10

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from mecalloc import GenParams, SolveTrace, generate, save_scenario
+from mecalloc import GenParams, InitStrategy, SolveTrace, generate, save_scenario, solve_iterative
 from mecalloc import cli
 from mecalloc.cli import main
 from mecalloc.scenario import provenance
@@ -67,7 +67,7 @@ def test_solve_writes_solution_and_trace(tmp_path, small_scenario_file):
     sol = tmp_path / "sol.json"
     tr = tmp_path / "trace.csv"
     code = main(["solve", "--scenario", small_scenario_file,
-                 "--method", "iterative", "--init", "equal",
+                 "--method", "iterative:equal",
                  "--eps-mj", "1e-2", "--out", str(sol), "--trace", str(tr)])
     assert code == 0
     doc = json.loads(sol.read_text())
@@ -115,10 +115,37 @@ def test_solve_init_variants_agree(tmp_path, small_scenario_file):
     for init in ("equal", "random", "best-ap-90"):
         out = tmp_path / f"{init}.json"
         code = main(["solve", "--scenario", small_scenario_file,
-                     "--init", init, "--eps-mj", "1e-4", "--out", str(out)])
+                     "--method", f"iterative:{init}", "--eps-mj", "1e-4",
+                     "--out", str(out)])
         assert code == 0
         energies.append(json.loads(out.read_text())["metrics"]["energy_mj"])
     assert max(energies) - min(energies) <= 3 * 1e-4
+
+
+def test_solve_random_method_matches_the_library(tmp_path, scenario42):
+    out = tmp_path / "sol.json"
+    save_scenario(scenario42, tmp_path / "sc.json")
+    assert main(["solve", "--scenario", str(tmp_path / "sc.json"), "--method",
+                 "iterative:random", "--init-seed", "3", "--out", str(out)]) == 0
+    expected = solve_iterative(scenario42, InitStrategy.random(3)).energy_j
+    assert json.loads(out.read_text())["energy_j"] == expected
+
+
+def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_file,
+                                                      monkeypatch, capsys):
+    assert main(["solve", "--help"]) == 0
+    assert "--init " not in capsys.readouterr().out
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("the scenario was read before the method was checked")
+
+    monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
+    # flags are not abbreviated: a leftover --init is no --init-seed
+    for method in (["iterative:bogus"], ["binary-best-ap", "--init", "random"],
+                   ["iterative:random", "--init", "3"]):
+        assert main(["solve", "--scenario", small_scenario_file, "--method", *method,
+                     "--out", str(tmp_path / "x.json")]) == 2
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path, small_scenario_file, monkeypatch):
@@ -297,7 +324,7 @@ def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_sc
         raise AssertionError("a solve started before the seed was checked")
 
     monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
-    for command in (["solve", "--init", "random"],
+    for command in (["solve", "--method", "iterative:random"],
                     ["sweep", "--param", "deadline-s", "--values", "0.5", "--workers", "1",
                      "--strategies", "iterative:random"]):
         code = main(command + ["--scenario", small_scenario_file, "--init-seed", "-1",

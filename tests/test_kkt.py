@@ -69,8 +69,8 @@ def test_bisect_symmetric_data_split():
         nu = halving_root(lambda v: total(v) - 1.0, 0.7, 50.0, tol=1e-12)
         roots = _data_roots(nu, x, q, 1.0, 1.0, a, upper,
                             data_marginal(0.0, x, q, 1.0, 1.0, a))
-    assert roots[0] == pytest.approx(0.5, rel=1e-6)
-    assert roots[1] == pytest.approx(roots[0], rel=1e-9)
+    assert roots[0] == pytest.approx(0.5, rel=1e-6, abs=0)
+    assert roots[1] == pytest.approx(roots[0], rel=1e-9, abs=0)
 
 
 # --- dual searches -----------------------------------------------------
@@ -100,7 +100,7 @@ def test_dual_search_reaches_a_far_root_in_few_probes():
     # fixed doubling of the dual would need over 330 to reach 1e100
     duals, _, calls = _price_each([1e100], increasing=True)
     assert calls == kkt.DUAL_HALVINGS + 1 <= 60
-    assert duals == pytest.approx([1e100], rel=1e-12)
+    assert duals == pytest.approx([1e100], rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("increasing", [True, False])
@@ -110,7 +110,7 @@ def test_dual_search_solves_a_mixed_lockstep_family(increasing):
     # falling in their duals
     roots = np.array([1e200, 1e-5, 2.0])
     duals, diag, _ = _price_each(roots, increasing)
-    assert duals == pytest.approx(roots, rel=1e-12)
+    assert duals == pytest.approx(roots, rel=1e-12, abs=0)
     assert [r.iterations for r in diag] == [kkt.DUAL_HALVINGS] * 3
     assert all(r.residual <= SolveConfig().bisect_tol for r in diag)
 
@@ -148,15 +148,15 @@ def test_daa_single_ap_forces_full_load():
     sc = make_scenario([[1.0]], bits=2.0, deadline=1.0, eta=1.0,
                        bandwidth=10.0, capacities=10.0)
     L = solve_daa(sc, x=[[10.0]], q=[[10.0]], cfg=_cfg(sc))
-    assert L[0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert L[0, 0] == pytest.approx(2.0, rel=1e-12, abs=0)
 
 
 def test_daa_identical_aps_split_evenly():
     sc = make_scenario([[1.0, 1.0]], bits=2.0, deadline=1.0, eta=1.0,
                        bandwidth=10.0, capacities=10.0)
     L = solve_daa(sc, x=[[2.0, 2.0]], q=[[5.0, 5.0]], cfg=_cfg(sc))
-    assert L[0, 0] == pytest.approx(1.0, rel=1e-6)
-    assert L[0, 1] == pytest.approx(1.0, rel=1e-6)
+    assert L[0, 0] == pytest.approx(1.0, rel=1e-6, abs=0)
+    assert L[0, 1] == pytest.approx(1.0, rel=1e-6, abs=0)
 
 
 def test_daa_matches_grid_oracle():
@@ -167,7 +167,7 @@ def test_daa_matches_grid_oracle():
     q = np.array([[2.0, 2.0]])
     cfg = _cfg(sc)
     L = solve_daa(sc, x, q, cfg)
-    assert L.sum() == pytest.approx(1.0, rel=1e-9)
+    assert L.sum() == pytest.approx(1.0, rel=1e-9, abs=0)
     a = (sc.noise_psd / sc.gains)[0]
     e_solver = sum(scalar_energy_q(L[0, j], x[0, j], q[0, j], 1.0, 1.0, a[j])
                    for j in range(2))
@@ -219,7 +219,7 @@ def test_daa_respects_slack_clipping():
     L = solve_daa(sc, x=[[5.0, 5.0]], q=[[1.0, 1.0]], cfg=_cfg(sc))
     t = 1.0 - L[0] / np.array([1.0, 1.0])
     assert np.all(t >= 1e-6 - 1e-15)
-    assert L.sum() == pytest.approx(1.9, rel=1e-9)
+    assert L.sum() == pytest.approx(1.9, rel=1e-9, abs=0)
 
 
 def test_daa_infeasible_user_is_named():
@@ -255,7 +255,7 @@ def test_daa_freezes_a_crumb_load_and_re_solves_the_row():
     L = solve_daa(sc, x, q, cfg, diag=diag)
     assert L[0, 2] == 0.0
     assert np.all(L[L > 0] > cfg.activity_threshold_bits)
-    assert L.sum(axis=1) == pytest.approx(sc.task_bits, rel=1e-15)
+    assert L.sum(axis=1) == pytest.approx(sc.task_bits, rel=1e-15, abs=0)
     # one record per user, from the final pass: the price of the row
     # without the frozen pair, not that of the first pass
     assert [r.dual.owner for r in diag] == [0, 1]
@@ -263,7 +263,7 @@ def test_daa_freezes_a_crumb_load_and_re_solves_the_row():
     x_frozen[0, 2] = 0.0
     without = []
     assert np.allclose(solve_daa(sc, x_frozen, q, cfg, diag=without), L, rtol=1e-8, atol=0)
-    assert diag[0].dual.value == pytest.approx(without[0].dual.value, rel=1e-8)
+    assert diag[0].dual.value == pytest.approx(without[0].dual.value, rel=1e-8, abs=0)
     assert diag[0].dual.value != pytest.approx(first[0].dual.value, rel=1e-3)
 
 
@@ -274,8 +274,8 @@ def test_baa_symmetric_pairs_share_evenly():
                        bandwidth=10.0, capacities=8.0)
     x = solve_baa(sc, t=np.array([[0.5], [0.5]]), L=np.array([[2.0], [2.0]]),
                   cfg=_cfg(sc))
-    assert x[0, 0] == pytest.approx(5.0, rel=1e-9)
-    assert x[1, 0] == pytest.approx(5.0, rel=1e-9)
+    assert x[0, 0] == pytest.approx(5.0, rel=1e-9, abs=0)
+    assert x[1, 0] == pytest.approx(5.0, rel=1e-9, abs=0)
 
 
 def test_baa_single_active_pair_gets_everything():
@@ -283,7 +283,7 @@ def test_baa_single_active_pair_gets_everything():
                        bandwidth=10.0, capacities=8.0)
     x = solve_baa(sc, t=np.array([[0.5], [1.0]]), L=np.array([[2.0], [0.0]]),
                   cfg=_cfg(sc))
-    assert x[0, 0] == pytest.approx(10.0, rel=1e-12)
+    assert x[0, 0] == pytest.approx(10.0, rel=1e-12, abs=0)
     assert x[1, 0] == 0.0
 
 
@@ -294,7 +294,7 @@ def test_baa_matches_grid_oracle():
     L = np.array([[2.0], [1.0]])
     cfg = _cfg(sc)
     x = solve_baa(sc, t, L, cfg)
-    assert x.sum() == pytest.approx(10.0, rel=1e-9)
+    assert x.sum() == pytest.approx(10.0, rel=1e-9, abs=0)
     a = (sc.noise_psd / sc.gains)[:, 0]
     e_solver = scalar_energy(2.0, x[0, 0], 0.5, a[0]) \
         + scalar_energy(1.0, x[1, 0], 0.4, a[1])
@@ -344,7 +344,7 @@ def test_baa_brackets_very_high_bandwidth_prices():
     sc = generate(GenParams(num_users=6, num_aps=1, deadline_s=0.1875,
                             bandwidth_hz=2e6, capacity_cps=5.0625e10, seed=0))
     x, _, _ = solve_bcaa(sc, np.full((6, 1), 1.5e6), _cfg(sc))
-    assert x.sum() == pytest.approx(2e6, rel=1e-9)
+    assert x.sum() == pytest.approx(2e6, rel=1e-9, abs=0)
 
 
 def test_baa_rejects_boundary_slack():
@@ -361,7 +361,7 @@ def test_caa_single_user_gets_full_capacity():
                        bandwidth=10.0, capacities=8.0)
     t = solve_caa(sc, x=np.array([[10.0], [0.0]]),
                   L=np.array([[2.0], [0.0]]), ap=0, cfg=_cfg(sc))
-    assert t[0] == pytest.approx(1.0 - 2.0 / 8.0, rel=1e-9)
+    assert t[0] == pytest.approx(1.0 - 2.0 / 8.0, rel=1e-9, abs=0)
     assert t[1] == 1.0  # inactive user keeps its deadline
 
 
@@ -371,8 +371,8 @@ def test_caa_identical_users_split_capacity():
     t = solve_caa(sc, x=np.array([[5.0], [5.0]]),
                   L=np.array([[2.0], [2.0]]), ap=0, cfg=_cfg(sc))
     q = 2.0 / (1.0 - t)
-    assert q[0] == pytest.approx(4.0, rel=1e-9)
-    assert q[1] == pytest.approx(4.0, rel=1e-9)
+    assert q[0] == pytest.approx(4.0, rel=1e-9, abs=0)
+    assert q[1] == pytest.approx(4.0, rel=1e-9, abs=0)
 
 
 def test_caa_matches_grid_oracle():
@@ -384,7 +384,7 @@ def test_caa_matches_grid_oracle():
     cfg = _cfg(sc)
     t = solve_caa(sc, x, L, ap=0, cfg=cfg)
     q = np.array([2.0, 4.0]) / (1.0 - t)
-    assert q.sum() == pytest.approx(10.0, rel=1e-9)
+    assert q.sum() == pytest.approx(10.0, rel=1e-9, abs=0)
     a = (sc.noise_psd / sc.gains)[:, 0]
     e_solver = scalar_energy_q(2.0, 4.0, q[0], 1.0, 1.0, a[0]) \
         + scalar_energy_q(4.0, 6.0, q[1], 1.0, 1.0, a[1])
@@ -437,23 +437,23 @@ def test_bcaa_single_pair_closed_form():
                        bandwidth=10.0, capacities=8.0)
     cfg = _cfg(sc)
     x, q, rounds = solve_bcaa(sc, np.array([[2.0]]), cfg)
-    assert x[0, 0] == pytest.approx(10.0, rel=1e-12)
-    assert q[0, 0] == pytest.approx(8.0, rel=1e-12)
+    assert x[0, 0] == pytest.approx(10.0, rel=1e-12, abs=0)
+    assert q[0, 0] == pytest.approx(8.0, rel=1e-12, abs=0)
     t = 1.0 - 2.0 / 8.0
     a = sc.noise_psd / 0.5
     expected = a * 10.0 * t * (2.0 ** (2.0 / (10.0 * t)) - 1.0)
     e = scalar_energy(2.0, x[0, 0], 1.0 - 2.0 / q[0, 0], a)
-    assert e == pytest.approx(expected, rel=1e-12)
+    assert e == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 def test_bcaa_symmetric_users_split_everything():
     sc = make_scenario([[1.0], [1.0]], bits=2.0, deadline=1.0, eta=1.0,
                        bandwidth=10.0, capacities=8.0)
     x, q, _ = solve_bcaa(sc, np.array([[2.0], [2.0]]), _cfg(sc))
-    assert x[0, 0] == pytest.approx(5.0, rel=1e-6)
-    assert x[1, 0] == pytest.approx(5.0, rel=1e-6)
-    assert q[0, 0] == pytest.approx(4.0, rel=1e-6)
-    assert q[1, 0] == pytest.approx(4.0, rel=1e-6)
+    assert x[0, 0] == pytest.approx(5.0, rel=1e-6, abs=0)
+    assert x[1, 0] == pytest.approx(5.0, rel=1e-6, abs=0)
+    assert q[0, 0] == pytest.approx(4.0, rel=1e-6, abs=0)
+    assert q[1, 0] == pytest.approx(4.0, rel=1e-6, abs=0)
 
 
 def test_bcaa_matches_grid_oracle():
@@ -462,8 +462,8 @@ def test_bcaa_matches_grid_oracle():
     L = np.array([[2.0], [1.0]])
     cfg = _cfg(sc)
     x, q, _ = solve_bcaa(sc, L, cfg)
-    assert x.sum() == pytest.approx(10.0, rel=1e-9)
-    assert q[:, 0].sum() == pytest.approx(10.0, rel=1e-9)
+    assert x.sum() == pytest.approx(10.0, rel=1e-9, abs=0)
+    assert q[:, 0].sum() == pytest.approx(10.0, rel=1e-9, abs=0)
     a = (sc.noise_psd / sc.gains)[:, 0]
     e_solver = scalar_energy_q(2.0, x[0, 0], q[0, 0], 1.0, 1.0, a[0]) \
         + scalar_energy_q(1.0, x[1, 0], q[1, 0], 1.0, 1.0, a[1])
@@ -671,7 +671,7 @@ def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(para
     np.testing.assert_allclose(x, x_b, rtol=1e-12, atol=0)
     np.testing.assert_allclose(q, q_b, rtol=1e-12, atol=0)
     rebalanced = total_energy(sc, Allocation(L, x_b, q_b), cfg.activity_threshold_bits)
-    assert energy == pytest.approx(rebalanced, rel=1e-12)
+    assert energy == pytest.approx(rebalanced, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("deadline", [0.2, 1.0])
@@ -785,9 +785,9 @@ def test_bcaa_respects_budgets_on_multi_ap_instance():
     L = np.array([[1.5, 0.5], [0.5, 1.0], [0.5, 0.5]])
     cfg = _cfg(sc)
     x, q, _ = solve_bcaa(sc, L, cfg)
-    assert x.sum() == pytest.approx(12.0, rel=1e-9)
-    assert q[:, 0].sum() == pytest.approx(9.0, rel=1e-9)
-    assert q[:, 1].sum() == pytest.approx(7.0, rel=1e-9)
+    assert x.sum() == pytest.approx(12.0, rel=1e-9, abs=0)
+    assert q[:, 0].sum() == pytest.approx(9.0, rel=1e-9, abs=0)
+    assert q[:, 1].sum() == pytest.approx(7.0, rel=1e-9, abs=0)
     t = 1.0 * np.array([[1.0], [0.8], [1.2]]) - L / q
     assert np.all(t[L > 0] > 0)
 
@@ -907,4 +907,4 @@ def test_data_marginal_is_positive_and_increasing():
     g = data_marginal(L, 2.0, 2.0, 1.0, 1.0, 1.0)
     assert np.all(g > 0)
     assert np.all(np.diff(g) > 0)
-    assert g[0] == pytest.approx(math.log(2.0), rel=1e-12)
+    assert g[0] == pytest.approx(math.log(2.0), rel=1e-12, abs=0)

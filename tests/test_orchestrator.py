@@ -93,12 +93,15 @@ def test_best_ap_inits_match_per_user_reference():
         binary[i, j] = sc.task_bits[i]
         weighted[i, :] = sc.task_bits[i] * (1.0 - 0.8) / 2
         weighted[i, j] = sc.task_bits[i] * 0.8
-    assert np.array_equal(initialize(sc, InitStrategy.binary()), binary)
+    # the binary start is the weighted one at weight 1: (1 - 1)/(M - 1) is 0
+    assert InitStrategy.binary() == InitStrategy.best_ap(1.0)
+    assert np.array_equal(initialize(sc, InitStrategy.best_ap(1.0)), binary)
     assert np.array_equal(initialize(sc, InitStrategy.best_ap(0.8)), weighted)
     # a single AP takes every task whole, whatever the weight
     one = make_scenario([[1.0], [2.0]], bits=[1.0, 2.0], deadline=1.0, eta=1.0,
                         bandwidth=10.0, capacities=10.0)
-    assert np.array_equal(initialize(one, InitStrategy.best_ap(0.8)), [[1.0], [2.0]])
+    for weight in (0.8, 1.0):
+        assert np.array_equal(initialize(one, InitStrategy.best_ap(weight)), [[1.0], [2.0]])
 
 
 def test_initialize_random_is_seeded(scenario42):
@@ -115,6 +118,8 @@ def test_strategy_validation():
     with pytest.raises(StructuralError):
         InitStrategy("water_filling")
     with pytest.raises(StructuralError):
+        InitStrategy("binary_best_ap")  # InitStrategy.binary() is best_ap(1.0)
+    with pytest.raises(StructuralError):
         InitStrategy.best_ap(weight=0.0)
 
 
@@ -129,7 +134,7 @@ def test_single_pair_is_certified_at_the_start():
     t = 1.0 - 2.0 / 8.0
     a = sc.noise_psd / 0.5
     assert sol.energy_j == pytest.approx(
-        a * 10.0 * t * (2.0 ** (2.0 / (10.0 * t)) - 1.0), rel=1e-9)
+        a * 10.0 * t * (2.0 ** (2.0 / (10.0 * t)) - 1.0), rel=1e-9, abs=0)
 
 
 def test_outer_energies_never_increase():
@@ -157,7 +162,7 @@ def test_converged_solution_validates():
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert validate(sc, sol.allocation, cfg).ok
     assert sol.energy_j == pytest.approx(
-        total_energy(sc, sol.allocation, cfg.activity_threshold_bits), rel=1e-9)
+        total_energy(sc, sol.allocation, cfg.activity_threshold_bits), rel=1e-9, abs=0)
 
 
 def test_trace_lengths_are_consistent():
@@ -203,7 +208,7 @@ def test_reduced_gradient_matches_central_differences():
         up[i, j] += h
         down[i, j] -= h
         fd = (rebalanced_energy(up) - rebalanced_energy(down)) / (2.0 * h)
-        assert g[i, j] == pytest.approx(fd, rel=1e-5), (i, j)
+        assert g[i, j] == pytest.approx(fd, rel=1e-5, abs=0), (i, j)
 
 
 @pytest.mark.parametrize("deadline", [0.2, 0.4])
@@ -517,7 +522,7 @@ def test_a_dual_split_that_overloads_an_ap_falls_back_to_the_initial_split(monke
     assert np.array_equal(L_a, L0) and n_a == 1
     assert sol.trace.inner_iteration_counts[0] == n_a
     assert sol.trace.outer_energies_j[0] == pytest.approx(
-        solve_fixed_data(sc, L0, cfg).energy_j, rel=1e-9)
+        solve_fixed_data(sc, L0, cfg).energy_j, rel=1e-9, abs=0)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -629,8 +634,8 @@ def test_a_start_whose_split_overloads_an_ap_runs_the_dual_step_from_the_equal_p
         solve_bcaa(sc, initialize(sc, InitStrategy.binary()), SolveConfig.for_scenario(sc))
     sol = solve_iterative(sc, InitStrategy.binary())
     assert sol.converged
-    assert sol.energy_j == pytest.approx(0.452634834, rel=1e-9)
-    assert sol.energy_j == pytest.approx(solve_iterative(sc).energy_j, rel=1e-9)
+    assert sol.energy_j == pytest.approx(0.452634834, rel=1e-9, abs=0)
+    assert sol.energy_j == pytest.approx(solve_iterative(sc).energy_j, rel=1e-9, abs=0)
 
 
 def test_every_start_ends_at_the_same_certified_answer():
@@ -641,7 +646,7 @@ def test_every_start_ends_at_the_same_certified_answer():
         InitStrategy.equal(), InitStrategy.binary(), InitStrategy.best_ap(), InitStrategy.random())]
     for sol in sols:
         assert sol.converged and sol.outer_iterations == 0
-        assert sol.energy_j == sols[0].energy_j == pytest.approx(0.452634834, rel=1e-9)
+        assert sol.energy_j == sols[0].energy_j == pytest.approx(0.452634834, rel=1e-9, abs=0)
         assert sol.lower_bound_j == sols[0].lower_bound_j
 
 
@@ -656,7 +661,7 @@ def test_unequal_capacities_start_from_the_capacity_split():
     for strategy in (InitStrategy.equal(), InitStrategy.random(), InitStrategy.best_ap()):
         sol = solve_iterative(sc, strategy)
         assert sol.converged and sol.outer_iterations == 0
-        assert sol.energy_j == pytest.approx(1.724999e-2, rel=1e-6)
+        assert sol.energy_j == pytest.approx(1.724999e-2, rel=1e-6, abs=0)
         assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
@@ -738,7 +743,7 @@ def test_a_read_off_that_misses_its_certificate_falls_back_to_one_warm_rebalance
     assert sol.trace.inner_iteration_counts == (1,)
     monkeypatch.undo()
     assert sol.energy_j == pytest.approx(solve_iterative(sc, InitStrategy.equal(), cfg).energy_j,
-                                         rel=1e-12)
+                                         rel=1e-12, abs=0)
 
 
 def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
@@ -790,7 +795,7 @@ def test_a_one_ap_solve_is_certified_at_the_start(users, deadline):
     assert sol.converged and sol.trace.inner_iteration_counts == (0,)
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
     assert sol.energy_j == pytest.approx(
-        solve_fixed_data(sc, sc.task_bits[:, None], cfg).energy_j, rel=1e-12)
+        solve_fixed_data(sc, sc.task_bits[:, None], cfg).energy_j, rel=1e-12, abs=0)
 
 
 def test_a_solve_with_gradient_rounds_keeps_the_lower_certified_answer():
@@ -848,7 +853,7 @@ def test_fixed_assignment_single_user_matches_iterative():
                        bandwidth=10.0, capacities=8.0)
     a = solve_fixed_assignment(sc, [0], _cfg(sc))
     b = solve_iterative(sc, InitStrategy.equal(), _cfg(sc))
-    assert a.energy_j == pytest.approx(b.energy_j, rel=1e-9)
+    assert a.energy_j == pytest.approx(b.energy_j, rel=1e-9, abs=0)
 
 
 def test_fixed_assignment_is_binary_and_valid():

@@ -84,10 +84,10 @@ def test_min_power_rate_inverse(scenario42, equal_allocation42):
                                    sc.tasks[i].cycles_per_bit,
                                    sc.noise_psd / sc.gains[i, j])
         r = rate(min_power(p), p)
-        assert r == pytest.approx(p.data_bits / p.slack_s, rel=1e-9)
+        assert r == pytest.approx(p.data_bits / p.slack_s, rel=1e-9, abs=0)
         transmission = p.data_bits / r
         computing = p.cycles_per_bit * p.data_bits / p.compute_cps
-        assert transmission + computing == pytest.approx(p.deadline_s, rel=1e-9)
+        assert transmission + computing == pytest.approx(p.deadline_s, rel=1e-9, abs=0)
 
 
 def test_min_power_rejects_nonpositive_slack():
@@ -107,15 +107,15 @@ def test_pair_energy_hand_value():
     # x*t = 0.005 and exponent 20: 0.005 * (2**20 - 1) = 5242.875
     p = _point(L=0.1, x=0.1, q=1.0, d=0.1, eta=0.5)
     assert p.slack_s == pytest.approx(0.05)
-    assert pair_energy(p) == pytest.approx(5242.875, rel=1e-12)
+    assert pair_energy(p) == pytest.approx(5242.875, rel=1e-12, abs=0)
 
 
 def test_pair_energy_is_power_times_time():
     for p in _sample_points(50):
         e = pair_energy(p)
         pw = min_power(p)
-        assert e == pytest.approx(pw * (p.data_bits / rate(pw, p)), rel=1e-9)
-        assert p.data_bits / rate(pw, p) == pytest.approx(p.slack_s, rel=1e-9)
+        assert e == pytest.approx(pw * (p.data_bits / rate(pw, p)), rel=1e-9, abs=0)
+        assert p.data_bits / rate(pw, p) == pytest.approx(p.slack_s, rel=1e-9, abs=0)
 
 
 def test_pair_energy_monotone_in_bandwidth():
@@ -165,12 +165,12 @@ def test_total_energy_single_pair_equals_pair_energy():
                        bandwidth=1e4, capacities=4e3)
     alloc = Allocation(data=[[1e3]], bandwidth=[[1e4]], compute=[[4e3]])
     p = PairPoint.from_compute(1e3, 1e4, 4e3, 1.0, 1.0, sc.noise_psd / 0.5)
-    assert total_energy(sc, alloc) == pytest.approx(pair_energy(p), rel=1e-12)
+    assert total_energy(sc, alloc) == pytest.approx(pair_energy(p), rel=1e-12, abs=0)
 
 
 def test_total_energy_equal_split_regression(scenario42, equal_allocation42):
     e = total_energy(scenario42, equal_allocation42)
-    assert e == pytest.approx(EQUAL_SPLIT_ENERGY_J, rel=1e-12)
+    assert e == pytest.approx(EQUAL_SPLIT_ENERGY_J, rel=1e-12, abs=0)
     # independent plain-float reimplementation
     sc, al = scenario42, equal_allocation42
     ref = 0.0
@@ -180,7 +180,7 @@ def test_total_energy_equal_split_regression(scenario42, equal_allocation42):
                 - sc.tasks[i].cycles_per_bit * al.data[i, j] / al.compute[i, j]
             ref += scalar_energy(al.data[i, j], al.bandwidth[i, j], t,
                                  sc.noise_psd / sc.gains[i, j])
-    assert e == pytest.approx(ref, rel=1e-12)
+    assert e == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_total_energy_flags_starved_pair():
@@ -202,7 +202,7 @@ def test_total_energy_flags_starved_pair():
 def test_data_marginal_limit_at_zero_load():
     # dE/dL tends to noise_over_gain * ln 2 as the load vanishes
     g = partials(_point(L=1e-9, x=1.0, q=2.0)).d_dL
-    assert g == pytest.approx(LN2, rel=1e-6)
+    assert g == pytest.approx(LN2, rel=1e-6, abs=0)
 
 
 def test_bandwidth_partial_vanishes_for_huge_bandwidth():
@@ -230,9 +230,9 @@ def test_partials_match_finite_differences():
     d_dx, d_dt = av * tv * phi, av * xv * phi
     for k, p in enumerate(points):
         g = partials(p)
-        assert e[k] == pytest.approx(pair_energy(p), rel=1e-12)
+        assert e[k] == pytest.approx(pair_energy(p), rel=1e-12, abs=0)
         assert (d_dL[k], d_dx[k], d_dt[k]) == pytest.approx((g.d_dL, g.d_dx, g.d_dt),
-                                                            rel=1e-12)
+                                                            rel=1e-12, abs=0)
         a, d, eta = p.noise_over_gain, p.deadline_s, p.cycles_per_bit
         fd_L = fd_gradient(
             lambda v: pair_energy(PairPoint.from_compute(
@@ -247,11 +247,11 @@ def test_partials_match_finite_differences():
                 p.data_bits, p.bandwidth_hz, v[0], d, eta, a)),
             [p.slack_s])[0]
         for value in (g.d_dL, d_dL[k]):
-            assert value == pytest.approx(fd_L, rel=1e-5)
+            assert value == pytest.approx(fd_L, rel=1e-5, abs=0)
         for value in (g.d_dx, d_dx[k]):
-            assert value == pytest.approx(fd_x, rel=1e-5)
+            assert value == pytest.approx(fd_x, rel=1e-5, abs=0)
         for value in (g.d_dt, d_dt[k]):
-            assert value == pytest.approx(fd_t, rel=1e-5)
+            assert value == pytest.approx(fd_t, rel=1e-5, abs=0)
 
 
 def test_bracket_is_minus_infinity_once_the_exponential_overflows():
@@ -305,7 +305,7 @@ def test_hessian_is_symmetric_and_det_consistent():
             assert h.matrix[0, 1] == h.matrix[1, 0]
             assert h.determinant == pytest.approx(
                 h.matrix[0, 0] * h.matrix[1, 1] - h.matrix[0, 1] * h.matrix[1, 0],
-                rel=1e-12)
+                rel=1e-12, abs=0)
 
 
 def test_bandwidth_slack_block_positive_definite():
@@ -336,7 +336,7 @@ def test_hessian_finite_differences_at_probe_points():
         ref = _fd_block(point, pair, rel_step=1e-6)
         for r in range(2):
             for c in range(2):
-                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-4)
+                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-4, abs=0)
 
 
 def test_hessian_rejects_unknown_pair():
@@ -402,7 +402,7 @@ def test_price_oracle_matches_a_fine_slack_grid():
     assert np.all(e <= eg.min(axis=1) * (1.0 + 1e-12))
     assert np.all(np.abs(t - tg[np.arange(n), best]) <= d * (frac[1] - frac[0]))
     z = _grid_exponents(beta, a, t)
-    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-9)
+    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-9, abs=0)
 
 
 def test_price_oracle_at_a_near_zero_compute_price_leaks_no_overflow_warning():
@@ -450,7 +450,7 @@ def test_price_oracle_returns_the_stationary_slack_and_its_bandwidth(beta, mu, a
     e, t, per_bit = physics.price_oracle(beta, mu, d, eta, a)
     assert 0.0 < t < d
     z = physics.exponent_root(beta / (a * t))
-    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-12)
+    assert per_bit == pytest.approx(LN2 / (t * z), rel=1e-12, abs=0)
     for near in (t * (1.0 - 1e-6), t * (1.0 + 1e-6)):
         if near < d:
             cost = a * LN2 * np.exp(physics.exponent_root(beta / (a * near))) \
@@ -462,7 +462,7 @@ def test_price_oracle_returns_the_stationary_slack_and_its_bandwidth(beta, mu, a
     # ln c bisection's 5e-14 resolution into more than 1e-10; and below
     # z = 1e-6 the probe's bracket(z) ~ -z^2/2 cancels to 2.2e-16/z
     if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d and z >= 1e-6:
-        assert z * t * t / (d - t) ** 2 == pytest.approx(beta * LN2 / (mu * eta), rel=1e-9)
+        assert z * t * t / (d - t) ** 2 == pytest.approx(beta * LN2 / (mu * eta), rel=1e-9, abs=0)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

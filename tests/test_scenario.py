@@ -13,17 +13,17 @@ from mecalloc.scenario import (
 
 
 def test_pathloss_at_one_meter():
-    assert pathloss_gain(1.0) == pytest.approx(10 ** -3.06, rel=1e-12)
+    assert pathloss_gain(1.0) == pytest.approx(10 ** -3.06, rel=1e-12, abs=0)
 
 
 def test_pathloss_at_hundred_meters():
     # 30.6 + 36.7*2 = 104 dB
-    assert pathloss_gain(100.0) == pytest.approx(10 ** -10.4, rel=1e-12)
+    assert pathloss_gain(100.0) == pytest.approx(10 ** -10.4, rel=1e-12, abs=0)
 
 
 def test_pathloss_decade_ratio():
     assert pathloss_gain(10.0) / pathloss_gain(100.0) == \
-        pytest.approx(10 ** 3.67, rel=1e-12)
+        pytest.approx(10 ** 3.67, rel=1e-12, abs=0)
 
 
 def test_pathloss_clamps_below_one_meter():
