@@ -74,35 +74,36 @@ def _timestamp():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _strategy(token, init_seed=0):
+def _strategy(token):
     """Strategy token -> (label, InitStrategy of the start).
 
     Tokens: binary-best-ap and fixed-equal, one re-balance of the split of
     best-ap-100 or equal, iterative (short for iterative:equal) and
-    iterative:<init> with init equal, random or best-ap-<percent>.
-    Anything else, or a random init with a bad seed, raises
+    iterative:<init> with init equal, random-<seed> (random is random-0)
+    or best-ap-<percent>. Anything else, or a bad seed or percent, raises
     ArgumentTypeError, so it is rejected before any solve starts.
     """
     if token in ("binary-best-ap", "fixed-equal"):
         return token, InitStrategy.binary() if token == "binary-best-ap" else InitStrategy.equal()
-    label = "iterative:equal" if token == "iterative" else token
+    label = {"iterative": "iterative:equal",
+             "iterative:random": "iterative:random-0"}.get(token, token)
     method, _, init = label.partition(":")
     if method == "iterative":
         try:
             if init == "equal":
                 return label, InitStrategy.equal()
-            if init == "random":
-                return label, InitStrategy.random(seed=init_seed)
+            if init.startswith("random-"):
+                return label, InitStrategy.random(seed=int(init[len("random-"):]))
             if init.startswith("best-ap-"):
                 return label, InitStrategy.best_ap(
                     weight=float(init[len("best-ap-"):]) / 100.0)
-        except ValueError as exc:  # not a number, a weight outside (0, 1] or a bad seed
+        except ValueError as exc:  # not a number, a weight outside (0, 1] or a negative seed
             raise argparse.ArgumentTypeError(f"strategy {token!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown strategy {token!r}")
 
 
-def _run(scenario, label, init_seed, cfg):
-    strategy = _strategy(label, init_seed)[1]
+def _run(scenario, label, cfg):
+    strategy = _strategy(label)[1]
     if label.startswith("iterative:"):
         return solve_iterative(scenario, strategy, cfg)
     return solve_fixed_data(scenario, initialize(scenario, strategy), cfg)
@@ -142,10 +143,10 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    label = _strategy(args.method, args.init_seed)[0]
+    label = _strategy(args.method)[0]
     scenario = _read_scenario(args.scenario)
     cfg = SolveConfig.for_scenario(scenario, **_config_kwargs(args))
-    solution = _run(scenario, label, args.init_seed, cfg)
+    solution = _run(scenario, label, cfg)
     metrics = evaluate(scenario, solution, cfg)
     report = validate(scenario, solution.allocation, cfg)
     doc = solution.to_dict()
@@ -182,7 +183,7 @@ _SWEEP_COLUMNS = ["parameter", "value", "strategy", "energy_mj",
                   "converged", "error"]
 
 
-def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
+def _sweep_point(scenario_doc, param, cfg_kwargs, point):
     """One (parameter value, strategy label) solve; runs inside a worker."""
     value, label = point
     scenario = override_parameter(scenario_from_dict(scenario_doc),
@@ -191,7 +192,7 @@ def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row.update(parameter=param, value=value, strategy=label)
     try:
-        sol = _run(scenario, label, init_seed, cfg)
+        sol = _run(scenario, label, cfg)
     except (InfeasibilityError, InfeasiblePairError, ConvergenceError,
             BracketError) as exc:
         row["converged"] = "false"
@@ -214,19 +215,18 @@ def _sweep_point(scenario_doc, param, init_seed, cfg_kwargs, point):
 
 
 def cmd_sweep(args):
-    scenario = _read_scenario(args.scenario)
     try:
         values = sorted(float(v) for v in args.values.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"sweep values: {exc}") from None
     if not all(0 < v < np.inf for v in values) or len(values) != len(set(values)):
         raise argparse.ArgumentTypeError("sweep values must be distinct, positive and finite")
-    labels = [_strategy(tok.strip(), args.init_seed)[0]
-              for tok in args.strategies.split(",") if tok.strip()]
+    labels = [_strategy(tok.strip())[0] for tok in args.strategies.split(",") if tok.strip()]
     if not labels:
         raise argparse.ArgumentTypeError("at least one strategy is required")
+    scenario = _read_scenario(args.scenario)
     solve_point = functools.partial(_sweep_point, scenario_to_dict(scenario),
-                                    args.param, args.init_seed, _config_kwargs(args))
+                                    args.param, _config_kwargs(args))
     points = [(v, label) for v in values for label in labels]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -275,19 +275,17 @@ def build_parser():
     # flags shared by solve and sweep, with SolveConfig's defaults
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--scenario", required=True)
-    solver_flags.add_argument("--init-seed", type=int, default=0,
-                              help="seed for the random initialization")
     solver_flags.add_argument("--eps-mj", type=float, default=SolveConfig.epsilon_j * 1e3,
                               help="outer stop threshold in milli-Joules")
     solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
     solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters)
 
-    # no flag is abbreviated, so a retired --init cannot pass for --init-seed
+    # no flag is abbreviated, so a retired flag cannot pass for a live one
     solver = dict(parents=[solver_flags], allow_abbrev=False)
     s = sub.add_parser("solve", **solver, help="solve one scenario file")
     s.add_argument("--method", default="iterative",
-                   help="iterative[:equal|random|best-ap-<percent>], binary-best-ap or "
-                        "fixed-equal; random takes --init-seed")
+                   help="iterative[:equal|random-<seed>|best-ap-<percent>], "
+                        "binary-best-ap or fixed-equal")
     s.add_argument("--out", default="solution.json")
     s.add_argument("--trace", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)

@@ -566,13 +566,13 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     allocation read off them.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices in stages (`_joint_stages`) from the warm state, which,
-    when void, is first filled with the prices of the capacity split
-    L_ij = T_i*C_j/sum C (`_price`, whose raises propagate). With tau -> 0
-    the bound tends to G(beta, mu) (`joint_dual`), whose maximum nearly
-    always meets the energy: the time-sharing argument of Yu & Lui (IEEE
-    Trans. Commun. 2006), with the log-sum-exp smoothing of Nesterov
-    (Math. Program. 2005).
+    log prices in stages (`_joint_stages`) from the warm state, which it
+    only reads, or, when that is void, from the prices of the capacity
+    split L_ij = T_i*C_j/sum C (`_price` into a dict of its own, whose
+    raises propagate). With tau -> 0 the bound tends to G(beta, mu)
+    (`joint_dual`), whose maximum nearly always meets the energy: the
+    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
+    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
 
     Returns (L, G, state, allocation) of the last stage that met the
     tolerance: L = T*w at its soft-argmin weights, loads at or below the
@@ -586,7 +586,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     """
     if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
         cap = scenario.compute_capacity
-        _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm, [])
+        _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm := {}, [])
     best = None
     for best in _joint_stages(scenario, cfg, warm):
         pass

@@ -238,13 +238,13 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     The objective is F(L), the energy after the bandwidth/compute
     re-balance at data split L. The start (entry 0 of the trace) is the
     dual step (`kkt.joint_split`) from an empty warm state, which it
-    fills with the prices of the capacity split L_ij = T_i*C_j/sum C. The
-    step chooses the split the start keeps, with the allocation read off
-    the same prices and certified, at no re-balance. Only when that
-    read-off misses its certificate is the split re-balanced, warm from
-    the state the step returns; only when the step returns no split, or
-    its split cannot be re-balanced, is L0, warm from the capacity split's
-    prices. The joint dual at the dual step's prices is the solve's
+    leaves empty, starting from the prices of the capacity split
+    L_ij = T_i*C_j/sum C. The step chooses the split the start keeps,
+    with the allocation read off the same prices and certified, at no
+    re-balance. Only when that read-off misses its certificate is the
+    split re-balanced, warm from the state the step returns; only when the
+    step returns no split, or its split cannot be re-balanced, is L0,
+    cold. The joint dual at the dual step's prices is the solve's
     lower_bound_j (None with no prices); a start energy E within GAP_TOL*E
     of it is returned, converged, after zero gradient rounds, as is every
     one-AP start, whose soft weights are all 1. After gradient rounds the

@@ -8,7 +8,7 @@ import pytest
 from mecalloc import GenParams, InitStrategy, SolveTrace, generate, save_scenario, solve_iterative
 from mecalloc import cli
 from mecalloc.cli import main
-from mecalloc.scenario import provenance
+from mecalloc.scenario import override_parameter, provenance
 
 from util import make_scenario
 
@@ -123,26 +123,29 @@ def test_solve_init_variants_agree(tmp_path, small_scenario_file):
 
 
 def test_solve_random_method_matches_the_library(tmp_path, scenario42):
-    out = tmp_path / "sol.json"
     save_scenario(scenario42, tmp_path / "sc.json")
-    assert main(["solve", "--scenario", str(tmp_path / "sc.json"), "--method",
-                 "iterative:random", "--init-seed", "3", "--out", str(out)]) == 0
-    expected = solve_iterative(scenario42, InitStrategy.random(3)).energy_j
-    assert json.loads(out.read_text())["energy_j"] == expected
+    for method, seed in (("iterative:random-3", 3), ("iterative:random", 0)):
+        out = tmp_path / f"{seed}.json"
+        assert main(["solve", "--scenario", str(tmp_path / "sc.json"), "--method", method,
+                     "--out", str(out)]) == 0
+        expected = solve_iterative(scenario42, InitStrategy.random(seed)).energy_j
+        assert json.loads(out.read_text())["energy_j"] == expected
 
 
 def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_file,
                                                       monkeypatch, capsys):
-    assert main(["solve", "--help"]) == 0
-    assert "--init " not in capsys.readouterr().out
+    for command in ("solve", "sweep"):
+        assert main([command, "--help"]) == 0
+        assert "--init" not in capsys.readouterr().out
 
     def no_read(*args, **kwargs):
         raise AssertionError("the scenario was read before the method was checked")
 
     monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
-    # flags are not abbreviated: a leftover --init is no --init-seed
+    # a retired flag is rejected, not ignored
     for method in (["iterative:bogus"], ["binary-best-ap", "--init", "random"],
-                   ["iterative:random", "--init", "3"]):
+                   ["iterative:random", "--init", "3"], ["iterative:random", "--init-seed", "3"],
+                   ["binary-best-ap", "--init-seed", "5"]):
         assert main(["solve", "--scenario", small_scenario_file, "--method", *method,
                      "--out", str(tmp_path / "x.json")]) == 2
     assert not (tmp_path / "x.json").exists()
@@ -226,6 +229,21 @@ def test_sweep_parallel_workers_match_serial(tmp_path, small_scenario_file):
     assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
     assert main(args + ["--workers", "2", "--out", str(parallel)]) == 0
     assert _strip_timestamp(serial) == _strip_timestamp(parallel)
+
+
+def test_sweep_rows_carry_each_random_seed(tmp_path, scenario42):
+    save_scenario(scenario42, tmp_path / "sc.json")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--scenario", str(tmp_path / "sc.json"), "--param", "deadline-s",
+                 "--values", "0.2,1.0", "--strategies", "iterative:random-1,iterative:random-2",
+                 "--workers", "1", "--out", str(out)]) == 0
+    rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
+    assert [(float(r[1]), r[2]) for r in rows] == [
+        (d, f"iterative:random-{seed}") for d in (0.2, 1.0) for seed in (1, 2)]
+    for r in rows:
+        sc = override_parameter(scenario42, "deadline_s", float(r[1]))
+        expected = solve_iterative(sc, InitStrategy.random(int(r[2][-1]))).energy_j
+        assert r[3] == cli._fmt(expected * 1e3)
 
 
 def test_out_dir_env_redirects_relative_paths(tmp_path, small_scenario_file,
@@ -320,17 +338,19 @@ def test_generate_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
 
 def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_scenario_file,
                                                               monkeypatch, capsys):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve started before the seed was checked")
+    def no_read(*args, **kwargs):
+        raise AssertionError("the scenario was read before the seed was checked")
 
-    monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
-    for command in (["solve", "--method", "iterative:random"],
-                    ["sweep", "--param", "deadline-s", "--values", "0.5", "--workers", "1",
-                     "--strategies", "iterative:random"]):
-        code = main(command + ["--scenario", small_scenario_file, "--init-seed", "-1",
-                               "--out", str(tmp_path / "out")])
-        assert code == 2
-        assert _one_line_usage_error(capsys)
+    monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
+    for token in ("iterative:random-", "iterative:random-x", "iterative:random--1"):
+        for command in (["solve", "--method", token],
+                        ["sweep", "--param", "deadline-s", "--values", "0.5", "--workers", "1",
+                         "--strategies", f"iterative:equal,{token}"]):
+            code = main(command + ["--scenario", small_scenario_file,
+                                   "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert _one_line_usage_error(capsys)
+    assert not (tmp_path / "out").exists()
 
 
 _TASK = {"input_bits": 1.0, "deadline_s": 1.0, "cycles_per_bit": 1.0}

@@ -687,12 +687,24 @@ def test_a_void_state_starts_the_dual_step_from_the_capacity_split_prices(deadli
     expected = kkt.joint_split(sc, cfg, warm)
     for void in ({}, {"beta": np.nan, "mus": warm["mus"]},
                  {"beta": warm["beta"], "mus": warm["mus"][:-1]}):
+        before = dict(void)
         L, bound, state, (x, q, energy) = kkt.joint_split(sc, cfg, void)
+        # the capacity split is priced in a dict of the step's own
+        assert void.keys() == before.keys() and all(void[k] is before[k] for k in void)
         assert np.array_equal(L, expected[0]) and bound == expected[1]
         assert state["beta"] == expected[2]["beta"]
         assert np.array_equal(state["mus"], expected[2]["mus"])
         assert np.array_equal(x, expected[3][0]) and np.array_equal(q, expected[3][1])
         assert energy == expected[3][2]
+
+
+def test_newton_returns_its_start_when_the_line_search_uses_up_its_calls(monkeypatch):
+    # a Jacobian of the wrong sign makes every trial raise the residual norm
+    monkeypatch.setattr(kkt, "MAX_DUAL_PROBES", 3)
+    start = np.array([1.0, -2.0])
+    y, r, extra, calls = kkt._newton(lambda y: (y, -np.eye(2), "extra"), start, 1e-12)
+    assert np.array_equal(y, start) and np.array_equal(r, start)
+    assert extra == "extra" and calls == 3
 
 
 def _count_joint_systems(monkeypatch):

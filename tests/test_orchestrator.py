@@ -59,6 +59,12 @@ def test_seeds_and_ap_indices_must_be_nonnegative_integers():
             bad()
 
 
+def test_fixed_assignment_maps_every_user():
+    for assignment in ([0], [0, 1, 1]):
+        with pytest.raises(StructuralError, match="assignment maps"):
+            solve_fixed_assignment(_small_scenario(), assignment)
+
+
 def test_initialize_equal_split(scenario42):
     L = initialize(scenario42, InitStrategy.equal())
     assert np.allclose(L, 1.5e6 / 4)

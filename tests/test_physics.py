@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from mecalloc import physics
 from mecalloc.kkt import DUAL_RANGE
 
 from util import (
+    decimal_energy,
+    decimal_hessian,
     fd_gradient,
-    fd_hessian,
     make_scenario,
     sample_points as _sample_points,
     scalar_energy,
@@ -60,6 +62,11 @@ def test_rate_requires_positive_bandwidth():
                   deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
     with pytest.raises(StructuralError):
         rate(1.0, p)
+
+
+def test_rate_rejects_negative_power():
+    with pytest.raises(StructuralError):
+        rate(-1.0, _point(q=2.0))
 
 
 # --- min_power --------------------------------------------------------
@@ -266,35 +273,42 @@ def test_bracket_is_minus_infinity_once_the_exponential_overflows():
 def test_partials_reject_boundary_points():
     with pytest.raises(StructuralError):
         partials(PairPoint.from_slack(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
+    # a compute that leaves no slack: t = D - eta*L/q is 0 at q = 1, -1 at 0.5
+    for q in (1.0, 0.5):
+        for derivative in (partials, lambda p: hessian_diag(p, "L_q")):
+            with pytest.raises(StructuralError, match="slack strictly inside"):
+                derivative(_point(L=1.0, x=1.0, q=q))
 
 
 # --- hessian_diag -----------------------------------------------------
 
-def _fd_block(p, pair, rel_step=1e-4):
-    a, d, eta = p.noise_over_gain, p.deadline_s, p.cycles_per_bit
+def _fd_block(p, pair):
+    a, d, eta = (Decimal(v) for v in (p.noise_over_gain, p.deadline_s, p.cycles_per_bit))
     if pair == "L_x":
-        f = lambda v: pair_energy(PairPoint.from_compute(
-            v[0], v[1], p.compute_cps, d, eta, a))
+        q = Decimal(p.compute_cps)
+        f = lambda v: decimal_energy(v[0], v[1], d - eta * v[0] / q, a)
         v0 = [p.data_bits, p.bandwidth_hz]
     elif pair == "L_q":
-        f = lambda v: pair_energy(PairPoint.from_compute(
-            v[0], p.bandwidth_hz, v[1], d, eta, a))
+        x = Decimal(p.bandwidth_hz)
+        f = lambda v: decimal_energy(v[0], x, d - eta * v[0] / v[1], a)
         v0 = [p.data_bits, p.compute_cps]
     else:
-        f = lambda v: pair_energy(PairPoint.from_slack(
-            p.data_bits, v[0], v[1], d, eta, a))
+        L = Decimal(p.data_bits)
+        f = lambda v: decimal_energy(L, v[0], v[1], a)
         v0 = [p.bandwidth_hz, p.slack_s]
-    return np.array(fd_hessian(f, v0, rel_step=rel_step))
+    return np.array(decimal_hessian(f, v0))
 
 
 @pytest.mark.parametrize("pair", ["L_x", "L_q", "x_t"])
 def test_hessian_matches_finite_differences(pair):
+    # entries go far below approx's default abs of 1e-12, so each is held to
+    # a relative bound alone
     for p in _sample_points(60, seed=11):
         h = hessian_diag(p, pair)
         ref = _fd_block(p, pair)
         for r in range(2):
             for c in range(2):
-                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-4), \
+                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-9, abs=0), \
                     (pair, r, c, p)
 
 
@@ -326,17 +340,17 @@ def test_single_variable_curvatures_positive():
 
 
 def test_hessian_finite_differences_at_probe_points():
-    # the two fixed probe points exercised by the acceptance suite; the
-    # exponent is steep there, so the difference step must shrink with it
+    # the two fixed probe points exercised by the acceptance suite, where
+    # the exponent is steep
     for point, pair in [
         (_point(L=0.1, x=0.1, q=1.0, d=0.1, eta=0.5), "L_x"),
         (_point(L=2.0, x=1.0, q=2.1, d=1.0, eta=1.0), "L_q"),
     ]:
         h = hessian_diag(point, pair)
-        ref = _fd_block(point, pair, rel_step=1e-6)
+        ref = _fd_block(point, pair)
         for r in range(2):
             for c in range(2):
-                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-4, abs=0)
+                assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-9, abs=0)
 
 
 def test_hessian_rejects_unknown_pair():

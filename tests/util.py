@@ -2,7 +2,9 @@
 and brute-force grid searches. Nothing here calls the solver paths it is
 used to check."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import numpy as np
 
@@ -77,27 +79,36 @@ def fd_gradient(f, v, rel_step=1e-6, min_step=1e-9):
     return out
 
 
-def fd_hessian(f, v, rel_step=1e-4, min_step=1e-9):
-    """Central second differences; the wider step keeps the difference of
-    nearly equal function values above rounding noise."""
-    v = [float(c) for c in v]
-    n = len(v)
-    h = [max(rel_step * abs(vi), min_step) for vi in v]
-    H = [[0.0] * n for _ in range(n)]
-    f0 = f(v)
-    for i in range(n):
-        vp, vm = list(v), list(v)
-        vp[i] += h[i]
-        vm[i] -= h[i]
-        H[i][i] = (f(vp) - 2.0 * f0 + f(vm)) / h[i] ** 2
-        for j in range(i + 1, n):
-            vpp, vpm, vmp, vmm = list(v), list(v), list(v), list(v)
-            vpp[i] += h[i]; vpp[j] += h[j]
-            vpm[i] += h[i]; vpm[j] -= h[j]
-            vmp[i] -= h[i]; vmp[j] += h[j]
-            vmm[i] -= h[i]; vmm[j] -= h[j]
-            H[i][j] = H[j][i] = (f(vpp) - f(vpm) - f(vmp) + f(vmm)) \
-                / (4.0 * h[i] * h[j])
+def decimal_energy(L, x, t, noise_over_gain):
+    """Pair energy from the raw formula in the current decimal context."""
+    return noise_over_gain * x * t * ((L / (x * t) * Decimal(2).ln()).exp() - 1)
+
+
+def decimal_hessian(f, v):
+    """Central second differences of f, which maps a list of Decimals to a
+    Decimal, in 60-digit decimal arithmetic. A step of 1e-15 of each
+    coordinate leaves a truncation error near 1e-30 relative, and the
+    working precision keeps the difference of nearly equal function
+    values about 30 digits above rounding."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        v = [Decimal(c) for c in v]
+        h = [Decimal("1e-15") * abs(c) for c in v]
+
+        def at(*steps):
+            w = list(v)
+            for i, sign in steps:
+                w[i] += sign * h[i]
+            return f(w)
+
+        n = len(v)
+        H = [[0.0] * n for _ in range(n)]
+        for i in range(n):
+            H[i][i] = float((at((i, 1)) - 2 * f(v) + at((i, -1))) / h[i] ** 2)
+            for j in range(i + 1, n):
+                H[i][j] = H[j][i] = float(
+                    (at((i, 1), (j, 1)) - at((i, 1), (j, -1)) - at((i, -1), (j, 1))
+                     + at((i, -1), (j, -1))) / (4 * h[i] * h[j]))
     return H
 
 
