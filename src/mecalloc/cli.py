@@ -80,24 +80,25 @@ def _strategy(token):
     Tokens: binary-best-ap and fixed-equal, one re-balance of the split of
     best-ap-100 or equal, iterative (short for iterative:equal) and
     iterative:<init> with init equal, random-<seed> (random is random-0)
-    or best-ap-<percent>. Anything else, or a bad seed or percent, raises
-    ArgumentTypeError, so it is rejected before any solve starts.
+    or best-ap-<percent>: seed 0 or digits with no sign or leading zero,
+    percent in its shortest decimal spelling (90, 12.5). Anything else
+    raises ArgumentTypeError, so it is rejected before any solve starts.
     """
     if token in ("binary-best-ap", "fixed-equal"):
         return token, InitStrategy.binary() if token == "binary-best-ap" else InitStrategy.equal()
     label = {"iterative": "iterative:equal",
              "iterative:random": "iterative:random-0"}.get(token, token)
     method, _, init = label.partition(":")
+    kind, _, arg = init.rpartition("-")
     if method == "iterative":
         try:
             if init == "equal":
                 return label, InitStrategy.equal()
-            if init.startswith("random-"):
-                return label, InitStrategy.random(seed=int(init[len("random-"):]))
-            if init.startswith("best-ap-"):
-                return label, InitStrategy.best_ap(
-                    weight=float(init[len("best-ap-"):]) / 100.0)
-        except ValueError as exc:  # not a number, a weight outside (0, 1] or a negative seed
+            if kind == "random" and str(int(arg)) == arg:
+                return label, InitStrategy.random(seed=int(arg))
+            if kind == "best-ap" and np.format_float_positional(float(arg), trim="-") == arg:
+                return label, InitStrategy.best_ap(weight=float(arg) / 100.0)
+        except ValueError as exc:  # not a number or a weight outside (0, 1]
             raise argparse.ArgumentTypeError(f"strategy {token!r}: {exc}") from None
     raise argparse.ArgumentTypeError(f"unknown strategy {token!r}")
 

@@ -43,9 +43,9 @@ So the module has two root finders: `vec_bisect` for the references and
 `_newton` for every pricing, the fixed-data and the joint one, each in
 the log prices inside DUAL_RANGE, run to half of bisect_tol from a warm
 state by one start rule (`_start_prices`) and handing one back. No
-pricing bisects per pair: the price oracle takes a fixed count of Newton
-steps on a closed-form equation (`physics.price_oracle`), and the
-bandwidth root z = L*ln2/(x*t) is `physics.exponent_root`(beta/(a*t)).
+pricing bisects per pair: the price oracle (`physics.price_oracle`) and
+the bandwidth root z = L*ln2/(x*t), `physics.exponent_root`(beta/(a*t)),
+take the same Newton step in ln z, on one kappa(z), a fixed count of times.
 """
 
 from __future__ import annotations

@@ -252,10 +252,10 @@ class SolveConfig:
     bisect_tol is the relative tolerance of the budget residual checks
     and of the duality gap that certifies a re-balance, which is one pass
     with no round budget; the Newton pricings, the dual step included,
-    solve to half of it. It stops none of the fixed counts: the price
-    oracle's Newton steps and the bisection references' halvings
-    (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual). No residual
-    is certified below float64 resolution.
+    solve to half of it. It stops none of the fixed counts: the Newton
+    steps of the price oracle and of the bandwidth root, and the bisection
+    references' halvings (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per
+    dual). No residual is certified below float64 resolution.
     activity_threshold_bits is the data size below which a pair is frozen
     at L = x = q = 0 and excluded from the KKT systems (zero-data pairs
     would make the rate formula indeterminate).

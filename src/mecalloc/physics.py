@@ -6,12 +6,12 @@ operated at minimal power under a hard deadline,
     E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q.
 
 It is written once, in the vectorised `energy`, `bracket` and
-`data_marginal` that the KKT roots in `kkt` evaluate, and priced in
-`price_oracle`, the cheapest cost per bit of a pair at given prices: a
-fixed count of Newton steps in ln z on the bandwidth root, with the
-stationary slack in closed form in z. The scalar functions, the
-analytic gradient and the 2x2 curvature blocks used to certify which
-variable pairs form convex subproblems build on them.
+`data_marginal` that the KKT roots in `kkt` evaluate, all through one
+primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
+(`exponent_root`) and a pair's cheapest cost per bit at given prices
+(`price_oracle`) take the same Newton step in ln z, a fixed count of
+times. The scalar functions, the analytic gradient and the 2x2 curvature
+blocks that certify convex variable pairs build on them.
 """
 
 from __future__ import annotations
@@ -38,16 +38,27 @@ def energy(L, x, t, a):
     return a * x * t * np.expm1(L / (x * t) * LN2)
 
 
+def _kappa(z):
+    """kappa(z) = (z - 1 + e^-z)/z, in (0, z/2) for z > 0, the factor of
+    -phi(z) = z*e^z*kappa(z). It cancels below z = 0.5; there it is z
+    times the series."""
+    return np.where(z < 0.5, z * np.polyval(_KAPPA_SERIES, -z), (z - 1.0 + np.exp(-z)) / z)
+
+
 def bracket(z):
-    """phi(z) = expm1(z) - z*e^z, negative for z > 0.
+    """phi(z) = expm1(z) - z*e^z = -z*e^z*kappa(z), negative for z > 0.
 
     At z = ln2*L/(x*t) it gives the partials dE/dx = a*t*phi and
-    dE/dt = a*x*phi. Written as expm1(z)*(1 - z) - z, it runs to -inf,
-    never nan, once e^z overflows. At small z, phi ~ -z^2/2 cancels to a
-    relative error of about 2.2e-16/z, and to 0 or a wrong sign below 1e-16.
+    dE/dt = a*x*phi. Through `_kappa` it keeps float64 resolution where
+    phi ~ -z^2/2 at small z. kappa's argument is clipped to [tiny, 1/eps],
+    so phi(0) = 0 and phi runs to -inf, never nan, once e^z overflows.
     """
-    return np.expm1(z) * (1.0 - z) - z
+    return -z * np.exp(z) * _kappa(np.clip(z, np.finfo(float).tiny, 1.0 / np.finfo(float).eps))
 
+
+# kappa(z)/z = sum_{n>=1} (-z)^(n-1)/(n+1)!, highest power first: 13 terms are
+# within 3.4e-16 below z = 0.5, the closed form within 6.4e-16 just above
+_KAPPA_SERIES = [1.0 / math.factorial(n) for n in range(14, 1, -1)]
 
 # largest bandwidth root: the rate exponent L/(x*t) = EXPONENT_CAP
 _Z_TOP = EXPONENT_CAP * LN2
@@ -56,19 +67,10 @@ _C_TOP = -float(bracket(_Z_TOP))
 # every per-pair slack is searched inside this fraction of its deadline
 SLACK_BRACKET = (1e-12, 1.0 - 1e-12)
 
-# kappa(z)/z = sum_{n>=1} (-z)^(n-1)/(n+1)!, highest power first: 13 terms are
-# within 3.4e-16 below z = 0.5, the closed form within 6.4e-16 just above
-_KAPPA_SERIES = [1.0 / math.factorial(n) for n in range(14, 1, -1)]
-
-# the price oracle's Newton steps, and its bounds of ln s, s = D/t - 1
-_ORACLE_STEPS = 10
+# Newton steps in ln z of the bandwidth root and of the price oracle, and
+# the oracle's bounds of ln s, s = D/t - 1
+_ROOT_STEPS, _ORACLE_STEPS = 4, 10
 _LOG_S = tuple(math.log(1.0 / f - 1.0) for f in SLACK_BRACKET[::-1])
-
-
-def _kappa(z):
-    """kappa(z) = -bracket(z)/(z*e^z) = (z - 1 + e^-z)/z, in (0, z/2) for
-    z > 0. It cancels below z = 0.5; there it is z times the series."""
-    return np.where(z < 0.5, z * np.polyval(_KAPPA_SERIES, -z), (z - 1.0 + np.exp(-z)) / z)
 
 
 def _exponent_start(c):
@@ -84,20 +86,17 @@ def exponent_root(c):
     """The root z > 0 of (z - 1)*e^z + 1 = c, that is -bracket(z) = c.
 
     It is z = 1 + W0((c - 1)/e) (Corless et al., Adv. Comput. Math.
-    1996). Three Halley steps on ln(-bracket(z)) = ln c polish
-    `_exponent_start` to float64 resolution; below c = 1e-9 the series
-    alone already is. The root is capped at the exponent cap.
+    1996), at most the exponent cap. The price oracle's Newton step in
+    u = ln z, on ln kappa + u + z = ln c here, polishes `_exponent_start`
+    to float64 resolution in _ROOT_STEPS steps; below c = 1e-9 the series is.
     """
     c = np.asarray(c, dtype=float)
     cc = np.clip(c, 1e-9, _C_TOP)
     lc = np.log(cc)
     z = _exponent_start(cc)
-    for _ in range(3):
-        # g = ln(-bracket(z)) - ln c has slope 1/kappa
+    for _ in range(_ROOT_STEPS):
         kappa = _kappa(z)
-        g = np.log(kappa * z) + z - lc
-        dkappa = (1.0 - (1.0 + z) * np.exp(-z)) / (z * z)
-        z = z - g * kappa / (1.0 + 0.5 * g * dkappa)
+        z = z * np.exp(-(np.log(kappa) + np.log(z) + z - lc) / (z / kappa))
     return np.where(c < 1e-9, _exponent_start(np.minimum(c, 1e-9)), z)
 
 

@@ -202,6 +202,21 @@ def test_sweep_csv_structure_and_determinism(tmp_path, small_scenario_file):
     assert keys == sorted(keys)
 
 
+def test_deadline_sweep_reports_the_monotonicity_of_each_iterative_strategy(
+        tmp_path, small_scenario_file, capsys):
+    def lines(param, values, strategies):
+        assert main(["sweep", "--scenario", small_scenario_file, "--param", param,
+                     "--values", values, "--strategies", strategies, "--workers", "1",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+        return [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("monotonicity")]
+
+    assert lines("deadline-s", "0.9,1.2", "iterative:equal,binary-best-ap") == [
+        "monotonicity[iterative:equal]: energy non-increasing in deadline: yes"]
+    assert lines("deadline-s", "0.9,1.2", "binary-best-ap") == []
+    assert lines("bandwidth-hz", "8,12", "iterative:equal") == []
+
+
 def test_sweep_records_infeasible_points_in_row(tmp_path):
     sc = make_scenario([[1.0, 0.0001], [1.0, 0.0001]], bits=4.0, deadline=1.0,
                        eta=1.0, bandwidth=10.0, capacities=[6.0, 6.0])
@@ -336,13 +351,24 @@ def test_generate_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+def test_canonical_seeds_and_percents_are_accepted():
+    # a zero digit that does not lead, and a percent with a fraction
+    assert cli._strategy("iterative:random-0")[1] == InitStrategy.random(0)
+    assert cli._strategy("iterative:random-10")[1] == InitStrategy.random(10)
+    assert cli._strategy("iterative:best-ap-12.5") == ("iterative:best-ap-12.5",
+                                                       InitStrategy.best_ap(0.125))
+
+
 def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_scenario_file,
                                                               monkeypatch, capsys):
     def no_read(*args, **kwargs):
         raise AssertionError("the scenario was read before the seed was checked")
 
     monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
-    for token in ("iterative:random-", "iterative:random-x", "iterative:random--1"):
+    # a seed or percent outside its one canonical spelling is rejected too
+    for token in ("iterative:random-", "iterative:random-x", "iterative:random--1",
+                  "iterative:random-+3", "iterative:random-03", "iterative:random- 3",
+                  "iterative:random-1_000", "iterative:best-ap-90.0", "iterative:best-ap-9e1"):
         for command in (["solve", "--method", token],
                         ["sweep", "--param", "deadline-s", "--values", "0.5", "--workers", "1",
                          "--strategies", f"iterative:equal,{token}"]):

@@ -686,6 +686,19 @@ def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
     assert sol.outer_iterations <= 1
 
 
+def test_a_huge_bandwidth_solves_to_its_energy_at_a_tenth_of_it():
+    # at 1e20 Hz every rate exponent is about 1e-17, where the bracket must
+    # not cancel: the cold bandwidth price takes the log of -phi(z) ~ z^2/2.
+    # Bandwidth is then free, so the energies are those at 1e19 Hz
+    sc = generate(GenParams(num_users=3, num_aps=2, bandwidth_hz=1e20, task_bits=1e3, seed=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fixed = solve_fixed_data(sc, initialize(sc, InitStrategy.equal()))
+        sol = solve_iterative(sc)
+    assert fixed.energy_j == pytest.approx(2.822468320038004e-07, rel=1e-12, abs=0)
+    assert sol.energy_j == pytest.approx(1.2591576856629717e-07, rel=1e-12, abs=0)
+
+
 def test_a_start_within_the_gap_tolerance_of_the_bound_stops_the_solve():
     sc, cfg = _start42(0.4)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)

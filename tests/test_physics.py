@@ -261,6 +261,16 @@ def test_partials_match_finite_differences():
             assert value == pytest.approx(fd_t, rel=1e-5, abs=0)
 
 
+def test_bracket_keeps_float64_resolution_at_small_exponents():
+    # phi(z) = -sum_{n>=2} (n - 1)*z^n/n!, a sum of negative terms, is
+    # exact to a few eps; an expm1 form cancels to 2.2e-16/z relative
+    z = np.concatenate([np.logspace(-150, math.log10(0.5), 3001), [5.6e-17, 1e-3]])
+    ref = -sum((n - 1) * z**n / math.factorial(n) for n in range(30, 1, -1))
+    err = np.abs(physics.bracket(z) / ref - 1.0)
+    assert err.max() <= 1e-15, (err.max(), z[np.argmax(err)])
+    assert physics.bracket(np.array([0.0]))[0] == 0.0
+
+
 def test_bracket_is_minus_infinity_once_the_exponential_overflows():
     # the slack root's sign test reads phi far past the exponent cap
     z = np.array([700.0, 709.5, 710.0, 1e4, np.inf])
@@ -361,13 +371,17 @@ def test_hessian_rejects_unknown_pair():
 # --- bandwidth root and price oracle -------------------------------------
 
 def test_exponent_root_meets_its_equation_over_every_decade():
-    # below c = 1e-9 the branch-point series is the answer, above it three
-    # Halley steps; bracket(z) itself rounds to a few eps*z*(1 + c)
+    # below c = 1e-9 the branch-point series is the answer, above it the
+    # Newton steps in ln z; -bracket(z) = z*e^z*kappa(z) then meets c to a
+    # few eps*c*(1 + z), the rounding of e^z at z = ln c. The first bound
+    # binds at large c, the second at small c, where c ~ z^2/2
     c = np.concatenate([np.logspace(-12, 250, 2000), np.linspace(1e-3, 30.0, 500)])
     z = physics.exponent_root(c)
     assert np.all(z > 0)
     resid = np.abs(physics.bracket(z) + c)
-    assert np.all(resid <= 8.0 * np.finfo(float).eps * z * (1.0 + c))
+    eps = np.finfo(float).eps
+    assert np.all(resid <= 8.0 * eps * z * (1.0 + c))
+    assert np.all(resid <= 64.0 * eps * c * (1.0 + z))
     assert np.any(c < 1e-9)
 
 
@@ -471,11 +485,10 @@ def test_price_oracle_returns_the_stationary_slack_and_its_bandwidth(beta, mu, a
                 + mu * eta / (d - near)
             assert e <= cost * (1.0 + 1e-12)
     # the condition holds where its root is inside the slack bracket, not
-    # at its lower edge. Two checks of it are too ill-conditioned for 1e-9:
-    # within 1e-3*D of the deadline its slope in ln t, 2D/(D - t), turns the
-    # ln c bisection's 5e-14 resolution into more than 1e-10; and below
-    # z = 1e-6 the probe's bracket(z) ~ -z^2/2 cancels to 2.2e-16/z
-    if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d and z >= 1e-6:
+    # at its lower edge. Within 1e-3*D of the deadline it is too
+    # ill-conditioned for 1e-9: its slope in ln t, 2D/(D - t), turns the
+    # slack resolution of 5e-14 into more than 1e-10
+    if t > 2.0 * physics.SLACK_BRACKET[0] * d and d - t >= 1e-3 * d:
         assert z * t * t / (d - t) ** 2 == pytest.approx(beta * LN2 / (mu * eta), rel=1e-9, abs=0)
 
 
