@@ -50,13 +50,13 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--rows", action="store_true", help="print one line per solve first")
     args = p.parse_args(argv)
+    cfg = model.SolveConfig()
     t0 = time.perf_counter()
     n = errors = unconverged = certified = rebalances = unbounded = gaps = above = 0
     worst_gap = worst_above = 0.0
     for K, M, D in SHAPES:
         for seed in SEEDS:
             sc = generate(GenParams(num_users=K, num_aps=M, deadline_s=D, seed=seed))
-            cfg = model.SolveConfig.for_scenario(sc)
             try:
                 best_snr = solve_fixed_assignment(sc, best_snr_assignment(sc), cfg).energy_j
             except SOLVER_ERRORS:  # the best-SNR split overloads an AP

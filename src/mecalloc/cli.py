@@ -110,14 +110,12 @@ def _run(scenario, label, cfg):
     return solve_fixed_data(scenario, initialize(scenario, strategy), cfg)
 
 
-def _config_kwargs(args):
-    kwargs = {"epsilon_j": args.eps_mj * 1e-3, "bisect_tol": args.bisect_tol,
-              "max_outer_iters": args.max_outer}
+def _config(args):
     try:
-        SolveConfig(**kwargs)
+        return SolveConfig(epsilon_j=args.eps_mj * 1e-3, bisect_tol=args.bisect_tol,
+                           max_outer_iters=args.max_outer)
     except StructuralError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
-    return kwargs
 
 
 def _read_scenario(path):
@@ -146,7 +144,7 @@ def cmd_generate(args):
 def cmd_solve(args):
     label = _strategy(args.method)[0]
     scenario = _read_scenario(args.scenario)
-    cfg = SolveConfig.for_scenario(scenario, **_config_kwargs(args))
+    cfg = _config(args)
     solution = _run(scenario, label, cfg)
     metrics = evaluate(scenario, solution, cfg)
     report = validate(scenario, solution.allocation, cfg)
@@ -184,12 +182,11 @@ _SWEEP_COLUMNS = ["parameter", "value", "strategy", "energy_mj",
                   "converged", "error"]
 
 
-def _sweep_point(scenario_doc, param, cfg_kwargs, point):
+def _sweep_point(scenario_doc, param, cfg, point):
     """One (parameter value, strategy label) solve; runs inside a worker."""
     value, label = point
     scenario = override_parameter(scenario_from_dict(scenario_doc),
                                   param.replace("-", "_"), value)
-    cfg = SolveConfig.for_scenario(scenario, **cfg_kwargs)
     row = dict.fromkeys(_SWEEP_COLUMNS, "")
     row.update(parameter=param, value=value, strategy=label)
     try:
@@ -200,7 +197,7 @@ def _sweep_point(scenario_doc, param, cfg_kwargs, point):
         row["error"] = str(exc).replace(",", ";")
         return row
     m = evaluate(scenario, sol, cfg)
-    act = sol.allocation.data > cfg.activity_threshold_bits
+    act = sol.allocation.data > scenario.activity_threshold_bits
     multi = act.sum(axis=1) >= 2
     shares = np.array(m.max_load_share_per_user)[multi]
     row.update(
@@ -227,7 +224,7 @@ def cmd_sweep(args):
         raise argparse.ArgumentTypeError("at least one strategy is required")
     scenario = _read_scenario(args.scenario)
     solve_point = functools.partial(_sweep_point, scenario_to_dict(scenario),
-                                    args.param, _config_kwargs(args))
+                                    args.param, _config(args))
     points = [(v, label) for v in values for label in labels]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:

@@ -250,7 +250,7 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
             "lambda_data", ui, range(K), bits,
             lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper, g0),
             cfg, increasing=True, diag=records)
-        crumbs = (roots > 0) & (roots <= cfg.activity_threshold_bits)
+        crumbs = (roots > 0) & (roots <= scenario.activity_threshold_bits)
         if crumbs.any():
             usable[ui[crumbs], uj[crumbs]] = False
             continue
@@ -283,7 +283,7 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None):
     """
     L = np.asarray(L, dtype=float)
     t = np.asarray(t, dtype=float)
-    act = L > cfg.activity_threshold_bits
+    act = L > scenario.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs to allocate bandwidth to")
     d = np.broadcast_to(scenario.deadlines_s[:, None], L.shape)
@@ -318,7 +318,7 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     no bandwidth, and when the AP's least demand sum_i eta*L/D reaches its
     capacity."""
     L, x = np.asarray(L, dtype=float), np.asarray(x, dtype=float)
-    act = L[:, ap] > cfg.activity_threshold_bits
+    act = L[:, ap] > scenario.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError(f"AP {ap} serves no active user")
     if np.any(x[act, ap] <= 0):
@@ -341,12 +341,12 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
 # ---------------------------------------------------------------------------
 # The fixed-data dual: one bandwidth price and one compute price per AP
 
-def _pricing_inputs(scenario, L, cfg):
+def _pricing_inputs(scenario, L):
     """What the fixed-data dual of split L depends on: the active pairs in
     row-major order as (loads, deadlines, cycles per bit, noise-to-gain
     ratios), the position of each pair's AP among the served APs, the
     budgets (B, then C_j of each served AP) and the served APs."""
-    act = L > cfg.activity_threshold_bits
+    act = L > scenario.activity_threshold_bits
     i, j = np.nonzero(act)
     aps = np.flatnonzero(act.any(axis=0))
     pairs = (L[i, j], scenario.deadlines_s[i], scenario.cycles_per_bit[i],
@@ -355,7 +355,7 @@ def _pricing_inputs(scenario, L, cfg):
     return pairs, np.searchsorted(aps, j), budgets, aps
 
 
-def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
+def fixed_data_dual(scenario, L, beta, mus):
     """The fixed-data dual at bandwidth price beta and M-vector of
     compute prices mus,
 
@@ -368,7 +368,7 @@ def fixed_data_dual(scenario, L, beta, mus, cfg: SolveConfig):
     budgets at this data split (Boyd & Vandenberghe, Convex Optimization,
     sec. 5.5), and its maximum is the fixed-data optimum.
     """
-    pairs, col, budgets, aps = _pricing_inputs(scenario, np.asarray(L, dtype=float), cfg)
+    pairs, col, budgets, aps = _pricing_inputs(scenario, np.asarray(L, dtype=float))
     prices = np.append(beta, np.asarray(mus, dtype=float)[aps])
     e = price_oracle(beta, prices[1:][col], *pairs[1:])[0]
     return float(pairs[0] @ e - prices @ budgets)
@@ -567,12 +567,12 @@ def joint_split(scenario, cfg: SolveConfig, warm):
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
     log prices in stages (`_joint_stages`) from the warm state, which it
-    only reads, or, when that is void, from the prices of the capacity
-    split L_ij = T_i*C_j/sum C (`_price` into a dict of its own, whose
-    raises propagate). With tau -> 0 the bound tends to G(beta, mu)
-    (`joint_dual`), whose maximum nearly always meets the energy: the
-    time-sharing argument of Yu & Lui (IEEE Trans. Commun. 2006), with the
-    log-sum-exp smoothing of Nesterov (Math. Program. 2005).
+    only reads, or, when that is void, from the state `_price` returns
+    for the capacity split L_ij = T_i*C_j/sum C (its raises propagate).
+    With tau -> 0 the bound tends to G(beta, mu) (`joint_dual`), whose
+    maximum nearly always meets the energy: the time-sharing argument of
+    Yu & Lui (IEEE Trans. Commun. 2006), with the log-sum-exp smoothing of
+    Nesterov (Math. Program. 2005).
 
     Returns (L, G, state, allocation) of the last stage that met the
     tolerance: L = T*w at its soft-argmin weights, loads at or below the
@@ -580,22 +580,22 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     read off the oracle of its last accepted iterate; its prices as a warm
     state, every held AP at the floor, where `joint_dual` is G; and the
     (x, q, E) `_read_off` certifies at those prices and split L, or None
-    when it misses the certificate. Returns None when a task is at or
-    below the activity threshold, or when the first stage misses the
-    tolerance, its Jacobian is singular or its root lies beyond DUAL_RANGE.
+    when it misses the certificate. Returns None when the first stage
+    misses the tolerance, its Jacobian is singular or its root lies beyond
+    DUAL_RANGE.
     """
     if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
         cap = scenario.compute_capacity
-        _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm := {}, [])
+        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm, [])[0]
     best = None
     for best in _joint_stages(scenario, cfg, warm):
         pass
     if best is None:
         return None
     L, bound, state, oracle = best
-    inputs = _pricing_inputs(scenario, L, cfg)
+    inputs = _pricing_inputs(scenario, L)
     prices = np.append(state["beta"], state["mus"][inputs[-1]])
-    act = (L > cfg.activity_threshold_bits).ravel()
+    act = (L > scenario.activity_threshold_bits).ravel()
     try:
         allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
     except (ConvergenceError, InfeasiblePairError):
@@ -631,9 +631,7 @@ def _joint_stages(scenario, cfg, warm):
     """
     K, M = scenario.num_users, scenario.num_aps
     bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
-    pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1), cfg)
-    if col.size < K * M:
-        return
+    pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
     Lv, d, eta, _ = pairs  # every task once on each of the M APs
     slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
     y = _start_prices(_warm_prices(warm, M), pairs, col, np.arange(M), slack, budgets[0])
@@ -673,7 +671,7 @@ def _joint_stages(scenario, cfg, warm):
         least = bits @ e.min(axis=1)
         bound = float(least - p[0] * budgets[0] - mus @ budgets[1:])
         bias = bits @ (w * e).sum(axis=1) - least
-        w[bits[:, None] * w <= cfg.activity_threshold_bits] = 0.0
+        w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
         yield (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,
                {"beta": p[0], "mus": mus}, oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
@@ -692,26 +690,27 @@ def _price(scenario, L, cfg, warm, diag):
     """The pricing of `solve_bcaa`: the input checks and the maximisation
     of the fixed-data dual of split L.
 
-    warm is a caller-owned dict read and refreshed between calls of one
-    outer loop: the bandwidth price "beta" and the M-vector of compute
-    prices "mus" the last pricing ended at, every AP that served no active
-    pair at the floor of DUAL_RANGE. The pricing starts from them by
-    `_start_prices` at the slack D*(1 - load_j/C_j) of the capacity split
-    proportional to eta*L/D. Only APs that serve an active pair are
-    priced; one whose least load sum_i eta*L/D reaches its capacity raises
-    InfeasibilityError, and a price root beyond DUAL_RANGE BracketError.
+    warm is a state it only reads: the bandwidth price "beta" and the
+    M-vector of compute prices "mus" the last pricing ended at, every AP
+    that served no active pair at the floor of DUAL_RANGE. The pricing
+    starts from them by `_start_prices` at the slack D*(1 - load_j/C_j)
+    of the capacity split proportional to eta*L/D. Only APs that serve an
+    active pair are priced; one whose least load sum_i eta*L/D reaches its
+    capacity raises InfeasibilityError, and a price root beyond DUAL_RANGE
+    BracketError.
     Appends to diag one record per final price with its scaled budget
-    residual and the count of oracle calls. Leaves the final prices in
-    warm, and returns the `_pricing_inputs` of L, the final prices of the
-    bandwidth and the served APs, and the oracle's (e, t, x/L) at them."""
-    act = L > cfg.activity_threshold_bits
+    residual and the count of oracle calls. Returns the final prices as a
+    state of that form, the `_pricing_inputs` of L, the final prices of
+    the bandwidth and the served APs, and the oracle's (e, t, x/L) at
+    them."""
+    act = L > scenario.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs")
     d = scenario.deadlines_s[:, None]
     cap = scenario.compute_capacity
     # an AP's least load: the compute its active pairs need at zero slack
     load = np.where(act, scenario.cycles_per_bit[:, None] * L / d, 0.0).sum(axis=0)
-    inputs = pairs, col, budgets, aps = _pricing_inputs(scenario, L, cfg)
+    inputs = pairs, col, budgets, aps = _pricing_inputs(scenario, L)
     over = act.any(axis=0) & (load >= cap)
     if over.any():
         j = int(np.argmax(over))
@@ -730,16 +729,7 @@ def _price(scenario, L, cfg, warm, diag):
                                           [None, *aps.tolist()], r))
     mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
-    warm.update(beta=p[0], mus=mus)
-    return inputs, p, *oracle
-
-
-def allocation_energy(scenario, L, x, q, thr):
-    """Total energy at (L, x, q); pairs at or below thr keep their deadline."""
-    L = np.asarray(L, dtype=float)
-    t = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None], L,
-                       np.where(L > thr, q, np.inf))
-    return float(energy_matrix(scenario, L, x, t, thr).sum())
+    return {"beta": p[0], "mus": mus}, inputs, p, *oracle
 
 
 def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
@@ -756,7 +746,7 @@ def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
     Returns (x, q, E), with x and q K x M and E evaluated once.
     """
     (Lv, d, eta, _), col, budgets, aps = inputs
-    act = L > cfg.activity_threshold_bits
+    act = L > scenario.activity_threshold_bits
     xv, qv = Lv * s, Lv * eta / (d - t)
     r = np.append(xv.sum(), np.bincount(col, weights=qv, minlength=aps.size)) / budgets - 1.0
     k = int(np.argmax(np.abs(r)))
@@ -768,7 +758,7 @@ def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
     x, q = np.zeros_like(L), np.zeros_like(L)
     x[act] = xv / (1.0 + r[0])
     q[act] = qv / (1.0 + r[1:])[col]
-    energy = allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits)
+    energy = float(energy_matrix(scenario, L, x, q).sum())
     dual = Lv @ e - prices @ budgets
     if energy - dual > cfg.bisect_tol * energy:
         raise ConvergenceError(f"fixed-data duality gap {(energy - dual) / energy:.3e} of E")
@@ -786,11 +776,14 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     budget residual above bisect_tol, or a duality gap above
     bisect_tol*E, raises ConvergenceError, so an answer returned is
     certified optimal to that relative tolerance. warm, when given, is the
-    state `_price` reads and fills. diag receives its records, also when
-    the certificate then fails.
+    state `_price` starts from, and this function alone refreshes it with
+    the state `_price` returns, also when the certificate then fails. diag
+    receives its records, also then.
 
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
-    priced = _price(scenario, L, cfg, {} if warm is None else warm, [] if diag is None else diag)
+    state, *priced = _price(scenario, L, cfg, warm or {}, [] if diag is None else diag)
+    if warm is not None:
+        warm.update(state)
     return (*_read_off(scenario, L, cfg, *priced)[:2], 1)

@@ -121,7 +121,10 @@ class Scenario(ArrayRecord):
     compute_capacity[j] is AP j's server capacity in cycles/s and
     bandwidth_hz the system-wide uplink bandwidth shared by all pairs.
     task_bits, deadlines_s and cycles_per_bit are read-only per-user
-    columns derived from tasks once, at construction.
+    columns derived from tasks once, at construction, and so is
+    activity_threshold_bits, 1e-6 of the smallest task: the load at or
+    below which a pair is frozen at L = x = q = 0 and left out of the KKT
+    systems, as the pair energy is indeterminate at zero load.
     """
 
     num_users: int
@@ -134,6 +137,7 @@ class Scenario(ArrayRecord):
     task_bits: np.ndarray = field(init=False, repr=False, compare=False)
     deadlines_s: np.ndarray = field(init=False, repr=False, compare=False)
     cycles_per_bit: np.ndarray = field(init=False, repr=False, compare=False)
+    activity_threshold_bits: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (is_count(self.num_users, 1) and is_count(self.num_aps, 1)):
@@ -151,6 +155,7 @@ class Scenario(ArrayRecord):
             col = np.array([getattr(t, attr) for t in tasks], dtype=float)
             col.setflags(write=False)
             object.__setattr__(self, name, col)
+        object.__setattr__(self, "activity_threshold_bits", 1e-6 * float(self.task_bits.min()))
         cap = np.asarray(self.compute_capacity, dtype=float)
         if cap.shape != (self.num_aps,) or np.any(~np.isfinite(cap)) or np.any(cap <= 0):
             raise StructuralError("compute_capacity must be M positive finite reals")
@@ -255,31 +260,25 @@ class SolveConfig:
     solve to half of it. It stops none of the fixed counts: the Newton
     steps of the price oracle and of the bandwidth root, and the bisection
     references' halvings (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per
-    dual). No residual is certified below float64 resolution.
-    activity_threshold_bits is the data size below which a pair is frozen
-    at L = x = q = 0 and excluded from the KKT systems (zero-data pairs
-    would make the rate formula indeterminate).
+    dual). No residual is certified below float64 resolution. The load
+    below which a pair is frozen is the scenario's
+    (`Scenario.activity_threshold_bits`), not a setting.
     """
 
     epsilon_j: float = 1e-5
     bisect_tol: float = 1e-9
     max_outer_iters: int = 100
-    activity_threshold_bits: float = 0.0
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.epsilon_j, self.bisect_tol)):
             raise StructuralError("tolerances must be positive and finite")
         if not is_count(self.max_outer_iters, 1):
             raise StructuralError("the outer iteration budget must be a positive integer")
-        if not (math.isfinite(self.activity_threshold_bits)
-                and self.activity_threshold_bits >= 0):
-            raise StructuralError("activity threshold must be finite and nonnegative")
 
     @classmethod
     def for_scenario(cls, scenario, **overrides):
-        """Default configuration with the activity threshold tied to task sizes."""
-        thr = 1e-6 * min(t.input_bits for t in scenario.tasks)
-        overrides.setdefault("activity_threshold_bits", thr)
+        """The configuration of the overrides; it reads nothing of the
+        scenario, whose own fields hold everything derived from it."""
         return cls(**overrides)
 
 
@@ -309,18 +308,14 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def active_mask(allocation, cfg):
-    return allocation.data > cfg.activity_threshold_bits
-
-
-def budget_residuals(scenario, allocation, cfg):
+def budget_residuals(scenario, allocation):
     """Relative residuals of the three budget equalities.
 
     The bandwidth total is checked only when at least one pair is active,
     and each AP's compute total only when it serves an active pair; an
     idle resource has nobody to be assigned to.
     """
-    act = active_mask(allocation, cfg)
+    act = allocation.data > scenario.activity_threshold_bits
     out = {}
     bits = scenario.task_bits
     for i in range(scenario.num_users):
@@ -356,13 +351,13 @@ def validate(scenario, allocation, cfg):
         bad.append(Violation("aggregate compute demand exceeds capacity", (),
                              total_demand / total_cap - 1.0))
 
-    for name, res in budget_residuals(scenario, allocation, cfg).items():
+    for name, res in budget_residuals(scenario, allocation).items():
         if res > tol:
             kind, _, idx = name.rpartition("_")
             where = (int(idx),) if idx.isdigit() else ()
             bad.append(Violation(f"budget equality {kind}", where, res))
 
-    act = active_mask(allocation, cfg)
+    act = allocation.data > scenario.activity_threshold_bits
     slack = allocation.slack(scenario)
     d = scenario.deadlines_s[:, None]
     eta = scenario.cycles_per_bit[:, None]

@@ -23,9 +23,9 @@ energies fall strictly until a round's decrement meets the stop; the
 dual step from the answer's prices then replaces the answer when its
 certified read-off is lower.
 
-The outer loop calls `solve_daa` no longer, and `energy_matrix` only
-through `kkt.allocation_energy`; the module keeps both names because the
-bench tracer (`perfbench/tracer.py`) patches them here.
+Every energy the loop compares is one `physics.energy_matrix` call. The
+outer loop calls `solve_daa` no longer; the module keeps the name because
+the bench tracer (`perfbench/tracer.py`) patches it here.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, allocation_energy, joint_split, pair_costs, solve_bcaa
+from .kkt import GAP_TOL, joint_split, pair_costs, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -51,7 +51,7 @@ from .model import (
     budget_residuals,
     is_count,
 )
-from .physics import energy_matrix, total_energy  # noqa: F401  (energy_matrix: see above)
+from .physics import energy_matrix, total_energy
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted")
 
@@ -204,12 +204,12 @@ def _rebalance(scenario, L, cfg, warm):
     warm = dict(warm)
     try:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
-        return allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits), x, q, warm
+        return float(energy_matrix(scenario, L, x, q).sum()), x, q, warm
     except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
         return np.inf, None, None, warm
 
 
-def _direction(scenario, L, warm, thr):
+def _direction(scenario, L, warm):
     """The support and row-scaled direction of a gradient round at split L.
 
     One `kkt.pair_costs` call gives e_ij = dF/dL_ij at the warm prices.
@@ -221,7 +221,7 @@ def _direction(scenario, L, warm, thr):
     (support, G = T*(e/nu - 1), whether a pair entered), with nu_i the
     load-weighted mean of user i's e over its active pairs.
     """
-    act = L > thr
+    act = L > scenario.activity_threshold_bits
     e = pair_costs(scenario, warm)
     La = np.where(act, L, 0.0)
     nu = (La * e).sum(axis=1) / La.sum(axis=1)
@@ -273,8 +273,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     last allowed round.
     """
     strategy = strategy or InitStrategy.equal()
-    cfg = cfg or SolveConfig.for_scenario(scenario)
-    thr = cfg.activity_threshold_bits
+    cfg = cfg or SolveConfig()
     bits = scenario.task_bits
 
     L = initialize(scenario, strategy)
@@ -292,7 +291,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     if x is None:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
         rounds += 1
-        energy = allocation_energy(scenario, L, x, q, thr)
+        energy = float(energy_matrix(scenario, L, x, q).sum())
     outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
 
     L_last = G_last = direction = None
@@ -300,7 +299,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     for _ in range(0 if converged else cfg.max_outer_iters):
         t_iter = time.perf_counter()
         rounds = 0
-        act, G, _ = direction = direction or _direction(scenario, L, warm, thr)
+        act, G, _ = direction = direction or _direction(scenario, L, warm)
         trial = 1.0
         if L_last is not None:
             # BB1 step s.s/s.y over the support, from the last step
@@ -309,7 +308,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                 trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
         L_last, G_last = L, G
         while trial >= MIN_STEP:
-            L_try = _projected_step(L, G, act, bits, trial, thr)
+            L_try = _projected_step(L, G, act, bits, trial, scenario.activity_threshold_bits)
             if np.array_equal(L_try, L):
                 break
             e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm)
@@ -324,7 +323,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         if outer[-2] - energy <= cfg.epsilon_j:
             # a round that lowered the energy only stops the loop when no
             # pair is left to enter
-            direction = direction or _direction(scenario, L, warm, thr)
+            direction = direction or _direction(scenario, L, warm)
             if energy == outer[-2] or not direction[2]:
                 converged = True
                 break
@@ -351,11 +350,11 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
 def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -> Solution:
     """One resource re-balance under a frozen data split (convex, exact)."""
-    cfg = cfg or SolveConfig.for_scenario(scenario)
+    L = np.asarray(L, dtype=float)
     t0 = time.perf_counter()
-    x, q = solve_bcaa(scenario, L, cfg)[:2]
-    e = allocation_energy(scenario, L, x, q, cfg.activity_threshold_bits)
-    allocation = Allocation(data=np.asarray(L, dtype=float), bandwidth=x, compute=q)
+    x, q = solve_bcaa(scenario, L, cfg or SolveConfig())[:2]
+    e = float(energy_matrix(scenario, L, x, q).sum())
+    allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(
         allocation=allocation,
         energy_j=e,
@@ -388,24 +387,24 @@ def solve_fixed_assignment(scenario: Scenario, assignment,
 def evaluate(scenario: Scenario, solution: Solution,
              cfg: Optional[SolveConfig] = None) -> Metrics:
     """Report-level metrics: energy in mJ, per-user peak load shares,
-    how many users split across several APs, and budget residuals."""
-    cfg = cfg or SolveConfig.for_scenario(scenario)
+    how many users split across several APs, and budget residuals. cfg
+    is accepted for callers that pass one and is not read."""
     alloc = solution.allocation
     bits = scenario.task_bits
     shares = tuple(float(alloc.data[i].max() / bits[i])
                    for i in range(scenario.num_users))
-    active = alloc.data > cfg.activity_threshold_bits
+    active = alloc.data > scenario.activity_threshold_bits
     multi = int(np.sum(active.sum(axis=1) >= 2))
     return Metrics(
         energy_mj=solution.energy_j * 1e3,
         max_load_share_per_user=shares,
         multi_ap_user_count=multi,
-        constraint_residuals=budget_residuals(scenario, alloc, cfg),
+        constraint_residuals=budget_residuals(scenario, alloc),
     )
 
 
 def check_solution(scenario, solution, cfg=None):
-    """Internal consistency: the stored energy matches a fresh evaluation."""
-    cfg = cfg or SolveConfig.for_scenario(scenario)
-    fresh = total_energy(scenario, solution.allocation, cfg.activity_threshold_bits)
+    """Internal consistency: the stored energy matches a fresh evaluation.
+    cfg is accepted for callers that pass one and is not read."""
+    fresh = total_energy(scenario, solution.allocation)
     return abs(fresh - solution.energy_j) <= CHECK_TOL * max(fresh, 1e-300)

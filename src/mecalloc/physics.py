@@ -189,13 +189,18 @@ def pair_energy(point: PairPoint) -> float:
                         point.noise_over_gain))
 
 
-def energy_matrix(scenario, data, bandwidth, slack, threshold=0.0):
-    """Vectorized per-pair energies; inactive pairs contribute exactly 0.
+def energy_matrix(scenario, data, bandwidth, compute):
+    """Vectorized per-pair energies of K x M loads, bandwidths and compute.
 
-    `slack` is the K x M matrix of t values. Raises on any active pair
-    that is starved of bandwidth or slack, with the pair index attached.
+    The slack is t = D - eta*L/q on the pairs above the scenario's
+    activity threshold; the others contribute exactly 0. Raises on any
+    active pair that is starved of bandwidth, compute or slack, with the
+    pair index attached.
     """
-    act = np.asarray(data) > threshold
+    act = data > scenario.activity_threshold_bits
+    with np.errstate(divide="ignore"):
+        slack = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
+                               data, np.where(act, compute, np.inf))
     bad = act & ((bandwidth <= 0) | (slack <= 0))
     if bad.any():
         i, j = map(int, np.argwhere(bad)[0])
@@ -214,11 +219,10 @@ def energy_matrix(scenario, data, bandwidth, slack, threshold=0.0):
     return e
 
 
-def total_energy(scenario, allocation, threshold=0.0) -> float:
+def total_energy(scenario, allocation) -> float:
     """Sum of pair energies over all active pairs of an allocation."""
-    slack = allocation.slack(scenario)
     return float(energy_matrix(scenario, allocation.data, allocation.bandwidth,
-                               slack, threshold).sum())
+                               allocation.compute).sum())
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,7 @@ def test_criterion_01_deadline_tightness(scenario42, acc_cfg, init_solutions):
     assert sol.converged
     al = sol.allocation
     worst = 0.0
-    act = al.data > acc_cfg.activity_threshold_bits
+    act = al.data > scenario42.activity_threshold_bits
     for i, j in zip(*np.nonzero(act)):
         task = scenario42.tasks[i]
         p = PairPoint.from_compute(al.data[i, j], al.bandwidth[i, j],

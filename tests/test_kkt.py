@@ -241,20 +241,29 @@ def test_daa_user_without_bandwidth_is_named():
     assert err.value.user == 1
 
 
-def test_daa_freezes_a_crumb_load_and_re_solves_the_row():
-    # user 0's optimal load on its weakest AP is about 0.23 bits, inside
-    # (0, thr]: that pair is frozen at zero and the row solved again
-    sc = make_scenario([[1.0, 0.5, 0.3], [1.0, 1.0, 1.0]], bits=2.0, deadline=1.0,
+def test_daa_freezes_a_crumb_load_and_re_solves_the_row(monkeypatch):
+    # AP 2's zero-load marginal a*ln2 = ln2/0.203402 sits about 1.3e-6
+    # under user 0's row price, so that user's optimal load there is about
+    # 0.8 micro-bits, inside (0, thr] for thr = 1e-6 of the 2-bit tasks:
+    # the pair is frozen at zero and the row solved again
+    sc = make_scenario([[1.0, 0.5, 0.203402], [1.0, 1.0, 1.0]], bits=2.0, deadline=1.0,
                        eta=1.0, bandwidth=10.0, capacities=10.0)
     x, q = np.full((2, 3), 1.0), np.full((2, 3), 3.0)
-    first = []
-    loose = solve_daa(sc, x, q, _cfg(sc, activity_threshold_bits=0.0), diag=first)
-    cfg = _cfg(sc, activity_threshold_bits=0.3)
-    assert 0.0 < loose[0, 2] <= cfg.activity_threshold_bits
+    cfg = _cfg(sc)
+    passes, price_budgets = [], kkt._price_budgets
+
+    def spy(*args, **kwargs):
+        passes.append(price_budgets(*args, **kwargs))
+        return passes[-1]
+
+    monkeypatch.setattr(kkt, "_price_budgets", spy)
     diag = []
     L = solve_daa(sc, x, q, cfg, diag=diag)
+    # the first pass gives (0, 2), the third usable pair, a crumb
+    assert len(passes) == 2
+    assert 0.0 < passes[0][1][2] <= sc.activity_threshold_bits
     assert L[0, 2] == 0.0
-    assert np.all(L[L > 0] > cfg.activity_threshold_bits)
+    assert np.all(L[L > 0] > sc.activity_threshold_bits)
     assert L.sum(axis=1) == pytest.approx(sc.task_bits, rel=1e-15, abs=0)
     # one record per user, from the final pass: the price of the row
     # without the frozen pair, not that of the first pass
@@ -264,7 +273,7 @@ def test_daa_freezes_a_crumb_load_and_re_solves_the_row():
     without = []
     assert np.allclose(solve_daa(sc, x_frozen, q, cfg, diag=without), L, rtol=1e-8, atol=0)
     assert diag[0].dual.value == pytest.approx(without[0].dual.value, rel=1e-8, abs=0)
-    assert diag[0].dual.value != pytest.approx(first[0].dual.value, rel=1e-3)
+    assert diag[0].dual.value != passes[0][0][0]
 
 
 # --- bandwidth allocation ----------------------------------------------
@@ -523,7 +532,7 @@ def test_bcaa_properties_on_random_instances(instance):
     diag, warm = [], {}
     x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
     assert rounds == 1
-    act = L > cfg.activity_threshold_bits
+    act = L > sc.activity_threshold_bits
     served = act.any(axis=0)
     d = np.broadcast_to(sc.deadlines_s[:, None], L.shape)
     t = np.where(act, d - sc.cycles_per_bit[:, None] * L / np.where(act, q, 1.0), d)
@@ -536,8 +545,8 @@ def test_bcaa_properties_on_random_instances(instance):
         t_ref = solve_caa(sc, x, L, ap=j, cfg=cfg)
         assert np.allclose(t_ref[act[:, j]], t[act[:, j], j], rtol=1e-7, atol=0)
     # the duality gap at the returned prices certifies the answer
-    energy = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
-    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"], cfg)
+    energy = total_energy(sc, Allocation(L, x, q))
+    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"])
     assert gap <= cfg.bisect_tol * energy
     assert all(rec.residual <= cfg.bisect_tol for rec in diag)
     tol = cfg.bisect_tol
@@ -556,17 +565,17 @@ def test_fixed_data_dual_never_exceeds_the_energy(instance, decades):
     cfg = _cfg(sc)
     warm = {}
     x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
-    energy = total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+    energy = total_energy(sc, Allocation(L, x, q))
     beta, mus = warm["beta"], warm["mus"]
-    assert energy - kkt.fixed_data_dual(sc, L, beta, mus, cfg) <= cfg.bisect_tol * energy
+    assert energy - kkt.fixed_data_dual(sc, L, beta, mus) <= cfg.bisect_tol * energy
     shift = 10.0 ** np.array(decades)
-    dual = kkt.fixed_data_dual(sc, L, beta * shift[0], mus * shift[1:sc.num_aps + 1], cfg)
+    dual = kkt.fixed_data_dual(sc, L, beta * shift[0], mus * shift[1:sc.num_aps + 1])
     assert dual <= energy * (1.0 + 1e-12)
 
 
 def test_pricing_jacobian_matches_central_differences(split12x4):
     sc, L, cfg = split12x4
-    pairs, col, budgets, _ = kkt._pricing_inputs(sc, L, cfg)
+    pairs, col, budgets, _ = kkt._pricing_inputs(sc, L)
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
     # log prices off the optimum, where the budgets are far from met
@@ -580,11 +589,11 @@ def test_pricing_jacobian_matches_central_differences(split12x4):
     assert np.abs(fd - J).max() <= 1e-8 * np.abs(J).max()
 
 
-def _full_split_inputs(sc, cfg):
+def _full_split_inputs(sc):
     """The task sizes and the `_pricing_inputs` of the split that puts
     every whole task on every AP, the pairs of the joint dual."""
     full = np.repeat(sc.task_bits[:, None], sc.num_aps, axis=1)
-    pairs, col, budgets, _ = kkt._pricing_inputs(sc, full, cfg)
+    pairs, col, budgets, _ = kkt._pricing_inputs(sc, full)
     return sc.task_bits, pairs, col, budgets
 
 
@@ -596,7 +605,7 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     warm = {}
     solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
     _, _, state, _ = kkt.joint_split(sc, cfg, warm)
-    bits, pairs, col, budgets = _full_split_inputs(sc, cfg)
+    bits, pairs, col, budgets = _full_split_inputs(sc)
     y = (np.log(np.append(state["beta"], state["mus"]))
          + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0]))
     p = np.exp(y)
@@ -643,12 +652,10 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
     L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
     assert set(state) == {"beta", "mus"} and state["mus"].shape == (sc.num_aps,)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
-    assert np.all((L == 0.0) | (L > cfg.activity_threshold_bits))
+    assert np.all((L == 0.0) | (L > sc.activity_threshold_bits))
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
     idle = ~(L > 0.0).any(axis=0)
     assert np.all(state["mus"][idle] == kkt.DUAL_RANGE[0])
-    # a task at or below the activity threshold leaves the step no split
-    assert kkt.joint_split(sc, _cfg(sc, activity_threshold_bits=sc.task_bits.max()), warm) is None
 
 
 @pytest.mark.parametrize("params, deadline", [
@@ -670,7 +677,7 @@ def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(para
     x_b, q_b, _ = solve_bcaa(sc, L, cfg, warm=dict(state))
     np.testing.assert_allclose(x, x_b, rtol=1e-12, atol=0)
     np.testing.assert_allclose(q, q_b, rtol=1e-12, atol=0)
-    rebalanced = total_energy(sc, Allocation(L, x_b, q_b), cfg.activity_threshold_bits)
+    rebalanced = total_energy(sc, Allocation(L, x_b, q_b))
     assert energy == pytest.approx(rebalanced, rel=1e-12, abs=0)
 
 
@@ -818,6 +825,26 @@ def split12x4():
     return sc, np.tile(sc.task_bits[:, None] / 4, (1, 4)), _cfg(sc)
 
 
+def test_the_pricing_reads_its_warm_state_and_solve_bcaa_refreshes_it(split12x4):
+    # _price hands its final prices back and writes no caller state, void
+    # or not; solve_bcaa alone refreshes the warm dict it is given
+    sc, L, cfg = split12x4
+    void = {}
+    kkt._price(sc, L, cfg, void, [])
+    assert void == {}
+    warm = {}
+    solve_bcaa(sc, L, cfg, warm=warm)
+    beta, mus = warm["beta"], warm["mus"].copy()
+    shifted = L * np.array([1.2, 0.8, 1.0, 1.0])
+    state = kkt._price(sc, shifted, cfg, warm, [])[0]
+    assert set(warm) == {"beta", "mus"} and warm["beta"] == beta
+    np.testing.assert_array_equal(warm["mus"], mus)
+    assert state["beta"] != beta
+    solve_bcaa(sc, shifted, cfg, warm=warm)
+    assert warm["beta"] == state["beta"]
+    np.testing.assert_array_equal(warm["mus"], state["mus"])
+
+
 def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
     sc, L, cfg = split12x4
     warm = {}
@@ -826,7 +853,7 @@ def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
     assert r2 <= r1
 
     def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+        return total_energy(sc, Allocation(L, x, q))
 
     assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
 
@@ -872,7 +899,7 @@ def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
     assert len(calls) <= 10
 
     def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+        return total_energy(sc, Allocation(L, x, q))
 
     assert energy(x, q) <= energy(*solve_bcaa(sc, L, cfg)[:2]) * (1.0 + 10.0 * cfg.bisect_tol)
 
@@ -909,7 +936,7 @@ def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request, monkey
     assert work_warm < work_cold
 
     def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q), cfg.activity_threshold_bits)
+        return total_energy(sc, Allocation(L, x, q))
 
     assert energy(xw, qw) <= energy(xc, qc) * (1.0 + 10.0 * cfg.bisect_tol)
 

@@ -20,6 +20,7 @@ from mecalloc import (
     validate,
 )
 from mecalloc.model import EXPONENT_CAP, ValidationReport, Violation, budget_residuals
+from mecalloc.scenario import override_parameter
 
 from util import make_scenario
 
@@ -191,17 +192,24 @@ def test_scenario_task_columns_are_derived_read_only():
     for name in ("task_bits", "deadlines_s", "cycles_per_bit"):
         with pytest.raises(ValueError):
             getattr(sc, name)[0] = 1.0
+    # the activity threshold is 1e-6 of the smallest task, and follows it
+    assert sc.activity_threshold_bits == 1e-6 * 1e6
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sc.activity_threshold_bits = 0.0
+    assert override_parameter(sc, "task_bits", 4e6).activity_threshold_bits == 1e-6 * 4e6
     doc = scenario_to_dict(sc)
-    assert not {"task_bits", "deadlines_s", "cycles_per_bit"} & set(doc)
+    assert not {"task_bits", "deadlines_s", "cycles_per_bit", "activity_threshold_bits"} & set(doc)
     back = scenario_from_dict(json.loads(json.dumps(doc)))
     assert back.task_bits.tolist() == sc.task_bits.tolist()
+    assert back.activity_threshold_bits == sc.activity_threshold_bits
 
     # equality compares the records, not the columns derived from them
     a = make_scenario([[1.0]], 1e6, 0.5, 1e3, 1e7, 1e10)
     b = make_scenario([[1.0]], 1e6, 0.5, 1e3, 1e7, 1e10)
     object.__setattr__(b, "task_bits", np.array([7.0]))
+    object.__setattr__(b, "activity_threshold_bits", 7.0)
     assert a == b
-    assert "task_bits" not in repr(a)
+    assert "task_bits" not in repr(a) and "activity_threshold_bits" not in repr(a)
 
 
 def test_array_records_compare_by_value(scenario42, equal_allocation42):
@@ -280,15 +288,15 @@ def test_pairpoint_rejects_bad_fields():
 def test_solveconfig_validation_and_defaults(scenario42):
     for bad in (dict(epsilon_j=0.0), dict(epsilon_j=float("nan")),
                 dict(epsilon_j=float("inf")), dict(bisect_tol=float("nan")),
-                dict(bisect_tol=float("inf")), dict(max_outer_iters=2.5),
-                dict(activity_threshold_bits=float("nan")),
-                dict(activity_threshold_bits=float("inf"))):
+                dict(bisect_tol=float("inf")), dict(max_outer_iters=2.5)):
         with pytest.raises(StructuralError):
             SolveConfig(**bad)
-    cfg = SolveConfig.for_scenario(scenario42)
-    assert cfg.activity_threshold_bits == pytest.approx(1.5)
-    assert cfg.activity_threshold_bits < min(t.input_bits for t in scenario42.tasks) \
-        / scenario42.num_aps
+    assert [f.name for f in dataclasses.fields(SolveConfig)] == \
+        ["epsilon_j", "bisect_tol", "max_outer_iters"]
+    assert SolveConfig.for_scenario(scenario42) == SolveConfig()
+    # the activity threshold is the scenario's: 1.5 bits of 1.5 Mbit tasks
+    assert scenario42.activity_threshold_bits == pytest.approx(1.5, rel=1e-15, abs=0)
+    assert scenario42.activity_threshold_bits < scenario42.task_bits.min() / scenario42.num_aps
 
 
 def test_budget_residuals_skip_idle_aps():
@@ -297,7 +305,6 @@ def test_budget_residuals_skip_idle_aps():
                        bandwidth=1e4, capacities=1e4)
     alloc = Allocation(data=[[1e3, 0.0]], bandwidth=[[1e4, 0.0]],
                        compute=[[1e4, 0.0]])
-    cfg = SolveConfig.for_scenario(sc)
-    res = budget_residuals(sc, alloc, cfg)
+    res = budget_residuals(sc, alloc)
     assert "compute_ap_1" not in res
-    assert validate(sc, alloc, cfg).ok
+    assert validate(sc, alloc, SolveConfig()).ok

@@ -168,7 +168,27 @@ def test_converged_solution_validates():
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert validate(sc, sol.allocation, cfg).ok
     assert sol.energy_j == pytest.approx(
-        total_energy(sc, sol.allocation, cfg.activity_threshold_bits), rel=1e-9, abs=0)
+        total_energy(sc, sol.allocation), rel=1e-9, abs=0)
+
+
+@pytest.mark.parametrize("path", ["certified-start", "gradient-rounds", "fixed-data",
+                                  "fixed-assignment"])
+def test_the_stored_energy_is_the_fresh_evaluation_bit_for_bit(path):
+    # every solve path stores the energy of the one energy function at its
+    # answer; the seed-42 start at D = 0.6 s is certified by the bound
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.6)
+    if path == "certified-start":
+        sol = solve_iterative(sc, InitStrategy.equal())
+    elif path == "gradient-rounds":
+        # the dual step of this draw returns no split from the equal start
+        sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+        sol = solve_iterative(sc, InitStrategy.equal())
+    elif path == "fixed-data":
+        sol = solve_fixed_data(sc, initialize(sc, InitStrategy.equal()))
+    else:
+        sol = solve_fixed_assignment(sc, best_snr_assignment(sc))
+    assert (sol.outer_iterations > 0) == (path == "gradient-rounds")
+    assert sol.energy_j == total_energy(sc, sol.allocation)
 
 
 def test_trace_lengths_are_consistent():
@@ -198,12 +218,11 @@ def test_reduced_gradient_matches_central_differences():
     # per bit at one re-balance's prices must be its derivative (Danskin)
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
     cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-13)
-    thr = cfg.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
 
     def rebalanced_energy(L):
         x, q, _ = solve_bcaa(sc, L, cfg)
-        return total_energy(sc, Allocation(L, x, q), thr)
+        return total_energy(sc, Allocation(L, x, q))
 
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
@@ -226,7 +245,7 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     # cost per bit at those prices, the outer loop's gradient
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
-    thr = cfg.activity_threshold_bits
+    thr = sc.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
@@ -495,7 +514,7 @@ def test_the_start_ends_below_the_dual_of_the_initial_split():
     L0 = initialize(sc, InitStrategy.equal())
     warm = {}
     solve_bcaa(sc, L0, cfg, warm=warm)
-    bound = kkt.fixed_data_dual(sc, L0, warm["beta"], warm["mus"], cfg)
+    bound = kkt.fixed_data_dual(sc, L0, warm["beta"], warm["mus"])
     assert bound <= solve_fixed_data(sc, L0, cfg).energy_j
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.trace.outer_energies_j[0] < bound
@@ -557,7 +576,7 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     if not sol.converged:
         return
     L = sol.allocation.data
-    act = L > cfg.activity_threshold_bits
+    act = L > sc.activity_threshold_bits
     warm = {}  # the answer's prices: the fixed-data dual has one maximiser
     solve_bcaa(sc, L, cfg, warm=warm)
     g = kkt.pair_costs(sc, warm)
@@ -619,7 +638,7 @@ def test_the_support_grows_by_the_pairs_cheaper_than_their_users_best_pair():
         L[i, [i % 3, (i + 1) % 3][: 1 + i % 2]] = sc.task_bits[i] / (1 + i % 2)
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
-    support, _, entered = orchestrate._direction(sc, L, warm, cfg.activity_threshold_bits)
+    support, _, entered = orchestrate._direction(sc, L, warm)
     e = kkt.pair_costs(sc, warm)
     expected = L > 0
     for i in range(12):
