@@ -67,6 +67,7 @@ from .model import (
     SolveConfig,
     StructuralError,
     deadline_slack,
+    least_load,
 )
 from .physics import (
     SLACK_BRACKET,
@@ -315,15 +316,15 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     the other users keep their deadline as slack. The capacity binds, so
     one dual search drives mu until the demand sum_i eta*L/(D - t) meets
     it. Raises when the AP serves no active user, when an active user has
-    no bandwidth, and when the AP's least demand sum_i eta*L/D reaches its
-    capacity."""
+    no bandwidth, and when the AP's least load (`model.least_load`)
+    reaches its capacity."""
     L, x = np.asarray(L, dtype=float), np.asarray(x, dtype=float)
     act = L[:, ap] > scenario.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError(f"AP {ap} serves no active user")
     if np.any(x[act, ap] <= 0):
         raise StructuralError(f"AP {ap}: active user without bandwidth")
-    load = (scenario.cycles_per_bit * L[:, ap] / scenario.deadlines_s)[act].sum()
+    load = least_load(scenario, L, L > scenario.activity_threshold_bits)[ap]
     cap = scenario.compute_capacity[ap]
     if load >= cap:
         raise InfeasibilityError(
@@ -342,17 +343,18 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
 # The fixed-data dual: one bandwidth price and one compute price per AP
 
 def _pricing_inputs(scenario, L):
-    """What the fixed-data dual of split L depends on: the active pairs in
-    row-major order as (loads, deadlines, cycles per bit, noise-to-gain
-    ratios), the position of each pair's AP among the served APs, the
-    budgets (B, then C_j of each served AP) and the served APs."""
+    """What the fixed-data dual of split L depends on: its activity mask,
+    the active pairs in row-major order as (loads, deadlines, cycles per
+    bit, noise-to-gain ratios), the position of each pair's AP among the
+    served APs, the budgets (B, then C_j of each served AP) and the served
+    APs."""
     act = L > scenario.activity_threshold_bits
     i, j = np.nonzero(act)
     aps = np.flatnonzero(act.any(axis=0))
     pairs = (L[i, j], scenario.deadlines_s[i], scenario.cycles_per_bit[i],
              scenario.noise_over_gain()[i, j])
     budgets = np.concatenate(([scenario.bandwidth_hz], scenario.compute_capacity[aps]))
-    return pairs, np.searchsorted(aps, j), budgets, aps
+    return act, pairs, np.searchsorted(aps, j), budgets, aps
 
 
 def fixed_data_dual(scenario, L, beta, mus):
@@ -368,7 +370,7 @@ def fixed_data_dual(scenario, L, beta, mus):
     budgets at this data split (Boyd & Vandenberghe, Convex Optimization,
     sec. 5.5), and its maximum is the fixed-data optimum.
     """
-    pairs, col, budgets, aps = _pricing_inputs(scenario, np.asarray(L, dtype=float))
+    _, pairs, col, budgets, aps = _pricing_inputs(scenario, np.asarray(L, dtype=float))
     prices = np.append(beta, np.asarray(mus, dtype=float)[aps])
     e = price_oracle(beta, prices[1:][col], *pairs[1:])[0]
     return float(pairs[0] @ e - prices @ budgets)
@@ -586,7 +588,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     """
     if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
         cap = scenario.compute_capacity
-        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm, [])[0]
+        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm)[0]
     best = None
     for best in _joint_stages(scenario, cfg, warm):
         pass
@@ -595,7 +597,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     L, bound, state, oracle = best
     inputs = _pricing_inputs(scenario, L)
     prices = np.append(state["beta"], state["mus"][inputs[-1]])
-    act = (L > scenario.activity_threshold_bits).ravel()
+    act = inputs[0].ravel()
     try:
         allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
     except (ConvergenceError, InfeasiblePairError):
@@ -631,7 +633,7 @@ def _joint_stages(scenario, cfg, warm):
     """
     K, M = scenario.num_users, scenario.num_aps
     bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
-    pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
+    _, pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
     Lv, d, eta, _ = pairs  # every task once on each of the M APs
     slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
     y = _start_prices(_warm_prices(warm, M), pairs, col, np.arange(M), slack, budgets[0])
@@ -686,7 +688,7 @@ def _joint_stages(scenario, cfg, warm):
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
 
-def _price(scenario, L, cfg, warm, diag):
+def _price(scenario, L, cfg, warm, diag=None):
     """The pricing of `solve_bcaa`: the input checks and the maximisation
     of the fixed-data dual of split L.
 
@@ -695,38 +697,31 @@ def _price(scenario, L, cfg, warm, diag):
     that served no active pair at the floor of DUAL_RANGE. The pricing
     starts from them by `_start_prices` at the slack D*(1 - load_j/C_j)
     of the capacity split proportional to eta*L/D. Only APs that serve an
-    active pair are priced; one whose least load sum_i eta*L/D reaches its
+    active pair are priced; one whose `model.least_load` reaches its
     capacity raises InfeasibilityError, and a price root beyond DUAL_RANGE
-    BracketError.
-    Appends to diag one record per final price with its scaled budget
-    residual and the count of oracle calls. Returns the final prices as a
-    state of that form, the `_pricing_inputs` of L, the final prices of
-    the bandwidth and the served APs, and the oracle's (e, t, x/L) at
-    them."""
-    act = L > scenario.activity_threshold_bits
+    BracketError. diag, when a list, receives one record per final price
+    with its scaled budget residual and the count of oracle calls. Returns
+    the final prices as a state of that form, the `_pricing_inputs` of L,
+    the final prices of the bandwidth and the served APs, and the oracle's
+    (e, t, x/L) at them."""
+    inputs = act, pairs, col, budgets, aps = _pricing_inputs(scenario, L)
     if not act.any():
         raise DegenerateInputError("no active pairs")
-    d = scenario.deadlines_s[:, None]
-    cap = scenario.compute_capacity
-    # an AP's least load: the compute its active pairs need at zero slack
-    load = np.where(act, scenario.cycles_per_bit[:, None] * L / d, 0.0).sum(axis=0)
-    inputs = pairs, col, budgets, aps = _pricing_inputs(scenario, L)
-    over = act.any(axis=0) & (load >= cap)
-    if over.any():
+    load, cap = least_load(scenario, L, act), scenario.compute_capacity
+    if (over := load >= cap).any():
         j = int(np.argmax(over))
-        raise InfeasibilityError(
-            f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
-            f"{cap[j]:.6g}", ap=j)
+        raise InfeasibilityError(f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
+                                 f"{cap[j]:.6g}", ap=j)
     y = _start_prices(_warm_prices(warm, cap.size), pairs, col, aps,
-                      (d * (1.0 - load / cap))[act], budgets[0])
+                      (scenario.deadlines_s[:, None] * (1.0 - load / cap))[act], budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)
     y, r, oracle, calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
                                   0.5 * cfg.bisect_tol)
     p = np.exp(y)
-    diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
-                                residual=float(abs(ri)), iterations=calls)
-                for kind, v, o, ri in zip(["beta_bandwidth"] + ["mu_compute"] * aps.size, p,
-                                          [None, *aps.tolist()], r))
+    if diag is not None:
+        kinds = ["beta_bandwidth"] + ["mu_compute"] * aps.size
+        diag.extend(SolveDiagnostic(DualVariable(k, float(v), owner=o), float(abs(ri)), calls)
+                    for k, v, o, ri in zip(kinds, p, [None, *aps.tolist()], r))
     mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
     return {"beta": p[0], "mus": mus}, inputs, p, *oracle
@@ -745,8 +740,7 @@ def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
 
     Returns (x, q, E), with x and q K x M and E evaluated once.
     """
-    (Lv, d, eta, _), col, budgets, aps = inputs
-    act = L > scenario.activity_threshold_bits
+    act, (Lv, d, eta, _), col, budgets, aps = inputs
     xv, qv = Lv * s, Lv * eta / (d - t)
     r = np.append(xv.sum(), np.bincount(col, weights=qv, minlength=aps.size)) / budgets - 1.0
     k = int(np.argmax(np.abs(r)))
@@ -777,13 +771,13 @@ def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
     bisect_tol*E, raises ConvergenceError, so an answer returned is
     certified optimal to that relative tolerance. warm, when given, is the
     state `_price` starts from, and this function alone refreshes it with
-    the state `_price` returns, also when the certificate then fails. diag
-    receives its records, also then.
+    the state `_price` returns, also when the certificate then fails. diag,
+    when a list, receives its records, also then.
 
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
-    state, *priced = _price(scenario, L, cfg, warm or {}, [] if diag is None else diag)
+    state, *priced = _price(scenario, L, cfg, warm or {}, diag)
     if warm is not None:
         warm.update(state)
     return (*_read_off(scenario, L, cfg, *priced)[:2], 1)

@@ -43,11 +43,15 @@ class InfeasibilityError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """A bisection bracket does not enclose the target."""
+    """A dual root lies beyond the dual range: a bisection bracket that
+    does not enclose it, or a Newton pricing step that would leave the
+    range from its edge (`kkt._newton`)."""
 
 
 class ConvergenceError(RuntimeError):
-    """An iteration budget was exhausted before reaching tolerance."""
+    """A solve missed its tolerance: an iteration budget exhausted first,
+    or a read-off whose budget residual or duality gap fails its
+    certificate (`kkt._read_off`)."""
 
 
 class DegenerateInputError(ValueError):
@@ -191,13 +195,6 @@ class Allocation(ArrayRecord):
                 raise StructuralError(f"{name}: negative entries")
             object.__setattr__(self, name, m)
 
-    def slack(self, scenario):
-        """Per-pair deadline slack t = D - eta*L/q: D where there is no data,
-        -inf where there is data but no compute."""
-        with np.errstate(divide="ignore"):
-            return deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
-                                  self.data, np.where(self.data > 0, self.compute, np.inf))
-
 
 @dataclass(frozen=True)
 class PairPoint:
@@ -330,11 +327,53 @@ def budget_residuals(scenario, allocation):
     return out
 
 
+def check_pairs(scenario, data, bandwidth, compute):
+    """The pair rule over K x M nonnegative loads, bandwidths and compute:
+    a pair above the scenario's activity threshold has an energy only with
+    compute, a slack t = D - eta*L/q > 0, bandwidth and a rate exponent
+    u = L/(x*t) <= EXPONENT_CAP. Returns (the active mask, t, u, faults),
+    idle pairs at t = D and u = 0; faults holds one ((i, j), constraint,
+    residual) per active pair with no energy, in row-major order, for the
+    first of compute, slack, bandwidth and exponent that fails.
+    """
+    act = data > scenario.activity_threshold_bits
+    d = scenario.deadlines_s[:, None]
+    # no compute gives t = -inf, no bandwidth u = inf or nan: both are faults
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slack = deadline_slack(d, scenario.cycles_per_bit[:, None], data,
+                               np.where(act, compute, np.inf))
+        u = np.zeros(data.shape)
+        u[act] = data[act] / (bandwidth[act] * slack[act])
+    bad = act & ((slack <= 0) | (bandwidth <= 0) | (u > EXPONENT_CAP))
+    faults = []
+    # argwhere of a 2-D mask costs ten any(); on a feasible allocation it is empty
+    for i, j in np.argwhere(bad).tolist() if bad.any() else ():
+        if compute[i, j] <= 0:
+            faults.append(((i, j), "no compute on loaded pair", 1.0))
+        elif slack[i, j] <= 0:
+            faults.append(((i, j), "nonpositive slack", float(-slack[i, j] / d[i, 0])))
+        elif bandwidth[i, j] <= 0:
+            faults.append(((i, j), "no bandwidth on loaded pair", 1.0))
+        else:
+            faults.append(((i, j), "rate exponent overflow", float(u[i, j] / EXPONENT_CAP - 1.0)))
+    return act, slack, u, faults
+
+
+def least_load(scenario, data, act):
+    """Each AP's least load sum_i eta*L/D over the active pairs (mask act),
+    the compute they need at zero slack: a split is servable only below
+    each AP's capacity."""
+    return np.where(act, scenario.cycles_per_bit[:, None] * data / scenario.deadlines_s[:, None],
+                    0.0).sum(axis=0)
+
+
 def validate(scenario, allocation, cfg):
     """Check an allocation against every constraint; pure function.
 
-    Returns a ValidationReport listing the violated constraints with
-    residuals. Structural problems (shape mismatch, NaN, negatives) raise
+    Returns a ValidationReport of the violated constraints with residuals:
+    the aggregate demand, the budget equalities, the faults of the pair
+    rule (`check_pairs`) and each AP whose `least_load` reaches its
+    capacity. Structural problems (shape mismatch, NaN, negatives) raise
     StructuralError instead of being reported.
     """
     if allocation.data.shape != (scenario.num_users, scenario.num_aps):
@@ -342,47 +381,25 @@ def validate(scenario, allocation, cfg):
             f"allocation shape {allocation.data.shape} does not match scenario "
             f"({scenario.num_users}, {scenario.num_aps})")
     bad = []
-    tol = cfg.bisect_tol
 
-    demand = scenario.cycles_per_bit * scenario.task_bits / scenario.deadlines_s
-    total_demand = demand.sum()
+    total_demand = (scenario.cycles_per_bit * scenario.task_bits / scenario.deadlines_s).sum()
     total_cap = scenario.compute_capacity.sum()
     if total_demand >= total_cap:
         bad.append(Violation("aggregate compute demand exceeds capacity", (),
                              total_demand / total_cap - 1.0))
 
     for name, res in budget_residuals(scenario, allocation).items():
-        if res > tol:
+        if res > cfg.bisect_tol:
             kind, _, idx = name.rpartition("_")
             where = (int(idx),) if idx.isdigit() else ()
             bad.append(Violation(f"budget equality {kind}", where, res))
 
-    act = allocation.data > scenario.activity_threshold_bits
-    slack = allocation.slack(scenario)
-    d = scenario.deadlines_s[:, None]
-    eta = scenario.cycles_per_bit[:, None]
-    for i, j in zip(*np.nonzero(act)):
-        i, j = int(i), int(j)
-        if allocation.compute[i, j] <= 0:
-            bad.append(Violation("no compute on loaded pair", (i, j), 1.0))
-            continue
-        if slack[i, j] <= 0:
-            bad.append(Violation("nonpositive slack", (i, j), -slack[i, j] / d[i, 0]))
-            continue
-        if allocation.bandwidth[i, j] <= 0:
-            bad.append(Violation("no bandwidth on loaded pair", (i, j), 1.0))
-            continue
-        u = allocation.data[i, j] / (allocation.bandwidth[i, j] * slack[i, j])
-        if u > EXPONENT_CAP:
-            bad.append(Violation("rate exponent overflow", (i, j), u / EXPONENT_CAP - 1.0))
-
-    # per-AP load implied by this data split must be servable at all
-    load = (eta * allocation.data / d).sum(axis=0)
-    for j in range(scenario.num_aps):
-        if act[:, j].any() and load[j] >= scenario.compute_capacity[j]:
-            bad.append(Violation("ap compute overload", (j,),
-                                 load[j] / scenario.compute_capacity[j] - 1.0))
-
+    act, _, _, faults = check_pairs(scenario, allocation.data, allocation.bandwidth,
+                                    allocation.compute)
+    bad.extend(Violation(constraint, where, residual) for where, constraint, residual in faults)
+    load, cap = least_load(scenario, allocation.data, act), scenario.compute_capacity
+    bad.extend(Violation("ap compute overload", (j,), float(load[j] / cap[j] - 1.0))
+               for j in np.flatnonzero(load >= cap).tolist())
     return ValidationReport(tuple(bad))
 
 

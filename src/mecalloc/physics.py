@@ -28,6 +28,7 @@ from .model import (
     InfeasiblePairError,
     PairPoint,
     StructuralError,
+    check_pairs,
     deadline_slack,
 )
 
@@ -192,30 +193,17 @@ def pair_energy(point: PairPoint) -> float:
 def energy_matrix(scenario, data, bandwidth, compute):
     """Vectorized per-pair energies of K x M loads, bandwidths and compute.
 
-    The slack is t = D - eta*L/q on the pairs above the scenario's
-    activity threshold; the others contribute exactly 0. Raises on any
-    active pair that is starved of bandwidth, compute or slack, with the
-    pair index attached.
+    The pair rule (`model.check_pairs`) gives the active pairs and their
+    slack t = D - eta*L/q; the others contribute exactly 0. The first of
+    its faults, in row-major order, raises InfeasiblePairError naming the
+    pair and the constraint it fails.
     """
-    act = data > scenario.activity_threshold_bits
-    with np.errstate(divide="ignore"):
-        slack = deadline_slack(scenario.deadlines_s[:, None], scenario.cycles_per_bit[:, None],
-                               data, np.where(act, compute, np.inf))
-    bad = act & ((bandwidth <= 0) | (slack <= 0))
-    if bad.any():
-        i, j = map(int, np.argwhere(bad)[0])
-        raise InfeasiblePairError(
-            f"active pair ({i}, {j}) has no bandwidth or nonpositive slack",
-            pair=(i, j))
-    a = scenario.noise_over_gain()
-    u = np.zeros_like(a)
-    u[act] = data[act] / (bandwidth[act] * slack[act])
-    if np.any(u > EXPONENT_CAP):
-        i, j = map(int, np.argwhere(u > EXPONENT_CAP)[0])
-        raise InfeasiblePairError(f"rate exponent overflow at pair ({i}, {j})",
-                                  pair=(i, j))
-    e = np.zeros_like(a)
-    e[act] = energy(data[act], bandwidth[act], slack[act], a[act])
+    act, slack, _, faults = check_pairs(scenario, data, bandwidth, compute)
+    if faults:
+        (i, j), constraint, _ = faults[0]
+        raise InfeasiblePairError(f"pair ({i}, {j}): {constraint}", pair=(i, j))
+    e = np.zeros(data.shape)
+    e[act] = energy(data[act], bandwidth[act], slack[act], scenario.noise_over_gain()[act])
     return e
 
 

@@ -575,7 +575,7 @@ def test_fixed_data_dual_never_exceeds_the_energy(instance, decades):
 
 def test_pricing_jacobian_matches_central_differences(split12x4):
     sc, L, cfg = split12x4
-    pairs, col, budgets, _ = kkt._pricing_inputs(sc, L)
+    _, pairs, col, budgets, _ = kkt._pricing_inputs(sc, L)
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
     # log prices off the optimum, where the budgets are far from met
@@ -593,7 +593,7 @@ def _full_split_inputs(sc):
     """The task sizes and the `_pricing_inputs` of the split that puts
     every whole task on every AP, the pairs of the joint dual."""
     full = np.repeat(sc.task_bits[:, None], sc.num_aps, axis=1)
-    pairs, col, budgets, _ = kkt._pricing_inputs(sc, full)
+    _, pairs, col, budgets, _ = kkt._pricing_inputs(sc, full)
     return sc.task_bits, pairs, col, budgets
 
 

@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mecalloc import (
     Allocation,
+    InfeasibilityError,
     InfeasiblePairError,
     PairPoint,
     Scenario,
@@ -17,12 +20,15 @@ from mecalloc import (
     hessian_diag,
     scenario_from_dict,
     scenario_to_dict,
+    solve_caa,
+    solve_fixed_data,
     validate,
 )
 from mecalloc.model import EXPONENT_CAP, ValidationReport, Violation, budget_residuals
+from mecalloc.physics import energy_matrix
 from mecalloc.scenario import override_parameter
 
-from util import make_scenario
+from util import make_scenario, scalar_energy_q
 
 
 def test_taskspec_rejects_nonpositive_fields():
@@ -170,6 +176,125 @@ def test_ap_overload_is_reported():
                        compute=[[7.5e2, 0.0], [7.5e2, 0.0]])
     report = validate(sc, alloc, SolveConfig.for_scenario(sc))
     assert any(v.constraint == "ap compute overload" for v in report.violations)
+
+
+# the fault a broken active pair shows first: its compute decides before its
+# bandwidth, and a broken compute of 1e-9 leaves a negative slack
+_COMPUTE_FAULTS = {"zero": "no compute on loaded pair", "tiny": "nonpositive slack"}
+_BANDWIDTH_FAULTS = {"zero": "no bandwidth on loaded pair", "tiny": "rate exponent overflow"}
+
+
+@st.composite
+def _pair_allocations(draw):
+    """A scenario of at most 3 x 3 pairs, an allocation of it and the pair
+    faults the draw put in, as [((i, j), constraint)] in row-major order.
+
+    Each load is 0, a crumb below the activity threshold, the threshold,
+    just above it or a share of its task. An active pair gets the compute
+    that leaves a drawn share of its deadline as slack, and the bandwidth
+    of a drawn rate exponent u in [0.01, 30], where the plain 2**u - 1
+    resolves its energy to 1e-12. When the draw breaks pairs, an active
+    pair's compute or bandwidth may then be scaled to 0 or to 1e-9.
+    """
+    K, M = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    bits = draw(st.lists(st.floats(1e3, 1e6), min_size=K, max_size=K))
+    deadlines = draw(st.lists(st.floats(0.1, 1.0), min_size=K, max_size=K))
+    gains = draw(st.lists(st.floats(0.1, 10.0), min_size=K * M, max_size=K * M))
+    sc = make_scenario(np.reshape(gains, (K, M)), bits, deadlines, 1e3, 1e7, 1e10)
+    thr, eta = sc.activity_threshold_bits, 1e3
+    kinds = ("own", "own", "zero", "tiny") if draw(st.booleans()) else ("own",)
+    scale = {"own": 1.0, "zero": 0.0, "tiny": 1e-9}
+    L, x, q = np.zeros((3, K, M))
+    faults = []
+    for i, j in itertools.product(range(K), range(M)):
+        share = st.floats(0.01, 1.0).map(lambda f: bits[i] * f)
+        L[i, j] = draw(st.one_of(
+            st.just(0.0), st.floats(0.0, 0.999).map(lambda f: thr * f), st.just(thr),
+            st.floats(1e-12, 1e-6).map(lambda f: thr * (1.0 + f)), share, share))
+        if L[i, j] <= thr:
+            x[i, j] = draw(st.sampled_from((0.0, 1.0, 1e6)))
+            q[i, j] = draw(st.sampled_from((0.0, 1e9)))
+            continue
+        q[i, j] = eta * L[i, j] / (deadlines[i] * (1.0 - draw(st.floats(0.05, 0.95))))
+        slack = deadlines[i] - eta * L[i, j] / q[i, j]
+        x[i, j] = L[i, j] / (draw(st.floats(0.01, 30.0)) * slack)
+        on_q, on_x = draw(st.sampled_from(kinds)), draw(st.sampled_from(kinds))
+        q[i, j] *= scale[on_q]
+        x[i, j] *= scale[on_x]
+        if fault := _COMPUTE_FAULTS.get(on_q) or _BANDWIDTH_FAULTS.get(on_x):
+            faults.append(((i, j), fault))
+    return sc, Allocation(data=L, bandwidth=x, compute=q), faults
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_pair_allocations())
+def test_energy_matrix_raises_iff_validate_reports_a_pair_fault(instance):
+    sc, alloc, drawn = instance
+    report = validate(sc, alloc, SolveConfig())
+    faults = [(v.where, v.constraint) for v in report.violations if len(v.where) == 2]
+    assert faults == drawn
+    try:
+        e = energy_matrix(sc, alloc.data, alloc.bandwidth, alloc.compute)
+    except InfeasiblePairError as err:
+        assert faults and err.pair == faults[0][0] and faults[0][1] in str(err)
+        return
+    assert not faults
+    for (i, j), energy in np.ndenumerate(e):
+        if alloc.data[i, j] > sc.activity_threshold_bits:
+            ref = scalar_energy_q(alloc.data[i, j], alloc.bandwidth[i, j], alloc.compute[i, j],
+                                  sc.tasks[i].deadline_s, sc.tasks[i].cycles_per_bit,
+                                  sc.noise_psd / sc.gains[i, j])
+            assert energy == pytest.approx(ref, rel=1e-12, abs=0)
+        else:
+            assert energy == 0.0
+
+
+def test_a_report_lists_pair_faults_of_every_kind_and_an_overloaded_ap():
+    # AP 1 carries 4 x 500 bits at D = 1 s and eta = 1 against 1500 cycles/s,
+    # each of its pairs failing one rule in turn; AP 0 and every budget hold
+    sc = make_scenario(np.ones((4, 2)), bits=1e3, deadline=1.0, eta=1.0,
+                       bandwidth=1e4, capacities=[4e3, 1.5e3])
+    alloc = Allocation(data=np.full((4, 2), 500.0),
+                       bandwidth=[[2e3, 1e3], [2e3, 999.5], [2e3, 0.0], [2e3, 0.5]],
+                       compute=[[1e3, 0.0], [1e3, 250.0], [1e3, 625.0], [1e3, 625.0]])
+    assert validate(sc, alloc, SolveConfig()) == ValidationReport((
+        Violation("no compute on loaded pair", (0, 1), 1.0),
+        Violation("nonpositive slack", (1, 1), 1.0),  # t = 1 - 500/250
+        Violation("no bandwidth on loaded pair", (2, 1), 1.0),
+        Violation("rate exponent overflow", (3, 1),
+                  500.0 / (0.5 * (1.0 - 500.0 / 625.0)) / EXPONENT_CAP - 1.0),
+        Violation("ap compute overload", (1,), 2e3 / 1.5e3 - 1.0),
+    ))
+    with pytest.raises(InfeasiblePairError, match="no compute on loaded pair") as err:
+        energy_matrix(sc, alloc.data, alloc.bandwidth, alloc.compute)
+    assert err.value.pair == (0, 1)
+
+
+@pytest.mark.parametrize("load", [0.005, 0.0095, 0.0105, 0.011, 0.012])
+def test_the_least_load_rule_agrees_across_its_users(load):
+    # AP 1 serves 0.011 cycles/s at eta = 1 and D = 1 s. User 0 puts `load`
+    # bits on it and users 1 and 2 a crumb each at the activity threshold,
+    # 1e-3 bits. Crumbs count for nothing: with them, the loads 0.0095 and
+    # 0.0105 would reach the capacity
+    sc = make_scenario(np.ones((3, 2)), bits=1e3, deadline=1.0, eta=1.0,
+                       bandwidth=1e4, capacities=[1e4, 0.011])
+    crumb = sc.activity_threshold_bits
+    L = np.array([[1e3 - load, load], [1e3 - crumb, crumb], [1e3 - crumb, crumb]])
+    x, cfg = np.full((3, 2), 1e4 / 6), SolveConfig()
+    report = validate(sc, Allocation(data=L, bandwidth=x, compute=np.ones((3, 2))), cfg)
+    over = [v.where for v in report.violations if v.constraint == "ap compute overload"]
+    assert over == ([(1,)] if load >= 0.011 else [])
+
+    def overloaded_ap(solve):
+        try:
+            solve()
+        except InfeasibilityError as exc:
+            return exc.ap
+        return None
+
+    expected = 1 if over else None
+    assert overloaded_ap(lambda: solve_fixed_data(sc, L, cfg)) == expected
+    assert overloaded_ap(lambda: solve_caa(sc, x, L, 1, cfg)) == expected
 
 
 def test_scenario_json_roundtrip(scenario42):
