@@ -228,7 +228,7 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float)
     K, M = scenario.num_users, scenario.num_aps
-    noise = scenario.noise_over_gain()
+    noise = scenario.noise_over_gain
     d_user = scenario.deadlines_s
     eta_user = scenario.cycles_per_bit
     bits = scenario.task_bits
@@ -290,7 +290,7 @@ def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None):
     d = np.broadcast_to(scenario.deadlines_s[:, None], L.shape)
     if np.any(t[act] <= 0) or np.any(t[act] >= d[act]):
         raise StructuralError("slack must be interior (0, deadline) on active pairs")
-    Lv, tv, av = L[act], t[act], scenario.noise_over_gain()[act]
+    Lv, tv, av = L[act], t[act], scenario.noise_over_gain[act]
     out = np.zeros_like(L)
     out[act] = _price_budgets(
         "beta_bandwidth", np.zeros(Lv.size, dtype=int), [None],
@@ -330,7 +330,7 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
         raise InfeasibilityError(
             f"AP {ap}: compute demand {load:.6g} exceeds capacity {cap:.6g}", ap=ap)
     Lv, xv, dv = L[act, ap], x[act, ap], scenario.deadlines_s[act]
-    wv, av = scenario.cycles_per_bit[act] * Lv, scenario.noise_over_gain()[act, ap]
+    wv, av = scenario.cycles_per_bit[act] * Lv, scenario.noise_over_gain[act, ap]
     q = np.full(act.shape, np.inf)
     q[act] = _price_budgets(
         "mu_compute", np.zeros(Lv.size, dtype=int), [ap], np.array([cap]),
@@ -352,7 +352,7 @@ def _pricing_inputs(scenario, L):
     i, j = np.nonzero(act)
     aps = np.flatnonzero(act.any(axis=0))
     pairs = (L[i, j], scenario.deadlines_s[i], scenario.cycles_per_bit[i],
-             scenario.noise_over_gain()[i, j])
+             scenario.noise_over_gain[i, j])
     budgets = np.concatenate(([scenario.bandwidth_hz], scenario.compute_capacity[aps]))
     return act, pairs, np.searchsorted(aps, j), budgets, aps
 
@@ -523,7 +523,7 @@ def pair_costs(scenario, warm):
     warm state's prices: by Danskin's theorem (Bertsekas, Nonlinear
     Programming, Prop. B.25) dF/dL_ij of the re-balanced energy F."""
     return price_oracle(warm["beta"], warm["mus"], scenario.deadlines_s[:, None],
-                        scenario.cycles_per_bit[:, None], scenario.noise_over_gain())[0]
+                        scenario.cycles_per_bit[:, None], scenario.noise_over_gain)[0]
 
 
 def _joint_system(y, bits, pairs, col, tau, budgets, oracle=None):

@@ -67,16 +67,28 @@ def is_count(value, least=0):
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= least
 
 
+def require_positive(record, *names):
+    """The rule of every number read from outside: each named field of the
+    record, a scalar or an array, must be positive and finite, or
+    StructuralError names it."""
+    for name in names:
+        v = getattr(record, name)
+        if not (np.all(np.isfinite(v) & (v > 0)) if isinstance(v, np.ndarray)
+                else math.isfinite(v) and v > 0):
+            raise StructuralError(
+                f"{type(record).__name__}.{name} must be positive and finite, got {v}")
+
+
 def deadline_slack(deadline, cycles_per_bit, data, compute):
     """Per-pair slack t = D - eta*L/q that computing leaves of the deadline
     for transmission; broadcasts. Infinite compute leaves the whole deadline."""
     return deadline - cycles_per_bit * data / compute
 
 
-def _as_matrix(values, rows, cols, name):
+def _as_array(values, shape, name):
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (rows, cols):
-        raise StructuralError(f"{name}: expected shape ({rows}, {cols}), got {arr.shape}")
+    if arr.shape != shape:
+        raise StructuralError(f"{name}: expected shape {shape}, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise StructuralError(f"{name}: contains NaN or infinite entries")
     arr = arr.copy()
@@ -106,10 +118,7 @@ class TaskSpec:
     cycles_per_bit: float
 
     def __post_init__(self):
-        for name in ("input_bits", "deadline_s", "cycles_per_bit"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise StructuralError(f"TaskSpec.{name} must be a positive finite real, got {v}")
+        require_positive(self, "input_bits", "deadline_s", "cycles_per_bit")
 
     @property
     def required_cycles(self):
@@ -124,8 +133,9 @@ class Scenario(ArrayRecord):
     gains[i, j] is the linear channel power gain from user i to AP j.
     compute_capacity[j] is AP j's server capacity in cycles/s and
     bandwidth_hz the system-wide uplink bandwidth shared by all pairs.
-    task_bits, deadlines_s and cycles_per_bit are read-only per-user
-    columns derived from tasks once, at construction, and so is
+    Read-only fields derived once, at construction: the per-user columns
+    task_bits, deadlines_s and cycles_per_bit of tasks, the K x M ratios
+    noise_over_gain = N0/h that scale every pair energy, and
     activity_threshold_bits, 1e-6 of the smallest task: the load at or
     below which a pair is frozen at L = x = q = 0 and left out of the KKT
     systems, as the pair energy is indeterminate at zero load.
@@ -141,15 +151,19 @@ class Scenario(ArrayRecord):
     task_bits: np.ndarray = field(init=False, repr=False, compare=False)
     deadlines_s: np.ndarray = field(init=False, repr=False, compare=False)
     cycles_per_bit: np.ndarray = field(init=False, repr=False, compare=False)
+    noise_over_gain: np.ndarray = field(init=False, repr=False, compare=False)
     activity_threshold_bits: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (is_count(self.num_users, 1) and is_count(self.num_aps, 1)):
             raise StructuralError("need at least one user and one AP")
-        g = _as_matrix(self.gains, self.num_users, self.num_aps, "gains")
-        if np.any(g <= 0):
-            raise StructuralError("gains must be strictly positive")
-        object.__setattr__(self, "gains", g)
+        for name, shape in (("gains", (self.num_users, self.num_aps)),
+                            ("compute_capacity", (self.num_aps,))):
+            object.__setattr__(self, name, _as_array(getattr(self, name), shape, name))
+        require_positive(self, "gains", "compute_capacity", "bandwidth_hz", "noise_psd")
+        noise = self.noise_psd / self.gains
+        noise.setflags(write=False)
+        object.__setattr__(self, "noise_over_gain", noise)
         tasks = tuple(self.tasks)
         if len(tasks) != self.num_users:
             raise StructuralError(f"expected {self.num_users} tasks, got {len(tasks)}")
@@ -160,20 +174,6 @@ class Scenario(ArrayRecord):
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         object.__setattr__(self, "activity_threshold_bits", 1e-6 * float(self.task_bits.min()))
-        cap = np.asarray(self.compute_capacity, dtype=float)
-        if cap.shape != (self.num_aps,) or np.any(~np.isfinite(cap)) or np.any(cap <= 0):
-            raise StructuralError("compute_capacity must be M positive finite reals")
-        cap = cap.copy()
-        cap.setflags(write=False)
-        object.__setattr__(self, "compute_capacity", cap)
-        if not (math.isfinite(self.bandwidth_hz) and self.bandwidth_hz > 0):
-            raise StructuralError("bandwidth_hz must be positive")
-        if not (math.isfinite(self.noise_psd) and self.noise_psd > 0):
-            raise StructuralError("noise_psd must be positive")
-
-    def noise_over_gain(self):
-        """K x M matrix of N0 / h ratios, the per-pair energy scale."""
-        return self.noise_psd / self.gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,9 +188,9 @@ class Allocation(ArrayRecord):
         shapes = {np.asarray(m).shape for m in (self.data, self.bandwidth, self.compute)}
         if len(shapes) != 1:
             raise StructuralError(f"allocation matrices disagree in shape: {shapes}")
-        rows, cols = shapes.pop()
+        shape = shapes.pop()
         for name in ("data", "bandwidth", "compute"):
-            m = _as_matrix(getattr(self, name), rows, cols, name)
+            m = _as_array(getattr(self, name), shape, name)
             if np.any(m < 0):
                 raise StructuralError(f"{name}: negative entries")
             object.__setattr__(self, name, m)
@@ -202,6 +202,9 @@ class PairPoint:
 
     Exactly one of compute_cps / slack_s is authoritative at construction;
     the other is derived through t = D - eta*L/q (use the classmethods).
+    Fields are finite (compute_cps may be +inf), and a loaded point
+    (data_bits > 0) that fails the pair rule (`pair_fault`) raises
+    InfeasiblePairError: the link formulas of `physics` trust the record.
     """
 
     data_bits: float
@@ -215,9 +218,9 @@ class PairPoint:
     @classmethod
     def from_compute(cls, data_bits, bandwidth_hz, compute_cps, deadline_s,
                      cycles_per_bit, noise_over_gain):
-        if compute_cps <= 0:
-            raise StructuralError("compute_cps must be positive")
-        slack = deadline_slack(deadline_s, cycles_per_bit, data_bits, compute_cps)
+        # no compute derives no slack; the pair rule rejects such a loaded point
+        slack = deadline_slack(deadline_s, cycles_per_bit, data_bits, compute_cps) \
+            if compute_cps > 0 else deadline_s
         return cls(data_bits, bandwidth_hz, compute_cps, slack, deadline_s,
                    cycles_per_bit, noise_over_gain)
 
@@ -225,9 +228,9 @@ class PairPoint:
     def from_slack(cls, data_bits, bandwidth_hz, slack_s, deadline_s,
                    cycles_per_bit, noise_over_gain):
         if data_bits > 0:
-            if not 0 < slack_s < deadline_s:
-                raise InfeasiblePairError(
-                    f"slack {slack_s} outside (0, deadline) for loaded pair")
+            # a slack of at most 0 derives a compute, which the pair rule rejects
+            if slack_s >= deadline_s:
+                raise InfeasiblePairError(f"slack {slack_s} leaves a loaded pair no time to compute")
             compute = cycles_per_bit * data_bits / (deadline_s - slack_s)
         else:
             slack_s = deadline_s
@@ -236,13 +239,22 @@ class PairPoint:
                    cycles_per_bit, noise_over_gain)
 
     def __post_init__(self):
+        require_positive(self, "deadline_s", "cycles_per_bit", "noise_over_gain")
+        for name in ("data_bits", "bandwidth_hz", "compute_cps", "slack_s"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) or name == "compute_cps" and v == math.inf):
+                raise StructuralError(f"PairPoint.{name} must be finite, got {v}")
         if self.data_bits < 0:
             raise StructuralError("data_bits must be nonnegative")
-        for name in ("deadline_s", "cycles_per_bit", "noise_over_gain"):
-            if getattr(self, name) <= 0:
-                raise StructuralError(f"{name} must be positive")
         if self.data_bits == 0 and self.slack_s != self.deadline_s:
             raise StructuralError("zero-data pair must have slack equal to its deadline")
+        x, t = self.bandwidth_hz, self.slack_s
+        # x*t is positive unless a clause before the exponent fails, or it underflows
+        fault = self.data_bits > 0 and pair_fault(
+            self.compute_cps, t, x, self.data_bits / (x * t) if x * t > 0 else math.inf,
+            self.deadline_s)
+        if fault:
+            raise InfeasiblePairError(f"{fault[0]}, residual {fault[1]:.3g}")
 
 
 @dataclass(frozen=True)
@@ -267,8 +279,7 @@ class SolveConfig:
     max_outer_iters: int = 100
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.epsilon_j, self.bisect_tol)):
-            raise StructuralError("tolerances must be positive and finite")
+        require_positive(self, "epsilon_j", "bisect_tol")
         if not is_count(self.max_outer_iters, 1):
             raise StructuralError("the outer iteration budget must be a positive integer")
 
@@ -327,14 +338,28 @@ def budget_residuals(scenario, allocation):
     return out
 
 
-def check_pairs(scenario, data, bandwidth, compute):
-    """The pair rule over K x M nonnegative loads, bandwidths and compute:
-    a pair above the scenario's activity threshold has an energy only with
+def pair_fault(compute, slack, bandwidth, u, deadline):
+    """The pair rule at one loaded pair: it has an energy only with
     compute, a slack t = D - eta*L/q > 0, bandwidth and a rate exponent
-    u = L/(x*t) <= EXPONENT_CAP. Returns (the active mask, t, u, faults),
-    idle pairs at t = D and u = 0; faults holds one ((i, j), constraint,
-    residual) per active pair with no energy, in row-major order, for the
-    first of compute, slack, bandwidth and exponent that fails.
+    u = L/(x*t) <= EXPONENT_CAP. Returns (constraint, residual) for the
+    first of these that fails, or None."""
+    if compute <= 0:
+        return "no compute on loaded pair", 1.0
+    if slack <= 0:
+        return "nonpositive slack", float(-slack / deadline)
+    if bandwidth <= 0:
+        return "no bandwidth on loaded pair", 1.0
+    if u > EXPONENT_CAP:
+        return "rate exponent overflow", float(u / EXPONENT_CAP - 1.0)
+    return None
+
+
+def check_pairs(scenario, data, bandwidth, compute):
+    """The pair rule (`pair_fault`) over K x M loads, bandwidths and
+    compute, at every pair above the scenario's activity threshold.
+    Returns (the active mask, t, u, faults), idle pairs at t = D and u = 0;
+    faults holds one ((i, j), constraint, residual) per active pair with
+    no energy, in row-major order.
     """
     act = data > scenario.activity_threshold_bits
     d = scenario.deadlines_s[:, None]
@@ -344,18 +369,10 @@ def check_pairs(scenario, data, bandwidth, compute):
                                np.where(act, compute, np.inf))
         u = np.zeros(data.shape)
         u[act] = data[act] / (bandwidth[act] * slack[act])
-    bad = act & ((slack <= 0) | (bandwidth <= 0) | (u > EXPONENT_CAP))
-    faults = []
+    bad = act & ((compute <= 0) | (slack <= 0) | (bandwidth <= 0) | (u > EXPONENT_CAP))
     # argwhere of a 2-D mask costs ten any(); on a feasible allocation it is empty
-    for i, j in np.argwhere(bad).tolist() if bad.any() else ():
-        if compute[i, j] <= 0:
-            faults.append(((i, j), "no compute on loaded pair", 1.0))
-        elif slack[i, j] <= 0:
-            faults.append(((i, j), "nonpositive slack", float(-slack[i, j] / d[i, 0])))
-        elif bandwidth[i, j] <= 0:
-            faults.append(((i, j), "no bandwidth on loaded pair", 1.0))
-        else:
-            faults.append(((i, j), "rate exponent overflow", float(u[i, j] / EXPONENT_CAP - 1.0)))
+    faults = [((i, j), *pair_fault(compute[i, j], slack[i, j], bandwidth[i, j], u[i, j], d[i, 0]))
+              for i, j in (np.argwhere(bad).tolist() if bad.any() else ())]
     return act, slack, u, faults
 
 

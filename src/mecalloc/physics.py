@@ -11,7 +11,8 @@ primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
 (`exponent_root`) and a pair's cheapest cost per bit at given prices
 (`price_oracle`) take the same Newton step in ln z, a fixed count of
 times. The scalar functions, the analytic gradient and the 2x2 curvature
-blocks that certify convex variable pairs build on them.
+blocks that certify convex variable pairs build on them and trust the
+pair rule that a `PairPoint` checks when it is built.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ from .model import (
 )
 
 
-def energy(L, x, t, a):
-    """Pair energy a*x*t*(2**(L/(x*t)) - 1), elementwise over loads L,
-    bandwidths x, slacks t and noise-to-gain ratios a."""
-    return a * x * t * np.expm1(L / (x * t) * LN2)
+def energy(u, x, t, a):
+    """Pair energy a*x*t*(2**u - 1), elementwise over rate exponents
+    u = L/(x*t), bandwidths x, slacks t and noise-to-gain ratios a."""
+    return a * x * t * np.expm1(u * LN2)
 
 
 def _kappa(z):
@@ -148,16 +149,6 @@ def data_marginal(L, x, q, d, eta, a):
     return a * (LN2 * np.exp(z) - eta / q * x * bracket(z))
 
 
-def _exponent(point):
-    """Rate exponent u = L/(x*t) of an operating point, at most EXPONENT_CAP."""
-    u = point.data_bits / (point.bandwidth_hz * point.slack_s)
-    if u > EXPONENT_CAP:
-        raise InfeasiblePairError(
-            f"rate exponent {u:.3g} exceeds {EXPONENT_CAP:.1f}; "
-            "pair is numerically infeasible")
-    return u
-
-
 def rate(power_w, point: PairPoint) -> float:
     """Achievable uplink rate in bits/s: x * log2(1 + P / (x * N0/h))."""
     if point.bandwidth_hz <= 0:
@@ -181,29 +172,24 @@ def pair_energy(point: PairPoint) -> float:
     """Transmission energy in Joules at minimal power; 0 for an empty pair."""
     if point.data_bits == 0:
         return 0.0
-    if point.slack_s <= 0:
-        raise InfeasiblePairError(f"nonpositive slack {point.slack_s}")
-    if point.bandwidth_hz <= 0:
-        raise StructuralError("bandwidth must be positive")
-    _exponent(point)
-    return float(energy(point.data_bits, point.bandwidth_hz, point.slack_s,
-                        point.noise_over_gain))
+    x, t = point.bandwidth_hz, point.slack_s
+    return float(energy(point.data_bits / (x * t), x, t, point.noise_over_gain))
 
 
 def energy_matrix(scenario, data, bandwidth, compute):
     """Vectorized per-pair energies of K x M loads, bandwidths and compute.
 
-    The pair rule (`model.check_pairs`) gives the active pairs and their
-    slack t = D - eta*L/q; the others contribute exactly 0. The first of
-    its faults, in row-major order, raises InfeasiblePairError naming the
-    pair and the constraint it fails.
+    The pair rule (`model.check_pairs`) gives the active pairs, their
+    slack t = D - eta*L/q and their rate exponent u = L/(x*t); the others
+    contribute exactly 0. The first of its faults, in row-major order,
+    raises InfeasiblePairError naming the pair and the constraint it fails.
     """
-    act, slack, _, faults = check_pairs(scenario, data, bandwidth, compute)
+    act, slack, u, faults = check_pairs(scenario, data, bandwidth, compute)
     if faults:
         (i, j), constraint, _ = faults[0]
         raise InfeasiblePairError(f"pair ({i}, {j}): {constraint}", pair=(i, j))
     e = np.zeros(data.shape)
-    e[act] = energy(data[act], bandwidth[act], slack[act], scenario.noise_over_gain()[act])
+    e[act] = energy(u[act], bandwidth[act], slack[act], scenario.noise_over_gain[act])
     return e
 
 
@@ -228,8 +214,6 @@ class EnergyGradient:
 
 
 def _interior(point):
-    if point.data_bits <= 0 or point.bandwidth_hz <= 0:
-        raise StructuralError("interior point requires positive data and bandwidth")
     if not 0 < point.slack_s < point.deadline_s:
         raise StructuralError("interior point requires slack strictly inside (0, deadline)")
 
@@ -238,7 +222,7 @@ def partials(point: PairPoint) -> EnergyGradient:
     """Analytic gradient of pair_energy; matches central finite differences."""
     _interior(point)
     x, t, a = point.bandwidth_hz, point.slack_s, point.noise_over_gain
-    phi = float(bracket(_exponent(point) * LN2))
+    phi = float(bracket(point.data_bits / (x * t) * LN2))
     d_dL = float(data_marginal(point.data_bits, x, point.compute_cps, point.deadline_s,
                                point.cycles_per_bit, a))
     return EnergyGradient(d_dL=d_dL, d_dx=a * t * phi, d_dt=a * x * phi)
@@ -272,7 +256,7 @@ def hessian_diag(point: PairPoint, pair: str) -> HessianDiag:
     L, x, t = point.data_bits, point.bandwidth_hz, point.slack_s
     a, d, eta = point.noise_over_gain, point.deadline_s, point.cycles_per_bit
     q = point.compute_cps
-    u = _exponent(point)
+    u = L / (x * t)
     p = math.exp(u * LN2)
     k2 = LN2 * LN2
     phi = float(bracket(u * LN2))  # always negative on the interior

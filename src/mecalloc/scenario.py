@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .model import Scenario, StructuralError, TaskSpec, is_count
+from .model import Scenario, StructuralError, TaskSpec, is_count, require_positive
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -39,11 +39,8 @@ class GenParams:
             raise StructuralError("need at least one user and one AP")
         if not is_count(self.seed):
             raise StructuralError(f"GenParams.seed must be an integer >= 0, got {self.seed}")
-        for name in ("region_m", "bandwidth_hz", "noise_psd_w_per_hz",
-                     "task_bits", "deadline_s", "cycles_per_bit", "capacity_cps"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and v > 0):
-                raise StructuralError(f"GenParams.{name} must be a positive finite real, got {v}")
+        require_positive(self, "region_m", "bandwidth_hz", "noise_psd_w_per_hz",
+                         "task_bits", "deadline_s", "cycles_per_bit", "capacity_cps")
 
 
 def pathloss_gain(distance_m: float) -> float:
@@ -89,9 +86,8 @@ def provenance(params: GenParams) -> dict:
 
 
 def override_parameter(scenario: Scenario, name: str, value: float) -> Scenario:
-    """A copy of the scenario with one of SWEEP_PARAMETERS replaced."""
-    if value <= 0:
-        raise StructuralError(f"{name} must be positive, got {value}")
+    """A copy of the scenario with one of SWEEP_PARAMETERS replaced; the
+    records it rebuilds check the value."""
     if name not in SWEEP_PARAMETERS:
         raise StructuralError(f"unknown sweep parameter {name!r}")
     if name == "bandwidth_hz":

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -24,8 +25,14 @@ from mecalloc import (
     solve_fixed_data,
     validate,
 )
-from mecalloc.model import EXPONENT_CAP, ValidationReport, Violation, budget_residuals
-from mecalloc.physics import energy_matrix
+from mecalloc.model import (
+    EXPONENT_CAP,
+    ValidationReport,
+    Violation,
+    budget_residuals,
+    check_pairs,
+)
+from mecalloc.physics import energy_matrix, pair_energy
 from mecalloc.scenario import override_parameter
 
 from util import make_scenario, scalar_energy_q
@@ -314,7 +321,8 @@ def test_scenario_task_columns_are_derived_read_only():
     assert sc.task_bits.tolist() == [t.input_bits for t in sc.tasks]
     assert sc.deadlines_s.tolist() == [t.deadline_s for t in sc.tasks]
     assert sc.cycles_per_bit.tolist() == [t.cycles_per_bit for t in sc.tasks]
-    for name in ("task_bits", "deadlines_s", "cycles_per_bit"):
+    assert sc.noise_over_gain.tolist() == [[1e-20], [2e-20]]
+    for name in ("task_bits", "deadlines_s", "cycles_per_bit", "noise_over_gain"):
         with pytest.raises(ValueError):
             getattr(sc, name)[0] = 1.0
     # the activity threshold is 1e-6 of the smallest task, and follows it
@@ -323,7 +331,8 @@ def test_scenario_task_columns_are_derived_read_only():
         sc.activity_threshold_bits = 0.0
     assert override_parameter(sc, "task_bits", 4e6).activity_threshold_bits == 1e-6 * 4e6
     doc = scenario_to_dict(sc)
-    assert not {"task_bits", "deadlines_s", "cycles_per_bit", "activity_threshold_bits"} & set(doc)
+    assert not {"task_bits", "deadlines_s", "cycles_per_bit", "noise_over_gain",
+                "activity_threshold_bits"} & set(doc)
     back = scenario_from_dict(json.loads(json.dumps(doc)))
     assert back.task_bits.tolist() == sc.task_bits.tolist()
     assert back.activity_threshold_bits == sc.activity_threshold_bits
@@ -397,7 +406,7 @@ def test_pairpoint_rejects_bad_fields():
                 noise_over_gain=1.0)
     assert PairPoint.from_compute(compute_cps=2e3, **base).slack_s == pytest.approx(0.5)
     for q in (0.0, -2e3):
-        with pytest.raises(StructuralError):
+        with pytest.raises(InfeasiblePairError, match="no compute on loaded pair"):
             PairPoint.from_compute(compute_cps=q, **base)
     # a loaded pair needs a slack strictly inside (0, deadline)
     for t in (0.0, -0.1, 1.0, 1.5):
@@ -408,6 +417,59 @@ def test_pairpoint_rejects_bad_fields():
                       ("noise_over_gain", -1.0)):
         with pytest.raises(StructuralError):
             PairPoint(compute_cps=2e3, slack_s=0.5, **dict(base, **{name: bad}))
+
+
+def test_pairpoint_fields_must_be_finite():
+    base = dict(data_bits=1e3, bandwidth_hz=1e4, compute_cps=2e3, slack_s=0.5,
+                deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
+    for name in base:
+        for bad in (math.nan, math.inf, -math.inf):
+            if name == "compute_cps" and bad == math.inf:
+                continue
+            with pytest.raises(StructuralError):
+                PairPoint(**dict(base, **{name: bad}))
+    # a nan load used to build, and its energy was nan
+    with pytest.raises(StructuralError):
+        PairPoint.from_compute(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)
+    # infinite compute leaves the whole deadline
+    assert PairPoint.from_compute(1e3, 1e4, math.inf, 1.0, 1.0, 1.0).slack_s == 1.0
+
+
+def _edge_or(draw, sized):
+    """0, -1 or 1e-9 in about one draw of four, else a sized value."""
+    return draw(st.sampled_from([0.0, -1.0, 1e-9]) if draw(st.integers(0, 3)) == 0 else sized)
+
+
+@st.composite
+def _loaded_pairs(draw):
+    """A loaded pair (L, x, q, D, eta, h) on either side of each clause of
+    the pair rule: compute and bandwidth zero, negative, 1e-9 or sized,
+    slack of either sign and rate exponents on either side of the cap."""
+    L, d = draw(st.floats(1e3, 1e7)), draw(st.floats(0.05, 2.0))
+    eta, gain = draw(st.floats(1.0, 1e4)), draw(st.floats(1e-13, 1e-7))
+    # 0.5..4 times the least compute eta*L/D leaves a slack of either sign
+    q = _edge_or(draw, st.floats(0.5, 4.0).map(lambda r: r * eta * L / d))
+    t = d - eta * L / q if q > 0 else d
+    u = draw(st.floats(0.5, 2.0).map(lambda r: r * EXPONENT_CAP)
+             | st.floats(-3.0, 3.0).map(lambda v: 10.0 ** v))
+    x = _edge_or(draw, st.just(L / (max(abs(t), 1e-9 * d) * u)))
+    return L, x, q, d, eta, gain
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_loaded_pairs())
+def test_pair_points_and_allocations_share_one_pair_rule(pair):
+    L, x, q, d, eta, gain = pair
+    sc = make_scenario([[gain]], L, d, eta, 1e7, 1e10, noise=4e-21)
+    cell = [np.array([[v]]) for v in (L, x, q)]
+    faults = check_pairs(sc, *cell)[3]
+    point = lambda: PairPoint.from_compute(L, x, q, d, eta, float(sc.noise_over_gain[0, 0]))
+    if faults:
+        ((_, constraint, _),) = faults
+        with pytest.raises(InfeasiblePairError, match=f"^{constraint},"):
+            point()
+    else:
+        assert pair_energy(point()) == energy_matrix(sc, *cell)[0, 0]
 
 
 def test_solveconfig_validation_and_defaults(scenario42):

@@ -259,10 +259,10 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     assert rounds == 1
     i, j = np.nonzero(L > thr)
     t = sc.deadlines_s[i] - sc.cycles_per_bit[i] * L[i, j] / q[i, j]
-    form = sc.noise_over_gain()[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
+    form = sc.noise_over_gain[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
         + warm["mus"][j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
     g = data_marginal(L[i, j], x[i, j], q[i, j], sc.deadlines_s[i], sc.cycles_per_bit[i],
-                      sc.noise_over_gain()[i, j])
+                      sc.noise_over_gain[i, j])
     assert np.allclose(g, form, rtol=1e-7, atol=0)
     assert np.allclose(g, kkt.pair_costs(sc, warm)[i, j], rtol=1e-7, atol=0)
 
@@ -624,7 +624,7 @@ def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
     solve_bcaa(sc, L, cfg, warm=warm)
     e = kkt.pair_costs(sc, warm)
     floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
-                         sc.noise_over_gain()[:, 3])[0]
+                         sc.noise_over_gain[:, 3])[0]
     np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
 
 

@@ -58,8 +58,12 @@ def test_rate_snr_three():
 
 
 def test_rate_requires_positive_bandwidth():
-    p = PairPoint(data_bits=1.0, bandwidth_hz=0.0, compute_cps=2.0, slack_s=0.5,
+    # a loaded point without bandwidth fails the pair rule at construction
+    with pytest.raises(InfeasiblePairError, match="no bandwidth on loaded pair"):
+        PairPoint(data_bits=1.0, bandwidth_hz=0.0, compute_cps=2.0, slack_s=0.5,
                   deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
+    # an unloaded one builds, and rate checks its bandwidth itself
+    p = PairPoint.from_slack(0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(StructuralError):
         rate(1.0, p)
 
@@ -98,10 +102,10 @@ def test_min_power_rate_inverse(scenario42, equal_allocation42):
 
 
 def test_min_power_rejects_nonpositive_slack():
-    p = PairPoint(data_bits=1.0, bandwidth_hz=1.0, compute_cps=1.0, slack_s=-0.1,
-                  deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
-    with pytest.raises(InfeasiblePairError):
-        min_power(p)
+    # the point cannot be built, so min_power never sees it
+    with pytest.raises(InfeasiblePairError, match="nonpositive slack"):
+        min_power(PairPoint(data_bits=1.0, bandwidth_hz=1.0, compute_cps=1.0, slack_s=-0.1,
+                            deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0))
 
 
 # --- pair_energy ------------------------------------------------------
@@ -147,10 +151,9 @@ def test_pair_energy_monotone_grid():
 
 def test_pair_energy_requires_positive_bandwidth():
     for x in (0.0, -1.0):
-        p = PairPoint(data_bits=1.0, bandwidth_hz=x, compute_cps=2.0, slack_s=0.5,
-                      deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
-        with pytest.raises(StructuralError):
-            pair_energy(p)
+        with pytest.raises(InfeasiblePairError, match="no bandwidth on loaded pair"):
+            pair_energy(PairPoint(data_bits=1.0, bandwidth_hz=x, compute_cps=2.0, slack_s=0.5,
+                                  deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0))
 
 
 def test_exponent_cap_rejects_degenerate_point():
@@ -231,7 +234,7 @@ def test_partials_match_finite_differences():
     Lv, xv, qv, tv, dv, etav, av = np.array(
         [(p.data_bits, p.bandwidth_hz, p.compute_cps, p.slack_s, p.deadline_s,
           p.cycles_per_bit, p.noise_over_gain) for p in points]).T
-    e = physics.energy(Lv, xv, tv, av)
+    e = physics.energy(Lv / (xv * tv), xv, tv, av)
     phi = physics.bracket(Lv / (xv * tv) * LN2)
     d_dL = physics.data_marginal(Lv, xv, qv, dv, etav, av)
     d_dx, d_dt = av * tv * phi, av * xv * phi
@@ -283,10 +286,11 @@ def test_bracket_is_minus_infinity_once_the_exponential_overflows():
 def test_partials_reject_boundary_points():
     with pytest.raises(StructuralError):
         partials(PairPoint.from_slack(0.0, 1.0, 1.0, 1.0, 1.0, 1.0))
-    # a compute that leaves no slack: t = D - eta*L/q is 0 at q = 1, -1 at 0.5
+    # a compute that leaves no slack: t = D - eta*L/q is 0 at q = 1, -1 at
+    # 0.5; the pair rule rejects such a point at construction
     for q in (1.0, 0.5):
         for derivative in (partials, lambda p: hessian_diag(p, "L_q")):
-            with pytest.raises(StructuralError, match="slack strictly inside"):
+            with pytest.raises(InfeasiblePairError, match="nonpositive slack"):
                 derivative(_point(L=1.0, x=1.0, q=q))
 
 
