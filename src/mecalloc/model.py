@@ -198,10 +198,13 @@ class Allocation(ArrayRecord):
 
 @dataclass(frozen=True)
 class PairPoint:
-    """One (user, AP) operating point on which all link formulas act.
+    """One entry of an `Allocation` with its user's task: the (user, AP)
+    operating point on which all link formulas act.
 
-    Exactly one of compute_cps / slack_s is authoritative at construction;
-    the other is derived through t = D - eta*L/q (use the classmethods).
+    It holds the load, bandwidth and compute (L, x, q) of the pair and the
+    task's deadline and cycle demand, and derives the slack t = D - eta*L/q
+    at construction (`deadline_slack`; the whole deadline for an unloaded
+    pair or one without compute), as `check_pairs` does for an allocation.
     Fields are finite (compute_cps may be +inf), and a loaded point
     (data_bits > 0) that fails the pair rule (`pair_fault`) raises
     InfeasiblePairError: the link formulas of `physics` trust the record.
@@ -210,49 +213,37 @@ class PairPoint:
     data_bits: float
     bandwidth_hz: float
     compute_cps: float
-    slack_s: float
     deadline_s: float
     cycles_per_bit: float
     noise_over_gain: float
-
-    @classmethod
-    def from_compute(cls, data_bits, bandwidth_hz, compute_cps, deadline_s,
-                     cycles_per_bit, noise_over_gain):
-        # no compute derives no slack; the pair rule rejects such a loaded point
-        slack = deadline_slack(deadline_s, cycles_per_bit, data_bits, compute_cps) \
-            if compute_cps > 0 else deadline_s
-        return cls(data_bits, bandwidth_hz, compute_cps, slack, deadline_s,
-                   cycles_per_bit, noise_over_gain)
+    slack_s: float = field(init=False)
 
     @classmethod
     def from_slack(cls, data_bits, bandwidth_hz, slack_s, deadline_s,
                    cycles_per_bit, noise_over_gain):
-        if data_bits > 0:
-            # a slack of at most 0 derives a compute, which the pair rule rejects
-            if slack_s >= deadline_s:
-                raise InfeasiblePairError(f"slack {slack_s} leaves a loaded pair no time to compute")
-            compute = cycles_per_bit * data_bits / (deadline_s - slack_s)
-        else:
-            slack_s = deadline_s
-            compute = math.inf  # unloaded pair: any compute meets the deadline
-        return cls(data_bits, bandwidth_hz, compute, slack_s, deadline_s,
-                   cycles_per_bit, noise_over_gain)
+        """The point whose compute q = eta*L/(D - t) leaves the slack t:
+        +inf at t = D or for an unloaded pair, negative beyond D."""
+        room = deadline_s - slack_s
+        compute = cycles_per_bit * data_bits / room if data_bits and room else math.inf
+        return cls(data_bits, bandwidth_hz, compute, deadline_s, cycles_per_bit,
+                   noise_over_gain)
 
     def __post_init__(self):
         require_positive(self, "deadline_s", "cycles_per_bit", "noise_over_gain")
-        for name in ("data_bits", "bandwidth_hz", "compute_cps", "slack_s"):
+        for name in ("data_bits", "bandwidth_hz", "compute_cps"):
             v = getattr(self, name)
             if not (math.isfinite(v) or name == "compute_cps" and v == math.inf):
                 raise StructuralError(f"PairPoint.{name} must be finite, got {v}")
         if self.data_bits < 0:
             raise StructuralError("data_bits must be nonnegative")
-        if self.data_bits == 0 and self.slack_s != self.deadline_s:
-            raise StructuralError("zero-data pair must have slack equal to its deadline")
-        x, t = self.bandwidth_hz, self.slack_s
+        x, q = self.bandwidth_hz, self.compute_cps
+        # no compute derives no slack; the pair rule rejects such a loaded point
+        t = deadline_slack(self.deadline_s, self.cycles_per_bit, self.data_bits, q) \
+            if q > 0 else self.deadline_s
+        object.__setattr__(self, "slack_s", t)
         # x*t is positive unless a clause before the exponent fails, or it underflows
         fault = self.data_bits > 0 and pair_fault(
-            self.compute_cps, t, x, self.data_bits / (x * t) if x * t > 0 else math.inf,
-            self.deadline_s)
+            q, t, x, self.data_bits / (x * t) if x * t > 0 else math.inf, self.deadline_s)
         if fault:
             raise InfeasiblePairError(f"{fault[0]}, residual {fault[1]:.3g}")
 

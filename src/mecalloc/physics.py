@@ -11,8 +11,10 @@ primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
 (`exponent_root`) and a pair's cheapest cost per bit at given prices
 (`price_oracle`) take the same Newton step in ln z, a fixed count of
 times. The scalar functions, the analytic gradient and the 2x2 curvature
-blocks that certify convex variable pairs build on them and trust the
-pair rule that a `PairPoint` checks when it is built.
+blocks that certify convex variable pairs build on them. They act on a
+`PairPoint`, one entry of an `Allocation` with its user's task, whose
+slack is derived from its compute and which passed the pair rule when
+it was built.
 """
 
 from __future__ import annotations

@@ -93,10 +93,10 @@ def test_criterion_01_deadline_tightness(scenario42, acc_cfg, init_solutions):
     act = al.data > scenario42.activity_threshold_bits
     for i, j in zip(*np.nonzero(act)):
         task = scenario42.tasks[i]
-        p = PairPoint.from_compute(al.data[i, j], al.bandwidth[i, j],
-                                   al.compute[i, j], task.deadline_s,
-                                   task.cycles_per_bit,
-                                   scenario42.noise_psd / scenario42.gains[i, j])
+        p = PairPoint(al.data[i, j], al.bandwidth[i, j],
+                      al.compute[i, j], task.deadline_s,
+                      task.cycles_per_bit,
+                      scenario42.noise_psd / scenario42.gains[i, j])
         transmission = p.data_bits / rate(min_power(p), p)
         computing = task.cycles_per_bit * al.data[i, j] / al.compute[i, j]
         worst = max(worst, abs(transmission + computing - task.deadline_s)
@@ -111,7 +111,7 @@ def test_criterion_02_gradient_oracle():
     for p in sample_points(1000, seed=17):
         g = partials(p)
         a, d, eta = p.noise_over_gain, p.deadline_s, p.cycles_per_bit
-        fd_L = fd_gradient(lambda v: pair_energy(PairPoint.from_compute(
+        fd_L = fd_gradient(lambda v: pair_energy(PairPoint(
             v[0], p.bandwidth_hz, p.compute_cps, d, eta, a)), [p.data_bits])[0]
         fd_x = fd_gradient(lambda v: pair_energy(PairPoint.from_slack(
             p.data_bits, v[0], p.slack_s, d, eta, a)), [p.bandwidth_hz])[0]
@@ -127,10 +127,10 @@ def test_criterion_02_gradient_oracle():
 
 def test_criterion_03_hessian_signs():
     # data-bandwidth block at a fixed probe point
-    p1 = PairPoint.from_compute(0.1, 0.1, 1.0, 0.1, 0.5, 1.0)
+    p1 = PairPoint(0.1, 0.1, 1.0, 0.1, 0.5, 1.0)
     det_lx = hessian_diag(p1, "L_x").determinant
     # data-compute block at a fixed probe point
-    p2 = PairPoint.from_compute(2.0, 1.0, 2.1, 1.0, 1.0, 1.0)
+    p2 = PairPoint(2.0, 1.0, 2.1, 1.0, 1.0, 1.0)
     det_lq = hessian_diag(p2, "L_q").determinant
     # bandwidth-slack block at random interior points
     xt_ok = True

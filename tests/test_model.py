@@ -363,7 +363,7 @@ def test_array_records_compare_by_value(scenario42, equal_allocation42):
     data[0, 0] *= 1.5
     assert dataclasses.replace(equal_allocation42, data=data) != equal_allocation42
 
-    point = PairPoint.from_compute(1e3, 1e4, 2e3, 1.0, 1.0, 1e-3)
+    point = PairPoint(1e3, 1e4, 2e3, 1.0, 1.0, 1e-3)
     assert hessian_diag(point, "x_t") == hessian_diag(point, "x_t")
     assert hessian_diag(point, "x_t") != hessian_diag(point, "L_x")
 
@@ -377,9 +377,9 @@ def test_allocation_json_roundtrip(equal_allocation42):
 
 
 def test_pairpoint_from_compute_derives_slack():
-    p = PairPoint.from_compute(data_bits=1e3, bandwidth_hz=1e4, compute_cps=2e3,
-                               deadline_s=1.0, cycles_per_bit=1.0,
-                               noise_over_gain=1.0)
+    p = PairPoint(data_bits=1e3, bandwidth_hz=1e4, compute_cps=2e3,
+                  deadline_s=1.0, cycles_per_bit=1.0,
+                  noise_over_gain=1.0)
     assert p.slack_s == pytest.approx(0.5)
 
 
@@ -391,37 +391,40 @@ def test_pairpoint_from_slack_derives_compute():
 
 
 def test_pairpoint_zero_data_requires_full_slack():
-    with pytest.raises(StructuralError):
-        PairPoint(data_bits=0.0, bandwidth_hz=1.0, compute_cps=1.0,
-                  slack_s=0.4, deadline_s=1.0, cycles_per_bit=1.0,
-                  noise_over_gain=1.0)
-    p = PairPoint.from_slack(data_bits=0.0, bandwidth_hz=1.0, slack_s=1.0,
-                             deadline_s=1.0, cycles_per_bit=1.0,
-                             noise_over_gain=1.0)
-    assert p.slack_s == p.deadline_s
+    # an unloaded point's slack is its deadline, whatever its compute
+    for q in (0.0, 1e-300, 1.0, math.inf):
+        p = PairPoint(data_bits=0.0, bandwidth_hz=1.0, compute_cps=q, deadline_s=1.0,
+                      cycles_per_bit=1.0, noise_over_gain=1.0)
+        assert p.slack_s == p.deadline_s
+    for t in (0.4, 1.0):
+        p = PairPoint.from_slack(data_bits=0.0, bandwidth_hz=1.0, slack_s=t,
+                                 deadline_s=1.0, cycles_per_bit=1.0,
+                                 noise_over_gain=1.0)
+        assert p.slack_s == p.deadline_s
 
 
 def test_pairpoint_rejects_bad_fields():
     base = dict(data_bits=1e3, bandwidth_hz=1e4, deadline_s=1.0, cycles_per_bit=1.0,
                 noise_over_gain=1.0)
-    assert PairPoint.from_compute(compute_cps=2e3, **base).slack_s == pytest.approx(0.5)
+    assert PairPoint(compute_cps=2e3, **base).slack_s == pytest.approx(0.5)
     for q in (0.0, -2e3):
         with pytest.raises(InfeasiblePairError, match="no compute on loaded pair"):
-            PairPoint.from_compute(compute_cps=q, **base)
-    # a loaded pair needs a slack strictly inside (0, deadline)
-    for t in (0.0, -0.1, 1.0, 1.5):
+            PairPoint(compute_cps=q, **base)
+    # a loaded pair needs a positive slack, and beyond the deadline the
+    # compute is negative; t = D itself is the slack of infinite compute
+    for t in (0.0, -0.1, 1.5):
         with pytest.raises(InfeasiblePairError):
             PairPoint.from_slack(slack_s=t, **base)
     for name, bad in (("data_bits", -1.0), ("deadline_s", 0.0), ("deadline_s", -1.0),
                       ("cycles_per_bit", 0.0), ("noise_over_gain", 0.0),
                       ("noise_over_gain", -1.0)):
         with pytest.raises(StructuralError):
-            PairPoint(compute_cps=2e3, slack_s=0.5, **dict(base, **{name: bad}))
+            PairPoint(compute_cps=2e3, **dict(base, **{name: bad}))
 
 
 def test_pairpoint_fields_must_be_finite():
-    base = dict(data_bits=1e3, bandwidth_hz=1e4, compute_cps=2e3, slack_s=0.5,
-                deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
+    base = dict(data_bits=1e3, bandwidth_hz=1e4, compute_cps=2e3, deadline_s=1.0,
+                cycles_per_bit=1.0, noise_over_gain=1.0)
     for name in base:
         for bad in (math.nan, math.inf, -math.inf):
             if name == "compute_cps" and bad == math.inf:
@@ -430,9 +433,9 @@ def test_pairpoint_fields_must_be_finite():
                 PairPoint(**dict(base, **{name: bad}))
     # a nan load used to build, and its energy was nan
     with pytest.raises(StructuralError):
-        PairPoint.from_compute(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)
+        PairPoint(math.nan, 1.0, 1.0, 1.0, 1.0, 1.0)
     # infinite compute leaves the whole deadline
-    assert PairPoint.from_compute(1e3, 1e4, math.inf, 1.0, 1.0, 1.0).slack_s == 1.0
+    assert PairPoint(1e3, 1e4, math.inf, 1.0, 1.0, 1.0).slack_s == 1.0
 
 
 def _edge_or(draw, sized):
@@ -462,14 +465,25 @@ def test_pair_points_and_allocations_share_one_pair_rule(pair):
     L, x, q, d, eta, gain = pair
     sc = make_scenario([[gain]], L, d, eta, 1e7, 1e10, noise=4e-21)
     cell = [np.array([[v]]) for v in (L, x, q)]
-    faults = check_pairs(sc, *cell)[3]
-    point = lambda: PairPoint.from_compute(L, x, q, d, eta, float(sc.noise_over_gain[0, 0]))
+    _, slack, _, faults = check_pairs(sc, *cell)
+    a = float(sc.noise_over_gain[0, 0])
+    point = lambda: PairPoint(L, x, q, d, eta, a)
     if faults:
         ((_, constraint, _),) = faults
         with pytest.raises(InfeasiblePairError, match=f"^{constraint},"):
             point()
     else:
-        assert pair_energy(point()) == energy_matrix(sc, *cell)[0, 0]
+        p = point()
+        assert p.slack_s == slack[0, 0]
+        assert pair_energy(p) == energy_matrix(sc, *cell)[0, 0]
+        # the compute that from_slack derives leaves the same slack
+        back = PairPoint.from_slack(L, x, p.slack_s, d, eta, a).slack_s
+        assert abs(back - p.slack_s) <= 4 * np.finfo(float).eps * d
+
+
+def test_pairpoint_from_slack_at_the_deadline_is_infinite_compute():
+    assert PairPoint.from_slack(1e3, 1e4, 1.0, 1.0, 1.0, 1.0) == \
+        PairPoint(1e3, 1e4, math.inf, 1.0, 1.0, 1.0)
 
 
 def test_solveconfig_validation_and_defaults(scenario42):

@@ -40,7 +40,7 @@ EQUAL_SPLIT_ENERGY_J = 0.005782244980924429
 def _point(L=1.0, x=1.0, q=None, t=None, d=1.0, eta=1.0, a=1.0):
     if t is not None:
         return PairPoint.from_slack(L, x, t, d, eta, a)
-    return PairPoint.from_compute(L, x, q, d, eta, a)
+    return PairPoint(L, x, q, d, eta, a)
 
 
 # --- rate -------------------------------------------------------------
@@ -60,8 +60,8 @@ def test_rate_snr_three():
 def test_rate_requires_positive_bandwidth():
     # a loaded point without bandwidth fails the pair rule at construction
     with pytest.raises(InfeasiblePairError, match="no bandwidth on loaded pair"):
-        PairPoint(data_bits=1.0, bandwidth_hz=0.0, compute_cps=2.0, slack_s=0.5,
-                  deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0)
+        PairPoint(data_bits=1.0, bandwidth_hz=0.0, compute_cps=2.0, deadline_s=1.0,
+                  cycles_per_bit=1.0, noise_over_gain=1.0)
     # an unloaded one builds, and rate checks its bandwidth itself
     p = PairPoint.from_slack(0.0, 0.0, 1.0, 1.0, 1.0, 1.0)
     with pytest.raises(StructuralError):
@@ -90,10 +90,10 @@ def test_min_power_rate_inverse(scenario42, equal_allocation42):
     # plus computation fills the deadline with no slack left over
     sc, al = scenario42, equal_allocation42
     for i, j in [(0, 0), (3, 2), (7, 1)]:
-        p = PairPoint.from_compute(al.data[i, j], al.bandwidth[i, j],
-                                   al.compute[i, j], sc.tasks[i].deadline_s,
-                                   sc.tasks[i].cycles_per_bit,
-                                   sc.noise_psd / sc.gains[i, j])
+        p = PairPoint(al.data[i, j], al.bandwidth[i, j],
+                      al.compute[i, j], sc.tasks[i].deadline_s,
+                      sc.tasks[i].cycles_per_bit,
+                      sc.noise_psd / sc.gains[i, j])
         r = rate(min_power(p), p)
         assert r == pytest.approx(p.data_bits / p.slack_s, rel=1e-9, abs=0)
         transmission = p.data_bits / r
@@ -102,10 +102,11 @@ def test_min_power_rate_inverse(scenario42, equal_allocation42):
 
 
 def test_min_power_rejects_nonpositive_slack():
-    # the point cannot be built, so min_power never sees it
+    # eta*L/q = D leaves no slack: the point cannot be built, so min_power
+    # never sees it
     with pytest.raises(InfeasiblePairError, match="nonpositive slack"):
-        min_power(PairPoint(data_bits=1.0, bandwidth_hz=1.0, compute_cps=1.0, slack_s=-0.1,
-                            deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0))
+        min_power(PairPoint(data_bits=1.0, bandwidth_hz=1.0, compute_cps=1.0, deadline_s=1.0,
+                            cycles_per_bit=1.0, noise_over_gain=1.0))
 
 
 # --- pair_energy ------------------------------------------------------
@@ -152,8 +153,8 @@ def test_pair_energy_monotone_grid():
 def test_pair_energy_requires_positive_bandwidth():
     for x in (0.0, -1.0):
         with pytest.raises(InfeasiblePairError, match="no bandwidth on loaded pair"):
-            pair_energy(PairPoint(data_bits=1.0, bandwidth_hz=x, compute_cps=2.0, slack_s=0.5,
-                                  deadline_s=1.0, cycles_per_bit=1.0, noise_over_gain=1.0))
+            pair_energy(PairPoint(data_bits=1.0, bandwidth_hz=x, compute_cps=2.0, deadline_s=1.0,
+                                  cycles_per_bit=1.0, noise_over_gain=1.0))
 
 
 def test_exponent_cap_rejects_degenerate_point():
@@ -174,7 +175,7 @@ def test_total_energy_single_pair_equals_pair_energy():
     sc = make_scenario([[0.5]], bits=1e3, deadline=1.0, eta=1.0,
                        bandwidth=1e4, capacities=4e3)
     alloc = Allocation(data=[[1e3]], bandwidth=[[1e4]], compute=[[4e3]])
-    p = PairPoint.from_compute(1e3, 1e4, 4e3, 1.0, 1.0, sc.noise_psd / 0.5)
+    p = PairPoint(1e3, 1e4, 4e3, 1.0, 1.0, sc.noise_psd / 0.5)
     assert total_energy(sc, alloc) == pytest.approx(pair_energy(p), rel=1e-12, abs=0)
 
 
@@ -245,7 +246,7 @@ def test_partials_match_finite_differences():
                                                             rel=1e-12, abs=0)
         a, d, eta = p.noise_over_gain, p.deadline_s, p.cycles_per_bit
         fd_L = fd_gradient(
-            lambda v: pair_energy(PairPoint.from_compute(
+            lambda v: pair_energy(PairPoint(
                 v[0], p.bandwidth_hz, p.compute_cps, d, eta, a)),
             [p.data_bits])[0]
         fd_x = fd_gradient(

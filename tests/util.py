@@ -30,7 +30,7 @@ def sample_points(n, seed=7):
         u = L / (x * t)
         if not 1e-3 < u < 25.0:
             continue
-        pts.append(PairPoint.from_compute(L, x, q, d, eta, a))
+        pts.append(PairPoint(L, x, q, d, eta, a))
     return pts
 
 
