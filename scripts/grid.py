@@ -18,8 +18,8 @@ its rows. With `--rows`, one line per solve comes first: shape, seed,
 start, energy and bound in J (repr, so two commits diff exactly), outer
 rounds, re-balances and converged. The exit code is 1 when a solve
 raises a solver error, ends unconverged or has a gap above
-`kkt.GAP_TOL`, or when a grid solve has no bound; a tight solve without
-a bound is counted, not gated.
+`kkt.GAP_TOL`, when a grid solve has no bound, or when more than
+`TIGHT_UNBOUNDED` tight solves have none.
 """
 
 import argparse
@@ -49,6 +49,9 @@ STARTS = {"equal": InitStrategy.equal(), "binary": InitStrategy.binary(),
 TIGHT_SHAPES = ((4, 4, 0.2), (3, 5, 0.15))
 TIGHT_SEEDS = range(30)
 TIGHT_STARTS = {"equal": InitStrategy.equal()}
+# most tight solves that may end without a bound; a later change may only
+# lower it
+TIGHT_UNBOUNDED = 17
 SOLVER_ERRORS = (model.BracketError, model.ConvergenceError, model.DegenerateInputError,
                  model.InfeasibilityError, model.InfeasiblePairError, model.StructuralError)
 # an answer above its best-SNR energy by more than this, relative, is reported
@@ -106,9 +109,9 @@ def main(argv=None):
     args = p.parse_args(argv)
     cfg = model.SolveConfig()
     grid = run_section("grid", SHAPES, SEEDS, STARTS, cfg, args.rows)
-    errors, unconverged, _, gaps = run_section(
+    errors, unconverged, unbounded, gaps = run_section(
         "tight", TIGHT_SHAPES, TIGHT_SEEDS, TIGHT_STARTS, cfg, args.rows)
-    return int(sum(grid) + errors + unconverged + gaps > 0)
+    return int(sum(grid) + errors + unconverged + gaps > 0 or unbounded > TIGHT_UNBOUNDED)
 
 
 if __name__ == "__main__":

@@ -42,10 +42,14 @@ cold start of the bandwidth price.
 So the module has two root finders: `vec_bisect` for the references and
 `_newton` for every pricing, the fixed-data and the joint one, each in
 the log prices inside DUAL_RANGE, run to half of bisect_tol from a warm
-state by one start rule (`_start_prices`) and handing one back. No
-pricing bisects per pair: the price oracle (`physics.price_oracle`) and
-the bandwidth root z = L*ln2/(x*t), `physics.exponent_root`(beta/(a*t)),
-take the same Newton step in ln z, on one kappa(z), a fixed count of times.
+state by one start rule (`_start_prices`) and handing one back.
+`_newton` raises nothing and stops at a range edge as at any stall: the
+fixed-data pricing raises BracketError when it ends short of its
+tolerance at an edge, and the dual step holds an AP that it leaves idle
+or at the floor with spare capacity. No pricing bisects per pair: the
+price oracle (`physics.price_oracle`) and the bandwidth root
+z = L*ln2/(x*t), `physics.exponent_root`(beta/(a*t)), take the same
+Newton step in ln z, on one kappa(z), a fixed count of times.
 """
 
 from __future__ import annotations
@@ -82,8 +86,9 @@ from .physics import (
 # t = 0 singularity of 2**(L/(x t))
 SLACK_MARGIN = 1e-6
 
-# every dual search stays inside this range
+# every dual search stays inside this range; the Newton pricings in its log
 DUAL_RANGE = (1e-280, 1e280)
+LOG_RANGE = tuple(np.log(DUAL_RANGE))
 
 # fixed halving count for the vectorized per-pair root solves of the
 # bisection references; shrinks any bracket to float64 resolution
@@ -425,15 +430,15 @@ def _newton(system, y, tol, first=None):
     accepted trial took, four times it when that trial was the first of
     its step, and at most the whole step; a trial is halved until the
     residual norm falls. So a solve that had to shorten its steps does not
-    try each new one whole first. The iterates stay inside DUAL_RANGE; a
-    step that would leave it from its edge means the root lies beyond,
-    and raises BracketError. Stops once every residual
-    is inside tol, when J is singular or no step lowers the norm, or after
-    MAX_DUAL_PROBES calls of system. Returns (y, r, extra) of the best
-    iterate and the count of calls.
+    try each new one whole first. The iterates stay inside DUAL_RANGE.
+    Stops once every residual is inside tol, and like a stall when J is
+    singular, when no step lowers the norm, when a step would leave the
+    range from its edge (the root lies beyond it) or after MAX_DUAL_PROBES
+    calls of system. It raises nothing: the caller reads how it stopped
+    off the residuals and prices it returns. Returns (y, r, extra) of the
+    best iterate and the count of calls.
     """
-    edge = np.log(DUAL_RANGE)
-    y = np.clip(y, *edge)
+    y = np.clip(y, *LOG_RANGE)
     r, J, extra = first or system(y)
     calls, frac = int(first is None), 1.0
     while np.abs(r).max() > tol and calls < MAX_DUAL_PROBES:
@@ -444,12 +449,12 @@ def _newton(system, y, tol, first=None):
         if not np.all(np.isfinite(step)):  # J singular to working precision
             break
         step *= min(1.0, MAX_PRICE_STEP / np.abs(step).max())
-        if np.any(((y <= edge[0]) & (step < 0)) | ((y >= edge[1]) & (step > 0))):
-            raise BracketError(f"dual root outside the range {DUAL_RANGE}")
+        if np.any(((y <= LOG_RANGE[0]) & (step < 0)) | ((y >= LOG_RANGE[1]) & (step > 0))):
+            break
         norm = np.linalg.norm(r)
         start = frac
         while calls < MAX_DUAL_PROBES:
-            y_try = np.clip(y + frac * step, *edge)
+            y_try = np.clip(y + frac * step, *LOG_RANGE)
             r_try, J_try, extra_try = system(y_try)
             calls += 1
             if np.linalg.norm(r_try) < norm:
@@ -568,49 +573,25 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     allocation read off them.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices in stages (`_joint_stages`) from the warm state, which it
-    only reads, or, when that is void, from the state `_price` returns
-    for the capacity split L_ij = T_i*C_j/sum C (its raises propagate).
+    log prices in stages from the warm state, which it only reads, or,
+    when that is void, from the state `_price` returns for the capacity
+    split L_ij = T_i*C_j/sum C (its raises propagate), by the pricing's
+    start rule (`_start_prices`) at the slack of the capacity split.
     With tau -> 0 the bound tends to G(beta, mu) (`joint_dual`), whose
     maximum nearly always meets the energy: the time-sharing argument of
     Yu & Lui (IEEE Trans. Commun. 2006), with the log-sum-exp smoothing of
     Nesterov (Math. Program. 2005).
 
-    Returns (L, G, state, allocation) of the last stage that met the
-    tolerance: L = T*w at its soft-argmin weights, loads at or below the
-    activity threshold dropped and each row rescaled onto its task; G
-    read off the oracle of its last accepted iterate; its prices as a warm
-    state, every held AP at the floor, where `joint_dual` is G; and the
-    (x, q, E) `_read_off` certifies at those prices and split L, or None
-    when it misses the certificate. Returns None when the first stage
-    misses the tolerance, its Jacobian is singular or its root lies beyond
-    DUAL_RANGE.
-    """
-    if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
-        cap = scenario.compute_capacity
-        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm)[0]
-    best = None
-    for best in _joint_stages(scenario, cfg, warm):
-        pass
-    if best is None:
-        return None
-    L, bound, state, oracle = best
-    inputs = _pricing_inputs(scenario, L)
-    prices = np.append(state["beta"], state["mus"][inputs[-1]])
-    act = inputs[0].ravel()
-    try:
-        allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
-    except (ConvergenceError, InfeasiblePairError):
-        allocation = None
-    return L, bound, state, allocation
-
-
-def _joint_stages(scenario, cfg, warm):
-    """The stages of `joint_split`, from the pricing's start rule
-    (`_start_prices`) at the capacity split's slack. Stage k fixes
-    tau_i = kappa_k*min_j e_ij at its start prices and solves to half of
-    bisect_tol by `_newton`, like every pricing, from the oracle pass that
-    ended the stage before.
+    Stage k fixes tau_i = kappa_k*min_j e_ij at its start prices and
+    solves to half of bisect_tol by `_newton`, like every pricing, from
+    the oracle pass that ended the stage before. However that solve
+    stops, an AP that serves no one is held at the floor of DUAL_RANGE,
+    out of the system, and the stage solved again: its price belongs at
+    zero, where G's slope in log mu vanishes. Such an AP has its residual
+    at -1, or has spare capacity (a residual at most the tolerance) with
+    its price at the floor. A stage fails when it stops short of the
+    tolerance with no AP to hold, or when a held AP's capacity would be
+    exceeded.
 
     The smoothing costs the soft split a bias
     S = sum_i T_i*(sum_j w_ij*e_ij - min_j e_ij) <= sum_i T_i*tau_i*ln M
@@ -623,16 +604,19 @@ def _joint_stages(scenario, cfg, warm):
     it goes no lower than the kappa at which the bound on S meets the
     target, and the continuation stops when the last kappa was there.
 
-    An AP whose residual sits at -1 when a solve stalls serves no one: its
-    price belongs at zero, where G's slope in log mu vanishes. Such an AP
-    is held at the floor of DUAL_RANGE, out of the system, and the stage
-    solved again; the stage fails when a held AP's capacity would then be
-    exceeded. Yields (L, G, state, the oracle's (e, t, x/L) over all K*M
-    pairs) of each stage that meets the tolerance, and stops at the first
-    that does not, at a singular Jacobian or at a root beyond DUAL_RANGE.
+    Returns (L, G, state, allocation) of the last stage that met the
+    tolerance: L = T*w at its soft-argmin weights, loads at or below the
+    activity threshold dropped and each row rescaled onto its task; G
+    read off the oracle of its last accepted iterate; its prices as a warm
+    state, every held AP at the floor, where `joint_dual` is G; and the
+    (x, q, E) `_read_off` certifies at those prices and split L, or None
+    when it misses the certificate. None when the first stage fails.
     """
+    if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
+        cap = scenario.compute_capacity
+        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm)[0]
     K, M = scenario.num_users, scenario.num_aps
-    bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
+    bits, tol, floor = scenario.task_bits, 0.5 * cfg.bisect_tol, LOG_RANGE[0]
     _, pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
     Lv, d, eta, _ = pairs  # every task once on each of the M APs
     slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
@@ -646,27 +630,23 @@ def _joint_stages(scenario, cfg, warm):
         r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets, oracle)
         return r[~held], J[np.ix_(~held, ~held)], (r, extra)
 
-    kappa = JOINT_SMOOTHING[0]
+    best, kappa = None, JOINT_SMOOTHING[0]
     for stage in itertools.count(1):
         tau = kappa * oracle[0].reshape(K, M).min(axis=1)
         first = system(y[~held], oracle)  # reuses the last oracle pass
-        try:
-            while True:
-                v, r_free, (r, (w, oracle)), _ = _newton(system, y[~held], tol, first)
-                y[~held] = v
-                if np.abs(r_free).max() <= tol:
-                    break
-                idle = ~held & (r <= -1.0 + tol)
-                idle[0] = False
-                if not idle.any():
-                    return
-                held |= idle
-                y[idle] = math.log(DUAL_RANGE[0])
-                first = None
-        except BracketError:
-            return
-        if np.any(r[held] > tol):
-            return
+        while True:
+            v, r_free, (r, (w, oracle)), _ = _newton(system, y[~held], tol, first)
+            y[~held] = v
+            met = np.abs(r_free).max() <= tol
+            idle = ~held & ((r <= -1.0 + tol) | (y <= floor) & (r <= tol))
+            idle[0] = False
+            if met or not idle.any():
+                break
+            held |= idle
+            y[idle] = floor
+            first = None
+        if not met or np.any(r[held] > tol):
+            break
         p = np.exp(y)
         e = oracle[0].reshape(K, M)
         mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
@@ -674,15 +654,26 @@ def _joint_stages(scenario, cfg, warm):
         bound = float(least - p[0] * budgets[0] - mus @ budgets[1:])
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
-        yield (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,
-               {"beta": p[0], "mus": mus}, oracle)
+        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,
+                {"beta": p[0], "mus": mus}, oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
         if stage < len(JOINT_SMOOTHING):
             kappa = JOINT_SMOOTHING[stage]
         elif bias > target and kappa > (low := target / (least * math.log(M))):
             kappa = max(0.5 * kappa * target / bias, low)
         else:
-            return
+            break
+    if best is None:
+        return None
+    L, bound, state, oracle = best
+    inputs = _pricing_inputs(scenario, L)
+    prices = np.append(state["beta"], state["mus"][inputs[-1]])
+    act = inputs[0].ravel()
+    try:
+        allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
+    except (ConvergenceError, InfeasiblePairError):
+        allocation = None
+    return L, bound, state, allocation
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +689,10 @@ def _price(scenario, L, cfg, warm, diag=None):
     starts from them by `_start_prices` at the slack D*(1 - load_j/C_j)
     of the capacity split proportional to eta*L/D. Only APs that serve an
     active pair are priced; one whose `model.least_load` reaches its
-    capacity raises InfeasibilityError, and a price root beyond DUAL_RANGE
-    BracketError. diag, when a list, receives one record per final price
+    capacity raises InfeasibilityError. A Newton solve that ends short of
+    its tolerance with a price at an edge of DUAL_RANGE raises
+    BracketError: the root lies beyond the range, or the solve stalled
+    there. diag, when a list, receives one record per final price
     with its scaled budget residual and the count of oracle calls. Returns
     the final prices as a state of that form, the `_pricing_inputs` of L,
     the final prices of the bandwidth and the served APs, and the oracle's
@@ -715,8 +708,10 @@ def _price(scenario, L, cfg, warm, diag=None):
     y = _start_prices(_warm_prices(warm, cap.size), pairs, col, aps,
                       (scenario.deadlines_s[:, None] * (1.0 - load / cap))[act], budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)
-    y, r, oracle, calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y,
-                                  0.5 * cfg.bisect_tol)
+    tol = 0.5 * cfg.bisect_tol
+    y, r, oracle, calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y, tol)
+    if np.abs(r).max() > tol and np.any((y <= LOG_RANGE[0]) | (y >= LOG_RANGE[1])):
+        raise BracketError(f"dual root outside the range {DUAL_RANGE}")
     p = np.exp(y)
     if diag is not None:
         kinds = ["beta_bandwidth"] + ["mu_compute"] * aps.size

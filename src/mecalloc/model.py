@@ -44,8 +44,9 @@ class InfeasibilityError(RuntimeError):
 
 class BracketError(RuntimeError):
     """A dual root lies beyond the dual range: a bisection bracket that
-    does not enclose it, or a Newton pricing step that would leave the
-    range from its edge (`kkt._newton`)."""
+    does not enclose it (`kkt._price_budgets`), or a fixed-data Newton
+    pricing that ends short of its tolerance at an edge of the range
+    (`kkt._price`)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -260,9 +261,10 @@ class SolveConfig:
     solve to half of it. It stops none of the fixed counts: the Newton
     steps of the price oracle and of the bandwidth root, and the bisection
     references' halvings (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per
-    dual). No residual is certified below float64 resolution. The load
-    below which a pair is frozen is the scenario's
-    (`Scenario.activity_threshold_bits`), not a setting.
+    dual). No residual is certified below float64 resolution, and a
+    bisect_tol below it raises StructuralError. The load below which a
+    pair is frozen is the scenario's (`Scenario.activity_threshold_bits`),
+    not a setting.
     """
 
     epsilon_j: float = 1e-5
@@ -271,6 +273,8 @@ class SolveConfig:
 
     def __post_init__(self):
         require_positive(self, "epsilon_j", "bisect_tol")
+        if self.bisect_tol < np.finfo(float).eps:
+            raise StructuralError(f"bisect_tol {self.bisect_tol} is below float64 resolution")
         if not is_count(self.max_outer_iters, 1):
             raise StructuralError("the outer iteration budget must be a positive integer")
 
@@ -333,11 +337,11 @@ def pair_fault(compute, slack, bandwidth, u, deadline):
     """The pair rule at one loaded pair: it has an energy only with
     compute, a slack t = D - eta*L/q > 0, bandwidth and a rate exponent
     u = L/(x*t) <= EXPONENT_CAP. Returns (constraint, residual) for the
-    first of these that fails, or None."""
+    first of these that fails, or None; a zero slack misses by +0."""
     if compute <= 0:
         return "no compute on loaded pair", 1.0
     if slack <= 0:
-        return "nonpositive slack", float(-slack / deadline)
+        return "nonpositive slack", float(max(0.0, -slack) / deadline)
     if bandwidth <= 0:
         return "no bandwidth on loaded pair", 1.0
     if u > EXPONENT_CAP:

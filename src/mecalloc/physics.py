@@ -92,16 +92,16 @@ def exponent_root(c):
     It is z = 1 + W0((c - 1)/e) (Corless et al., Adv. Comput. Math.
     1996), at most the exponent cap. The price oracle's Newton step in
     u = ln z, on ln kappa + u + z = ln c here, polishes `_exponent_start`
-    to float64 resolution in _ROOT_STEPS steps; below c = 1e-9 the series is.
+    to float64 resolution in _ROOT_STEPS steps at every normal c; z(0) = 0.
     """
     c = np.asarray(c, dtype=float)
-    cc = np.clip(c, 1e-9, _C_TOP)
+    cc = np.clip(c, np.finfo(float).tiny, _C_TOP)
     lc = np.log(cc)
     z = _exponent_start(cc)
     for _ in range(_ROOT_STEPS):
         kappa = _kappa(z)
         z = z * np.exp(-(np.log(kappa) + np.log(z) + z - lc) / (z / kappa))
-    return np.where(c < 1e-9, _exponent_start(np.minimum(c, 1e-9)), z)
+    return np.where(c == 0.0, 0.0, z)
 
 
 def price_oracle(beta, mu, d, eta, a):

@@ -10,7 +10,7 @@ from mecalloc import cli
 from mecalloc.cli import main
 from mecalloc.scenario import override_parameter, provenance
 
-from util import make_scenario
+from util import make_scenario, starve_pricing
 
 
 def _strip_timestamp(path):
@@ -271,21 +271,23 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, small_scenario_file,
 
 
 def test_solve_exit_code_on_solver_convergence_error(tmp_path, small_scenario_file,
-                                                     capsys):
-    # a tolerance below float64 resolution leaves a budget residual the
-    # solver cannot meet; that is a non-convergence, not a crash
+                                                     capsys, monkeypatch):
+    # a budget residual the solver cannot meet is a non-convergence, not a
+    # crash
+    starve_pricing(monkeypatch)
     code = main(["solve", "--scenario", small_scenario_file,
-                 "--bisect-tol", "1e-17", "--out", str(tmp_path / "sol.json")])
+                 "--out", str(tmp_path / "sol.json")])
     assert code == 4
     err = capsys.readouterr().err.strip()
     assert err.startswith("did not converge:") and "\n" not in err
 
 
-def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file):
+def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file, monkeypatch):
+    starve_pricing(monkeypatch)
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenario", small_scenario_file,
                  "--param", "deadline-s", "--values", "0.5,1.0",
-                 "--bisect-tol", "1e-30", "--workers", "1", "--out", str(out)])
+                 "--workers", "1", "--out", str(out)])
     assert code == 0
     rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
     assert len(rows) == 2
@@ -316,7 +318,8 @@ _SOLVE_AND_SWEEP = (["solve"], ["sweep", "--param", "deadline-s", "--values", "0
 
 @pytest.mark.parametrize("flag,value", [("--max-outer", "0"), ("--eps-mj", "0"),
                                         ("--bisect-tol", "-1"), ("--bisect-tol", "nan"),
-                                        ("--bisect-tol", "inf"), ("--eps-mj", "nan"),
+                                        ("--bisect-tol", "inf"), ("--bisect-tol", "1e-16"),
+                                        ("--eps-mj", "nan"),
                                         ("--eps-mj", "inf")])
 def test_bad_solver_settings_are_usage_errors(tmp_path, small_scenario_file, capsys,
                                               flag, value):

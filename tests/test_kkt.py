@@ -714,6 +714,16 @@ def test_newton_returns_its_start_when_the_line_search_uses_up_its_calls(monkeyp
     assert extra == "extra" and calls == 3
 
 
+def test_newton_stops_at_the_range_edge_when_the_root_lies_beyond():
+    # the root y = 700 lies above ln(1e280) ~ 644.7: the solve climbs to
+    # the edge and stops there like a stall, returning that iterate
+    edge = math.log(kkt.DUAL_RANGE[1])
+    y, r, extra, calls = kkt._newton(lambda y: (y - 700.0, np.eye(1), "extra"),
+                                     np.array([600.0]), 1e-12)
+    assert y[0] == edge and r[0] == edge - 700.0
+    assert extra == "extra" and calls < kkt.MAX_DUAL_PROBES
+
+
 def _count_joint_systems(monkeypatch):
     system, calls = kkt._joint_system, []
 

@@ -31,6 +31,7 @@ from mecalloc.model import (
     Violation,
     budget_residuals,
     check_pairs,
+    pair_fault,
 )
 from mecalloc.physics import energy_matrix, pair_energy
 from mecalloc.scenario import override_parameter
@@ -415,6 +416,11 @@ def test_pairpoint_rejects_bad_fields():
     for t in (0.0, -0.1, 1.5):
         with pytest.raises(InfeasiblePairError):
             PairPoint.from_slack(slack_s=t, **base)
+    # a zero slack misses by +0, not by a -0 that reads as met
+    fault = pair_fault(1e3, 0.0, 1e4, 0.1, 1.0)
+    assert fault == ("nonpositive slack", 0.0) and math.copysign(1.0, fault[1]) == 1.0
+    with pytest.raises(InfeasiblePairError, match="residual 0$"):
+        PairPoint.from_slack(slack_s=0.0, **base)
     for name, bad in (("data_bits", -1.0), ("deadline_s", 0.0), ("deadline_s", -1.0),
                       ("cycles_per_bit", 0.0), ("noise_over_gain", 0.0),
                       ("noise_over_gain", -1.0)):
@@ -489,9 +495,12 @@ def test_pairpoint_from_slack_at_the_deadline_is_infinite_compute():
 def test_solveconfig_validation_and_defaults(scenario42):
     for bad in (dict(epsilon_j=0.0), dict(epsilon_j=float("nan")),
                 dict(epsilon_j=float("inf")), dict(bisect_tol=float("nan")),
-                dict(bisect_tol=float("inf")), dict(max_outer_iters=2.5)):
+                dict(bisect_tol=float("inf")), dict(bisect_tol=1e-16),
+                dict(max_outer_iters=2.5)):
         with pytest.raises(StructuralError):
             SolveConfig(**bad)
+    # no residual is certified below float64 resolution, which is the floor
+    assert SolveConfig(bisect_tol=np.finfo(float).eps).bisect_tol == np.finfo(float).eps
     assert [f.name for f in dataclasses.fields(SolveConfig)] == \
         ["epsilon_j", "bisect_tol", "max_outer_iters"]
     assert SolveConfig.for_scenario(scenario42) == SolveConfig()

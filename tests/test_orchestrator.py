@@ -28,7 +28,7 @@ from mecalloc.orchestrate import check_solution
 from mecalloc.physics import data_marginal, price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
 
-from util import make_scenario, scalar_energy
+from util import make_scenario, scalar_energy, starve_pricing
 
 
 def _small_scenario():
@@ -326,17 +326,11 @@ def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
     assert validate(sc, sol.allocation, cfg).ok
 
 
-def _starve_pricing(mp):
-    """Stop every Newton solve of the pricing at its start prices, so that
-    the pricing misses its tolerance."""
-    mp.setattr(kkt, "_newton", lambda system, y, tol: (y, *system(y)[::2], 1))
-
-
 def test_trial_split_whose_pricing_misses_its_tolerance_is_rejected(monkeypatch):
     sc = _small_scenario()
     cfg = _cfg(sc)
     L = initialize(sc, InitStrategy.equal())
-    _starve_pricing(monkeypatch)
+    starve_pricing(monkeypatch)
     assert orchestrate._rebalance(sc, L, cfg, {})[0] == np.inf
     with pytest.raises(ConvergenceError, match="budget residual"):
         solve_fixed_data(sc, L, cfg)
@@ -736,6 +730,19 @@ def test_the_tight_deadline_start_is_certified_with_no_gradient_round():
     assert sol.converged
     assert sol.outer_iterations == 0
     assert sol.trace.inner_iteration_counts == (0,)
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+
+
+def test_an_ap_the_dual_step_leaves_at_the_floor_with_spare_capacity_is_held():
+    # the dual step's Newton solve walks one compute price to the floor of
+    # DUAL_RANGE, where its AP's scaled residual is about -0.9999: spare
+    # capacity at a zero price. Held there, the stage meets its tolerance
+    # and the start is certified; left in the system, no bound was found
+    # and three gradient rounds ended 1.9% higher
+    sc = generate(GenParams(num_users=3, num_aps=5, deadline_s=0.15, seed=3))
+    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
+    assert sol.converged and sol.outer_iterations == 0
+    assert sol.lower_bound_j is not None
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 

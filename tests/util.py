@@ -1,6 +1,6 @@
 """Shared test oracles: independent energy formulas, finite differences,
-and brute-force grid searches. Nothing here calls the solver paths it is
-used to check."""
+and brute-force grid searches, plus one stub of the pricing's Newton
+solve. Nothing here calls the solver paths it is used to check."""
 
 import decimal
 import math
@@ -8,7 +8,7 @@ from decimal import Decimal
 
 import numpy as np
 
-from mecalloc import PairPoint, Scenario, TaskSpec
+from mecalloc import PairPoint, Scenario, TaskSpec, kkt
 
 
 def sample_points(n, seed=7):
@@ -49,6 +49,13 @@ def scalar_energy(L, x, t, noise_over_gain):
 def scalar_energy_q(L, x, q, deadline, cycles_per_bit, noise_over_gain):
     t = deadline - cycles_per_bit * L / q
     return scalar_energy(L, x, t, noise_over_gain)
+
+
+def starve_pricing(mp):
+    """Stop every Newton solve of the pricing at its start prices, so that
+    each re-balance leaves a budget residual above its tolerance."""
+    mp.setattr(kkt, "_newton", lambda system, y, tol, first=None:
+               (y, *(first or system(y))[::2], 1))
 
 
 def make_scenario(gains, bits, deadline, eta, bandwidth, capacities, noise=1.0):
