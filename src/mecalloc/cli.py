@@ -274,7 +274,7 @@ def build_parser():
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--scenario", required=True)
     solver_flags.add_argument("--eps-mj", type=float, default=SolveConfig.epsilon_j * 1e3,
-                              help="outer stop threshold in milli-Joules")
+                              help="SolveConfig.epsilon_j in milli-Joules; it stops no solve")
     solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
     solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters)
 

@@ -111,9 +111,9 @@ MAX_PRICE_STEP = math.log(1e10)
 # (`joint_split`) picks the temperature of every later stage
 JOINT_SMOOTHING = (1e-3, 1e-4)
 
-# the start stops the solve when its energy E is within GAP_TOL*E of the
-# joint Lagrangian bound, which no split can beat; the dual step's
-# smoothing may spend half of it
+# the outer loop stops when its energy E is within GAP_TOL*E of the joint
+# Lagrangian bound, which no split can beat; the dual step's smoothing may
+# spend half of it
 GAP_TOL = 1e-5
 
 
@@ -419,6 +419,15 @@ def _budget_system(y, pairs, col, budgets):
     return (*_budget_terms(beta, *oracle[1:], pairs, col, budgets), oracle)
 
 
+def _solve(A, b):
+    """A^-1 b, or None when A is singular to working precision."""
+    try:
+        x = np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
 def _newton(system, y, tol, first=None):
     """Safeguarded Newton solve of system(y) = (r, J, extra): the
     residuals r, their Jacobian J in the log prices y and whatever the
@@ -431,22 +440,24 @@ def _newton(system, y, tol, first=None):
     its step, and at most the whole step; a trial is halved until the
     residual norm falls. So a solve that had to shorten its steps does not
     try each new one whole first. The iterates stay inside DUAL_RANGE.
-    Stops once every residual is inside tol, and like a stall when J is
-    singular, when no step lowers the norm, when a step would leave the
-    range from its edge (the root lies beyond it) or after MAX_DUAL_PROBES
-    calls of system. It raises nothing: the caller reads how it stopped
-    off the residuals and prices it returns. Returns (y, r, extra) of the
-    best iterate and the count of calls.
+    Where J is singular to working precision the step is the damped one,
+    (J^T J + lam^2 I) s = -J^T r with lam = 1e-3*max|J| (Levenberg-
+    Marquardt: Nocedal & Wright, Numerical Optimization, ch. 10).
+    Stops once every residual is inside tol, and like a stall when that
+    step is singular too, when no step lowers the norm, when a step would
+    leave the range from its edge (the root lies beyond it) or after
+    MAX_DUAL_PROBES calls of system. It raises nothing: the caller reads
+    how it stopped off the residuals and prices it returns. Returns
+    (y, r, extra) of the best iterate and the count of calls.
     """
     y = np.clip(y, *LOG_RANGE)
     r, J, extra = first or system(y)
     calls, frac = int(first is None), 1.0
     while np.abs(r).max() > tol and calls < MAX_DUAL_PROBES:
-        try:
-            step = np.linalg.solve(J, -r)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):  # J singular to working precision
+        step = _solve(J, -r)
+        if step is None:  # J singular: the damped (Levenberg-Marquardt) step
+            step = _solve(J.T @ J + (1e-3 * np.abs(J).max()) ** 2 * np.eye(r.size), -J.T @ r)
+        if step is None:
             break
         step *= min(1.0, MAX_PRICE_STEP / np.abs(step).max())
         if np.any(((y <= LOG_RANGE[0]) & (step < 0)) | ((y >= LOG_RANGE[1]) & (step > 0))):
@@ -507,7 +518,7 @@ def _start_prices(prices, pairs, col, aps, t, B):
 # ---------------------------------------------------------------------------
 # The joint dual: the split prices choose
 
-def joint_dual(scenario, beta, mus):
+def joint_dual(scenario, beta, mus, e=None):
     """The Lagrangian bound of the full problem at bandwidth price beta
     and M-vector of compute prices mus,
 
@@ -515,10 +526,12 @@ def joint_dual(scenario, beta, mus):
 
     For fixed prices each pair's Lagrangian is homogeneous of degree one
     in its load, so by weak duality G never exceeds the energy of any
-    feasible allocation, whatever its data split.
+    feasible allocation, whatever its data split. e, when given, is
+    `pair_costs` at these prices.
     """
     mus = np.asarray(mus, dtype=float)
-    e = pair_costs(scenario, {"beta": beta, "mus": mus})
+    if e is None:
+        e = pair_costs(scenario, {"beta": beta, "mus": mus})
     return float(scenario.task_bits @ e.min(axis=1) - beta * scenario.bandwidth_hz
                  - mus @ scenario.compute_capacity)
 
@@ -650,8 +663,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
         p = np.exp(y)
         e = oracle[0].reshape(K, M)
         mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
-        least = bits @ e.min(axis=1)
-        bound = float(least - p[0] * budgets[0] - mus @ budgets[1:])
+        bound, least = joint_dual(scenario, p[0], mus, e), bits @ e.min(axis=1)
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
         best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,

@@ -253,8 +253,10 @@ class PairPoint:
 class SolveConfig:
     """Solver tolerances and iteration budgets.
 
-    epsilon_j is the outer stop threshold in Joules; max_outer_iters
-    counts the gradient rounds after the start of `solve_iterative`.
+    epsilon_j (Joules) stops no solve, which stops on its certificate
+    (`kkt.GAP_TOL`); callers read it as an absolute tolerance.
+    max_outer_iters counts the gradient rounds after the start of
+    `solve_iterative`.
     bisect_tol is the relative tolerance of the budget residual checks
     and of the duality gap that certifies a re-balance, which is one pass
     with no round budget; the Newton pricings, the dual step included,

@@ -7,10 +7,7 @@ the dual step: the split the joint Lagrangian dual's prices choose
 initial split L0, with the allocation read off those prices and
 certified like a re-balance's, so no re-balance runs. The dual split is
 re-balanced only when that read-off misses its certificate, and L0 only
-when the step fails. The joint dual G at the dual step's prices
-(`kkt.joint_dual`, which `kkt.joint_split` returns with them) bounds
-every feasible energy; a start within GAP_TOL of it is the answer, with
-no gradient round. Every round after it takes one projected
+when the step fails. Every round after it takes one projected
 reduced-gradient step on L. F is the maximum of the fixed-data dual over
 the prices, so by Danskin's theorem dF/dL_ij is the pair's cost per bit
 e_ij at the last re-balance's prices (`kkt.pair_costs`): the gradient on
@@ -18,10 +15,12 @@ the active pairs and the entry test on the others. The step is projected
 onto each user's task simplex on its support, and a backtracking line
 search accepts the first trial whose warm re-balance, one pass of
 `kkt.solve_bcaa`, strictly lowers the energy, starting from the
-Barzilai-Borwein step length (IMA J. Numer. Anal. 1988). So the outer
-energies fall strictly until a round's decrement meets the stop; the
-dual step from the answer's prices then replaces the answer when its
-certified read-off is lower.
+Barzilai-Borwein step length (IMA J. Numer. Anal. 1988).
+
+The problem is convex in (L, x, q), so the one stop rule is the
+certificate of the joint dual G (`kkt.joint_dual`), the Frank-Wolfe gap
+bound of F (Jaggi, ICML 2013), read at the dual step's and each round's
+prices.
 
 Every energy the loop compares is one `physics.energy_matrix` call. The
 outer loop calls `solve_daa` no longer; the module keeps the name because
@@ -36,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, joint_split, pair_costs, solve_bcaa
+from .kkt import GAP_TOL, joint_dual, joint_split, pair_costs, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -113,8 +112,7 @@ class SolveTrace:
     round ran, one per trial step of the round, rejected ones included (a
     re-balance that raises adds none). Entry 0 counts those of the start:
     0 when the allocation is read off the dual step's prices, 1 otherwise.
-    A start the Lagrangian bound certifies is the only entry. The last
-    entry includes the final dual step of `solve_iterative`, if it ran.
+    A start the Lagrangian bound certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -210,7 +208,8 @@ def _rebalance(scenario, L, cfg, warm):
 
 
 def _direction(scenario, L, warm):
-    """The support and row-scaled direction of a gradient round at split L.
+    """The support, row-scaled direction and bound of a gradient round at
+    split L.
 
     One `kkt.pair_costs` call gives e_ij = dF/dL_ij at the warm prices.
     Every inactive pair whose e_ij is below (1 - ENTRY_TOL) times its
@@ -218,22 +217,22 @@ def _direction(scenario, L, warm):
     would be the KKT test, and the two agree at a stationary split; away
     from one, pairs cheaper than the mean but dearer than the best pair
     turned the step away from splits the plain step reaches. Returns
-    (support, G = T*(e/nu - 1), whether a pair entered), with nu_i the
-    load-weighted mean of user i's e over its active pairs.
+    (support, G = T*(e/nu - 1), the joint dual at the warm prices), with
+    nu_i the load-weighted mean of user i's e over its active pairs.
     """
     act = L > scenario.activity_threshold_bits
     e = pair_costs(scenario, warm)
     La = np.where(act, L, 0.0)
     nu = (La * e).sum(axis=1) / La.sum(axis=1)
     enter = e < np.where(act, e, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
-    return act | enter, scenario.task_bits[:, None] * (e / nu[:, None] - 1.0), bool(enter.any())
+    return (act | enter, scenario.task_bits[:, None] * (e / nu[:, None] - 1.0),
+            joint_dual(scenario, warm["beta"], warm["mus"], e))
 
 
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
     """A dual step, then projected reduced-gradient descent on the data
-    split until the energy gap of a round falls below the configured
-    threshold.
+    split until the joint Lagrangian bound certifies the energy.
 
     The objective is F(L), the energy after the bandwidth/compute
     re-balance at data split L. The start (entry 0 of the trace) is the
@@ -244,14 +243,15 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     re-balance. Only when that read-off misses its certificate is the
     split re-balanced, warm from the state the step returns; only when the
     step returns no split, or its split cannot be re-balanced, is L0,
-    cold. The joint dual at the dual step's prices is the solve's
-    lower_bound_j (None with no prices); a start energy E within GAP_TOL*E
-    of it is returned, converged, after zero gradient rounds, as is every
-    one-AP start, whose soft weights are all 1. After gradient rounds the
-    dual step runs again from the answer's prices: lower_bound_j is the
-    larger of the two bounds, and a lower certified allocation of the step
-    is the answer, its energy the last trace entry's, which counts the
-    step's wall time. converged depends on neither.
+    cold.
+
+    The joint dual G (`kkt.joint_dual`) at any prices bounds every
+    answer, and lower_bound_j is the largest G seen: at the dual step's
+    prices, then at the warm prices before each round, off the
+    `kkt.pair_costs` call of its direction. The solve stops, converged,
+    once the energy E is within GAP_TOL*E of it, which may be before the
+    first round, and unconverged when a round cannot lower E or after
+    cfg.max_outer_iters rounds.
 
     A gradient round reads every pair's cost per bit e_ij at the warm
     prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
@@ -267,10 +267,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     energy is strictly lower; a trial that is infeasible, or whose
     re-balance finds a dual outside its range or misses its certificate,
     counts as a rejection. A round whose step moves no load, or whose
-    step falls below MIN_STEP, lowers the energy by zero. The loop stops
-    at the end of the first round that lowers the energy by zero, or by
-    at most epsilon_j while no pair is left to enter; that may be the
-    last allowed round.
+    step falls below MIN_STEP, lowers the energy by zero.
     """
     strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig()
@@ -278,7 +275,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
 
     L = initialize(scenario, strategy)
     t0 = time.perf_counter()
-    warm, rounds, x, lower = {}, 0, None, None
+    warm, rounds, x, lower = {}, 0, None, -np.inf
     dual = joint_split(scenario, cfg, warm)
     if dual is not None:
         L_dual, lower, state, allocation = dual
@@ -294,13 +291,16 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
         energy = float(energy_matrix(scenario, L, x, q).sum())
     outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
 
-    L_last = G_last = direction = None
-    converged = lower is not None and energy - lower <= GAP_TOL * energy
-    for _ in range(0 if converged else cfg.max_outer_iters):
+    L_last = G_last = None
+    converged = energy - lower <= GAP_TOL * energy
+    while not converged:
         t_iter = time.perf_counter()
-        rounds = 0
-        act, G, _ = direction = direction or _direction(scenario, L, warm)
-        trial = 1.0
+        act, G, bound = _direction(scenario, L, warm)
+        lower = max(lower, bound)
+        converged = energy - lower <= GAP_TOL * energy
+        if converged or len(outer) > cfg.max_outer_iters:
+            break
+        rounds, trial = 0, 1.0
         if L_last is not None:
             # BB1 step s.s/s.y over the support, from the last step
             s, y = (L - L_last)[act], (G - G_last)[act]
@@ -314,29 +314,14 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
             e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm)
             rounds += x_try is not None
             if e_try < energy:
-                L, x, q, warm, energy, direction = L_try, x_try, q_try, warm_try, e_try, None
+                L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
                 break
             trial *= 0.5
         outer.append(energy)
         inner_counts.append(rounds)
         walls.append(time.perf_counter() - t_iter)
-        if outer[-2] - energy <= cfg.epsilon_j:
-            # a round that lowered the energy only stops the loop when no
-            # pair is left to enter
-            direction = direction or _direction(scenario, L, warm)
-            if energy == outer[-2] or not direction[2]:
-                converged = True
-                break
-    if len(outer) > 1:
-        # the dual step from the answer's prices: its bound, and a lower answer
-        t_final = time.perf_counter()
-        final = joint_split(scenario, cfg, warm)
-        if final is not None:
-            lower = final[1] if lower is None else max(lower, final[1])
-            if final[3] is not None and final[3][2] < energy:
-                L, (x, q, energy) = final[0], final[3]
-                outer[-1] = energy
-        walls[-1] += time.perf_counter() - t_final
+        if energy == outer[-2]:
+            break
 
     allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(

@@ -151,13 +151,12 @@ def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_f
     assert not (tmp_path / "x.json").exists()
 
 
-def test_solve_exit_code_on_non_convergence(tmp_path, small_scenario_file, monkeypatch):
-    # the dual step alone solves this instance; without it one gradient
-    # round ends before the stop test can be met
-    monkeypatch.setattr("mecalloc.orchestrate.joint_split", lambda *args: None)
-    sol = tmp_path / "sol.json"
-    code = main(["solve", "--scenario", small_scenario_file,
-                 "--eps-mj", "1e-250", "--max-outer", "1", "--out", str(sol)])
+def test_solve_exit_code_on_non_convergence(tmp_path):
+    # the dual step of this draw returns no split, and one gradient round
+    # does not bring the equal start within GAP_TOL of its bound
+    path, sol = tmp_path / "rounds.json", tmp_path / "sol.json"
+    save_scenario(generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13)), path)
+    code = main(["solve", "--scenario", str(path), "--max-outer", "1", "--out", str(sol)])
     assert code == 4
     assert json.loads(sol.read_text())["converged"] is False
 

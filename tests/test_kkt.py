@@ -724,6 +724,27 @@ def test_newton_stops_at_the_range_edge_when_the_root_lies_beyond():
     assert extra == "extra" and calls < kkt.MAX_DUAL_PROBES
 
 
+def test_newton_takes_the_damped_step_where_its_jacobian_is_singular():
+    # r = (y0 - 1, y0*y1 - 1) has its root at (1, 1), and its Jacobian
+    # [[1, 0], [y1, y0]] is singular at the start (0, 0), where the damped
+    # step moves y0 alone
+    def system(y):
+        return (np.array([y[0] - 1.0, y[0] * y[1] - 1.0]),
+                np.array([[1.0, 0.0], [y[1], y[0]]]), "extra")
+
+    y, r, extra, calls = kkt._newton(system, np.zeros(2), 1e-12)
+    assert np.abs(r).max() <= 1e-12 and calls > 2
+    np.testing.assert_allclose(y, [1.0, 1.0], rtol=0, atol=1e-11)
+
+
+def test_newton_stops_where_its_damped_step_is_singular_too():
+    # a zero Jacobian leaves both systems singular: the solve stalls at its start
+    y, r, extra, calls = kkt._newton(lambda y: (y - 1.0, np.zeros((2, 2)), "extra"),
+                                     np.zeros(2), 1e-12)
+    assert np.array_equal(y, np.zeros(2)) and np.array_equal(r, -np.ones(2))
+    assert extra == "extra" and calls == 1
+
+
 def _count_joint_systems(monkeypatch):
     system, calls = kkt._joint_system, []
 

@@ -201,16 +201,20 @@ def test_trace_lengths_are_consistent():
     assert sol.outer_iterations == n - 1
 
 
-def test_max_outer_budget_marks_non_convergence(monkeypatch):
-    # with the dual step declined the first gradient round solves this
-    # instance, so only a one-round budget ends before the stop test can
-    # be met
-    _decline_dual_step(monkeypatch)
-    sc = _small_scenario()
-    cfg = SolveConfig.for_scenario(sc, epsilon_j=1e-300, max_outer_iters=1)
+def _rounds_draw():
+    # the dual step of this draw returns no split from the capacity
+    # split's prices, and the equal start needs many gradient rounds
+    return generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+
+
+def test_max_outer_budget_marks_non_convergence():
+    # one round does not bring this start within GAP_TOL of its bound
+    sc = _rounds_draw()
+    cfg = SolveConfig.for_scenario(sc, max_outer_iters=1)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert not sol.converged
     assert sol.outer_iterations == 1
+    assert sol.energy_j - sol.lower_bound_j > orchestrate.GAP_TOL * sol.energy_j
 
 
 def test_reduced_gradient_matches_central_differences():
@@ -579,20 +583,18 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the absolute epsilon_j stop ends a sub-0.1 mJ solve while a pair "
-                          "left out still costs less than its user's marginal")
 @pytest.mark.parametrize("gains, deadline, bandwidth, capacity", [
-    # a 4x4 draw of `_outer_instances`: the dual step gives no bound, and
-    # five gradient rounds end at 6.6794e-5 J, each lowering the energy by
-    # less than epsilon_j; user 0's AP 2 then costs 0.80*nu_0 but stays out
+    # two 4x4 draws of `_outer_instances` whose energies are below 0.1 mJ:
+    # an absolute stop of 1e-5 J on a round's decrement once ended them
+    # with a cheaper pair left out. Here, five gradient rounds ended at
+    # 6.6794e-5 J with no bound, and user 0's AP 2 cost 0.80*nu_0
     ([[2.39715968e-10, 9.64886093e-10, 3.21681365e-11, 4.60925389e-11],
       [1.78887729e-11, 5.46078289e-09, 6.18252678e-12, 2.52652833e-11],
       [7.74202509e-09, 1.90508779e-11, 2.67097529e-11, 6.51890623e-12],
       [1.44921276e-11, 4.56441782e-12, 1.25517664e-09, 1.54776587e-11]],
      0.999, 1e7, 2.48715233e9),
-    # another such draw: four rounds end at 5.96719e-5 J with no bound, and
-    # user 2's AP 3 costs 0.979*nu_2 but stays out
+    # here, four rounds ended at 5.96719e-5 J with no bound, and user 2's
+    # AP 3 cost 0.979*nu_2
     ([[9.41148441e-12, 1.93676885e-10, 9.77878536e-12, 2.38527688e-10],
       [9.18208294e-12, 3.23607065e-10, 3.27509977e-12, 1.12010489e-11],
       [1.09970296e-10, 1.37017900e-09, 3.52313194e-11, 9.04397202e-11],
@@ -791,9 +793,10 @@ def test_a_read_off_that_misses_its_certificate_falls_back_to_one_warm_rebalance
                                          rel=1e-12, abs=0)
 
 
-def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
+def test_a_loose_dual_bound_is_replaced_by_the_bound_at_the_start_prices(monkeypatch):
     # the seed-42 start at D = 0.2 s is certified, so the dual step's
-    # bound is lowered past the gap tolerance
+    # bound is lowered past the gap tolerance; the joint dual at the
+    # start's own prices, read before any step, certifies it again
     split = orchestrate.joint_split
 
     def loose(*args):
@@ -803,30 +806,47 @@ def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
     monkeypatch.setattr(orchestrate, "joint_split", loose)
     sc, cfg = _start42(0.2)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    start = sol.trace.outer_energies_j[0]
-    assert start - sol.lower_bound_j > orchestrate.GAP_TOL * start
+    _, bound, state, _ = split(sc, cfg, {})
+    assert sol.converged and sol.outer_iterations == 0
+    assert sol.lower_bound_j == bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+
+
+def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
+    # the start has no bound, and the rounds' bounds certify the answer
+    steps = _spy_dual_step(monkeypatch)
+    sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
+    assert steps == [None]
     assert sol.outer_iterations >= 1
+    assert sol.converged
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
-def test_a_declined_dual_step_gives_no_bound_and_runs_rounds(monkeypatch):
+def test_a_declined_dual_step_takes_its_bound_from_the_rounds(monkeypatch):
     _decline_dual_step(monkeypatch)
     sc, cfg = _start42(0.4)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    assert sol.lower_bound_j is None
     assert sol.outer_iterations >= 1
+    assert sol.converged
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
 def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch):
-    # the dual step of this draw returns no split from the capacity
-    # split's prices; from the answer's prices, where AP 0 serves no one
-    # and sits at the floor, it does, and its bound is the solve's
-    sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
-    steps = _spy_dual_step(monkeypatch)
-    sol = solve_iterative(sc, InitStrategy.equal())
-    assert sol.outer_iterations >= 1
-    assert steps[0] is None and len(steps) == 2
-    assert sol.lower_bound_j == steps[1][1]
-    assert sol.lower_bound_j <= sol.energy_j * (1.0 + 1e-12)
+    # the start and each round read the joint dual at their warm prices;
+    # the solve stops at the first energy within GAP_TOL of the largest
+    bounds, joint_dual = [], orchestrate.joint_dual
+
+    def spy(*args):
+        bounds.append(joint_dual(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(orchestrate, "joint_dual", spy)
+    sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
+    energies = np.array(sol.trace.outer_energies_j)
+    assert len(bounds) == energies.size > 1
+    best = np.maximum.accumulate(bounds)
+    open_gap = energies - best > orchestrate.GAP_TOL * energies
+    assert open_gap[:-1].all() and not open_gap[-1]
+    assert sol.converged and sol.lower_bound_j == best[-1]
 
 
 @pytest.mark.parametrize("users, deadline", [(1, 0.3), (4, 0.5), (16, 1.0)])
@@ -843,15 +863,24 @@ def test_a_one_ap_solve_is_certified_at_the_start(users, deadline):
         solve_fixed_data(sc, sc.task_bits[:, None], cfg).energy_j, rel=1e-12, abs=0)
 
 
-def test_a_solve_with_gradient_rounds_keeps_the_lower_certified_answer():
-    # from the answer the gradient rounds reach, 0.373905 mJ, the dual step
-    # at the answer's prices reads off a certified split 5.8% lower
+def test_a_dual_step_through_a_singular_jacobian_certifies_the_start(monkeypatch):
+    # the dual step's Newton solve meets a singular Jacobian on this draw
+    # and takes the damped step there; stopping at it gave no split, and
+    # six gradient rounds from the re-balanced start ended at 0.373905 mJ
     sc = generate(GenParams(num_users=4, num_aps=2, deadline_s=0.3, seed=14))
+    solve, singular = kkt._solve, []
+
+    def spy(A, b):
+        x = solve(A, b)
+        singular.append(x is None)
+        return x
+
+    monkeypatch.setattr(kkt, "_solve", spy)
     sol = solve_iterative(sc, InitStrategy.equal())
-    assert sol.outer_iterations == 6
+    assert any(singular)
+    assert sol.converged and sol.outer_iterations == 0
     assert sol.energy_j <= 0.352191254e-3 * (1.0 + 1e-9)
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
-    assert sol.trace.outer_energies_j[-1] == sol.energy_j
     assert check_solution(sc, sol)
 
 

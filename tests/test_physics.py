@@ -1,3 +1,4 @@
+import decimal
 import math
 import warnings
 from decimal import Decimal
@@ -373,6 +374,55 @@ def test_hessian_rejects_unknown_pair():
         hessian_diag(_point(L=1.0, x=1.0, q=2.0), "q_t")
 
 
+# --- joint convexity in (L, x, q) ----------------------------------------
+
+def _decades(lo, hi):
+    return st.floats(lo, hi).map(lambda p: 10.0 ** p)
+
+
+# one end of a segment: log10 of a load, a rate exponent u = L/(x*t) and a
+# slack share t/D
+_SEGMENT_END = st.tuples(st.floats(4.0, 7.0), st.floats(1e-4, 60.0),
+                         st.floats(1e-4, 1.0 - 1e-4))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(ends=st.tuples(_SEGMENT_END, _SEGMENT_END), d=_decades(-2, 0), eta=_decades(0, 4),
+       a=_decades(-18, -9))
+def test_pair_energy_is_midpoint_convex_in_load_bandwidth_and_compute(ends, d, eta, a):
+    # E(L, x, q) = L*phi(x/L, q/L) is the perspective of a convex phi, so E
+    # is jointly convex: at 50 digits, E at the midpoint of a segment is at
+    # most the mean of E at its ends, which match pair_energy in float64
+    points = []
+    for log_load, u, share in ends:
+        L, t = 10.0 ** log_load, share * d
+        points.append((L, L / (u * t), eta * L / (d - t)))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        D, H, A = (Decimal(v) for v in (d, eta, a))
+
+        def energy(L, x, q):
+            return decimal_energy(L, x, D - H * L / q, A)
+
+        at_ends = [energy(*map(Decimal, p)) for p in points]
+        for p, e in zip(points, at_ends):
+            assert pair_energy(PairPoint(*p, d, eta, a)) == pytest.approx(
+                float(e), rel=1e-9, abs=0)
+        mid = [(Decimal(u) + Decimal(v)) / 2 for u, v in zip(*points)]
+        assert energy(*mid) <= (at_ends[0] + at_ends[1]) / 2 * (1 + Decimal("1e-40"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(z=st.one_of(st.just(0.0), _decades(-20, 3)))
+def test_the_convexity_proofs_scalar_inequality_holds(z):
+    # with z = ln2/w, det of phi's Hessian has the sign of
+    # e^z*(2z^2 - z + 1) - 1, which is 0 at z = 0 and rises with z
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        z = Decimal(z)
+        assert z.exp() * (2 * z * z - z + 1) >= 1
+
+
 # --- bandwidth root and price oracle -------------------------------------
 
 def test_exponent_root_meets_its_equation_over_every_decade():
@@ -448,10 +498,6 @@ def test_price_oracle_at_a_near_zero_compute_price_leaks_no_overflow_warning():
                                        np.array([1e3]), np.array([1e-8]))
     assert np.isfinite(e[0])
     assert 0.0 < t[0] <= 0.4
-
-
-def _decades(lo, hi):
-    return st.floats(lo, hi).map(lambda p: 10.0 ** p)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
