@@ -51,6 +51,7 @@ from .model import (
     is_count,
 )
 from .physics import energy_matrix, total_energy
+from .scenario import _uniform_draws
 
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted")
 
@@ -162,8 +163,7 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     if strategy.kind == "equal_split":
         return np.tile(bits[:, None] / M, (1, M))
     if strategy.kind == "uniform_random":
-        rng = np.random.Generator(np.random.PCG64(strategy.seed))
-        draws = rng.uniform(size=(K, M))
+        draws = _uniform_draws(strategy.seed, K * M).reshape(K, M)
         return draws / draws.sum(axis=1, keepdims=True) * bits[:, None]
     best = (np.arange(K), best_snr_assignment(scenario))
     if M == 1:

@@ -3,7 +3,9 @@
 APs sit at the quadrant centers of a square region and users are placed
 uniformly at random inside it. The channel gain of a pair follows the
 log-distance pathloss 30.6 + 36.7*log10(d) dB with a 1 m distance floor.
-The generator is numpy's PCG64, so a seed pins the scenario exactly.
+The draws are numpy's PCG64 stream, computed here bit for bit: a seed
+pins the scenario exactly, as `Generator(PCG64(seed)).uniform` would,
+without loading `numpy.random`.
 """
 
 from __future__ import annotations
@@ -43,6 +45,67 @@ class GenParams:
                          "task_bits", "deadline_s", "cycles_per_bit", "capacity_cps")
 
 
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _seed_words(seed):
+    """numpy's SeedSequence(seed).generate_state(4, uint64), as ints."""
+    words = [seed & _MASK32]  # the seed's little-endian 32-bit words
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    hash_const = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * 0x931E8875 & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state, hash_const = [], 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * 0x58F38DED & _MASK32
+        value = value * hash_const & _MASK32
+        state.append(value ^ value >> 16)
+    return [state[i] | state[i + 1] << 32 for i in range(0, 8, 2)]
+
+
+def _uniform_draws(seed, n):
+    """n doubles in [0, 1), bit for bit those numpy's
+    `Generator(PCG64(seed)).uniform(size=n)` returns: the PCG XSL-RR
+    128/64 generator (O'Neill 2014), seeded as numpy's SeedSequence seeds
+    it, each double read as (next64 >> 11) * 2**-53."""
+    s = _seed_words(int(seed))
+    # numpy's pcg64_set_seed: initstate s0:s1 and stream s2:s3, as 128-bit
+    # ints; one step from state 0, add initstate, one more step
+    inc = (s[2] << 64 | s[3]) << 1 & _MASK128 | 1
+    state = ((inc + (s[0] << 64 | s[1])) * _PCG_MULT + inc) & _MASK128
+    out = []
+    for _ in range(n):  # step, then output the xor-folded state rotated right
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x, rot = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _MASK64
+        out.append((x >> 11) * 2.0 ** -53)
+    return np.array(out)
+
+
 def pathloss_gain(distance_m: float) -> float:
     """Linear power gain of the log-distance model, floored at 1 m."""
     d = max(float(distance_m), 1.0)
@@ -62,8 +125,7 @@ def _ap_grid(num_aps, region):
 
 def generate(params: GenParams) -> Scenario:
     """Draw a scenario from the parameters; deterministic for a seed."""
-    rng = np.random.Generator(np.random.PCG64(params.seed))
-    users = rng.uniform(0.0, params.region_m, size=(params.num_users, 2))
+    users = params.region_m * _uniform_draws(params.seed, 2 * params.num_users).reshape(-1, 2)
     aps = _ap_grid(params.num_aps, params.region_m)
     dist = np.linalg.norm(users[:, None, :] - aps[None, :, :], axis=2)
     gains = np.array([[pathloss_gain(dij) for dij in row] for row in dist])
