@@ -44,7 +44,7 @@ SHAPES = ((4, 2, 0.3), (6, 3, 0.5), (8, 4, 0.25), (16, 4, 0.4), (32, 6, 0.5))
 SEEDS = range(20)
 STARTS = {"equal": InitStrategy.equal(), "binary": InitStrategy.binary(),
           "best-ap-90": InitStrategy.best_ap(0.9), "random-0": InitStrategy.random(0)}
-# tight deadlines, where most solves need gradient rounds
+# tight deadlines, where most solves need barrier rounds
 TIGHT_SHAPES = ((4, 4, 0.2), (3, 5, 0.15))
 TIGHT_SEEDS = range(30)
 TIGHT_STARTS = {"equal": InitStrategy.equal()}
@@ -58,7 +58,7 @@ def run_section(name, shapes, seeds, starts, cfg, rows):
     solves, solves without a bound, gaps above GAP_TOL and answers above
     their best-SNR energy by more than GAP_TOL."""
     t0 = time.perf_counter()
-    n = errors = unconverged = certified = rebalances = unbounded = gaps = above = 0
+    n = errors = unconverged = certified = rebalances = most_rounds = unbounded = gaps = above = 0
     worst_gap = worst_above = 0.0
     for K, M, D in shapes:
         for seed in seeds:
@@ -79,6 +79,7 @@ def run_section(name, shapes, seeds, starts, cfg, rows):
                 e, lb = sol.energy_j, sol.lower_bound_j
                 unconverged += not sol.converged
                 certified += sol.outer_iterations == 0
+                most_rounds = max(most_rounds, sol.outer_iterations)
                 rebalances += sum(sol.trace.inner_iteration_counts)
                 if lb is None:
                     unbounded += 1
@@ -91,7 +92,8 @@ def run_section(name, shapes, seeds, starts, cfg, rows):
                     print(f"{K}x{M} {seed} {start} {e!r} {lb!r} {sol.outer_iterations} "
                           f"{sum(sol.trace.inner_iteration_counts)} {sol.converged}")
     print(f"{name}: {n} solves, {errors} errors, {unconverged} unconverged, {certified} "
-          f"certified at the start, {rebalances} re-balances, {unbounded} without a bound, "
+          f"certified at the start, {rebalances} re-balances, at most {most_rounds} rounds, "
+          f"{unbounded} without a bound, "
           f"{gaps} gaps above GAP_TOL (largest {worst_gap:.3g}), {above} above their "
           f"best-SNR energy by more than GAP_TOL (largest {worst_above:.3g}), "
           f"{time.perf_counter() - t0:.1f} s")

@@ -276,7 +276,8 @@ def build_parser():
     solver_flags.add_argument("--eps-mj", type=float, default=SolveConfig.epsilon_j * 1e3,
                               help="SolveConfig.epsilon_j in milli-Joules; it stops no solve")
     solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
-    solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters)
+    solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters,
+                              help="SolveConfig.max_outer_iters: the most barrier rounds")
 
     # no flag is abbreviated, so a retired flag cannot pass for a live one
     solver = dict(parents=[solver_flags], allow_abbrev=False)

@@ -15,17 +15,15 @@ outer search driving each budget sum onto its constraint.
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser (`_price`), reads (x, q) off them and
              certifies them by the duality gap (`_read_off`);
-  joint_split: the data split of the outer loop's dual step. It
-             maximises a log-sum-exp smoothing of the joint dual
+  joint_split: the data split of the outer loop's dual step: the
+             soft-argmin split of a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
-             (`joint_dual`) by Newton steps in the same prices, over the
-             pairs of the split that puts every whole task on every AP,
-             lowering the smoothing until its bias over G is within half
-             of GAP_TOL, splits each task by the soft-argmin weights and
-             reads that split's (x, q) off its last oracle pass, certified
-             as in solve_bcaa (`_read_off`);
-  pair_costs: every pair's cost per bit e_ij at a warm state's prices:
-             the outer gradient and entry test in one (Danskin).
+             (`joint_dual`), maximised by Newton steps in the same prices,
+             with its (x, q) read off and certified as in solve_bcaa;
+  pair_costs: every pair's cost per bit e_ij at a warm state's prices,
+             the minimand of the joint dual;
+  barrier_stages: the outer rounds after the dual step, the centring
+             stages of a barrier method on the whole problem in (L, x, q).
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
@@ -39,8 +37,8 @@ range is lost. Overflow warnings are silenced only where an overflowed
 value feeds a sign test or a clipped start: in that step and in the
 cold start of the bandwidth price.
 
-So the module has two root finders: `vec_bisect` for the references and
-`_newton` for every pricing, the fixed-data and the joint one, each in
+Besides the barrier's Newton steps, the module has two root finders:
+`vec_bisect` for the references and `_newton` for every pricing, each in
 the log prices inside DUAL_RANGE, run to half of bisect_tol from a warm
 state by one start rule (`_start_prices`) and handing one back.
 `_newton` raises nothing and stops at a range edge as at any stall: the
@@ -62,6 +60,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    EXPONENT_CAP,
     LN2,
     BracketError,
     ConvergenceError,
@@ -77,6 +76,8 @@ from .physics import (
     SLACK_BRACKET,
     bracket,
     data_marginal,
+    energy,
+    energy_derivatives,
     energy_matrix,
     exponent_root,
     price_oracle,
@@ -99,7 +100,7 @@ INNER_ITERS = 48
 DUAL_HALVINGS = math.ceil(math.log2(
     (math.log10(DUAL_RANGE[1]) - math.log10(DUAL_RANGE[0])) / 1e-13))
 
-# most calls of its system in one `_newton` solve
+# most calls of its system in one `_newton` solve, and steps of a barrier stage
 MAX_DUAL_PROBES = 200
 
 # longest Newton step of the fixed-data pricing in any log price: ten
@@ -115,6 +116,11 @@ JOINT_SMOOTHING = (1e-3, 1e-4)
 # Lagrangian bound, which no split can beat; the dual step's smoothing may
 # spend half of it
 GAP_TOL = 1e-5
+
+# the barrier stages: the growth of the barrier weight per stage, and half
+# the Newton decrement at which a stage is centred
+BARRIER_GROWTH = 20.0
+CENTRING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -539,7 +545,8 @@ def joint_dual(scenario, beta, mus, e=None):
 def pair_costs(scenario, warm):
     """Cost per bit e_ij (`physics.price_oracle`) of all K x M pairs at the
     warm state's prices: by Danskin's theorem (Bertsekas, Nonlinear
-    Programming, Prop. B.25) dF/dL_ij of the re-balanced energy F."""
+    Programming, Prop. B.25) dF/dL_ij of the energy F(L) that the
+    re-balance of split L reaches, when they are its prices."""
     return price_oracle(warm["beta"], warm["mus"], scenario.deadlines_s[:, None],
                         scenario.cycles_per_bit[:, None], scenario.noise_over_gain)[0]
 
@@ -686,6 +693,79 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     except (ConvergenceError, InfeasiblePairError):
         allocation = None
     return L, bound, state, allocation
+
+
+def barrier_stages(scenario):
+    """The centring stages of a primal barrier method on the convex
+    problem in (L, x, q) (Boyd & Vandenberghe, Convex Optimization,
+    ch. 11), each as (L, beta, mus): its split and budget multipliers.
+
+    Over each pair's shares l = L/T, xi = x/B and rho = q/C, a stage
+    minimises tau*E - sum log l - sum log xi - sum log(D*q - eta*L) by
+    Newton steps that keep every budget (sum_j l, sum xi, each sum_i rho
+    at 1): each pair's 3x3 Hessian (`physics.energy_derivatives` and the
+    barrier's) is inverted, the K + 1 + M budget rows solved through its
+    Schur complement, and an Armijo search rejects any trial outside the
+    domain or with a rate exponent above EXPONENT_CAP. A stage ends once
+    half the Newton decrement is at most CENTRING_TOL or no longer falls
+    after a full step (its rounding floor), when no trial is strictly
+    lower, or after MAX_DUAL_PROBES steps. Its multipliers are
+    nu_B/(tau*B) and nu_j/(tau*C_j) of its last Newton system. The start,
+    interior if the total least demand fits the total capacity (else there
+    is no stage), is the capacity split, each AP's compute in proportion
+    to its users' least demands eta*T/D and equal bandwidth; there the gap
+    bound 3KM/tau is its energy over BARRIER_GROWTH^2. tau grows
+    BARRIER_GROWTH-fold per stage, until one takes no step.
+    """
+    K, M, B, bits = scenario.num_users, scenario.num_aps, scenario.bandwidth_hz, scenario.task_bits
+    n, R, cap = K * M, K + M + 1, scenario.compute_capacity
+    i, j = np.divmod(np.arange(n), M)
+    d, eta, a = scenario.deadlines_s[i], scenario.cycles_per_bit[i], scenario.noise_over_gain
+    a, scale = a.ravel(), np.column_stack((bits[i], np.full(n, B), cap[j]))
+    rows = np.column_stack((i, np.full(n, K), K + 1 + j))  # each share's budget
+    c = np.column_stack((-eta * bits[i], np.zeros(n), d * cap[j]))  # d(D*q - eta*L)/d shares
+    least, logs = bits * eta[::M] / d[::M], np.array([1.0, 1.0, 0.0])  # shares with a log barrier
+    z = np.column_stack(((cap / cap.sum())[j], np.full(n, 1.0 / n), (least / least.sum())[i]))
+
+    def objective(z):  # (E, the barrier, D*q - eta*L); E is inf outside the domain
+        (L, x, q), room = (z * scale).T, (z * c).sum(axis=1)
+        if min(z[:, :2].min(), room.min()) <= 0.0 or np.any(L * q > EXPONENT_CAP * x * room):
+            return np.inf, 0.0, room
+        return (energy(L * q / (x * room), x, room / q, a).sum(),
+                -np.log(z[:, :2]).sum() - np.log(room).sum(), room)
+
+    E, barrier, room = objective(z)
+    tau = 3.0 * n * BARRIER_GROWTH ** 2 / E
+    while np.isfinite(E):
+        s_last, last = 0.0, np.inf
+        for steps in range(MAX_DUAL_PROBES):
+            grad, hess = energy_derivatives(*(z * scale).T, d, eta, a)
+            g = tau * grad * scale - c / room[:, None] - logs / z
+            H = tau * hess * scale[:, :, None] * scale[:, None, :] + c[:, :, None] * c[:, None, :] \
+                / (room * room)[:, None, None] + np.eye(3) * (logs / z ** 2)[:, :, None]
+            Hi = np.linalg.inv(H)
+            S = np.bincount((rows[:, :, None] * R + rows[:, None, :]).ravel(), Hi.ravel(), R * R)
+            nu = np.linalg.solve(S.reshape(R, R), -np.bincount(
+                rows.ravel(), np.einsum("nab,nb->na", Hi, g).ravel(), R))
+            step = -np.einsum("nab,nb->na", Hi, g + nu[rows])
+            decrement, s = -(g * step).sum(), 1.0
+            if decrement <= 2.0 * CENTRING_TOL or (s_last == 1.0 and decrement >= last):
+                break
+            while s > 1e-12:
+                z_try = z + s * step  # back on every budget, off it by rounding only
+                z_try /= np.bincount(rows.ravel(), z_try.ravel(), R)[rows]
+                trial = objective(z_try)
+                if tau * trial[0] + trial[1] < tau * E + barrier - 0.25 * s * decrement:
+                    break
+                s *= 0.5
+            else:
+                break
+            z, (E, barrier, room), s_last, last = z_try, trial, s, decrement
+        prices = np.maximum(nu[K:] / (tau * np.append(B, cap)), DUAL_RANGE[0])
+        yield bits[:, None] * z[:, 0].reshape(K, M), prices[0], prices[1:]
+        if steps == 0:
+            return
+        tau *= BARRIER_GROWTH
 
 
 # ---------------------------------------------------------------------------

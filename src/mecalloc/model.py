@@ -255,8 +255,8 @@ class SolveConfig:
 
     epsilon_j (Joules) stops no solve, which stops on its certificate
     (`kkt.GAP_TOL`); callers read it as an absolute tolerance.
-    max_outer_iters counts the gradient rounds after the start of
-    `solve_iterative`.
+    max_outer_iters counts the rounds after the start of
+    `solve_iterative`, one barrier stage each (`kkt.barrier_stages`).
     bisect_tol is the relative tolerance of the budget residual checks
     and of the duality gap that certifies a re-balance, which is one pass
     with no round budget; the Newton pricings, the dual step included,

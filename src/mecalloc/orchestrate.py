@@ -1,26 +1,15 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
-The full solver minimises the re-balanced energy F(L), the least energy
-the bandwidth/compute re-balance reaches at data split L. The start is
-the dual step: the split the joint Lagrangian dual's prices choose
-(`kkt.joint_split`) from those of the capacity split, whatever the
+The full solver minimises the energy over (L, x, q), a convex problem.
+The start is the dual step: the split the joint Lagrangian dual's prices
+choose (`kkt.joint_split`) from those of the capacity split, whatever the
 initial split L0, with the allocation read off those prices and
-certified like a re-balance's, so no re-balance runs. The dual split is
-re-balanced only when that read-off misses its certificate, and L0 only
-when the step fails. Every round after it takes one projected
-reduced-gradient step on L. F is the maximum of the fixed-data dual over
-the prices, so by Danskin's theorem dF/dL_ij is the pair's cost per bit
-e_ij at the last re-balance's prices (`kkt.pair_costs`): the gradient on
-the active pairs and the entry test on the others. The step is projected
-onto each user's task simplex on its support, and a backtracking line
-search accepts the first trial whose warm re-balance, one pass of
-`kkt.solve_bcaa`, strictly lowers the energy, starting from the
-Barzilai-Borwein step length (IMA J. Numer. Anal. 1988).
-
-The problem is convex in (L, x, q), so the one stop rule is the
-certificate of the joint dual G (`kkt.joint_dual`), the Frank-Wolfe gap
-bound of F (Jaggi, ICML 2013), read at the dual step's and each round's
-prices.
+certified like a re-balance's, so no re-balance runs. Every round after
+it takes the next centring stage of a barrier method on the whole
+problem (`kkt.barrier_stages`) and re-balances its split warm, one pass
+of `kkt.solve_bcaa`. The one stop rule is the certificate of the joint
+dual G (`kkt.joint_dual`), read at the dual step's prices and at each
+stage's multipliers and re-balance prices.
 
 Every energy the loop compares is one `physics.energy_matrix` call. The
 outer loop calls `solve_daa` no longer; the module keeps the name because
@@ -35,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, joint_dual, joint_split, pair_costs, solve_bcaa
+from .kkt import GAP_TOL, barrier_stages, joint_dual, joint_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -56,13 +45,6 @@ from .scenario import _uniform_draws
 _KINDS = ("equal_split", "uniform_random", "best_ap_weighted")
 
 CHECK_TOL = 1e-9  # check_solution's relative tolerance on the stored energy
-
-# the smallest trial step before a round gives up
-MIN_STEP = 1e-8
-
-# an inactive pair joins the support when its cost per bit at the warm
-# prices is below (1 - ENTRY_TOL) times its user's least active gradient
-ENTRY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,11 +91,10 @@ class SolveTrace:
     """Per-outer-round record: the energy after each round and its cost.
 
     Entry 0 is the start (`solve_iterative`). inner_iteration_counts
-    holds the re-balances (`kkt.solve_bcaa`, one pass each) each outer
-    round ran, one per trial step of the round, rejected ones included (a
-    re-balance that raises adds none). Entry 0 counts those of the start:
-    0 when the allocation is read off the dual step's prices, 1 otherwise.
-    A start the Lagrangian bound certifies is the only entry.
+    holds the re-balances (`kkt.solve_bcaa`, one pass each) each round
+    ran, one per barrier stage (a re-balance that raises adds none), and
+    0 at a start read off the dual step's prices. A start the Lagrangian
+    bound certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -176,159 +157,76 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     return L
 
 
-def _projected_step(L, G, act, bits, alpha, thr):
-    """Move each user's loads by -alpha*G and project the row onto its
-    task simplex on its current support {L >= 0, sum L = T}. Loads the
-    projection leaves at or below thr are dropped and the row rescaled
-    onto T. A row with fewer than two active pairs cannot move."""
-    v = np.where(act, L - alpha * G, -np.inf)
-    # Euclidean projection onto the simplex: w = max(v - tau, 0) with tau
-    # from the largest k whose k-th largest entry stays above it
-    u = -np.sort(-v, axis=1)
-    css = np.cumsum(u, axis=1)
-    rho = np.sum(u * np.arange(1, L.shape[1] + 1) > css - bits[:, None], axis=1)
-    tau = (css[np.arange(L.shape[0]), rho - 1] - bits) / rho
-    w = np.maximum(v - tau[:, None], 0.0)
-    w[w <= thr] = 0.0
-    w *= (bits / w.sum(axis=1))[:, None]
-    return np.where((act.sum(axis=1) >= 2)[:, None], w, L)
-
-
-def _rebalance(scenario, L, cfg, warm):
-    """Warm re-balance of a trial split from a copy of warm. Returns
-    (energy, x, q, warm copy); a split the re-balance cannot price or
-    certify, such as one whose compute dual lies beyond the dual range,
-    gets an infinite energy and x = q = None."""
+def _rebalance(scenario, L, cfg, warm, held):
+    """Warm re-balance of split L from a copy of warm: (energy, x, q, warm
+    copy). A split the re-balance cannot price or certify gets an infinite
+    energy and x = q = None, or, when no answer is held, raises."""
     warm = dict(warm)
     try:
         x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
-        return float(energy_matrix(scenario, L, x, q).sum()), x, q, warm
     except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
+        if not held:
+            raise
         return np.inf, None, None, warm
-
-
-def _direction(scenario, L, warm):
-    """The support, row-scaled direction and bound of a gradient round at
-    split L.
-
-    One `kkt.pair_costs` call gives e_ij = dF/dL_ij at the warm prices.
-    Every inactive pair whose e_ij is below (1 - ENTRY_TOL) times its
-    user's least active e_ij joins the support. The user's mean gradient
-    would be the KKT test, and the two agree at a stationary split; away
-    from one, pairs cheaper than the mean but dearer than the best pair
-    turned the step away from splits the plain step reaches. Returns
-    (support, G = T*(e/nu - 1), the joint dual at the warm prices), with
-    nu_i the load-weighted mean of user i's e over its active pairs.
-    """
-    act = L > scenario.activity_threshold_bits
-    e = pair_costs(scenario, warm)
-    La = np.where(act, L, 0.0)
-    nu = (La * e).sum(axis=1) / La.sum(axis=1)
-    enter = e < np.where(act, e, np.inf).min(axis=1, keepdims=True) * (1.0 - ENTRY_TOL)
-    return (act | enter, scenario.task_bits[:, None] * (e / nu[:, None] - 1.0),
-            joint_dual(scenario, warm["beta"], warm["mus"], e))
+    return float(energy_matrix(scenario, L, x, q).sum()), x, q, warm
 
 
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
-    """A dual step, then projected reduced-gradient descent on the data
-    split until the joint Lagrangian bound certifies the energy.
+    """The dual step, then barrier stages until the joint Lagrangian
+    bound certifies the energy.
 
-    The objective is F(L), the energy after the bandwidth/compute
-    re-balance at data split L. The start (entry 0 of the trace) is the
-    dual step (`kkt.joint_split`) from an empty warm state, which it
-    leaves empty, starting from the prices of the capacity split
-    L_ij = T_i*C_j/sum C. The step chooses the split the start keeps,
-    with the allocation read off the same prices and certified, at no
-    re-balance. Only when that read-off misses its certificate is the
-    split re-balanced, warm from the state the step returns; only when the
-    step returns no split, or its split cannot be re-balanced, is L0,
-    cold.
+    The start (entry 0 of the trace) is the dual step (`kkt.joint_split`)
+    from an empty warm state, its allocation read off its prices and
+    certified, at no re-balance. Each round after it takes the next stage
+    of `kkt.barrier_stages`, drops its loads at or below the activity
+    threshold, rescales each row onto its task and re-balances that split
+    warm from the held answer's prices (`_rebalance`), keeping it when its
+    energy is lower. When the dual step holds no answer, the first stage is
+    the start, and an error of its re-balance propagates. Neither step reads
+    an initial split, so strategy is accepted for callers that pass one and
+    is not read.
 
-    The joint dual G (`kkt.joint_dual`) at any prices bounds every
-    answer, and lower_bound_j is the largest G seen: at the dual step's
-    prices, then at the warm prices before each round, off the
-    `kkt.pair_costs` call of its direction. The solve stops, converged,
-    once the energy E is within GAP_TOL*E of it, which may be before the
-    first round, and unconverged when a round cannot lower E or after
-    cfg.max_outer_iters rounds.
-
-    A gradient round reads every pair's cost per bit e_ij at the warm
-    prices (`kkt.pair_costs`), by Danskin's theorem dF/dL_ij. The support
-    grows first (`_direction`): every inactive pair whose e_ij is below
-    its user's least active e_ij joins it. The round then takes one
-    projected step along that gradient (`_projected_step`). The warm
-    prices are the last accepted re-balance's (`kkt.solve_bcaa`), and
-    each trial is followed by a re-balance warm from a copy of them
-    (`_rebalance`). The step size starts at the BB1 length s.s/s.y, with
-    s the last change of L and y the change of the row-scaled direction
-    G = T*(e/nu - 1) over the support, clipped to [MIN_STEP, 1] (1 in the
-    first gradient round and when s.y <= 0), and halves until the trial
-    energy is strictly lower; a trial that is infeasible, or whose
-    re-balance finds a dual outside its range or misses its certificate,
-    counts as a rejection. A round whose step moves no load, or whose
-    step falls below MIN_STEP, lowers the energy by zero.
+    The joint dual G (`kkt.joint_dual`) at any prices bounds every answer;
+    lower_bound_j is the largest G seen: at the dual step's prices, at each
+    stage's multipliers and at its re-balance's prices. The solve stops,
+    converged, once the energy E is within GAP_TOL*E of it, and unconverged
+    after cfg.max_outer_iters rounds or when the stages end.
     """
-    strategy = strategy or InitStrategy.equal()
     cfg = cfg or SolveConfig()
-    bits = scenario.task_bits
-
-    L = initialize(scenario, strategy)
-    t0 = time.perf_counter()
-    warm, rounds, x, lower = {}, 0, None, -np.inf
+    warm, x, energy, lower, t0 = {}, None, np.inf, -np.inf, time.perf_counter()
+    outer, inner_counts, walls = [], [], []
     dual = joint_split(scenario, cfg, warm)
     if dual is not None:
         L_dual, lower, state, allocation = dual
         if allocation is not None:
             L, (x, q, energy), warm = L_dual, allocation, state
-        else:
-            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_dual, cfg, state)
-            if x_try is not None:
-                L, x, q, warm, energy, rounds = L_dual, x_try, q_try, warm_try, e_try, 1
-    if x is None:
-        x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
-        rounds += 1
-        energy = float(energy_matrix(scenario, L, x, q).sum())
-    outer, inner_counts, walls = [energy], [rounds], [time.perf_counter() - t0]
-
-    L_last = G_last = None
-    converged = energy - lower <= GAP_TOL * energy
-    while not converged:
-        t_iter = time.perf_counter()
-        act, G, bound = _direction(scenario, L, warm)
-        lower = max(lower, bound)
-        converged = energy - lower <= GAP_TOL * energy
-        if converged or len(outer) > cfg.max_outer_iters:
+            outer, inner_counts, walls = [energy], [0], [time.perf_counter() - t0]
+    stages = barrier_stages(scenario)
+    while x is None or energy - lower > GAP_TOL * energy:
+        t_iter = time.perf_counter() if outer else t0
+        if len(outer) > cfg.max_outer_iters or (stage := next(stages, None)) is None:
             break
-        rounds, trial = 0, 1.0
-        if L_last is not None:
-            # BB1 step s.s/s.y over the support, from the last step
-            s, y = (L - L_last)[act], (G - G_last)[act]
-            if s @ y > 0:
-                trial = min(max(s @ s / (s @ y), MIN_STEP), 1.0)
-        L_last, G_last = L, G
-        while trial >= MIN_STEP:
-            L_try = _projected_step(L, G, act, bits, trial, scenario.activity_threshold_bits)
-            if np.array_equal(L_try, L):
-                break
-            e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm)
-            rounds += x_try is not None
-            if e_try < energy:
-                L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
-                break
-            trial *= 0.5
+        L_try, beta, mus = stage
+        lower = max(lower, joint_dual(scenario, beta, mus))
+        L_try[L_try <= scenario.activity_threshold_bits] = 0.0
+        L_try *= (scenario.task_bits / L_try.sum(axis=1))[:, None]
+        e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm, x is not None)
+        if x_try is not None:
+            lower = max(lower, joint_dual(scenario, warm_try["beta"], warm_try["mus"]))
+        if e_try < energy:
+            L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
         outer.append(energy)
-        inner_counts.append(rounds)
+        inner_counts.append(int(x_try is not None))
         walls.append(time.perf_counter() - t_iter)
-        if energy == outer[-2]:
-            break
+    if x is None:
+        raise ConvergenceError("the barrier method starts outside its domain")
 
-    allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(
-        allocation=allocation,
+        allocation=Allocation(data=L, bandwidth=x, compute=q),
         energy_j=energy,
         trace=SolveTrace(tuple(outer), tuple(inner_counts), tuple(walls)),
-        converged=converged,
+        converged=energy - lower <= GAP_TOL * energy,
         lower_bound_j=lower,
     )
 

@@ -10,8 +10,9 @@ It is written once, in the vectorised `energy`, `bracket` and
 primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
 (`exponent_root`) and a pair's cheapest cost per bit at given prices
 (`price_oracle`) take the same Newton step in ln z, a fixed count of
-times. The scalar functions, the analytic gradient and the 2x2 curvature
-blocks that certify convex variable pairs build on them. They act on a
+times. `energy_derivatives` gives the barrier method in `kkt` its 3x3
+Hessian in (L, x, q). The scalar functions, the analytic gradient and
+the 2x2 curvature blocks build on them. They act on a
 `PairPoint`, one entry of an `Allocation` with its user's task, whose
 slack is derived from its compute and which passed the pair rule when
 it was built.
@@ -149,6 +150,26 @@ def data_marginal(L, x, q, d, eta, a):
     sum rises strictly in L, from a*ln2 at L = 0."""
     z = L / (x * deadline_slack(d, eta, L, q)) * LN2
     return a * (LN2 * np.exp(z) - eta / q * x * bracket(z))
+
+
+def energy_derivatives(L, x, q, d, eta, a):
+    """Gradient and Hessian of the pair energy in (L, x, q), elementwise
+    over pairs with slack t = D - eta*L/q > 0: n x 3 and n x 3 x 3.
+
+    With y = x*t the energy a*y*(2**(L/y) - 1) is the perspective of
+    2**L - 1, so with u = L/y, z = u*ln2 and phi(z) = dE/dy/a (`bracket`)
+    its gradient is a*(ln2*e^z*dL + phi*dy), and its Hessian
+    a*(ln2^2*e^z/y*v*v^T + phi*Hess y) with v = dL - u*dy, which is
+    (D/t, -u*t, -u*x*eta*L/q^2)."""
+    t, f, zero = d - eta * L / q, eta / q, np.zeros_like(L)
+    u, fx, fL = L / (x * t), f * x / q, f * L / q
+    phi = a * bracket(u * LN2)
+    grad = phi[:, None] * np.stack((-x * f, t, x * fL), axis=-1)  # phi*dy
+    grad[:, 0] += a * LN2 * np.exp2(u)
+    v = np.stack((d / t, -u * t, -u * x * fL), axis=-1)
+    hy = np.stack((zero, -f, fx, -f, zero, fL, fx, fL, -2 * fx * L / q), axis=-1).reshape(-1, 3, 3)
+    curv = a * LN2 * LN2 * np.exp2(u) / (x * t)
+    return grad, curv[:, None, None] * v[:, :, None] * v[:, None, :] + phi[:, None, None] * hy
 
 
 def rate(power_w, point: PairPoint) -> float:

@@ -152,8 +152,9 @@ def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_f
 
 
 def test_solve_exit_code_on_non_convergence(tmp_path):
-    # the dual step of this draw returns no split, and one gradient round
-    # does not bring the equal start within GAP_TOL of its bound
+    # the dual step of this draw returns no split, and one barrier round
+    # after the first stage's start does not bring it within GAP_TOL of its
+    # bound
     path, sol = tmp_path / "rounds.json", tmp_path / "sol.json"
     save_scenario(generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13)), path)
     code = main(["solve", "--scenario", str(path), "--max-outer", "1", "--out", str(sol)])

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -812,6 +813,44 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
                                rtol=1e-15, atol=0)
     assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
+
+
+def test_barrier_stages_keep_every_budget_and_close_their_gap():
+    # this draw's dual step returns no split. Each centring stage's split
+    # keeps every task whole on positive loads, and its multipliers are
+    # prices. The joint dual at
+    # them rises to within GAP_TOL of the energy of the fourth stage's
+    # split, its loads at or below the activity threshold dropped and each
+    # row rescaled onto its task, and never exceeds that energy
+    sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
+    cfg = _cfg(sc)
+    bounds = []
+    for L, beta, mus in itertools.islice(kkt.barrier_stages(sc), 4):
+        np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-15, atol=0)
+        assert np.all(L > 0) and beta > 0 and np.all(mus > 0)
+        bounds.append(kkt.joint_dual(sc, beta, mus))
+    L[L <= sc.activity_threshold_bits] = 0.0
+    energy = solve_fixed_data(sc, L * (sc.task_bits / L.sum(axis=1))[:, None], cfg).energy_j
+    assert np.all(np.diff(bounds) > 0) and bounds[-1] <= energy
+    assert energy - bounds[-1] <= kkt.GAP_TOL * energy
+
+
+def test_barrier_stages_of_a_single_pair_stop_after_their_one_point():
+    # one user on one AP: every budget pins its one share, so the first
+    # stage takes no step and is the last
+    sc = generate(GenParams(num_users=1, num_aps=1, seed=4))
+    (L, beta, mus), = kkt.barrier_stages(sc)
+    assert np.array_equal(L, sc.task_bits[:, None])
+
+
+def test_barrier_stages_need_an_interior_start():
+    # the users' least demands exceed the capacity, so the capacity split
+    # has no slack and there is no stage
+    params = GenParams(num_users=4, num_aps=2, seed=2)
+    base = generate(params)
+    load = (base.cycles_per_bit * base.task_bits / base.deadlines_s).sum()
+    sc = generate(dataclasses.replace(params, capacity_cps=0.5 * load / 2))
+    assert list(kkt.barrier_stages(sc)) == []
 
 
 @pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])

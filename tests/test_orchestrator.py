@@ -30,6 +30,10 @@ from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import make_scenario, scalar_energy, starve_pricing
 
+# a pair left out of a converged answer may cost no less than (1 - ENTRY_TOL)
+# times its user's marginal nu_i
+ENTRY_TOL = 1e-6
+
 
 def _small_scenario():
     # two users, two APs, each user clearly prefers a different AP
@@ -180,7 +184,7 @@ def test_the_stored_energy_is_the_fresh_evaluation_bit_for_bit(path):
     if path == "certified-start":
         sol = solve_iterative(sc, InitStrategy.equal())
     elif path == "gradient-rounds":
-        # the dual step of this draw returns no split from the equal start
+        # the dual step of this draw returns no split, so barrier rounds run
         sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
         sol = solve_iterative(sc, InitStrategy.equal())
     elif path == "fixed-data":
@@ -203,7 +207,8 @@ def test_trace_lengths_are_consistent():
 
 def _rounds_draw():
     # the dual step of this draw returns no split from the capacity
-    # split's prices, and the equal start needs many gradient rounds
+    # split's prices, so the first barrier stage is its start and three
+    # rounds follow
     return generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
 
 
@@ -246,19 +251,17 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
     # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the answer's slack
     # t = D - eta*L/q and the warm compute prices; it is also the pair's
-    # cost per bit at those prices, the outer loop's gradient
+    # cost per bit at those prices, the minimand of the joint dual
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
     thr = sc.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
     warm = {}
     solve_bcaa(sc, L, cfg, warm=warm)
-    act = L > thr
-    g = kkt.pair_costs(sc, warm)
-    nu = (L * g).sum(axis=1) / L.sum(axis=1)
-    G = sc.task_bits[:, None] * (g / nu[:, None] - 1.0)
-    L = orchestrate._projected_step(L, G, act, sc.task_bits, 0.25, thr)
-    # the re-balance of the trial split starts from the warm prices
+    # a trial split moves a quarter of each task onto its user's cheapest
+    # AP at the warm prices, and its re-balance starts from those prices
+    L = 0.75 * L
+    L[np.arange(sc.num_users), np.argmin(kkt.pair_costs(sc, warm), axis=1)] += 0.25 * sc.task_bits
     x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
     assert rounds == 1
     i, j = np.nonzero(L > thr)
@@ -292,42 +295,35 @@ def _decline_dual_step(monkeypatch):
 
 
 def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
-    # at D = 0.2 s this 3x2 solve rejects at least one gradient trial; the
-    # rounds its re-balance spent still count
+    # with the dual step declined, every round, the start included,
+    # re-balances its barrier stage's split once, and the trace counts each
     _decline_dual_step(monkeypatch)
     sc = generate(GenParams(num_users=3, num_aps=2, deadline_s=0.2, seed=1))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
-    accepted = int(np.sum(np.diff(sol.trace.outer_energies_j) < 0))
-    assert len(calls) > 1 + accepted
-    assert sum(sol.trace.inner_iteration_counts) == sum(n for _, n in calls)
+    assert len(calls) >= 2
+    assert sol.trace.inner_iteration_counts == (1,) * len(calls)
 
 
 def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
-    # the first gradient trial loads AP 0 to 99.9% of its capacity, and
-    # the compute dual that split needs lies above the dual search range
-    _decline_dual_step(monkeypatch)
-    sc = make_scenario([[1.88105189e-07, 4.26221231e-11, 5.78186228e-11],
-                        [2.22414308e-11, 2.05850297e-09, 5.28408061e-12],
-                        [2.12932352e-11, 3.93789650e-11, 1.46234383e-10]],
-                       bits=1.5e6, deadline=0.96875, eta=1e3, bandwidth=2e6,
-                       capacities=1.862e9, noise=3.981071705534986e-21)
-    raised = []
-    rebalance = orchestrate.solve_bcaa
+    # the re-balance of the second stage's split raises BracketError, as one
+    # whose compute dual lies beyond the dual range does: that round keeps
+    # the held answer and counts no re-balance, and later stages certify
+    rebalance, calls = orchestrate.solve_bcaa, []
 
     def spy(*args, **kwargs):
-        try:
-            return rebalance(*args, **kwargs)
-        except BracketError as exc:
-            raised.append(exc)
-            raise
+        calls.append(1)
+        if len(calls) == 2:
+            raise BracketError(f"dual root outside the range {kkt.DUAL_RANGE}")
+        return rebalance(*args, **kwargs)
 
     monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
-    cfg = SolveConfig.for_scenario(sc, max_outer_iters=2)
+    sc = _rounds_draw()
+    cfg = SolveConfig.for_scenario(sc)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    assert raised
-    assert np.all(np.diff(sol.trace.outer_energies_j) < 0)
-    assert validate(sc, sol.allocation, cfg).ok
+    assert sol.trace.inner_iteration_counts[:2] == (1, 0)
+    assert sol.trace.outer_energies_j[1] == sol.trace.outer_energies_j[0]
+    assert sol.converged and validate(sc, sol.allocation, cfg).ok
 
 
 def test_trial_split_whose_pricing_misses_its_tolerance_is_rejected(monkeypatch):
@@ -335,90 +331,12 @@ def test_trial_split_whose_pricing_misses_its_tolerance_is_rejected(monkeypatch)
     cfg = _cfg(sc)
     L = initialize(sc, InitStrategy.equal())
     starve_pricing(monkeypatch)
-    assert orchestrate._rebalance(sc, L, cfg, {})[0] == np.inf
-    with pytest.raises(ConvergenceError, match="budget residual"):
-        solve_fixed_data(sc, L, cfg)
-
-
-def _tight42():
-    # seed-42 8x4 at D = 0.2 s: its first round accepts a step of 0.25
-    return override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.2)
-
-
-def _trials_per_round(monkeypatch):
-    """Spy that records, per round, the step sizes `_projected_step`
-    tries and the (L, G, act) of its first trial."""
-    rounds = []
-    gradient, step = orchestrate.pair_costs, orchestrate._projected_step
-
-    def gradient_spy(*args):
-        rounds.append({"trials": []})
-        return gradient(*args)
-
-    def step_spy(L, G, act, bits, alpha, thr):
-        rounds[-1].setdefault("start", (L, G, act))
-        rounds[-1]["trials"].append(alpha)
-        return step(L, G, act, bits, alpha, thr)
-
-    monkeypatch.setattr(orchestrate, "pair_costs", gradient_spy)
-    monkeypatch.setattr(orchestrate, "_projected_step", step_spy)
-    return rounds
-
-
-def test_step_starts_at_one_then_at_the_spectral_length(monkeypatch):
-    _decline_dual_step(monkeypatch)
-    rounds = _trials_per_round(monkeypatch)
-    sc = _tight42()
-    solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=6))
-    trials = [r["trials"] for r in rounds if r["trials"]]
-    assert trials[0][0] == 1.0
-    assert all(0.0 < a <= 1.0 for r in trials for a in r)
-    # backtracking halves; the first trial of a later round comes from the
-    # last step's curvature, not from a power of two
-    assert all(b == 0.5 * a for r in trials for a, b in zip(r, r[1:]))
-    assert any(np.log2(r[0]) != np.round(np.log2(r[0])) for r in trials[1:])
-
-
-def test_step_restarts_at_one_without_positive_curvature(monkeypatch):
-    # a gradient frozen at its first value makes the second round's G
-    # differ from the first only through nu, and s.y < 0
-    _decline_dual_step(monkeypatch)
-    rounds = _trials_per_round(monkeypatch)
-    first = []
-    gradient = orchestrate.pair_costs
-
-    def frozen(*args):
-        g = gradient(*args)
-        first.append(g)
-        return first[0]
-
-    monkeypatch.setattr(orchestrate, "pair_costs", frozen)
-    sc = _tight42()
-    solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=2))
-    (L1, G1, _), a1 = rounds[0]["start"], rounds[0]["trials"][-1]
-    (L2, G2, act), a2 = rounds[1]["start"], rounds[1]["trials"][0]
-    assert a1 < 0.5  # the old "twice the last step" rule would try 2*a1 < 1
-    s, y = (L2 - L1)[act], (G2 - G1)[act]
-    assert s @ y <= 0
-    assert a2 == 1.0
-
-
-def test_spectral_step_rejects_fewer_trials(monkeypatch):
-    # with the previous "twice the last accepted step" start this capped
-    # solve rejected 26 trials and ended at 91.6364 mJ
-    calls = []
-    rebalance = orchestrate.solve_bcaa
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return rebalance(*args, **kwargs)
-
-    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
-    sc = _tight42()
-    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc, max_outer_iters=30))
-    accepted = int(np.sum(np.diff(sol.trace.outer_energies_j) < 0))
-    assert len(calls) - 1 - accepted <= 18
-    assert sol.energy_j <= 0.0916364243073258
+    assert orchestrate._rebalance(sc, L, cfg, {}, True)[0] == np.inf
+    # with no answer held, the error propagates
+    for rebalance in (lambda: orchestrate._rebalance(sc, L, cfg, {}, False),
+                      lambda: solve_fixed_data(sc, L, cfg)):
+        with pytest.raises(ConvergenceError, match="budget residual"):
+            rebalance()
 
 
 @st.composite
@@ -446,10 +364,9 @@ def test_outer_loop_properties_on_random_instances(instance):
     cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
     sol = solve_iterative(sc, strategy, cfg)
     drops = np.diff(sol.trace.outer_energies_j)
-    if drops.size:
-        # only a last round that finds no lower trial may leave the energy as is
-        assert np.all(drops[:-1] < 0) and drops[-1] <= 0
-    else:
+    # a round keeps the held answer unless its stage's re-balance is lower
+    assert np.all(drops <= 0)
+    if not drops.size:
         # a start that runs no round is certified by the Lagrangian bound
         assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
     assert validate(sc, sol.allocation, cfg).ok
@@ -479,7 +396,7 @@ def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
     # solve_daa, solve_baa and solve_caa are references for the tests, so
     # the fixed halving count of their dual searches costs no solve any
     # time; at D = 0.2 s both starts are certified by the dual step, and
-    # the 6x3 draw, whose dual step returns no split, runs gradient rounds
+    # the 6x3 draw, whose dual step returns no split, runs barrier rounds
     def refuse(*args, **kwargs):
         raise AssertionError("a bisection reference ran on the solve path")
 
@@ -527,27 +444,6 @@ def test_a_dual_split_equal_to_the_initial_split_costs_no_rebalance(deadline, mo
     assert sol.trace.inner_iteration_counts[0] == 0
 
 
-def test_a_dual_split_that_overloads_an_ap_falls_back_to_the_initial_split(monkeypatch):
-    # every task on AP 0 needs more compute than the AP has, so that dual
-    # split cannot be re-balanced and the start re-balances the equal split
-    sc, cfg = _start42(0.4)
-    L0 = initialize(sc, InitStrategy.equal())
-    over = np.zeros_like(L0)
-    over[:, 0] = sc.task_bits
-    with pytest.raises(InfeasibilityError, match="AP 0"):
-        solve_bcaa(sc, over, cfg)
-    split = orchestrate.joint_split
-    monkeypatch.setattr(orchestrate, "joint_split", lambda sc, cfg, warm: (
-        over, *split(sc, cfg, warm)[1:3], None))
-    calls = _spy_rebalances(monkeypatch)
-    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    L_a, n_a = calls[0]
-    assert np.array_equal(L_a, L0) and n_a == 1
-    assert sol.trace.inner_iteration_counts[0] == n_a
-    assert sol.trace.outer_energies_j[0] == pytest.approx(
-        solve_fixed_data(sc, L0, cfg).energy_j, rel=1e-9, abs=0)
-
-
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(_outer_instances())
 def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
@@ -580,7 +476,7 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
     g = kkt.pair_costs(sc, warm)
     nu = (np.where(act, L, 0.0) * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
     e = np.where(act, np.inf, g)
-    assert np.all(e >= nu[:, None] * (1.0 - orchestrate.ENTRY_TOL))
+    assert np.all(e >= nu[:, None] * (1.0 - ENTRY_TOL))
 
 
 @pytest.mark.parametrize("gains, deadline, bandwidth, capacity", [
@@ -622,29 +518,6 @@ def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
     floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
                          sc.noise_over_gain[:, 3])[0]
     np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
-
-
-def test_the_support_grows_by_the_pairs_cheaper_than_their_users_best_pair():
-    # each user loads one or two of APs 0-2 and AP 3 serves no one; some
-    # pairs enter on every AP, and others stay out
-    sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
-    cfg = SolveConfig.for_scenario(sc)
-    L = np.zeros((12, 4))
-    for i in range(12):
-        L[i, [i % 3, (i + 1) % 3][: 1 + i % 2]] = sc.task_bits[i] / (1 + i % 2)
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
-    support, _, entered = orchestrate._direction(sc, L, warm)
-    e = kkt.pair_costs(sc, warm)
-    expected = L > 0
-    for i in range(12):
-        best = min(e[i, j] for j in range(4) if L[i, j] > 0)
-        for j in range(4):
-            if L[i, j] == 0 and e[i, j] < (1.0 - orchestrate.ENTRY_TOL) * best:
-                expected[i, j] = True
-    grown = expected & (L == 0)
-    assert entered and 0 < grown[:, 3].sum() < 12 and 0 < grown[:, :3].sum() < np.sum(L == 0) - 12
-    np.testing.assert_array_equal(support, expected)
 
 
 def test_a_start_whose_split_overloads_an_ap_runs_the_dual_step_from_the_equal_prices():
@@ -770,49 +643,9 @@ def test_a_certified_start_runs_no_rebalance(deadline, monkeypatch):
     assert sol.trace.inner_iteration_counts == (0,)
 
 
-def test_a_read_off_that_misses_its_certificate_falls_back_to_one_warm_rebalance(monkeypatch):
-    # the read-off's energy, the first one evaluated, is doubled, so its
-    # duality gap misses the certificate and the dual split is re-balanced
-    sc, cfg = _start42(0.4)
-    evaluations, energies = kkt.energy_matrix, []
-
-    def doubled_first(*args):
-        energies.append(evaluations(*args))
-        return energies[-1] * (2.0 if len(energies) == 1 else 1.0)
-
-    monkeypatch.setattr(kkt, "energy_matrix", doubled_first)
-    steps = _spy_dual_step(monkeypatch)
-    calls = _spy_rebalances(monkeypatch)
-    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    (L_dual, _, _, allocation), = steps
-    assert allocation is None
-    assert len(calls) == 1 and np.array_equal(calls[0][0], L_dual)
-    assert sol.trace.inner_iteration_counts == (1,)
-    monkeypatch.undo()
-    assert sol.energy_j == pytest.approx(solve_iterative(sc, InitStrategy.equal(), cfg).energy_j,
-                                         rel=1e-12, abs=0)
-
-
-def test_a_loose_dual_bound_is_replaced_by_the_bound_at_the_start_prices(monkeypatch):
-    # the seed-42 start at D = 0.2 s is certified, so the dual step's
-    # bound is lowered past the gap tolerance; the joint dual at the
-    # start's own prices, read before any step, certifies it again
-    split = orchestrate.joint_split
-
-    def loose(*args):
-        L, bound, state, allocation = split(*args)
-        return L, bound * (1.0 - 10.0 * orchestrate.GAP_TOL), state, allocation
-
-    monkeypatch.setattr(orchestrate, "joint_split", loose)
-    sc, cfg = _start42(0.2)
-    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    _, bound, state, _ = split(sc, cfg, {})
-    assert sol.converged and sol.outer_iterations == 0
-    assert sol.lower_bound_j == bound == kkt.joint_dual(sc, state["beta"], state["mus"])
-
-
 def test_an_uncertified_start_runs_gradient_rounds(monkeypatch):
-    # the start has no bound, and the rounds' bounds certify the answer
+    # the dual step gives no start, and the barrier rounds' bounds certify
+    # the answer
     steps = _spy_dual_step(monkeypatch)
     sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
     assert steps == [None]
@@ -831,8 +664,9 @@ def test_a_declined_dual_step_takes_its_bound_from_the_rounds(monkeypatch):
 
 
 def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch):
-    # the start and each round read the joint dual at their warm prices;
-    # the solve stops at the first energy within GAP_TOL of the largest
+    # each round, the start included here, reads the joint dual at its
+    # barrier stage's multipliers and at its re-balance's prices; the solve
+    # stops at the first energy within GAP_TOL of the largest
     bounds, joint_dual = [], orchestrate.joint_dual
 
     def spy(*args):
@@ -842,8 +676,8 @@ def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch
     monkeypatch.setattr(orchestrate, "joint_dual", spy)
     sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
     energies = np.array(sol.trace.outer_energies_j)
-    assert len(bounds) == energies.size > 1
-    best = np.maximum.accumulate(bounds)
+    assert len(bounds) == 2 * energies.size > 2
+    best = np.maximum.accumulate(bounds)[1::2]
     open_gap = energies - best > orchestrate.GAP_TOL * energies
     assert open_gap[:-1].all() and not open_gap[-1]
     assert sol.converged and sol.lower_bound_j == best[-1]
@@ -907,6 +741,89 @@ def test_the_lower_bound_never_exceeds_the_energy_of_any_start(instance):
         assert None not in bounds
     for b in filter(None, bounds):
         assert b <= min(energies) * (1.0 + 1e-12)
+
+
+def test_a_declined_dual_step_raises_the_error_of_the_first_stage_rebalance(monkeypatch):
+    # with no answer held, the first barrier stage is the start, and its
+    # re-balance's error is the solve's
+    _decline_dual_step(monkeypatch)
+    starve_pricing(monkeypatch)
+    with pytest.raises(ConvergenceError, match="budget residual"):
+        solve_iterative(_small_scenario())
+
+
+def test_a_dual_split_without_an_allocation_starts_from_the_first_barrier_stage(monkeypatch):
+    # every task on AP 0 needs more compute than the AP has, so no
+    # allocation is read off that dual split: the start is the re-balance of
+    # the first barrier stage's split, neither that split's nor the
+    # initial one's, and the dual step's bound still counts
+    sc, cfg = _start42(0.4)
+    over = np.zeros((sc.num_users, sc.num_aps))
+    over[:, 0] = sc.task_bits
+    split = orchestrate.joint_split
+    dual = split(sc, cfg, {})
+    monkeypatch.setattr(orchestrate, "joint_split", lambda *args: (over, *dual[1:3], None))
+    calls = _spy_rebalances(monkeypatch)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    stage = next(kkt.barrier_stages(sc))[0]
+    np.testing.assert_allclose(calls[0][0], stage, rtol=1e-12, atol=sc.activity_threshold_bits)
+    assert sol.trace.inner_iteration_counts == (1,) * len(calls)
+    assert sol.converged and sol.lower_bound_j >= dual[1]
+    assert sol.energy_j == pytest.approx(dual[3][2], rel=orchestrate.GAP_TOL, abs=0)
+
+
+@pytest.mark.parametrize("draw", [
+    (4, 3, 17837797.251165822, 0.6017431531495429, 4366455300.34655, 51345),
+    (5, 4, 24228717.439667195, 0.7015231409101567, 3597779182.8106804, 10072),
+    (3, 3, 25323585.240077876, 0.2946752483077867, 6657748986.718429, 63840),
+    (3, 3, 20360434.031632002, 0.26297010889095995, 12564770741.940273, 47186),
+    (6, 3, 17607682.06449225, 0.7048514774979054, 11457368075.266806, 37292),
+])
+def test_draws_the_gradient_rounds_left_unconverged_are_certified(draw):
+    # projected gradient rounds spent all 100 rounds on each of these
+    # draws, with gaps of 6.8e-4 to 1.8e-2; the barrier stages certify
+    # each in a few rounds
+    K, M, bandwidth, deadline, capacity, seed = draw
+    sc = generate(GenParams(num_users=K, num_aps=M, bandwidth_hz=bandwidth,
+                            deadline_s=deadline, capacity_cps=capacity, seed=seed))
+    cfg = SolveConfig.for_scenario(sc)
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.converged and sol.outer_iterations <= 10
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+    assert validate(sc, sol.allocation, cfg).ok
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(_outer_instances())
+def test_the_barrier_rounds_certify_every_instance_alone(instance):
+    # with the dual step declined the barrier stages do all the work: each
+    # solve is certified and valid, and no worse than the best-SNR split
+    # by more than GAP_TOL where that split is feasible
+    sc, strategy = instance
+    cfg = SolveConfig.for_scenario(sc)
+    with pytest.MonkeyPatch.context() as mp:
+        _decline_dual_step(mp)
+        sol = solve_iterative(sc, strategy, cfg)
+    assert sol.converged
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+    assert validate(sc, sol.allocation, cfg).ok
+    try:
+        best_snr = solve_fixed_assignment(sc, best_snr_assignment(sc), cfg).energy_j
+    except (InfeasibilityError, BracketError, ConvergenceError):
+        return
+    assert sol.energy_j <= best_snr * (1.0 + orchestrate.GAP_TOL)
+
+
+def test_the_barrier_rounds_do_not_read_the_initial_split():
+    # like the dual step, the barrier starts from one interior point
+    # whatever the strategy, so every start gives the same answer
+    sc = _rounds_draw()
+    sols = [solve_iterative(sc, strategy) for strategy in (
+        InitStrategy.equal(), InitStrategy.binary(), InitStrategy.random(seed=5))]
+    assert sols[0].outer_iterations >= 1
+    for sol in sols[1:]:
+        assert sol.energy_j == sols[0].energy_j
+        assert sol.trace.outer_energies_j == sols[0].trace.outer_energies_j
 
 
 def test_delay_monotonicity_small_instance():

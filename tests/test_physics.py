@@ -369,6 +369,38 @@ def test_hessian_finite_differences_at_probe_points():
                 assert h.matrix[r, c] == pytest.approx(ref[r, c], rel=1e-9, abs=0)
 
 
+def test_energy_derivatives_in_load_bandwidth_and_compute_match_central_differences():
+    # the gradient and 3x3 Hessian the barrier method steps on, over all
+    # points at once, against 60-digit central differences (the compute
+    # partial is too small for float ones): each Hessian entry on the scale
+    # of its diagonal. The Hessian is PSD, and singular along (L, x, q)
+    # itself, where the energy is homogeneous of degree one
+    points = _sample_points(60, seed=17)
+    Lv, xv, qv, dv, etav, av = np.array(
+        [(p.data_bits, p.bandwidth_hz, p.compute_cps, p.deadline_s, p.cycles_per_bit,
+          p.noise_over_gain) for p in points]).T
+    grad, hess = physics.energy_derivatives(Lv, xv, qv, dv, etav, av)
+    for k, p in enumerate(points):
+        A, D, E = (Decimal(v) for v in (p.noise_over_gain, p.deadline_s, p.cycles_per_bit))
+        f = lambda v: decimal_energy(v[0], v[1], D - E * v[0] / v[2], A)
+        v0 = [p.data_bits, p.bandwidth_hz, p.compute_cps]
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            fd = []
+            for n, h in enumerate(Decimal("1e-15") * Decimal(c) for c in v0):
+                up, down = [Decimal(c) for c in v0], [Decimal(c) for c in v0]
+                up[n] += h
+                down[n] -= h
+                fd.append(float((f(up) - f(down)) / (2 * h)))
+        assert grad[k] == pytest.approx(fd, rel=1e-12, abs=0), p
+        ref = np.array(decimal_hessian(f, v0))
+        scale = 1.0 / np.sqrt(np.diag(ref))
+        assert np.abs((hess[k] - ref) * np.outer(scale, scale)).max() <= 1e-12, p
+        unit = hess[k] * np.outer(scale, scale)
+        assert np.allclose(unit, unit.T, rtol=0, atol=1e-15)
+        assert abs(np.linalg.eigvalsh(unit)[0]) <= 1e-12, p
+
+
 def test_hessian_rejects_unknown_pair():
     with pytest.raises(StructuralError):
         hessian_diag(_point(L=1.0, x=1.0, q=2.0), "q_t")
