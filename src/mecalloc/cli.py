@@ -36,8 +36,10 @@ from .model import (
 )
 from .orchestrate import (
     InitStrategy,
+    best_snr_assignment,
     evaluate,
     initialize,
+    solve_fixed_assignment,
     solve_fixed_data,
     solve_iterative,
 )
@@ -74,46 +76,30 @@ def _timestamp():
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-def _strategy(token):
-    """Strategy token -> (label, InitStrategy of the start).
+_METHODS = ("iterative:equal", "binary-best-ap", "fixed-equal")
 
-    Tokens: binary-best-ap and fixed-equal, one re-balance of the split of
-    best-ap-100 or equal, iterative (short for iterative:equal) and
-    iterative:<init> with init equal, random-<seed> (random is random-0)
-    or best-ap-<percent>: seed 0 or digits with no sign or leading zero,
-    percent in its shortest decimal spelling (90, 12.5). Anything else
-    raises ArgumentTypeError, so it is rejected before any solve starts.
-    """
-    if token in ("binary-best-ap", "fixed-equal"):
-        return token, InitStrategy.binary() if token == "binary-best-ap" else InitStrategy.equal()
-    label = {"iterative": "iterative:equal",
-             "iterative:random": "iterative:random-0"}.get(token, token)
-    method, _, init = label.partition(":")
-    kind, _, arg = init.rpartition("-")
-    if method == "iterative":
-        try:
-            if init == "equal":
-                return label, InitStrategy.equal()
-            if kind == "random" and str(int(arg)) == arg:
-                return label, InitStrategy.random(seed=int(arg))
-            if kind == "best-ap" and np.format_float_positional(float(arg), trim="-") == arg:
-                return label, InitStrategy.best_ap(weight=float(arg) / 100.0)
-        except ValueError as exc:  # not a number or a weight outside (0, 1]
-            raise argparse.ArgumentTypeError(f"strategy {token!r}: {exc}") from None
-    raise argparse.ArgumentTypeError(f"unknown strategy {token!r}")
+
+def _method(token):
+    """--method token -> its label in _METHODS ("iterative" is short for
+    "iterative:equal"); any other token raises ArgumentTypeError, so it is
+    rejected before the scenario is read."""
+    label = "iterative:equal" if token == "iterative" else token
+    if label not in _METHODS:
+        raise argparse.ArgumentTypeError(f"unknown method {token!r}")
+    return label
 
 
 def _run(scenario, label, cfg):
-    strategy = _strategy(label)[1]
-    if label.startswith("iterative:"):
-        return solve_iterative(scenario, strategy, cfg)
-    return solve_fixed_data(scenario, initialize(scenario, strategy), cfg)
+    if label == "iterative:equal":
+        return solve_iterative(scenario, cfg=cfg)
+    if label == "binary-best-ap":
+        return solve_fixed_assignment(scenario, best_snr_assignment(scenario), cfg)
+    return solve_fixed_data(scenario, initialize(scenario, InitStrategy.equal()), cfg)
 
 
 def _config(args):
     try:
-        return SolveConfig(epsilon_j=args.eps_mj * 1e-3, bisect_tol=args.bisect_tol,
-                           max_outer_iters=args.max_outer)
+        return SolveConfig(bisect_tol=args.bisect_tol, max_outer_iters=args.max_outer)
     except StructuralError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -142,7 +128,7 @@ def cmd_generate(args):
 
 
 def cmd_solve(args):
-    label = _strategy(args.method)[0]
+    label = _method(args.method)
     scenario = _read_scenario(args.scenario)
     cfg = _config(args)
     solution = _run(scenario, label, cfg)
@@ -219,15 +205,19 @@ def cmd_sweep(args):
         raise argparse.ArgumentTypeError(f"sweep values: {exc}") from None
     if not all(0 < v < np.inf for v in values) or len(values) != len(set(values)):
         raise argparse.ArgumentTypeError("sweep values must be distinct, positive and finite")
-    labels = [_strategy(tok.strip())[0] for tok in args.strategies.split(",") if tok.strip()]
+    labels = [_method(tok.strip()) for tok in args.strategies.split(",") if tok.strip()]
     if not labels:
         raise argparse.ArgumentTypeError("at least one strategy is required")
+    if args.workers < 1:
+        raise argparse.ArgumentTypeError(f"--workers must be at least 1, got {args.workers}")
     scenario = _read_scenario(args.scenario)
     solve_point = functools.partial(_sweep_point, scenario_to_dict(scenario),
                                     args.param, _config(args))
     points = [(v, label) for v in values for label in labels]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    # the pool forks all its workers at the first submit
+    workers = min(args.workers, len(points))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(solve_point, points))
     else:
         rows = [solve_point(p) for p in points]
@@ -241,15 +231,12 @@ def cmd_sweep(args):
         w.writerows(rows)
     print(f"wrote {out}: {len(rows)} rows")
 
-    if args.param == "deadline-s":
-        for label in labels:
-            if not label.startswith("iterative:"):
-                continue
-            energies = [float(r["energy_mj"]) for r in rows
-                        if r["strategy"] == label and r["energy_mj"] != ""]
-            mono = all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
-            print(f"monotonicity[{label}]: energy non-increasing in deadline: "
-                  f"{'yes' if mono else 'NO'}")
+    if args.param == "deadline-s" and "iterative:equal" in labels:
+        energies = [float(r["energy_mj"]) for r in rows
+                    if r["strategy"] == "iterative:equal" and r["energy_mj"] != ""]
+        mono = all(b <= a * (1 + 1e-9) for a, b in zip(energies, energies[1:]))
+        print("monotonicity[iterative:equal]: energy non-increasing in deadline: "
+              f"{'yes' if mono else 'NO'}")
     return EXIT_OK
 
 
@@ -273,8 +260,6 @@ def build_parser():
     # flags shared by solve and sweep, with SolveConfig's defaults
     solver_flags = argparse.ArgumentParser(add_help=False)
     solver_flags.add_argument("--scenario", required=True)
-    solver_flags.add_argument("--eps-mj", type=float, default=SolveConfig.epsilon_j * 1e3,
-                              help="SolveConfig.epsilon_j in milli-Joules; it stops no solve")
     solver_flags.add_argument("--bisect-tol", type=float, default=SolveConfig.bisect_tol)
     solver_flags.add_argument("--max-outer", type=int, default=SolveConfig.max_outer_iters,
                               help="SolveConfig.max_outer_iters: the most barrier rounds")
@@ -283,8 +268,8 @@ def build_parser():
     solver = dict(parents=[solver_flags], allow_abbrev=False)
     s = sub.add_parser("solve", **solver, help="solve one scenario file")
     s.add_argument("--method", default="iterative",
-                   help="iterative[:equal|random-<seed>|best-ap-<percent>], "
-                        "binary-best-ap or fixed-equal")
+                   help="iterative (or iterative:equal; the problem is convex, so it "
+                        "takes no start), binary-best-ap or fixed-equal")
     s.add_argument("--out", default="solution.json")
     s.add_argument("--trace", default=None, help="trace CSV path")
     s.set_defaults(func=cmd_solve)

@@ -254,7 +254,8 @@ class SolveConfig:
     """Solver tolerances and iteration budgets.
 
     epsilon_j (Joules) stops no solve, which stops on its certificate
-    (`kkt.GAP_TOL`); callers read it as an absolute tolerance.
+    (`kkt.GAP_TOL`), and the CLI does not set it; only the acceptance
+    criteria read it, as an absolute tolerance.
     max_outer_iters counts the rounds after the start of
     `solve_iterative`, one barrier stage each (`kkt.barrier_stages`).
     bisect_tol is the relative tolerance of the budget residual checks

@@ -54,7 +54,9 @@ class InitStrategy:
     equal_split spreads each task evenly over the APs; uniform_random
     normalizes M uniform draws per user (seeded); best_ap_weighted puts
     `weight` of the task on the strongest-gain AP and spreads the rest
-    evenly, so `binary()`, its weight 1, sends everything there.
+    evenly, so `binary()`, its weight 1, sends everything there. No solve
+    reads a start; the kinds stay as the fixed splits that the bench, the
+    acceptance criteria and the tests pass.
     """
 
     kind: str
@@ -184,8 +186,8 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     warm from the held answer's prices (`_rebalance`), keeping it when its
     energy is lower. When the dual step holds no answer, the first stage is
     the start, and an error of its re-balance propagates. Neither step reads
-    an initial split, so strategy is accepted for callers that pass one and
-    is not read.
+    an initial split: the problem is convex. strategy is accepted, and not
+    read, for the bench and the acceptance criteria, which pass one.
 
     The joint dual G (`kkt.joint_dual`) at any prices bounds every answer;
     lower_bound_j is the largest G seen: at the dual step's prices, at each

@@ -1,14 +1,20 @@
 import dataclasses
 import json
-import os
 
-import numpy as np
 import pytest
 
-from mecalloc import GenParams, InitStrategy, SolveTrace, generate, save_scenario, solve_iterative
+from mecalloc import (
+    GenParams,
+    SolveTrace,
+    best_snr_assignment,
+    generate,
+    load_scenario,
+    save_scenario,
+    solve_fixed_assignment,
+)
 from mecalloc import cli
 from mecalloc.cli import main
-from mecalloc.scenario import override_parameter, provenance
+from mecalloc.scenario import provenance
 
 from util import make_scenario, starve_pricing
 
@@ -68,7 +74,7 @@ def test_solve_writes_solution_and_trace(tmp_path, small_scenario_file):
     tr = tmp_path / "trace.csv"
     code = main(["solve", "--scenario", small_scenario_file,
                  "--method", "iterative:equal",
-                 "--eps-mj", "1e-2", "--out", str(sol), "--trace", str(tr)])
+                 "--out", str(sol), "--trace", str(tr)])
     assert code == 0
     doc = json.loads(sol.read_text())
     assert doc["converged"] is True
@@ -108,28 +114,8 @@ def test_solve_binary_method_loads_fully(tmp_path, small_scenario_file):
     assert all(s == pytest.approx(1.0)
                for s in doc["metrics"]["max_load_share_per_user"])
     assert doc["metrics"]["multi_ap_user_count"] == 0
-
-
-def test_solve_init_variants_agree(tmp_path, small_scenario_file):
-    energies = []
-    for init in ("equal", "random", "best-ap-90"):
-        out = tmp_path / f"{init}.json"
-        code = main(["solve", "--scenario", small_scenario_file,
-                     "--method", f"iterative:{init}", "--eps-mj", "1e-4",
-                     "--out", str(out)])
-        assert code == 0
-        energies.append(json.loads(out.read_text())["metrics"]["energy_mj"])
-    assert max(energies) - min(energies) <= 3 * 1e-4
-
-
-def test_solve_random_method_matches_the_library(tmp_path, scenario42):
-    save_scenario(scenario42, tmp_path / "sc.json")
-    for method, seed in (("iterative:random-3", 3), ("iterative:random", 0)):
-        out = tmp_path / f"{seed}.json"
-        assert main(["solve", "--scenario", str(tmp_path / "sc.json"), "--method", method,
-                     "--out", str(out)]) == 0
-        expected = solve_iterative(scenario42, InitStrategy.random(seed)).energy_j
-        assert json.loads(out.read_text())["energy_j"] == expected
+    sc = load_scenario(small_scenario_file)
+    assert doc["energy_j"] == solve_fixed_assignment(sc, best_snr_assignment(sc)).energy_j
 
 
 def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_file,
@@ -142,10 +128,11 @@ def test_solve_takes_the_sweep_strategy_grammar_alone(tmp_path, small_scenario_f
         raise AssertionError("the scenario was read before the method was checked")
 
     monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
-    # a retired flag is rejected, not ignored
+    # a retired flag or start is rejected, not ignored
     for method in (["iterative:bogus"], ["binary-best-ap", "--init", "random"],
                    ["iterative:random", "--init", "3"], ["iterative:random", "--init-seed", "3"],
-                   ["binary-best-ap", "--init-seed", "5"]):
+                   ["binary-best-ap", "--init-seed", "5"], ["iterative", "--eps-mj", "1e-3"],
+                   ["iterative:random-3"]):
         assert main(["solve", "--scenario", small_scenario_file, "--method", *method,
                      "--out", str(tmp_path / "x.json")]) == 2
     assert not (tmp_path / "x.json").exists()
@@ -186,7 +173,7 @@ def test_sweep_csv_structure_and_determinism(tmp_path, small_scenario_file):
     args = ["sweep", "--scenario", small_scenario_file,
             "--param", "deadline-s", "--values", "0.9,1.2,1.5",
             "--strategies", "iterative:equal,binary-best-ap,fixed-equal",
-            "--eps-mj", "1e-3", "--workers", "1"]
+            "--workers", "1"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert _strip_timestamp(out1) == _strip_timestamp(out2)
@@ -240,25 +227,50 @@ def test_sweep_parallel_workers_match_serial(tmp_path, small_scenario_file):
     parallel = tmp_path / "parallel.csv"
     args = ["sweep", "--scenario", small_scenario_file,
             "--param", "bandwidth-hz", "--values", "8,12",
-            "--strategies", "iterative:equal", "--eps-mj", "1e-3"]
+            "--strategies", "iterative:equal"]
     assert main(args + ["--workers", "1", "--out", str(serial)]) == 0
     assert main(args + ["--workers", "2", "--out", str(parallel)]) == 0
     assert _strip_timestamp(serial) == _strip_timestamp(parallel)
 
 
-def test_sweep_rows_carry_each_random_seed(tmp_path, scenario42):
-    save_scenario(scenario42, tmp_path / "sc.json")
+def test_sweep_pool_is_no_larger_than_its_points(tmp_path, small_scenario_file, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        # stands in for ProcessPoolExecutor, so no process is started
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            return map(fn, points)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    for values in ("8,12", "8"):
+        assert main(["sweep", "--scenario", small_scenario_file, "--param", "bandwidth-hz",
+                     "--values", values, "--strategies", "iterative:equal", "--workers", "64",
+                     "--out", str(tmp_path / "sweep.csv")]) == 0
+    # two points take a pool of two; one point needs no pool
+    assert sizes == [2]
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_workers_below_one_are_a_usage_error_before_any_read(
+        tmp_path, small_scenario_file, monkeypatch, capsys, workers):
+    def no_read(*args, **kwargs):
+        raise AssertionError("the scenario was read before the workers were checked")
+
+    monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
     out = tmp_path / "sweep.csv"
-    assert main(["sweep", "--scenario", str(tmp_path / "sc.json"), "--param", "deadline-s",
-                 "--values", "0.2,1.0", "--strategies", "iterative:random-1,iterative:random-2",
-                 "--workers", "1", "--out", str(out)]) == 0
-    rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
-    assert [(float(r[1]), r[2]) for r in rows] == [
-        (d, f"iterative:random-{seed}") for d in (0.2, 1.0) for seed in (1, 2)]
-    for r in rows:
-        sc = override_parameter(scenario42, "deadline_s", float(r[1]))
-        expected = solve_iterative(sc, InitStrategy.random(int(r[2][-1]))).energy_j
-        assert r[3] == cli._fmt(expected * 1e3)
+    assert main(["sweep", "--scenario", small_scenario_file, "--param", "deadline-s",
+                 "--values", "0.5", "--workers", workers, "--out", str(out)]) == 2
+    assert _one_line_usage_error(capsys)
+    assert not out.exists()
 
 
 def test_out_dir_env_redirects_relative_paths(tmp_path, small_scenario_file,
@@ -316,11 +328,9 @@ _SOLVE_AND_SWEEP = (["solve"], ["sweep", "--param", "deadline-s", "--values", "0
                                 "--workers", "1"])
 
 
-@pytest.mark.parametrize("flag,value", [("--max-outer", "0"), ("--eps-mj", "0"),
+@pytest.mark.parametrize("flag,value", [("--max-outer", "0"),
                                         ("--bisect-tol", "-1"), ("--bisect-tol", "nan"),
-                                        ("--bisect-tol", "inf"), ("--bisect-tol", "1e-16"),
-                                        ("--eps-mj", "nan"),
-                                        ("--eps-mj", "inf")])
+                                        ("--bisect-tol", "inf"), ("--bisect-tol", "1e-16")])
 def test_bad_solver_settings_are_usage_errors(tmp_path, small_scenario_file, capsys,
                                               flag, value):
     for command in _SOLVE_AND_SWEEP:
@@ -354,21 +364,13 @@ def test_generate_rejects_out_of_range_flags(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
-def test_canonical_seeds_and_percents_are_accepted():
-    # a zero digit that does not lead, and a percent with a fraction
-    assert cli._strategy("iterative:random-0")[1] == InitStrategy.random(0)
-    assert cli._strategy("iterative:random-10")[1] == InitStrategy.random(10)
-    assert cli._strategy("iterative:best-ap-12.5") == ("iterative:best-ap-12.5",
-                                                       InitStrategy.best_ap(0.125))
-
-
 def test_negative_init_seed_is_a_usage_error_before_any_solve(tmp_path, small_scenario_file,
                                                               monkeypatch, capsys):
     def no_read(*args, **kwargs):
         raise AssertionError("the scenario was read before the seed was checked")
 
     monkeypatch.setattr("mecalloc.cli.load_scenario", no_read)
-    # a seed or percent outside its one canonical spelling is rejected too
+    # the retired start tokens, in any spelling, are unknown methods
     for token in ("iterative:random-", "iterative:random-x", "iterative:random--1",
                   "iterative:random-+3", "iterative:random-03", "iterative:random- 3",
                   "iterative:random-1_000", "iterative:best-ap-90.0", "iterative:best-ap-9e1"):
