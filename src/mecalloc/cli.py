@@ -208,6 +208,8 @@ def cmd_sweep(args):
     labels = [_method(tok.strip()) for tok in args.strategies.split(",") if tok.strip()]
     if not labels:
         raise argparse.ArgumentTypeError("at least one strategy is required")
+    if len(labels) != len(set(labels)):
+        raise argparse.ArgumentTypeError(f"each method may be named once, got {args.strategies!r}")
     if args.workers < 1:
         raise argparse.ArgumentTypeError(f"--workers must be at least 1, got {args.workers}")
     scenario = _read_scenario(args.scenario)

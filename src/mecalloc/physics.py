@@ -11,11 +11,11 @@ primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
 (`exponent_root`) and a pair's cheapest cost per bit at given prices
 (`price_oracle`) take the same Newton step in ln z, a fixed count of
 times. `energy_derivatives` gives the barrier method in `kkt` its 3x3
-Hessian in (L, x, q). The scalar functions, the analytic gradient and
-the 2x2 curvature blocks build on them. They act on a
-`PairPoint`, one entry of an `Allocation` with its user's task, whose
-slack is derived from its compute and which passed the pair rule when
-it was built.
+Hessian in (L, x, q), the one Hessian of the pair energy: the 2x2
+curvature blocks are read off it. The scalar functions and the analytic
+gradient build on the pair model. They act on a `PairPoint`, one entry
+of an `Allocation` with its user's task, whose slack is derived from its
+compute and which passed the pair rule when it was built.
 """
 
 from __future__ import annotations
@@ -264,43 +264,32 @@ _HESSIAN_PAIRS = ("L_x", "L_q", "x_t")
 
 
 def hessian_diag(point: PairPoint, pair: str) -> HessianDiag:
-    """Second derivatives of pair_energy over one variable pair.
+    """Second derivatives of pair_energy over one variable pair, read off
+    the Hessian in (L, x, q) of `energy_derivatives`.
 
     pair selects the coordinates and what is held fixed:
       "L_x": (data, bandwidth) with compute fixed, slack varying as D - eta*L/q;
       "L_q": (data, compute) with bandwidth fixed;
       "x_t": (bandwidth, slack) with data fixed.
-    Entries are the exact analytic values (they agree with central second
-    finite differences of pair_energy).
+    The first two are principal blocks, taken from the upper triangle so
+    that they are symmetric. "x_t" follows by the chain rule through
+    q = eta*L/(D - t), with q_t = q^2/(eta*L): E_xx = H_xx,
+    E_xt = H_xq*q_t and E_tt = (H_qq + 2*E_q/q)*q_t^2.
     """
     if pair not in _HESSIAN_PAIRS:
         raise StructuralError(f"unknown pair {pair!r}, expected one of {_HESSIAN_PAIRS}")
     _interior(point)
-    L, x, t = point.data_bits, point.bandwidth_hz, point.slack_s
-    a, d, eta = point.noise_over_gain, point.deadline_s, point.cycles_per_bit
-    q = point.compute_cps
-    u = L / (x * t)
-    p = math.exp(u * LN2)
-    k2 = LN2 * LN2
-    phi = float(bracket(u * LN2))  # always negative on the interior
-
-    e_LL = a * k2 * p * d * d / (x * t**3)
-    e_xx = a * k2 * p * L * L / (x**3 * t)
-    e_tt = a * k2 * p * L * L / (x * t**3)
-
-    if pair == "L_x":
-        e_Lx = -a * eta / q * phi - a * k2 * p * d * L / (x * x * t * t)
-        m = np.array([[e_LL, e_Lx], [e_Lx, e_xx]])
-    elif pair == "L_q":
-        t_q = eta * L / q**2
-        e_qq = e_tt * t_q**2 - 2.0 * a * x * phi * eta * L / q**3
-        e_Lq = -a * k2 * p * eta * L * L * d / (q * q * x * t**3) \
-            + a * x * phi * eta / q**2
-        m = np.array([[e_LL, e_Lq], [e_Lq, e_qq]])
-    else:  # x_t
-        e_xt = a * (phi + k2 * u * u * p)
-        m = np.array([[e_xx, e_xt], [e_xt, e_tt]])
-
+    L, q = point.data_bits, point.compute_cps
+    (g,), (h,) = energy_derivatives(*(np.array([v]) for v in (
+        L, point.bandwidth_hz, q, point.deadline_s, point.cycles_per_bit,
+        point.noise_over_gain)))
+    if pair == "x_t":
+        q_t = q * q / (point.cycles_per_bit * L)
+        e_xt = h[1, 2] * q_t
+        m = np.array([[h[1, 1], e_xt], [e_xt, (h[2, 2] + 2.0 * g[2] / q) * q_t**2]])
+    else:
+        j = 1 if pair == "L_x" else 2
+        m = np.array([[h[0, 0], h[0, j]], [h[0, j], h[j, j]]])
     m.setflags(write=False)
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     return HessianDiag(pair=pair, matrix=m, determinant=float(det))

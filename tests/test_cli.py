@@ -306,17 +306,24 @@ def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file, 
     assert all(r[-2] == "false" and "residual" in r[-1] for r in rows)
 
 
+@pytest.mark.parametrize("strategies", ["iterative:equal,iterative:bogus",
+                                        # "iterative" is short for "iterative:equal"
+                                        "iterative,iterative:equal",
+                                        "binary-best-ap,binary-best-ap"])
 def test_sweep_rejects_unknown_init_before_solving(tmp_path, small_scenario_file,
-                                                   monkeypatch):
-    def no_solve(*args, **kwargs):
-        raise AssertionError("a solve started before the strategies were checked")
+                                                   monkeypatch, strategies):
+    def too_soon(*args, **kwargs):
+        raise AssertionError("the scenario was read before the strategies were checked")
 
-    monkeypatch.setattr("mecalloc.cli.solve_iterative", no_solve)
+    for step in ("_read_scenario", "solve_iterative", "solve_fixed_assignment",
+                 "solve_fixed_data"):
+        monkeypatch.setattr(f"mecalloc.cli.{step}", too_soon)
     code = main(["sweep", "--scenario", small_scenario_file,
                  "--param", "deadline-s", "--values", "0.5,1.0",
-                 "--strategies", "iterative:equal,iterative:bogus",
+                 "--strategies", strategies,
                  "--workers", "1", "--out", str(tmp_path / "sweep.csv")])
     assert code == 2
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def _one_line_usage_error(capsys):

@@ -401,6 +401,23 @@ def test_energy_derivatives_in_load_bandwidth_and_compute_match_central_differen
         assert abs(np.linalg.eigvalsh(unit)[0]) <= 1e-12, p
 
 
+def test_hessian_blocks_are_read_off_the_barrier_hessian():
+    # one Hessian of the pair energy: the blocks hold the very floats the
+    # barrier method steps on, not a second derivation that agrees to rounding
+    for p in _sample_points(200):
+        L, q, eta = p.data_bits, p.compute_cps, p.cycles_per_bit
+        (g,), (h,) = physics.energy_derivatives(*(np.array([v]) for v in (
+            L, p.bandwidth_hz, q, p.deadline_s, eta, p.noise_over_gain)))
+        for pair, j in (("L_x", 1), ("L_q", 2)):
+            want = np.array([[h[0, 0], h[0, j]], [h[0, j], h[j, j]]])
+            assert np.array_equal(hessian_diag(p, pair).matrix, want), (pair, p)
+        # the slack enters through q = eta*L/(D - t), with dq/dt = q^2/(eta*L)
+        q_t = q * q / (eta * L)
+        want = np.array([[h[1, 1], h[1, 2] * q_t],
+                         [h[1, 2] * q_t, (h[2, 2] + 2.0 * g[2] / q) * q_t**2]])
+        assert np.array_equal(hessian_diag(p, "x_t").matrix, want), p
+
+
 def test_hessian_rejects_unknown_pair():
     with pytest.raises(StructuralError):
         hessian_diag(_point(L=1.0, x=1.0, q=2.0), "q_t")
