@@ -15,8 +15,8 @@ where it is feasible.
 
 Each section prints its summary line, `grid: ...` or `tight: ...`, after
 its rows. With `--rows`, one line per solve comes first: shape, seed,
-energy and bound in J (repr, so two commits diff exactly), outer rounds,
-re-balances and converged. The exit code is 1 when a solve raises a
+energy and bound in J (repr, so two commits diff exactly), outer rounds
+and converged. The exit code is 1 when a solve raises a
 solver error, ends unconverged, has no bound, has a gap above
 `kkt.GAP_TOL` or is above its best-SNR energy by more than `kkt.GAP_TOL`.
 """
@@ -54,7 +54,7 @@ def run_section(name, shapes, seeds, cfg, rows):
     without a bound, gaps above GAP_TOL and answers above their best-SNR
     energy by more than GAP_TOL."""
     t0 = time.perf_counter()
-    n = errors = unconverged = certified = rebalances = most_rounds = unbounded = gaps = above = 0
+    n = errors = unconverged = certified = most_rounds = unbounded = gaps = above = 0
     worst_gap = worst_above = 0.0
     for K, M, D in shapes:
         for seed in seeds:
@@ -75,7 +75,6 @@ def run_section(name, shapes, seeds, cfg, rows):
             unconverged += not sol.converged
             certified += sol.outer_iterations == 0
             most_rounds = max(most_rounds, sol.outer_iterations)
-            rebalances += sum(sol.trace.inner_iteration_counts)
             if lb is None:
                 unbounded += 1
             else:
@@ -84,10 +83,9 @@ def run_section(name, shapes, seeds, cfg, rows):
             above += e > best_snr * (1.0 + GAP_TOL)
             worst_above = max(worst_above, e / best_snr - 1.0)
             if rows:
-                print(f"{K}x{M} {seed} {e!r} {lb!r} {sol.outer_iterations} "
-                      f"{sum(sol.trace.inner_iteration_counts)} {sol.converged}")
+                print(f"{K}x{M} {seed} {e!r} {lb!r} {sol.outer_iterations} {sol.converged}")
     print(f"{name}: {n} solves, {errors} errors, {unconverged} unconverged, {certified} "
-          f"certified at the start, {rebalances} re-balances, at most {most_rounds} rounds, "
+          f"certified at the start, at most {most_rounds} rounds, "
           f"{unbounded} without a bound, "
           f"{gaps} gaps above GAP_TOL (largest {worst_gap:.3g}), {above} above their "
           f"best-SNR energy by more than GAP_TOL (largest {worst_above:.3g}), "

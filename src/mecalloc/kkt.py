@@ -20,10 +20,11 @@ outer search driving each budget sum onto its constraint.
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
              (`joint_dual`), maximised by Newton steps in the same prices,
              with its (x, q) read off and certified as in solve_bcaa;
-  pair_costs: every pair's cost per bit e_ij at a warm state's prices,
-             the minimand of the joint dual;
+  pair_costs: every pair's cost per bit e_ij at given prices, the
+             minimand of the joint dual;
   barrier_stages: the outer rounds after the dual step, the centring
-             stages of a barrier method on the whole problem in (L, x, q).
+             stages of a barrier method on the whole problem in (L, x, q),
+             each with its own allocation and multipliers.
 
 Every derivative in those roots comes from the pair model in `physics`.
 The first three are bisection references for the re-balance, off the
@@ -39,8 +40,9 @@ cold start of the bandwidth price.
 
 Besides the barrier's Newton steps, the module has two root finders:
 `vec_bisect` for the references and `_newton` for every pricing, each in
-the log prices inside DUAL_RANGE, run to half of bisect_tol from a warm
-state by one start rule (`_start_prices`) and handing one back.
+the log prices inside DUAL_RANGE, run to half of bisect_tol. The
+fixed-data pricing starts cold by one start rule (`_start_prices`), and
+the dual step from the prices that pricing ends at for the capacity split.
 `_newton` raises nothing and stops at a range edge as at any stall: the
 fixed-data pricing raises BracketError when it ends short of its
 tolerance at an edge, and the dual step holds an AP that it leaves idle
@@ -487,38 +489,21 @@ def _newton(system, y, tol, first=None):
     return y, r, extra, calls
 
 
-def _warm_prices(warm, m):
-    """The state's prices, beta then m compute prices, all zero when the
-    state is void: a price missing, not finite, not positive or misshapen."""
-    beta, mus = warm.get("beta"), warm.get("mus")
-    prices = (np.append(np.asarray(beta, dtype=float), mus)
-              if np.shape(beta) == () and np.shape(mus) == (m,) else np.zeros(m + 1))
-    return np.where(np.all(np.isfinite(prices) & (prices > 0)), prices, 0.0)
-
-
-def _start_prices(prices, pairs, col, aps, t, B):
-    """The log prices, of the bandwidth and of the served APs aps, that a
-    pricing starts from at the slack t of each pair, from its state's
-    `_warm_prices`: those clipped into DUAL_RANGE, but for a void state a
-    cold beta, the L-weighted geometric mean of the prices -a*t*bracket(z)
-    that give each pair its load's share of B (z = sum L*ln2/(B*t)). Every
-    AP at or below the floor, so every AP of a void state, starts from the
-    L-weighted geometric mean over its pairs of the compute price that
-    makes the slack t stationary, beta*ln2*(D - t)^2/(eta*t^2*z) with
-    z = exponent_root(beta/(a*t))."""
+def _start_prices(pairs, col, t, B):
+    """The log prices, of the bandwidth and of each served AP, that the
+    fixed-data pricing starts from at the slack t of each pair: beta is
+    the L-weighted geometric mean of the prices -a*t*bracket(z) that give
+    each pair its load's share of B (z = sum L*ln2/(B*t)), and each AP's
+    price the L-weighted geometric mean over its pairs of the compute
+    price that makes the slack t stationary, beta*ln2*(D - t)^2/(eta*t^2*z)
+    with z = exponent_root(beta/(a*t))."""
     Lv, d, eta, a = pairs
-    prices = np.append(prices[0], prices[1:][aps])
-    y = np.log(np.clip(prices, *DUAL_RANGE))
-    if prices[0] == 0.0:
-        with np.errstate(over="ignore"):
-            share = -bracket(Lv.sum() * LN2 / (B * t))
-        y[0] = Lv @ np.log(a * t * share) / Lv.sum()
-    floor = prices[1:] <= DUAL_RANGE[0]
-    if floor.any():
-        z = exponent_root(np.exp(y[0]) / (a * t))
-        log_mu = y[0] + np.log(LN2 / (eta * z)) + 2.0 * np.log((d - t) / t)
-        y[1:][floor] = (np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv))[floor]
-    return y
+    with np.errstate(over="ignore"):
+        share = -bracket(Lv.sum() * LN2 / (B * t))
+    log_beta = Lv @ np.log(a * t * share) / Lv.sum()
+    z = exponent_root(np.exp(log_beta) / (a * t))
+    log_mu = log_beta + np.log(LN2 / (eta * z)) + 2.0 * np.log((d - t) / t)
+    return np.append(log_beta, np.bincount(col, weights=Lv * log_mu) / np.bincount(col, weights=Lv))
 
 
 # ---------------------------------------------------------------------------
@@ -537,17 +522,18 @@ def joint_dual(scenario, beta, mus, e=None):
     """
     mus = np.asarray(mus, dtype=float)
     if e is None:
-        e = pair_costs(scenario, {"beta": beta, "mus": mus})
+        e = pair_costs(scenario, beta, mus)
     return float(scenario.task_bits @ e.min(axis=1) - beta * scenario.bandwidth_hz
                  - mus @ scenario.compute_capacity)
 
 
-def pair_costs(scenario, warm):
-    """Cost per bit e_ij (`physics.price_oracle`) of all K x M pairs at the
-    warm state's prices: by Danskin's theorem (Bertsekas, Nonlinear
-    Programming, Prop. B.25) dF/dL_ij of the energy F(L) that the
-    re-balance of split L reaches, when they are its prices."""
-    return price_oracle(warm["beta"], warm["mus"], scenario.deadlines_s[:, None],
+def pair_costs(scenario, beta, mus):
+    """Cost per bit e_ij (`physics.price_oracle`) of all K x M pairs at
+    bandwidth price beta and M-vector of compute prices mus: by Danskin's
+    theorem (Bertsekas, Nonlinear Programming, Prop. B.25) dF/dL_ij of the
+    energy F(L) that the re-balance of split L reaches, when they are its
+    prices."""
+    return price_oracle(beta, mus, scenario.deadlines_s[:, None],
                         scenario.cycles_per_bit[:, None], scenario.noise_over_gain)[0]
 
 
@@ -588,15 +574,13 @@ def _joint_system(y, bits, pairs, col, tau, budgets, oracle=None):
     return r, J - cov * p / budgets[:, None], (w, oracle)
 
 
-def joint_split(scenario, cfg: SolveConfig, warm):
+def joint_split(scenario, cfg: SolveConfig):
     """The data split the prices of the joint dual choose, and the
     allocation read off them.
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
-    log prices in stages from the warm state, which it only reads, or,
-    when that is void, from the state `_price` returns for the capacity
-    split L_ij = T_i*C_j/sum C (its raises propagate), by the pricing's
-    start rule (`_start_prices`) at the slack of the capacity split.
+    log prices in stages from the logs of the prices `_price` returns for
+    the capacity split L_ij = T_i*C_j/sum C (its raises propagate).
     With tau -> 0 the bound tends to G(beta, mu) (`joint_dual`), whose
     maximum nearly always meets the energy: the time-sharing argument of
     Yu & Lui (IEEE Trans. Commun. 2006), with the log-sum-exp smoothing of
@@ -624,23 +608,21 @@ def joint_split(scenario, cfg: SolveConfig, warm):
     it goes no lower than the kappa at which the bound on S meets the
     target, and the continuation stops when the last kappa was there.
 
-    Returns (L, G, state, allocation) of the last stage that met the
-    tolerance: L = T*w at its soft-argmin weights, loads at or below the
-    activity threshold dropped and each row rescaled onto its task; G
-    read off the oracle of its last accepted iterate; its prices as a warm
-    state, every held AP at the floor, where `joint_dual` is G; and the
+    Returns (L, G, (beta, mus), allocation) of the last stage that met
+    the tolerance: L = T*w at its soft-argmin weights, loads at or below
+    the activity threshold dropped and each row rescaled onto its task; G
+    read off the oracle of its last accepted iterate; its prices, every
+    held AP at the floor, where `joint_dual` is G; and the
     (x, q, E) `_read_off` certifies at those prices and split L, or None
     when it misses the certificate. None when the first stage fails.
     """
-    if _warm_prices(warm, scenario.num_aps)[0] == 0.0:
-        cap = scenario.compute_capacity
-        warm = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg, warm)[0]
+    cap = scenario.compute_capacity
+    beta, mus = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg)[0]
+    y = np.log(np.append(beta, mus))
     K, M = scenario.num_users, scenario.num_aps
     bits, tol, floor = scenario.task_bits, 0.5 * cfg.bisect_tol, LOG_RANGE[0]
+    # every task once on each of the M APs
     _, pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
-    Lv, d, eta, _ = pairs  # every task once on each of the M APs
-    slack = d * (1.0 - (Lv * eta / d).sum() / (M * budgets[1:].sum()))
-    y = _start_prices(_warm_prices(warm, M), pairs, col, np.arange(M), slack, budgets[0])
     held = np.zeros(M + 1, dtype=bool)
     p = np.exp(y)
     oracle = price_oracle(p[0], p[1:][col], *pairs[1:])
@@ -673,8 +655,7 @@ def joint_split(scenario, cfg: SolveConfig, warm):
         bound, least = joint_dual(scenario, p[0], mus, e), bits @ e.min(axis=1)
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
-        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound,
-                {"beta": p[0], "mus": mus}, oracle)
+        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, (p[0], mus), oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
         if stage < len(JOINT_SMOOTHING):
             kappa = JOINT_SMOOTHING[stage]
@@ -684,21 +665,22 @@ def joint_split(scenario, cfg: SolveConfig, warm):
             break
     if best is None:
         return None
-    L, bound, state, oracle = best
+    L, bound, (beta, mus), oracle = best
     inputs = _pricing_inputs(scenario, L)
-    prices = np.append(state["beta"], state["mus"][inputs[-1]])
     act = inputs[0].ravel()
     try:
-        allocation = _read_off(scenario, L, cfg, inputs, prices, *(v[act] for v in oracle))
+        allocation = _read_off(scenario, L, cfg, inputs, np.append(beta, mus[inputs[-1]]),
+                               *(v[act] for v in oracle))
     except (ConvergenceError, InfeasiblePairError):
         allocation = None
-    return L, bound, state, allocation
+    return L, bound, (beta, mus), allocation
 
 
 def barrier_stages(scenario):
     """The centring stages of a primal barrier method on the convex
     problem in (L, x, q) (Boyd & Vandenberghe, Convex Optimization,
-    ch. 11), each as (L, beta, mus): its split and budget multipliers.
+    ch. 11), each as (L, x, q, beta, mus): its allocation and budget
+    multipliers.
 
     Over each pair's shares l = L/T, xi = x/B and rho = q/C, a stage
     minimises tau*E - sum log l - sum log xi - sum log(D*q - eta*L) by
@@ -716,6 +698,13 @@ def barrier_stages(scenario):
     to its users' least demands eta*T/D and equal bandwidth; there the gap
     bound 3KM/tau is its energy over BARRIER_GROWTH^2. tau grows
     BARRIER_GROWTH-fold per stage, until one takes no step.
+
+    A stage's allocation is its centred point with every pair at or below
+    the activity threshold set to L = x = q = 0 and each budget's shares
+    rescaled onto it: L onto each task, x onto B and q onto C_j of each
+    served AP. On the central path the point is within 3KM/tau of the
+    optimum at its own multipliers (sec. 11.2.2), so the stage needs no
+    re-balance.
     """
     K, M, B, bits = scenario.num_users, scenario.num_aps, scenario.bandwidth_hz, scenario.task_bits
     n, R, cap = K * M, K + M + 1, scenario.compute_capacity
@@ -762,7 +751,14 @@ def barrier_stages(scenario):
                 break
             z, (E, barrier, room), s_last, last = z_try, trial, s, decrement
         prices = np.maximum(nu[K:] / (tau * np.append(B, cap)), DUAL_RANGE[0])
-        yield bits[:, None] * z[:, 0].reshape(K, M), prices[0], prices[1:]
+        L, x, q = np.moveaxis((z * scale).reshape(K, M, 3), 2, 0)
+        off = L <= scenario.activity_threshold_bits
+        L[off] = x[off] = q[off] = 0.0
+        L *= (bits / L.sum(axis=1))[:, None]
+        x *= B / x.sum()
+        served = q.sum(axis=0) > 0.0
+        q[:, served] *= cap[served] / q[:, served].sum(axis=0)
+        yield L, x, q, prices[0], prices[1:]
         if steps == 0:
             return
         tau *= BARRIER_GROWTH
@@ -771,14 +767,11 @@ def barrier_stages(scenario):
 # ---------------------------------------------------------------------------
 # BCAA: joint bandwidth and compute allocation for fixed data
 
-def _price(scenario, L, cfg, warm, diag=None):
+def _price(scenario, L, cfg, diag=None):
     """The pricing of `solve_bcaa`: the input checks and the maximisation
     of the fixed-data dual of split L.
 
-    warm is a state it only reads: the bandwidth price "beta" and the
-    M-vector of compute prices "mus" the last pricing ended at, every AP
-    that served no active pair at the floor of DUAL_RANGE. The pricing
-    starts from them by `_start_prices` at the slack D*(1 - load_j/C_j)
+    The pricing starts from `_start_prices` at the slack D*(1 - load_j/C_j)
     of the capacity split proportional to eta*L/D. Only APs that serve an
     active pair are priced; one whose `model.least_load` reaches its
     capacity raises InfeasibilityError. A Newton solve that ends short of
@@ -786,9 +779,10 @@ def _price(scenario, L, cfg, warm, diag=None):
     BracketError: the root lies beyond the range, or the solve stalled
     there. diag, when a list, receives one record per final price
     with its scaled budget residual and the count of oracle calls. Returns
-    the final prices as a state of that form, the `_pricing_inputs` of L,
-    the final prices of the bandwidth and the served APs, and the oracle's
-    (e, t, x/L) at them."""
+    the final prices as (beta, mus), mus an M-vector with every AP that
+    serves no active pair at the floor of DUAL_RANGE; the `_pricing_inputs`
+    of L; the final prices of the bandwidth and the served APs; and the
+    oracle's (e, t, x/L) at them."""
     inputs = act, pairs, col, budgets, aps = _pricing_inputs(scenario, L)
     if not act.any():
         raise DegenerateInputError("no active pairs")
@@ -797,8 +791,8 @@ def _price(scenario, L, cfg, warm, diag=None):
         j = int(np.argmax(over))
         raise InfeasibilityError(f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
                                  f"{cap[j]:.6g}", ap=j)
-    y = _start_prices(_warm_prices(warm, cap.size), pairs, col, aps,
-                      (scenario.deadlines_s[:, None] * (1.0 - load / cap))[act], budgets[0])
+    y = _start_prices(pairs, col, (scenario.deadlines_s[:, None] * (1.0 - load / cap))[act],
+                      budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)
     tol = 0.5 * cfg.bisect_tol
     y, r, oracle, calls = _newton(lambda y: _budget_system(y, pairs, col, budgets), y, tol)
@@ -811,7 +805,7 @@ def _price(scenario, L, cfg, warm, diag=None):
                     for k, v, o, ri in zip(kinds, p, [None, *aps.tolist()], r))
     mus = np.full(scenario.num_aps, DUAL_RANGE[0])
     mus[aps] = p[1:]
-    return {"beta": p[0], "mus": mus}, inputs, p, *oracle
+    return (p[0], mus), inputs, p, *oracle
 
 
 def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
@@ -846,25 +840,20 @@ def _read_off(scenario, L, cfg, inputs, prices, e, t, s):
     return x, q, energy
 
 
-def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None, warm=None):
+def solve_bcaa(scenario, L, cfg: SolveConfig, diag=None):
     """Jointly optimal (x, q) for a fixed data split, read off its dual.
 
     `_price` maximises the fixed-data dual q(beta, mu) (`fixed_data_dual`)
     by a safeguarded Newton solve (`_newton`) of the scaled budget
-    residuals in the log prices, from the warm state (`_start_prices`),
+    residuals in the log prices, from its cold start (`_start_prices`),
     to half the relative tolerance. `_read_off` then reads the answer off
     the oracle of the last Newton iterate and certifies it: a scaled
     budget residual above bisect_tol, or a duality gap above
     bisect_tol*E, raises ConvergenceError, so an answer returned is
-    certified optimal to that relative tolerance. warm, when given, is the
-    state `_price` starts from, and this function alone refreshes it with
-    the state `_price` returns, also when the certificate then fails. diag,
-    when a list, receives its records, also then.
+    certified optimal to that relative tolerance. diag, when a list,
+    receives the pricing's records, also when the certificate then fails.
 
     Returns (x, q, 1), with x and q K x M; the bench tracer reads the 1.
     """
     L = np.asarray(L, dtype=float)
-    state, *priced = _price(scenario, L, cfg, warm or {}, diag)
-    if warm is not None:
-        warm.update(state)
-    return (*_read_off(scenario, L, cfg, *priced)[:2], 1)
+    return (*_read_off(scenario, L, cfg, *_price(scenario, L, cfg, diag)[1:])[:2], 1)

@@ -257,14 +257,15 @@ class SolveConfig:
     (`kkt.GAP_TOL`), and the CLI does not set it; only the acceptance
     criteria read it, as an absolute tolerance.
     max_outer_iters counts the rounds after the start of
-    `solve_iterative`, one barrier stage each (`kkt.barrier_stages`).
+    `solve_iterative`, one barrier stage each (`kkt.barrier_stages`),
+    whose own allocation a round takes with no re-balance.
     bisect_tol is the relative tolerance of the budget residual checks
-    and of the duality gap that certifies a re-balance, which is one pass
-    with no round budget; the Newton pricings, the dual step included,
-    solve to half of it. It stops none of the fixed counts: the Newton
-    steps of the price oracle and of the bandwidth root, and the bisection
-    references' halvings (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per
-    dual). No residual is certified below float64 resolution, and a
+    and of the duality gap that certifies a re-balance or the dual step's
+    read-off, each one pass with no round budget; the Newton pricings,
+    the dual step included, solve to half of it. It stops none of the
+    fixed counts: the Newton steps of the price oracle and of the
+    bandwidth root, and the bisection references' halvings
+    (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual). No residual is certified below float64 resolution, and a
     bisect_tol below it raises StructuralError. The load below which a
     pair is frozen is the scenario's (`Scenario.activity_threshold_bits`),
     not a setting.

@@ -6,10 +6,10 @@ choose (`kkt.joint_split`) from those of the capacity split, whatever the
 initial split L0, with the allocation read off those prices and
 certified like a re-balance's, so no re-balance runs. Every round after
 it takes the next centring stage of a barrier method on the whole
-problem (`kkt.barrier_stages`) and re-balances its split warm, one pass
-of `kkt.solve_bcaa`. The one stop rule is the certificate of the joint
+problem (`kkt.barrier_stages`) with the stage's own allocation, again
+with no re-balance. The one stop rule is the certificate of the joint
 dual G (`kkt.joint_dual`), read at the dual step's prices and at each
-stage's multipliers and re-balance prices.
+stage's multipliers.
 
 Every energy the loop compares is one `physics.energy_matrix` call. The
 outer loop calls `solve_daa` no longer; the module keeps the name because
@@ -28,10 +28,7 @@ from .kkt import GAP_TOL, barrier_stages, joint_dual, joint_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
-    BracketError,
     ConvergenceError,
-    InfeasibilityError,
-    InfeasiblePairError,
     Scenario,
     SolveConfig,
     StructuralError,
@@ -93,9 +90,10 @@ class SolveTrace:
     """Per-outer-round record: the energy after each round and its cost.
 
     Entry 0 is the start (`solve_iterative`). inner_iteration_counts
-    holds the re-balances (`kkt.solve_bcaa`, one pass each) each round
-    ran, one per barrier stage (a re-balance that raises adds none), and
-    0 at a start read off the dual step's prices. A start the Lagrangian
+    holds the re-balances (`kkt.solve_bcaa`, one pass each) each entry
+    ran: 1 for a fixed-data solve, and 0 at every entry of
+    `solve_iterative`, whose start and rounds read their allocations off
+    the dual step's prices or a barrier stage. A start the Lagrangian
     bound certifies is the only entry.
     """
 
@@ -159,67 +157,45 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
     return L
 
 
-def _rebalance(scenario, L, cfg, warm, held):
-    """Warm re-balance of split L from a copy of warm: (energy, x, q, warm
-    copy). A split the re-balance cannot price or certify gets an infinite
-    energy and x = q = None, or, when no answer is held, raises."""
-    warm = dict(warm)
-    try:
-        x, q = solve_bcaa(scenario, L, cfg, warm=warm)[:2]
-    except (InfeasibilityError, InfeasiblePairError, BracketError, ConvergenceError):
-        if not held:
-            raise
-        return np.inf, None, None, warm
-    return float(energy_matrix(scenario, L, x, q).sum()), x, q, warm
-
-
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
     """The dual step, then barrier stages until the joint Lagrangian
     bound certifies the energy.
 
-    The start (entry 0 of the trace) is the dual step (`kkt.joint_split`)
-    from an empty warm state, its allocation read off its prices and
-    certified, at no re-balance. Each round after it takes the next stage
-    of `kkt.barrier_stages`, drops its loads at or below the activity
-    threshold, rescales each row onto its task and re-balances that split
-    warm from the held answer's prices (`_rebalance`), keeping it when its
-    energy is lower. When the dual step holds no answer, the first stage is
-    the start, and an error of its re-balance propagates. Neither step reads
-    an initial split: the problem is convex. strategy is accepted, and not
-    read, for the bench and the acceptance criteria, which pass one.
+    The start (entry 0 of the trace) is the dual step (`kkt.joint_split`),
+    its allocation read off its prices and certified, at no re-balance.
+    Each round after it takes the next stage of `kkt.barrier_stages` and
+    keeps the stage's own allocation when its energy is lower than the
+    held one's. When the dual step holds no answer, the first stage is the
+    start. Neither step reads an initial split: the problem is convex.
+    strategy is accepted, and not read, for the bench and the acceptance
+    criteria, which pass one.
 
     The joint dual G (`kkt.joint_dual`) at any prices bounds every answer;
-    lower_bound_j is the largest G seen: at the dual step's prices, at each
-    stage's multipliers and at its re-balance's prices. The solve stops,
-    converged, once the energy E is within GAP_TOL*E of it, and unconverged
-    after cfg.max_outer_iters rounds or when the stages end.
+    lower_bound_j is the largest G seen: at the dual step's prices and at
+    each stage's multipliers. The solve stops, converged, once the energy
+    E is within GAP_TOL*E of it, and unconverged after cfg.max_outer_iters
+    rounds or when the stages end.
     """
     cfg = cfg or SolveConfig()
-    warm, x, energy, lower, t0 = {}, None, np.inf, -np.inf, time.perf_counter()
-    outer, inner_counts, walls = [], [], []
-    dual = joint_split(scenario, cfg, warm)
+    x, energy, lower, t0 = None, np.inf, -np.inf, time.perf_counter()
+    outer, walls = [], []
+    dual = joint_split(scenario, cfg)
     if dual is not None:
-        L_dual, lower, state, allocation = dual
+        L_dual, lower, _, allocation = dual
         if allocation is not None:
-            L, (x, q, energy), warm = L_dual, allocation, state
-            outer, inner_counts, walls = [energy], [0], [time.perf_counter() - t0]
+            L, (x, q, energy) = L_dual, allocation
+            outer, walls = [energy], [time.perf_counter() - t0]
     stages = barrier_stages(scenario)
     while x is None or energy - lower > GAP_TOL * energy:
         t_iter = time.perf_counter() if outer else t0
         if len(outer) > cfg.max_outer_iters or (stage := next(stages, None)) is None:
             break
-        L_try, beta, mus = stage
+        L_try, x_try, q_try, beta, mus = stage
         lower = max(lower, joint_dual(scenario, beta, mus))
-        L_try[L_try <= scenario.activity_threshold_bits] = 0.0
-        L_try *= (scenario.task_bits / L_try.sum(axis=1))[:, None]
-        e_try, x_try, q_try, warm_try = _rebalance(scenario, L_try, cfg, warm, x is not None)
-        if x_try is not None:
-            lower = max(lower, joint_dual(scenario, warm_try["beta"], warm_try["mus"]))
-        if e_try < energy:
-            L, x, q, warm, energy = L_try, x_try, q_try, warm_try, e_try
+        if (e_try := float(energy_matrix(scenario, L_try, x_try, q_try).sum())) < energy:
+            L, x, q, energy = L_try, x_try, q_try, e_try
         outer.append(energy)
-        inner_counts.append(int(x_try is not None))
         walls.append(time.perf_counter() - t_iter)
     if x is None:
         raise ConvergenceError("the barrier method starts outside its domain")
@@ -227,7 +203,7 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     return Solution(
         allocation=Allocation(data=L, bandwidth=x, compute=q),
         energy_j=energy,
-        trace=SolveTrace(tuple(outer), tuple(inner_counts), tuple(walls)),
+        trace=SolveTrace(tuple(outer), (0,) * len(outer), tuple(walls)),
         converged=energy - lower <= GAP_TOL * energy,
         lower_bound_j=lower,
     )

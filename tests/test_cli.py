@@ -285,9 +285,10 @@ def test_out_dir_env_redirects_relative_paths(tmp_path, small_scenario_file,
 def test_solve_exit_code_on_solver_convergence_error(tmp_path, small_scenario_file,
                                                      capsys, monkeypatch):
     # a budget residual the solver cannot meet is a non-convergence, not a
-    # crash
+    # crash; a binary-best-ap solve is one re-balance, which the starved
+    # pricing fails
     starve_pricing(monkeypatch)
-    code = main(["solve", "--scenario", small_scenario_file,
+    code = main(["solve", "--scenario", small_scenario_file, "--method", "binary-best-ap",
                  "--out", str(tmp_path / "sol.json")])
     assert code == 4
     err = capsys.readouterr().err.strip()
@@ -299,7 +300,7 @@ def test_sweep_records_convergence_errors_in_row(tmp_path, small_scenario_file, 
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--scenario", small_scenario_file,
                  "--param", "deadline-s", "--values", "0.5,1.0",
-                 "--workers", "1", "--out", str(out)])
+                 "--strategies", "binary-best-ap", "--workers", "1", "--out", str(out)])
     assert code == 0
     rows = [line.strip().split(",") for line in _strip_timestamp(out)[1:]]
     assert len(rows) == 2

@@ -24,6 +24,7 @@ from mecalloc import (
     solve_daa,
     solve_fixed_assignment,
     solve_fixed_data,
+    solve_iterative,
     total_energy,
 )
 from mecalloc import kkt
@@ -33,7 +34,7 @@ from mecalloc.kkt import (
     _slack_roots,
 )
 from mecalloc.model import deadline_slack
-from mecalloc.physics import data_marginal
+from mecalloc.physics import data_marginal, energy_matrix
 from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import (
@@ -530,8 +531,8 @@ def _fixed_data_instances(draw):
 def test_bcaa_properties_on_random_instances(instance):
     sc, L = instance
     cfg = _cfg(sc)
-    diag, warm = [], {}
-    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
+    diag = []
+    x, q, rounds = solve_bcaa(sc, L, cfg, diag=diag)
     assert rounds == 1
     act = L > sc.activity_threshold_bits
     served = act.any(axis=0)
@@ -547,7 +548,7 @@ def test_bcaa_properties_on_random_instances(instance):
         assert np.allclose(t_ref[act[:, j]], t[act[:, j], j], rtol=1e-7, atol=0)
     # the duality gap at the returned prices certifies the answer
     energy = total_energy(sc, Allocation(L, x, q))
-    gap = energy - kkt.fixed_data_dual(sc, L, warm["beta"], warm["mus"])
+    gap = energy - kkt.fixed_data_dual(sc, L, *kkt._price(sc, L, cfg)[0])
     assert gap <= cfg.bisect_tol * energy
     assert all(rec.residual <= cfg.bisect_tol for rec in diag)
     tol = cfg.bisect_tol
@@ -564,10 +565,9 @@ def test_fixed_data_dual_never_exceeds_the_energy(instance, decades):
     # the returned prices it is within the relative tolerance of it
     sc, L = instance
     cfg = _cfg(sc)
-    warm = {}
-    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
+    x, q, _ = solve_bcaa(sc, L, cfg)
     energy = total_energy(sc, Allocation(L, x, q))
-    beta, mus = warm["beta"], warm["mus"]
+    beta, mus = kkt._price(sc, L, cfg)[0]
     assert energy - kkt.fixed_data_dual(sc, L, beta, mus) <= cfg.bisect_tol * energy
     shift = 10.0 ** np.array(decades)
     dual = kkt.fixed_data_dual(sc, L, beta * shift[0], mus * shift[1:sc.num_aps + 1])
@@ -577,10 +577,8 @@ def test_fixed_data_dual_never_exceeds_the_energy(instance, decades):
 def test_pricing_jacobian_matches_central_differences(split12x4):
     sc, L, cfg = split12x4
     _, pairs, col, budgets, _ = kkt._pricing_inputs(sc, L)
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
     # log prices off the optimum, where the budgets are far from met
-    y = np.log(np.append(warm["beta"], warm["mus"])) + np.array([0.3, -0.2, 0.1, 0.25, -0.3])
+    y = np.log(np.append(*kkt._price(sc, L, cfg)[0])) + np.array([0.3, -0.2, 0.1, 0.25, -0.3])
     r, J, _ = kkt._budget_system(y, pairs, col, budgets)
     assert np.abs(r).max() > 0.1
     h = 1e-4
@@ -603,12 +601,9 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     # the smoothed joint dual near the prices of the dual step, where the
     # soft-argmin splits a user over two or more APs
     sc, _, cfg = tight42
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    _, _, state, _ = kkt.joint_split(sc, cfg, warm)
+    _, _, prices, _ = kkt.joint_split(sc, cfg)
     bits, pairs, col, budgets = _full_split_inputs(sc)
-    y = (np.log(np.append(state["beta"], state["mus"]))
-         + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0]))
+    y = np.log(np.append(*prices)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
     p = np.exp(y)
     e = kkt.price_oracle(p[0], p[1:][col], *pairs[1:])[0]
     tau = kappa * e.reshape(sc.num_users, -1).min(axis=1)
@@ -636,27 +631,24 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
     sc = generate(params)
     if deadline is not None:
         sc = override_parameter(sc, "deadline_s", deadline)
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), _cfg(sc), warm=warm)
-    _, bound, state, _ = kkt.joint_split(sc, _cfg(sc), warm)
-    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+    _, bound, prices, _ = kkt.joint_split(sc, _cfg(sc))
+    assert bound == kkt.joint_dual(sc, *prices)
 
 
 @pytest.mark.parametrize("params, deadline", [
     (GenParams(seed=42), 0.4), (GenParams(num_users=6, num_aps=3, seed=4), 0.8)])
 def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
+    # the prices come back as (beta, mus), which a pricing can start from;
     # the 6x3 split serves AP 1 alone: the other two are held at the floor
     sc = override_parameter(generate(params), "deadline_s", deadline)
     cfg = _cfg(sc)
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
-    assert set(state) == {"beta", "mus"} and state["mus"].shape == (sc.num_aps,)
-    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+    L, bound, (beta, mus), _ = kkt.joint_split(sc, cfg)
+    assert np.shape(beta) == () and mus.shape == (sc.num_aps,)
+    assert bound == kkt.joint_dual(sc, beta, mus)
     assert np.all((L == 0.0) | (L > sc.activity_threshold_bits))
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
     idle = ~(L > 0.0).any(axis=0)
-    assert np.all(state["mus"][idle] == kkt.DUAL_RANGE[0])
+    assert np.all(mus[idle] == kkt.DUAL_RANGE[0])
 
 
 @pytest.mark.parametrize("params, deadline", [
@@ -665,45 +657,44 @@ def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
                seed=42), None)])
 def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(params, deadline):
     # the dual step's prices already meet every budget of its split, so the
-    # allocation read off its last oracle pass is the one a re-balance of
-    # that split, warm from those prices, returns
+    # allocation read off its last oracle pass is the one the pricing's
+    # Newton solve and read-off reach from those prices
     sc = generate(params)
     if deadline is not None:
         sc = override_parameter(sc, "deadline_s", deadline)
     cfg = _cfg(sc)
-    cap = sc.compute_capacity
-    warm = {}
-    solve_bcaa(sc, sc.task_bits[:, None] * cap / cap.sum(), cfg, warm=warm)
-    L, _, state, (x, q, energy) = kkt.joint_split(sc, cfg, warm)
-    x_b, q_b, _ = solve_bcaa(sc, L, cfg, warm=dict(state))
+    L, _, (beta, mus), (x, q, energy) = kkt.joint_split(sc, cfg)
+    inputs = _, pairs, col, budgets, aps = kkt._pricing_inputs(sc, L)
+    y, _, oracle, _ = kkt._newton(lambda y: kkt._budget_system(y, pairs, col, budgets),
+                                  np.log(np.append(beta, mus[aps])), 0.5 * cfg.bisect_tol)
+    x_b, q_b, rebalanced = kkt._read_off(sc, L, cfg, inputs, np.exp(y), *oracle)
     np.testing.assert_allclose(x, x_b, rtol=1e-12, atol=0)
     np.testing.assert_allclose(q, q_b, rtol=1e-12, atol=0)
-    rebalanced = total_energy(sc, Allocation(L, x_b, q_b))
     assert energy == pytest.approx(rebalanced, rel=1e-12, abs=0)
+    # a re-balance of that split, from its cold start, meets them to the
+    # pricing's tolerance
+    x_c, q_c, _ = solve_bcaa(sc, L, cfg)
+    np.testing.assert_allclose(x_c, x, rtol=cfg.bisect_tol, atol=0)
+    np.testing.assert_allclose(q_c, q, rtol=cfg.bisect_tol, atol=0)
 
 
 @pytest.mark.parametrize("deadline", [0.2, 1.0])
-def test_a_void_state_starts_the_dual_step_from_the_capacity_split_prices(deadline):
-    # joint_split prices the capacity split itself when its state is void,
-    # with the pricing of solve_bcaa, so it returns what it returns from
-    # the prices that pricing leaves, bit for bit
+def test_the_dual_step_starts_from_the_capacity_split_prices(deadline, monkeypatch):
+    # joint_split prices the capacity split with the pricing of solve_bcaa
+    # and starts its first stage from the logs of the prices that pricing
+    # returns, whatever split the solve was given
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = _cfg(sc)
+    price, system, priced, starts = kkt._price, kkt._joint_system, [], []
+    monkeypatch.setattr(kkt, "_price", lambda *args: priced.append(args[1]) or price(*args))
+    monkeypatch.setattr(kkt, "_joint_system",
+                        lambda y, *args: starts.append(y.copy()) or system(y, *args))
+    kkt.joint_split(sc, cfg)
     cap = sc.compute_capacity
-    warm = {}
-    solve_bcaa(sc, sc.task_bits[:, None] / (cap.sum() / cap), cfg, warm=warm)
-    expected = kkt.joint_split(sc, cfg, warm)
-    for void in ({}, {"beta": np.nan, "mus": warm["mus"]},
-                 {"beta": warm["beta"], "mus": warm["mus"][:-1]}):
-        before = dict(void)
-        L, bound, state, (x, q, energy) = kkt.joint_split(sc, cfg, void)
-        # the capacity split is priced in a dict of the step's own
-        assert void.keys() == before.keys() and all(void[k] is before[k] for k in void)
-        assert np.array_equal(L, expected[0]) and bound == expected[1]
-        assert state["beta"] == expected[2]["beta"]
-        assert np.array_equal(state["mus"], expected[2]["mus"])
-        assert np.array_equal(x, expected[3][0]) and np.array_equal(q, expected[3][1])
-        assert energy == expected[3][2]
+    assert len(priced) == 1
+    np.testing.assert_array_equal(priced[0], sc.task_bits[:, None] / (cap.sum() / cap))
+    beta, mus = price(sc, priced[0], cfg)[0]
+    np.testing.assert_array_equal(starts[0], np.log(np.append(beta, mus)))
 
 
 def test_newton_returns_its_start_when_the_line_search_uses_up_its_calls(monkeypatch):
@@ -765,10 +756,8 @@ def test_joint_split_solves_to_the_pricing_tolerance(monkeypatch):
     counts = []
     for tol in (1e-3, 1e-9):
         cfg = _cfg(sc, bisect_tol=tol)
-        warm = {}
-        solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
         calls.clear()
-        assert kkt.joint_split(sc, cfg, warm) is not None
+        assert kkt.joint_split(sc, cfg) is not None
         counts.append(len(calls))
     assert counts[0] < counts[1]
 
@@ -779,10 +768,8 @@ def test_joint_split_certifies_the_tight_deadline_split_within_116_systems(tight
     # a smoothing bias above half of GAP_TOL; the continuation's stages
     # close it, and the Newton solve's step memory pays for them
     sc, _, cfg = tight42
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
     calls = _count_joint_systems(monkeypatch)
-    L, bound, _, _ = kkt.joint_split(sc, cfg, warm)
+    L, bound, _, _ = kkt.joint_split(sc, cfg)
     assert len(calls) <= 116
     energy = solve_fixed_data(sc, L, cfg).energy_j
     assert energy - bound <= kkt.GAP_TOL * energy
@@ -793,9 +780,12 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
     # every stage after the second stops at its start prices, short of its
     # tolerance: the step returns the split, bound and prices of the second
     sc, _, cfg = tight42
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.equal()), cfg, warm=warm)
-    newton, ends, stalls = kkt._newton, [], []
+    price, newton, ends, stalls = kkt._price, kkt._newton, [], []
+
+    def price_the_capacity_split(*args):  # its Newton solve is not a stage
+        out = price(*args)
+        ends.clear()
+        return out
 
     def stall_after_the_fixed_stages(system, y, tol, first=None):
         if first is not None and len(ends) == len(kkt.JOINT_SMOOTHING):
@@ -805,42 +795,51 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
         ends.append(out[0])
         return out
 
+    monkeypatch.setattr(kkt, "_price", price_the_capacity_split)
     monkeypatch.setattr(kkt, "_newton", stall_after_the_fixed_stages)
-    L, bound, state, _ = kkt.joint_split(sc, cfg, warm)
+    L, bound, prices, _ = kkt.joint_split(sc, cfg)
     assert len(stalls) == 1 and np.abs(stalls[0]).max() > 0.5 * cfg.bisect_tol
     assert len(ends) == len(kkt.JOINT_SMOOTHING)
-    np.testing.assert_allclose(np.log(np.append(state["beta"], state["mus"])), ends[-1],
-                               rtol=1e-15, atol=0)
-    assert bound == kkt.joint_dual(sc, state["beta"], state["mus"])
+    np.testing.assert_allclose(np.log(np.append(*prices)), ends[-1], rtol=1e-15, atol=0)
+    assert bound == kkt.joint_dual(sc, *prices)
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
 
 
 def test_barrier_stages_keep_every_budget_and_close_their_gap():
-    # this draw's dual step returns no split. Each centring stage's split
-    # keeps every task whole on positive loads, and its multipliers are
-    # prices. The joint dual at
-    # them rises to within GAP_TOL of the energy of the fourth stage's
-    # split, its loads at or below the activity threshold dropped and each
-    # row rescaled onto its task, and never exceeds that energy
+    # this draw's dual step returns no split. Each centring stage's
+    # allocation is zero at every pair at or below the activity threshold,
+    # keeps every budget to bisect_tol and is one the pair rule accepts,
+    # and its multipliers are prices. The joint dual at them rises to
+    # within GAP_TOL of the energy of the fourth stage's allocation, and
+    # never exceeds that energy; the solve runs no re-balance
     sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
     cfg = _cfg(sc)
+    cap, tol = sc.compute_capacity, cfg.bisect_tol
     bounds = []
-    for L, beta, mus in itertools.islice(kkt.barrier_stages(sc), 4):
-        np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-15, atol=0)
-        assert np.all(L > 0) and beta > 0 and np.all(mus > 0)
+    for L, x, q, beta, mus in itertools.islice(kkt.barrier_stages(sc), 4):
+        off = L <= sc.activity_threshold_bits
+        assert np.all(L[off] == 0.0) and np.all(x[off] == 0.0) and np.all(q[off] == 0.0)
+        np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=tol, atol=0)
+        assert abs(x.sum() / sc.bandwidth_hz - 1.0) <= tol
+        served = ~off.all(axis=0)
+        np.testing.assert_allclose(q.sum(axis=0)[served], cap[served], rtol=tol, atol=0)
+        assert np.all(x[~off] > 0.0) and beta > 0 and np.all(mus > 0)
+        energy = float(energy_matrix(sc, L, x, q).sum())
         bounds.append(kkt.joint_dual(sc, beta, mus))
-    L[L <= sc.activity_threshold_bits] = 0.0
-    energy = solve_fixed_data(sc, L * (sc.task_bits / L.sum(axis=1))[:, None], cfg).energy_j
     assert np.all(np.diff(bounds) > 0) and bounds[-1] <= energy
     assert energy - bounds[-1] <= kkt.GAP_TOL * energy
+    sol = solve_iterative(sc, cfg=cfg)
+    assert sol.outer_iterations >= 1
+    assert sol.trace.inner_iteration_counts == (0,) * (sol.outer_iterations + 1)
 
 
 def test_barrier_stages_of_a_single_pair_stop_after_their_one_point():
     # one user on one AP: every budget pins its one share, so the first
-    # stage takes no step and is the last
+    # stage takes no step and is the last, its allocation every budget
     sc = generate(GenParams(num_users=1, num_aps=1, seed=4))
-    (L, beta, mus), = kkt.barrier_stages(sc)
+    (L, x, q, beta, mus), = kkt.barrier_stages(sc)
     assert np.array_equal(L, sc.task_bits[:, None])
+    assert x[0, 0] == sc.bandwidth_hz and q[0, 0] == sc.compute_capacity[0]
 
 
 def test_barrier_stages_need_an_interior_start():
@@ -853,18 +852,16 @@ def test_barrier_stages_need_an_interior_start():
     assert list(kkt.barrier_stages(sc)) == []
 
 
-@pytest.mark.parametrize("warm", [None, {"beta": 1.0, "mus": np.ones(1)}])
-def test_bcaa_prices_beyond_the_dual_range_raise(warm):
+def test_bcaa_prices_beyond_the_dual_range_raise():
     # one AP loaded to 99.99% of its capacity: its slacks, hence its
     # bandwidth, leave no rate inside the exponent cap unless both prices
-    # rise above DUAL_RANGE; the pricing finds that from the cold start and
-    # from warm prices, at the range edge
+    # rise above DUAL_RANGE; the pricing finds that at the range edge
     params = GenParams(num_users=3, num_aps=1, seed=0)
     base = generate(params)
     load = (base.cycles_per_bit * base.task_bits / base.deadlines_s).sum()
     sc = generate(dataclasses.replace(params, capacity_cps=load / (1.0 - 1e-4)))
     with pytest.raises(BracketError):
-        solve_bcaa(sc, base.task_bits[:, None], _cfg(sc), warm=warm)
+        solve_bcaa(sc, base.task_bits[:, None], _cfg(sc))
 
 
 def test_bcaa_respects_budgets_on_multi_ap_instance():
@@ -893,122 +890,6 @@ def split12x4():
     """A generated 12x4 scenario under the equal data split."""
     sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
     return sc, np.tile(sc.task_bits[:, None] / 4, (1, 4)), _cfg(sc)
-
-
-def test_the_pricing_reads_its_warm_state_and_solve_bcaa_refreshes_it(split12x4):
-    # _price hands its final prices back and writes no caller state, void
-    # or not; solve_bcaa alone refreshes the warm dict it is given
-    sc, L, cfg = split12x4
-    void = {}
-    kkt._price(sc, L, cfg, void, [])
-    assert void == {}
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
-    beta, mus = warm["beta"], warm["mus"].copy()
-    shifted = L * np.array([1.2, 0.8, 1.0, 1.0])
-    state = kkt._price(sc, shifted, cfg, warm, [])[0]
-    assert set(warm) == {"beta", "mus"} and warm["beta"] == beta
-    np.testing.assert_array_equal(warm["mus"], mus)
-    assert state["beta"] != beta
-    solve_bcaa(sc, shifted, cfg, warm=warm)
-    assert warm["beta"] == state["beta"]
-    np.testing.assert_array_equal(warm["mus"], state["mus"])
-
-
-def test_bcaa_warm_start_costs_no_rounds_or_energy(split12x4):
-    sc, L, cfg = split12x4
-    warm = {}
-    x1, q1, r1 = solve_bcaa(sc, L, cfg, warm=warm)
-    x2, q2, r2 = solve_bcaa(sc, L, cfg, warm=warm)
-    assert r2 <= r1
-
-    def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q))
-
-    assert energy(x2, q2) <= energy(x1, q1) * (1.0 + 10.0 * cfg.bisect_tol)
-
-
-def test_bcaa_unusable_warm_compute_falls_back_to_cold_start(split12x4):
-    sc, L, cfg = split12x4
-    state = {}
-    cold = solve_bcaa(sc, L, cfg, warm=state)
-    beta, mus = state["beta"], state["mus"]
-    usable = {"beta": 2.0 * beta, "mus": 0.5 * mus}
-    assert not np.array_equal(solve_bcaa(sc, L, cfg, warm=usable)[1], cold[1])
-    # a price missing, not finite, not positive, or of the wrong shape
-    unusable = [{"mus": mus}, {"beta": beta}, {"beta": np.array([beta]), "mus": mus},
-                {"beta": beta, "mus": mus[:-1]}]
-    for bad in (0.0, -1.0, np.nan, np.inf):
-        one = mus.copy()
-        one[1] = bad
-        unusable += [{"beta": bad, "mus": mus}, {"beta": beta, "mus": one}]
-    for warm in unusable:
-        out = solve_bcaa(sc, L, cfg, warm=warm)
-        assert np.array_equal(out[0], cold[0])
-        assert np.array_equal(out[1], cold[1])
-        assert out[2] == cold[2]
-
-
-def test_bcaa_prices_an_ap_the_warm_split_left_idle(split12x4, monkeypatch):
-    # the warm state prices AP 3, which served no one, at the floor of
-    # DUAL_RANGE, so the pricing starts that AP from the price that makes
-    # the cold slack stationary
-    sc, L, cfg = split12x4
-    idle = L.copy()
-    idle[:, 3] = 0.0
-    idle *= 4.0 / 3.0
-    warm = {}
-    solve_bcaa(sc, idle, cfg, warm=warm)
-    assert set(warm) == {"beta", "mus"}
-    assert warm["mus"][3] == kkt.DUAL_RANGE[0]
-    calls = []
-    system = kkt._budget_system
-    monkeypatch.setattr(kkt, "_budget_system", lambda *args: calls.append(1) or system(*args))
-    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
-    assert rounds == 1
-    assert len(calls) <= 10
-
-    def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q))
-
-    assert energy(x, q) <= energy(*solve_bcaa(sc, L, cfg)[:2]) * (1.0 + 10.0 * cfg.bisect_tol)
-
-
-@pytest.fixture(scope="module")
-def equal42():
-    """The seed-42 8x4 scenario at D = 0.4 s under the equal data split."""
-    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
-    return sc, initialize(sc, InitStrategy.equal()), _cfg(sc)
-
-
-@pytest.mark.parametrize("case", ["split12x4", "equal42"])
-def test_warm_rebalance_after_a_data_step_beats_a_cold_one(case, request, monkeypatch):
-    # the last prices are still a good start after the data step moves L:
-    # the warm pricing skips the cold start's bandwidth search
-    sc, L, cfg = request.getfixturevalue(case)
-    warm = {}
-    x, q, _ = solve_bcaa(sc, L, cfg, warm=warm)
-    L = solve_daa(sc, x, q, cfg)
-    calls = []
-    oracle = kkt.price_oracle
-    monkeypatch.setattr(kkt, "price_oracle", lambda *args: calls.append(1) or oracle(*args))
-
-    def pricing_work(warm):
-        """Price-oracle calls plus bandwidth-search probes of one solve."""
-        diag = []
-        calls.clear()
-        out = solve_bcaa(sc, L, cfg, diag=diag, warm=warm)
-        return out, len(calls) + sum(rec.iterations for rec in diag
-                                     if rec.dual.kind == "beta_bandwidth")
-
-    (xw, qw, _), work_warm = pricing_work(warm)
-    (xc, qc, _), work_cold = pricing_work(None)
-    assert work_warm < work_cold
-
-    def energy(x, q):
-        return total_energy(sc, Allocation(L, x, q))
-
-    assert energy(xw, qw) <= energy(xc, qc) * (1.0 + 10.0 * cfg.bisect_tol)
 
 
 def test_data_marginal_is_positive_and_increasing():

@@ -233,9 +233,7 @@ def test_reduced_gradient_matches_central_differences():
         x, q, _ = solve_bcaa(sc, L, cfg)
         return total_energy(sc, Allocation(L, x, q))
 
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
-    g = kkt.pair_costs(sc, warm)
+    g = kkt.pair_costs(sc, *kkt._price(sc, L, cfg)[0])
     for i, j in ((2, 3), (5, 1)):
         h = 1e-4 * L[i, j]
         up, down = L.copy(), L.copy()
@@ -250,28 +248,28 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     # stationarity of the slack at the pricing's prices gives
     # mu_j*eta/(D - t) = -a*x*phi(z)*eta/q, so dE/dL at (x, q) equals
     # a*ln2*2**(L/(x*t)) + mu_j*eta/(D - t) with the answer's slack
-    # t = D - eta*L/q and the warm compute prices; it is also the pair's
-    # cost per bit at those prices, the minimand of the joint dual
+    # t = D - eta*L/q and the pricing's compute prices; it is also the
+    # pair's cost per bit at those prices, the minimand of the joint dual
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", deadline)
     cfg = SolveConfig.for_scenario(sc)
     thr = sc.activity_threshold_bits
     L = initialize(sc, InitStrategy.equal())
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
     # a trial split moves a quarter of each task onto its user's cheapest
-    # AP at the warm prices, and its re-balance starts from those prices
+    # AP at the equal split's prices
+    costs = kkt.pair_costs(sc, *kkt._price(sc, L, cfg)[0])
     L = 0.75 * L
-    L[np.arange(sc.num_users), np.argmin(kkt.pair_costs(sc, warm), axis=1)] += 0.25 * sc.task_bits
-    x, q, rounds = solve_bcaa(sc, L, cfg, warm=warm)
+    L[np.arange(sc.num_users), np.argmin(costs, axis=1)] += 0.25 * sc.task_bits
+    x, q, rounds = solve_bcaa(sc, L, cfg)
     assert rounds == 1
+    beta, mus = kkt._price(sc, L, cfg)[0]
     i, j = np.nonzero(L > thr)
     t = sc.deadlines_s[i] - sc.cycles_per_bit[i] * L[i, j] / q[i, j]
     form = sc.noise_over_gain[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
-        + warm["mus"][j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
+        + mus[j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
     g = data_marginal(L[i, j], x[i, j], q[i, j], sc.deadlines_s[i], sc.cycles_per_bit[i],
                       sc.noise_over_gain[i, j])
     assert np.allclose(g, form, rtol=1e-7, atol=0)
-    assert np.allclose(g, kkt.pair_costs(sc, warm)[i, j], rtol=1e-7, atol=0)
+    assert np.allclose(g, kkt.pair_costs(sc, beta, mus)[i, j], rtol=1e-7, atol=0)
 
 
 def _spy_rebalances(monkeypatch):
@@ -294,49 +292,13 @@ def _decline_dual_step(monkeypatch):
     monkeypatch.setattr(orchestrate, "joint_split", lambda *args: None)
 
 
-def test_inner_counts_hold_every_rebalance_of_a_round(monkeypatch):
-    # with the dual step declined, every round, the start included,
-    # re-balances its barrier stage's split once, and the trace counts each
-    _decline_dual_step(monkeypatch)
-    sc = generate(GenParams(num_users=3, num_aps=2, deadline_s=0.2, seed=1))
-    calls = _spy_rebalances(monkeypatch)
-    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
-    assert len(calls) >= 2
-    assert sol.trace.inner_iteration_counts == (1,) * len(calls)
-
-
-def test_trial_split_the_rebalance_cannot_price_is_rejected(monkeypatch):
-    # the re-balance of the second stage's split raises BracketError, as one
-    # whose compute dual lies beyond the dual range does: that round keeps
-    # the held answer and counts no re-balance, and later stages certify
-    rebalance, calls = orchestrate.solve_bcaa, []
-
-    def spy(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 2:
-            raise BracketError(f"dual root outside the range {kkt.DUAL_RANGE}")
-        return rebalance(*args, **kwargs)
-
-    monkeypatch.setattr(orchestrate, "solve_bcaa", spy)
-    sc = _rounds_draw()
-    cfg = SolveConfig.for_scenario(sc)
-    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    assert sol.trace.inner_iteration_counts[:2] == (1, 0)
-    assert sol.trace.outer_energies_j[1] == sol.trace.outer_energies_j[0]
-    assert sol.converged and validate(sc, sol.allocation, cfg).ok
-
-
 def test_trial_split_whose_pricing_misses_its_tolerance_is_rejected(monkeypatch):
     sc = _small_scenario()
     cfg = _cfg(sc)
     L = initialize(sc, InitStrategy.equal())
     starve_pricing(monkeypatch)
-    assert orchestrate._rebalance(sc, L, cfg, {}, True)[0] == np.inf
-    # with no answer held, the error propagates
-    for rebalance in (lambda: orchestrate._rebalance(sc, L, cfg, {}, False),
-                      lambda: solve_fixed_data(sc, L, cfg)):
-        with pytest.raises(ConvergenceError, match="budget residual"):
-            rebalance()
+    with pytest.raises(ConvergenceError, match="budget residual"):
+        solve_fixed_data(sc, L, cfg)
 
 
 @st.composite
@@ -364,7 +326,7 @@ def test_outer_loop_properties_on_random_instances(instance):
     cfg = SolveConfig.for_scenario(sc, max_outer_iters=5)
     sol = solve_iterative(sc, strategy, cfg)
     drops = np.diff(sol.trace.outer_energies_j)
-    # a round keeps the held answer unless its stage's re-balance is lower
+    # a round keeps the held answer unless its stage's allocation is lower
     assert np.all(drops <= 0)
     if not drops.size:
         # a start that runs no round is certified by the Lagrangian bound
@@ -427,9 +389,7 @@ def test_the_start_ends_below_the_dual_of_the_initial_split():
     # energy of the initial split, and the accepted dual split is below q
     sc, cfg = _start42(0.4)
     L0 = initialize(sc, InitStrategy.equal())
-    warm = {}
-    solve_bcaa(sc, L0, cfg, warm=warm)
-    bound = kkt.fixed_data_dual(sc, L0, warm["beta"], warm["mus"])
+    bound = kkt.fixed_data_dual(sc, L0, *kkt._price(sc, L0, cfg)[0])
     assert bound <= solve_fixed_data(sc, L0, cfg).energy_j
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.trace.outer_energies_j[0] < bound
@@ -454,8 +414,8 @@ def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
     with pytest.MonkeyPatch.context() as mp:
         steps = _spy_dual_step(mp)
         sol = solve_iterative(sc, strategy, cfg)
-    for _, bound, state, _ in filter(None, steps):
-        G = kkt.joint_dual(sc, state["beta"], state["mus"])
+    for _, bound, prices, _ in filter(None, steps):
+        G = kkt.joint_dual(sc, *prices)
         assert bound == G <= sol.energy_j * (1.0 + 1e-12)
 
 
@@ -471,9 +431,8 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user(instanc
         return
     L = sol.allocation.data
     act = L > sc.activity_threshold_bits
-    warm = {}  # the answer's prices: the fixed-data dual has one maximiser
-    solve_bcaa(sc, L, cfg, warm=warm)
-    g = kkt.pair_costs(sc, warm)
+    # the answer's prices: the fixed-data dual has one maximiser
+    g = kkt.pair_costs(sc, *kkt._price(sc, L, cfg)[0])
     nu = (np.where(act, L, 0.0) * g).sum(axis=1) / np.where(act, L, 0.0).sum(axis=1)
     e = np.where(act, np.inf, g)
     assert np.all(e >= nu[:, None] * (1.0 - ENTRY_TOL))
@@ -506,16 +465,15 @@ def test_no_inactive_pair_of_a_converged_answer_costs_less_than_its_user_on_a_ti
 
 
 def test_the_entry_test_prices_an_ap_the_split_left_idle_at_the_floor():
-    # the warm state holds AP 3, which serves no one, at the floor of
+    # the pricing holds AP 3, which serves no one, at the floor of
     # DUAL_RANGE: its capacity is free to the pairs that would enter there
     sc = generate(GenParams(num_users=12, num_aps=4, seed=3))
     cfg = SolveConfig.for_scenario(sc)
     L = np.tile(sc.task_bits[:, None] / 3.0, (1, 4))
     L[:, 3] = 0.0
-    warm = {}
-    solve_bcaa(sc, L, cfg, warm=warm)
-    e = kkt.pair_costs(sc, warm)
-    floor = price_oracle(warm["beta"], kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
+    beta, mus = kkt._price(sc, L, cfg)[0]
+    e = kkt.pair_costs(sc, beta, mus)
+    floor = price_oracle(beta, kkt.DUAL_RANGE[0], sc.deadlines_s, sc.cycles_per_bit,
                          sc.noise_over_gain[:, 3])[0]
     np.testing.assert_allclose(e[:, 3], floor, rtol=1e-14, atol=0)
 
@@ -557,21 +515,6 @@ def test_unequal_capacities_start_from_the_capacity_split():
         assert sol.converged and sol.outer_iterations == 0
         assert sol.energy_j == pytest.approx(1.724999e-2, rel=1e-6, abs=0)
         assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
-
-
-def test_a_dual_step_through_an_overflowing_price_ratio_leaks_no_warning():
-    # from the prices of the best-ap-90 split the dual step calls the price
-    # oracle where beta*ln2/(mu*eta) overflows; the solve from that start
-    # runs its dual step from the capacity split's prices
-    sc = generate(GenParams(num_users=16, num_aps=4, deadline_s=0.4, seed=0))
-    cfg = SolveConfig.for_scenario(sc, max_outer_iters=1)
-    warm = {}
-    solve_bcaa(sc, initialize(sc, InitStrategy.best_ap()), cfg, warm=warm)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        kkt.joint_split(sc, cfg, warm)
-        sol = solve_iterative(sc, InitStrategy.best_ap(), cfg)
-    assert sol.outer_iterations <= 1
 
 
 def test_a_huge_bandwidth_solves_to_its_energy_at_a_tenth_of_it():
@@ -664,9 +607,9 @@ def test_a_declined_dual_step_takes_its_bound_from_the_rounds(monkeypatch):
 
 
 def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch):
-    # each round, the start included here, reads the joint dual at its
-    # barrier stage's multipliers and at its re-balance's prices; the solve
-    # stops at the first energy within GAP_TOL of the largest
+    # each round, the start included here, reads the joint dual once, at
+    # its barrier stage's multipliers; the solve stops at the first energy
+    # within GAP_TOL of the largest
     bounds, joint_dual = [], orchestrate.joint_dual
 
     def spy(*args):
@@ -676,8 +619,8 @@ def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch
     monkeypatch.setattr(orchestrate, "joint_dual", spy)
     sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
     energies = np.array(sol.trace.outer_energies_j)
-    assert len(bounds) == 2 * energies.size > 2
-    best = np.maximum.accumulate(bounds)[1::2]
+    assert len(bounds) == energies.size > 1
+    best = np.maximum.accumulate(bounds)
     open_gap = energies - best > orchestrate.GAP_TOL * energies
     assert open_gap[:-1].all() and not open_gap[-1]
     assert sol.converged and sol.lower_bound_j == best[-1]
@@ -743,31 +686,22 @@ def test_the_lower_bound_never_exceeds_the_energy_of_any_start(instance):
         assert b <= min(energies) * (1.0 + 1e-12)
 
 
-def test_a_declined_dual_step_raises_the_error_of_the_first_stage_rebalance(monkeypatch):
-    # with no answer held, the first barrier stage is the start, and its
-    # re-balance's error is the solve's
-    _decline_dual_step(monkeypatch)
-    starve_pricing(monkeypatch)
-    with pytest.raises(ConvergenceError, match="budget residual"):
-        solve_iterative(_small_scenario())
-
-
 def test_a_dual_split_without_an_allocation_starts_from_the_first_barrier_stage(monkeypatch):
     # every task on AP 0 needs more compute than the AP has, so no
-    # allocation is read off that dual split: the start is the re-balance of
-    # the first barrier stage's split, neither that split's nor the
-    # initial one's, and the dual step's bound still counts
+    # allocation is read off that dual split: the start is the first
+    # barrier stage's own allocation, neither that split's nor the initial
+    # one's, no re-balance runs, and the dual step's bound still counts
     sc, cfg = _start42(0.4)
     over = np.zeros((sc.num_users, sc.num_aps))
     over[:, 0] = sc.task_bits
-    split = orchestrate.joint_split
-    dual = split(sc, cfg, {})
+    dual = orchestrate.joint_split(sc, cfg)
     monkeypatch.setattr(orchestrate, "joint_split", lambda *args: (over, *dual[1:3], None))
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    stage = next(kkt.barrier_stages(sc))[0]
-    np.testing.assert_allclose(calls[0][0], stage, rtol=1e-12, atol=sc.activity_threshold_bits)
-    assert sol.trace.inner_iteration_counts == (1,) * len(calls)
+    L, x, q = next(kkt.barrier_stages(sc))[:3]
+    assert sol.trace.outer_energies_j[0] == total_energy(sc, Allocation(L, x, q))
+    assert calls == []
+    assert sol.trace.inner_iteration_counts == (0,) * len(sol.trace.outer_energies_j)
     assert sol.converged and sol.lower_bound_j >= dual[1]
     assert sol.energy_j == pytest.approx(dual[3][2], rel=orchestrate.GAP_TOL, abs=0)
 
