@@ -15,7 +15,7 @@ outer search driving each budget sum onto its constraint.
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser (`_price`), reads (x, q) off them and
              certifies them by the duality gap (`_read_off`);
-  joint_split: the data split of the outer loop's dual step: the
+  joint_split: the data split of the outer loop's fast dual step: the
              soft-argmin split of a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
              (`joint_dual`), maximised by Newton steps in the same prices,
@@ -43,13 +43,14 @@ Besides the barrier's Newton steps, the module has two root finders:
 the log prices inside DUAL_RANGE, run to half of bisect_tol. The
 fixed-data pricing starts cold by one start rule (`_start_prices`), and
 the dual step from the prices that pricing ends at for the capacity split.
-`_newton` raises nothing and stops at a range edge as at any stall: the
-fixed-data pricing raises BracketError when it ends short of its
-tolerance at an edge, and the dual step holds an AP that it leaves idle
-or at the floor with spare capacity. No pricing bisects per pair: the
-price oracle (`physics.price_oracle`) and the bandwidth root
-z = L*ln2/(x*t), `physics.exponent_root`(beta/(a*t)), take the same
-Newton step in ln z, on one kappa(z), a fixed count of times.
+`_newton` raises nothing and stops at a range edge or a singular
+Jacobian as at any stall: the fixed-data pricing raises BracketError
+when it ends short of its tolerance at an edge, and a dual-step stage
+that ends short of it fails, which leaves the draw to the barrier
+stages. No pricing bisects per pair: the price oracle
+(`physics.price_oracle`) and the bandwidth root z = L*ln2/(x*t),
+`physics.exponent_root`(beta/(a*t)), take the same Newton step in ln z,
+on one kappa(z), a fixed count of times.
 """
 
 from __future__ import annotations
@@ -448,24 +449,18 @@ def _newton(system, y, tol, first=None):
     its step, and at most the whole step; a trial is halved until the
     residual norm falls. So a solve that had to shorten its steps does not
     try each new one whole first. The iterates stay inside DUAL_RANGE.
-    Where J is singular to working precision the step is the damped one,
-    (J^T J + lam^2 I) s = -J^T r with lam = 1e-3*max|J| (Levenberg-
-    Marquardt: Nocedal & Wright, Numerical Optimization, ch. 10).
-    Stops once every residual is inside tol, and like a stall when that
-    step is singular too, when no step lowers the norm, when a step would
-    leave the range from its edge (the root lies beyond it) or after
-    MAX_DUAL_PROBES calls of system. It raises nothing: the caller reads
-    how it stopped off the residuals and prices it returns. Returns
+    Stops once every residual is inside tol, and like a stall when J is
+    singular to working precision, when no step lowers the norm, when a
+    step would leave the range from its edge (the root lies beyond it) or
+    after MAX_DUAL_PROBES calls of system. It raises nothing: the caller
+    reads how it stopped off the residuals and prices it returns. Returns
     (y, r, extra) of the best iterate and the count of calls.
     """
     y = np.clip(y, *LOG_RANGE)
     r, J, extra = first or system(y)
     calls, frac = int(first is None), 1.0
     while np.abs(r).max() > tol and calls < MAX_DUAL_PROBES:
-        step = _solve(J, -r)
-        if step is None:  # J singular: the damped (Levenberg-Marquardt) step
-            step = _solve(J.T @ J + (1e-3 * np.abs(J).max()) ** 2 * np.eye(r.size), -J.T @ r)
-        if step is None:
+        if (step := _solve(J, -r)) is None:  # J singular: a stall
             break
         step *= min(1.0, MAX_PRICE_STEP / np.abs(step).max())
         if np.any(((y <= LOG_RANGE[0]) & (step < 0)) | ((y >= LOG_RANGE[1]) & (step > 0))):
@@ -587,15 +582,11 @@ def joint_split(scenario, cfg: SolveConfig):
     Nesterov (Math. Program. 2005).
 
     Stage k fixes tau_i = kappa_k*min_j e_ij at its start prices and
-    solves to half of bisect_tol by `_newton`, like every pricing, from
-    the oracle pass that ended the stage before. However that solve
-    stops, an AP that serves no one is held at the floor of DUAL_RANGE,
-    out of the system, and the stage solved again: its price belongs at
-    zero, where G's slope in log mu vanishes. Such an AP has its residual
-    at -1, or has spare capacity (a residual at most the tolerance) with
-    its price at the floor. A stage fails when it stops short of the
-    tolerance with no AP to hold, or when a held AP's capacity would be
-    exceeded.
+    solves to half of bisect_tol by one `_newton` solve, like every
+    pricing, from the oracle pass that ended the stage before. A stage
+    that stops short of that tolerance fails. The step is a fast path:
+    a draw it cannot certify, one whose optimum leaves an AP idle
+    included, goes to the barrier stages (`barrier_stages`).
 
     The smoothing costs the soft split a bias
     S = sum_i T_i*(sum_j w_ij*e_ij - min_j e_ij) <= sum_i T_i*tau_i*ln M
@@ -611,51 +602,37 @@ def joint_split(scenario, cfg: SolveConfig):
     Returns (L, G, (beta, mus), allocation) of the last stage that met
     the tolerance: L = T*w at its soft-argmin weights, loads at or below
     the activity threshold dropped and each row rescaled onto its task; G
-    read off the oracle of its last accepted iterate; its prices, every
-    held AP at the floor, where `joint_dual` is G; and the
-    (x, q, E) `_read_off` certifies at those prices and split L, or None
-    when it misses the certificate. None when the first stage fails.
+    read off the oracle of its last accepted iterate; its prices, where
+    `joint_dual` is G; and the (x, q, E) `_read_off` certifies at those
+    prices and split L, or None when it misses the certificate. None when
+    the first stage fails.
     """
     cap = scenario.compute_capacity
     beta, mus = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg)[0]
     y = np.log(np.append(beta, mus))
     K, M = scenario.num_users, scenario.num_aps
-    bits, tol, floor = scenario.task_bits, 0.5 * cfg.bisect_tol, LOG_RANGE[0]
+    bits, tol = scenario.task_bits, 0.5 * cfg.bisect_tol
     # every task once on each of the M APs
     _, pairs, col, budgets, _ = _pricing_inputs(scenario, np.repeat(bits[:, None], M, axis=1))
-    held = np.zeros(M + 1, dtype=bool)
     p = np.exp(y)
     oracle = price_oracle(p[0], p[1:][col], *pairs[1:])
 
-    def system(v, oracle=None):  # the prices not held; returns all residuals too
-        y[~held] = v
-        r, J, extra = _joint_system(y, bits, pairs, col, tau, budgets, oracle)
-        return r[~held], J[np.ix_(~held, ~held)], (r, extra)
+    def system(y, oracle=None):
+        return _joint_system(y, bits, pairs, col, tau, budgets, oracle)
 
     best, kappa = None, JOINT_SMOOTHING[0]
     for stage in itertools.count(1):
         tau = kappa * oracle[0].reshape(K, M).min(axis=1)
-        first = system(y[~held], oracle)  # reuses the last oracle pass
-        while True:
-            v, r_free, (r, (w, oracle)), _ = _newton(system, y[~held], tol, first)
-            y[~held] = v
-            met = np.abs(r_free).max() <= tol
-            idle = ~held & ((r <= -1.0 + tol) | (y <= floor) & (r <= tol))
-            idle[0] = False
-            if met or not idle.any():
-                break
-            held |= idle
-            y[idle] = floor
-            first = None
-        if not met or np.any(r[held] > tol):
+        # the first call reuses the last oracle pass
+        y, r, (w, oracle), _ = _newton(system, y, tol, system(y, oracle))
+        if np.abs(r).max() > tol:
             break
         p = np.exp(y)
         e = oracle[0].reshape(K, M)
-        mus = np.where(held[1:], DUAL_RANGE[0], p[1:])
-        bound, least = joint_dual(scenario, p[0], mus, e), bits @ e.min(axis=1)
+        bound, least = joint_dual(scenario, p[0], p[1:], e), bits @ e.min(axis=1)
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
-        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, (p[0], mus), oracle)
+        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, (p[0], p[1:]), oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
         if stage < len(JOINT_SMOOTHING):
             kappa = JOINT_SMOOTHING[stage]

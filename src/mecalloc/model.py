@@ -265,10 +265,10 @@ class SolveConfig:
     the dual step included, solve to half of it. It stops none of the
     fixed counts: the Newton steps of the price oracle and of the
     bandwidth root, and the bisection references' halvings
-    (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual). No residual is certified below float64 resolution, and a
-    bisect_tol below it raises StructuralError. The load below which a
-    pair is frozen is the scenario's (`Scenario.activity_threshold_bits`),
-    not a setting.
+    (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual). No residual
+    is certified below float64 resolution, and a bisect_tol below it
+    raises StructuralError. The load below which a pair is frozen is the
+    scenario's (`Scenario.activity_threshold_bits`), not a setting.
     """
 
     epsilon_j: float = 1e-5

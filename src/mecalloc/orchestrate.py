@@ -1,15 +1,16 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
 The full solver minimises the energy over (L, x, q), a convex problem.
-The start is the dual step: the split the joint Lagrangian dual's prices
-choose (`kkt.joint_split`) from those of the capacity split, whatever the
-initial split L0, with the allocation read off those prices and
-certified like a re-balance's, so no re-balance runs. Every round after
-it takes the next centring stage of a barrier method on the whole
-problem (`kkt.barrier_stages`) with the stage's own allocation, again
-with no re-balance. The one stop rule is the certificate of the joint
-dual G (`kkt.joint_dual`), read at the dual step's prices and at each
-stage's multipliers.
+The start is the dual step, the fast path: the split the joint
+Lagrangian dual's prices choose (`kkt.joint_split`) from those of the
+capacity split, whatever the initial split L0, with the allocation read
+off those prices and certified like a re-balance's, so no re-balance
+runs. Every round after it takes the next centring stage of a barrier
+method on the whole problem (`kkt.barrier_stages`) with the stage's own
+allocation, again with no re-balance; those rounds certify every draw
+the dual step cannot, one whose optimum leaves an AP idle included. The
+one stop rule is the certificate of the joint dual G (`kkt.joint_dual`),
+read at the dual step's prices and at each stage's multipliers.
 
 Every energy the loop compares is one `physics.energy_matrix` call. The
 outer loop calls `solve_daa` no longer; the module keeps the name because
@@ -166,7 +167,8 @@ def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
     its allocation read off its prices and certified, at no re-balance.
     Each round after it takes the next stage of `kkt.barrier_stages` and
     keeps the stage's own allocation when its energy is lower than the
-    held one's. When the dual step holds no answer, the first stage is the
+    held one's. When the dual step holds no answer (a stage missed its
+    tolerance, or the read-off its certificate), the first stage is the
     start. Neither step reads an initial split: the problem is convex.
     strategy is accepted, and not read, for the bench and the acceptance
     criteria, which pass one.

@@ -635,20 +635,15 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
     assert bound == kkt.joint_dual(sc, *prices)
 
 
-@pytest.mark.parametrize("params, deadline", [
-    (GenParams(seed=42), 0.4), (GenParams(num_users=6, num_aps=3, seed=4), 0.8)])
-def test_joint_split_returns_a_warm_state_and_an_active_split(params, deadline):
-    # the prices come back as (beta, mus), which a pricing can start from;
-    # the 6x3 split serves AP 1 alone: the other two are held at the floor
-    sc = override_parameter(generate(params), "deadline_s", deadline)
-    cfg = _cfg(sc)
-    L, bound, (beta, mus), _ = kkt.joint_split(sc, cfg)
+def test_joint_split_returns_its_prices_and_an_active_split():
+    # the prices come back as (beta, mus), one per AP, where the joint dual
+    # is the bound; every load is zero or above the activity threshold
+    sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
+    L, bound, (beta, mus), _ = kkt.joint_split(sc, _cfg(sc))
     assert np.shape(beta) == () and mus.shape == (sc.num_aps,)
     assert bound == kkt.joint_dual(sc, beta, mus)
     assert np.all((L == 0.0) | (L > sc.activity_threshold_bits))
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
-    idle = ~(L > 0.0).any(axis=0)
-    assert np.all(mus[idle] == kkt.DUAL_RANGE[0])
 
 
 @pytest.mark.parametrize("params, deadline", [
@@ -716,23 +711,17 @@ def test_newton_stops_at_the_range_edge_when_the_root_lies_beyond():
     assert extra == "extra" and calls < kkt.MAX_DUAL_PROBES
 
 
-def test_newton_takes_the_damped_step_where_its_jacobian_is_singular():
+@pytest.mark.parametrize("system", [
+    # a zero Jacobian
+    lambda y: (y - 1.0, np.zeros((2, 2)), "extra"),
     # r = (y0 - 1, y0*y1 - 1) has its root at (1, 1), and its Jacobian
-    # [[1, 0], [y1, y0]] is singular at the start (0, 0), where the damped
-    # step moves y0 alone
-    def system(y):
-        return (np.array([y[0] - 1.0, y[0] * y[1] - 1.0]),
-                np.array([[1.0, 0.0], [y[1], y[0]]]), "extra")
-
+    # [[1, 0], [y1, y0]] is singular at the start (0, 0)
+    lambda y: (np.array([y[0] - 1.0, y[0] * y[1] - 1.0]),
+               np.array([[1.0, 0.0], [y[1], y[0]]]), "extra"),
+], ids=["zero", "rank-one"])
+def test_newton_stops_at_a_singular_jacobian(system):
+    # a singular Jacobian ends the solve like any stall: at its start
     y, r, extra, calls = kkt._newton(system, np.zeros(2), 1e-12)
-    assert np.abs(r).max() <= 1e-12 and calls > 2
-    np.testing.assert_allclose(y, [1.0, 1.0], rtol=0, atol=1e-11)
-
-
-def test_newton_stops_where_its_damped_step_is_singular_too():
-    # a zero Jacobian leaves both systems singular: the solve stalls at its start
-    y, r, extra, calls = kkt._newton(lambda y: (y - 1.0, np.zeros((2, 2)), "extra"),
-                                     np.zeros(2), 1e-12)
     assert np.array_equal(y, np.zeros(2)) and np.array_equal(r, -np.ones(2))
     assert extra == "extra" and calls == 1
 

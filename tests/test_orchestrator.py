@@ -551,17 +551,29 @@ def test_the_tight_deadline_start_is_certified_with_no_gradient_round():
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
-def test_an_ap_the_dual_step_leaves_at_the_floor_with_spare_capacity_is_held():
-    # the dual step's Newton solve walks one compute price to the floor of
-    # DUAL_RANGE, where its AP's scaled residual is about -0.9999: spare
-    # capacity at a zero price. Held there, the stage meets its tolerance
-    # and the start is certified; left in the system, no bound was found
-    # and three gradient rounds ended 1.9% higher
-    sc = generate(GenParams(num_users=3, num_aps=5, deadline_s=0.15, seed=3))
-    sol = solve_iterative(sc, InitStrategy.equal(), SolveConfig.for_scenario(sc))
-    assert sol.converged and sol.outer_iterations == 0
-    assert sol.lower_bound_j is not None
+@pytest.mark.parametrize("users, aps, deadline, seed, ceiling", [
+    # the optimum leaves AP 1 idle; a dual step that held an idle AP's
+    # price at the floor of DUAL_RANGE certified the start at
+    # 1.82154217569e-4 J
+    (3, 5, 0.15, 3, 1.82154217569e-4),
+    # the dual step's Newton solve meets a singular Jacobian; a damped
+    # step through it certified the start at 3.52191254e-4 J
+    (4, 2, 0.3, 14, 3.52191254e-4),
+    # the optimum serves AP 1 alone and leaves the other two idle
+    (6, 3, 0.8, 4, None),
+], ids=["3x5-idle-ap", "4x2-singular", "6x3-two-idle-aps"])
+def test_a_draw_the_dual_step_cannot_certify_is_certified_by_barrier_rounds(
+        users, aps, deadline, seed, ceiling):
+    sc = generate(GenParams(num_users=users, num_aps=aps, deadline_s=deadline, seed=seed))
+    cfg = SolveConfig.for_scenario(sc)
+    dual = kkt.joint_split(sc, cfg)
+    assert dual is None or dual[3] is None
+    sol = solve_iterative(sc, InitStrategy.equal(), cfg)
+    assert sol.converged and sol.outer_iterations >= 1
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+    assert check_solution(sc, sol)
+    if ceiling is not None:
+        assert sol.energy_j <= ceiling * (1.0 + 1e-9)
 
 
 def test_the_draw_of_the_hardest_continuation_stage_keeps_its_bound():
@@ -638,27 +650,6 @@ def test_a_one_ap_solve_is_certified_at_the_start(users, deadline):
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
     assert sol.energy_j == pytest.approx(
         solve_fixed_data(sc, sc.task_bits[:, None], cfg).energy_j, rel=1e-12, abs=0)
-
-
-def test_a_dual_step_through_a_singular_jacobian_certifies_the_start(monkeypatch):
-    # the dual step's Newton solve meets a singular Jacobian on this draw
-    # and takes the damped step there; stopping at it gave no split, and
-    # six gradient rounds from the re-balanced start ended at 0.373905 mJ
-    sc = generate(GenParams(num_users=4, num_aps=2, deadline_s=0.3, seed=14))
-    solve, singular = kkt._solve, []
-
-    def spy(A, b):
-        x = solve(A, b)
-        singular.append(x is None)
-        return x
-
-    monkeypatch.setattr(kkt, "_solve", spy)
-    sol = solve_iterative(sc, InitStrategy.equal())
-    assert any(singular)
-    assert sol.converged and sol.outer_iterations == 0
-    assert sol.energy_j <= 0.352191254e-3 * (1.0 + 1e-9)
-    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
-    assert check_solution(sc, sol)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
