@@ -8,7 +8,6 @@ from .model import (
     DegenerateInputError,
     InfeasibilityError,
     InfeasiblePairError,
-    InternalConsistencyError,
     PairPoint,
     Scenario,
     SolveConfig,

@@ -1,15 +1,15 @@
 """The KKT subproblem solvers, the fixed-data dual and the joint dual.
 
 Each subproblem pins two of the three variable blocks (data split L,
-bandwidth x, compute q) and prices the budgets of the third, each with
-one dual: an inner root per pair against its budget's dual, and an
-outer search driving each budget sum onto its constraint.
+bandwidth x, compute q) and splits the budgets of the third, each priced
+by one dual:
 
-  solve_daa: per-user data duals nu (the data constraint multiplier,
-             stored with positive sign), roots of dE/dL = nu;
-  solve_baa: one global bandwidth dual beta > 0, roots of dE/dx + beta = 0;
-  solve_caa: one AP's compute dual mu >= 0 over the deadline slack t,
-             roots of dE/dt + mu * eta*L/(D-t)^2 = 0;
+  solve_daa: each user's task over its pairs, at the data dual lambda,
+             the common dE/dL of its loads;
+  solve_baa: the bandwidth over the active pairs at fixed slack, at one
+             dual beta = -dE/dx > 0;
+  solve_caa: one AP's compute over its active users at fixed bandwidth,
+             at one dual mu = -dE/dq > 0;
   solve_bcaa: bandwidth and compute for a fixed data split. It
              maximises the fixed-data dual q(beta, mu) by Newton steps
              in the 1 + M log prices, with `physics.price_oracle` giving
@@ -26,31 +26,18 @@ outer search driving each budget sum onto its constraint.
              stages of a barrier method on the whole problem in (L, x, q),
              each with its own allocation and multipliers.
 
-Every derivative in those roots comes from the pair model in `physics`.
-The first three are bisection references for the re-balance, off the
-solve path. They share one pricing step, _price_budgets: one lockstep
-`vec_bisect` of every budget's dual over the base-10 logarithm of
-DUAL_RANGE in DUAL_HALVINGS halvings, the final per-pair pass, the
-residual check, the rescale onto each budget and the diag records. Each
-bisected function is strictly monotone on a closed-form bracket fixed
-before it starts, and each budget sum in its dual, so no root inside the
-range is lost. Overflow warnings are silenced only where an overflowed
-value feeds a sign test or a clipped start: in that step and in the
-cold start of the bandwidth price.
+Every derivative comes from the pair model in `physics`. The first three
+are references for the tests, off the solve path. They share one step,
+`_barrier_split`: barrier stages in the one free coordinate of each pair,
+whose diagonal Hessian prices each budget in closed form. They minimise
+the energy itself, so they stay independent of the pricings they check.
 
-Besides the barrier's Newton steps, the module has two root finders:
-`vec_bisect` for the references and `_newton` for every pricing, each in
-the log prices inside DUAL_RANGE, run to half of bisect_tol. The
-fixed-data pricing starts cold by one start rule (`_start_prices`), and
-the dual step from the prices that pricing ends at for the capacity split.
-`_newton` raises nothing and stops at a range edge or a singular
-Jacobian as at any stall: the fixed-data pricing raises BracketError
-when it ends short of its tolerance at an edge, and a dual-step stage
-that ends short of it fails, which leaves the draw to the barrier
-stages. No pricing bisects per pair: the price oracle
-(`physics.price_oracle`) and the bandwidth root z = L*ln2/(x*t),
-`physics.exponent_root`(beta/(a*t)), take the same Newton step in ln z,
-on one kappa(z), a fixed count of times.
+Every pricing is a `_newton` solve in the log prices inside DUAL_RANGE,
+run to half of bisect_tol; it raises nothing, and its callers read how
+it stopped (`_price`, `joint_split`). No pricing bisects per pair: the
+price oracle (`physics.price_oracle`) and the bandwidth root
+z = L*ln2/(x*t), `physics.exponent_root`(beta/(a*t)), take the same
+Newton step in ln z, on one kappa(z), a fixed count of times.
 """
 
 from __future__ import annotations
@@ -76,9 +63,7 @@ from .model import (
     least_load,
 )
 from .physics import (
-    SLACK_BRACKET,
     bracket,
-    data_marginal,
     energy,
     energy_derivatives,
     energy_matrix,
@@ -90,18 +75,9 @@ from .physics import (
 # t = 0 singularity of 2**(L/(x t))
 SLACK_MARGIN = 1e-6
 
-# every dual search stays inside this range; the Newton pricings in its log
+# every pricing stays inside this range; its Newton steps run in its log
 DUAL_RANGE = (1e-280, 1e280)
 LOG_RANGE = tuple(np.log(DUAL_RANGE))
-
-# fixed halving count for the vectorized per-pair root solves of the
-# bisection references; shrinks any bracket to float64 resolution
-INNER_ITERS = 48
-
-# halvings of each bisection reference's dual search: they narrow the
-# log10 span of DUAL_RANGE (560 decades) to at most 1e-13 decades
-DUAL_HALVINGS = math.ceil(math.log2(
-    (math.log10(DUAL_RANGE[1]) - math.log10(DUAL_RANGE[0])) / 1e-13))
 
 # most calls of its system in one `_newton` solve, and steps of a barrier stage
 MAX_DUAL_PROBES = 200
@@ -120,16 +96,16 @@ JOINT_SMOOTHING = (1e-3, 1e-4)
 # spend half of it
 GAP_TOL = 1e-5
 
-# the barrier stages: the growth of the barrier weight per stage, and half
-# the Newton decrement at which a stage is centred
+# the growth of the barrier weight per stage, here and in `_barrier_split`,
+# and half the Newton decrement at which a stage of `barrier_stages` is centred
 BARRIER_GROWTH = 20.0
 CENTRING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class DualVariable:
-    """A Lagrange/auxiliary multiplier: a budget's price, found by the
-    lockstep bisection of `_price_budgets` or by a Newton pricing.
+    """A Lagrange/auxiliary multiplier: a budget's price, from a subproblem
+    reference (`_barrier_split`) or a Newton pricing.
 
     kind "lambda_data" stores the nonnegative reparameterization of the
     per-user data multiplier (the raw multiplier is its negative);
@@ -160,112 +136,117 @@ class SolveDiagnostic:
     iterations: int
 
 
-def _price_budgets(kind, group, owners, targets, share_of, cfg, increasing, diag=None):
-    """Price each budget with one dual and split it over its elements.
+def _barrier_split(kind, owners, group, targets, pairs, c, v, lo, cfg, diag=None):
+    """Split each budget at least energy over coordinate c (0, 1, 2 for
+    L, x, q) of pairs = (L, x, q, d, eta, a), the other two held: element k
+    counts towards targets[group[k]]. v > lo is a start of finite energy
+    that meets every budget.
 
-    group[k] is the budget element k draws on, owners[g] the user or AP
-    that owns budget g (None for the bandwidth), and share_of maps one
-    dual per element to the element's share, increasing or decreasing in
-    it. One lockstep `vec_bisect` of DUAL_HALVINGS halvings over the
-    log10 of DUAL_RANGE drives each budget's share sum onto its target. A
-    sum still off its target by more than the relative tolerance raises
-    BracketError when its dual ends at an edge of the range (the root
-    lies beyond it), ConvergenceError otherwise. Appends one `kind`
-    record per budget to diag. Overflowed exponentials inside the
-    searches only ever feed sign tests, so their warnings are silenced.
-
-    Returns (duals, shares, shares rescaled so each sum is its target).
+    Barrier stages (Boyd & Vandenberghe, Convex Optimization, ch. 11) on
+    tau_g*E_g - sum log(v - lo) per budget g, whose gap bound m_g/tau_g
+    (m_g elements) starts at E_g and falls BARRIER_GROWTH-fold a stage to
+    float64 resolution of E_g. Each element's curvature comes from
+    `physics.energy_derivatives`: the Hessian is diagonal, so each nu_g is
+    one closed-form sum. A budget takes its full Newton step once the
+    decrement is below 1e-2, else halves it until the trial keeps t > 0 and
+    the rate exponent within EXPONENT_CAP and the slope along the step,
+    read off derivatives that no rounding of a large energy hides, is not
+    positive. A stage ends after MAX_DUAL_PROBES steps or once each budget
+    is centred, every |g + nu| at most 1e-12*|nu|, or at its rounding
+    floor, no nearer after a full step or a stall. A final |g + nu|/|nu|
+    above bisect_tol raises ConvergenceError. diag gets one `kind` record
+    per budget, its dual dE/dL for the data, -dE/dx and -dE/dq otherwise.
+    Returns (duals, v rescaled onto each budget).
     """
-    n = len(owners)
-    edges = np.log10(DUAL_RANGE)
+    n, m = targets.size, np.bincount(group, minlength=targets.size)
+    pairs = list(pairs)
 
-    def sums_at(log_duals):
-        return np.bincount(group, weights=share_of(10.0 ** log_duals[group]), minlength=n)
+    def at(v):  # the domain mask and, inside it, v - lo, E, dE/dv and d2E/dv2
+        pairs[c] = v
+        L, x, q, d, eta, a = pairs
+        t = d - eta * L / q
+        ok = (v > lo) & (t > 0.0) & (L <= EXPONENT_CAP * x * t)
+        terms = np.ones((4, v.size))
+        terms[0, ok] = (v - lo)[ok]
+        terms[1, ok] = energy(L[ok] / (x[ok] * t[ok]), x[ok], t[ok], a[ok])
+        grad, hess = energy_derivatives(*(p[ok] for p in pairs))
+        terms[2:, ok] = grad[:, c], hess[:, c, c]
+        return ok, terms
 
-    with np.errstate(over="ignore"):
-        log_duals = vec_bisect(lambda mid: (sums_at(mid) < targets) == increasing,
-                               np.full(n, edges[0]), np.full(n, edges[1]), DUAL_HALVINGS)
-        duals = 10.0 ** log_duals
-        shares = share_of(duals[group])
-    sums = np.bincount(group, weights=shares, minlength=n)
-    resid = np.abs(sums - targets) / targets
-    bad = resid > cfg.bisect_tol
-    # a root beyond the range leaves its dual in the last bracket at an edge
-    width = np.ptp(edges) / 2.0 ** DUAL_HALVINGS
-    if np.any(bad & (np.abs(log_duals[:, None] - edges).min(axis=1) < width)):
-        raise BracketError(f"dual root outside the range {DUAL_RANGE}")
-    if bad.any():
-        g = int(np.argmax(resid))
-        owner = "" if owners[g] is None else f" {owners[g]}"
-        raise ConvergenceError(f"{kind}{owner}: budget sum residual {resid[g]:.3e}")
+    ok, (gap, e, de, d2e) = at(v)
+    if not ok.all():
+        raise ConvergenceError(f"{kind}: the start leaves a pair outside its domain")
+    tau, steps = m / np.bincount(group, e, n), 0
+    while True:
+        last = np.full(n, np.inf)
+        for _ in range(MAX_DUAL_PROBES):
+            g = tau[group] * de - 1.0 / gap
+            h = tau[group] * d2e + 1.0 / gap ** 2
+            nu = -np.bincount(group, g / h, n) / np.bincount(group, 1.0 / h, n)
+            worst = np.zeros(n)  # each budget's largest |g + nu|/|nu|
+            np.maximum.at(worst, group, np.abs(g + nu[group]) / np.abs(nu[group]))
+            if np.all((worst <= 1e-12) | (worst >= last)):  # centred, or at its floor
+                break
+            step = -(g + nu[group]) / h
+            decrement, s = np.bincount(group, h * step * step, n), np.ones(n)
+            while True:
+                ok, trial = at(w := v + s[group] * step)
+                # the slope along the step; inf for a trial outside the domain
+                slope = np.bincount(group, np.where(
+                    ok, (tau[group] * trial[2] - 1.0 / trial[0] + nu[group]) * step, np.inf), n)
+                good = (slope <= 0.0) | ((decrement < 1e-2) & (slope < np.inf))
+                if good.all():
+                    break
+                s = np.where(good, s, 0.5 * s)
+                s[s < 1e-12] = 0.0  # a stall: the trial at s = 0 is the start
+            last = np.where((s == 0.0) | (s == 1.0), worst, np.inf)
+            v, (gap, e, de, d2e), steps = w, trial, steps + 1
+        done = m / tau <= np.finfo(float).eps * np.bincount(group, e, n)
+        if done.all():
+            break
+        tau = np.where(done, tau, BARRIER_GROWTH * tau)
+    if (worst > cfg.bisect_tol).any():
+        b = int(np.argmax(worst))
+        owner = "" if owners[b] is None else f" {owners[b]}"
+        raise ConvergenceError(f"{kind}{owner}: stationarity residual {worst[b]:.3e}")
+    duals = (-nu if kind == "lambda_data" else nu) / tau
     if diag is not None:
-        diag.extend(SolveDiagnostic(DualVariable(kind, float(v), owner=o),
-                                    residual=float(r), iterations=DUAL_HALVINGS)
-                    for v, o, r in zip(duals, owners, resid))
-    return duals, shares, shares * (targets / sums)[group]
-
-
-def vec_bisect(go_right, lo, hi, iters=INNER_ITERS):
-    """Lockstep bisection of independent brackets [lo, hi]: go_right(mid)
-    marks the entries whose root lies right of mid. Scalar lo and hi give
-    every entry the same bracket."""
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        right = go_right(mid)
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    return 0.5 * (lo + hi)
+        diag.extend(SolveDiagnostic(DualVariable(kind, float(p), owner=o), float(r), steps)
+                    for p, o, r in zip(duals, owners, worst))
+    return duals, v * (targets / np.bincount(group, v, n))[group]
 
 
 # ---------------------------------------------------------------------------
 # DAA: data allocation for fixed bandwidth and compute
 
-def _data_roots(nu, x, q, d, eta, a, upper, zero_marginal):
-    """Per-pair loads satisfying dE/dL = nu, clipped to [0, upper];
-    zero_marginal is dE/dL at zero load, which does not depend on nu."""
-    at_zero = zero_marginal >= nu
-    at_cap = data_marginal(upper, x, q, d, eta, a) <= nu
-    roots = vec_bisect(
-        lambda mid: data_marginal(mid, x, q, d, eta, a) < nu,
-        np.zeros_like(upper), upper)
-    return np.where(at_zero, 0.0, np.where(at_cap, upper, roots))
-
-
 def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
     """Optimal data split per user for fixed bandwidth and compute.
 
-    Each user's row is an independent convex problem; its multiplier is
-    located by bisection on the row sum, and pairs whose optimal load
-    falls below the activity threshold are frozen at zero with the
-    surviving pairs re-solved so the row budget stays exact.
+    Each user's row is an independent convex problem, one budget of
+    `_barrier_split` in L from the split in proportion to each pair's
+    largest load; pairs whose optimal load falls at or below the activity
+    threshold are frozen at zero with the surviving pairs re-solved so
+    the row budget stays exact.
     """
-    x = np.asarray(x, dtype=float)
-    q = np.asarray(q, dtype=float)
-    K, M = scenario.num_users, scenario.num_aps
-    noise = scenario.noise_over_gain
-    d_user = scenario.deadlines_s
-    eta_user = scenario.cycles_per_bit
-    bits = scenario.task_bits
+    x, q = np.asarray(x, dtype=float), np.asarray(q, dtype=float)
+    K, M, bits = scenario.num_users, scenario.num_aps, scenario.task_bits
     usable = (q > 0) & (x > 0)
 
     for _ in range(M + 1):
         ui, uj = np.nonzero(usable)
-        xv, qv, av = x[ui, uj], q[ui, uj], noise[ui, uj]
-        dv, etav = d_user[ui], eta_user[ui]
-        upper = (1.0 - SLACK_MARGIN) * dv * qv / etav
+        d, eta = scenario.deadlines_s[ui], scenario.cycles_per_bit[ui]
+        upper = (1.0 - SLACK_MARGIN) * d * q[ui, uj] / eta
         room = np.bincount(ui, weights=upper, minlength=K)
         if np.any(room < bits):
             i = int(np.nonzero(room < bits)[0][0])
             raise InfeasibilityError(
                 f"user {i}: maximal feasible loads carry {room[i]:.6g} "
                 f"of {bits[i]:.6g} bits", user=i)
-        g0 = data_marginal(0.0, xv, qv, dv, etav, av)
         records = []
-        _, roots, loads = _price_budgets(
-            "lambda_data", ui, range(K), bits,
-            lambda nu: _data_roots(nu, xv, qv, dv, etav, av, upper, g0),
-            cfg, increasing=True, diag=records)
-        crumbs = (roots > 0) & (roots <= scenario.activity_threshold_bits)
+        pairs = (None, x[ui, uj], q[ui, uj], d, eta, scenario.noise_over_gain[ui, uj])
+        _, loads = _barrier_split("lambda_data", range(K), ui, bits, pairs, 0,
+                                  upper * (bits / room)[ui], 0.0, cfg, records)
+        crumbs = loads <= scenario.activity_threshold_bits
         if crumbs.any():
             usable[ui[crumbs], uj[crumbs]] = False
             continue
@@ -280,58 +261,40 @@ def solve_daa(scenario, x, q, cfg: SolveConfig, diag=None):
 # ---------------------------------------------------------------------------
 # BAA: bandwidth allocation for fixed data and slack
 
-def _bandwidth_roots(beta, L, t, a):
-    """Per-pair bandwidths satisfying dE/dx + beta = 0 at fixed (L, t).
-
-    With z = L*ln2/(x*t) the condition a*t*phi(z) + beta = 0 reads
-    -phi(z) = beta/(a*t), solved in closed form by `exponent_root`.
-    """
-    return L * LN2 / (t * exponent_root(beta / (a * t)))
-
-
 def solve_baa(scenario, t, L, cfg: SolveConfig, diag=None):
     """Bandwidth split across all active pairs for fixed data and slack.
 
-    A single global dual beta > 0 prices bandwidth; each pair's share is
-    the unique root of its stationarity condition and the dual search
-    drives the total onto the system bandwidth.
+    One budget of `_barrier_split` in x, from the split in proportion to
+    each pair's L/t; its dual beta > 0 is the price of bandwidth.
     """
-    L = np.asarray(L, dtype=float)
-    t = np.asarray(t, dtype=float)
+    L, t = np.asarray(L, dtype=float), np.asarray(t, dtype=float)
     act = L > scenario.activity_threshold_bits
     if not act.any():
         raise DegenerateInputError("no active pairs to allocate bandwidth to")
-    d = np.broadcast_to(scenario.deadlines_s[:, None], L.shape)
-    if np.any(t[act] <= 0) or np.any(t[act] >= d[act]):
+    i = np.nonzero(act)[0]
+    Lv, tv, dv, eta = L[act], t[act], scenario.deadlines_s[i], scenario.cycles_per_bit[i]
+    if np.any(tv <= 0) or np.any(tv >= dv):
         raise StructuralError("slack must be interior (0, deadline) on active pairs")
-    Lv, tv, av = L[act], t[act], scenario.noise_over_gain[act]
+    B, rate = scenario.bandwidth_hz, Lv / tv
     out = np.zeros_like(L)
-    out[act] = _price_budgets(
-        "beta_bandwidth", np.zeros(Lv.size, dtype=int), [None],
-        np.array([scenario.bandwidth_hz]),
-        lambda beta: _bandwidth_roots(beta, Lv, tv, av),
-        cfg, increasing=False, diag=diag)[2]
+    out[act] = _barrier_split(
+        "beta_bandwidth", [None], np.zeros(Lv.size, dtype=int), np.array([B]),
+        (Lv, None, eta * Lv / (dv - tv), dv, eta, scenario.noise_over_gain[act]), 1,
+        B * rate / rate.sum(), 0.0, cfg, diag)[1]
     return out
 
 
 # ---------------------------------------------------------------------------
-# CAA: compute allocation (through the slack substitution), per AP
-
-def _slack_roots(mu, L, x, d, w, a):
-    """Per-pair slacks where dE/dt + mu*w/(d-t)^2 = 0 at fixed (L, x),
-    with dE/dt = a*x*phi; the left side rises strictly in t."""
-    return vec_bisect(
-        lambda t: a * x * bracket(L / (x * t) * LN2) + mu * w / (d - t) ** 2 < 0,
-        d * SLACK_BRACKET[0], d * SLACK_BRACKET[1])
-
+# CAA: compute allocation, per AP
 
 def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     """Slack (hence compute) split among one AP's active users at fixed x;
-    the other users keep their deadline as slack. The capacity binds, so
-    one dual search drives mu until the demand sum_i eta*L/(D - t) meets
-    it. Raises when the AP serves no active user, when an active user has
-    no bandwidth, and when the AP's least load (`model.least_load`)
-    reaches its capacity."""
+    the other users keep their deadline as slack. The capacity binds: one
+    budget of `_barrier_split` in q, above each user's least demand
+    eta*L/D, from the split in proportion to it; its dual mu is the price
+    of the AP's compute. Raises when the AP serves no active user, when an
+    active user has no bandwidth, and when the AP's least load
+    (`model.least_load`) reaches its capacity."""
     L, x = np.asarray(L, dtype=float), np.asarray(x, dtype=float)
     act = L[:, ap] > scenario.activity_threshold_bits
     if not act.any():
@@ -343,13 +306,13 @@ def solve_caa(scenario, x, L, ap, cfg: SolveConfig, diag=None):
     if load >= cap:
         raise InfeasibilityError(
             f"AP {ap}: compute demand {load:.6g} exceeds capacity {cap:.6g}", ap=ap)
-    Lv, xv, dv = L[act, ap], x[act, ap], scenario.deadlines_s[act]
-    wv, av = scenario.cycles_per_bit[act] * Lv, scenario.noise_over_gain[act, ap]
+    Lv, dv, eta = L[act, ap], scenario.deadlines_s[act], scenario.cycles_per_bit[act]
+    least = eta * Lv / dv
     q = np.full(act.shape, np.inf)
-    q[act] = _price_budgets(
-        "mu_compute", np.zeros(Lv.size, dtype=int), [ap], np.array([cap]),
-        lambda mu: wv / (dv - _slack_roots(mu, Lv, xv, dv, wv, av)),
-        cfg, increasing=False, diag=diag)[2]
+    q[act] = _barrier_split(
+        "mu_compute", [ap], np.zeros(Lv.size, dtype=int), np.array([cap]),
+        (Lv, x[act, ap], None, dv, eta, scenario.noise_over_gain[act, ap]), 2,
+        least * (cap / load), least, cfg, diag)[1]
     return deadline_slack(scenario.deadlines_s, scenario.cycles_per_bit, L[:, ap], q)
 
 

@@ -43,10 +43,8 @@ class InfeasibilityError(RuntimeError):
 
 
 class BracketError(RuntimeError):
-    """A dual root lies beyond the dual range: a bisection bracket that
-    does not enclose it (`kkt._price_budgets`), or a fixed-data Newton
-    pricing that ends short of its tolerance at an edge of the range
-    (`kkt._price`)."""
+    """A dual root lies beyond the dual range: a fixed-data Newton pricing
+    ends short of its tolerance at an edge of the range (`kkt._price`)."""
 
 
 class ConvergenceError(RuntimeError):
@@ -259,16 +257,16 @@ class SolveConfig:
     max_outer_iters counts the rounds after the start of
     `solve_iterative`, one barrier stage each (`kkt.barrier_stages`),
     whose own allocation a round takes with no re-balance.
-    bisect_tol is the relative tolerance of the budget residual checks
-    and of the duality gap that certifies a re-balance or the dual step's
-    read-off, each one pass with no round budget; the Newton pricings,
-    the dual step included, solve to half of it. It stops none of the
-    fixed counts: the Newton steps of the price oracle and of the
-    bandwidth root, and the bisection references' halvings
-    (kkt.INNER_ITERS per pair, kkt.DUAL_HALVINGS per dual). No residual
-    is certified below float64 resolution, and a bisect_tol below it
-    raises StructuralError. The load below which a pair is frozen is the
-    scenario's (`Scenario.activity_threshold_bits`), not a setting.
+    bisect_tol is the relative tolerance of the budget residual checks,
+    of the duality gap that certifies a re-balance or the dual step's
+    read-off, each one pass with no round budget, and of the stationarity
+    residual of the subproblem references (`kkt._barrier_split`); the
+    Newton pricings, the dual step included, solve to half of it. It
+    stops neither fixed count, the Newton steps of the price oracle and
+    of the bandwidth root. No residual is certified below float64
+    resolution, and a bisect_tol below it raises StructuralError. The
+    load below which a pair is frozen is the scenario's
+    (`Scenario.activity_threshold_bits`), not a setting.
     """
 
     epsilon_j: float = 1e-5

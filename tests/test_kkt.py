@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from mecalloc import (
     Allocation,
     BracketError,
-    ConvergenceError,
     DegenerateInputError,
     DualVariable,
     InfeasibilityError,
@@ -28,11 +27,6 @@ from mecalloc import (
     total_energy,
 )
 from mecalloc import kkt
-from mecalloc.kkt import (
-    _bandwidth_roots,
-    _data_roots,
-    _slack_roots,
-)
 from mecalloc.model import deadline_slack
 from mecalloc.physics import data_marginal, energy_matrix
 from mecalloc.scenario import GenParams, generate, override_parameter
@@ -42,7 +36,6 @@ from util import (
     grid_min_bcaa,
     grid_min_caa,
     grid_min_daa,
-    halving_root,
     make_scenario,
     scalar_energy,
     scalar_energy_q,
@@ -51,87 +44,6 @@ from util import (
 
 def _cfg(scenario, **kw):
     return SolveConfig.for_scenario(scenario, **kw)
-
-
-# --- data roots --------------------------------------------------------
-
-def test_bisect_symmetric_data_split():
-    # two identical pairs: the dual putting half the task on each is the
-    # one whose summed loads meet the task size
-    x = np.array([1.0, 1.0])
-    q = np.array([2.0, 2.0])
-    a = np.array([1.0, 1.0])
-    upper = (1.0 - 1e-6) * 1.0 * q / 1.0
-
-    def total(nu):
-        return float(_data_roots(nu, x, q, 1.0, 1.0, a, upper,
-                                 data_marginal(0.0, x, q, 1.0, 1.0, a)).sum())
-
-    with np.errstate(over="ignore"):
-        nu = halving_root(lambda v: total(v) - 1.0, 0.7, 50.0, tol=1e-12)
-        roots = _data_roots(nu, x, q, 1.0, 1.0, a, upper,
-                            data_marginal(0.0, x, q, 1.0, 1.0, a))
-    assert roots[0] == pytest.approx(0.5, rel=1e-6, abs=0)
-    assert roots[1] == pytest.approx(roots[0], rel=1e-9, abs=0)
-
-
-# --- dual searches -----------------------------------------------------
-
-def _price_each(roots, increasing):
-    """`kkt._price_budgets` with one element per budget, whose share is the
-    dual d (increasing) or 1/d (decreasing) and meets its target at the
-    dual in roots. Returns the duals, the diag records and the count of
-    share calls."""
-    roots = np.asarray(roots, dtype=float)
-    share_of = (lambda d: d) if increasing else (lambda d: 1.0 / d)
-    calls, diag = [], []
-
-    def counted(duals):
-        calls.append(1)
-        return share_of(duals)
-
-    duals, _, _ = kkt._price_budgets("lambda_data", np.arange(roots.size),
-                                     list(range(roots.size)), share_of(roots), counted,
-                                     SolveConfig(), increasing, diag)
-    return duals, diag, len(calls)
-
-
-def test_dual_search_reaches_a_far_root_in_few_probes():
-    # the bisection crosses the 560 decades of DUAL_RANGE in a fixed
-    # DUAL_HALVINGS probes plus the final pass, wherever the root lies; a
-    # fixed doubling of the dual would need over 330 to reach 1e100
-    duals, _, calls = _price_each([1e100], increasing=True)
-    assert calls == kkt.DUAL_HALVINGS + 1 <= 60
-    assert duals == pytest.approx([1e100], rel=1e-12, abs=0)
-
-
-@pytest.mark.parametrize("increasing", [True, False])
-def test_dual_search_solves_a_mixed_lockstep_family(increasing):
-    # one root 200 decades up, one 5 down and one a doubling away, all
-    # bisected in lockstep to the tolerance, under budgets rising or
-    # falling in their duals
-    roots = np.array([1e200, 1e-5, 2.0])
-    duals, diag, _ = _price_each(roots, increasing)
-    assert duals == pytest.approx(roots, rel=1e-12, abs=0)
-    assert [r.iterations for r in diag] == [kkt.DUAL_HALVINGS] * 3
-    assert all(r.residual <= SolveConfig().bisect_tol for r in diag)
-
-
-@pytest.mark.parametrize("root, increasing", [(1e300, True), (1e-300, True),
-                                              (1e300, False), (1e-300, False)])
-def test_dual_search_rejects_roots_outside_its_range(root, increasing):
-    # the budget meets its target only at a dual beyond DUAL_RANGE, so the
-    # bisection ends at the range edge with the residual failing
-    with pytest.raises(BracketError):
-        _price_each([root], increasing)
-
-
-def test_dual_search_names_a_budget_it_cannot_meet():
-    # a share that jumps over its target inside the range: the bisection
-    # closes on the jump, and the residual there names the budget
-    with pytest.raises(ConvergenceError, match="lambda_data 0: budget sum residual"):
-        kkt._price_budgets("lambda_data", np.zeros(1, dtype=int), [0], np.ones(1),
-                           lambda d: np.where(d < 1.0, 0.5, 2.0), SolveConfig(), True)
 
 
 def test_dual_variable_invariants():
@@ -197,23 +109,6 @@ def test_daa_descends_from_any_feasible_split():
         assert cost(L_out) <= cost(L_in) * (1.0 + 1e-9)
 
 
-def test_daa_load_grows_with_its_dual():
-    x = np.array([1.0, 2.0])
-    q = np.array([2.0, 3.0])
-    a = np.array([1.0, 0.5])
-    upper = 0.999 * q
-    with np.errstate(over="ignore"):
-        prev = _data_roots(0.5, x, q, 1.0, 1.0, a, upper,
-                           data_marginal(0.0, x, q, 1.0, 1.0, a))
-        for nu in [0.8, 1.2, 2.0, 4.0]:
-            cur = _data_roots(nu, x, q, 1.0, 1.0, a, upper,
-                              data_marginal(0.0, x, q, 1.0, 1.0, a))
-            assert np.all(cur >= prev - 1e-12)
-            interior = (prev > 0) & (cur < upper)
-            assert np.all(cur[interior] > prev[interior])
-            prev = cur
-
-
 def test_daa_respects_slack_clipping():
     # tight compute: the cap (1 - margin) * D * q / eta binds
     sc = make_scenario([[1.0, 1.0]], bits=1.9, deadline=1.0, eta=1.0,
@@ -252,13 +147,13 @@ def test_daa_freezes_a_crumb_load_and_re_solves_the_row(monkeypatch):
                        eta=1.0, bandwidth=10.0, capacities=10.0)
     x, q = np.full((2, 3), 1.0), np.full((2, 3), 3.0)
     cfg = _cfg(sc)
-    passes, price_budgets = [], kkt._price_budgets
+    passes, barrier_split = [], kkt._barrier_split
 
     def spy(*args, **kwargs):
-        passes.append(price_budgets(*args, **kwargs))
+        passes.append(barrier_split(*args, **kwargs))
         return passes[-1]
 
-    monkeypatch.setattr(kkt, "_price_budgets", spy)
+    monkeypatch.setattr(kkt, "_barrier_split", spy)
     diag = []
     L = solve_daa(sc, x, q, cfg, diag=diag)
     # the first pass gives (0, 2), the third usable pair, a crumb
@@ -276,6 +171,51 @@ def test_daa_freezes_a_crumb_load_and_re_solves_the_row(monkeypatch):
     assert np.allclose(solve_daa(sc, x_frozen, q, cfg, diag=without), L, rtol=1e-8, atol=0)
     assert diag[0].dual.value == pytest.approx(without[0].dual.value, rel=1e-8, abs=0)
     assert diag[0].dual.value != passes[0][0][0]
+
+
+@st.composite
+def _data_split_instances(draw):
+    """A generated scenario of 1-6 users x 1-4 APs with a bandwidth and a
+    compute for each pair, some pairs given neither: each user's usable
+    pairs share 1.2-4 times its least demand eta*T/D, so each row can
+    carry its task."""
+    K = draw(st.integers(1, 6))
+    M = draw(st.integers(1, 4))
+
+    def matrix(elements):
+        return np.array(draw(st.lists(st.lists(elements, min_size=M, max_size=M),
+                                      min_size=K, max_size=K)))
+
+    usable = matrix(st.booleans())
+    shares, weights = matrix(st.floats(0.2, 1.0)), matrix(st.floats(0.05, 1.0))
+    headroom = draw(st.floats(1.2, 4.0))
+    bandwidth = draw(st.floats(2e6, 4e7))
+    sc = generate(GenParams(num_users=K, num_aps=M, deadline_s=draw(st.floats(0.15, 1.0)),
+                            bandwidth_hz=bandwidth, seed=draw(st.integers(0, 2**16))))
+    usable[np.arange(K), np.argmax(weights, axis=1)] = True
+    weights = np.where(usable, weights, 0.0)
+    least = sc.cycles_per_bit * sc.task_bits / sc.deadlines_s
+    q = headroom * least[:, None] * weights / weights.sum(axis=1, keepdims=True)
+    return sc, np.where(usable, bandwidth * shares / K, 0.0), q
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_data_split_instances())
+def test_daa_properties_on_random_instances(instance):
+    # every row meets its task, and every interior load of a row with two
+    # or more active pairs has the marginal energy of its row's price
+    sc, x, q = instance
+    diag = []
+    L = solve_daa(sc, x, q, _cfg(sc), diag=diag)
+    np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
+    assert [r.dual.owner for r in diag] == list(range(sc.num_users))
+    price = np.array([r.dual.value for r in diag])
+    i, j = np.nonzero(L > 0)
+    d, eta = sc.deadlines_s[i], sc.cycles_per_bit[i]
+    cap = (1.0 - kkt.SLACK_MARGIN) * d * q[i, j] / eta
+    inner = (L[i, j] < cap) & ((L > 0).sum(axis=1)[i] >= 2)
+    g = data_marginal(L[i, j], x[i, j], q[i, j], d, eta, sc.noise_over_gain[i, j])
+    np.testing.assert_allclose(g[inner], price[i][inner], rtol=1e-9, atol=0)
 
 
 # --- bandwidth allocation ----------------------------------------------
@@ -311,35 +251,6 @@ def test_baa_matches_grid_oracle():
         + scalar_energy(1.0, x[1, 0], 0.4, a[1])
     e_star, _ = grid_min_baa([2.0, 1.0], [0.5, 0.4], a, 10.0)
     assert e_solver <= e_star * (1.0 + 1e-3)
-
-
-def test_baa_roots_shrink_as_dual_grows():
-    L = np.array([2.0, 1.0])
-    t = np.array([0.5, 0.4])
-    a = np.array([1.0, 5.0])
-    prev = _bandwidth_roots(1e-3, L, t, a)
-    for beta in [1e-2, 1e-1, 1.0]:
-        cur = _bandwidth_roots(beta, L, t, a)
-        assert np.all(cur < prev)
-        prev = cur
-
-
-def test_baa_roots_meet_their_stationarity_condition():
-    # SI magnitudes: noise-to-gain ratios a, slacks t and prices beta put
-    # z = L*ln2/(x*t) between about 0.5 and 610
-    bandwidth = 1e7
-    a, t = np.meshgrid([1e-17, 1e-14, 1e-11], [0.05, 0.5])
-    a, t = a.ravel(), t.ravel()
-    L = np.full(a.shape, 1e6)
-    above = False
-    for beta in np.logspace(-12, 250, 27):
-        x = _bandwidth_roots(beta, L, t, a)
-        u = L / (x * t)
-        resid = a * t * (2.0 ** u * (1.0 - u * math.log(2.0)) - 1.0) + beta
-        assert np.all(np.abs(resid) <= 1e-9 * beta), beta
-        above |= bool(np.any(x > bandwidth))
-    # cheap bandwidth gives some pairs more than the whole system has
-    assert above
 
 
 def test_baa_needs_an_active_pair():
@@ -401,19 +312,6 @@ def test_caa_matches_grid_oracle():
         + scalar_energy_q(4.0, 6.0, q[1], 1.0, 1.0, a[1])
     e_star, _ = grid_min_caa([2.0, 4.0], [4.0, 6.0], [1.0, 1.0], 1.0, 10.0, a)
     assert e_solver <= e_star * (1.0 + 1e-3)
-
-
-def test_caa_slack_shrinks_as_dual_grows():
-    L = np.array([2.0, 4.0])
-    x = np.array([4.0, 6.0])
-    d = np.array([1.0, 1.0])
-    w = L.copy()
-    a = np.array([1.0, 2.0])
-    prev = _slack_roots(1e-3, L, x, d, w, a)
-    for mu in [1e-2, 1e-1, 1.0]:
-        cur = _slack_roots(mu, L, x, d, w, a)
-        assert np.all(cur < prev)
-        prev = cur
 
 
 def test_caa_overloaded_ap_is_named():

@@ -355,14 +355,15 @@ def _start42(deadline):
 
 
 def test_the_solve_path_never_calls_the_bisection_references(monkeypatch):
-    # solve_daa, solve_baa and solve_caa are references for the tests, so
-    # the fixed halving count of their dual searches costs no solve any
-    # time; at D = 0.2 s both starts are certified by the dual step, and
-    # the 6x3 draw, whose dual step returns no split, runs barrier rounds
+    # solve_daa, solve_baa and solve_caa, once bisections and now barriers
+    # on one coordinate, are references for the tests, so their step costs
+    # no solve any time; at D = 0.2 s both starts are certified by the dual
+    # step, and the 6x3 draw, whose dual step returns no split, runs
+    # barrier rounds
     def refuse(*args, **kwargs):
-        raise AssertionError("a bisection reference ran on the solve path")
+        raise AssertionError("a subproblem reference ran on the solve path")
 
-    monkeypatch.setattr(kkt, "_price_budgets", refuse)
+    monkeypatch.setattr(kkt, "_barrier_split", refuse)
     sc, cfg = _start42(0.2)
     for strategy in (InitStrategy.equal(), InitStrategy.binary()):
         assert solve_iterative(sc, strategy, cfg).trace.outer_energies_j

@@ -119,19 +119,6 @@ def decimal_hessian(f, v):
     return H
 
 
-def halving_root(f, lo, hi, tol=1e-12):
-    """Root of a monotone scalar f on [lo, hi] by plain interval halving."""
-    f_lo = f(lo)
-    assert (f_lo > 0) != (f(hi) > 0), "bracket must enclose a sign change"
-    while hi - lo > tol * max(1.0, abs(lo)):
-        mid = 0.5 * (lo + hi)
-        if (f(mid) > 0) == (f_lo > 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def grid_min_daa(bits, x, q, deadline, eta, noise_over_gain, points=10001):
     """Exhaustive split of one task over two APs at fixed resources."""
     best = (math.inf, None)
