@@ -15,16 +15,16 @@ by one dual:
              in the 1 + M log prices, with `physics.price_oracle` giving
              each pair's minimiser (`_price`), reads (x, q) off them and
              certifies them by the duality gap (`_read_off`);
-  joint_split: the data split of the outer loop's fast dual step: the
+  joint_split: the outer loop's first candidate, the fast dual step: the
              soft-argmin split of a log-sum-exp smoothing of the joint dual
              G(beta, mu) = sum_i T_i*min_j e_ij - beta*B - sum_j mu_j*C_j
              (`joint_dual`), maximised by Newton steps in the same prices,
              with its (x, q) read off and certified as in solve_bcaa;
   pair_costs: every pair's cost per bit e_ij at given prices, the
              minimand of the joint dual;
-  barrier_stages: the outer rounds after the dual step, the centring
-             stages of a barrier method on the whole problem in (L, x, q),
-             each with its own allocation and multipliers.
+  barrier_stages: the candidates after it, the centring stages of a
+             barrier method on the whole problem in (L, x, q); each
+             candidate is one record (`Candidate`).
 
 Every derivative comes from the pair model in `physics`. The first three
 are references for the tests, off the solve path. They share one step,
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -60,6 +61,7 @@ from .model import (
     SolveConfig,
     StructuralError,
     deadline_slack,
+    least_bandwidth,
     least_load,
 )
 from .physics import (
@@ -100,6 +102,10 @@ GAP_TOL = 1e-5
 # and half the Newton decrement at which a stage of `barrier_stages` is centred
 BARRIER_GROWTH = 20.0
 CENTRING_TOL = 1e-9
+
+
+# one outer-loop answer: an allocation, its prices, its energy and the joint dual at them
+Candidate = namedtuple("Candidate", "L x q beta mus energy bound")
 
 
 @dataclass(frozen=True)
@@ -562,13 +568,12 @@ def joint_split(scenario, cfg: SolveConfig):
     it goes no lower than the kappa at which the bound on S meets the
     target, and the continuation stops when the last kappa was there.
 
-    Returns (L, G, (beta, mus), allocation) of the last stage that met
-    the tolerance: L = T*w at its soft-argmin weights, loads at or below
-    the activity threshold dropped and each row rescaled onto its task; G
-    read off the oracle of its last accepted iterate; its prices, where
-    `joint_dual` is G; and the (x, q, E) `_read_off` certifies at those
-    prices and split L, or None when it misses the certificate. None when
-    the first stage fails.
+    Returns the `Candidate` of the last stage that met the tolerance:
+    L = T*w at its soft-argmin weights, loads at or below the activity
+    threshold dropped and each row rescaled onto its task; its prices; the
+    (x, q, E) `_read_off` certifies at them; and G read off the oracle of
+    its last accepted iterate, where `joint_dual` is G. None when the
+    first stage fails or the read-off misses its certificate.
     """
     cap = scenario.compute_capacity
     beta, mus = _price(scenario, scenario.task_bits[:, None] / (cap.sum() / cap), cfg)[0]
@@ -595,7 +600,7 @@ def joint_split(scenario, cfg: SolveConfig):
         bound, least = joint_dual(scenario, p[0], p[1:], e), bits @ e.min(axis=1)
         bias = bits @ (w * e).sum(axis=1) - least
         w[bits[:, None] * w <= scenario.activity_threshold_bits] = 0.0
-        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, (p[0], p[1:]), oracle)
+        best = (bits[:, None] * w / w.sum(axis=1, keepdims=True), bound, p, oracle)
         target = 0.5 * GAP_TOL * (bound + bias)
         if stage < len(JOINT_SMOOTHING):
             kappa = JOINT_SMOOTHING[stage]
@@ -605,22 +610,23 @@ def joint_split(scenario, cfg: SolveConfig):
             break
     if best is None:
         return None
-    L, bound, (beta, mus), oracle = best
+    L, bound, p, oracle = best
     inputs = _pricing_inputs(scenario, L)
     act = inputs[0].ravel()
     try:
-        allocation = _read_off(scenario, L, cfg, inputs, np.append(beta, mus[inputs[-1]]),
-                               *(v[act] for v in oracle))
+        x, q, energy = _read_off(scenario, L, cfg, inputs, np.append(p[0], p[1:][inputs[-1]]),
+                                 *(v[act] for v in oracle))
     except (ConvergenceError, InfeasiblePairError):
-        allocation = None
-    return L, bound, (beta, mus), allocation
+        return None
+    return Candidate(L, x, q, p[0], p[1:], energy, bound)
 
 
 def barrier_stages(scenario):
     """The centring stages of a primal barrier method on the convex
     problem in (L, x, q) (Boyd & Vandenberghe, Convex Optimization,
-    ch. 11), each as (L, x, q, beta, mus): its allocation and budget
-    multipliers.
+    ch. 11), each a `Candidate`: its allocation, its budget multipliers as
+    prices, its energy (one `physics.energy_matrix` call) and the joint
+    dual at them.
 
     Over each pair's shares l = L/T, xi = x/B and rho = q/C, a stage
     minimises tau*E - sum log l - sum log xi - sum log(D*q - eta*L) by
@@ -691,6 +697,7 @@ def barrier_stages(scenario):
                 break
             z, (E, barrier, room), s_last, last = z_try, trial, s, decrement
         prices = np.maximum(nu[K:] / (tau * np.append(B, cap)), DUAL_RANGE[0])
+        beta, mus = prices[0], prices[1:]
         L, x, q = np.moveaxis((z * scale).reshape(K, M, 3), 2, 0)
         off = L <= scenario.activity_threshold_bits
         L[off] = x[off] = q[off] = 0.0
@@ -698,7 +705,8 @@ def barrier_stages(scenario):
         x *= B / x.sum()
         served = q.sum(axis=0) > 0.0
         q[:, served] *= cap[served] / q[:, served].sum(axis=0)
-        yield L, x, q, prices[0], prices[1:]
+        yield Candidate(L, x, q, beta, mus, float(energy_matrix(scenario, L, x, q).sum()),
+                        joint_dual(scenario, beta, mus))
         if steps == 0:
             return
         tau *= BARRIER_GROWTH
@@ -714,7 +722,8 @@ def _price(scenario, L, cfg, diag=None):
     The pricing starts from `_start_prices` at the slack D*(1 - load_j/C_j)
     of the capacity split proportional to eta*L/D. Only APs that serve an
     active pair are priced; one whose `model.least_load` reaches its
-    capacity raises InfeasibilityError. A Newton solve that ends short of
+    capacity raises InfeasibilityError, as does a bandwidth budget at or
+    below `model.least_bandwidth`. A Newton solve that ends short of
     its tolerance with a price at an edge of DUAL_RANGE raises
     BracketError: the root lies beyond the range, or the solve stalled
     there. diag, when a list, receives one record per final price
@@ -726,6 +735,9 @@ def _price(scenario, L, cfg, diag=None):
     inputs = act, pairs, col, budgets, aps = _pricing_inputs(scenario, L)
     if not act.any():
         raise DegenerateInputError("no active pairs")
+    if (need := least_bandwidth(scenario)) >= budgets[0]:
+        raise InfeasibilityError(f"bandwidth {budgets[0]:.6g} Hz is {need - budgets[0]:.6g} Hz "
+                                 f"short of the {need:.6g} Hz the exponent cap needs")
     load, cap = least_load(scenario, L, act), scenario.compute_capacity
     if (over := load >= cap).any():
         j = int(np.argmax(over))

@@ -381,14 +381,21 @@ def least_load(scenario, data, act):
                     0.0).sum(axis=0)
 
 
+def least_bandwidth(scenario):
+    """sum_i T_i/(EXPONENT_CAP*D_i), below every allocation's bandwidth: a
+    loaded pair's slack is below D, and `pair_fault` caps L/(x*t)."""
+    return float((scenario.task_bits / scenario.deadlines_s).sum() / EXPONENT_CAP)
+
+
 def validate(scenario, allocation, cfg):
     """Check an allocation against every constraint; pure function.
 
     Returns a ValidationReport of the violated constraints with residuals:
-    the aggregate demand, the budget equalities, the faults of the pair
-    rule (`check_pairs`) and each AP whose `least_load` reaches its
-    capacity. Structural problems (shape mismatch, NaN, negatives) raise
-    StructuralError instead of being reported.
+    the aggregate compute and bandwidth demands (`least_bandwidth`), the
+    budget equalities, the faults of the pair rule (`check_pairs`) and
+    each AP whose `least_load` reaches its capacity. Structural problems
+    (shape mismatch, NaN, negatives) raise StructuralError instead of
+    being reported.
     """
     if allocation.data.shape != (scenario.num_users, scenario.num_aps):
         raise StructuralError(
@@ -401,6 +408,9 @@ def validate(scenario, allocation, cfg):
     if total_demand >= total_cap:
         bad.append(Violation("aggregate compute demand exceeds capacity", (),
                              total_demand / total_cap - 1.0))
+    if (need := least_bandwidth(scenario)) >= scenario.bandwidth_hz:
+        bad.append(Violation("aggregate bandwidth demand exceeds budget", (),
+                             need / scenario.bandwidth_hz - 1.0))
 
     for name, res in budget_residuals(scenario, allocation).items():
         if res > cfg.bisect_tol:

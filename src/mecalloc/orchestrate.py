@@ -1,31 +1,30 @@
 """Outer iteration, initialization strategies, baselines and metrics.
 
-The full solver minimises the energy over (L, x, q), a convex problem.
-The start is the dual step, the fast path: the split the joint
-Lagrangian dual's prices choose (`kkt.joint_split`) from those of the
-capacity split, whatever the initial split L0, with the allocation read
-off those prices and certified like a re-balance's, so no re-balance
-runs. Every round after it takes the next centring stage of a barrier
-method on the whole problem (`kkt.barrier_stages`) with the stage's own
-allocation, again with no re-balance; those rounds certify every draw
-the dual step cannot, one whose optimum leaves an AP idle included. The
-one stop rule is the certificate of the joint dual G (`kkt.joint_dual`),
-read at the dual step's prices and at each stage's multipliers.
+The full solver minimises the energy over (L, x, q), a convex problem,
+by one loop over candidates (`kkt.Candidate`): an allocation with its
+prices, its energy and the joint dual G at those prices, which bounds
+every feasible energy. The first is the dual step, the fast path
+(`kkt.joint_split`): the split the joint dual's prices choose, with the
+allocation read off them. Then come the centring stages of a barrier
+method on the whole problem (`kkt.barrier_stages`), which certify every
+draw the dual step cannot, one whose optimum leaves an AP idle included.
+No candidate runs a re-balance. The one stop rule is the certificate:
+the lowest energy within GAP_TOL of the largest G.
 
-Every energy the loop compares is one `physics.energy_matrix` call. The
-outer loop calls `solve_daa` no longer; the module keeps the name because
-the bench tracer (`perfbench/tracer.py`) patches it here.
+The outer loop calls `solve_daa` no longer; the module keeps the name
+because the bench tracer (`perfbench/tracer.py`) patches it here.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from .kkt import GAP_TOL, barrier_stages, joint_dual, joint_split, solve_bcaa
+from .kkt import GAP_TOL, barrier_stages, joint_split, solve_bcaa
 from .kkt import solve_daa  # noqa: F401  (see above)
 from .model import (
     Allocation,
@@ -90,12 +89,10 @@ class InitStrategy:
 class SolveTrace:
     """Per-outer-round record: the energy after each round and its cost.
 
-    Entry 0 is the start (`solve_iterative`). inner_iteration_counts
-    holds the re-balances (`kkt.solve_bcaa`, one pass each) each entry
-    ran: 1 for a fixed-data solve, and 0 at every entry of
-    `solve_iterative`, whose start and rounds read their allocations off
-    the dual step's prices or a barrier stage. A start the Lagrangian
-    bound certifies is the only entry.
+    Entry 0 is the start. inner_iteration_counts holds the re-balances
+    (`kkt.solve_bcaa`, one pass each) each entry ran: 1 for a fixed-data
+    solve, and 0 at every candidate of `solve_iterative`. A start the
+    Lagrangian bound certifies is the only entry.
     """
 
     outer_energies_j: tuple
@@ -160,53 +157,34 @@ def initialize(scenario: Scenario, strategy: InitStrategy):
 
 def solve_iterative(scenario: Scenario, strategy: Optional[InitStrategy] = None,
                     cfg: Optional[SolveConfig] = None) -> Solution:
-    """The dual step, then barrier stages until the joint Lagrangian
-    bound certifies the energy.
-
-    The start (entry 0 of the trace) is the dual step (`kkt.joint_split`),
-    its allocation read off its prices and certified, at no re-balance.
-    Each round after it takes the next stage of `kkt.barrier_stages` and
-    keeps the stage's own allocation when its energy is lower than the
-    held one's. When the dual step holds no answer (a stage missed its
-    tolerance, or the read-off its certificate), the first stage is the
-    start. Neither step reads an initial split: the problem is convex.
-    strategy is accepted, and not read, for the bench and the acceptance
-    criteria, which pass one.
-
-    The joint dual G (`kkt.joint_dual`) at any prices bounds every answer;
-    lower_bound_j is the largest G seen: at the dual step's prices and at
-    each stage's multipliers. The solve stops, converged, once the energy
-    E is within GAP_TOL*E of it, and unconverged after cfg.max_outer_iters
-    rounds or when the stages end.
+    """One loop over the candidates (`kkt.Candidate`): the dual step's
+    (`kkt.joint_split`), when it returns one, then each stage of
+    `kkt.barrier_stages`. Entry k of the trace is the lowest energy E of
+    the first k + 1; lower_bound_j is their largest joint dual G, which
+    bounds every answer. The solve stops, converged, once E is within
+    GAP_TOL*E of it, and unconverged after cfg.max_outer_iters rounds
+    after entry 0 or when the stages end. No candidate reads an initial
+    split, as the problem is convex; strategy is accepted, and not read,
+    for the bench and the acceptance criteria, which pass one.
     """
     cfg = cfg or SolveConfig()
-    x, energy, lower, t0 = None, np.inf, -np.inf, time.perf_counter()
-    outer, walls = [], []
-    dual = joint_split(scenario, cfg)
-    if dual is not None:
-        L_dual, lower, _, allocation = dual
-        if allocation is not None:
-            L, (x, q, energy) = L_dual, allocation
-            outer, walls = [energy], [time.perf_counter() - t0]
-    stages = barrier_stages(scenario)
-    while x is None or energy - lower > GAP_TOL * energy:
-        t_iter = time.perf_counter() if outer else t0
-        if len(outer) > cfg.max_outer_iters or (stage := next(stages, None)) is None:
+    best, lower, outer, ends = None, -np.inf, [], [time.perf_counter()]
+    for c in itertools.chain(filter(None, [joint_split(scenario, cfg)]), barrier_stages(scenario)):
+        lower = max(lower, c.bound)
+        if best is None or c.energy < best.energy:
+            best = c
+        outer.append(best.energy)
+        ends.append(time.perf_counter())
+        if best.energy - lower <= GAP_TOL * best.energy or len(outer) > cfg.max_outer_iters:
             break
-        L_try, x_try, q_try, beta, mus = stage
-        lower = max(lower, joint_dual(scenario, beta, mus))
-        if (e_try := float(energy_matrix(scenario, L_try, x_try, q_try).sum())) < energy:
-            L, x, q, energy = L_try, x_try, q_try, e_try
-        outer.append(energy)
-        walls.append(time.perf_counter() - t_iter)
-    if x is None:
+    if best is None:
         raise ConvergenceError("the barrier method starts outside its domain")
 
     return Solution(
-        allocation=Allocation(data=L, bandwidth=x, compute=q),
-        energy_j=energy,
-        trace=SolveTrace(tuple(outer), (0,) * len(outer), tuple(walls)),
-        converged=energy - lower <= GAP_TOL * energy,
+        allocation=Allocation(data=best.L, bandwidth=best.x, compute=best.q),
+        energy_j=best.energy,
+        trace=SolveTrace(tuple(outer), (0,) * len(outer), tuple(np.diff(ends).tolist())),
+        converged=best.energy - lower <= GAP_TOL * best.energy,
         lower_bound_j=lower,
     )
 
@@ -217,9 +195,8 @@ def solve_fixed_data(scenario: Scenario, L, cfg: Optional[SolveConfig] = None) -
     t0 = time.perf_counter()
     x, q = solve_bcaa(scenario, L, cfg or SolveConfig())[:2]
     e = float(energy_matrix(scenario, L, x, q).sum())
-    allocation = Allocation(data=L, bandwidth=x, compute=q)
     return Solution(
-        allocation=allocation,
+        allocation=Allocation(data=L, bandwidth=x, compute=q),
         energy_j=e,
         trace=SolveTrace((e,), (1,), (time.perf_counter() - t0,)),
         converged=True,

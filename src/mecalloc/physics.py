@@ -6,7 +6,7 @@ operated at minimal power under a hard deadline,
     E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q.
 
 It is written once, in the vectorised `energy`, `bracket` and
-`data_marginal` that the KKT roots in `kkt` evaluate, all through one
+`data_marginal` (dE/dL, which `partials` reads), all through one
 primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
 (`exponent_root`) and a pair's cheapest cost per bit at given prices
 (`price_oracle`) take the same Newton step in ln z, a fixed count of

@@ -499,9 +499,9 @@ def test_joint_dual_jacobian_matches_central_differences(tight42, kappa):
     # the smoothed joint dual near the prices of the dual step, where the
     # soft-argmin splits a user over two or more APs
     sc, _, cfg = tight42
-    _, _, prices, _ = kkt.joint_split(sc, cfg)
+    dual = kkt.joint_split(sc, cfg)
     bits, pairs, col, budgets = _full_split_inputs(sc)
-    y = np.log(np.append(*prices)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
+    y = np.log(np.append(dual.beta, dual.mus)) + kappa * np.array([3.0, -2.0, 1.0, 2.5, -3.0])
     p = np.exp(y)
     e = kkt.price_oracle(p[0], p[1:][col], *pairs[1:])[0]
     tau = kappa * e.reshape(sc.num_users, -1).min(axis=1)
@@ -529,17 +529,18 @@ def test_joint_split_bound_is_the_joint_dual_at_its_prices(params, deadline):
     sc = generate(params)
     if deadline is not None:
         sc = override_parameter(sc, "deadline_s", deadline)
-    _, bound, prices, _ = kkt.joint_split(sc, _cfg(sc))
-    assert bound == kkt.joint_dual(sc, *prices)
+    dual = kkt.joint_split(sc, _cfg(sc))
+    assert dual.bound == kkt.joint_dual(sc, dual.beta, dual.mus)
 
 
 def test_joint_split_returns_its_prices_and_an_active_split():
     # the prices come back as (beta, mus), one per AP, where the joint dual
     # is the bound; every load is zero or above the activity threshold
     sc = override_parameter(generate(GenParams(seed=42)), "deadline_s", 0.4)
-    L, bound, (beta, mus), _ = kkt.joint_split(sc, _cfg(sc))
+    dual = kkt.joint_split(sc, _cfg(sc))
+    L, beta, mus = dual.L, dual.beta, dual.mus
     assert np.shape(beta) == () and mus.shape == (sc.num_aps,)
-    assert bound == kkt.joint_dual(sc, beta, mus)
+    assert dual.bound == kkt.joint_dual(sc, beta, mus)
     assert np.all((L == 0.0) | (L > sc.activity_threshold_bits))
     np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
 
@@ -556,7 +557,7 @@ def test_the_dual_step_reads_off_what_a_warm_rebalance_of_its_split_reaches(para
     if deadline is not None:
         sc = override_parameter(sc, "deadline_s", deadline)
     cfg = _cfg(sc)
-    L, _, (beta, mus), (x, q, energy) = kkt.joint_split(sc, cfg)
+    L, x, q, beta, mus, energy, _ = kkt.joint_split(sc, cfg)
     inputs = _, pairs, col, budgets, aps = kkt._pricing_inputs(sc, L)
     y, _, oracle, _ = kkt._newton(lambda y: kkt._budget_system(y, pairs, col, budgets),
                                   np.log(np.append(beta, mus[aps])), 0.5 * cfg.bisect_tol)
@@ -656,10 +657,10 @@ def test_joint_split_certifies_the_tight_deadline_split_within_116_systems(tight
     # close it, and the Newton solve's step memory pays for them
     sc, _, cfg = tight42
     calls = _count_joint_systems(monkeypatch)
-    L, bound, _, _ = kkt.joint_split(sc, cfg)
+    dual = kkt.joint_split(sc, cfg)
     assert len(calls) <= 116
-    energy = solve_fixed_data(sc, L, cfg).energy_j
-    assert energy - bound <= kkt.GAP_TOL * energy
+    energy = solve_fixed_data(sc, dual.L, cfg).energy_j
+    assert energy - dual.bound <= kkt.GAP_TOL * energy
 
 
 def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tight42,
@@ -684,26 +685,28 @@ def test_a_continuation_stage_that_misses_its_tolerance_keeps_the_last_stage(tig
 
     monkeypatch.setattr(kkt, "_price", price_the_capacity_split)
     monkeypatch.setattr(kkt, "_newton", stall_after_the_fixed_stages)
-    L, bound, prices, _ = kkt.joint_split(sc, cfg)
+    dual = kkt.joint_split(sc, cfg)
     assert len(stalls) == 1 and np.abs(stalls[0]).max() > 0.5 * cfg.bisect_tol
     assert len(ends) == len(kkt.JOINT_SMOOTHING)
-    np.testing.assert_allclose(np.log(np.append(*prices)), ends[-1], rtol=1e-15, atol=0)
-    assert bound == kkt.joint_dual(sc, *prices)
-    np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(np.log(np.append(dual.beta, dual.mus)), ends[-1], rtol=1e-15,
+                               atol=0)
+    assert dual.bound == kkt.joint_dual(sc, dual.beta, dual.mus)
+    np.testing.assert_allclose(dual.L.sum(axis=1), sc.task_bits, rtol=1e-12, atol=0)
 
 
 def test_barrier_stages_keep_every_budget_and_close_their_gap():
     # this draw's dual step returns no split. Each centring stage's
     # allocation is zero at every pair at or below the activity threshold,
     # keeps every budget to bisect_tol and is one the pair rule accepts,
-    # and its multipliers are prices. The joint dual at them rises to
+    # and its multipliers are prices. The stage's record holds the energy
+    # of its allocation and the joint dual at its prices, which rises to
     # within GAP_TOL of the energy of the fourth stage's allocation, and
     # never exceeds that energy; the solve runs no re-balance
     sc = generate(GenParams(num_users=6, num_aps=3, deadline_s=0.5, seed=13))
     cfg = _cfg(sc)
     cap, tol = sc.compute_capacity, cfg.bisect_tol
     bounds = []
-    for L, x, q, beta, mus in itertools.islice(kkt.barrier_stages(sc), 4):
+    for L, x, q, beta, mus, stage_energy, bound in itertools.islice(kkt.barrier_stages(sc), 4):
         off = L <= sc.activity_threshold_bits
         assert np.all(L[off] == 0.0) and np.all(x[off] == 0.0) and np.all(q[off] == 0.0)
         np.testing.assert_allclose(L.sum(axis=1), sc.task_bits, rtol=tol, atol=0)
@@ -712,7 +715,8 @@ def test_barrier_stages_keep_every_budget_and_close_their_gap():
         np.testing.assert_allclose(q.sum(axis=0)[served], cap[served], rtol=tol, atol=0)
         assert np.all(x[~off] > 0.0) and beta > 0 and np.all(mus > 0)
         energy = float(energy_matrix(sc, L, x, q).sum())
-        bounds.append(kkt.joint_dual(sc, beta, mus))
+        assert stage_energy == energy and bound == kkt.joint_dual(sc, beta, mus)
+        bounds.append(bound)
     assert np.all(np.diff(bounds) > 0) and bounds[-1] <= energy
     assert energy - bounds[-1] <= kkt.GAP_TOL * energy
     sol = solve_iterative(sc, cfg=cfg)
@@ -724,7 +728,7 @@ def test_barrier_stages_of_a_single_pair_stop_after_their_one_point():
     # one user on one AP: every budget pins its one share, so the first
     # stage takes no step and is the last, its allocation every budget
     sc = generate(GenParams(num_users=1, num_aps=1, seed=4))
-    (L, x, q, beta, mus), = kkt.barrier_stages(sc)
+    (L, x, q, *_), = kkt.barrier_stages(sc)
     assert np.array_equal(L, sc.task_bits[:, None])
     assert x[0, 0] == sc.bandwidth_hz and q[0, 0] == sc.compute_capacity[0]
 

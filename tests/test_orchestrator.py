@@ -24,6 +24,7 @@ from mecalloc import (
     validate,
 )
 from mecalloc import kkt, orchestrate
+from mecalloc.model import least_bandwidth
 from mecalloc.orchestrate import check_solution
 from mecalloc.physics import data_marginal, price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
@@ -401,7 +402,7 @@ def test_a_dual_split_equal_to_the_initial_split_costs_no_rebalance(deadline, mo
     sc, cfg = _start42(deadline)
     steps = _spy_dual_step(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.binary(), cfg)
-    assert np.array_equal(steps[0][0], initialize(sc, InitStrategy.binary()))
+    assert np.array_equal(steps[0].L, initialize(sc, InitStrategy.binary()))
     assert sol.trace.inner_iteration_counts[0] == 0
 
 
@@ -415,9 +416,9 @@ def test_joint_dual_at_the_dual_step_prices_bounds_the_answer(instance):
     with pytest.MonkeyPatch.context() as mp:
         steps = _spy_dual_step(mp)
         sol = solve_iterative(sc, strategy, cfg)
-    for _, bound, prices, _ in filter(None, steps):
-        G = kkt.joint_dual(sc, *prices)
-        assert bound == G <= sol.energy_j * (1.0 + 1e-12)
+    for dual in filter(None, steps):
+        G = kkt.joint_dual(sc, dual.beta, dual.mus)
+        assert dual.bound == G <= sol.energy_j * (1.0 + 1e-12)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -552,6 +553,28 @@ def test_the_tight_deadline_start_is_certified_with_no_gradient_round():
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
+@pytest.mark.parametrize("solve", [
+    solve_iterative,
+    lambda sc: solve_fixed_assignment(sc, best_snr_assignment(sc)),
+    lambda sc: solve_fixed_data(sc, initialize(sc, InitStrategy.equal())),
+], ids=["iterative", "binary-best-ap", "fixed-equal"])
+def test_a_bandwidth_below_the_exponent_cap_demand_is_infeasible(solve):
+    # each loaded pair needs x > L/(EXPONENT_CAP*D), so this task needs
+    # more than 1.32e5 Hz of the 1e5 Hz there is: every method reports
+    # infeasibility with the shortfall, not a missed tolerance, and
+    # validate reports the rule for any allocation
+    sc = generate(GenParams(num_users=1, num_aps=6, deadline_s=0.15, bandwidth_hz=1e5,
+                            capacity_cps=1e12, task_bits=2e7, seed=43))
+    assert least_bandwidth(sc) == pytest.approx(1.32028e5, rel=1e-5)
+    with pytest.raises(InfeasibilityError, match="short of the 132028 Hz"):
+        solve(sc)
+    L = initialize(sc, InitStrategy.equal())
+    alloc = Allocation(L, np.full(L.shape, sc.bandwidth_hz / sc.num_aps),
+                       np.tile(sc.compute_capacity, (sc.num_users, 1)))
+    constraints = [v.constraint for v in validate(sc, alloc, SolveConfig()).violations]
+    assert "aggregate bandwidth demand exceeds budget" in constraints
+
+
 @pytest.mark.parametrize("users, aps, deadline, seed, ceiling", [
     # the optimum leaves AP 1 idle; a dual step that held an idle AP's
     # price at the floor of DUAL_RANGE certified the start at
@@ -567,8 +590,7 @@ def test_a_draw_the_dual_step_cannot_certify_is_certified_by_barrier_rounds(
         users, aps, deadline, seed, ceiling):
     sc = generate(GenParams(num_users=users, num_aps=aps, deadline_s=deadline, seed=seed))
     cfg = SolveConfig.for_scenario(sc)
-    dual = kkt.joint_split(sc, cfg)
-    assert dual is None or dual[3] is None
+    assert kkt.joint_split(sc, cfg) is None
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.converged and sol.outer_iterations >= 1
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
@@ -620,16 +642,17 @@ def test_a_declined_dual_step_takes_its_bound_from_the_rounds(monkeypatch):
 
 
 def test_a_solve_with_gradient_rounds_is_bounded_at_its_final_prices(monkeypatch):
-    # each round, the start included here, reads the joint dual once, at
-    # its barrier stage's multipliers; the solve stops at the first energy
-    # within GAP_TOL of the largest
-    bounds, joint_dual = [], orchestrate.joint_dual
+    # each round, the start included here, is a barrier stage whose record
+    # holds the joint dual at its multipliers; the solve stops at the first
+    # energy within GAP_TOL of the largest
+    bounds, stages = [], orchestrate.barrier_stages
 
     def spy(*args):
-        bounds.append(joint_dual(*args))
-        return bounds[-1]
+        for stage in stages(*args):
+            bounds.append(stage.bound)
+            yield stage
 
-    monkeypatch.setattr(orchestrate, "joint_dual", spy)
+    monkeypatch.setattr(orchestrate, "barrier_stages", spy)
     sol = solve_iterative(_rounds_draw(), InitStrategy.equal())
     energies = np.array(sol.trace.outer_energies_j)
     assert len(bounds) == energies.size > 1
@@ -679,23 +702,26 @@ def test_the_lower_bound_never_exceeds_the_energy_of_any_start(instance):
 
 
 def test_a_dual_split_without_an_allocation_starts_from_the_first_barrier_stage(monkeypatch):
-    # every task on AP 0 needs more compute than the AP has, so no
-    # allocation is read off that dual split: the start is the first
-    # barrier stage's own allocation, neither that split's nor the initial
-    # one's, no re-balance runs, and the dual step's bound still counts
+    # a dual step whose read-off misses its certificate returns no
+    # candidate: the start is the first barrier stage's own allocation,
+    # not the initial split's, no re-balance runs, and the rounds certify
+    # the dual step's energy
     sc, cfg = _start42(0.4)
-    over = np.zeros((sc.num_users, sc.num_aps))
-    over[:, 0] = sc.task_bits
-    dual = orchestrate.joint_split(sc, cfg)
-    monkeypatch.setattr(orchestrate, "joint_split", lambda *args: (over, *dual[1:3], None))
+    dual = kkt.joint_split(sc, cfg)
+
+    def miss(*args):
+        raise ConvergenceError("fixed-data duality gap above bisect_tol")
+
+    monkeypatch.setattr(kkt, "_read_off", miss)
+    assert kkt.joint_split(sc, cfg) is None
     calls = _spy_rebalances(monkeypatch)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
-    L, x, q = next(kkt.barrier_stages(sc))[:3]
-    assert sol.trace.outer_energies_j[0] == total_energy(sc, Allocation(L, x, q))
+    L, x, q, _, _, energy, bound = next(kkt.barrier_stages(sc))
+    assert sol.trace.outer_energies_j[0] == total_energy(sc, Allocation(L, x, q)) == energy
     assert calls == []
     assert sol.trace.inner_iteration_counts == (0,) * len(sol.trace.outer_energies_j)
-    assert sol.converged and sol.lower_bound_j >= dual[1]
-    assert sol.energy_j == pytest.approx(dual[3][2], rel=orchestrate.GAP_TOL, abs=0)
+    assert sol.converged and sol.lower_bound_j >= bound
+    assert sol.energy_j == pytest.approx(dual.energy, rel=orchestrate.GAP_TOL, abs=0)
 
 
 @pytest.mark.parametrize("draw", [
