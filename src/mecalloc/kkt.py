@@ -643,7 +643,10 @@ def barrier_stages(scenario):
     is no stage), is the capacity split, each AP's compute in proportion
     to its users' least demands eta*T/D and equal bandwidth; there the gap
     bound 3KM/tau is its energy over BARRIER_GROWTH^2. tau grows
-    BARRIER_GROWTH-fold per stage, until one takes no step.
+    BARRIER_GROWTH-fold per stage, until that bound is within float64
+    resolution of the stage's energy, as in `_barrier_split`; a singular
+    Newton system, a pair's 3x3 block or the Schur system, ends the stages
+    too.
 
     A stage's allocation is its centred point with every pair at or below
     the activity threshold set to L = x = q = 0 and each budget's shares
@@ -678,10 +681,12 @@ def barrier_stages(scenario):
             g = tau * grad * scale - c / room[:, None] - logs / z
             H = tau * hess * scale[:, :, None] * scale[:, None, :] + c[:, :, None] * c[:, None, :] \
                 / (room * room)[:, None, None] + np.eye(3) * (logs / z ** 2)[:, :, None]
-            Hi = np.linalg.inv(H)
+            if (Hi := _solve(H, np.broadcast_to(np.eye(3), H.shape))) is None:
+                return
             S = np.bincount((rows[:, :, None] * R + rows[:, None, :]).ravel(), Hi.ravel(), R * R)
-            nu = np.linalg.solve(S.reshape(R, R), -np.bincount(
-                rows.ravel(), np.einsum("nab,nb->na", Hi, g).ravel(), R))
+            if (nu := _solve(S.reshape(R, R), -np.bincount(
+                    rows.ravel(), np.einsum("nab,nb->na", Hi, g).ravel(), R))) is None:
+                return
             step = -np.einsum("nab,nb->na", Hi, g + nu[rows])
             decrement, s = -(g * step).sum(), 1.0
             if decrement <= 2.0 * CENTRING_TOL or (s_last == 1.0 and decrement >= last):
@@ -707,7 +712,7 @@ def barrier_stages(scenario):
         q[:, served] *= cap[served] / q[:, served].sum(axis=0)
         yield Candidate(L, x, q, beta, mus, float(energy_matrix(scenario, L, x, q).sum()),
                         joint_dual(scenario, beta, mus))
-        if steps == 0:
+        if 3.0 * n / tau <= np.finfo(float).eps * E:
             return
         tau *= BARRIER_GROWTH
 

@@ -5,15 +5,15 @@ operated at minimal power under a hard deadline,
 
     E = (N0/h) * x * t * (2**(L/(x*t)) - 1),     t = D - eta*L/q.
 
-It is written once, in the vectorised `energy`, `bracket` and
-`data_marginal` (dE/dL, which `partials` reads), all through one
-primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The bandwidth root
-(`exponent_root`) and a pair's cheapest cost per bit at given prices
-(`price_oracle`) take the same Newton step in ln z, a fixed count of
-times. `energy_derivatives` gives the barrier method in `kkt` its 3x3
-Hessian in (L, x, q), the one Hessian of the pair energy: the 2x2
-curvature blocks are read off it. The scalar functions and the analytic
-gradient build on the pair model. They act on a `PairPoint`, one entry
+It is written once, in the vectorised `energy` and `bracket`, both
+through one primitive, kappa(z) = -phi(z)/(z*e^z) (`_kappa`). The
+bandwidth root (`exponent_root`) and a pair's cheapest cost per bit at
+given prices (`price_oracle`) take the same Newton step in ln z, a fixed
+count of times. `energy_derivatives` gives the barrier methods in `kkt`
+the gradient and 3x3 Hessian in (L, x, q), the one gradient and Hessian
+of the pair energy: the analytic gradient (`partials`) and the 2x2
+curvature blocks (`hessian_diag`) are read off them. The scalar
+functions build on the pair model. They act on a `PairPoint`, one entry
 of an `Allocation` with its user's task, whose slack is derived from its
 compute and which passed the pair rule when it was built.
 """
@@ -33,7 +33,6 @@ from .model import (
     PairPoint,
     StructuralError,
     check_pairs,
-    deadline_slack,
 )
 
 
@@ -144,14 +143,6 @@ def price_oracle(beta, mu, d, eta, a):
     return a * LN2 * np.exp(z) + mu * eta / (s * t), t, LN2 / (t * z)
 
 
-def data_marginal(L, x, q, d, eta, a):
-    """dE/dL at fixed (x, q), where the slack t = D - eta*L/q shrinks as L
-    grows: a*(ln2*e^z - (eta/q)*x*phi(z)). Both terms are positive and the
-    sum rises strictly in L, from a*ln2 at L = 0."""
-    z = L / (x * deadline_slack(d, eta, L, q)) * LN2
-    return a * (LN2 * np.exp(z) - eta / q * x * bracket(z))
-
-
 def energy_derivatives(L, x, q, d, eta, a):
     """Gradient and Hessian of the pair energy in (L, x, q), elementwise
     over pairs with slack t = D - eta*L/q > 0: n x 3 and n x 3 x 3.
@@ -236,19 +227,23 @@ class EnergyGradient:
     d_dt: float
 
 
-def _interior(point):
+def _derivatives(point):
+    """The gradient and Hessian in (L, x, q) of `energy_derivatives` at an
+    interior point, and q_t = q*q/(eta*L), the slope of the compute
+    q = eta*L/(D - t) that leaves the slack t at fixed L."""
     if not 0 < point.slack_s < point.deadline_s:
         raise StructuralError("interior point requires slack strictly inside (0, deadline)")
+    L, q, eta = point.data_bits, point.compute_cps, point.cycles_per_bit
+    (g,), (h,) = energy_derivatives(*(np.array([v]) for v in (
+        L, point.bandwidth_hz, q, point.deadline_s, eta, point.noise_over_gain)))
+    return g, h, q * q / (eta * L)
 
 
 def partials(point: PairPoint) -> EnergyGradient:
-    """Analytic gradient of pair_energy; matches central finite differences."""
-    _interior(point)
-    x, t, a = point.bandwidth_hz, point.slack_s, point.noise_over_gain
-    phi = float(bracket(point.data_bits / (x * t) * LN2))
-    d_dL = float(data_marginal(point.data_bits, x, point.compute_cps, point.deadline_s,
-                               point.cycles_per_bit, a))
-    return EnergyGradient(d_dL=d_dL, d_dx=a * t * phi, d_dt=a * x * phi)
+    """Analytic gradient of pair_energy, read off `energy_derivatives`:
+    dE/dt at fixed (L, x) is dE/dq*q_t; matches central finite differences."""
+    g, _, q_t = _derivatives(point)
+    return EnergyGradient(d_dL=float(g[0]), d_dx=float(g[1]), d_dt=float(g[2] * q_t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,15 +273,10 @@ def hessian_diag(point: PairPoint, pair: str) -> HessianDiag:
     """
     if pair not in _HESSIAN_PAIRS:
         raise StructuralError(f"unknown pair {pair!r}, expected one of {_HESSIAN_PAIRS}")
-    _interior(point)
-    L, q = point.data_bits, point.compute_cps
-    (g,), (h,) = energy_derivatives(*(np.array([v]) for v in (
-        L, point.bandwidth_hz, q, point.deadline_s, point.cycles_per_bit,
-        point.noise_over_gain)))
+    g, h, q_t = _derivatives(point)
     if pair == "x_t":
-        q_t = q * q / (point.cycles_per_bit * L)
-        e_xt = h[1, 2] * q_t
-        m = np.array([[h[1, 1], e_xt], [e_xt, (h[2, 2] + 2.0 * g[2] / q) * q_t**2]])
+        e_xt, e_tt = h[1, 2] * q_t, (h[2, 2] + 2.0 * g[2] / point.compute_cps) * q_t**2
+        m = np.array([[h[1, 1], e_xt], [e_xt, e_tt]])
     else:
         j = 1 if pair == "L_x" else 2
         m = np.array([[h[0, 0], h[0, j]], [h[0, j], h[j, j]]])

@@ -26,7 +26,7 @@ from mecalloc import (
 from mecalloc import kkt, orchestrate
 from mecalloc.model import least_bandwidth
 from mecalloc.orchestrate import check_solution
-from mecalloc.physics import data_marginal, price_oracle
+from mecalloc.physics import energy_derivatives, price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
 
 from util import make_scenario, scalar_energy, starve_pricing
@@ -267,8 +267,8 @@ def test_reduced_gradient_is_the_slack_and_price_form_after_a_rebalance(deadline
     t = sc.deadlines_s[i] - sc.cycles_per_bit[i] * L[i, j] / q[i, j]
     form = sc.noise_over_gain[i, j] * np.log(2.0) * np.exp2(L[i, j] / (x[i, j] * t)) \
         + mus[j] * sc.cycles_per_bit[i] / (sc.deadlines_s[i] - t)
-    g = data_marginal(L[i, j], x[i, j], q[i, j], sc.deadlines_s[i], sc.cycles_per_bit[i],
-                      sc.noise_over_gain[i, j])
+    g = energy_derivatives(L[i, j], x[i, j], q[i, j], sc.deadlines_s[i], sc.cycles_per_bit[i],
+                           sc.noise_over_gain[i, j])[0][:, 0]
     assert np.allclose(g, form, rtol=1e-7, atol=0)
     assert np.allclose(g, kkt.pair_costs(sc, beta, mus)[i, j], rtol=1e-7, atol=0)
 
@@ -741,6 +741,23 @@ def test_draws_the_gradient_rounds_left_unconverged_are_certified(draw):
     cfg = SolveConfig.for_scenario(sc)
     sol = solve_iterative(sc, InitStrategy.equal(), cfg)
     assert sol.converged and sol.outer_iterations <= 10
+    assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
+    assert validate(sc, sol.allocation, cfg).ok
+
+
+@pytest.mark.parametrize("params", [
+    dict(num_aps=3, deadline_s=3.0, bandwidth_hz=1e5, capacity_cps=5e9, seed=188),
+    dict(num_aps=2, deadline_s=0.05, bandwidth_hz=1e7, capacity_cps=1e12, seed=406),
+])
+def test_single_user_draws_at_the_rate_exponent_edge_are_certified(params):
+    # one user whose energy is far above any grid answer (9.8e30 J and
+    # 8.9e10 J): the stages that stopped at the first one without a step
+    # left gaps of 1.56e-5 and 1.12e-5; stages that run until their gap
+    # bound is within float64 resolution of the energy certify both
+    sc = generate(GenParams(num_users=1, task_bits=2e7, **params))
+    cfg = SolveConfig.for_scenario(sc)
+    sol = solve_iterative(sc, cfg=cfg)
+    assert sol.converged
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
     assert validate(sc, sol.allocation, cfg).ok
 

@@ -238,7 +238,7 @@ def test_partials_match_finite_differences():
           p.cycles_per_bit, p.noise_over_gain) for p in points]).T
     e = physics.energy(Lv / (xv * tv), xv, tv, av)
     phi = physics.bracket(Lv / (xv * tv) * LN2)
-    d_dL = physics.data_marginal(Lv, xv, qv, dv, etav, av)
+    d_dL = physics.energy_derivatives(Lv, xv, qv, dv, etav, av)[0][:, 0]
     d_dx, d_dt = av * tv * phi, av * xv * phi
     for k, p in enumerate(points):
         g = partials(p)
