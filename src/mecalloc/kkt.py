@@ -544,7 +544,8 @@ def joint_split(scenario, cfg: SolveConfig):
 
     Maximises the smoothed joint dual (`_joint_system`) over the 1 + M
     log prices in stages from the logs of the prices `_price` returns for
-    the capacity split L_ij = T_i*C_j/sum C (its raises propagate).
+    the capacity split L_ij = T_i*C_j/sum C, which pools the spare compute:
+    its InfeasibilityError decides the scenario, and its raises propagate.
     With tau -> 0 the bound tends to G(beta, mu) (`joint_dual`), whose
     maximum nearly always meets the energy: the time-sharing argument of
     Yu & Lui (IEEE Trans. Commun. 2006), with the log-sum-exp smoothing of
@@ -721,33 +722,29 @@ def barrier_stages(scenario):
 # BCAA: joint bandwidth and compute allocation for fixed data
 
 def _price(scenario, L, cfg, diag=None):
-    """The pricing of `solve_bcaa`: the input checks and the maximisation
-    of the fixed-data dual of split L.
+    """`solve_bcaa`'s pricing of split L: one feasibility check, then the
+    maximisation of the fixed-data dual.
 
-    The pricing starts from `_start_prices` at the slack D*(1 - load_j/C_j)
-    of the capacity split proportional to eta*L/D. Only APs that serve an
-    active pair are priced; one whose `model.least_load` reaches its
-    capacity raises InfeasibilityError, as does a bandwidth budget at or
-    below `model.least_bandwidth`. A Newton solve that ends short of
-    its tolerance with a price at an edge of DUAL_RANGE raises
-    BracketError: the root lies beyond the range, or the solve stalled
-    there. diag, when a list, receives one record per final price
-    with its scaled budget residual and the count of oracle calls. Returns
-    the final prices as (beta, mus), mus an M-vector with every AP that
-    serves no active pair at the floor of DUAL_RANGE; the `_pricing_inputs`
-    of L; the final prices of the bandwidth and the served APs; and the
-    oracle's (e, t, x/L) at them."""
+    A bandwidth budget at or below the split's `model.least_bandwidth`
+    raises InfeasibilityError, naming an AP whose `model.least_load`
+    reaches its capacity. The Newton solve, of the prices of the bandwidth
+    and of each AP that serves an active pair, starts from `_start_prices`
+    at the slack D*(1 - load_j/C_j) of the capacity split proportional to
+    eta*L/D; ending short of its tolerance at an edge of DUAL_RANGE, it
+    raises BracketError. diag, when a list, gets one record per final
+    price. Returns (beta, mus), mus an M-vector with every idle AP at the
+    floor of DUAL_RANGE; the `_pricing_inputs` of L; the final prices of
+    the bandwidth and the served APs; and the oracle's (e, t, x/L) there."""
     inputs = act, pairs, col, budgets, aps = _pricing_inputs(scenario, L)
     if not act.any():
         raise DegenerateInputError("no active pairs")
-    if (need := least_bandwidth(scenario)) >= budgets[0]:
-        raise InfeasibilityError(f"bandwidth {budgets[0]:.6g} Hz is {need - budgets[0]:.6g} Hz "
-                                 f"short of the {need:.6g} Hz the exponent cap needs")
     load, cap = least_load(scenario, L, act), scenario.compute_capacity
-    if (over := load >= cap).any():
-        j = int(np.argmax(over))
-        raise InfeasibilityError(f"AP {j}: data split demands {load[j]:.6g} cycles/s of "
-                                 f"{cap[j]:.6g}", ap=j)
+    if (need := least_bandwidth(scenario, L)) >= budgets[0]:
+        j = int(np.argmax(over := load >= cap))  # an overloaded AP makes the need infinite
+        raise InfeasibilityError(
+            f"AP {j}: data split demands {load[j]:.6g} cycles/s of {cap[j]:.6g}" if over[j] else
+            f"bandwidth {budgets[0]:.6g} Hz is {need - budgets[0]:.6g} Hz short of the "
+            f"{need:.6g} Hz the data split needs", ap=j if over[j] else None)
     y = _start_prices(pairs, col, (scenario.deadlines_s[:, None] * (1.0 - load / cap))[act],
                       budgets[0])
     # driving the scaled budget residuals to zero maximises q(beta, mu)

@@ -381,21 +381,27 @@ def least_load(scenario, data, act):
                     0.0).sum(axis=0)
 
 
-def least_bandwidth(scenario):
-    """sum_i T_i/(EXPONENT_CAP*D_i), below every allocation's bandwidth: a
-    loaded pair's slack is below D, and `pair_fault` caps L/(x*t)."""
-    return float((scenario.task_bits / scenario.deadlines_s).sum() / EXPONENT_CAP)
+def least_bandwidth(scenario, data):
+    """Least bandwidth of split data, w = L/D on its active pairs: sum w/EXPONENT_CAP and, per AP,
+    (sum_i w_ij*sqrt(eta_i))^2/(EXPONENT_CAP*(C_j - least_load_j)), its slacks' Cauchy-Schwarz
+    least; inf once a `least_load` reaches C_j. The split is servable iff B exceeds it."""
+    act = data > scenario.activity_threshold_bits
+    spare = scenario.compute_capacity - least_load(scenario, data, act)
+    w = np.where(act, data / scenario.deadlines_s[:, None], 0.0)
+    return math.inf if np.any(spare <= 0.0) else float(
+        (w.sum() + ((np.sqrt(scenario.cycles_per_bit) @ w) ** 2 / spare).sum()) / EXPONENT_CAP)
 
 
 def validate(scenario, allocation, cfg):
     """Check an allocation against every constraint; pure function.
 
     Returns a ValidationReport of the violated constraints with residuals:
-    the aggregate compute and bandwidth demands (`least_bandwidth`), the
-    budget equalities, the faults of the pair rule (`check_pairs`) and
-    each AP whose `least_load` reaches its capacity. Structural problems
-    (shape mismatch, NaN, negatives) raise StructuralError instead of
-    being reported.
+    the aggregate bandwidth demand (the `least_bandwidth` of the capacity
+    split, which pools the spare compute, so no split needs less; its
+    residual is the compute's shortfall once that is infinite), the budget
+    equalities, the pair rule's faults (`check_pairs`) and each AP whose
+    `least_load` reaches its capacity. Structural problems (shape
+    mismatch, NaN, negatives) raise StructuralError, not a report.
     """
     if allocation.data.shape != (scenario.num_users, scenario.num_aps):
         raise StructuralError(
@@ -403,14 +409,11 @@ def validate(scenario, allocation, cfg):
             f"({scenario.num_users}, {scenario.num_aps})")
     bad = []
 
-    total_demand = (scenario.cycles_per_bit * scenario.task_bits / scenario.deadlines_s).sum()
-    total_cap = scenario.compute_capacity.sum()
-    if total_demand >= total_cap:
-        bad.append(Violation("aggregate compute demand exceeds capacity", (),
-                             total_demand / total_cap - 1.0))
-    if (need := least_bandwidth(scenario)) >= scenario.bandwidth_hz:
+    cap, B = scenario.compute_capacity, scenario.bandwidth_hz
+    if (need := least_bandwidth(scenario, scenario.task_bits[:, None] / (cap.sum() / cap))) >= B:
+        demand = (scenario.cycles_per_bit * scenario.task_bits / scenario.deadlines_s).sum()
         bad.append(Violation("aggregate bandwidth demand exceeds budget", (),
-                             need / scenario.bandwidth_hz - 1.0))
+                             need / B - 1.0 if math.isfinite(need) else demand / cap.sum() - 1.0))
 
     for name, res in budget_residuals(scenario, allocation).items():
         if res > cfg.bisect_tol:
@@ -421,7 +424,7 @@ def validate(scenario, allocation, cfg):
     act, _, _, faults = check_pairs(scenario, allocation.data, allocation.bandwidth,
                                     allocation.compute)
     bad.extend(Violation(constraint, where, residual) for where, constraint, residual in faults)
-    load, cap = least_load(scenario, allocation.data, act), scenario.compute_capacity
+    load = least_load(scenario, allocation.data, act)
     bad.extend(Violation("ap compute overload", (j,), float(load[j] / cap[j] - 1.0))
                for j in np.flatnonzero(load >= cap).tolist())
     return ValidationReport(tuple(bad))

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from mecalloc import (
     Allocation,
-    BracketError,
     DegenerateInputError,
     DualVariable,
     InfeasibilityError,
@@ -27,7 +26,7 @@ from mecalloc import (
     total_energy,
 )
 from mecalloc import kkt
-from mecalloc.model import deadline_slack
+from mecalloc.model import deadline_slack, least_bandwidth
 from mecalloc.physics import energy_derivatives, energy_matrix
 from mecalloc.scenario import GenParams, generate, override_parameter
 
@@ -750,12 +749,15 @@ def test_barrier_stages_need_an_interior_start():
 def test_bcaa_prices_beyond_the_dual_range_raise():
     # one AP loaded to 99.99% of its capacity: its slacks, hence its
     # bandwidth, leave no rate inside the exponent cap unless both prices
-    # rise above DUAL_RANGE; the pricing finds that at the range edge
+    # rise above DUAL_RANGE. The split needs 8.91e7 Hz of the 1e7 Hz there
+    # is at its spare compute (`model.least_bandwidth`), so the pricing
+    # reports it infeasible before any Newton step
     params = GenParams(num_users=3, num_aps=1, seed=0)
     base = generate(params)
     load = (base.cycles_per_bit * base.task_bits / base.deadlines_s).sum()
     sc = generate(dataclasses.replace(params, capacity_cps=load / (1.0 - 1e-4)))
-    with pytest.raises(BracketError):
+    assert least_bandwidth(sc, base.task_bits[:, None]) == pytest.approx(8.91e7, rel=1e-3)
+    with pytest.raises(InfeasibilityError, match="short of the 8.91"):
         solve_bcaa(sc, base.task_bits[:, None], _cfg(sc))
 
 

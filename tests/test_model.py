@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from mecalloc import (
     Allocation,
+    BracketError,
+    ConvergenceError,
     InfeasibilityError,
     InfeasiblePairError,
     PairPoint,
@@ -31,6 +33,8 @@ from mecalloc.model import (
     Violation,
     budget_residuals,
     check_pairs,
+    least_bandwidth,
+    least_load,
     pair_fault,
 )
 from mecalloc.physics import energy_matrix, pair_energy
@@ -127,8 +131,9 @@ def test_validate_rejects_an_allocation_of_another_shape(scenario42, cfg42):
 
 
 @pytest.mark.parametrize("capacity,bandwidth,compute,constraint,residual", [
-    # eta*L/D equals the only AP's capacity
-    (1e3, 1e4, 2e3, "aggregate compute demand exceeds capacity", 0.0),
+    # eta*L/D equals the only AP's capacity, so no bandwidth serves the
+    # capacity split; the residual is the compute's shortfall, 0
+    (1e3, 1e4, 2e3, "aggregate bandwidth demand exceeds budget", 0.0),
     (2e3, 1e4, 0.0, "no compute on loaded pair", 1.0),
     (2e3, 0.0, 2e3, "no bandwidth on loaded pair", 1.0),
     # u = L/(x*t) = 1e3 / (0.1 * 0.5) = 2e4 bits per Hz-second
@@ -518,3 +523,50 @@ def test_budget_residuals_skip_idle_aps():
     res = budget_residuals(sc, alloc)
     assert "compute_ap_1" not in res
     assert validate(sc, alloc, SolveConfig()).ok
+
+
+@st.composite
+def _heterogeneous_splits(draw):
+    """A small scenario with its own T, D and eta per user and C per AP,
+    gains and B drawn as in the heterogeneous draws of ROADMAP item 3, and
+    a data split: each user's task over its APs in drawn proportions, some
+    of them zero."""
+    K, M = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    exp10 = lambda lo, hi, n: 10.0 ** np.array(draw(st.lists(
+        st.floats(lo, hi), min_size=n, max_size=n)))
+    T, D, eta = exp10(5.5, 7.5, K), exp10(-1.3, 0.3, K), exp10(2.0, 3.5, K)
+    sc = Scenario(num_users=K, num_aps=M, gains=exp10(-12.0, -7.0, K * M).reshape(K, M),
+                  tasks=tuple(TaskSpec(*task) for task in zip(T, D, eta)),
+                  bandwidth_hz=float(exp10(5.5, 7.5, 1)[0]),
+                  compute_capacity=exp10(9.5, 11.5, M), noise_psd=10.0 ** -20.4)
+    w = np.array(draw(st.lists(st.sampled_from((0.0, 0.1, 0.5, 1.0)), min_size=K * M,
+                               max_size=K * M))).reshape(K, M)
+    w[:, 0] += w.sum(axis=1) == 0.0
+    shares = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=M, max_size=M)))
+    return sc, T[:, None] * w / w.sum(axis=1, keepdims=True), shares / shares.sum()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_heterogeneous_splits())
+def test_the_least_bandwidth_is_exact_at_the_spare_compute(instance):
+    sc, L, shares = instance
+    act = L > sc.activity_threshold_bits
+    need = least_bandwidth(sc, L)
+    # the exponent cap alone: each loaded pair's slack is below its deadline
+    assert need >= (L / sc.deadlines_s[:, None])[act].sum() / EXPONENT_CAP
+    assert math.isinf(need) == bool(np.any(least_load(sc, L, act) >= sc.compute_capacity))
+    # a free split pools the compute, so at the capacity split only sum C counts
+    cap = sc.compute_capacity
+    pooled = least_bandwidth(sc, sc.task_bits[:, None] * (cap / cap.sum()))
+    moved = dataclasses.replace(sc, compute_capacity=cap.sum() * shares)
+    again = least_bandwidth(moved, moved.task_bits[:, None] * shares)
+    assert again == pooled if math.isinf(pooled) else again == pytest.approx(pooled, rel=1e-12)
+    # a converged solve meets the budget, and its own slacks need at least
+    # the least bandwidth at the rate exponent's cap
+    try:
+        sol = solve_fixed_data(sc, L)
+    except (InfeasibilityError, ConvergenceError, BracketError):
+        return
+    assert sol.converged and need < sc.bandwidth_hz
+    _, t, _, _ = check_pairs(sc, L, sol.allocation.bandwidth, sol.allocation.compute)
+    assert need <= (L[act] / (EXPONENT_CAP * t[act])).sum() * (1.0 + 1e-12)

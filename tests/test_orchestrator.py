@@ -1,5 +1,7 @@
 import dataclasses
+import importlib.util
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from mecalloc import (
     validate,
 )
 from mecalloc import kkt, orchestrate
-from mecalloc.model import least_bandwidth
+from mecalloc.model import EXPONENT_CAP, least_bandwidth
 from mecalloc.orchestrate import check_solution
 from mecalloc.physics import energy_derivatives, price_oracle
 from mecalloc.scenario import GenParams, generate, override_parameter
@@ -553,26 +555,80 @@ def test_the_tight_deadline_start_is_certified_with_no_gradient_round():
     assert sol.energy_j - sol.lower_bound_j <= orchestrate.GAP_TOL * sol.energy_j
 
 
-@pytest.mark.parametrize("solve", [
-    solve_iterative,
-    lambda sc: solve_fixed_assignment(sc, best_snr_assignment(sc)),
-    lambda sc: solve_fixed_data(sc, initialize(sc, InitStrategy.equal())),
+_METHODS = {
+    "iterative": solve_iterative,
+    "binary-best-ap": lambda sc: solve_fixed_assignment(sc, best_snr_assignment(sc)),
+    "fixed-equal": lambda sc: solve_fixed_data(sc, initialize(sc, InitStrategy.equal())),
+}
+
+
+@pytest.mark.parametrize("method, split, need", [
+    ("iterative", InitStrategy.equal(), "135029"),
+    ("binary-best-ap", InitStrategy.binary(), "152340"),
+    ("fixed-equal", InitStrategy.equal(), "135029"),
 ], ids=["iterative", "binary-best-ap", "fixed-equal"])
-def test_a_bandwidth_below_the_exponent_cap_demand_is_infeasible(solve):
+def test_a_bandwidth_below_the_exponent_cap_demand_is_infeasible(method, split, need):
     # each loaded pair needs x > L/(EXPONENT_CAP*D), so this task needs
-    # more than 1.32e5 Hz of the 1e5 Hz there is: every method reports
-    # infeasibility with the shortfall, not a missed tolerance, and
-    # validate reports the rule for any allocation
+    # more than 1.32e5 Hz of the 1e5 Hz there is, and 1.35e5 Hz at its
+    # spare compute over the equal split, which is the capacity split the
+    # iterative method prices first (1.52e5 Hz on one AP): every method
+    # reports infeasibility with its split's shortfall, not a missed
+    # tolerance, and validate reports the rule for any allocation
     sc = generate(GenParams(num_users=1, num_aps=6, deadline_s=0.15, bandwidth_hz=1e5,
                             capacity_cps=1e12, task_bits=2e7, seed=43))
-    assert least_bandwidth(sc) == pytest.approx(1.32028e5, rel=1e-5)
-    with pytest.raises(InfeasibilityError, match="short of the 132028 Hz"):
-        solve(sc)
+    assert least_bandwidth(sc, initialize(sc, InitStrategy.equal())) \
+        == pytest.approx(1.350287e5, rel=1e-6)
+    assert f"{least_bandwidth(sc, initialize(sc, split)):.6g}" == need
+    with pytest.raises(InfeasibilityError, match=f"short of the {need} Hz"):
+        _METHODS[method](sc)
     L = initialize(sc, InitStrategy.equal())
     alloc = Allocation(L, np.full(L.shape, sc.bandwidth_hz / sc.num_aps),
                        np.tile(sc.compute_capacity, (sc.num_users, 1)))
     constraints = [v.constraint for v in validate(sc, alloc, SolveConfig()).violations]
     assert "aggregate bandwidth demand exceeds budget" in constraints
+
+
+def _fuzz_draws():
+    """The 600 `GenParams` of the fuzz section of `scripts/grid.py`."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "grid.py"
+    spec = importlib.util.spec_from_file_location("grid", path)
+    grid = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(grid)
+    return [params for _, _, params in grid.fuzz_draws()]
+
+
+@pytest.mark.parametrize("method", list(_METHODS))
+def test_a_draw_that_fits_each_budget_alone_but_not_both_is_infeasible(method):
+    # fuzz draw 308: the bandwidth fits at the exponent cap with t = D and
+    # the compute at t = 0, but no common slack t fits both. Its one split
+    # needs the least over t of 3T/(EXPONENT_CAP*t) where 3*eta*T/(D - t)
+    # <= C, which a 2,000,001-point grid over t checks
+    params = GenParams(num_users=3, num_aps=1, deadline_s=0.0685829535450314,
+                       bandwidth_hz=277633.20191644644, capacity_cps=525856244809.37225,
+                       task_bits=6131028.293977006, seed=250)
+    assert _fuzz_draws()[308] == params
+    sc = generate(params)
+    T, D = sc.task_bits[0], sc.deadlines_s[0]
+    t = np.linspace(0.0, D, 2_000_001)[1:-1]
+    t = t[3.0 * sc.cycles_per_bit[0] * T / (D - t) <= sc.compute_capacity[0]]
+    grid = (3.0 * T / (EXPONENT_CAP * t)).min()
+    need = least_bandwidth(sc, sc.task_bits[:, None])
+    assert need == pytest.approx(grid, rel=1e-6) and need <= grid
+    assert need > sc.bandwidth_hz
+    with pytest.raises(InfeasibilityError, match=f"short of the {need:.6g} Hz"):
+        _METHODS[method](sc)
+
+
+@pytest.mark.parametrize("draw", [2, 353, 444])
+def test_jointly_infeasible_fuzz_draws_raise_infeasibility(draw):
+    # each budget fits these draws alone; the capacity split, which the
+    # dual step prices first, needs more bandwidth than there is at its
+    # pooled spare compute
+    sc = generate(_fuzz_draws()[draw])
+    cap = sc.compute_capacity
+    assert least_bandwidth(sc, sc.task_bits[:, None] * (cap / cap.sum())) > sc.bandwidth_hz
+    with pytest.raises(InfeasibilityError, match="short of the"):
+        solve_iterative(sc)
 
 
 @pytest.mark.parametrize("users, aps, deadline, seed, ceiling", [
